@@ -2,7 +2,9 @@
 
 Every bench writes its table/figure artifact under ``benchmarks/out/`` so
 the reproduced numbers survive the run; the pytest-benchmark timing table
-covers the wall-clock side.
+covers the wall-clock side.  Deterministic artifacts are tracked in git;
+the ones that carry wall-clock columns go to the git-ignored
+``benchmarks/out/timing/``, so running the suite leaves the worktree clean.
 
 All benches route through one session-scoped stage cache (the
 process-default :class:`repro.harness.cache.StageCache`), so a workload is
@@ -57,3 +59,11 @@ def stage_cache() -> StageCache:
 def out_dir() -> pathlib.Path:
     OUT_DIR.mkdir(exist_ok=True)
     return OUT_DIR
+
+
+@pytest.fixture(scope="session")
+def timing_dir(out_dir) -> pathlib.Path:
+    """Where artifacts with wall-clock content go (git-ignored)."""
+    path = out_dir / "timing"
+    path.mkdir(exist_ok=True)
+    return path

@@ -1,7 +1,7 @@
 """VM throughput bench — seeds and guards the interpreter perf trajectory.
 
 Runs the ``repro bench`` engine in its quick (CI smoke) configuration,
-writes the result under ``benchmarks/out/`` and asserts the perf_opt
+writes the result under ``benchmarks/out/timing/`` and asserts the perf_opt
 acceptance criteria that are deterministic on any machine:
 
 * the discrete-event simulator processes **>= 5x fewer events** (in
@@ -24,9 +24,9 @@ from bench_utils import BENCH_VM_PATH, write_json_artifact
 from repro.harness.bench import check_regression, load_bench, run_bench
 
 
-def test_bench_vm(benchmark, out_dir):
+def test_bench_vm(benchmark, timing_dir):
     doc = benchmark.pedantic(lambda: run_bench(quick=True), rounds=1, iterations=1)
-    write_json_artifact(out_dir, "bench_vm_quick.json", doc)
+    write_json_artifact(timing_dir, "bench_vm_quick.json", doc)
 
     for name, w in doc["workloads"].items():
         sim = w["simulator"]

@@ -21,7 +21,7 @@ GRID_WORKLOADS = ("bank", "method", "crypt", "heapsort")
 GRID_METHODS = ("multilevel", "kl", "roundrobin")
 
 
-def test_sweep_grid_with_cache(benchmark, out_dir):
+def test_sweep_grid_with_cache(benchmark, timing_dir):
     grid = sweep_grid(workloads=GRID_WORKLOADS, methods=GRID_METHODS)
     assert len(grid) == 12
     cache = StageCache()
@@ -32,7 +32,7 @@ def test_sweep_grid_with_cache(benchmark, out_dir):
     warm = SweepRunner(grid, cache=cache).run()
 
     write_artifact(
-        out_dir,
+        timing_dir,
         "sweep.txt",
         "\n".join(
             [cold.table(), "", "cold: " + cold.summary(),

@@ -15,11 +15,11 @@ from repro.harness.pipeline import Pipeline
 from repro.harness.tables import table2
 
 
-def test_table2(benchmark, out_dir, stage_cache):
+def test_table2(benchmark, timing_dir, stage_cache):
     rows, text = benchmark.pedantic(
         lambda: table2("test", cache=stage_cache), rounds=1, iterations=1
     )
-    write_artifact(out_dir, "table2.txt", text)
+    write_artifact(timing_dir, "table2.txt", text)
 
     total_crg = sum(r["construct_crg_ms"] for r in rows)
     total_part = sum(r["partition_trg_ms"] for r in rows)

@@ -27,7 +27,7 @@ import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
-from repro.vm.interpreter import ENGINES, forced_engine, forced_slow_path
+from repro.vm.interpreter import ENGINES, forced_engine
 
 #: format tag of the BENCH_vm.json document
 BENCH_SCHEMA = "repro.bench_vm/2"
@@ -91,7 +91,7 @@ def bench_simulator(workload: str, size: str, *, slow: bool) -> Dict[str, float]
     plan = pipe.plan(2, method="multilevel", cluster=cluster)
     rewritten, _, _ = pipe.rewrite(plan)
     loaded = load_program(rewritten)
-    with forced_slow_path(slow):
+    with forced_engine("reference" if slow else "fast"):
         backend = create_backend("sim", cluster)
         t0 = time.perf_counter()
         run = backend.execute(

@@ -1,43 +1,61 @@
-"""Pluggable runtime backends: the transport/lifecycle contract the
-distributed executor needs, independent of *how* nodes actually run.
+"""The runtime's node core and the transport contract beneath it.
 
-The paper's runtime targets real machines; our first reproduction hard-wired
-everything to the discrete-event simulator.  This module is the seam that
-makes the runtime layered:
+The paper's runtime (§5) is one set of services every node runs unchanged;
+only the link underneath differs.  This module is that shared half:
 
-* :class:`Transport` — message routing: ``post(src, dst, msg)`` with
-  per-(src, dst) FIFO ordering, plus the cluster size.  The MPI service and
-  MessageExchange talk to nodes and a transport only — never to a concrete
-  cluster class.
-* :class:`BackendNode` — one node's runtime identity: VM machine, services,
-  clock (virtual or wall), message intake and per-node statistics.  All
-  stats leave a node through :meth:`BackendNode.snapshot_stats`, the one
-  code path shared by every backend (and by the sequential baseline via
-  :func:`snapshot_machine`).
-* :class:`RuntimeBackend` — node lifecycle + execution: takes a rewritten
-  program, provisions one VM per node, drives every node's generator to
-  completion and returns a :class:`BackendRun`.
+* :class:`BackendNode` — **the node core**, identical on every backend: VM
+  machine and services, clock and statistics, the FIFO inbox with
+  receiver-side dedup (:meth:`~BackendNode.intake`), the event step
+  (:meth:`~BackendNode.step`: ``cost`` charges and checks the crash plan,
+  ``wait`` blocks) and the budgeted loop over it
+  (:meth:`~BackendNode.drive`), and the blocking rule (every peer
+  unreachable means ``PeerLost`` now, silence past
+  :data:`WAIT_TIMEOUT_S` means a structured error).
+* :func:`run_node` / :func:`node_report` / :func:`assemble_run` — the only
+  path from finished nodes to a :class:`BackendRun`: a node is driven to
+  completion, summarized as a :class:`NodeReport`, and the reports are
+  folded into the run.  In-process backends and forked workers use the same
+  three functions; workers merely pickle the report home.
+* :class:`Transport` — **what a backend supplies**, stated once, there.
+* :class:`RuntimeBackend` — lifecycle: take a rewritten program, provision
+  one VM per node, run every node and return the :class:`BackendRun`.
 
-Implementations register themselves under a name (``sim``, ``thread``,
-``process``) via :func:`register_backend`; the executor, harness, sweep and
-CLI select one through :func:`create_backend` — the only sanctioned route to
-a concrete backend class.
+Four transports implement the contract and register themselves by name via
+:func:`register_backend`: ``sim`` (:mod:`~repro.runtime.simnet`, virtual
+time), ``thread`` (:mod:`~repro.runtime.threads`), ``process``
+(:mod:`~repro.runtime.proc`, pipes) and ``tcp`` (:mod:`~repro.runtime.tcp`,
+sockets).  The executor, harness, sweep and CLI select one through
+:func:`create_backend` — the only sanctioned route to a concrete backend.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Set, Tuple, Type
+from typing import (
+    Callable, ClassVar, Dict, Iterable, List, Optional, Set, Tuple, Type,
+)
 
 from repro.api.registry import Registry
-from repro.errors import RuntimeServiceError
+from repro.errors import RuntimeServiceError, VMError
 from repro.runtime.checkpoint import NodeRecovery, RecoveryPlan
 from repro.runtime.cluster import ClusterSpec, NodeSpec
-from repro.runtime.faults import FaultInjector, FaultPlan, FaultRecord
-from repro.runtime.message import Message
+from repro.runtime.faults import (
+    FaultError,
+    FaultInjector,
+    FaultPlan,
+    FaultRecord,
+    NodeCrashed,
+    PeerLost,
+)
+from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
+
+#: safety net for protocol bugs: how long a wall-clock node may block with
+#: nothing arriving before the run fails (real waits return on delivery)
+WAIT_TIMEOUT_S = 60.0
 
 
 # ------------------------------------------------------------------- policy
@@ -93,13 +111,13 @@ class NodeStats:
     """Per-node counters every backend reports through the same schema."""
 
     name: str
-    clock_s: float
-    busy_s: float
-    messages_sent: int
-    bytes_sent: int
-    requests_served: int
-    heap_objects: int
-    heap_bytes: int
+    clock_s: float = 0.0
+    busy_s: float = 0.0
+    messages_sent: int = 0
+    bytes_sent: int = 0
+    requests_served: int = 0
+    heap_objects: int = 0
+    heap_bytes: int = 0
     stdout: List[str] = field(default_factory=list)
     #: structured fault evidence (FaultRecord dicts) — empty on clean runs
     faults: List[dict] = field(default_factory=list)
@@ -179,9 +197,21 @@ def snapshot_machine(
 
 # ------------------------------------------------------------------ transport
 class Transport(ABC):
-    """Message routing between nodes.  Implementations must preserve FIFO
-    ordering per (src, dst) pair — the message-exchange protocol's
-    async-write-then-sync-read consistency depends on it."""
+    """What a backend supplies beneath the node core — all of it:
+
+    * :meth:`post` moves one frame towards ``dst``, preserving FIFO order
+      per (src, dst) pair (the message exchange's async-write-then-sync-read
+      consistency depends on it);
+    * arrived frames enter the receiving node through
+      :meth:`BackendNode.intake` — pushed from the transport's own thread
+      (``thread``, the ``tcp`` hub), or moved by the node's
+      :meth:`BackendNode.pump` override when the node must fetch them
+      itself (``process`` pipes);
+    * :meth:`broadcast` is best-effort: a dying node's SHUTDOWN / fault
+      notice frames go out to whoever is still reachable, and it never
+      raises;
+    * :meth:`close` releases what the transport opened.
+    """
 
     @property
     @abstractmethod
@@ -192,25 +222,55 @@ class Transport(ABC):
     def post(self, src: int, dst: int, msg: Message) -> None:
         """Hand one message to the transport for delivery to ``dst``."""
 
+    @abstractmethod
+    def broadcast(self, frames: Iterable[Message]) -> None:
+        """Best-effort delivery of each frame to its ``dst``."""
+
+    def close(self) -> None:
+        """Release transport resources (nothing to release by default)."""
+
+
+def shutdown_frames(
+    src: int, peers: Iterable[int], req_id: int = 0
+) -> List[Message]:
+    """The SHUTDOWN frames node ``src`` owes ``peers``: plain teardown
+    (``req_id`` 0) or, with :data:`FAULT_NOTICE`, the news that it died."""
+    return [Message(MessageKind.SHUTDOWN, src, dst, req_id) for dst in peers]
+
 
 # ----------------------------------------------------------------------- node
 class BackendNode:
-    """One node's runtime state, common to all backends.
+    """The node core: one node's runtime state and its message-driven loop,
+    the same on every backend.
 
-    Concrete backends supply the message intake (``take_matching`` /
-    ``iprobe``): the simulator gates on virtual arrival times, wall-clock
-    backends on what has physically arrived.
+    Frames enter through :meth:`intake` (dedup, FIFO inbox, wake-up) from
+    whatever thread the transport delivers on; the services consume them
+    with :meth:`take_matching` / :meth:`iprobe`; :meth:`drive` runs the
+    node's generator, blocking in :meth:`wait`.  Only the simulator
+    subclasses this, to gate the inbox on virtual arrival times.
     """
 
-    def __init__(self, node_id: int, spec: NodeSpec) -> None:
+    def __init__(
+        self, node_id: int, spec: NodeSpec, cluster_size: int = 1
+    ) -> None:
         self.node_id = node_id
         self.spec = spec
+        self.peers = [p for p in range(cluster_size) if p != node_id]
         self.clock = 0.0                     # seconds, virtual or wall
         self.gen = None                      # the node's process generator
         self.done = False
         self.machine = None                  # repro.vm.interpreter.Machine
         self.exchange = None                 # services.MessageExchange
         self.mpi = None                      # mpi.MPIService
+        self.starter = None                  # services.ExecutionStarter (main)
+        # inbox: FIFO of delivered frames.  ``_version`` counts deliveries
+        # (and lost connections); a failed scan records the version it saw,
+        # so a wait only blocks while nothing new happened since that scan
+        self._lock = threading.Lock()
+        self._delivered = threading.Condition(self._lock)
+        self._inbox: List[Message] = []
+        self._version = 0
+        self._seen = 0
         # statistics
         self.msgs_sent = 0
         self.bytes_sent = 0
@@ -222,7 +282,10 @@ class BackendNode:
         # fault tolerance (see repro.runtime.faults)
         self.injector: Optional[FaultInjector] = None
         self.main_partition = 0
+        #: peers the protocol learned are dead (fault notices, leases)
         self.dead_peers: Set[int] = set()
+        #: peers whose link is gone (EOF / reset / garbage stream)
+        self.gone_peers: Set[int] = set()
         self.faults: List[FaultRecord] = []
         #: (primary_node, primary_oid) -> local oid of this node's replica
         self.replica_dir: Dict[Tuple[int, int], int] = {}
@@ -251,16 +314,62 @@ class BackendNode:
         if self.machine is not None:
             self.machine.cycles += cycles
 
+    # ------------------------------------------------------------------ inbox
+    def intake(self, msg: Message, arrival: float = 0.0) -> None:
+        """The one way a frame enters a node, from any thread.  Injected
+        duplicates were sent (and counted) but are dropped here, so the
+        request/reply protocol sees each uniquely-identified frame once.
+        ``arrival`` is when the frame becomes visible on the node's clock;
+        only the simulator models it."""
+        with self._lock:
+            if self.injector is not None and not self.accept_frame(msg):
+                return
+            self._enqueue(msg, arrival)
+            self._version += 1
+            self._delivered.notify_all()
+
+    def _enqueue(self, msg: Message, arrival: float) -> None:
+        self._inbox.append(msg)
+
+    def peer_gone(self, peer: int) -> None:
+        """The transport lost ``peer``'s link: wake any waiter so it can
+        re-evaluate instead of riding out its timeout."""
+        with self._lock:
+            self.gone_peers.add(peer)
+            self._version += 1
+            self._delivered.notify_all()
+
+    def pump(self, timeout_s: float) -> bool:
+        """Move every frame that has arrived into the inbox, blocking up to
+        ``timeout_s`` for something new; False when the time ran out.
+        Transports that deliver from their own thread need only the wait;
+        a transport the node must read from overrides this."""
+        if not timeout_s:
+            return True
+        with self._lock:
+            return self._delivered.wait_for(
+                lambda: self._version != self._seen, timeout_s
+            )
+
     def take_matching(
         self, match: Callable[[Message], bool]
     ) -> Optional[Message]:
         """Pop the earliest delivered message satisfying ``match`` (others
         stay queued); ``None`` when nothing eligible has arrived."""
-        raise NotImplementedError
+        self.pump(0.0)
+        with self._lock:
+            for i, m in enumerate(self._inbox):
+                if match(m):
+                    self.msgs_received += 1
+                    return self._inbox.pop(i)
+            self._seen = self._version
+            return None
 
     def iprobe(self, match: Callable[[Message], bool]) -> bool:
         """Non-blocking arrival check."""
-        raise NotImplementedError
+        self.pump(0.0)
+        with self._lock:
+            return any(match(m) for m in self._inbox)
 
     def accept_frame(self, msg: Message) -> bool:
         """Receiver-side dedup for injected duplication: uniquely-identified
@@ -275,6 +384,51 @@ class BackendNode:
         self._seen_frames.add(key)
         return True
 
+    # ------------------------------------------------------------------- loop
+    def wait(self, timeout_s: float = WAIT_TIMEOUT_S) -> None:
+        """A ``('wait',)`` event: block until something new is delivered.
+        Only this node's own thread grows ``dead_peers``, so if every peer
+        is unreachable *now* nothing can ever arrive — degrade at once
+        instead of stalling the run for the full timeout."""
+        unreachable = self.dead_peers | self.gone_peers
+        if self.peers and unreachable.issuperset(self.peers):
+            raise PeerLost(
+                f"node {self.node_id} is waiting for messages but every "
+                f"peer is already dead"
+            )
+        if not self.pump(timeout_s):
+            raise RuntimeServiceError(
+                f"node {self.node_id} blocked {timeout_s:.0f}s with no "
+                "incoming messages (distributed deadlock?)"
+            )
+
+    def step(self, event) -> None:
+        """Apply one event of the node's generator."""
+        kind = event[0]
+        if kind == "cost":
+            self.charge(event[1])
+            if self.injector is not None and self.injector.crash_due(
+                self.charged_cycles
+            ):
+                raise NodeCrashed(
+                    f"node {self.node_id} crashed at cycle "
+                    f"{self.charged_cycles} (planned)"
+                )
+        elif kind == "wait":
+            self.wait()
+        else:  # pragma: no cover
+            raise RuntimeServiceError(f"unknown event {event!r}")
+
+    def drive(self, max_events: int) -> None:
+        """Run the node's generator to completion under its event budget."""
+        events = 0
+        for event in self.gen:
+            events += 1
+            if events > max_events:
+                raise RuntimeServiceError("execution exceeded event budget")
+            self.step(event)
+
+    # ---------------------------------------------------------------- evidence
     def record_fault(self, exc, kind: Optional[str] = None) -> FaultRecord:
         """Convert a fault-family exception into this node's structured
         evidence."""
@@ -342,18 +496,15 @@ class BackendRun:
     #: per-request latency samples merged across every node's exchange and
     #: sorted ascending (seconds; virtual on the simulator, wall elsewhere)
     latency_s: List[float] = field(default_factory=list)
+    #: cluster-wide JIT counters (see Machine.jit_stats), summed over nodes
+    jit: Dict[str, int] = field(default_factory=dict)
 
+    @property
+    def exec_time_s(self) -> float:
+        return self.makespan_s
 
-def collect_latencies(nodes) -> List[float]:
-    """Merge every in-process node's per-request latency samples into one
-    sorted list (the cluster-wide distribution Report summarizes)."""
-    samples: List[float] = []
-    for node in nodes:
-        exchange = getattr(node, "exchange", None)
-        if exchange is not None:
-            samples.extend(exchange.latencies_s)
-    samples.sort()
-    return samples
+    def aggregate(self) -> Dict[str, float]:
+        return aggregate_node_stats(self.node_stats)
 
 
 #: fault kinds that are evidence of a *masked* crash when the crashed node
@@ -420,28 +571,137 @@ def summarize_recovery(
     return False
 
 
-def finalize_recovery(nodes, stats: List[NodeStats]):
-    """Fold the recovery tier's evidence out of the in-process nodes after a
-    run: collects every RECOVERED record and the overhead counters, and
-    replaces a recovered node's reported stdout with the reconstructed
-    stream its takeover node adopted (checkpointed prefix + re-executed
-    suffix) — that is what makes a fully-masked run's aggregate stdout
-    byte-identical to the fault-free one.  Returns ``(recovered_records,
-    checkpoint_overhead_cycles, recovery_cycles)``."""
-    recovered: List[FaultRecord] = []
-    overhead = 0
-    spent = 0
-    for node in nodes:
-        r = getattr(node, "recovery", None)
-        if r is None:
-            continue
-        overhead += r.checkpoint_overhead_cycles
-        spent += r.recovery_cycles
-        recovered.extend(r.recovered_records)
-        for dead, lines in r.adopted.items():
-            if dead in r.recovered and 0 <= dead < len(stats):
+# --------------------------------------------------- nodes -> BackendRun
+@dataclass
+class NodeReport:
+    """What one finished node contributes to the run.  Built by
+    :func:`node_report` on every backend; out-of-process workers pickle it
+    home, and a worker that vanished is reported as an empty one."""
+
+    node_id: int
+    stats: NodeStats
+    #: ``{"type", "message"}`` of the exception that aborted the node (a
+    #: fault-family failure is evidence in ``stats.faults``, not an error)
+    error: Optional[Dict[str, str]] = None
+    #: ``main``'s return value (main partition only)
+    result: object = None
+    jit: Dict[str, int] = field(default_factory=dict)
+    latencies_s: List[float] = field(default_factory=list)
+    #: RECOVERED records of the takeovers this node performed, and the
+    #: reconstructed stdout stream of each peer it adopted that way
+    recovered: List[FaultRecord] = field(default_factory=list)
+    adopted_stdout: Dict[int, List[str]] = field(default_factory=dict)
+    checkpoint_overhead_cycles: int = 0
+    recovery_cycles: int = 0
+
+
+def error_info(exc: BaseException) -> Dict[str, str]:
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def node_report(node: BackendNode,
+                error: Optional[Dict[str, str]] = None) -> NodeReport:
+    """Summarize a finished node."""
+    report = NodeReport(
+        node_id=node.node_id,
+        stats=node.snapshot_stats(),
+        error=error,
+        result=node.starter.result if node.starter is not None else None,
+        jit=node.machine.jit_stats(),
+        latencies_s=list(node.exchange.latencies_s),
+    )
+    r = node.recovery
+    if r is not None:
+        report.recovered = list(r.recovered_records)
+        report.adopted_stdout = {
+            dead: list(lines)
+            for dead, lines in r.adopted.items()
+            if dead in r.recovered
+        }
+        report.checkpoint_overhead_cycles = r.checkpoint_overhead_cycles
+        report.recovery_cycles = r.recovery_cycles
+    return report
+
+
+def run_node(node: BackendNode, transport: Transport,
+             max_events: int) -> NodeReport:
+    """Drive one provisioned wall-clock node to completion and report it.
+    A fault-family failure degrades instead of aborting the run — recorded
+    as evidence, live peers told promptly; any other exception becomes the
+    report's error, and peers' service loops are released so nobody hangs."""
+    error = None
+    t0 = time.perf_counter()
+    try:
+        node.drive(max_events)
+    except FaultError as exc:
+        node.record_fault(exc)
+        transport.broadcast(
+            shutdown_frames(node.node_id, node.peers, FAULT_NOTICE)
+        )
+    except BaseException as exc:
+        error = error_info(exc)
+        transport.broadcast(shutdown_frames(node.node_id, node.peers))
+    node.done = True
+    node.clock = time.perf_counter() - t0
+    return node_report(node, error)
+
+
+def assemble_run(reports: Dict[int, NodeReport], policy: RunPolicy) -> BackendRun:
+    """Fold per-node reports into the BackendRun every backend returns:
+    error precedence, stats, recovery splicing, latency and JIT merge."""
+    failed = {i: rep.error for i, rep in reports.items() if rep.error}
+    if failed:
+        # a VMError is the application-level root cause (remote errors
+        # propagate as ERR replies); teardown noise on other nodes —
+        # SHUTDOWN-while-awaiting-reply, disconnects — is secondary
+        for _, err in sorted(failed.items()):
+            if err["type"] == "VMError":
+                raise VMError(err["message"])
+        detail = "; ".join(
+            f"node {i}: {err['type']}: {err['message']}"
+            for i, err in sorted(failed.items())
+        )
+        raise RuntimeServiceError(f"backend failed: {detail}")
+
+    ordered = [reports[i] for i in sorted(reports)]
+    stats = [rep.stats for rep in ordered]
+    # a recovered node reports the reconstructed stream its takeover node
+    # adopted (checkpointed prefix + re-executed suffix): that is what makes
+    # a fully-masked run's aggregate stdout byte-identical to a clean one
+    for rep in ordered:
+        for dead, lines in rep.adopted_stdout.items():
+            if 0 <= dead < len(stats):
                 stats[dead].stdout = list(lines)
-    return recovered, overhead, spent
+    faults = [
+        FaultRecord.from_dict(d) for s in stats for d in s.faults
+    ]
+    recovered = [r for rep in ordered for r in rep.recovered]
+    jit: Dict[str, int] = {}
+    for rep in ordered:
+        for key, value in rep.jit.items():
+            jit[key] = jit.get(key, 0) + value
+    return BackendRun(
+        result=reports[policy.main_partition].result,
+        makespan_s=max((s.clock_s for s in stats), default=0.0),
+        total_messages=sum(s.messages_sent for s in stats),
+        total_bytes=sum(s.bytes_sent for s in stats),
+        node_stats=stats,
+        stdout=[line for s in stats for line in s.stdout],
+        faults=faults,
+        degraded=summarize_recovery(
+            faults,
+            recovered,
+            recovering=policy.recovery is not None and policy.recovery.enabled,
+            main_partition=policy.main_partition,
+        ),
+        recovered=recovered,
+        checkpoint_overhead_cycles=sum(
+            rep.checkpoint_overhead_cycles for rep in ordered
+        ),
+        recovery_cycles=sum(rep.recovery_cycles for rep in ordered),
+        latency_s=sorted(x for rep in ordered for x in rep.latencies_s),
+        jit=jit,
+    )
 
 
 class RuntimeBackend(ABC):
@@ -470,13 +730,13 @@ class RuntimeBackend(ABC):
 
 # --------------------------------------------------------------- provisioning
 def provision_node(node: BackendNode, transport: Transport, loaded,
-                   policy: RunPolicy):
+                   policy: RunPolicy) -> None:
     """Wire one node: fresh VM machine (own heap, own statics — per-JVM
     semantics), MPI service, MessageExchange and the DependentObject
-    syscall; install the node's process generator and (when the policy
-    carries a fault plan) the node's :class:`FaultInjector`.  Returns the
-    :class:`~repro.runtime.services.ExecutionStarter` for the main node,
-    ``None`` otherwise."""
+    syscall; install the node's process generator (the
+    :class:`~repro.runtime.services.ExecutionStarter` on the main node, the
+    service loop elsewhere) and, when the policy carries a fault plan, the
+    node's :class:`FaultInjector`."""
     from repro.runtime.mpi import MPIService
     from repro.runtime.services import (
         ExecutionStarter,
@@ -508,26 +768,21 @@ def provision_node(node: BackendNode, transport: Transport, loaded,
         replicas=policy.replicas,
     )
     if node.node_id == policy.main_partition:
-        starter = ExecutionStarter(node, loaded.main_method())
-        node.gen = starter.run()
-        return starter
-    node.gen = node.exchange.serve_forever()
-    return None
+        node.starter = ExecutionStarter(node, loaded.main_method())
+        node.gen = node.starter.run()
+    else:
+        node.gen = node.exchange.serve_forever()
 
 
-def provision(backend, loaded, policy: RunPolicy):
+def provision(backend, loaded, policy: RunPolicy) -> None:
     """Provision every node of an in-process backend (one that is also its
-    own :class:`Transport`); returns the main node's starter."""
-    starter = None
-    for node in backend.nodes:
-        s = provision_node(node, backend, loaded, policy)
-        if s is not None:
-            starter = s
-    if starter is None:
+    own :class:`Transport`)."""
+    if not 0 <= policy.main_partition < len(backend.nodes):
         raise RuntimeServiceError(
             f"main partition {policy.main_partition} has no node"
         )
-    return starter
+    for node in backend.nodes:
+        provision_node(node, backend, loaded, policy)
 
 
 # ------------------------------------------------------------------- registry

@@ -2,12 +2,13 @@
 
 ``DistributedExecutor`` wires a rewritten program and a distribution plan
 onto a runtime backend selected by name from the backend registry
-(:mod:`repro.runtime.backend`): the deterministic discrete-event simulator
-(``sim``, the default), one thread per node (``thread``), or one OS process
-per node over multiprocessing pipes (``process``).  Every backend provisions
-one VM machine per node (own heap, own statics — per-JVM semantics), the
-three services per node, starts ``main`` on the plan's main partition and
-service loops elsewhere, then drives all node generators to completion.
+(:mod:`repro.runtime.backend`): one node core over one of four transports —
+the deterministic discrete-event simulator (``sim``, the default), one
+thread per node (``thread``), one OS process per node over pipes
+(``process``) or over TCP sockets (``tcp``).  Every backend provisions one
+VM machine per node (own heap, own statics — per-JVM semantics), the three
+services per node, starts ``main`` on the plan's main partition and service
+loops elsewhere, then drives all node generators to completion.
 
 ``run_sequential`` executes the *original* program on one node spec — the
 centralized baseline of Figure 11.
@@ -22,6 +23,7 @@ from repro.bytecode.model import BProgram
 from repro.distgen.plan import DistributionPlan
 from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (  # noqa: F401  (re-exported for consumers)
+    BackendRun,
     NodeStats,
     RunPolicy,
     aggregate_node_stats,
@@ -31,46 +33,14 @@ from repro.runtime.backend import (  # noqa: F401  (re-exported for consumers)
 )
 from repro.runtime.checkpoint import RecoveryPlan
 from repro.runtime.cluster import ClusterSpec, NodeSpec
-from repro.runtime.faults import FaultPlan, FaultRecord
+from repro.runtime.faults import FaultPlan
 from repro.vm.interpreter import Machine, forced_engine, run_sync
 from repro.vm.loader import LoadedProgram, load_program
 
 
-@dataclass
-class DistributedResult:
-    """Everything the Figure 11 harness needs."""
-
-    result: object
-    makespan_s: float
-    total_messages: int
-    total_bytes: int
-    node_stats: List[NodeStats]
-    stdout: List[str] = field(default_factory=list)
-    #: structured fault evidence (see repro.runtime.faults); empty when the
-    #: run was clean
-    faults: List[FaultRecord] = field(default_factory=list)
-    #: True when the run survived one or more faults
-    degraded: bool = False
-    #: RECOVERED evidence: crashes the recovery tier masked (such a run is
-    #: NOT degraded — its result/stdout match the fault-free execution)
-    recovered: List[FaultRecord] = field(default_factory=list)
-    #: cycles spent producing checkpoints across the cluster
-    checkpoint_overhead_cycles: int = 0
-    #: cycles spent restoring checkpoints and replaying lost work
-    recovery_cycles: int = 0
-    #: cluster-wide JIT counters (see Machine.jit_stats); empty when the
-    #: backend exposes no machines
-    jit: Dict[str, int] = field(default_factory=dict)
-    #: sorted per-request latency samples merged across the cluster
-    #: (seconds; virtual on the simulator, wall elsewhere)
-    latency_s: List[float] = field(default_factory=list)
-
-    @property
-    def exec_time_s(self) -> float:
-        return self.makespan_s
-
-    def aggregate(self) -> Dict[str, float]:
-        return aggregate_node_stats(self.node_stats)
+#: everything the Figure 11 harness needs from a distributed run is what
+#: the backend assembled
+DistributedResult = BackendRun
 
 
 @dataclass
@@ -139,31 +109,8 @@ class DistributedExecutor:
         )
         if self.engine != "default":
             with forced_engine(self.engine):
-                run = backend.execute(self.program, self.loaded, policy)
-        else:
-            run = backend.execute(self.program, self.loaded, policy)
-        jit: Dict[str, int] = {}
-        for node in getattr(backend, "nodes", []) or []:
-            machine = getattr(node, "machine", None)
-            if machine is None:
-                continue
-            for key, value in machine.jit_stats().items():
-                jit[key] = jit.get(key, 0) + value
-        return DistributedResult(
-            result=run.result,
-            makespan_s=run.makespan_s,
-            total_messages=run.total_messages,
-            total_bytes=run.total_bytes,
-            node_stats=run.node_stats,
-            stdout=run.stdout,
-            faults=run.faults,
-            degraded=run.degraded,
-            recovered=run.recovered,
-            checkpoint_overhead_cycles=run.checkpoint_overhead_cycles,
-            recovery_cycles=run.recovery_cycles,
-            jit=jit,
-            latency_s=run.latency_s,
-        )
+                return backend.execute(self.program, self.loaded, policy)
+        return backend.execute(self.program, self.loaded, policy)
 
 
 def run_sequential(

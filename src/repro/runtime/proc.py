@@ -1,14 +1,14 @@
 """Multiprocessing backend: one OS process per plan node.
 
-The first wall-clock (non-simulated) distributed execution path: the parent
-builds a full mesh of one-way :func:`multiprocessing.Pipe` links (one per
-ordered (src, dst) pair, so per-pair FIFO is the kernel's pipe ordering),
-forks one worker per cluster node, and collects a final report per node
-over a result queue.  Each worker reloads the rewritten program into its
-own interpreter (a real separate heap — per-JVM semantics by construction),
-wires the standard services, and drives its node generator exactly like the
-other backends: ``cost`` events charge accounting, ``wait`` events block in
-:func:`multiprocessing.connection.wait` until a peer's frame arrives.
+The parent builds a full mesh of one-way :func:`multiprocessing.Pipe` links
+(one per ordered (src, dst) pair, so per-pair FIFO is the kernel's pipe
+ordering) and hands it to the shared worker launcher
+(:func:`repro.runtime.worker.run_workers`).  Each worker keeps its own row
+and column of the mesh, reloads the rewritten program into its own
+interpreter (a real separate heap — per-JVM semantics by construction) and
+runs the node core; the only thing this file adds is how frames move:
+``post`` writes down a pipe, and a node fetches what has arrived with one
+:func:`multiprocessing.connection.wait` readiness pass over its read ends.
 
 Messages travel as :meth:`~repro.runtime.message.Message.serialize` frames,
 so the bytes a pipe moves equal the bytes the simulated network charges for
@@ -17,9 +17,8 @@ the same message.
 
 from __future__ import annotations
 
-import multiprocessing
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Tuple
 
 from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (
@@ -32,39 +31,32 @@ from repro.runtime.backend import (
 )
 from repro.runtime.cluster import ClusterSpec, NodeSpec
 from repro.runtime.faults import PeerLost
-from repro.runtime.message import Message, MessageKind
+from repro.runtime.message import Message
 from repro.runtime.worker import (
     PARENT_CTRL,
-    WAIT_TIMEOUT_S,
-    assemble_run,
-    collect_reports,
-    reap_workers,
-    worker_report,
+    mp_context,
+    run_workers,
+    send_frames,
 )
 
 
-def _mp_context():
-    """Fork keeps worker start cheap and avoids pickling the program; fall
-    back to spawn where fork does not exist."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix platforms
-        return multiprocessing.get_context("spawn")
-
-
 class ProcNode(BackendNode):
-    """Worker-side node: drains pipe frames into a FIFO inbox."""
+    """Worker-side node: fetches pipe frames into the inbox itself."""
 
-    def __init__(self, node_id: int, spec: NodeSpec, recv_conns: Dict[int, object]) -> None:
-        super().__init__(node_id, spec)
-        self._conns = dict(recv_conns)       # src -> read Connection
-        self._queue: List[Message] = []
+    def __init__(self, node_id: int, spec: NodeSpec, cluster_size: int,
+                 recv_conns: Dict[int, object]) -> None:
+        super().__init__(node_id, spec, cluster_size)
+        self._sources = {conn: src for src, conn in recv_conns.items()}
 
-    def _drain(self, conns) -> None:
+    def pump(self, timeout_s: float) -> bool:
         # one select()-style readiness pass over the whole mesh per sweep
         # (not a poll(0) syscall per pipe): an idle node makes exactly one
         # wait() call and stops, instead of spinning N-1 polls per probe
-        pending = list(conns)
+        pending = list(self._sources)
+        if timeout_s:
+            pending = mp_connection.wait(pending, timeout_s)
+            if not pending:
+                return False
         while pending:
             ready = mp_connection.wait(pending, 0)
             if not ready:
@@ -74,70 +66,23 @@ class ProcNode(BackendNode):
                     frame = conn.recv_bytes()
                 except (EOFError, OSError):
                     # peer exited; anything it sent was drained before EOF
-                    self._conns = {
-                        s: c for s, c in self._conns.items() if c is not conn
-                    }
-                    pending = [c for c in pending if c is not conn]
+                    self.peer_gone(self._sources.pop(conn))
+                    pending.remove(conn)
                     continue
-                msg = Message.deserialize(frame)
-                # injected duplicates are dropped at intake so the
-                # request/reply protocol sees each frame once
-                if self.injector is not None and not self.accept_frame(msg):
-                    continue
-                self._queue.append(msg)
-
-    def take_matching(
-        self, match: Callable[[Message], bool]
-    ) -> Optional[Message]:
-        self._drain(list(self._conns.values()))
-        for i, m in enumerate(self._queue):
-            if match(m):
-                self.msgs_received += 1
-                return self._queue.pop(i)
-        return None
-
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        self._drain(list(self._conns.values()))
-        return any(match(m) for m in self._queue)
-
-    def wait_for_message(self, timeout_s: float) -> None:
-        if not self._conns:
-            raise RuntimeServiceError(
-                f"process backend: node {self.node_id} blocked with every "
-                "peer disconnected"
-            )
-        # short-circuit: when every peer is disconnected or already marked
-        # dead, no application frame can ever arrive — degrade immediately
-        # instead of riding out the full wall-clock timeout
-        if not any(
-            src != PARENT_CTRL and src not in self.dead_peers
-            for src in self._conns
-        ):
-            raise PeerLost(
-                f"node {self.node_id} is waiting for messages but every "
-                f"peer is already dead"
-            )
-        ready = mp_connection.wait(list(self._conns.values()), timeout_s)
-        if not ready:
-            raise RuntimeServiceError(
-                f"process backend: node {self.node_id} blocked "
-                f"{timeout_s:.0f}s with no incoming messages "
-                "(distributed deadlock?)"
-            )
-        self._drain(ready)
+                self.intake(Message.deserialize(frame))
+        return True
 
 
-class _WorkerTransport(Transport):
+class _PipeTransport(Transport):
     """Worker-side message routing: serialize and push down the pipe."""
 
-    def __init__(self, nnodes: int, node: ProcNode, send_conns: Dict[int, object]) -> None:
-        self._nnodes = nnodes
+    def __init__(self, node: ProcNode, send_conns: Dict[int, object]) -> None:
         self._node = node
         self._send = send_conns              # dst -> write Connection
 
     @property
     def nnodes(self) -> int:
-        return self._nnodes
+        return len(self._send) + 1
 
     def post(self, src: int, dst: int, msg: Message) -> None:
         conn = self._send.get(dst)
@@ -154,49 +99,24 @@ class _WorkerTransport(Transport):
         self._node.msgs_sent += 1
         self._node.bytes_sent += msg.size
 
-
-def _broadcast(send_conns: Dict[int, object], node_id: int, req_id: int) -> None:
-    """Best-effort SHUTDOWN (plain or fault-notice) to every peer."""
-    for dst, conn in send_conns.items():
-        try:
-            conn.send_bytes(
-                Message(MessageKind.SHUTDOWN, node_id, dst, req_id).serialize()
-            )
-        except (OSError, ValueError):
-            pass
+    def broadcast(self, frames) -> None:
+        send_frames(self._send, frames)
 
 
-def _worker_main(
-    node_id: int,
-    node_spec: NodeSpec,
-    nnodes: int,
-    program,
-    policy: RunPolicy,
-    recv_conns: Dict[int, object],
-    send_conns: Dict[int, object],
-    all_conns,
-    results,
-) -> None:
-    """One cluster node, start to finish, inside its own process."""
+def _connect_pipes(node_id: int, spec: ClusterSpec, ctrl_reader,
+                   recv_conns, send_conns) -> Tuple[ProcNode, _PipeTransport]:
     # fork hands every worker the whole pipe mesh; close the ends that
     # belong to other nodes, otherwise a dead peer's pipe never reaches EOF
     # (an open write end somewhere keeps it alive)
-    owned = set(map(id, recv_conns.values())) | set(map(id, send_conns.values()))
-    for conn in all_conns:
-        if id(conn) not in owned:
-            try:
+    for i in range(spec.size):
+        if i != node_id:
+            for conn in (*recv_conns[i].values(), *send_conns[i].values()):
                 conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    node = ProcNode(node_id, node_spec, recv_conns)
-    transport = _WorkerTransport(nnodes, node, send_conns)
-    results.put(
-        worker_report(
-            node, transport, program, policy,
-            lambda req_id: _broadcast(send_conns, node_id, req_id),
-        )
+    node = ProcNode(
+        node_id, spec.nodes[node_id], spec.size,
+        {**recv_conns[node_id], PARENT_CTRL: ctrl_reader},
     )
+    return node, _PipeTransport(node, send_conns[node_id])
 
 
 @register_backend
@@ -205,62 +125,23 @@ class ProcessBackend(RuntimeBackend):
 
     name = "process"
 
-    def post(self, src: int, dst: int, msg: Message) -> None:
-        raise RuntimeServiceError(
-            "process backend routes messages inside its workers"
-        )
-
     def execute(self, program, loaded, policy: RunPolicy) -> BackendRun:
-        ctx = _mp_context()
+        ctx = mp_context()
         n = self.nnodes
         recv_conns: Dict[int, Dict[int, object]] = {i: {} for i in range(n)}
         send_conns: Dict[int, Dict[int, object]] = {i: {} for i in range(n)}
         for src in range(n):
             for dst in range(n):
-                if src == dst:
-                    continue
-                r, w = ctx.Pipe(duplex=False)
-                recv_conns[dst][src] = r
-                send_conns[src][dst] = w
-        # one parent->worker control pipe each: when a worker vanishes
-        # without reporting, the parent injects fault-notice frames here so
-        # survivors fail fast instead of riding out the full wait timeout
-        ctrl_writers: Dict[int, object] = {}
-        for i in range(n):
-            r, w = ctx.Pipe(duplex=False)
-            recv_conns[i][PARENT_CTRL] = r
-            ctrl_writers[i] = w
-
-        all_conns = [
+                if src != dst:
+                    r, w = ctx.Pipe(duplex=False)
+                    recv_conns[dst][src] = r
+                    send_conns[src][dst] = w
+        mesh = [
             conn
             for i in range(n)
             for conn in (*recv_conns[i].values(), *send_conns[i].values())
         ]
-        # workers must close inherited control write ends too (the parent
-        # keeps its own copies)
-        worker_visible = all_conns + list(ctrl_writers.values())
-        results = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    i, self.spec.nodes[i], n, program, policy,
-                    recv_conns[i], send_conns[i], worker_visible, results,
-                ),
-                name=f"repro-node-{i}",
-                daemon=True,
-            )
-            for i in range(n)
-        ]
-        names = [ns.name for ns in self.spec.nodes]
-        try:
-            for p in procs:
-                p.start()
-            # the workers own these pipe ends now (the parent keeps only
-            # the control write ends)
-            for conn in all_conns:
-                conn.close()
-            reports = collect_reports(procs, results, names, ctrl_writers)
-        finally:
-            reap_workers(procs, ctrl_writers)
-        return assemble_run(reports, policy)
+        return run_workers(
+            self.spec, program, policy,
+            _connect_pipes, (recv_conns, send_conns), mesh,
+        )

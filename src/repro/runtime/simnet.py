@@ -41,15 +41,15 @@ from repro.runtime.backend import (
     RunPolicy,
     RuntimeBackend,
     Transport,
-    collect_latencies,
-    finalize_recovery,
+    assemble_run,
+    node_report,
     provision,
     register_backend,
-    summarize_recovery,
+    shutdown_frames,
 )
 from repro.runtime.cluster import ClusterSpec, NodeSpec
-from repro.runtime.faults import FaultError, NodeCrashed
-from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
+from repro.runtime.faults import FaultError
+from repro.runtime.message import FAULT_NOTICE, Message
 
 
 class SimNode(BackendNode):
@@ -58,6 +58,7 @@ class SimNode(BackendNode):
     def __init__(self, node_id: int, spec: NodeSpec) -> None:
         super().__init__(node_id, spec)
         self.inbox: List[Tuple[float, int, Message]] = []  # heap by arrival
+        self._seq = count()                  # tie-break: delivery order
         self.parked = False                  # blocked with empty inbox
         # clock derivation base: virtual time and cycle total at the last
         # fast-forward; clock = base + (charged - base_cycles) / hz
@@ -86,8 +87,19 @@ class SimNode(BackendNode):
         self._base_clock = self.clock
         self._base_cycles = self.charged_cycles
 
-    def earliest_arrival(self) -> Optional[float]:
-        return self.inbox[0][0] if self.inbox else None
+    def _enqueue(self, msg: Message, arrival: float) -> None:
+        heapq.heappush(self.inbox, (arrival, next(self._seq), msg))
+        self.parked = False
+
+    def wait(self) -> None:
+        """The node just failed to find a matching message among the
+        arrivals <= clock; only a *future* arrival can change that: jump to
+        the earliest one, or park until a sender posts one."""
+        future = self.earliest_future_arrival()
+        if future is None:
+            self.parked = True
+        else:
+            self.fast_forward(future)
 
     def earliest_future_arrival(self) -> Optional[float]:
         future = [a for a, _, _ in self.inbox if a > self.clock + 1e-15]
@@ -127,10 +139,7 @@ class SimCluster(Transport):
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
         self.nodes = [SimNode(i, ns) for i, ns in enumerate(spec.nodes)]
-        self._seq = count()
         self._link_busy: Dict[Tuple[int, int], float] = {}
-        self.total_messages = 0
-        self.total_bytes = 0
         #: scheduler events processed by the last :meth:`run` — the
         #: event-count metric ``repro bench`` tracks (cost batching shrinks
         #: it by an order of magnitude at identical virtual timing)
@@ -140,10 +149,19 @@ class SimCluster(Transport):
     def nnodes(self) -> int:
         return len(self.nodes)
 
+    @property
+    def total_messages(self) -> int:
+        return sum(n.msgs_sent for n in self.nodes)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(n.bytes_sent for n in self.nodes)
+
     # ------------------------------------------------------------------ network
     def post(self, src: int, dst: int, msg: Message) -> None:
         """Inject a message; called by the sender's MPI service after it
-        charged its serialization cost."""
+        charged its serialization cost.  An injected duplicate occupies the
+        link and the counters like any frame before intake discards it."""
         if not 0 <= dst < len(self.nodes):
             raise RuntimeServiceError(f"message to unknown node {dst}")
         sender = self.nodes[src]
@@ -152,18 +170,14 @@ class SimCluster(Transport):
         depart = max(sender.clock + link.latency_s, self._link_busy.get(key, 0.0))
         arrival = depart + msg.size / link.bandwidth_Bps
         self._link_busy[key] = arrival
-        receiver = self.nodes[dst]
         sender.msgs_sent += 1
         sender.bytes_sent += msg.size
-        self.total_messages += 1
-        self.total_bytes += msg.size
-        # injected duplicates occupy the link and the counters above but are
-        # discarded at intake — the request/reply protocol must see each
-        # uniquely-identified frame once
-        if receiver.injector is not None and not receiver.accept_frame(msg):
-            return
-        heapq.heappush(receiver.inbox, (arrival, next(self._seq), msg))
-        receiver.parked = False
+        self.nodes[dst].intake(msg, arrival)
+
+    def broadcast(self, frames) -> None:
+        """Fault notices travel the modeled link like any other frame."""
+        for frame in frames:
+            self.post(frame.src, frame.dst, frame)
 
     # ------------------------------------------------------------------ scheduler
     def run(self, max_events: int = 200_000_000) -> None:
@@ -206,62 +220,29 @@ class SimCluster(Transport):
                         "simulation exceeded event budget"
                     )
                 try:
-                    event = next(node.gen)
+                    node.step(next(node.gen))
                 except StopIteration:
                     node.done = True
-                    continue
                 except FaultError as exc:
                     self._fault_stop(node, exc)
-                    continue
-                kind = event[0]
-                if kind == "cost":
-                    node.charge(event[1])
-                    if node.injector is not None and node.injector.crash_due(
-                        node.charged_cycles
-                    ):
-                        self._fault_stop(
-                            node,
-                            NodeCrashed(
-                                f"node {node.node_id} crashed at cycle "
-                                f"{node.charged_cycles} (planned)"
-                            ),
-                        )
-                elif kind == "wait":
-                    # the node just failed to find a matching message among
-                    # the arrivals <= clock; only a *future* arrival can
-                    # change that
-                    future = node.earliest_future_arrival()
-                    if future is None:
-                        node.parked = True
-                    else:
-                        node.fast_forward(future)
-                else:  # pragma: no cover
-                    raise RuntimeServiceError(f"unknown event {event!r}")
         finally:
             self.events_processed = events
 
     def _fault_stop(self, node: SimNode, exc: FaultError) -> None:
         """Degrade instead of raising: record the fault, retire the node and
-        tell every live peer (an emergency SHUTDOWN with the FAULT_NOTICE
-        req id) so nobody waits forever on a reply that cannot come."""
+        tell every live peer so nobody waits forever on a reply that cannot
+        come."""
         node.record_fault(exc)
         node.done = True
         node.parked = False
-        if node.gen is not None:
-            node.gen.close()
-        for peer in self.nodes:
-            if peer.node_id == node.node_id or peer.done:
-                continue
-            self.post(
+        node.gen.close()
+        self.broadcast(
+            shutdown_frames(
                 node.node_id,
-                peer.node_id,
-                Message(
-                    MessageKind.SHUTDOWN,
-                    node.node_id,
-                    peer.node_id,
-                    FAULT_NOTICE,
-                ),
+                [p.node_id for p in self.nodes if not p.done],
+                FAULT_NOTICE,
             )
+        )
 
     @property
     def makespan(self) -> float:
@@ -276,31 +257,8 @@ class SimBackend(SimCluster, RuntimeBackend):
     name = "sim"
 
     def execute(self, program, loaded, policy: RunPolicy) -> BackendRun:
-        starter = provision(self, loaded, policy)
+        provision(self, loaded, policy)
         self.run(max_events=policy.max_events)
-        stats = [n.snapshot_stats() for n in self.nodes]
-        recovered, ckpt_cycles, rec_cycles = finalize_recovery(
-            self.nodes, stats
-        )
-        stdout = [line for s in stats for line in s.stdout]
-        faults = [f for n in self.nodes for f in n.faults]
-        return BackendRun(
-            result=starter.result,
-            makespan_s=self.makespan,
-            total_messages=self.total_messages,
-            total_bytes=self.total_bytes,
-            node_stats=stats,
-            stdout=stdout,
-            faults=faults,
-            degraded=summarize_recovery(
-                faults,
-                recovered,
-                recovering=policy.recovery is not None
-                and policy.recovery.enabled,
-                main_partition=policy.main_partition,
-            ),
-            recovered=recovered,
-            checkpoint_overhead_cycles=ckpt_cycles,
-            recovery_cycles=rec_cycles,
-            latency_s=collect_latencies(self.nodes),
+        return assemble_run(
+            {n.node_id: node_report(n) for n in self.nodes}, policy
         )

@@ -2,9 +2,10 @@
 
 The cluster becomes a set of genuinely independent network peers: the
 parent pre-binds one listening socket per node (roster-pinned ``host:port``
-endpoints, or localhost ephemeral ports), forks the workers, and each
-worker runs an asyncio socket hub on a daemon thread while its main thread
-drives the node generator exactly like the process backend.
+endpoints, or localhost ephemeral ports) and hands them to the shared
+worker launcher (:func:`repro.runtime.worker.run_workers`); each worker
+runs an asyncio socket hub on a daemon thread — this file's whole
+contribution — while its main thread runs the node core.
 
 Wire protocol — the same 24-byte crc32 :class:`Message` frames every other
 backend accounts for, over a byte *stream*:
@@ -35,8 +36,7 @@ import asyncio
 import socket
 import struct
 import threading
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (
@@ -47,16 +47,10 @@ from repro.runtime.backend import (
     Transport,
     register_backend,
 )
-from repro.runtime.cluster import ClusterSpec, NodeSpec
+from repro.runtime.cluster import ClusterSpec
 from repro.runtime.faults import PeerLost
-from repro.runtime.message import FrameError, Message, MessageKind
-from repro.runtime.proc import _mp_context
-from repro.runtime.worker import (
-    assemble_run,
-    collect_reports,
-    reap_workers,
-    worker_report,
-)
+from repro.runtime.message import FrameError, Message
+from repro.runtime.worker import run_workers
 
 #: the connection-opening hello: the dialer's node id
 _HELLO = struct.Struct("<i")
@@ -65,81 +59,14 @@ _HELLO = struct.Struct("<i")
 _READ_CHUNK = 1 << 16
 
 
-class TcpNode(BackendNode):
-    """Worker-side node: a locked FIFO inbox fed by the socket hub (and by
-    the parent's control pipe), same discipline as the thread backend."""
-
-    def __init__(self, node_id: int, spec: NodeSpec, cluster_size: int) -> None:
-        super().__init__(node_id, spec)
-        self._cond = threading.Condition()
-        self._queue: List[Message] = []
-        self._version = 0
-        self._seen = 0
-        self._cluster_size = cluster_size
-        #: peers whose connection is gone (EOF / reset / garbage stream)
-        self.gone_peers: set = set()
-
-    def deliver(self, msg: Message) -> None:
-        with self._cond:
-            self._queue.append(msg)
-            self._version += 1
-            self._cond.notify_all()
-
-    def peer_gone(self, peer: int) -> None:
-        """The hub lost ``peer``'s connection: wake any waiter so it can
-        re-evaluate instead of riding out its timeout."""
-        with self._cond:
-            self.gone_peers.add(peer)
-            self._version += 1
-            self._cond.notify_all()
-
-    def take_matching(
-        self, match: Callable[[Message], bool]
-    ) -> Optional[Message]:
-        with self._cond:
-            for i, m in enumerate(self._queue):
-                if match(m):
-                    self.msgs_received += 1
-                    return self._queue.pop(i)
-            self._seen = self._version
-            return None
-
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        with self._cond:
-            return any(match(m) for m in self._queue)
-
-    def wait_for_message(self, timeout_s: float) -> None:
-        # short-circuit: when every peer's connection is gone or the peer
-        # is already known dead, no application frame can ever arrive
-        if self._cluster_size > 1 and all(
-            p in self.dead_peers or p in self.gone_peers
-            for p in range(self._cluster_size)
-            if p != self.node_id
-        ):
-            raise PeerLost(
-                f"node {self.node_id} is waiting for messages but every "
-                f"peer is already dead"
-            )
-        with self._cond:
-            deadline = time.monotonic() + timeout_s
-            while self._version == self._seen:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeServiceError(
-                        f"tcp backend: node {self.node_id} blocked "
-                        f"{timeout_s:.0f}s with no incoming messages "
-                        "(distributed deadlock?)"
-                    )
-                self._cond.wait(remaining)
-
-
-class _SocketHub:
+class _SocketHub(Transport):
     """A worker's network engine: an asyncio loop on a daemon thread that
     owns every peer connection — accepting, dialing, stream reassembly,
-    and batched writes.  The node's main thread talks to it only through
-    thread-safe entry points (:meth:`send`, :meth:`broadcast`)."""
+    and batched writes.  It feeds the node's inbox from that thread
+    (:meth:`BackendNode.intake`); the node's main thread talks to it only
+    through the thread-safe :class:`Transport` entry points."""
 
-    def __init__(self, node: TcpNode, listen_sock: socket.socket,
+    def __init__(self, node: BackendNode, listen_sock: socket.socket,
                  endpoints: List[tuple]) -> None:
         self.node = node
         self.node_id = node.node_id
@@ -180,7 +107,7 @@ class _SocketHub:
         for peer in range(self.node_id):
             asyncio.ensure_future(self._dial(peer))
 
-    def stop(self) -> None:
+    def close(self) -> None:
         def _deliverable_pending() -> bool:
             # frames queued for a connected, live peer are still on their
             # way to the wire; frames for a never-connected or gone peer
@@ -194,7 +121,7 @@ class _SocketHub:
 
         async def _shutdown() -> None:
             # the final SHUTDOWN/fault-notice broadcast was enqueued via
-            # call_soon_threadsafe just before stop(); give its flushers
+            # call_soon_threadsafe just before close(); give its flushers
             # loop time to hand every frame to the kernel, otherwise peers
             # see a bare EOF and degrade a clean run to PeerLost
             deadline = self._loop.time() + 5.0
@@ -212,6 +139,8 @@ class _SocketHub:
         try:
             asyncio.run_coroutine_threadsafe(_shutdown(), self._loop)
             self._thread.join(timeout=10.0)
+            if not self._thread.is_alive():
+                self._loop.close()
         except RuntimeError:  # pragma: no cover - loop already gone
             pass
 
@@ -269,11 +198,7 @@ class _SocketHub:
                         break
                     msg, consumed = decoded
                     offset += consumed
-                    # injected duplicates are dropped at intake so the
-                    # request/reply protocol sees each frame once
-                    if node.injector is not None and not node.accept_frame(msg):
-                        continue
-                    node.deliver(msg)
+                    node.intake(msg)
             except FrameError:
                 break  # unrecoverable stream: treat the peer as gone
             if offset:
@@ -282,27 +207,33 @@ class _SocketHub:
         node.peer_gone(peer)
 
     # ----------------------------------------------------------------- sends
-    def send(self, dst: int, frame: bytes) -> None:
+    @property
+    def nnodes(self) -> int:
+        return len(self._endpoints)
+
+    def post(self, src: int, dst: int, msg: Message) -> None:
         """Thread-safe: queue one serialized frame for ``dst`` and make
         sure a flusher is scheduled.  Raises :class:`PeerLost` when the
         connection is already known gone."""
+        if dst not in self._outbox:
+            raise RuntimeServiceError(f"message to unknown node {dst}")
         if dst in self.node.gone_peers:
             raise PeerLost(
                 f"node {dst} unreachable from node {self.node_id} "
                 f"(connection closed)"
             )
-        self._loop.call_soon_threadsafe(self._enqueue, dst, frame)
+        self._loop.call_soon_threadsafe(self._enqueue, dst, msg.serialize())
+        self.node.msgs_sent += 1
+        self.node.bytes_sent += msg.size
 
-    def broadcast(self, req_id: int) -> None:
-        """Best-effort SHUTDOWN (plain or fault-notice) to every peer."""
-        for dst in self._connected:
-            if dst in self.node.gone_peers:
+    def broadcast(self, frames) -> None:
+        for frame in frames:
+            if frame.dst in self.node.gone_peers:
                 continue
-            frame = Message(
-                MessageKind.SHUTDOWN, self.node_id, dst, req_id
-            ).serialize()
             try:
-                self._loop.call_soon_threadsafe(self._enqueue, dst, frame)
+                self._loop.call_soon_threadsafe(
+                    self._enqueue, frame.dst, frame.serialize()
+                )
             except RuntimeError:  # pragma: no cover - loop already gone
                 pass
 
@@ -342,27 +273,7 @@ class _SocketHub:
                 asyncio.ensure_future(self._flush(dst))
 
 
-class _TcpTransport(Transport):
-    """Worker-side message routing: serialize and hand to the hub."""
-
-    def __init__(self, nnodes: int, node: TcpNode, hub: _SocketHub) -> None:
-        self._nnodes = nnodes
-        self._node = node
-        self._hub = hub
-
-    @property
-    def nnodes(self) -> int:
-        return self._nnodes
-
-    def post(self, src: int, dst: int, msg: Message) -> None:
-        if not 0 <= dst < self._nnodes or dst == self._node.node_id:
-            raise RuntimeServiceError(f"message to unknown node {dst}")
-        self._hub.send(dst, msg.serialize())
-        self._node.msgs_sent += 1
-        self._node.bytes_sent += msg.size
-
-
-def _ctrl_loop(node: TcpNode, ctrl_conn) -> None:
+def _ctrl_loop(node: BackendNode, ctrl_conn) -> None:
     """Forward the parent's control-pipe frames (fault notices about lost
     workers) into the node inbox."""
     while True:
@@ -371,45 +282,26 @@ def _ctrl_loop(node: TcpNode, ctrl_conn) -> None:
         except (EOFError, OSError):
             return
         try:
-            node.deliver(Message.deserialize(frame))
+            node.intake(Message.deserialize(frame))
         except FrameError:  # pragma: no cover - parent sends valid frames
             continue
 
 
-def _worker_main(
-    node_id: int,
-    node_spec: NodeSpec,
-    nnodes: int,
-    program,
-    policy: RunPolicy,
-    listen_socks: List[socket.socket],
-    endpoints: List[tuple],
-    ctrl_conn,
-    results,
-) -> None:
-    """One cluster node, start to finish, inside its own process."""
+def _connect_sockets(node_id: int, spec: ClusterSpec, ctrl_reader,
+                     listen_socks: List[socket.socket],
+                     endpoints: List[tuple]) -> Tuple[BackendNode, _SocketHub]:
     # fork hands every worker all the listening sockets; keep only ours
     for i, s in enumerate(listen_socks):
         if i != node_id:
-            try:
-                s.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    node = TcpNode(node_id, node_spec, nnodes)
+            s.close()
+    node = BackendNode(node_id, spec.nodes[node_id], spec.size)
     hub = _SocketHub(node, listen_socks[node_id], endpoints)
     hub.start()
     threading.Thread(
-        target=_ctrl_loop, args=(node, ctrl_conn),
+        target=_ctrl_loop, args=(node, ctrl_reader),
         name=f"repro-tcp-ctrl-{node_id}", daemon=True,
     ).start()
-    transport = _TcpTransport(nnodes, node, hub)
-    try:
-        results.put(
-            worker_report(node, transport, program, policy, hub.broadcast)
-        )
-    finally:
-        hub.stop()
+    return node, hub
 
 
 @register_backend
@@ -420,11 +312,6 @@ class TcpBackend(RuntimeBackend):
     ports."""
 
     name = "tcp"
-
-    def post(self, src: int, dst: int, msg: Message) -> None:
-        raise RuntimeServiceError(
-            "tcp backend routes messages inside its workers"
-        )
 
     def _bind_all(self) -> List[socket.socket]:
         """Pre-bind every node's listening socket in the parent, before the
@@ -451,43 +338,10 @@ class TcpBackend(RuntimeBackend):
         return socks
 
     def execute(self, program, loaded, policy: RunPolicy) -> BackendRun:
-        ctx = _mp_context()
-        n = self.nnodes
         listen_socks = self._bind_all()
         # resolved endpoints (port 0 became a real port at bind time)
         endpoints = [s.getsockname()[:2] for s in listen_socks]
-        # one parent->worker control pipe each: when a worker vanishes
-        # without reporting, the parent injects fault-notice frames here so
-        # survivors fail fast instead of riding out the full wait timeout
-        ctrl_readers: Dict[int, object] = {}
-        ctrl_writers: Dict[int, object] = {}
-        for i in range(n):
-            r, w = ctx.Pipe(duplex=False)
-            ctrl_readers[i] = r
-            ctrl_writers[i] = w
-        results = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    i, self.spec.nodes[i], n, program, policy,
-                    listen_socks, endpoints, ctrl_readers[i], results,
-                ),
-                name=f"repro-tcp-node-{i}",
-                daemon=True,
-            )
-            for i in range(n)
-        ]
-        names = [ns.name for ns in self.spec.nodes]
-        try:
-            for p in procs:
-                p.start()
-            # the workers own the sockets and the ctrl read ends now
-            for s in listen_socks:
-                s.close()
-            for r in ctrl_readers.values():
-                r.close()
-            reports = collect_reports(procs, results, names, ctrl_writers)
-        finally:
-            reap_workers(procs, ctrl_writers)
-        return assemble_run(reports, policy)
+        return run_workers(
+            self.spec, program, policy,
+            _connect_sockets, (listen_socks, endpoints), listen_socks,
+        )

@@ -1,100 +1,38 @@
 """In-process thread backend: real concurrency, shared interpreter.
 
-One OS thread per plan node drives that node's process generator.  ``cost``
-events only charge accounting (wall time is what it is); ``wait`` events
-block on a condition variable until a new message is delivered.  Delivery
-appends to a locked per-node FIFO queue, so per-(src, dst) ordering is the
-sender's program order — the same guarantee the simulated network provides.
+One OS thread per plan node drives that node's process generator through
+the node core.  The transport is the sender's own thread appending to the
+receiver's inbox (:meth:`BackendNode.intake`), so per-(src, dst) ordering
+is the sender's program order — the same guarantee the simulated network
+provides — and a blocked node sleeps on its inbox's condition variable
+until the next delivery.
 
-Clocks are wall clocks: a node's ``clock_s`` is the wall time from backend
-start to its thread finishing, the makespan is the wall time until the last
-thread finishes, and ``busy_s`` converts charged cycles at the node's
-nominal speed (so utilization stays comparable across backends).
+Clocks are wall clocks: a node's ``clock_s`` is the wall time its thread
+spent driving it, the makespan is the longest of those, and ``busy_s``
+converts charged cycles at the node's nominal speed (so utilization stays
+comparable across backends).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, List, Optional
+from typing import Dict
 
-from repro.errors import RuntimeServiceError, VMError
+from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (
     BackendNode,
     BackendRun,
+    NodeReport,
     RunPolicy,
     RuntimeBackend,
     Transport,
-    collect_latencies,
-    finalize_recovery,
+    assemble_run,
     provision,
     register_backend,
-    summarize_recovery,
+    run_node,
 )
-from repro.runtime.cluster import ClusterSpec, NodeSpec
-from repro.runtime.faults import FaultError, NodeCrashed, PeerLost
-from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
-
-
-class ThreadNode(BackendNode):
-    """One node run by a dedicated thread: locked FIFO inbox + wakeup."""
-
-    def __init__(self, node_id: int, spec: NodeSpec) -> None:
-        super().__init__(node_id, spec)
-        self._cond = threading.Condition()
-        self._queue: List[Message] = []
-        # delivery counter vs what the node has examined: a failed
-        # take_matching records the version it saw, so a wait only blocks
-        # while nothing new has been delivered since that scan
-        self._version = 0
-        self._seen = 0
-        self._cluster_size = 0  # set by the backend at construction
-
-    def deliver(self, msg: Message) -> None:
-        with self._cond:
-            self._queue.append(msg)
-            self._version += 1
-            self._cond.notify_all()
-
-    def take_matching(
-        self, match: Callable[[Message], bool]
-    ) -> Optional[Message]:
-        with self._cond:
-            for i, m in enumerate(self._queue):
-                if match(m):
-                    self.msgs_received += 1
-                    return self._queue.pop(i)
-            self._seen = self._version
-            return None
-
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        with self._cond:
-            return any(match(m) for m in self._queue)
-
-    def wait_for_message(self, timeout_s: float) -> None:
-        # short-circuit: only this node's own thread mutates dead_peers, so
-        # if every peer is already known dead *now*, nothing can ever be
-        # delivered — waiting out the full timeout would just stall the run
-        if self._cluster_size > 1 and all(
-            p in self.dead_peers
-            for p in range(self._cluster_size)
-            if p != self.node_id
-        ):
-            raise PeerLost(
-                f"node {self.node_id} is waiting for messages but every "
-                f"peer is already dead"
-            )
-        with self._cond:
-            deadline = time.monotonic() + timeout_s
-            while self._version == self._seen:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeServiceError(
-                        f"thread backend: node {self.node_id} blocked "
-                        f"{timeout_s:.0f}s with no incoming messages "
-                        "(distributed deadlock?)"
-                    )
-                self._cond.wait(remaining)
+from repro.runtime.cluster import ClusterSpec
+from repro.runtime.message import Message
 
 
 @register_backend
@@ -102,17 +40,12 @@ class ThreadBackend(RuntimeBackend, Transport):
     """One thread per node over a shared interpreter."""
 
     name = "thread"
-    #: safety net for protocol bugs; real waits are notified immediately
-    WAIT_TIMEOUT_S = 60.0
 
     def __init__(self, spec: ClusterSpec) -> None:
         super().__init__(spec)
-        self.nodes = [ThreadNode(i, ns) for i, ns in enumerate(spec.nodes)]
-        for node in self.nodes:
-            node._cluster_size = len(self.nodes)
-        self._totals_lock = threading.Lock()
-        self.total_messages = 0
-        self.total_bytes = 0
+        self.nodes = [
+            BackendNode(i, ns, spec.size) for i, ns in enumerate(spec.nodes)
+        ]
 
     # ---------------------------------------------------------------- transport
     def post(self, src: int, dst: int, msg: Message) -> None:
@@ -121,120 +54,36 @@ class ThreadBackend(RuntimeBackend, Transport):
         sender = self.nodes[src]
         sender.msgs_sent += 1           # sender's own thread is the caller
         sender.bytes_sent += msg.size
-        with self._totals_lock:
-            self.total_messages += 1
-            self.total_bytes += msg.size
-        receiver = self.nodes[dst]
-        # injected duplicates are counted (they were sent) but dropped at
-        # intake so the request/reply protocol sees each frame once
-        if receiver.injector is not None and not receiver.accept_frame(msg):
-            return
-        receiver.deliver(msg)
+        self.nodes[dst].intake(msg)
+
+    def broadcast(self, frames) -> None:
+        """Straight into the live peers' inboxes (uncounted on purpose:
+        a dying node's notices are not application traffic)."""
+        for frame in frames:
+            peer = self.nodes[frame.dst]
+            if not peer.done:
+                peer.intake(frame)
 
     # ---------------------------------------------------------------- execution
     def execute(self, program, loaded, policy: RunPolicy) -> BackendRun:
-        starter = provision(self, loaded, policy)
-        errors: List[BaseException] = []
-        t0 = time.perf_counter()
+        provision(self, loaded, policy)
+        reports: Dict[int, NodeReport] = {}
 
-        def drive(node: ThreadNode) -> None:
-            events = 0
-            try:
-                for event in node.gen:
-                    events += 1
-                    if events > policy.max_events:
-                        raise RuntimeServiceError(
-                            "execution exceeded event budget"
-                        )
-                    kind = event[0]
-                    if kind == "cost":
-                        node.charge(event[1])
-                        if node.injector is not None and (
-                            node.injector.crash_due(node.charged_cycles)
-                        ):
-                            raise NodeCrashed(
-                                f"node {node.node_id} crashed at cycle "
-                                f"{node.charged_cycles} (planned)"
-                            )
-                    elif kind == "wait":
-                        node.wait_for_message(self.WAIT_TIMEOUT_S)
-                    else:  # pragma: no cover
-                        raise RuntimeServiceError(f"unknown event {event!r}")
-            except FaultError as exc:
-                # injected/fault-family failure: degrade, do not abort the
-                # run — record the evidence and tell live peers promptly
-                node.record_fault(exc)
-                self._fault_notice(node.node_id)
-            except BaseException as exc:
-                errors.append(exc)
-                self._emergency_shutdown(node.node_id)
-            finally:
-                node.done = True
-                node.clock = time.perf_counter() - t0
+        def run(node: BackendNode) -> None:
+            reports[node.node_id] = run_node(node, self, policy.max_events)
 
         threads = [
             threading.Thread(
-                target=drive, args=(node,), name=f"repro-node-{node.node_id}",
+                target=run, args=(node,), name=f"repro-node-{node.node_id}",
                 daemon=True,
             )
             for node in self.nodes
         ]
         for t in threads:
             t.start()
-        # every blocking point has its own safety net (wait_for_message
-        # times out, cost events are budgeted), so a plain join cannot hang
-        # — and long computations get as much wall time as they need
+        # every blocking point has its own safety net (waits time out, cost
+        # events are budgeted), so a plain join cannot hang — and long
+        # computations get as much wall time as they need
         for t in threads:
             t.join()
-        if errors:
-            # a VMError is the application-level root cause; teardown
-            # errors on other nodes are secondary
-            raise next(
-                (e for e in errors if isinstance(e, VMError)), errors[0]
-            )
-
-        makespan = time.perf_counter() - t0
-        stats = [n.snapshot_stats() for n in self.nodes]
-        recovered, ckpt_cycles, rec_cycles = finalize_recovery(
-            self.nodes, stats
-        )
-        stdout = [line for s in stats for line in s.stdout]
-        faults = [f for n in self.nodes for f in n.faults]
-        return BackendRun(
-            result=starter.result,
-            makespan_s=makespan,
-            total_messages=self.total_messages,
-            total_bytes=self.total_bytes,
-            node_stats=stats,
-            stdout=stdout,
-            faults=faults,
-            degraded=summarize_recovery(
-                faults,
-                recovered,
-                recovering=policy.recovery is not None
-                and policy.recovery.enabled,
-                main_partition=policy.main_partition,
-            ),
-            recovered=recovered,
-            checkpoint_overhead_cycles=ckpt_cycles,
-            recovery_cycles=rec_cycles,
-            latency_s=collect_latencies(self.nodes),
-        )
-
-    def _fault_notice(self, src: int) -> None:
-        """Node ``src`` died of an injected fault: notify every live peer
-        with an emergency SHUTDOWN carrying the FAULT_NOTICE req id, so
-        replicated runs can keep serving while direct requesters fail
-        fast."""
-        for node in self.nodes:
-            if node.node_id != src and not node.done:
-                node.deliver(
-                    Message(MessageKind.SHUTDOWN, src, node.node_id, FAULT_NOTICE)
-                )
-
-    def _emergency_shutdown(self, src: int) -> None:
-        """A node died with an exception: release every peer's service loop
-        so the join cannot hang (bypasses transport counters on purpose)."""
-        for node in self.nodes:
-            if node.node_id != src and not node.done:
-                node.deliver(Message(MessageKind.SHUTDOWN, src, node.node_id, 0))
+        return assemble_run(reports, policy)

@@ -1,154 +1,149 @@
-"""Shared out-of-process worker machinery for the wall-clock backends.
+"""Out-of-process worker machinery shared by the ``process`` and ``tcp``
+backends.
 
-Both multi-process transports — kernel pipes (``process``) and real TCP
-sockets (``tcp``) — run the same worker lifecycle: fork one OS process per
-cluster node, reload the rewritten program into a private interpreter,
-drive the node generator (``cost`` charges accounting, ``wait`` blocks on
-the transport), and ship a plain-dict report to the parent over a result
-queue.  Everything in that lifecycle except the byte transport itself is
-transport-agnostic and lives here: the drive loop, the report schema, the
-synthetic report for a worker that vanished without reporting, the
-progress-aware parent collection loop, and the BackendRun assembly.
+Both run the same lifecycle: fork one OS process per cluster node, connect
+it to its peers (the only transport-specific step), reload the rewritten
+program into a private interpreter, run the node through the node core
+(:func:`~repro.runtime.backend.run_node`) and pickle its
+:class:`~repro.runtime.backend.NodeReport` home over a result queue.  The
+parent collects the reports — turning a worker that vanished without
+reporting into structured fault evidence, and telling the survivors over a
+per-worker control pipe — reaps every process, and assembles the run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import queue as _queue
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, Tuple
 
-from repro.errors import RuntimeServiceError, VMError
+from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (
     BackendNode,
     BackendRun,
+    NodeReport,
     NodeStats,
     RunPolicy,
     Transport,
-    latency_summary,
+    assemble_run,
+    error_info,
     provision_node,
-    summarize_recovery,
+    run_node,
+    shutdown_frames,
 )
-from repro.runtime.faults import FaultError, FaultRecord, NodeCrashed
-from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
-
-#: safety net for protocol bugs; real waits return on frame arrival
-WAIT_TIMEOUT_S = 60.0
+from repro.runtime.cluster import ClusterSpec
+from repro.runtime.faults import FaultRecord
+from repro.runtime.message import FAULT_NOTICE, Message
+from repro.runtime.serial import decode_value, encode_value
+from repro.vm.loader import load_program
 
 #: the parent's control channel appears in a worker's receive map under
 #: this pseudo source id (no node has a negative id)
 PARENT_CTRL = -1
 
+#: ``connect(node_id, spec, ctrl_reader, *args)``: runs inside the freshly
+#: forked worker, closes the inherited handles that belong to other nodes
+#: and returns this node and its connected transport
+Connect = Callable[..., Tuple[BackendNode, Transport]]
+
+
+def mp_context():
+    """Fork keeps worker start cheap and avoids pickling the program; fall
+    back to spawn where fork does not exist."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix platforms
+        return multiprocessing.get_context("spawn")
+
+
+def send_frames(conns: Dict[int, object], frames: Iterable[Message]) -> None:
+    """Best-effort: serialize each frame down the pipe to its ``dst``."""
+    for frame in frames:
+        try:
+            conns[frame.dst].send_bytes(frame.serialize())
+        except (OSError, ValueError):
+            pass
+
 
 # --------------------------------------------------------------- worker side
-def worker_report(
-    node: BackendNode,
-    transport: Transport,
-    program,
-    policy: RunPolicy,
-    broadcast: Callable[[int], None],
-) -> dict:
-    """Run one cluster node start to finish inside its worker process and
-    return the report dict the parent assembles stats from.
-
-    ``broadcast(req_id)`` must best-effort a SHUTDOWN frame with that
-    req_id to every peer (0 = teardown, FAULT_NOTICE = this node died).
-    """
-    from repro.runtime.serial import encode_value
-    from repro.vm.loader import load_program
-
-    node_id = node.node_id
-    report = {"node_id": node_id, "name": node.spec.name, "error": None,
-              "faults": []}
+def worker_report(node: BackendNode, transport: Transport, program,
+                  policy: RunPolicy) -> NodeReport:
+    """Run one cluster node start to finish inside its worker process.  The
+    result crosses the process boundary in the streamed value format."""
     try:
-        loaded = load_program(program)
-        starter = provision_node(node, transport, loaded, policy)
-        t0 = time.perf_counter()
-        events = 0
-        try:
-            for event in node.gen:
-                events += 1
-                if events > policy.max_events:
-                    raise RuntimeServiceError("execution exceeded event budget")
-                kind = event[0]
-                if kind == "cost":
-                    node.charge(event[1])
-                    if node.injector is not None and (
-                        node.injector.crash_due(node.charged_cycles)
-                    ):
-                        raise NodeCrashed(
-                            f"node {node_id} crashed at cycle "
-                            f"{node.charged_cycles} (planned)"
-                        )
-                elif kind == "wait":
-                    node.wait_for_message(WAIT_TIMEOUT_S)
-                else:  # pragma: no cover
-                    raise RuntimeServiceError(f"unknown event {event!r}")
-        except FaultError as exc:
-            # injected/fault-family failure: degrade — structured record,
-            # prompt notice to live peers, no error (the run continues)
-            node.record_fault(exc)
-            broadcast(FAULT_NOTICE)
-        except BaseException as exc:
-            report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-            broadcast(0)
-        node.clock = time.perf_counter() - t0
-        stats = node.snapshot_stats()
-        result_payload = None
-        # evidence *about other nodes* (lease verdicts, torn blobs) does not
-        # invalidate this node's own result — only its own failure does
-        own_failure = any(f.node == node_id for f in node.faults)
-        if starter is not None and report["error"] is None and not own_failure:
+        provision_node(node, transport, load_program(program), policy)
+        report = run_node(node, transport, policy.max_events)
+        if report.result is not None:
             try:
-                result_payload = encode_value(
-                    starter.result, node_id, node.machine.heap
+                report.result = encode_value(
+                    report.result, node.node_id, node.machine.heap
                 )
             except RuntimeServiceError:
-                result_payload = None
-        recovered: List[dict] = []
-        adopted_stdout: Dict[int, List[str]] = {}
-        ckpt_cycles = rec_cycles = 0
-        if node.recovery is not None:
-            r = node.recovery
-            ckpt_cycles = r.checkpoint_overhead_cycles
-            rec_cycles = r.recovery_cycles
-            recovered = [x.to_dict() for x in r.recovered_records]
-            adopted_stdout = {
-                dead: list(lines)
-                for dead, lines in r.adopted.items()
-                if dead in r.recovered
-            }
-        report.update(
-            clock_s=stats.clock_s,
-            busy_s=stats.busy_s,
-            messages_sent=stats.messages_sent,
-            bytes_sent=stats.bytes_sent,
-            requests_served=stats.requests_served,
-            requests_sent=stats.requests_sent,
-            heap_objects=stats.heap_objects,
-            heap_bytes=stats.heap_bytes,
-            stdout=stats.stdout,
-            faults=stats.faults,
-            result=result_payload,
-            recovered=recovered,
-            adopted_stdout=adopted_stdout,
-            checkpoint_overhead_cycles=ckpt_cycles,
-            recovery_cycles=rec_cycles,
-            latencies_s=(
-                list(node.exchange.latencies_s)
-                if node.exchange is not None
-                else []
-            ),
-        )
+                report.result = None
+        return report
     except BaseException as exc:  # provisioning/load failure
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        broadcast(0)
-    return report
+        transport.broadcast(shutdown_frames(node.node_id, node.peers))
+        return NodeReport(
+            node.node_id, NodeStats(node.spec.name), error=error_info(exc)
+        )
+
+
+def _worker_main(node_id: int, spec: ClusterSpec, program, policy: RunPolicy,
+                 ctrl, results, connect: Connect, connect_args) -> None:
+    """One cluster node, start to finish, inside its own process."""
+    # fork hands every worker all the control pipes; keep our read end only
+    for i, (reader, writer) in enumerate(ctrl):
+        writer.close()
+        if i != node_id:
+            reader.close()
+    node, transport = connect(node_id, spec, ctrl[node_id][0], *connect_args)
+    try:
+        results.put(worker_report(node, transport, program, policy))
+    finally:
+        transport.close()
 
 
 # --------------------------------------------------------------- parent side
-def lost_report(node_id: int, name: str, exitcode) -> dict:
+def run_workers(spec: ClusterSpec, program, policy: RunPolicy,
+                connect: Connect, connect_args: tuple,
+                parent_handles: Iterable) -> BackendRun:
+    """Fork one worker per node, collect and reap them, assemble the run.
+    ``parent_handles`` are what the workers own once forked (pipe ends,
+    listening sockets): the parent closes its copies."""
+    ctx = mp_context()
+    # one parent->worker control pipe each: when a worker vanishes without
+    # reporting, the parent injects fault-notice frames here so survivors
+    # fail fast instead of riding out the full wait timeout
+    ctrl = [ctx.Pipe(duplex=False) for _ in spec.nodes]
+    ctrl_writers = {i: writer for i, (_, writer) in enumerate(ctrl)}
+    results = ctx.Queue()
+    procs = [
+        ctx.Process(
+            target=_worker_main,
+            args=(i, spec, program, policy, ctrl, results, connect, connect_args),
+            name=f"repro-node-{i}",
+            daemon=True,
+        )
+        for i in range(spec.size)
+    ]
+    try:
+        for p in procs:
+            p.start()
+        for handle in (*parent_handles, *(reader for reader, _ in ctrl)):
+            handle.close()
+        reports = collect_reports(procs, results, spec, ctrl_writers)
+    finally:
+        reap_workers(procs, ctrl_writers)
+    main = reports[policy.main_partition]
+    if main.result is not None:
+        main.result = decode_value(main.result, policy.main_partition)
+    return assemble_run(reports, policy)
+
+
+def lost_report(node_id: int, name: str, exitcode) -> NodeReport:
     """Synthetic report for a worker that vanished before reporting
-    (killed, OOM, segfault): zero stats plus a structured fault."""
+    (killed, OOM, segfault): empty stats plus a structured fault."""
     rec = FaultRecord(
         node=node_id,
         kind="worker_lost",
@@ -157,28 +152,17 @@ def lost_report(node_id: int, name: str, exitcode) -> dict:
             f"{exitcode} before reporting"
         ),
     )
-    return {
-        "node_id": node_id, "name": name, "error": None,
-        "faults": [rec.to_dict()],
-        "clock_s": 0.0, "busy_s": 0.0, "messages_sent": 0,
-        "bytes_sent": 0, "requests_served": 0, "requests_sent": 0,
-        "heap_objects": 0, "heap_bytes": 0, "stdout": [], "result": None,
-        "recovered": [], "adopted_stdout": {},
-        "checkpoint_overhead_cycles": 0, "recovery_cycles": 0,
-        "latencies_s": [],
-    }
+    return NodeReport(node_id, NodeStats(name, faults=[rec.to_dict()]))
 
 
-def collect_reports(procs, results, node_names, ctrl_writers) -> Dict[int, dict]:
+def collect_reports(procs, results, spec: ClusterSpec,
+                    ctrl_writers) -> Dict[int, NodeReport]:
     """Progress-aware collection: wait as long as workers are alive
     (blocking points inside them time out on their own); a worker that
     vanished without reporting becomes a structured fault, not a hang and
-    not an exception.  The parent injects fault-notice frames down each
-    survivor's control channel so they fail fast instead of riding out
-    the full wait timeout."""
-    n = len(procs)
-    reports: Dict[int, dict] = {}
-    pending = set(range(n))
+    not an exception."""
+    reports: Dict[int, NodeReport] = {}
+    pending = set(range(len(procs)))
     while pending:
         try:
             rep = results.get(timeout=0.25)
@@ -193,20 +177,14 @@ def collect_reports(procs, results, node_names, ctrl_writers) -> Dict[int, dict]
                 for i in dead:
                     pending.discard(i)
                     reports[i] = lost_report(
-                        i, node_names[i], procs[i].exitcode
+                        i, spec.nodes[i].name, procs[i].exitcode
                     )
-                    for j in pending:
-                        try:
-                            ctrl_writers[j].send_bytes(
-                                Message(
-                                    MessageKind.SHUTDOWN, i, j, FAULT_NOTICE
-                                ).serialize()
-                            )
-                        except (OSError, ValueError):
-                            pass
+                    send_frames(
+                        ctrl_writers, shutdown_frames(i, pending, FAULT_NOTICE)
+                    )
                 continue
-        reports[rep["node_id"]] = rep
-        pending.discard(rep["node_id"])
+        reports[rep.node_id] = rep
+        pending.discard(rep.node_id)
     return reports
 
 
@@ -225,91 +203,3 @@ def reap_workers(procs, ctrl_writers) -> None:
             w.close()
         except OSError:  # pragma: no cover
             pass
-
-
-def assemble_run(reports: Dict[int, dict], policy: RunPolicy) -> BackendRun:
-    """Turn per-worker report dicts into the BackendRun every backend
-    returns (error precedence, stats, recovery splicing, latency merge)."""
-    from repro.runtime.serial import decode_value
-
-    failed = {i: rep["error"] for i, rep in reports.items() if rep["error"]}
-    if failed:
-        # a VMError is the application-level root cause (remote errors
-        # propagate as ERR replies); teardown noise on other nodes —
-        # SHUTDOWN-while-awaiting-reply, disconnects — is secondary
-        for node_id, err in sorted(failed.items()):
-            if err["type"] == "VMError":
-                raise VMError(err["message"])
-        detail = "; ".join(
-            f"node {i}: {err['type']}: {err['message']}"
-            for i, err in sorted(failed.items())
-        )
-        raise RuntimeServiceError(f"worker backend failed: {detail}")
-
-    ordered = [reports[i] for i in sorted(reports)]
-    stats = []
-    for rep in ordered:
-        lat = latency_summary(rep.get("latencies_s") or [])
-        stats.append(
-            NodeStats(
-                name=rep["name"],
-                clock_s=rep["clock_s"],
-                busy_s=rep["busy_s"],
-                messages_sent=rep["messages_sent"],
-                bytes_sent=rep["bytes_sent"],
-                requests_served=rep["requests_served"],
-                heap_objects=rep["heap_objects"],
-                heap_bytes=rep["heap_bytes"],
-                stdout=list(rep["stdout"]),
-                faults=list(rep.get("faults") or []),
-                requests_sent=rep.get("requests_sent", 0),
-                **lat,
-            )
-        )
-    faults = [
-        FaultRecord.from_dict(d)
-        for rep in ordered
-        for d in (rep.get("faults") or [])
-    ]
-    recovered = [
-        FaultRecord.from_dict(d)
-        for rep in ordered
-        for d in (rep.get("recovered") or [])
-    ]
-    masked = {r.node for r in recovered}
-    for rep in ordered:
-        for dead, lines in (rep.get("adopted_stdout") or {}).items():
-            dead = int(dead)
-            if dead in masked and 0 <= dead < len(stats):
-                stats[dead].stdout = list(lines)
-    main_rep = reports[policy.main_partition]
-    result = (
-        decode_value(main_rep["result"], policy.main_partition)
-        if main_rep["result"] is not None
-        else None
-    )
-    merged: List[float] = []
-    for rep in ordered:
-        merged.extend(rep.get("latencies_s") or [])
-    merged.sort()
-    return BackendRun(
-        result=result,
-        makespan_s=max((s.clock_s for s in stats), default=0.0),
-        total_messages=sum(s.messages_sent for s in stats),
-        total_bytes=sum(s.bytes_sent for s in stats),
-        node_stats=stats,
-        stdout=[line for s in stats for line in s.stdout],
-        faults=faults,
-        degraded=summarize_recovery(
-            faults,
-            recovered,
-            recovering=policy.recovery is not None and policy.recovery.enabled,
-            main_partition=policy.main_partition,
-        ),
-        recovered=recovered,
-        checkpoint_overhead_cycles=sum(
-            rep.get("checkpoint_overhead_cycles", 0) for rep in ordered
-        ),
-        recovery_cycles=sum(rep.get("recovery_cycles", 0) for rep in ordered),
-        latency_s=merged,
-    )

@@ -11,8 +11,8 @@
   instruction per call through the original if/elif chain and reports its
   cost individually.  It is the oracle the differential suite checks the
   fast path against, and it is used automatically whenever a profiler is
-  attached (per-step ``on_step`` hooks need per-step control) or when
-  :data:`FORCE_SLOW_PATH` / ``REPRO_VM_SLOW=1`` forces it.
+  attached (per-step ``on_step`` hooks need per-step control) or when the
+  ``reference`` tier is selected (:data:`VM_ENGINE`).
 
 Both engines emit the same totals: identical ``cycles``, ``steps``,
 ``result``, ``stdout`` and syscall boundaries — only the granularity of
@@ -41,20 +41,15 @@ from repro.vm.heap import Heap
 from repro.vm.natives import find_native
 from repro.vm.values import DependentRef, Ref, i32, i64, idiv, irem, iushr
 
-#: set (or export ``REPRO_VM_SLOW=1``) to force the per-step reference path
-#: everywhere — the switch the differential suite flips to compare the fast
-#: block engine against its oracle
-FORCE_SLOW_PATH = os.environ.get("REPRO_VM_SLOW", "") not in ("", "0")
-
 #: the three execution tiers :meth:`Machine.drive` can select
 ENGINES = ("reference", "fast", "compiled")
 
-#: the tier used when nothing forces the per-step oracle: ``"reference"``
-#: (per-step if/elif chain), ``"fast"`` (threaded-code ``run_block``) or
-#: ``"compiled"`` (superinstruction fusion + trace-compiled hot blocks,
-#: :mod:`repro.vm.jit`).  Set via ``REPRO_VM_ENGINE`` or
-#: :func:`forced_engine`; an attached profiler or :data:`FORCE_SLOW_PATH`
-#: still win (per-step hooks need per-step control).
+#: the tier in use: ``"reference"`` (per-step if/elif chain — the oracle
+#: the differential suite compares the block engines against), ``"fast"``
+#: (threaded-code ``run_block``) or ``"compiled"`` (superinstruction fusion
+#: + trace-compiled hot blocks, :mod:`repro.vm.jit`).  Set via
+#: ``REPRO_VM_ENGINE`` or :func:`forced_engine`; an attached profiler still
+#: wins (per-step hooks need per-step control).
 VM_ENGINE = os.environ.get("REPRO_VM_ENGINE", "compiled") or "compiled"
 
 
@@ -79,26 +74,6 @@ def forced_engine(name: str):
             os.environ.pop("REPRO_VM_ENGINE", None)
         else:
             os.environ["REPRO_VM_ENGINE"] = prev_env
-
-
-@contextmanager
-def forced_slow_path(slow: bool = True):
-    """Temporarily force (or release) the per-step reference path — in this
-    process *and*, via the ``REPRO_VM_SLOW`` environment variable, in any
-    worker process spawned inside the block (the process backend re-reads
-    the variable at import under spawn-style multiprocessing)."""
-    global FORCE_SLOW_PATH
-    prev, prev_env = FORCE_SLOW_PATH, os.environ.get("REPRO_VM_SLOW")
-    FORCE_SLOW_PATH = slow
-    os.environ["REPRO_VM_SLOW"] = "1" if slow else "0"
-    try:
-        yield
-    finally:
-        FORCE_SLOW_PATH = prev
-        if prev_env is None:
-            os.environ.pop("REPRO_VM_SLOW", None)
-        else:
-            os.environ["REPRO_VM_SLOW"] = prev_env
 
 
 def _threaded(flat):
@@ -678,20 +653,16 @@ class Machine:
         With no profiler attached this batches cost per block-engine call
         (:meth:`run_block` on the ``fast`` tier, :meth:`run_block_compiled`
         on the ``compiled`` tier) — one event per syscall-to-syscall span
-        of computation.  Attaching a profiler, setting
-        :data:`FORCE_SLOW_PATH`, or selecting the ``reference`` tier
-        (:data:`VM_ENGINE`) transparently falls back to the per-step
-        reference path, preserving per-instruction ``on_step`` semantics.
+        of computation.  Attaching a profiler or selecting the
+        ``reference`` tier (:data:`VM_ENGINE`) transparently falls back to
+        the per-step reference path, preserving per-instruction ``on_step``
+        semantics.
         All tiers produce identical cycle/step totals and identical
         machine state at every syscall boundary.
         """
         frames = self.frames
         while len(frames) >= stop_depth:
-            if (
-                self.profiler is None
-                and not FORCE_SLOW_PATH
-                and VM_ENGINE != "reference"
-            ):
+            if self.profiler is None and VM_ENGINE != "reference":
                 try:
                     if VM_ENGINE == "compiled":
                         kind, gen, push, cost = _run_block_compiled(

@@ -8,12 +8,17 @@ id, hypothesis runs under the registered ``repro`` profile (``print_blob``
 on, so failures print their reproduction blob), and failing tests get a
 "repro seeds" report section naming the exact ``REPRO_TEST_SEED=...`` to
 re-run with.
+
+Leak policy: every test is checked for worker processes and non-daemon
+threads it left behind, so the backends' teardown is enforced in one place.
 """
 
+import multiprocessing
 import os
 import pathlib
 import random
 import sys
+import threading
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -48,6 +53,20 @@ def _seed_global_rngs(request):
     except ImportError:  # pragma: no cover - numpy is a test dependency
         pass
     yield
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_workers():
+    """Fail any test that leaves a live worker process or a non-daemon
+    thread behind — the definition ``perfbench/child.py::leaked_workers``
+    counts by (threads that predate the test are not its leak)."""
+    before = set(threading.enumerate())
+    yield
+    leaked = multiprocessing.active_children() + [
+        t for t in threading.enumerate()
+        if not t.daemon and t not in before
+    ]
+    assert not leaked, f"test leaked workers/threads: {leaked}"
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -37,7 +37,7 @@ from repro.api import Experiment
 from repro.harness.pipeline import Pipeline
 from repro.runtime.cluster import paper_testbed
 from repro.runtime.executor import DistributedExecutor
-from repro.vm.interpreter import forced_slow_path
+from repro.vm.interpreter import forced_engine
 from repro.workloads import WORKLOADS
 
 PLAN_METHODS = ("kl", "multilevel", "spectral", "roundrobin")
@@ -144,9 +144,9 @@ def _run_on_path(workload, method, backend, slow):
     cluster = paper_testbed()
     plan = pipe.plan(2, method=method, cluster=cluster)
     rewritten, _, _ = pipe.rewrite(plan)
-    # forced_slow_path also exports REPRO_VM_SLOW, so process-backend
+    # forced_engine also exports REPRO_VM_ENGINE, so process-backend
     # workers pick the engine up even under spawn-style multiprocessing
-    with forced_slow_path(slow):
+    with forced_engine("reference" if slow else "fast"):
         return DistributedExecutor(
             rewritten, plan, cluster, backend=backend
         ).run()

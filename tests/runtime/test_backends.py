@@ -249,3 +249,21 @@ def test_node_stats_flow_through_shared_snapshot(backend):
     agg = result.aggregate()
     assert agg["nodes"] == 2.0
     assert agg["requests_served"] >= 1.0
+
+
+def test_jit_counters_identical_across_backends():
+    """``machine.jit_stats()`` rides home in every node report, so the
+    cluster-wide JIT counters of one program on one engine do not depend on
+    whether its machines lived in this process."""
+    from repro.api import Experiment
+    from repro.harness.cache import StageCache
+
+    jit = {
+        backend: Experiment.from_options(
+            "bank", size="test", backend=backend, engine="compiled",
+            cache=StageCache(), force_distribution=True,
+        ).run().distributed.jit
+        for backend in BACKENDS
+    }
+    assert jit["sim"]["promotions"] > 0
+    assert all(j == jit["sim"] for j in jit.values()), jit

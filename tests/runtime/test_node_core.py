@@ -1,0 +1,172 @@
+"""The node core's contract, checked once over every transport.
+
+The blocking rule, the event budget and the crash path live in
+:class:`repro.runtime.backend.BackendNode` / ``run_node`` exactly once; a
+backend only supplies how frames move.  These tests pin the shared
+behaviour down per backend so a transport cannot drift away from it.
+"""
+
+import sys
+import pathlib
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+
+import pytest
+
+from helpers import compile_mj_raw
+
+from repro.distgen import rewrite_program
+from repro.distgen.plan import DistributionPlan
+from repro.errors import RuntimeServiceError
+from repro.runtime.backend import BackendNode
+from repro.runtime.cluster import ClusterSpec, NodeSpec, ethernet_100m
+from repro.runtime.executor import DistributedExecutor
+from repro.runtime.faults import FaultPlan, FaultRecord, PeerLost
+from repro.runtime.message import FAULT_NOTICE, MessageKind
+from repro.runtime.worker import PARENT_CTRL, mp_context
+
+BACKENDS = ("sim", "thread", "process", "tcp")
+
+SPEC3 = ClusterSpec(
+    nodes=[NodeSpec(f"n{i}", 1e9) for i in range(3)], link=ethernet_100m()
+)
+
+
+# ------------------------------------------------- (a) the blocking rule
+def _thread_node():
+    from repro.runtime.threads import ThreadBackend
+
+    node = ThreadBackend(SPEC3).nodes[0]
+    # the thread transport has no link to lose: death is protocol knowledge
+    yield node, node.dead_peers.add
+
+
+def _process_node():
+    from repro.runtime.proc import ProcNode
+
+    ctx = mp_context()
+    pipes = {src: ctx.Pipe(duplex=False) for src in (1, 2, PARENT_CTRL)}
+    node = ProcNode(
+        0, SPEC3.nodes[0], 3, {src: r for src, (r, _) in pipes.items()}
+    )
+    # a peer's exit closes its write end; the node sees EOF on its next read
+    yield node, lambda peer: pipes[peer][1].close()
+    for r, w in pipes.values():
+        r.close()
+        w.close()
+
+
+def _tcp_node():
+    from repro.runtime.tcp import TcpBackend, _connect_sockets
+
+    socks = TcpBackend(SPEC3)._bind_all()
+    endpoints = [s.getsockname()[:2] for s in socks]
+    ctrl_reader, ctrl_writer = mp_context().Pipe(duplex=False)
+    node, hub = _connect_sockets(0, SPEC3, ctrl_reader, socks, endpoints)
+    # what the hub does when a connection ends in EOF / reset / garbage
+    yield node, node.peer_gone
+    hub.close()
+    ctrl_writer.close()
+    socks[0].close()
+
+
+@pytest.fixture(params=("thread", "process", "tcp"))
+def blocked_node(request):
+    """(node 0 of a 3-node cluster with every peer reachable, a function
+    that makes one peer unreachable the way this transport learns it)."""
+    factory = {
+        "thread": _thread_node, "process": _process_node, "tcp": _tcp_node,
+    }[request.param]
+    yield from factory()
+
+
+def test_wait_blocks_while_a_peer_lives_then_short_circuits(blocked_node):
+    node, lose = blocked_node
+    node.dead_peers.add(1)
+    # one peer still reachable: the wait must block, then time out with the
+    # structured deadlock error — not PeerLost
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeServiceError, match="blocked") as err:
+        node.wait(0.05)
+    assert time.monotonic() - t0 >= 0.05
+    assert not isinstance(err.value, PeerLost)
+    # every peer unreachable: nothing can ever arrive, so the wait degrades
+    # at once instead of riding out its (here: 60 s) timeout
+    lose(2)
+    assert node.take_matching(lambda m: True) is None
+    t0 = time.monotonic()
+    with pytest.raises(PeerLost):
+        node.wait(60.0)
+    assert time.monotonic() - t0 < 1.0
+
+
+# ------------------------------------- (b) + (c) whole runs, all four backends
+PROGRAM = """
+class Left  { int v; Left(int v)  { this.v = v; } int get() { return v; } }
+class Right { int v; Right(int v) { this.v = v; } int get() { return v; } }
+
+class Main {
+    static void main(String[] args) {
+        Left l = new Left(3);
+        Right r = new Right(4);
+        int acc = l.get() + r.get();
+        int i = 0;
+        while (i < 5000) { acc = (acc * 31 + i) % 65521; i = i + 1; }
+        Sys.println("total:" + acc);
+    }
+}
+"""
+
+
+def _executor(backend, faults=None):
+    """PROGRAM on 3 nodes: main in the middle, one served class each side.
+    By the time main enters its loop it has completed a round trip with
+    both peers, so every link is up in both directions."""
+    bp, _ = compile_mj_raw(PROGRAM)
+    plan = DistributionPlan(
+        nparts=3,
+        granularity="class",
+        class_home={"Left": 0, "Main": 1, "Right": 2},
+        dependent_classes={"Left", "Main", "Right"},
+        main_partition=1,
+    )
+    rewritten, _ = rewrite_program(bp, plan)
+    return DistributedExecutor(
+        rewritten, plan, SPEC3, backend=backend, faults=faults
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_event_budget_exhaustion_is_a_structured_error(backend):
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeServiceError, match="event budget"):
+        _executor(backend).run(max_events=3)
+    assert time.monotonic() - t0 < 30.0, "peers rode out their wait timeout"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_planned_crash_is_one_record_and_every_live_peer_is_told(
+    backend, monkeypatch
+):
+    """The main node crashes on charging its loop, before its farewell.
+    Both service nodes are idle by then and only ever stop on its fault
+    notice, so each must receive it; intake is the single way in, so evidence planted there comes home
+    in the node report on every backend (fork inherits the patch)."""
+    real_intake = BackendNode.intake
+
+    def noting_intake(self, msg, arrival=0.0):
+        if msg.kind is MessageKind.SHUTDOWN and msg.req_id == FAULT_NOTICE:
+            self.faults.append(
+                FaultRecord(self.node_id, "notice_seen", f"from {msg.src}")
+            )
+        real_intake(self, msg, arrival)
+
+    monkeypatch.setattr(BackendNode, "intake", noting_intake)
+    run = _executor(backend, FaultPlan(crashes=((1, 20_000),), seed=1)).run()
+    assert run.degraded
+    assert [f.node for f in run.faults if f.kind == "crash"] == [1]
+    assert sorted(
+        (f.node, f.detail) for f in run.faults if f.kind == "notice_seen"
+    ) == [(0, "from 1"), (2, "from 1")]
+    assert len(run.node_stats) == 3

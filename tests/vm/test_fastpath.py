@@ -21,7 +21,7 @@ from helpers import compile_mj
 
 from repro.errors import VMError
 from repro.profiler.base import BaselineProfiler, Profiler, attach
-from repro.vm.interpreter import Machine, forced_slow_path, run_sync
+from repro.vm.interpreter import Machine, forced_engine, run_sync
 from repro.workloads import WORKLOADS
 
 
@@ -33,7 +33,7 @@ def _run_path(loaded, slow, profiler=None, main_args=None):
     if profiler is not None:
         attach(machine, profiler)
     machine.call_bmethod(loaded.main_method(), None, [main_args])
-    with forced_slow_path(slow):
+    with forced_engine("reference" if slow else "fast"):
         run_sync(machine)
     return machine
 
@@ -44,7 +44,7 @@ def _observe(loaded, slow):
     machine.statics = loaded.fresh_statics()
     machine.call_bmethod(loaded.main_method(), None, [None])
     error = None
-    with forced_slow_path(slow):
+    with forced_engine("reference" if slow else "fast"):
         try:
             run_sync(machine)
         except VMError as exc:
@@ -96,7 +96,7 @@ def test_fast_path_batches_cost_events():
         machine = Machine(loaded)
         machine.statics = loaded.fresh_statics()
         machine.call_bmethod(loaded.main_method(), None, [None])
-        with forced_slow_path(slow):
+        with forced_engine("reference" if slow else "fast"):
             out = [e for e in machine.run_gen() if e[0] == "cost"]
         return machine, out
 
