@@ -4,7 +4,8 @@ The paper (§2.1): "We use rapid type analysis (RTA) to compute the call graph
 and the program types."  RTA maintains the set of *instantiated* classes
 (from ``NEW`` in reachable code) and resolves virtual calls only against
 instantiated subtypes of the static receiver class, iterating with a
-worklist until no new methods or types appear.
+worklist until no new methods or types appear.  Each reachable method is
+scanned once and each (virtual site, instantiated class) pair resolved once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BMethod, BProgram
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SemanticError
 from repro.lang.symbols import DEPENDENT_OBJECT
 
 
@@ -24,7 +25,8 @@ class CallGraph:
 
     ``edges`` maps a caller to the set of (callee, callsite-index) pairs;
     ``callers`` is the inverse without site info.  Methods are identified by
-    their qualified ``Class.name`` string.
+    their qualified ``Class.name`` string.  Edges enter through
+    :meth:`add_edge`, which keeps the three maps in step.
     """
 
     program: BProgram
@@ -32,6 +34,8 @@ class CallGraph:
     instantiated: Set[str] = field(default_factory=set)
     edges: Dict[str, Set[Tuple[str, int]]] = field(default_factory=dict)
     callers: Dict[str, Set[str]] = field(default_factory=dict)
+    #: inverse of ``edges`` with site info: callee -> {(caller, index)}
+    sites: Dict[str, Set[Tuple[str, int]]] = field(default_factory=dict)
 
     def method(self, qualified: str) -> BMethod:
         cls, name = qualified.rsplit(".", 1)
@@ -52,34 +56,12 @@ class CallGraph:
 
     def call_sites_of(self, qualified: str) -> Set[Tuple[str, int]]:
         """All (caller, index) sites that may invoke ``qualified``."""
-        sites: Set[Tuple[str, int]] = set()
-        for caller, outs in self.edges.items():
-            for callee, idx in outs:
-                if callee == qualified:
-                    sites.add((caller, idx))
-        return sites
+        return set(self.sites.get(qualified, ()))
 
-
-def _resolve_virtual_targets(
-    program: BProgram, instantiated: Set[str], static_cls: str, name: str
-) -> Set[str]:
-    """User-class targets of a virtual call: for every instantiated class T
-    that is a subtype of the static receiver class, the implementation T
-    actually inherits."""
-    table = program.table
-    targets: Set[str] = set()
-    for t in instantiated:
-        if t not in program.classes:
-            continue
-        try:
-            if not table.is_subtype(t, static_cls):
-                continue
-        except Exception:
-            continue
-        m = program.lookup_method(t, name)
-        if m is not None:
-            targets.add(m.qualified)
-    return targets
+    def add_edge(self, caller: str, callee: str, index: int) -> None:
+        self.edges.setdefault(caller, set()).add((callee, index))
+        self.callers.setdefault(callee, set()).add(caller)
+        self.sites.setdefault(callee, set()).add((caller, index))
 
 
 def rapid_type_analysis(
@@ -92,6 +74,7 @@ def rapid_type_analysis(
         entry = f"{program.main_class}.main"
 
     cg = CallGraph(program)
+    table = program.table
     work: List[str] = []
 
     def reach(qualified: str) -> None:
@@ -104,16 +87,27 @@ def rapid_type_analysis(
         if "<clinit>" in bclass.methods:
             reach(f"{bclass.name}.<clinit>")
 
-    # deferred virtual sites: (caller, index, static_cls, name) re-checked
-    # whenever a new class becomes instantiated
+    # Every (virtual site, instantiated user class) pair is bound exactly
+    # once: a site when it is scanned, against the classes instantiated so
+    # far; a class when its first NEW is scanned, against the sites so far.
     virtual_sites: List[Tuple[str, int, str, str]] = []
+    user_types: List[str] = []
 
-    def add_edge(caller: str, callee: str, index: int) -> None:
-        cg.edges.setdefault(caller, set()).add((callee, index))
-        cg.callers.setdefault(callee, set()).add(caller)
-        reach(callee)
+    def call(caller: str, index: int, cls: str, name: str) -> None:
+        """Edge to the implementation of ``name`` that ``cls`` declares or
+        inherits; built-in classes have none to scan."""
+        callee = program.lookup_method(cls, name)
+        if callee is not None:
+            cg.add_edge(caller, callee.qualified, index)
+            reach(callee.qualified)
 
-    processed_sites: Set[Tuple[str, int, str]] = set()
+    def bind(caller: str, index: int, static_cls: str, name: str, t: str) -> None:
+        """Add the call edge if ``t`` may be the receiver at the site."""
+        try:
+            if table.is_subtype(t, static_cls):
+                call(caller, index, t, name)
+        except SemanticError:  # a class outside the table: not a subtype
+            pass
 
     while work:
         qualified = work.pop()
@@ -121,38 +115,19 @@ def rapid_type_analysis(
         bclass = program.classes.get(cls)
         if bclass is None or name not in bclass.methods:
             continue  # built-in: no bytecode to scan
-        method = bclass.methods[name]
-        new_types: List[str] = []
-        for idx, ins in enumerate(method.flat()):
+        for idx, ins in enumerate(bclass.methods[name].flat()):
             if ins.op == op.NEW:
                 if ins.a not in cg.instantiated:
                     cg.instantiated.add(ins.a)
-                    new_types.append(ins.a)
-            elif ins.op == op.INVOKESTATIC:
-                if ins.a == DEPENDENT_OBJECT:
-                    continue
-                callee = program.lookup_method(ins.a, ins.b)
-                if callee is not None:
-                    add_edge(qualified, callee.qualified, idx)
-            elif ins.op == op.INVOKESPECIAL:
-                callee = program.lookup_method(ins.a, ins.b)
-                if callee is not None:
-                    add_edge(qualified, callee.qualified, idx)
-            elif ins.op == op.INVOKEVIRTUAL:
-                if ins.a == DEPENDENT_OBJECT:
-                    continue
-                virtual_sites.append((qualified, idx, ins.a, ins.b))
-        # (re)resolve virtual sites — new methods and new types both matter
-        for caller, idx, static_cls, mname in virtual_sites:
-            key = (caller, idx, static_cls)
-            for target in _resolve_virtual_targets(
-                program, cg.instantiated, static_cls, mname
-            ):
-                add_edge(caller, target, idx)
-            processed_sites.add(key)
-        if new_types:
-            # new instantiated types can turn previously-unresolvable
-            # virtual sites into edges; the loop above already re-scans all
-            # sites each iteration, so nothing more to do
-            pass
+                    if ins.a in program.classes:
+                        user_types.append(ins.a)
+                        for site in virtual_sites:
+                            bind(*site, ins.a)
+            elif ins.op == op.INVOKESTATIC or ins.op == op.INVOKESPECIAL:
+                call(qualified, idx, ins.a, ins.b)
+            elif ins.op == op.INVOKEVIRTUAL and ins.a != DEPENDENT_OBJECT:
+                site = (qualified, idx, ins.a, ins.b)
+                virtual_sites.append(site)
+                for t in user_types:
+                    bind(*site, t)
     return cg

@@ -193,10 +193,12 @@ def build_plan(
         # The placement objective for a *sequential* program is a makespan
         # estimate, not balance: try several balance tolerances and keep
         # the candidate with the lowest estimated cost (CPU on assigned
-        # node speeds + communication across the cut).
+        # node speeds + communication across the cut).  A tolerance that
+        # repeats (ubfactor 1.3 or 1.0) would repeat an identical seeded
+        # partition, and the first of equal-cost candidates wins anyway.
         best = None
         candidates = []
-        for ub in (1.05, 1.3, 2.0, ubfactor, 2 * ubfactor):
+        for ub in dict.fromkeys((1.05, 1.3, 2.0, ubfactor, 2 * ubfactor)):
             res = part_graph(
                 graph, nparts, method=method, seed=seed, tpwgts=tpwgts,
                 ubfactor=ub,

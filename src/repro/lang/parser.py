@@ -29,6 +29,41 @@ _PRIM_TOKENS = {T.INT: INT, T.LONG: LONG, T.FLOAT: FLOAT, T.BOOLEAN: BOOLEAN}
 
 _MODIFIER_TOKENS = (T.PUBLIC, T.PRIVATE, T.PROTECTED, T.FINAL)
 
+#: binary operator token -> (precedence, AST operator); a higher precedence
+#: binds tighter.  ``instanceof`` sits with the relational operators and
+#: takes a type, not an expression, on its right.
+_BINARY_OPS = {
+    T.OROR: (1, "||"),
+    T.ANDAND: (2, "&&"),
+    T.PIPE: (3, "|"),
+    T.CARET: (4, "^"),
+    T.AMP: (5, "&"),
+    T.EQ: (6, "=="),
+    T.NE: (6, "!="),
+    T.LT: (7, "<"),
+    T.LE: (7, "<="),
+    T.GT: (7, ">"),
+    T.GE: (7, ">="),
+    T.INSTANCEOF: (7, "instanceof"),
+    T.SHL: (8, "<<"),
+    T.SHR: (8, ">>"),
+    T.USHR: (8, ">>>"),
+    T.PLUS: (9, "+"),
+    T.MINUS: (9, "-"),
+    T.STAR: (10, "*"),
+    T.SLASH: (10, "/"),
+    T.PERCENT: (10, "%"),
+}
+_NOT_BINARY = (0, "")
+_TIGHTEST = max(prec for prec, _ in _BINARY_OPS.values())
+
+_COMPOUND_ASSIGN = {
+    T.PLUS_ASSIGN: "+",
+    T.MINUS_ASSIGN: "-",
+    T.STAR_ASSIGN: "*",
+    T.SLASH_ASSIGN: "/",
+}
+
 
 class Parser:
     def __init__(self, tokens: List[Token]) -> None:
@@ -37,8 +72,8 @@ class Parser:
 
     # ------------------------------------------------------------------ util
     def _peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        j = self.i + ahead
+        return self.toks[j] if j < len(self.toks) else self.toks[-1]
 
     def _at(self, kind: T, ahead: int = 0) -> bool:
         return self._peek(ahead).kind is kind
@@ -275,86 +310,46 @@ class Parser:
         return self._parse_assignment()
 
     def _parse_assignment(self) -> ast.Expr:
-        left = self._parse_or()
+        left = self._parse_binary(1)
         tok = self._peek()
         if tok.kind is T.ASSIGN:
             self._advance()
             value = self._parse_assignment()
             self._check_lvalue(left)
             return ast.Assign(left, value, tok.pos)
-        compound = {
-            T.PLUS_ASSIGN: "+",
-            T.MINUS_ASSIGN: "-",
-            T.STAR_ASSIGN: "*",
-            T.SLASH_ASSIGN: "/",
-        }
-        if tok.kind in compound:
+        op = _COMPOUND_ASSIGN.get(tok.kind)
+        if op is not None:
             self._advance()
             rhs = self._parse_assignment()
             self._check_lvalue(left)
-            return ast.Assign(
-                left, ast.Binary(compound[tok.kind], left, rhs, tok.pos), tok.pos
-            )
+            return ast.Assign(left, ast.Binary(op, left, rhs, tok.pos), tok.pos)
         return left
 
     def _check_lvalue(self, expr: ast.Expr) -> None:
         if not isinstance(expr, (ast.VarRef, ast.FieldAccess, ast.ArrayIndex)):
             raise ParseError("invalid assignment target", expr.pos)
 
-    def _binary_level(self, sub, ops) -> ast.Expr:
-        left = sub()
-        while self._peek().kind in ops:
-            tok = self._advance()
-            right = sub()
-            left = ast.Binary(ops[tok.kind], left, right, tok.pos)
-        return left
-
-    def _parse_or(self) -> ast.Expr:
-        return self._binary_level(self._parse_and, {T.OROR: "||"})
-
-    def _parse_and(self) -> ast.Expr:
-        return self._binary_level(self._parse_bitor, {T.ANDAND: "&&"})
-
-    def _parse_bitor(self) -> ast.Expr:
-        return self._binary_level(self._parse_bitxor, {T.PIPE: "|"})
-
-    def _parse_bitxor(self) -> ast.Expr:
-        return self._binary_level(self._parse_bitand, {T.CARET: "^"})
-
-    def _parse_bitand(self) -> ast.Expr:
-        return self._binary_level(self._parse_equality, {T.AMP: "&"})
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._binary_level(self._parse_relational, {T.EQ: "==", T.NE: "!="})
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_shift()
+    def _parse_binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_OPS`: operators binding
+        at least as tightly as ``min_prec``, all left-associative."""
+        left = self._parse_unary()
+        # An operator's right operand swallows everything tighter, so the
+        # next operator seen here is never tighter than the last — except
+        # after ``instanceof``, whose right side is a type: ``a instanceof B
+        # << c`` is not an expression, and ``limit`` stops it here.
+        limit = _TIGHTEST
         while True:
             tok = self._peek()
-            ops = {T.LT: "<", T.LE: "<=", T.GT: ">", T.GE: ">="}
-            if tok.kind in ops:
-                self._advance()
-                right = self._parse_shift()
-                left = ast.Binary(ops[tok.kind], left, right, tok.pos)
-            elif tok.kind is T.INSTANCEOF:
-                self._advance()
-                ty = self._parse_type()
-                left = ast.InstanceOf(left, ty, tok.pos)
-            else:
+            prec, op = _BINARY_OPS.get(tok.kind, _NOT_BINARY)
+            if prec < min_prec or prec > limit:
                 return left
-
-    def _parse_shift(self) -> ast.Expr:
-        return self._binary_level(
-            self._parse_additive, {T.SHL: "<<", T.SHR: ">>", T.USHR: ">>>"}
-        )
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._binary_level(self._parse_multiplicative, {T.PLUS: "+", T.MINUS: "-"})
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._binary_level(
-            self._parse_unary, {T.STAR: "*", T.SLASH: "/", T.PERCENT: "%"}
-        )
+            self._advance()
+            if tok.kind is T.INSTANCEOF:
+                left = ast.InstanceOf(left, self._parse_type(), tok.pos)
+            else:
+                right = self._parse_binary(prec + 1)
+                left = ast.Binary(op, left, right, tok.pos)
+            limit = prec
 
     def _at_cast(self) -> bool:
         """LPAREN (prim | UpperIdent ([])* ) RPAREN <expr-start>?"""

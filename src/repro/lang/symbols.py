@@ -10,7 +10,7 @@ Figure 8), ``Math``, ``Sys`` (``System.out`` stand-in), ``Random``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SemanticError
 from repro.lang.types import (
@@ -111,6 +111,9 @@ class ClassTable:
 
     def __init__(self) -> None:
         self.classes: Dict[str, ClassInfo] = {}
+        #: class name -> names of the class and all its ancestors; filled on
+        #: demand by :meth:`ancestors`, dropped whenever a class is added
+        self._ancestors: Dict[str, FrozenSet[str]] = {}
         _install_builtins(self)
 
     # -- registration -------------------------------------------------------
@@ -118,6 +121,7 @@ class ClassTable:
         if info.name in self.classes:
             raise SemanticError(f"duplicate class {info.name}")
         self.classes[info.name] = info
+        self._ancestors.clear()
 
     def get(self, name: str) -> ClassInfo:
         try:
@@ -141,10 +145,16 @@ class ClassTable:
             yield info
             cur = info.superclass
 
+    def ancestors(self, name: str) -> FrozenSet[str]:
+        """Names of ``name`` and every class it inherits from."""
+        found = self._ancestors.get(name)
+        if found is None:
+            found = frozenset(info.name for info in self.supers(name))
+            self._ancestors[name] = found
+        return found
+
     def is_subtype(self, sub: str, sup: str) -> bool:
-        if sup == "Object":
-            return True
-        return any(info.name == sup for info in self.supers(sub))
+        return sup == "Object" or sup in self.ancestors(sub)
 
     def subclasses(self, name: str) -> List[str]:
         """All classes X with X <: name (including name itself)."""

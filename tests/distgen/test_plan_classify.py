@@ -111,3 +111,38 @@ def test_cost_model_splits_compute_heavy_crypt():
     assert plan.class_home["CryptEngine"] != plan.main_partition
     # the hot engine<->keys pair stays together
     assert plan.class_home["CryptEngine"] == plan.class_home["KeySchedule"]
+
+
+@pytest.mark.parametrize("workload", ["crypt", "bank"])
+@pytest.mark.parametrize("ubfactor, tried", [
+    (1.30, [1.05, 1.3, 2.0, 2.6]),       # the default repeats 1.3
+    (1.0, [1.05, 1.3, 2.0, 1.0]),        # 2 * 1.0 repeats 2.0
+    (4.0, [1.05, 1.3, 2.0, 4.0, 8.0]),   # what `repro distribute` passes
+])
+def test_each_balance_tolerance_is_partitioned_once(
+    monkeypatch, workload, ubfactor, tried
+):
+    import repro.distgen.plan as plan_mod
+    from repro.distgen.plan import placement_cost
+
+    by_tolerance = {}
+    calls = []
+    real = plan_mod.part_graph
+
+    def recording(graph, nparts, **kwargs):
+        calls.append(kwargs["ubfactor"])
+        result = real(graph, nparts, **kwargs)
+        by_tolerance[kwargs["ubfactor"]] = list(result.parts)
+        return result
+
+    monkeypatch.setattr(plan_mod, "part_graph", recording)
+    bp, _ = compile_mj_raw(WORKLOADS[workload].source("test"))
+    plan = build_plan(bp, 2, ubfactor=ubfactor)
+    assert calls == tried
+
+    # the winner is still the first lowest-cost candidate of the full list
+    full = [by_tolerance[ub] for ub in (1.05, 1.3, 2.0, ubfactor, 2 * ubfactor)]
+    full.append([0] * len(plan.parts))  # everything co-located with main
+    costs = [placement_cost(bp, parts, 2) for parts in full]
+    assert plan.est_cost == min(costs)
+    assert plan.parts == full[costs.index(min(costs))]

@@ -1,7 +1,7 @@
 """Lexer unit tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LexerError
@@ -141,3 +141,69 @@ def test_lexer_never_crashes_or_loops(text):
         assert toks[-1].kind is T.EOF
     except LexerError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# positions: every token's text sits where its position says
+# ---------------------------------------------------------------------------
+def assert_tokens_sit_at_their_positions(source):
+    line_offsets = [0]
+    for i, ch in enumerate(source):
+        if ch == "\n":
+            line_offsets.append(i + 1)
+    toks = tokenize(source)
+    assert toks[-1].kind is T.EOF
+    for tok in toks:
+        if tok.kind is T.STR_LIT:
+            continue  # text holds the decoded value, not the spelling
+        start = line_offsets[tok.pos.line - 1] + tok.pos.col - 1
+        assert source[start:][: len(tok.text)] == tok.text, tok
+    return toks
+
+
+def test_token_positions_on_bundled_sources():
+    from repro.workloads import WORKLOADS
+
+    for name in WORKLOADS:
+        toks = assert_tokens_sit_at_their_positions(WORKLOADS[name].source("test"))
+        assert len(toks) > 100, name
+
+
+@settings(max_examples=15)
+@given(st.integers(min_value=0, max_value=2**16), st.sampled_from([2, 8, 24]))
+def test_token_positions_on_generated_sources(seed, n_classes):
+    from repro.testing.genprog import GenConfig, generate_source
+
+    assert_tokens_sit_at_their_positions(
+        generate_source(GenConfig(seed=seed, n_classes=n_classes))
+    )
+
+
+def test_token_positions_after_comments_and_blank_lines():
+    toks = assert_tokens_sit_at_their_positions(
+        "a /* one\n two */ b // tail\n\n\tc 0x1F 2.5e-3f 7L >>>= \r\n  d"
+    )
+    assert [(t.text, t.pos.line, t.pos.col) for t in toks] == [
+        ("a", 1, 1), ("b", 2, 9), ("c", 4, 2), ("0x1F", 4, 4),
+        ("2.5e-3", 4, 9), ("7L", 4, 17), (">>>", 4, 20), ("=", 4, 23),
+        ("d", 5, 3), ("", 5, 4),
+    ]
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    ("a /* never ends", "unterminated block comment", 1, 3),
+    ("a\n\n  b /* x\n y", "unterminated block comment", 3, 5),
+    ('x = "abc', "unterminated string literal", 1, 5),
+    ('x = "abc\\', "bad escape '\\'", 1, 5),
+    ('\n "ab\ncd"', "newline in string literal", 2, 2),
+    ('f("ok", "\\q")', "bad escape '\\q'", 1, 9),
+    ("y = 1.5L;", "'L' suffix on floating literal", 1, 5),
+    ("y = 2e3l;", "'L' suffix on floating literal", 1, 5),
+    ("a @ b", "unexpected character '@'", 1, 3),
+    ("a\n\tb # c", "unexpected character '#'", 2, 4),
+])
+def test_lexer_errors_pin_message_and_position(source, message, line, col):
+    with pytest.raises(LexerError) as err:
+        tokenize(source)
+    assert str(err.value) == f"lex error at {line}:{col}: {message}"
+    assert (err.value.pos.line, err.value.pos.col) == (line, col)

@@ -235,3 +235,88 @@ def test_error_on_stray_token():
 def test_long_literal_expression():
     e = parse_expr("1L")
     assert isinstance(e, ast.LongLit)
+
+
+# ---------------------------------------------------------------------------
+# operator table: every pair of binary operators (and instanceof)
+# ---------------------------------------------------------------------------
+#: Java's binary operator levels, loosest first — written out here, not read
+#: from the parser, so the parser's table is checked against something
+BINARY_LEVELS = [
+    ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
+    ["<", "<=", ">", ">=", "instanceof"], ["<<", ">>", ">>>"],
+    ["+", "-"], ["*", "/", "%"],
+]
+LEVEL_OF = {op: lvl for lvl, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+
+def shape(e: ast.Expr) -> str:
+    """Fully parenthesized rendering of an expression's AST."""
+    if isinstance(e, ast.Binary):
+        return f"({shape(e.left)} {e.op} {shape(e.right)})"
+    if isinstance(e, ast.InstanceOf):
+        return f"({shape(e.expr)} instanceof {e.of})"
+    if isinstance(e, ast.Assign):
+        return f"({shape(e.target)} = {shape(e.value)})"
+    if isinstance(e, ast.IntLit):
+        return str(e.value)
+    assert isinstance(e, ast.VarRef), e
+    return e.name
+
+
+def test_operator_table_is_complete():
+    from repro.lang.parser import _BINARY_OPS
+
+    assert sorted(op for _, op in _BINARY_OPS.values()) == sorted(LEVEL_OF)
+    assert len(LEVEL_OF) == 20
+
+
+@pytest.mark.parametrize("first", sorted(LEVEL_OF))
+def test_operator_pair_precedence_and_associativity(first):
+    for second in LEVEL_OF:
+        rhs1 = "B" if first == "instanceof" else "b"
+        rhs2 = "C" if second == "instanceof" else "c"
+        source = f"a {first} {rhs1} {second} {rhs2}"
+        tighter_second = LEVEL_OF[second] > LEVEL_OF[first]
+        if first == "instanceof" and tighter_second:
+            # its right side is a type, which a tighter operator cannot
+            # take as an operand: not an expression at all
+            with pytest.raises(ParseError, match="expected SEMI"):
+                parse_expr(source)
+        elif tighter_second:
+            assert shape(parse_expr(source)) == (
+                f"(a {first} ({rhs1} {second} {rhs2}))"
+            )
+        else:  # equal levels group to the left
+            assert shape(parse_expr(source)) == (
+                f"((a {first} {rhs1}) {second} {rhs2})"
+            )
+
+
+def test_instanceof_then_equality():
+    assert shape(parse_expr("a instanceof B == c")) == "((a instanceof B) == c)"
+    assert shape(parse_expr("c == a instanceof B")) == "(c == (a instanceof B))"
+    # the tighter operator is refused by the enclosing levels too
+    with pytest.raises(ParseError, match=r"at 1:\d+: expected SEMI, found PLUS"):
+        parse_expr("c == a instanceof B + 1")
+
+
+def test_three_operands_same_level_lean_left():
+    assert shape(parse_expr("a - b + c - d")) == "(((a - b) + c) - d)"
+    assert shape(parse_expr("a < b instanceof C >= d")) == (
+        "(((a < b) instanceof C) >= d)"
+    )
+
+
+def test_assignment_chain_with_compound():
+    assert shape(parse_expr("x = y += 1")) == "(x = (y = (y + 1)))"
+    assert shape(parse_expr("x = a || b && c")) == "(x = (a || (b && c)))"
+    with pytest.raises(ParseError, match="invalid assignment target"):
+        parse_expr("a + b = c")
+
+
+def test_binary_operand_errors_name_the_offending_token():
+    with pytest.raises(ParseError) as err:
+        parse_program("class A { void m() {\n  x = a + * b; } }")
+    assert (err.value.pos.line, err.value.pos.col) == (2, 11)
+    assert "unexpected token '*'" in str(err.value)

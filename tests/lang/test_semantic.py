@@ -265,3 +265,35 @@ def test_vector_get_returns_object_needs_cast():
 def test_instanceof_typechecks():
     check(wrap_main('Object o = "s"; boolean b = o instanceof String;'))
     check_fails(wrap_main("boolean b = 1 instanceof String;"), "non-reference")
+
+
+# ---------------------------------------------------------------------------
+# ClassTable.is_subtype: one ancestor-set lookup, kept honest by add_class
+# ---------------------------------------------------------------------------
+def test_is_subtype_follows_the_superclass_chain():
+    table = analyze(parse_program(
+        "class A { } class B extends A { } class C extends B { } class D { }"
+    ))
+    assert table.ancestors("C") == {"C", "B", "A", "Object"}
+    for sub, sup, want in [
+        ("C", "A", True), ("C", "C", True), ("A", "C", False),
+        ("D", "A", False), ("D", "Object", True), ("Vector", "Object", True),
+    ]:
+        assert table.is_subtype(sub, sup) is want, (sub, sup)
+    assert table.is_subtype("C", "A")  # second ask: served from the memo
+
+
+def test_is_subtype_of_unknown_class_raises_until_it_is_added():
+    from repro.lang.symbols import ClassInfo, ClassTable
+
+    table = ClassTable()
+    table.add_class(ClassInfo("Leaf", "Mid"))
+    with pytest.raises(SemanticError, match="unknown class Mid"):
+        table.is_subtype("Leaf", "Base")
+    with pytest.raises(SemanticError, match="unknown class Nope"):
+        table.is_subtype("Nope", "Leaf")
+    assert table.is_subtype("Nope", "Object")  # everything is an Object
+    table.add_class(ClassInfo("Base", "Object"))
+    table.add_class(ClassInfo("Mid", "Base"))
+    assert table.is_subtype("Leaf", "Base")
+    assert not table.is_subtype("Base", "Leaf")
