@@ -4,9 +4,10 @@ Mirrors Section 5 of the paper.  Each node runs three services —
 ``MPIService``, ``ExecutionStarter`` and ``MessageExchange`` — on one node
 core (:mod:`repro.runtime.backend`) over one of four transports: the
 discrete-event simulator (:mod:`repro.runtime.simnet`), one thread per node
-(:mod:`repro.runtime.threads`), or one OS process per node over
-multiprocessing pipes (:mod:`repro.runtime.proc`) or TCP sockets
-(:mod:`repro.runtime.tcp`).  Messages use the streamed format of
+(:mod:`repro.runtime.threads`), or one OS process per node over pipes
+(:mod:`repro.runtime.proc`) or TCP sockets (:mod:`repro.runtime.tcp`) —
+the last two on the one polled stream transport of
+:mod:`repro.runtime.worker`.  Messages use the streamed format of
 :mod:`repro.runtime.serial` and the ``NEW`` / ``DEPENDENCE`` kinds of
 :mod:`repro.runtime.message`.
 

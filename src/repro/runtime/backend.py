@@ -203,10 +203,10 @@ class Transport(ABC):
       per (src, dst) pair (the message exchange's async-write-then-sync-read
       consistency depends on it);
     * arrived frames enter the receiving node through
-      :meth:`BackendNode.intake` — pushed from the transport's own thread
-      (``thread``, the ``tcp`` hub), or moved by the node's
-      :meth:`BackendNode.pump` override when the node must fetch them
-      itself (``process`` pipes);
+      :meth:`BackendNode.intake` — pushed from the sender's thread
+      (``thread``), or moved by the node's :meth:`BackendNode.pump`
+      override when the node reads its own links (``process`` pipes and
+      ``tcp`` sockets, one polled stream transport);
     * :meth:`broadcast` is best-effort: a dying node's SHUTDOWN / fault
       notice frames go out to whoever is still reachable, and it never
       raises;
@@ -246,8 +246,10 @@ class BackendNode:
     Frames enter through :meth:`intake` (dedup, FIFO inbox, wake-up) from
     whatever thread the transport delivers on; the services consume them
     with :meth:`take_matching` / :meth:`iprobe`; :meth:`drive` runs the
-    node's generator, blocking in :meth:`wait`.  Only the simulator
-    subclasses this, to gate the inbox on virtual arrival times.
+    node's generator, blocking in :meth:`wait`.  Two subclasses exist: the
+    simulator's, to gate the inbox on virtual arrival times, and the
+    out-of-process workers' (:class:`~repro.runtime.worker.StreamNode`),
+    whose :meth:`pump` reads the node's own pipes and sockets.
     """
 
     def __init__(

@@ -42,7 +42,8 @@ from repro.runtime.faults import FaultError, PeerLost, QuorumLost, RetriesExhaus
 from repro.runtime.invoke import call_and_run
 from repro.runtime.local import access_local, create_local
 from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
-from repro.runtime.backend import BackendNode
+from repro.runtime.backend import BackendNode, shutdown_frames
+from repro.runtime.checkpoint import HEARTBEAT_PING
 from repro.runtime.serial import decode_value, encode_value
 from repro.vm.values import DependentRef, Ref
 
@@ -287,8 +288,6 @@ class MessageExchange:
         if recovery is not None:
             recovery.note_frame(msg.src)
             if msg.kind is MessageKind.HEARTBEAT:
-                from repro.runtime.checkpoint import HEARTBEAT_PING
-
                 if msg.req_id == HEARTBEAT_PING:
                     yield from recovery.pong(msg.src)
                 return None
@@ -632,13 +631,13 @@ class ExecutionStarter:
         # application finished: stop every other node's service loop.  Dead
         # peers are skipped, and a fault on the farewell itself must not
         # turn a completed run into a failed one.
-        for other in range(node.mpi.size):
-            if other == node.node_id or other in node.dead_peers:
-                continue
+        live = [
+            other for other in range(node.mpi.size)
+            if other != node.node_id and other not in node.dead_peers
+        ]
+        for farewell in shutdown_frames(node.node_id, live):
             try:
-                yield from node.mpi.send(
-                    Message(MessageKind.SHUTDOWN, node.node_id, other, 0)
-                )
+                yield from node.mpi.send(farewell)
             except FaultError:
                 continue
         return self.result

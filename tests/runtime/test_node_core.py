@@ -6,6 +6,8 @@ backend only supplies how frames move.  These tests pin the shared
 behaviour down per backend so a transport cannot drift away from it.
 """
 
+import os
+import socket
 import sys
 import pathlib
 import time
@@ -23,8 +25,8 @@ from repro.runtime.backend import BackendNode
 from repro.runtime.cluster import ClusterSpec, NodeSpec, ethernet_100m
 from repro.runtime.executor import DistributedExecutor
 from repro.runtime.faults import FaultPlan, FaultRecord, PeerLost
-from repro.runtime.message import FAULT_NOTICE, MessageKind
-from repro.runtime.worker import PARENT_CTRL, mp_context
+from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
+from repro.runtime.worker import HELLO, StreamNode
 
 BACKENDS = ("sim", "thread", "process", "tcp")
 
@@ -43,32 +45,38 @@ def _thread_node():
 
 
 def _process_node():
-    from repro.runtime.proc import ProcNode
-
-    ctx = mp_context()
-    pipes = {src: ctx.Pipe(duplex=False) for src in (1, 2, PARENT_CTRL)}
-    node = ProcNode(
-        0, SPEC3.nodes[0], 3, {src: r for src, (r, _) in pipes.items()}
-    )
+    ctrl = os.pipe()
+    pipes = {src: os.pipe() for src in (1, 2)}
+    node = StreamNode(0, SPEC3.nodes[0], 3, ctrl[0])
+    for src, (reader, _) in pipes.items():
+        node.add_reader(reader, src)
     # a peer's exit closes its write end; the node sees EOF on its next read
-    yield node, lambda peer: pipes[peer][1].close()
-    for r, w in pipes.values():
-        r.close()
-        w.close()
+    yield node, lambda peer: os.close(pipes[peer][1])
+    node.close()
+    os.close(ctrl[1])
+    os.close(pipes[1][1])
 
 
 def _tcp_node():
-    from repro.runtime.tcp import TcpBackend, _connect_sockets
+    from repro.runtime.tcp import TcpBackend, _link_sockets
 
     socks = TcpBackend(SPEC3)._bind_all()
     endpoints = [s.getsockname()[:2] for s in socks]
-    ctrl_reader, ctrl_writer = mp_context().Pipe(duplex=False)
-    node, hub = _connect_sockets(0, SPEC3, ctrl_reader, socks, endpoints)
-    # what the hub does when a connection ends in EOF / reset / garbage
-    yield node, node.peer_gone
-    hub.close()
-    ctrl_writer.close()
-    socks[0].close()
+    ctrl = os.pipe()
+    node = StreamNode(0, SPEC3.nodes[0], 3, ctrl[0])
+    _link_sockets(node, [s.detach() for s in socks], endpoints)
+    # both peers dial node 0, the way their workers would
+    peers = {}
+    for peer in (1, 2):
+        peers[peer] = socket.create_connection(endpoints[0])
+        peers[peer].sendall(HELLO.pack(peer))
+        # a post waits for the peer's hello, so afterwards the link is up
+        node.post(0, peer, Message(MessageKind.REPLY, 0, peer, 1))
+    # a peer's exit closes its socket; the node sees EOF on its next read
+    yield node, lambda peer: peers[peer].close()
+    node.close()
+    os.close(ctrl[1])
+    peers[1].close()
 
 
 @pytest.fixture(params=("thread", "process", "tcp"))
