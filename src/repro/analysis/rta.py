@@ -5,7 +5,7 @@ and the program types."  RTA maintains the set of *instantiated* classes
 (from ``NEW`` in reachable code) and resolves virtual calls only against
 instantiated subtypes of the static receiver class, iterating with a
 worklist until no new methods or types appear.  Each reachable method is
-scanned once and each (virtual site, instantiated class) pair resolved once.
+scanned once and each (virtual site, instantiated subtype) pair resolved once.
 """
 
 from __future__ import annotations
@@ -87,11 +87,13 @@ def rapid_type_analysis(
         if "<clinit>" in bclass.methods:
             reach(f"{bclass.name}.<clinit>")
 
-    # Every (virtual site, instantiated user class) pair is bound exactly
-    # once: a site when it is scanned, against the classes instantiated so
-    # far; a class when its first NEW is scanned, against the sites so far.
-    virtual_sites: List[Tuple[str, int, str, str]] = []
-    user_types: List[str] = []
+    # A virtual site and an instantiated user class meet exactly once, and
+    # only if the class is a subtype of the site's static class: a site is
+    # bound when it is scanned, against the instantiated classes under its
+    # static class so far; a class when its first NEW is scanned, against
+    # the sites on each of its ancestors so far.
+    sites_on: Dict[str, List[Tuple[str, int, str]]] = {}
+    types_under: Dict[str, List[str]] = {}
 
     def call(caller: str, index: int, cls: str, name: str) -> None:
         """Edge to the implementation of ``name`` that ``cls`` declares or
@@ -101,13 +103,14 @@ def rapid_type_analysis(
             cg.add_edge(caller, callee.qualified, index)
             reach(callee.qualified)
 
-    def bind(caller: str, index: int, static_cls: str, name: str, t: str) -> None:
-        """Add the call edge if ``t`` may be the receiver at the site."""
+    def ancestors(cls: str) -> List[str]:
+        """The static classes a ``cls`` receiver can stand behind, nearest
+        first; only ``Object`` when a super is missing from the table."""
         try:
-            if table.is_subtype(t, static_cls):
-                call(caller, index, t, name)
-        except SemanticError:  # a class outside the table: not a subtype
-            pass
+            chain = [info.name for info in table.supers(cls)]
+        except SemanticError:
+            chain = []
+        return chain if "Object" in chain else chain + ["Object"]
 
     while work:
         qualified = work.pop()
@@ -120,14 +123,14 @@ def rapid_type_analysis(
                 if ins.a not in cg.instantiated:
                     cg.instantiated.add(ins.a)
                     if ins.a in program.classes:
-                        user_types.append(ins.a)
-                        for site in virtual_sites:
-                            bind(*site, ins.a)
+                        for static_cls in ancestors(ins.a):
+                            types_under.setdefault(static_cls, []).append(ins.a)
+                            for caller, index, called in sites_on.get(static_cls, ()):
+                                call(caller, index, ins.a, called)
             elif ins.op == op.INVOKESTATIC or ins.op == op.INVOKESPECIAL:
                 call(qualified, idx, ins.a, ins.b)
             elif ins.op == op.INVOKEVIRTUAL and ins.a != DEPENDENT_OBJECT:
-                site = (qualified, idx, ins.a, ins.b)
-                virtual_sites.append(site)
-                for t in user_types:
-                    bind(*site, t)
+                sites_on.setdefault(ins.a, []).append((qualified, idx, ins.b))
+                for t in types_under.get(ins.a, ()):
+                    call(qualified, idx, t, ins.b)
     return cg

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CompileError
+from repro.errors import NESTED_TOO_DEEPLY, CompileError
 from repro.lang import ast
 from repro.lang.symbols import ClassTable, MethodInfo
 from repro.lang.types import (
@@ -32,6 +32,8 @@ from repro.bytecode.model import BClass, BField, BMethod, BProgram, Label
 
 _NEGATE = {"EQ": "NE", "NE": "EQ", "LT": "GE", "GE": "LT", "GT": "LE", "LE": "GT"}
 _CMP = {"==": "EQ", "!=": "NE", "<": "LT", "<=": "LE", ">": "GT", ">=": "GE"}
+#: operators whose value is materialized through branches
+_BOOLEAN_OPS = frozenset({"&&", "||", *_CMP})
 
 
 def _tychar(ty: Type) -> str:
@@ -62,6 +64,20 @@ _CONVERT: Dict[Tuple[str, str], str] = {
     ("J", "I"): op.L2I, ("J", "F"): op.L2F,
     ("F", "I"): op.F2I, ("F", "J"): op.F2L,
 }
+
+
+def _chain_operands(expr: ast.Binary) -> List[ast.Expr]:
+    """``[a, b, c, d]`` for the left-nested ``((a && b) && c) && d`` (same for
+    ``||``): every operand branches to one target, so the chain is compiled
+    in a loop, not by descending its left spine."""
+    operands = [expr.right]
+    left = expr.left
+    while isinstance(left, ast.Binary) and left.op == expr.op:
+        operands.append(left.right)
+        left = left.left
+    operands.append(left)
+    operands.reverse()
+    return operands
 
 
 class _MethodCompiler:
@@ -268,8 +284,8 @@ class _MethodCompiler:
     def _branch_if_false(self, expr: ast.Expr, target: Label) -> None:
         if isinstance(expr, ast.Binary):
             if expr.op == "&&":
-                self._branch_if_false(expr.left, target)
-                self._branch_if_false(expr.right, target)
+                for operand in _chain_operands(expr):
+                    self._branch_if_false(operand, target)
                 return
             if expr.op == "||":
                 l_true = Label("ORT")
@@ -293,8 +309,8 @@ class _MethodCompiler:
     def _branch_if_true(self, expr: ast.Expr, target: Label) -> None:
         if isinstance(expr, ast.Binary):
             if expr.op == "||":
-                self._branch_if_true(expr.left, target)
-                self._branch_if_true(expr.right, target)
+                for operand in _chain_operands(expr):
+                    self._branch_if_true(operand, target)
                 return
             if expr.op == "&&":
                 l_false = Label("ANDF")
@@ -465,30 +481,35 @@ class _MethodCompiler:
         self.method.place(l_end)
 
     def _binary(self, expr: ast.Binary) -> None:
-        opname = expr.op
-        line = expr.pos.line
-        if opname in ("&&", "||") or opname in _CMP:
+        if expr.op in _BOOLEAN_OPS:
             self._materialize_bool(expr)
             return
-        if opname == "+" and expr.ty is STRING:
-            self._expr(expr.left)
-            self._expr(expr.right)
-            self.emit(op.INVOKESTATIC, "Str", "concat", 2, line=line)
-            return
-        assert expr.ty is not None
-        ch = _tychar(expr.ty)
-        if opname in ("<<", ">>", ">>>"):
-            self._expr(expr.left)
-            self._expr(expr.right)  # shift amount stays int
-        else:
-            self._expr(expr.left)
-            self._coerce(expr.left.ty, expr.ty)
-            self._expr(expr.right)
-            self._coerce(expr.right.ty, expr.ty)
-        try:
-            self.emit(_ARITH[(opname, ch)], line=line)
-        except KeyError:  # pragma: no cover
-            raise CompileError(f"no opcode for {opname} on {expr.ty}") from None
+        # ``a + b + c + ...`` nests one level per operator down the left
+        # operand: walk that spine in a loop, innermost operator first
+        spine = [expr]
+        left = expr.left
+        while isinstance(left, ast.Binary) and left.op not in _BOOLEAN_OPS:
+            spine.append(left)
+            left = left.left
+        self._expr(left)
+        for node in reversed(spine):
+            opname = node.op
+            line = node.pos.line
+            if opname == "+" and node.ty is STRING:
+                self._expr(node.right)
+                self.emit(op.INVOKESTATIC, "Str", "concat", 2, line=line)
+                continue
+            assert node.ty is not None
+            if opname in ("<<", ">>", ">>>"):
+                self._expr(node.right)  # shift amount stays int
+            else:
+                self._coerce(node.left.ty, node.ty)
+                self._expr(node.right)
+                self._coerce(node.right.ty, node.ty)
+            try:
+                self.emit(_ARITH[(opname, _tychar(node.ty))], line=line)
+            except KeyError:  # pragma: no cover
+                raise CompileError(f"no opcode for {opname} on {node.ty}") from None
 
     def _assign(self, expr: ast.Assign, want_value: bool) -> None:
         target = expr.target
@@ -581,34 +602,42 @@ def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
     """
     classes: Dict[str, BClass] = {}
     main_class: Optional[str] = None
-    for cd in program.classes:
-        info = table.get(cd.name)
-        bclass = BClass(cd.name, cd.superclass or "Object")
-        for fd in cd.fields:
-            bclass.fields[fd.name] = BField(fd.name, fd.ty, fd.is_static)
-        # <clinit> for static initializers
-        static_inits = [fd for fd in cd.fields if fd.is_static and fd.init is not None]
-        if static_inits:
-            clinit = BMethod(cd.name, "<clinit>", [], VOID, True, False)
-            sub = _MethodCompiler.__new__(_MethodCompiler)
-            sub.table = table
-            sub.bclass = bclass
-            sub.method = clinit
-            sub.slots = [{}]
-            sub.next_slot = 0
-            sub.break_labels = []
-            sub.continue_labels = []
-            for fd in static_inits:
-                sub._expr(fd.init)
-                sub._coerce(fd.init.ty, fd.ty)
-                clinit.emit(op.PUTSTATIC, cd.name, fd.name, line=fd.pos.line)
-            clinit.emit(op.RETURN)
-            bclass.methods["<clinit>"] = clinit
-        for md in cd.methods:
-            mi = info.methods[md.name]
-            mc = _MethodCompiler(table, bclass, mi)
-            bclass.methods[md.name] = mc.compile()
-            if md.name == "main" and md.is_static:
-                main_class = cd.name
-        classes[cd.name] = bclass
+    member = ("", "", None)  # class, field or method being compiled, its position
+    try:
+        for cd in program.classes:
+            info = table.get(cd.name)
+            bclass = BClass(cd.name, cd.superclass or "Object")
+            for fd in cd.fields:
+                bclass.fields[fd.name] = BField(fd.name, fd.ty, fd.is_static)
+            # <clinit> for static initializers
+            static_inits = [fd for fd in cd.fields if fd.is_static and fd.init is not None]
+            if static_inits:
+                clinit = BMethod(cd.name, "<clinit>", [], VOID, True, False)
+                sub = _MethodCompiler.__new__(_MethodCompiler)
+                sub.table = table
+                sub.bclass = bclass
+                sub.method = clinit
+                sub.slots = [{}]
+                sub.next_slot = 0
+                sub.break_labels = []
+                sub.continue_labels = []
+                for fd in static_inits:
+                    member = (cd.name, fd.name, fd.pos)
+                    sub._expr(fd.init)
+                    sub._coerce(fd.init.ty, fd.ty)
+                    clinit.emit(op.PUTSTATIC, cd.name, fd.name, line=fd.pos.line)
+                clinit.emit(op.RETURN)
+                bclass.methods["<clinit>"] = clinit
+            for md in cd.methods:
+                member = (cd.name, md.name, md.pos)
+                mi = info.methods[md.name]
+                mc = _MethodCompiler(table, bclass, mi)
+                bclass.methods[md.name] = mc.compile()
+                if md.name == "main" and md.is_static:
+                    main_class = cd.name
+            classes[cd.name] = bclass
+    except RecursionError:
+        raise CompileError(
+            "{0} in {1}.{2} at {3}".format(NESTED_TOO_DEEPLY, *member)
+        ) from None
     return BProgram(classes, table, main_class)

@@ -305,8 +305,11 @@ class BProgram:
         return sum(c.size_bytes() for c in self.classes.values())
 
     def copy(self) -> "BProgram":
-        """Deep-copy the symbolic code (used before rewriting so the original
-        program stays runnable for the centralized baseline)."""
+        """Copy down to the code lists (used before rewriting so the original
+        program stays runnable for the centralized baseline).  The ``Instr``
+        objects themselves are shared: nothing changes one after it is
+        built — the rewriter replaces instructions, ``flat()`` builds new
+        ones for resolved branches."""
         new_classes: Dict[str, BClass] = {}
         for name, bc in self.classes.items():
             nc = BClass(bc.name, bc.superclass)
@@ -321,9 +324,7 @@ class BProgram:
                     bm.is_ctor,
                 )
                 nm.max_locals = bm.max_locals
-                nm.code = [
-                    Instr(i.op, i.a, i.b, i.c, i.line) for i in bm.code
-                ]
+                nm.code = list(bm.code)
                 nc.methods[mname] = nm
             new_classes[name] = nc
         return BProgram(new_classes, self.table, self.main_class)

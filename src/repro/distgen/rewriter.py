@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BMethod, BProgram, Instr
-from repro.errors import CompileError
+from repro.errors import CompileError, SemanticError
 from repro.lang.symbols import (
     DEPENDENT_OBJECT,
     FIELD_GET,
@@ -43,6 +43,22 @@ from repro.lang.symbols import (
 )
 from repro.lang.types import VOID, ClassType
 from repro.distgen.plan import DistributionPlan
+from repro.quad.builder import stack_effect
+
+#: the accesses that go remote when their receiver's class is dependent
+_ACCESS_OPS = frozenset({op.INVOKEVIRTUAL, op.GETFIELD, op.PUTFIELD})
+
+#: abstract operand stack of the ``this`` analysis: its depth, and a bit per
+#: slot (bit 0 = bottom) that is set while the slot provably holds ``this``
+_ThisState = Tuple[int, int]
+
+
+def _holds_this(state: Optional[_ThisState], below_top: int) -> bool:
+    """Is the slot ``below_top`` entries under the top provably ``this``?"""
+    if state is None:
+        return False
+    depth, mask = state
+    return depth > below_top and bool(mask >> (depth - 1 - below_top) & 1)
 
 
 class RewriteStats:
@@ -64,36 +80,15 @@ class RewriteStats:
 
 def _expand_rewrite_targets(table: ClassTable, dependent: Set[str]) -> Set[str]:
     """A call through static type D must be rewritten when any subtype of D
-    is dependent (the runtime receiver may be the dependent subclass)."""
+    is dependent (the runtime receiver may be the dependent subclass): the
+    user classes among the ancestors of the dependent classes."""
     out: Set[str] = set()
-    for cls in table.classes:
-        info = table.classes[cls]
-        if info.is_builtin:
+    for dep in dependent:
+        try:
+            out.update(table.ancestors(dep))
+        except SemanticError:  # not in the table: nothing is called through it
             continue
-        for dep in dependent:
-            try:
-                if table.is_subtype(dep, cls):
-                    out.add(cls)
-                    break
-            except Exception:
-                continue
-    return out & _all_supers_closed(table, dependent)
-
-
-def _all_supers_closed(table: ClassTable, dependent: Set[str]) -> Set[str]:
-    # any class related to a dependent class by subtyping in either direction
-    out: Set[str] = set()
-    for cls in table.classes:
-        if table.classes[cls].is_builtin:
-            continue
-        for dep in dependent:
-            try:
-                if table.is_subtype(dep, cls) or table.is_subtype(cls, dep):
-                    out.add(cls)
-                    break
-            except Exception:
-                continue
-    return out
+    return {cls for cls in out if not table.classes[cls].is_builtin}
 
 
 class _MethodRewriter:
@@ -102,6 +97,7 @@ class _MethodRewriter:
         program: BProgram,
         method: BMethod,
         plan: DistributionPlan,
+        rewritten_classes: Set[str],
         call_targets: Set[str],
         stats: RewriteStats,
     ) -> None:
@@ -109,6 +105,7 @@ class _MethodRewriter:
         self.table = program.table
         self.method = method
         self.plan = plan
+        self.rewritten_classes = rewritten_classes
         self.call_targets = call_targets
         self.stats = stats
 
@@ -128,97 +125,102 @@ class _MethodRewriter:
         return pairs
 
     # -- 'this'-ness tracking -------------------------------------------------
-    def _thisness(self) -> List[Optional[List[bool]]]:
-        """Forward dataflow over the *flat* code: for each symbolic (non-
-        LABEL) instruction index, the abstract operand stack as booleans —
-        is this entry provably ``this``?  Merge is element-wise AND.  Static
-        methods never push True, so every peephole stays off."""
-        flat = self.method.flat()
+    def _thisness(self) -> List[Optional[_ThisState]]:
+        """Forward dataflow over the *flat* code of an instance method: for
+        each symbolic instruction index, the abstract operand stack on entry
+        (``None`` for LABELs and unreachable code).  Merge is AND of the
+        masks, so a state only ever loses bits and the worklist drains after
+        at most ``depth + 1`` visits per instruction."""
+        flat = self.method.flat().instrs
         n = len(flat)
-        states: List[Optional[List[bool]]] = [None] * n
+        table = self.table
+        states: List[Optional[_ThisState]] = [None] * n
+        work: List[int] = []
         if n:
-            states[0] = []
-        work = [0] if n else []
-        is_instance = not self.method.is_static
-
-        def transfer(i: int, state: List[bool]) -> Optional[List[bool]]:
-            ins = flat[i]
-            sim = list(state)
-            if ins.op == op.DUP:
-                if not sim:
-                    return None
-                sim.append(sim[-1])
-                return sim
-            try:
-                pops, pushes = _sim_effect(ins, self.table)
-            except Exception:
-                return None
-            if pops > len(sim):
-                return None
-            if pops:
-                del sim[-pops:]
-            push_this = ins.op == op.ALOAD and ins.a == 0 and is_instance
-            sim.extend([push_this] * pushes)
-            return sim
-
-        def merge(a: Optional[List[bool]], b: List[bool]) -> Optional[List[bool]]:
-            if a is None:
-                return list(b)
-            if len(a) != len(b):  # malformed; keep whichever, peepholes off
-                return a
-            return [x and y for x, y in zip(a, b)]
-
-        iterations = 0
-        while work and iterations < 20 * max(n, 1):
-            iterations += 1
+            states[0] = (0, 0)
+            work.append(0)
+        visits = 0
+        deepest = 0
+        while work:
             i = work.pop()
-            state = states[i]
-            if state is None:
-                continue
-            out = transfer(i, state)
+            visits += 1
+            if visits > n * (deepest + 2):
+                raise CompileError(
+                    f"{self.method.qualified}: 'this' analysis did not converge"
+                )
+            depth, mask = states[i]
             ins = flat[i]
-            succs: List[int] = []
-            if ins.op == op.GOTO:
-                succs = [ins.a]
-            elif ins.op in op.CMP_BRANCHES:
-                succs = [ins.b, i + 1]
-            elif ins.op in op.BOOL_BRANCHES:
-                succs = [ins.a, i + 1]
-            elif ins.op in op.RETURNS:
-                succs = []
+            o = ins.op
+            if o == op.DUP:
+                if depth == 0:
+                    continue
+                mask |= (mask >> (depth - 1) & 1) << depth
+                depth += 1
             else:
-                succs = [i + 1]
-            if out is None:
+                try:
+                    pops, pushes = stack_effect(ins, table)
+                except (CompileError, SemanticError):
+                    continue
+                if pops > depth:
+                    continue
+                depth -= pops
+                mask &= (1 << depth) - 1
+                if o == op.ALOAD and ins.a == 0:
+                    mask |= ((1 << pushes) - 1) << depth
+                depth += pushes
+            if depth > deepest:
+                deepest = depth
+            if o == op.GOTO:
+                succs: Tuple[int, ...] = (ins.a,)
+            elif o in op.CMP_BRANCHES:
+                succs = (ins.b, i + 1)
+            elif o in op.BOOL_BRANCHES:
+                succs = (ins.a, i + 1)
+            elif o in op.RETURNS:
                 continue
+            else:
+                succs = (i + 1,)
             for s in succs:
                 if not 0 <= s < n:
                     continue
-                merged = merge(states[s], out)
-                if merged != states[s]:
-                    states[s] = merged
+                seen = states[s]
+                if seen is None:
+                    states[s] = (depth, mask)
+                    work.append(s)
+                # a depth mismatch is malformed code: keep the first state
+                elif seen[0] == depth and seen[1] & mask != seen[1]:
+                    states[s] = (depth, seen[1] & mask)
                     work.append(s)
 
         # map back to symbolic indices (LABELs get None)
-        out_states: List[Optional[List[bool]]] = []
-        flat_idx = 0
-        for ins in self.method.code:
-            if ins.op == op.LABEL:
-                out_states.append(None)
-            else:
-                out_states.append(states[flat_idx] if flat_idx < n else None)
-                flat_idx += 1
-        return out_states
+        reached = iter(states)
+        return [
+            None if ins.op == op.LABEL else next(reached, None)
+            for ins in self.method.code
+        ]
 
     # -- the rewrite ----------------------------------------------------------
-    def rewrite(self) -> bool:
+    def rewrite(self) -> Optional[List[Instr]]:
+        """The method's code after rewriting, or ``None`` when nothing in it
+        changes.  The method itself is left alone."""
         code = self.method.code
         pairs = self._pair_allocations()
-        rewritten_news: Set[int] = set()
-        for call_idx, new_idx in pairs.items():
-            cls = code[new_idx].a
-            if cls in self.plan.rewritten_classes():
-                rewritten_news.add(new_idx)
-        thisness = self._thisness()
+        rewritten_news = {
+            new_idx for new_idx in pairs.values()
+            if code[new_idx].a in self.rewritten_classes
+        }
+        accesses = False
+        for ins in code:
+            if ins.op in _ACCESS_OPS and ins.a in self.call_targets:
+                accesses = True
+                break
+        if not rewritten_news and not accesses:
+            return None
+        # only an instance method ever has ``this`` on its stack
+        thisness = (
+            self._thisness() if accesses and not self.method.is_static
+            else [None] * len(code)
+        )
 
         new_code: List[Instr] = []
         skip: Set[int] = set()
@@ -254,8 +256,7 @@ class _MethodRewriter:
                 continue
             if ins.op == op.INVOKEVIRTUAL and ins.a in self.call_targets:
                 nargs = ins.c
-                sim = thisness[idx]
-                if sim is not None and len(sim) > nargs and sim[-1 - nargs]:
+                if _holds_this(thisness[idx], nargs):
                     self.stats.this_peepholes += 1
                     new_code.append(ins)
                     continue
@@ -281,10 +282,7 @@ class _MethodRewriter:
                 continue
             if ins.op in (op.GETFIELD, op.PUTFIELD) and ins.a in self.call_targets:
                 is_put = ins.op == op.PUTFIELD
-                npops = 2 if is_put else 1
-                sim = thisness[idx]
-                recv_pos = -npops
-                if sim is not None and len(sim) >= npops and sim[recv_pos]:
+                if _holds_this(thisness[idx], 1 if is_put else 0):
                     self.stats.this_peepholes += 1
                     new_code.append(ins)
                     continue
@@ -310,16 +308,7 @@ class _MethodRewriter:
                 changed = True
                 continue
             new_code.append(ins)
-        if changed:
-            self.method.code = new_code
-            self.method.invalidate()
-        return changed
-
-
-def _sim_effect(ins: Instr, table: ClassTable) -> Tuple[int, int]:
-    from repro.quad.builder import stack_effect
-
-    return stack_effect(ins, table)
+        return new_code if changed else None
 
 
 def rewrite_program(
@@ -329,10 +318,19 @@ def rewrite_program(
     stays intact for the centralized baseline), plus transformation stats."""
     stats = RewriteStats()
     out = program.copy()
-    if plan.nparts <= 1 or not plan.rewritten_classes():
+    rewritten_classes = plan.rewritten_classes()
+    if not rewritten_classes:
         return out, stats
-    call_targets = _expand_rewrite_targets(out.table, plan.rewritten_classes())
-    for bclass in out.classes.values():
-        for method in bclass.methods.values():
-            _MethodRewriter(out, method, plan, call_targets, stats).rewrite()
+    call_targets = _expand_rewrite_targets(program.table, rewritten_classes)
+    # analyse the original's methods (their flat code is usually cached by
+    # the analyses that ran before) and write into the copy
+    for name, bclass in program.classes.items():
+        for mname, method in bclass.methods.items():
+            new_code = _MethodRewriter(
+                program, method, plan, rewritten_classes, call_targets, stats
+            ).rewrite()
+            if new_code is not None:
+                target = out.classes[name].methods[mname]
+                target.code = new_code
+                target.invalidate()
     return out, stats

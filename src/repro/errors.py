@@ -35,6 +35,13 @@ class SourcePosition:
         return hash((self.line, self.col))
 
 
+#: what the parser, the type checker and the compiler report, with a
+#: position, when an expression outgrows the interpreter's recursion budget
+#: (parentheses, unary operators, chained assignments; operator chains like
+#: ``a + b + c + ...`` are walked in a loop and have no such limit)
+NESTED_TOO_DEEPLY = "expression nested too deeply"
+
+
 class LexerError(ReproError):
     """Raised on malformed input characters or literals."""
 

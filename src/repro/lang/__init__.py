@@ -14,7 +14,7 @@ The usual entry point is :func:`parse_program` followed by
 :func:`repro.lang.semantic.analyze`.
 """
 
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_program
 from repro.lang.semantic import analyze
 from repro.lang.types import (
@@ -31,7 +31,6 @@ from repro.lang.types import (
 )
 
 __all__ = [
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_program",

@@ -1,19 +1,22 @@
-"""Hand-written scanner for MJ source text.
+"""Scanner for MJ source text: one compiled pattern, one pass.
 
 Supports Java-style ``//`` and ``/* */`` comments, decimal and hexadecimal
 integer literals with an optional ``L`` suffix, floating literals (with
 optional ``f``/``F``/``d``/``D`` suffix), string literals with the common
-escapes, and all MJ operators (see :mod:`repro.lang.tokens`).
+escapes, and all MJ operators (see :mod:`repro.lang.tokens`).  Digits are
+ASCII only; identifiers may use any Unicode letter.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexerError, SourcePosition
 from repro.lang.tokens import KEYWORDS, T, Token
 
-_TWO_CHAR = {
+_OPERATORS = {
+    ">>>": T.USHR,
     "==": T.EQ,
     "!=": T.NE,
     "<=": T.LE,
@@ -28,9 +31,6 @@ _TWO_CHAR = {
     "-=": T.MINUS_ASSIGN,
     "*=": T.STAR_ASSIGN,
     "/=": T.SLASH_ASSIGN,
-}
-
-_ONE_CHAR = {
     "(": T.LPAREN,
     ")": T.RPAREN,
     "{": T.LBRACE,
@@ -54,171 +54,126 @@ _ONE_CHAR = {
     "^": T.CARET,
 }
 
+#: spelling -> kind of every word-group match that is not an identifier
+_WORD_KINDS = {**KEYWORDS, **_OPERATORS}
+
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "'": "'", "0": "\0"}
 
+# One match per token, comment or line break; blanks before it are skipped
+# by the same match.  Longest operators first, and a "/" that opens a
+# comment is left to the comment group.  The alternatives are total — end of
+# input, "\n", or any other character — so ``finditer`` never skips text.
+_WORD, _NUMBER, _STRING, _NEWLINE, _COMMENT, _UNICODE_WORD, _EOF, _OTHER = range(1, 9)
+_LONG_OPERATORS = "|".join(
+    re.escape(sp)
+    for sp in sorted(_OPERATORS, key=len, reverse=True) if len(sp) > 1
+)
+_SHORT_OPERATORS = "".join(
+    re.escape(sp) for sp in _OPERATORS if len(sp) == 1 and sp != "/"
+)
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    rf"([A-Za-z_]\w*|{_LONG_OPERATORS}|[{_SHORT_OPERATORS}]|/(?![/*]))"
+    r"|(0[xX][0-9a-fA-F]*[lL]?|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[fFdDlL]?)"
+    r'|("(?:[^"\\\n]|\\[^\n])*")'
+    r"|(\n)"
+    r"|(//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
+    r"|([^\W\d]\w*)"
+    r"|(\Z)"
+    r"|([^\n])"
+    r")"
+)
 
-class Lexer:
-    """Streaming tokenizer; use :func:`tokenize` for the common path."""
 
-    def __init__(self, source: str) -> None:
-        self.src = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level helpers -------------------------------------------------
-    def _pos(self) -> SourcePosition:
-        return SourcePosition(self.line, self.col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        j = self.i + ahead
-        return self.src[j] if j < len(self.src) else ""
-
-    def _advance(self) -> str:
-        ch = self.src[self.i]
-        self.i += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        while self.i < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.i < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._pos()
-                self._advance()
-                self._advance()
-                while True:
-                    if self.i >= len(self.src):
-                        raise LexerError("unterminated block comment", start)
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    # -- literal scanning --------------------------------------------------
-    def _number(self) -> Token:
-        pos = self._pos()
-        start = self.i
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance()
-            self._advance()
-            while self._peek() and (self._peek() in "0123456789abcdefABCDEF"):
-                self._advance()
-            text = self.src[start : self.i]
-            value = int(text, 16)
-            nxt = self._peek()
-            if nxt and nxt in "lL":
-                self._advance()
-                return Token(T.LONG_LIT, text + "L", pos, value)
-            return Token(T.INT_LIT, text, pos, value)
-
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() and self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.src[start : self.i]
-        if self._peek() and self._peek() in "fFdD":
-            self._advance()
-            return Token(T.FLOAT_LIT, text, pos, float(text))
-        if self._peek() and self._peek() in "lL":
-            if is_float:
-                raise LexerError("'L' suffix on floating literal", pos)
-            self._advance()
-            return Token(T.LONG_LIT, text + "L", pos, int(text))
-        if is_float:
-            return Token(T.FLOAT_LIT, text, pos, float(text))
+def _number(text: str, pos: SourcePosition) -> Token:
+    if text[:2] in ("0x", "0X"):
+        digits = text.rstrip("lL")
+        if len(digits) == 2:
+            raise LexerError("hexadecimal literal without digits", pos)
+        if len(digits) != len(text):
+            return Token(T.LONG_LIT, digits + "L", pos, int(digits, 16))
+        return Token(T.INT_LIT, digits, pos, int(digits, 16))
+    body, suffix = text[:-1], text[-1]
+    if suffix in "fFdD":
+        return Token(T.FLOAT_LIT, body, pos, float(body))
+    if suffix in "lL":
+        if not body.isdigit():
+            raise LexerError("'L' suffix on floating literal", pos)
+        return Token(T.LONG_LIT, body + "L", pos, int(body))
+    if text.isdigit():
         return Token(T.INT_LIT, text, pos, int(text))
+    return Token(T.FLOAT_LIT, text, pos, float(text))
 
-    def _string(self) -> Token:
-        pos = self._pos()
-        self._advance()  # opening quote
-        out: List[str] = []
-        while True:
-            if self.i >= len(self.src):
-                raise LexerError("unterminated string literal", pos)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\n":
-                raise LexerError("newline in string literal", pos)
-            if ch == "\\":
-                esc = self._advance() if self.i < len(self.src) else ""
-                if esc not in _ESCAPES:
-                    raise LexerError(f"bad escape '\\{esc}'", pos)
-                out.append(_ESCAPES[esc])
-            else:
-                out.append(ch)
-        value = "".join(out)
-        return Token(T.STR_LIT, f'"{value}"', pos, value)
 
-    # -- main loop ----------------------------------------------------------
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        pos = self._pos()
-        if self.i >= len(self.src):
-            return Token(T.EOF, "", pos)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._number()
+def _string(source: str, start: int, pos: SourcePosition) -> Token:
+    """Decode the string literal opening at ``source[start]``; everything
+    wrong with it is reported at the opening quote, first defect first."""
+    out: List[str] = []
+    i = start + 1
+    while True:
+        if i >= len(source):
+            raise LexerError("unterminated string literal", pos)
+        ch = source[i]
+        i += 1
         if ch == '"':
-            return self._string()
-        if ch.isalpha() or ch == "_":
-            start = self.i
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.src[start : self.i]
-            kind = KEYWORDS.get(text, T.IDENT)
-            return Token(kind, text, pos)
-        # operators; check ">>>" before ">>"
-        if self.src.startswith(">>>", self.i):
-            for _ in range(3):
-                self._advance()
-            return Token(T.USHR, ">>>", pos)
-        two = self.src[self.i : self.i + 2]
-        if two in _TWO_CHAR:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR[two], two, pos)
-        if ch in _ONE_CHAR:
-            self._advance()
-            return Token(_ONE_CHAR[ch], ch, pos)
-        raise LexerError(f"unexpected character {ch!r}", pos)
-
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is T.EOF:
-                return out
+            break
+        if ch == "\n":
+            raise LexerError("newline in string literal", pos)
+        if ch == "\\":
+            esc = source[i : i + 1]
+            i += 1
+            if esc not in _ESCAPES:
+                raise LexerError(f"bad escape '\\{esc}'", pos)
+            out.append(_ESCAPES[esc])
+        else:
+            out.append(ch)
+    value = "".join(out)
+    return Token(T.STR_LIT, f'"{value}"', pos, value)
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize MJ source text, returning a list ending with an EOF token."""
-    return Lexer(source).tokens()
+    out: List[Token] = []
+    append = out.append
+    kind_of = _WORD_KINDS.get
+    ident = T.IDENT
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for m in _MASTER.finditer(source):
+        group = m.lastindex
+        text = m.group(group)
+        start = m.start(group)
+        if group == _WORD:
+            append(Token(
+                kind_of(text, ident), text,
+                SourcePosition(line, start - line_start + 1),
+            ))
+        elif group == _NEWLINE:
+            line += 1
+            line_start = start + 1
+        elif group == _COMMENT:
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = start + text.rindex("\n") + 1
+        else:
+            pos = SourcePosition(line, start - line_start + 1)
+            if group == _NUMBER:
+                append(_number(text, pos))
+            elif group == _STRING:
+                if "\\" in text:
+                    append(_string(source, start, pos))
+                else:
+                    append(Token(T.STR_LIT, text, pos, text[1:-1]))
+            elif group == _UNICODE_WORD and text[0].isalpha():
+                append(Token(ident, text, pos))
+            elif group == _EOF:
+                append(Token(T.EOF, "", pos))
+                break  # after trailing blanks, the end matches once more
+            elif text[0] == '"':
+                _string(source, start, pos)  # raises: it did not match whole
+            elif text[0] == "/":
+                raise LexerError("unterminated block comment", pos)
+            else:
+                raise LexerError(f"unexpected character {text[0]!r}", pos)
+    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import ParseError
+from repro.errors import NESTED_TOO_DEEPLY, ParseError
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import T, Token
@@ -132,9 +132,13 @@ class Parser:
     def parse_program(self) -> ast.Program:
         pos = self._peek().pos
         classes: List[ast.ClassDecl] = []
-        while not self._at(T.EOF):
-            self._skip_modifiers()
-            classes.append(self._parse_class())
+        try:
+            while not self._at(T.EOF):
+                self._skip_modifiers()
+                classes.append(self._parse_class())
+        except RecursionError:
+            # reported at the token the descent had reached
+            raise ParseError(NESTED_TOO_DEEPLY, self._peek().pos) from None
         return ast.Program(classes, pos)
 
     def _parse_class(self) -> ast.ClassDecl:

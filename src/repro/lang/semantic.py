@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import SemanticError
+from repro.errors import NESTED_TOO_DEEPLY, SemanticError
 from repro.lang import ast
 from repro.lang.symbols import (
     STATIC_ONLY_BUILTINS,
@@ -145,16 +145,24 @@ class Analyzer:
     # ------------------------------------------------------------------ pass 2
     def analyze(self) -> ClassTable:
         self._register_classes()
-        for cd in self.program.classes:
-            info = self.table.get(cd.name)
-            self._cur_class = info
-            for fd in cd.fields:
-                if fd.init is not None:
-                    scope = _Scope()
-                    ty = self._expr(fd.init, scope)
-                    self._require_assignable(ty, fd.ty, fd.pos, "field initializer")
-            for md in cd.methods:
-                self._method(info, md)
+        member = self.program.pos  # of the field or method being checked
+        try:
+            for cd in self.program.classes:
+                info = self.table.get(cd.name)
+                self._cur_class = info
+                for fd in cd.fields:
+                    if fd.init is not None:
+                        member = fd.pos
+                        scope = _Scope()
+                        ty = self._expr(fd.init, scope)
+                        self._require_assignable(
+                            ty, fd.ty, fd.pos, "field initializer"
+                        )
+                for md in cd.methods:
+                    member = md.pos
+                    self._method(info, md)
+        except RecursionError:
+            raise SemanticError(NESTED_TOO_DEEPLY, member) from None
         self._cur_class = None
         return self.table
 
@@ -450,19 +458,28 @@ class Analyzer:
         raise SemanticError(f"unknown unary op {expr.op}", expr.pos)
 
     def _binary(self, expr: ast.Binary, scope: _Scope) -> Type:
-        op = expr.op
-        lt = self._expr(expr.left, scope)
-        rt = self._expr(expr.right, scope)
+        # ``a + b + c + ...`` nests one level per operator down the left
+        # operand: walk that spine in a loop, innermost operator first
+        spine = [expr]
+        while isinstance(spine[-1].left, ast.Binary):
+            spine.append(spine[-1].left)
+        lt = self._expr(spine[-1].left, scope)
+        for node in reversed(spine):
+            rt = self._expr(node.right, scope)
+            lt = node.ty = self._binary_type(node.op, lt, rt, node.pos)
+        return lt
+
+    def _binary_type(self, op: str, lt: Type, rt: Type, pos) -> Type:
         if op == "+" and (lt is STRING or rt is STRING):
             return STRING
         if op in ("+", "-", "*", "/", "%"):
             res = promote(lt, rt)
             if res is None:
-                raise SemanticError(f"arithmetic {op} on {lt} and {rt}", expr.pos)
+                raise SemanticError(f"arithmetic {op} on {lt} and {rt}", pos)
             return res
         if op in ("<", "<=", ">", ">="):
             if promote(lt, rt) is None:
-                raise SemanticError(f"comparison {op} on {lt} and {rt}", expr.pos)
+                raise SemanticError(f"comparison {op} on {lt} and {rt}", pos)
             return BOOLEAN
         if op in ("==", "!="):
             if promote(lt, rt) is not None:
@@ -471,22 +488,22 @@ class Analyzer:
                 return BOOLEAN
             if lt.is_reference() and rt.is_reference():
                 return BOOLEAN
-            raise SemanticError(f"cannot compare {lt} and {rt}", expr.pos)
+            raise SemanticError(f"cannot compare {lt} and {rt}", pos)
         if op in ("&&", "||"):
             if lt is not BOOLEAN or rt is not BOOLEAN:
-                raise SemanticError(f"{op} on {lt} and {rt}", expr.pos)
+                raise SemanticError(f"{op} on {lt} and {rt}", pos)
             return BOOLEAN
         if op in ("&", "|", "^"):
             if lt in (INT, LONG) and rt in (INT, LONG):
                 return LONG if LONG in (lt, rt) else INT
-            raise SemanticError(f"bitwise {op} on {lt} and {rt}", expr.pos)
+            raise SemanticError(f"bitwise {op} on {lt} and {rt}", pos)
         if op in ("<<", ">>", ">>>"):
             if lt not in (INT, LONG):
-                raise SemanticError(f"shift on {lt}", expr.pos)
+                raise SemanticError(f"shift on {lt}", pos)
             if rt is not INT:
-                raise SemanticError("shift amount must be int", expr.pos)
+                raise SemanticError("shift amount must be int", pos)
             return lt
-        raise SemanticError(f"unknown binary op {op}", expr.pos)
+        raise SemanticError(f"unknown binary op {op}", pos)
 
     def _assign(self, expr: ast.Assign, scope: _Scope) -> Type:
         target_ty = self._expr(expr.target, scope)

@@ -16,6 +16,14 @@ import numpy as np
 
 from repro.graph.metrics import edgecut
 from repro.graph.wgraph import WeightedGraph
+from repro.partition.refine import add_to, exceeds
+
+
+def _reached(acc: List[float], target: List[float]) -> bool:
+    for a, t in zip(acc, target):
+        if not a >= t:
+            return False
+    return True
 
 
 def grow_bisection(
@@ -29,54 +37,55 @@ def grow_bisection(
     n = graph.num_nodes
     if n == 0:
         return []
-    vw = graph.vwgts()
-    total = vw.sum(axis=0)
-    target = total * frac
+    # plain floats in the array version's operation order (see fm_refine)
+    vw_arr = graph.vwgts()
+    vw = vw_arr.tolist()
+    target = [t * frac for t in vw_arr.sum(axis=0).tolist()]
+    overshoot = [t * 1.6 + 1e-9 for t in target]
+    adj = graph.adj
     best_parts: Optional[List[int]] = None
     best_cut = float("inf")
     for _ in range(max(1, ntrials)):
         seed = int(rng.integers(n))
         parts = [1] * n
-        region = np.zeros(graph.ncon)
+        region = [0.0] * graph.ncon
         # max-heap of (-gain, tiebreak, node)
         heap: List = [(0.0, int(rng.integers(1 << 30)), seed)]
         in_heap = {seed}
         added = 0
         while heap and added < n - 1:
-            # stop when every dimension reached its target (scalar graphs:
-            # the common case — one comparison)
-            if np.all(region >= target):
+            # stop when every dimension reached its target
+            if _reached(region, target):
                 break
             _, _, u = heapq.heappop(heap)
             if parts[u] == 0:
                 continue
             # skip nodes that would badly overshoot a dimension
-            if np.any(region + vw[u] > target * 1.6 + 1e-9) and added > 0:
+            if added > 0 and exceeds(region, vw[u], overshoot):
                 continue
             parts[u] = 0
-            region += vw[u]
+            add_to(region, vw[u])
             added += 1
-            for v, _w in graph.adj[u].items():
+            for v in adj[u]:
                 if parts[v] == 1 and v not in in_heap:
                     gain = sum(
-                        w2 for nb, w2 in graph.adj[v].items() if parts[nb] == 0
+                        w2 for nb, w2 in adj[v].items() if parts[nb] == 0
                     )
                     heapq.heappush(
                         heap, (-gain, int(rng.integers(1 << 30)), v)
                     )
                     in_heap.add(v)
         cut = edgecut(graph, parts)
-        if cut < best_cut and 0 < sum(1 for p in parts if p == 0) < n:
+        if cut < best_cut and 0 < parts.count(0) < n:
             best_cut = cut
             best_parts = parts
     if best_parts is None:
         # degenerate fallback: split by index at the weight median
-        order = list(range(n))
-        acc = np.zeros(graph.ncon)
+        acc = [0.0] * graph.ncon
         best_parts = [1] * n
-        for u in order:
-            if np.all(acc >= target):
+        for u in range(n):
+            if _reached(acc, target):
                 break
             best_parts[u] = 0
-            acc += vw[u]
+            add_to(acc, vw[u])
     return best_parts

@@ -32,20 +32,30 @@ def exhaustive_bisect(graph: WeightedGraph, frac: float, ub: float) -> List[int]
     sides staying within ``ub`` × their target weights (per constraint);
     when no assignment is feasible, minimize overload first."""
     n = graph.num_nodes
-    vw = graph.vwgts()
-    total = vw.sum(axis=0)
-    targets = np.array([total * frac, total * (1.0 - frac)]) + 1e-12
+    # plain floats in the array version's operation order (see fm_refine)
+    vw_arr = graph.vwgts()
+    columns = list(zip(*vw_arr.tolist()))  # one weight tuple per constraint
+    total = vw_arr.sum(axis=0).tolist()
+    caps = [
+        ((t * frac + 1e-12) * ub, (t * (1.0 - frac) + 1e-12) * ub)
+        for t in total
+    ]
     edges = list(graph.edges())
     best_key = None
     best_parts: List[int] = [0] * n
     for mask in range(1, (1 << n) - 1):
         sides = [(mask >> i) & 1 for i in range(n)]
-        w = np.zeros((2, graph.ncon))
-        for i, s in enumerate(sides):
-            w[s] += vw[i]
-        overload = float(np.max(w / (targets * ub)))
+        overload = float("-inf")
+        for column, (cap0, cap1) in zip(columns, caps):
+            w0 = w1 = 0.0
+            for s, w in zip(sides, column):
+                if s:
+                    w1 += w
+                else:
+                    w0 += w
+            overload = max(overload, w0 / cap0, w1 / cap1)
         feasible = 0 if overload <= 1.0 + 1e-9 else 1
-        cut = sum(wgt for u, v, wgt in edges if sides[u] != sides[v])
+        cut = sum([wgt for u, v, wgt in edges if sides[u] != sides[v]])
         key = (feasible, cut if feasible == 0 else overload, cut)
         if best_key is None or key < best_key:
             best_key = key

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.graph.wgraph import WeightedGraph
 
 
@@ -29,6 +27,26 @@ def _gains(graph: WeightedGraph, parts: Sequence[int]) -> List[float]:
     return gains
 
 
+def exceeds(side: List[float], w: List[float], limit: List[float]) -> bool:
+    """Would adding ``w`` to ``side`` pass ``limit`` in any dimension?"""
+    for s, x, lim in zip(side, w, limit):
+        if s + x > lim:
+            return True
+    return False
+
+
+def add_to(acc: List[float], w: List[float]) -> None:
+    for c, wc in enumerate(w):
+        acc[c] += wc
+
+
+def _move(side_w: List[List[float]], w: List[float], src: int, dst: int) -> None:
+    from_side, to_side = side_w[src], side_w[dst]
+    for c, wc in enumerate(w):
+        from_side[c] -= wc
+        to_side[c] += wc
+
+
 def fm_refine(
     graph: WeightedGraph,
     parts: List[int],
@@ -40,14 +58,21 @@ def fm_refine(
     n = graph.num_nodes
     if n == 0:
         return parts
-    vw = graph.vwgts()
-    total = vw.sum(axis=0)
-    targets = np.array([total * frac, total * (1.0 - frac)])  # per side
-    limits = targets * ub + 1e-9
+    # Everything below is plain float arithmetic on lists, in the order the
+    # array version used, so every comparison and tie-break is unchanged;
+    # only the column totals keep numpy's summation.
+    vw_arr = graph.vwgts()
+    vw = vw_arr.tolist()
+    total = vw_arr.sum(axis=0).tolist()
+    limits = [
+        [t * frac * ub + 1e-9 for t in total],
+        [t * (1.0 - frac) * ub + 1e-9 for t in total],
+    ]
+    adj = graph.adj
 
-    side_w = np.zeros((2, graph.ncon))
+    side_w = [[0.0] * graph.ncon, [0.0] * graph.ncon]
     for u in range(n):
-        side_w[parts[u]] += vw[u]
+        add_to(side_w[parts[u]], vw[u])
 
     for _ in range(max_passes):
         gains = _gains(graph, parts)
@@ -56,19 +81,18 @@ def fm_refine(
         cum = 0.0
         best_cum = 0.0
         best_len = 0
-        sim_side = side_w.copy()
+        sim_side = [list(side_w[0]), list(side_w[1])]
         sim_parts = list(parts)
         for _step in range(n):
+            # highest-gain unlocked vertex whose move keeps the destination
+            # within its limit in every dimension; first such vertex on ties
             best_u = -1
             best_gain = -float("inf")
             for u in range(n):
-                if locked[u]:
+                if locked[u] or not gains[u] > best_gain:
                     continue
-                src = sim_parts[u]
-                dst = 1 - src
-                if np.any(sim_side[dst] + vw[u] > limits[dst]):
-                    continue
-                if gains[u] > best_gain:
+                dst = 1 - sim_parts[u]
+                if not exceeds(sim_side[dst], vw[u], limits[dst]):
                     best_gain = gains[u]
                     best_u = u
             if best_u == -1:
@@ -78,12 +102,11 @@ def fm_refine(
             dst = 1 - src
             locked[u] = True
             sim_parts[u] = dst
-            sim_side[src] -= vw[u]
-            sim_side[dst] += vw[u]
+            _move(sim_side, vw[u], src, dst)
             cum += gains[u]
             sequence.append(u)
             # incremental gain update for neighbors
-            for v, w in graph.adj[u].items():
+            for v, w in adj[u].items():
                 if locked[v]:
                     continue
                 if sim_parts[v] == dst:
@@ -103,6 +126,5 @@ def fm_refine(
             src = parts[u]
             dst = 1 - src
             parts[u] = dst
-            side_w[src] -= vw[u]
-            side_w[dst] += vw[u]
+            _move(side_w, vw[u], src, dst)
     return parts

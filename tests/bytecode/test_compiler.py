@@ -162,3 +162,96 @@ def test_pop_inserted_for_discarded_values():
         "M", "main",
     )
     assert op.POP in ops
+
+
+# ---------------------------------------------------------------------------
+# deep expressions: operator chains have no depth limit, real nesting ends
+# in a structured error
+# ---------------------------------------------------------------------------
+def _main_with(body: str) -> str:
+    return "class M { static void main(String[] a) { int x = 3; %s } }" % body
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+def test_five_thousand_operand_sum_compiles_and_runs(engine):
+    from helpers import compile_mj
+    from repro.vm import run_main
+    from repro.vm.interpreter import forced_engine
+
+    total = " + ".join(["x"] * 5000)
+    source = _main_with(f'int y = {total}; Sys.println("" + y);')
+    with forced_engine(engine):
+        assert run_main(compile_mj(source)).stdout == ["15000"]
+
+
+def test_long_chains_of_every_operator_family_run_correctly():
+    """Arithmetic with coercions, string concatenation, ``&&`` and ``||``
+    (as a condition and as a value): 3 000 operands each."""
+    from helpers import stdout_of
+
+    def chain(operand, sep, n=3000):
+        return sep.join([operand] * n)
+
+    assert stdout_of(_main_with(
+        'long y = 1L + %s; Sys.println("" + y);' % chain("x", " + ")
+    )) == ["9001"]
+    assert stdout_of(_main_with(
+        'String s = "" + %s; Sys.println(s);' % chain("x", " + ")
+    )) == ["3" * 3000]
+    assert stdout_of(_main_with(
+        'if (%s && x > 3) { Sys.println("all"); } else { Sys.println("last"); }'
+        % chain("x > 0", " && ")
+    )) == ["last"]
+    assert stdout_of(_main_with(
+        'boolean b = %s || x == 3; if (b) { Sys.println("last"); }'
+        % chain("x < 0", " || ")
+    )) == ["last"]
+    assert stdout_of(_main_with(
+        'while (x > 0 && (%s || x > 1)) { x = x - 1; } Sys.println("" + x);'
+        % chain("x == 9", " || ")
+    )) == ["1"]
+
+
+def test_generated_192_class_program_compiles():
+    from helpers import scaling_source
+
+    bp, _ = compile_mj_raw(scaling_source(192))
+    assert bp.num_classes() == 193
+
+
+@pytest.mark.parametrize("expression, error", [
+    ("(" * 5000 + "x" + ")" * 5000, "ParseError"),
+    ("-" * 5000 + "x", "ParseError"),
+    ("x + (" * 1000 + "x" + ")" * 1000, "ParseError"),
+    (" = ".join(["x"] * 400), "SemanticError"),
+])
+def test_expression_nested_too_deeply_is_a_structured_error(expression, error):
+    from repro import errors
+
+    with pytest.raises(getattr(errors, error)) as err:
+        compile_mj_raw(_main_with(f"int y = {expression};"))
+    assert "expression nested too deeply" in str(err.value)
+    assert err.value.pos is not None and err.value.pos.line == 1
+
+
+def test_compiler_out_of_stack_is_a_compile_error_naming_the_method():
+    from repro.bytecode import compile_program
+    from repro.lang import analyze, parse_program
+
+    tree = parse_program(_main_with("int y = %s;" % " = ".join(["x"] * 150)))
+    table = analyze(tree)
+
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth() + 120)  # the chain needs about 300 frames
+    try:
+        with pytest.raises(CompileError) as err:
+            compile_program(tree, table)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(err.value) == "expression nested too deeply in M.main at 1:18"

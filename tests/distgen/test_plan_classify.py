@@ -146,3 +146,40 @@ def test_each_balance_tolerance_is_partitioned_once(
     costs = [placement_cost(bp, parts, 2) for parts in full]
     assert plan.est_cost == min(costs)
     assert plan.parts == full[costs.index(min(costs))]
+
+
+def test_plans_do_not_depend_on_the_string_hash_seed():
+    """Sets and dicts of class names iterate in a different order under
+    every ``PYTHONHASHSEED``; the placement may not follow them.  (What the
+    kernel oracle of ``tests/partition`` compares is only worth pinning if
+    this holds.)"""
+    import json
+    import os
+    import subprocess
+
+    script = (
+        "import json, sys; sys.path[:0] = {paths!r}\n"
+        "from helpers import compile_mj_raw, scaling_source, two_node_plan_arguments\n"
+        "from repro.distgen import build_plan\n"
+        "from repro.workloads import WORKLOADS\n"
+        "out = []\n"
+        "for source in (WORKLOADS['bank'].source('test'), scaling_source(24)):\n"
+        "    program, _ = compile_mj_raw(source)\n"
+        "    for kwargs in (two_node_plan_arguments(), {{'granularity': 'object'}}):\n"
+        "        plan = build_plan(program, 2, **kwargs)\n"
+        "        out.append([plan.order, plan.parts, plan.edgecut,\n"
+        "                    sorted(plan.class_home.items()),\n"
+        "                    sorted(map(list, plan.site_home.items())),\n"
+        "                    sorted(plan.dependent_classes)])\n"
+        "print(json.dumps(out))\n"
+    ).format(paths=[p for p in sys.path if p])
+    plans = []
+    for seed in ("0", "4242"):
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        plans.append(json.loads(done.stdout))
+    assert plans[0] == plans[1]
+    assert all(len(set(parts)) == 2 for _, parts, *_ in plans[0][::2])

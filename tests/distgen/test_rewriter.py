@@ -15,6 +15,7 @@ import pytest
 from helpers import compile_mj_raw
 
 from repro.bytecode import opcodes as op
+from repro.bytecode.model import Label
 from repro.distgen import build_plan, rewrite_program
 from repro.distgen.plan import DistributionPlan
 from repro.lang.symbols import DEPENDENT_OBJECT
@@ -159,3 +160,56 @@ def test_rewritten_program_semantics_preserved(name):
     assert stats.total > 0
     out = run_main(load_program(rewritten)).stdout
     assert out == baseline
+
+
+# ---------------------------------------------------------------------------
+# the ``this`` analysis across a loop: hand-built code, because compiled MJ
+# statements never carry operands around a back edge
+# ---------------------------------------------------------------------------
+def _looping_reader(back_edge_receiver: int):
+    """``Node.walk(Node other, int again)`` holding two receivers on the
+    stack at its loop head: ``this, this`` on entry, and local
+    ``back_edge_receiver`` twice when the back edge is taken.  The loop
+    body reads ``.next`` from the top one."""
+    bp, _ = compile_mj_raw("""
+    class Node {
+        Node next;
+        void walk(Node other, int again) { }
+    }
+    class M { static void main(String[] args) { new Node().walk(null, 0); } }
+    """)
+    walk = bp.classes["Node"].methods["walk"]
+    walk.code = []
+    walk.invalidate()
+    head = Label("HEAD")
+    walk.emit(op.ALOAD, 0)
+    walk.emit(op.ALOAD, 0)
+    walk.place(head)
+    walk.emit(op.GETFIELD, "Node", "next")
+    walk.emit(op.POP)
+    walk.emit(op.POP)
+    walk.emit(op.ALOAD, back_edge_receiver)
+    walk.emit(op.ALOAD, back_edge_receiver)
+    walk.emit(op.ILOAD, 2)
+    walk.emit(op.IFTRUE, head)
+    walk.emit(op.POP)
+    walk.emit(op.POP)
+    walk.emit(op.RETURN)
+    return bp
+
+
+def test_receiver_that_stops_being_this_around_a_loop_is_rewritten():
+    bp = _looping_reader(back_edge_receiver=1)  # ``other`` comes back round
+    rewritten, stats = rewrite_program(bp, forced_plan(bp, {"Node"}))
+    flat = rewritten.classes["Node"].methods["walk"].flat()
+    assert not any(i.op == op.GETFIELD for i in flat)
+    assert any(i.a == DEPENDENT_OBJECT and i.b == "access" for i in flat)
+    assert (stats.field_gets, stats.this_peepholes) == (1, 0)
+
+
+def test_receiver_that_stays_this_around_a_loop_is_kept_direct():
+    bp = _looping_reader(back_edge_receiver=0)
+    rewritten, stats = rewrite_program(bp, forced_plan(bp, {"Node"}))
+    flat = rewritten.classes["Node"].methods["walk"].flat()
+    assert any(i.op == op.GETFIELD for i in flat)
+    assert (stats.field_gets, stats.this_peepholes) == (0, 1)

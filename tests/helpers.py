@@ -45,3 +45,30 @@ def eval_expr(expr: str, decls: str = "", ty: str = "int"):
     """
     out = stdout_of(src)
     return out[-1]
+
+
+def two_node_plan_arguments() -> dict:
+    """The ``build_plan`` arguments of a two-node ``repro distribute`` on the
+    paper testbed, with the distribution forced so that the rewriter always
+    has work: capacity-proportional targets, ``main`` pinned to the slower
+    machine (what ``perfbench``'s ``pipeline_cold`` plans with)."""
+    from repro.api.config import ClusterConfig
+    from repro.api.experiment import PLAN_UBFACTOR
+
+    speeds = [node.cpu_hz for node in ClusterConfig().build(2).nodes]
+    return {
+        "tpwgts": [s / sum(speeds) for s in speeds],
+        "ubfactor": PLAN_UBFACTOR,
+        "pin_main_to": speeds.index(min(speeds)),
+        "force_distribution": True,
+    }
+
+
+def scaling_source(n_classes: int) -> str:
+    """The generated program the compile-path scaling guards and oracles
+    share: ``n_classes`` helper classes of six methods, generator seed 0."""
+    from repro.testing.genprog import GenConfig, generate_source
+
+    return generate_source(
+        GenConfig(seed=0, n_classes=n_classes, n_methods=6, max_stmts=8)
+    )

@@ -132,10 +132,11 @@ def test_identifier_roundtrip(name):
         assert toks[0].kind is T.IDENT and toks[0].text == name
 
 
-@given(st.text(alphabet=" \t\nabc123+-*/%()<>=!&|", max_size=60))
+@given(st.text(alphabet=" \t\nabc123+-*/%()<>=!&|" '0xXeEfL."\\_²', max_size=60))
 def test_lexer_never_crashes_or_loops(text):
-    """Tokenizing arbitrary input from the operator alphabet either succeeds
-    or raises LexerError — never hangs or raises anything else."""
+    """Tokenizing arbitrary input from an alphabet that spells operators,
+    comments and every literal form either succeeds or raises LexerError —
+    never hangs or raises anything else."""
     try:
         toks = tokenize(text)
         assert toks[-1].kind is T.EOF
@@ -201,6 +202,9 @@ def test_token_positions_after_comments_and_blank_lines():
     ("y = 2e3l;", "'L' suffix on floating literal", 1, 5),
     ("a @ b", "unexpected character '@'", 1, 3),
     ("a\n\tb # c", "unexpected character '#'", 2, 4),
+    ("x = 0x;", "hexadecimal literal without digits", 1, 5),
+    ("x = 0xL;", "hexadecimal literal without digits", 1, 5),
+    ("int x = ²;", "unexpected character '²'", 1, 9),
 ])
 def test_lexer_errors_pin_message_and_position(source, message, line, col):
     with pytest.raises(LexerError) as err:
