@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CompileError
 from repro.bytecode import opcodes as op
-from repro.lang.types import Type
+from repro.lang.types import VOID, Type
 
 
 class Label:
@@ -88,11 +88,18 @@ def basic_block_leaders(instrs: List[Instr]) -> Tuple[int, ...]:
 class FlatCode:
     """Executable form: label-free instruction list with integer targets."""
 
-    __slots__ = ("instrs", "label_index", "_block_starts", "threaded", "fused")
+    __slots__ = ("instrs", "label_index", "nlocals", "returns_value",
+                 "_block_starts", "threaded", "fused")
 
-    def __init__(self, instrs: List[Instr], label_index: Dict[Label, int]) -> None:
+    def __init__(self, instrs: List[Instr], label_index: Dict[Label, int],
+                 nlocals: int, returns_value: bool) -> None:
         self.instrs = instrs
         self.label_index = label_index
+        #: what every call and return of the method needs, computed once:
+        #: local slots of an activation (receiver + arguments + locals), and
+        #: whether a return hands a value to the calling frame
+        self.nlocals = nlocals
+        self.returns_value = returns_value
         self._block_starts: Optional[Tuple[int, ...]] = None
         #: threaded form ``[(handler, instr), ...]`` built lazily by the VM
         #: fast path on first execution (the bytecode layer stays ignorant
@@ -231,7 +238,12 @@ class BMethod:
                     resolved.append(Instr(ins.op, idx, None, None, ins.line))
             else:
                 resolved.append(ins)
-        self._flat = FlatCode(resolved, label_at)
+        receiver = 0 if self.is_static else 1
+        self._flat = FlatCode(
+            resolved, label_at,
+            max(self.max_locals, receiver + self.nargs, 1),
+            self.ret_type is not VOID and not self.is_ctor,
+        )
         return self._flat
 
     def size_bytes(self) -> int:

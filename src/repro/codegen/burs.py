@@ -84,9 +84,7 @@ class BURS:
                     feasible = False
                     break
                 total += kid_state[nt][0]
-            if feasible and (node.op, total) and (
-                rule.nt not in state or total < state[rule.nt][0]
-            ):
+            if feasible and (rule.nt not in state or total < state[rule.nt][0]):
                 state[rule.nt] = (total, rule)
         # chain-rule closure to fixpoint
         changed = True

@@ -16,9 +16,9 @@ Two nonterminals:
   reprs the constant; operator rules parenthesize operands, so emitted
   expressions compose safely.
 
-Rule costs make the labeler prefer folded constants and immediate-shift
-forms (the shift mask is applied at compile time) over the generic
-runtime forms — the same minimum-cost-traversal scheme the paper's JBurg
+Rule costs make the labeler prefer folded constants and the immediate
+shift / divisor forms (mask and sign rule applied at compile time, no
+helper call) over the generic runtime forms — the same minimum-cost-traversal scheme the paper's JBurg
 stage uses for its real target.
 """
 
@@ -28,13 +28,34 @@ from typing import List
 
 from repro.codegen.burs import BURS, Rule
 from repro.codegen.tree import TreeNode
-from repro.vm.values import i32, i64, idiv, irem, iushr
+from repro.vm.values import f2i, f2l, i32, i64, iushr
 
 __all__ = ["PY_RULES", "PY_BURS", "lower_py", "fold_const"]
 
 
 def _paren(e: object) -> str:
     return f"({e})"
+
+
+def _wrap(wname: str, e: str) -> str:
+    """``e`` wrapped by ``i32`` / ``i64`` — range check first (in range is
+    the common case and costs half of the call) — or, with no ``wname``,
+    left as it is: the operator cannot leave its operands' range."""
+    if not wname:
+        return f"({e})"
+    top = 1 << (31 if wname == "i32" else 63)
+    return f"(_w if {-top} <= (_w := {e}) <= {top - 1} else {wname}(_w))"
+
+
+def _div_imm(wname: str, py: str, fn: str):
+    """Division / remainder by an immediate the trace compiler knows to be
+    non-zero: a positive one needs neither the helper call nor a wrap
+    (Java truncates toward zero, the remainder takes the dividend's sign)."""
+    def emit(ctx, n, k):
+        if k[1] > 0:
+            return f"(_w {py} {k[1]} if (_w := {k[0]}) >= 0 else -(-_w {py} {k[1]}))"
+        return f"{wname}({fn}({_paren(k[0])}, {k[1]}))"
+    return emit
 
 
 def _rules() -> List[Rule]:
@@ -50,16 +71,18 @@ def _rules() -> List[Rule]:
     add(Rule("py", ("LOCAL",), 1, lambda ctx, n, k: f"L[{n.value}]", name="py.local"))
     add(Rule("py", ("TEMP",), 0, lambda ctx, n, k: str(n.value), name="py.temp"))
 
-    # ---- wrapped integer arithmetic (32/64-bit), with constant folding
-    for suffix, wrap, wname in (("I", i32, "i32"), ("L", i64, "i64")):
-        for opname, sym in (
-            ("ADD", "+"), ("SUB", "-"), ("MUL", "*"),
-            ("AND", "&"), ("OR", "|"), ("XOR", "^"),
+    # ---- wrapped integer arithmetic (32/64-bit), with constant folding.
+    # Operands of a typed operator are in its range already, so ``& | ^ >>``
+    # cannot leave it; only ``+ - * <<`` wrap.
+    for suffix, wrap, wname, nbits in (("I", i32, "i32", 32), ("L", i64, "i64", 64)):
+        for opname, sym, wn in (
+            ("ADD", "+", wname), ("SUB", "-", wname), ("MUL", "*", wname),
+            ("AND", "&", ""), ("OR", "|", ""), ("XOR", "^", ""),
         ):
             root = f"{opname}_{suffix}"
             add(Rule(
                 "py", (root, "py", "py"), 2,
-                (lambda wn, s: lambda ctx, n, k: f"{wn}({_paren(k[0])} {s} {_paren(k[1])})")(wname, sym),
+                (lambda wn, s: lambda ctx, n, k: _wrap(wn, f"{_paren(k[0])} {s} {_paren(k[1])}"))(wn, sym),
                 name=f"py.{root}",
             ))
             add(Rule(
@@ -67,17 +90,17 @@ def _rules() -> List[Rule]:
                 (lambda w, s: lambda ctx, n, k: w(_FOLD_BIN[s](k[0], k[1])))(wrap, sym),
                 name=f"fold.{root}",
             ))
-        bits = 31 if suffix == "I" else 63
-        for opname, sym in (("SHL", "<<"), ("SHR", ">>")):
+        bits = nbits - 1
+        for opname, sym, wn in (("SHL", "<<", wname), ("SHR", ">>", "")):
             root = f"{opname}_{suffix}"
             add(Rule(
                 "py", (root, "py", "imm"), 1,
-                (lambda wn, s, b: lambda ctx, n, k: f"{wn}({_paren(k[0])} {s} {int(k[1]) & b})")(wname, sym, bits),
+                (lambda wn, s, b: lambda ctx, n, k: _wrap(wn, f"{_paren(k[0])} {s} {int(k[1]) & b}"))(wn, sym, bits),
                 name=f"py.{root}.imm",
             ))
             add(Rule(
                 "py", (root, "py", "py"), 2,
-                (lambda wn, s, b: lambda ctx, n, k: f"{wn}({_paren(k[0])} {s} ({_paren(k[1])} & {b}))")(wname, sym, bits),
+                (lambda wn, s, b: lambda ctx, n, k: _wrap(wn, f"{_paren(k[0])} {s} ({_paren(k[1])} & {b})"))(wn, sym, bits),
                 name=f"py.{root}",
             ))
             add(Rule(
@@ -85,8 +108,16 @@ def _rules() -> List[Rule]:
                 (lambda w, s, b: lambda ctx, n, k: w(_FOLD_BIN[s](k[0], int(k[1]) & b)))(wrap, sym, bits),
                 name=f"fold.{root}",
             ))
-        nbits = 32 if suffix == "I" else 64
         root = f"USHR_{suffix}"
+        # immediate count: mask and shift; only a count of 0 could leave a
+        # value above the signed range, and that one is the identity
+        add(Rule(
+            "py", (root, "py", "imm"), 1,
+            (lambda nb: lambda ctx, n, k:
+             f"(({_paren(k[0])} & {(1 << nb) - 1}) >> {int(k[1]) & (nb - 1)})"
+             if int(k[1]) & (nb - 1) else _paren(k[0]))(nbits),
+            name=f"py.{root}.imm",
+        ))
         add(Rule(
             "py", (root, "py", "py"), 2,
             (lambda nb: lambda ctx, n, k: f"iushr({_paren(k[0])}, {_paren(k[1])}, {nb})")(nbits),
@@ -97,20 +128,19 @@ def _rules() -> List[Rule]:
             (lambda nb: lambda ctx, n, k: iushr(k[0], k[1], nb))(nbits),
             name=f"fold.{root}",
         ))
-        # division / remainder: operands are runtime-guarded against zero by
-        # the trace compiler before these trees are built, so the emitted
-        # expression never faults
+        # division / remainder: the trace compiler builds these trees only
+        # over a divisor it has guarded against zero at runtime or knows to
+        # be a non-zero constant, so the emitted expression never faults
         wn = wname
-        add(Rule(
-            "py", (f"DIV_{suffix}", "py", "py"), 3,
-            (lambda wn: lambda ctx, n, k: f"{wn}(idiv({_paren(k[0])}, {_paren(k[1])}))")(wn),
-            name=f"py.DIV_{suffix}",
-        ))
-        add(Rule(
-            "py", (f"REM_{suffix}", "py", "py"), 3,
-            (lambda wn: lambda ctx, n, k: f"{wn}(irem({_paren(k[0])}, {_paren(k[1])}))")(wn),
-            name=f"py.REM_{suffix}",
-        ))
+        for opname, py, fn in (("DIV", "//", "idiv"), ("REM", "%", "irem")):
+            root = f"{opname}_{suffix}"
+            add(Rule(
+                "py", (root, "py", "py"), 3,
+                (lambda wn, fn: lambda ctx, n, k: f"{wn}({fn}({_paren(k[0])}, {_paren(k[1])}))")(wn, fn),
+                name=f"py.{root}",
+            ))
+            add(Rule("py", (root, "py", "imm"), 2, _div_imm(wn, py, fn),
+                     name=f"py.{root}.imm"))
         add(Rule(
             "py", (f"NEG_{suffix}", "py"), 1,
             (lambda wn: lambda ctx, n, k: f"{wn}(-{_paren(k[0])})")(wn),
@@ -137,12 +167,8 @@ def _rules() -> List[Rule]:
         ))
     add(Rule("py", ("DIV_F", "py", "py"), 3,
              lambda ctx, n, k: f"({_paren(k[0])} / {_paren(k[1])})", name="py.DIV_F"))
-    # Java-style float remainder: a - b * int(a / b); operands appear twice,
-    # so the trace compiler only feeds this rule pre-materialized temps
     add(Rule("py", ("REM_F", "py", "py"), 3,
-             lambda ctx, n, k:
-             f"({_paren(k[0])} - {_paren(k[1])} * int({_paren(k[0])} / {_paren(k[1])}))",
-             name="py.REM_F"))
+             lambda ctx, n, k: f"frem({k[0]}, {k[1]})", name="py.REM_F"))
     add(Rule("py", ("NEG_F", "py"), 1,
              lambda ctx, n, k: f"(-{_paren(k[0])})", name="py.NEG_F"))
     add(Rule("imm", ("NEG_F", "imm"), 0,
@@ -150,21 +176,15 @@ def _rules() -> List[Rule]:
 
     # ---- conversions
     for root, wn, fold in (
-        ("I2L", "i64", i64),
+        ("I2L", "", i64),  # an int is in the long range already
         ("L2I", "i32", i32),
         ("I2F", "float", float),
         ("L2F", "float", float),
+        ("F2I", "f2i", f2i),
+        ("F2L", "f2l", f2l),
     ):
         add(Rule("py", (root, "py"), 1,
                  (lambda wn: lambda ctx, n, k: f"{wn}({k[0]})")(wn),
-                 name=f"py.{root}"))
-        add(Rule("imm", (root, "imm"), 0,
-                 (lambda f: lambda ctx, n, k: f(k[0]))(fold),
-                 name=f"fold.{root}"))
-    for root, wn, fold in (("F2I", "i32", lambda v: i32(int(v))),
-                           ("F2L", "i64", lambda v: i64(int(v)))):
-        add(Rule("py", (root, "py"), 1,
-                 (lambda wn: lambda ctx, n, k: f"{wn}(int({k[0]}))")(wn),
                  name=f"py.{root}"))
         add(Rule("imm", (root, "imm"), 0,
                  (lambda f: lambda ctx, n, k: f(k[0]))(fold),

@@ -32,7 +32,9 @@ from typing import Callable, List
 from repro.errors import VMError
 from repro.bytecode import opcodes as op
 from repro.lang.symbols import DEPENDENT_OBJECT
-from repro.vm.values import DependentRef, i32, i64, idiv, irem, iushr
+from repro.vm.values import (
+    DependentRef, f2i, f2l, frem, i32, i64, idiv, irem, iushr,
+)
 
 #: sentinel returned by handlers after the frame stack may have changed
 FRAME_SWITCH = object()
@@ -260,7 +262,7 @@ def _frem(m, f, ins):
     a = s.pop()
     if b == 0.0:
         raise VMError("float remainder by zero")
-    s.append(a - b * int(a / b))
+    s.append(frem(a, b))
 
 
 def _fneg(m, f, ins):
@@ -286,12 +288,12 @@ def _l2i(m, f, ins):
 
 def _f2i(m, f, ins):
     s = f.stack
-    s.append(i32(int(s.pop())))
+    s.append(f2i(s.pop()))
 
 
 def _f2l(m, f, ins):
     s = f.stack
-    s.append(i64(int(s.pop())))
+    s.append(f2l(s.pop()))
 
 
 # ------------------------------------------------------------------ control flow

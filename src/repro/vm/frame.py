@@ -14,11 +14,12 @@ class Frame:
 
     __slots__ = ("method", "flat", "pc", "locals", "stack", "on_return")
 
-    def __init__(self, method: BMethod, nlocals: int) -> None:
+    def __init__(self, method: BMethod, flat: FlatCode,
+                 locals: List[object]) -> None:
         self.method = method
-        self.flat: FlatCode = method.flat()
+        self.flat = flat
         self.pc = 0
-        self.locals: List[object] = [None] * max(nlocals, 1)
+        self.locals = locals  # receiver, arguments, ``None`` up to flat.nlocals
         self.stack: List[object] = []
         self.on_return = None
 

@@ -39,7 +39,9 @@ from repro.vm.dispatch import FRAME_SWITCH, HANDLERS, INVOKE_HANDLER
 from repro.vm.frame import Frame
 from repro.vm.heap import Heap
 from repro.vm.natives import find_native
-from repro.vm.values import DependentRef, Ref, i32, i64, idiv, irem, iushr
+from repro.vm.values import (
+    DependentRef, Ref, f2i, f2l, frem, i32, i64, idiv, irem, iushr,
+)
 
 #: the three execution tiers :meth:`Machine.drive` can select
 ENGINES = ("reference", "fast", "compiled")
@@ -185,10 +187,8 @@ class Machine:
     def call_bmethod(
         self, method: BMethod, receiver, args, on_return: Optional[Callable] = None
     ) -> Frame:
-        nlocals = max(
-            method.max_locals, (0 if method.is_static else 1) + method.nargs
-        )
-        frame = Frame(method, nlocals)
+        flat = method.flat()
+        frame = Frame(method, flat, [None] * flat.nlocals)
         idx = 0
         if not method.is_static:
             frame.locals[0] = receiver
@@ -281,7 +281,7 @@ class Machine:
             a = stack.pop()
             if b == 0.0:
                 raise VMError("float remainder by zero")
-            stack.append(a - b * int(a / b))
+            stack.append(frem(a, b))
         elif o in _LONG_BIN:
             b = stack.pop()
             a = stack.pop()
@@ -305,9 +305,9 @@ class Machine:
         elif o == op.L2I:
             stack.append(i32(stack.pop()))
         elif o == op.F2I:
-            stack.append(i32(int(stack.pop())))
+            stack.append(f2i(stack.pop()))
         elif o == op.F2L:
-            stack.append(i64(int(stack.pop())))
+            stack.append(f2l(stack.pop()))
 
         # ---- control flow
         elif o == op.GOTO:

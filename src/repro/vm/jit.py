@@ -20,8 +20,13 @@ Two levels, applied per run:
   :mod:`repro.codegen.tree` / :mod:`repro.codegen.burs` machinery (the
   paper's JBurg stage) against the Python expression target
   (:mod:`repro.codegen.pytarget`) into a closure that collapses whole
-  expression chains — constants folded, operand stack virtualized away —
-  operating directly on frame locals.
+  expression chains — constants folded, operand stack virtualized away,
+  whatever a block (or a region call) has already resolved or checked
+  memoized instead of re-derived — operating directly on frame locals.
+
+Between runs, a call or return of a bytecode frame is a :class:`CallSite`
+the engine loop serves from a monomorphic inline cache without leaving
+the loop; natives, remote receivers and service frames take the handlers.
 
 Both levels share one **deopt contract**: every faultable operation
 (division, heap access, array indexing, field lookup) is *guarded* — it
@@ -41,17 +46,19 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CodegenError, VMError
 from repro.bytecode import opcodes as op
-from repro.codegen.pytarget import lower_py
+from repro.codegen.pytarget import fold_const, lower_py
 from repro.codegen.tree import TreeNode
 from repro.lang.symbols import DEPENDENT_OBJECT
 from repro.lang.types import VOID
 from repro.vm.dispatch import FRAME_SWITCH, HANDLERS, INVOKE_HANDLER
+from repro.vm.frame import Frame
 from repro.vm.heap import HeapArray, HeapObject
-from repro.vm.values import Ref, i32, i64, idiv, irem, iushr
+from repro.vm.values import Ref, f2i, f2l, frem, i32, i64, idiv, irem, iushr
 
 __all__ = [
     "JIT_THRESHOLD",
@@ -111,13 +118,8 @@ class Run:
         self.end = end
         self.instrs = instrs
         self.n = end - start
-        costs = [i.cost for i in instrs]
-        self.cost = sum(costs)
-        prefix, total = [], 0
-        for c in costs:
-            prefix.append(total)
-            total += c
-        self.prefix = tuple(prefix)
+        self.prefix = (0, *accumulate(i.cost for i in instrs))
+        self.cost = self.prefix[-1]
         self.fn = fn
         self.count = 0
         self.threshold = threshold
@@ -126,6 +128,50 @@ class Run:
         #: promoted form is a loop-region closure: ``fn`` then returns
         #: ``(exit_pc, steps, cycles, deopt)`` instead of the run protocol
         self.region = False
+
+
+#: :attr:`CallSite.kind`; every kind ``>= _FIXED`` is a call
+_RETURN, _XRETURN, _FIXED, _VIRTUAL = range(4)
+
+
+class CallSite:
+    """Plan entry of one call or return, so the engine loop can push and pop
+    bytecode frames itself.  A call carries a monomorphic inline cache,
+    ``(prog, cls, method, flat, pad)``: the callee ``method`` and its
+    ``flat`` (``None``: not a plain bytecode call) it resolved for ``prog``
+    and runtime receiver class ``cls`` (``None`` at a statically bound site).
+    ``prog`` is part of the key because a program and its rewritten copy
+    share code and run in one process.  The plan is shared by every machine
+    over the program — the thread backend's nodes run them concurrently —
+    so key and value are one tuple, replaced in a single store and read
+    once per call.  Whatever the cache does not cover runs through
+    ``handler``, the instruction's plain threaded handler."""
+
+    __slots__ = ("ins", "handler", "kind", "nops", "cache")
+
+    def __init__(self, ins, handler) -> None:
+        self.ins = ins
+        self.handler = handler
+        if ins.op in op.RETURNS:
+            self.kind = _RETURN if ins.op == op.RETURN else _XRETURN
+        else:
+            self.kind = _VIRTUAL if ins.op == op.INVOKEVIRTUAL else _FIXED
+        #: operands the call takes off the stack: receiver + arguments
+        self.nops = (ins.c or 0) + (ins.op != op.INVOKESTATIC)
+        self.cache = (None, None, None, None, None)
+
+    def bind(self, prog, cls) -> tuple:
+        """Resolve the site for ``prog`` and receiver class ``cls``."""
+        ins = self.ins
+        method = prog.lookup_method(ins.a if cls is None else cls, ins.b)
+        flat = pad = None  # native, or not a call we model
+        if method is not None and method.nargs == (ins.c or 0) \
+                and method.is_static == (ins.op == op.INVOKESTATIC):
+            flat = method.flat()
+            #: the callee's locals past receiver + arguments
+            pad = [None] * (flat.nlocals - self.nops)
+        hit = self.cache = (prog, cls, method, flat, pad)
+        return hit
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +261,7 @@ def _super_lines(name: str, k: int) -> List[str]:
                 "del s[-1]", "s[-1] = s[-1] / b"]
     if name == op.FREM:
         return ["b = s[-1]", "if b == 0.0:", f"    return {k}",
-                "del s[-1]", "a = s[-1]", "s[-1] = a - b * int(a / b)"]
+                "del s[-1]", "s[-1] = frem(s[-1], b)"]
     if name == op.INEG:
         return ["s[-1] = i32(-s[-1])"]
     if name == op.LNEG:
@@ -229,9 +275,9 @@ def _super_lines(name: str, k: int) -> List[str]:
     if name == op.L2I:
         return ["s[-1] = i32(s[-1])"]
     if name == op.F2I:
-        return ["s[-1] = i32(int(s[-1]))"]
+        return ["s[-1] = f2i(s[-1])"]
     if name == op.F2L:
-        return ["s[-1] = i64(int(s[-1]))"]
+        return ["s[-1] = f2l(s[-1])"]
     if name == op.GETSTATIC:
         return [f"s.append(S.get((I[{k}].a, I[{k}].b)))"]
     if name == op.PUTSTATIC:
@@ -309,6 +355,7 @@ def _needs(names) -> Tuple[bool, bool]:
 
 _EXEC_GLOBALS = {
     "i32": i32, "i64": i64, "idiv": idiv, "irem": irem, "iushr": iushr,
+    "f2i": f2i, "f2l": f2l, "frem": frem,
     "Ref": Ref, "HeapObject": HeapObject, "HeapArray": HeapArray,
     "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
     "len": len, "int": int, "float": float,
@@ -350,13 +397,19 @@ def _compile_super(instrs: Tuple):
 
 def build_fused(flat):
     """Build (and cache on ``flat.fused``) the compiled-tier execution plan:
-    one entry per instruction — a :class:`Run` at each run start, the plain
-    ``(handler, instr)`` pair everywhere else.  Interior positions stay
-    individually executable because deopt resumes there."""
+    one entry per instruction — a :class:`Run` at each run start, a
+    :class:`CallSite` at every return and every invoke but
+    ``DependentObject.*``, the plain ``(handler, instr)`` pair everywhere
+    else.  Interior positions stay individually executable because deopt
+    resumes there."""
     thr = flat.threaded
     if thr is None:
         thr = flat.threaded = [(HANDLERS[i.opx], i) for i in flat.instrs]
-    plan = list(thr)
+    plan = [
+        CallSite(i, h) if i.op in op.RETURNS
+        or (i.op in op.INVOKES and i.a != DEPENDENT_OBJECT) else (h, i)
+        for h, i in thr
+    ]
     instrs = flat.instrs
     threshold = JIT_THRESHOLD
     for a, b in flat.basic_blocks():
@@ -418,6 +471,11 @@ _CONSTABLE = (int, float, str, bool, type(None))
 _MAX_TREE = 24
 
 
+def _target(ins) -> int:
+    """Target of a flattened branch."""
+    return ins.b if ins.op in op.CMP_BRANCHES else ins.a
+
+
 def _tree_size(nd: TreeNode) -> int:
     return 1 + sum(_tree_size(k) for k in nd.kids)
 
@@ -430,19 +488,48 @@ def _local_slots(nd: TreeNode, out: set) -> set:
     return out
 
 
+def _const(nd: TreeNode):
+    """The compile-time value of ``nd``, or ``_MISS`` when it has none."""
+    try:
+        return fold_const(nd)
+    except CodegenError:
+        return _MISS
+
+
 class _TraceCompiler:
     """Symbolic re-execution of one run: the operand stack is virtualized
     into a stack of operator trees (``vstack``); pure computation defers as
     trees (lowered through BURS on demand), effectful or guarded operations
     materialize in program order.  At any deopt point the real operand
     stack is reconstructed exactly — remaining virtual entries first, then
-    the peeked operands of the failing instruction."""
+    the peeked operands of the failing instruction.
+
+    Within one block execution nothing can allocate, free, or replace an
+    entry's ``.data`` / ``.fields`` (NEW, NEWARRAY and real calls are not
+    fusible, an inlined callee only reads), and every temp is written once.
+    So what the block has established is memoized and neither re-derived
+    nor re-guarded: a dropped guard is one an identical earlier guard of
+    the same block execution already passed.
+
+    A region extends this across its blocks for what one call of it cannot
+    change: a slot no block stores to (``stable``, loaded once on entry),
+    and, lazily on first use, the entry behind such a value and its fields
+    that no block writes (``written``) — each a region variable that
+    starts as ``_MISS`` (``once``), so the guard that establishes it still
+    deopts at the instruction that needed it first."""
 
     def __init__(self, run: Optional[Run] = None) -> None:
         self.run = run
         self.lines: List[str] = []
-        self.vstack: List[TreeNode] = []
+        self.indent = ""
         self.ntemp = 0
+        self.stable: Dict[int, str] = {}
+        self.written: frozenset = frozenset()
+        self.once: Dict[tuple, str] = {}
+        #: temps holding one value for the whole region call: the stable
+        #: slots' and the hoisted ones
+        self.invariant: set = set()
+        self.begin_block()
         self.needs_heap = False
         self.needs_statics = False
         #: lines emitted (indented under the failing guard) to leave the
@@ -458,18 +545,46 @@ class _TraceCompiler:
         self.inline_pushback: Optional[List[str]] = None
 
     # ------------------------------------------------------------- helpers
+    def begin_block(self) -> None:
+        self.vstack: List[TreeNode] = []
+        #: local slot -> temp holding its current value
+        self.slots: Dict[int, str] = dict(self.stable)
+        #: (ref temp, class) -> resolved, class-checked heap entry: the
+        #: ``HeapObject``, or the ``.data`` list of a ``HeapArray``
+        self.entries: Dict[Tuple[str, str], str] = {}
+        #: (object entry, field name) -> temp holding the field's value
+        self.fields: Dict[Tuple[str, str], str] = {}
+        #: (array data, index temp) pairs already bounds-checked
+        self.inbounds: set = set()
+
     def temp(self) -> str:
         self.ntemp += 1
         return f"t{self.ntemp}"
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
+        self.lines.append(self.indent + line)
+
+    def _fact(self, key: tuple, hoist: bool) -> str:
+        """The temp for memo entry ``key``.  A hoisted one is established
+        once per region call: until ``indent`` is reset, what is emitted
+        runs only while its region variable is still ``_MISS``."""
+        if not hoist:
+            return self.temp()
+        t = self.once.get(key)
+        if t is None:
+            t = self.once[key] = self.temp()
+            self.invariant.add(t)
+        self.emit(f"if {t} is _MISS:")
+        self.indent = "    "
+        return t
 
     def _materialized(self, nd: TreeNode) -> TreeNode:
         if nd.op == "TEMP":
             return nd
         t = self.temp()
         self.emit(f"{t} = {lower_py(nd)}")
+        if nd.op == "LOCAL":
+            self.slots[nd.value] = t
         return TreeNode("TEMP", value=t)
 
     def need(self, k: int) -> None:
@@ -515,12 +630,25 @@ class _TraceCompiler:
 
     def _heap_object(self, k: int, r: str, cls: str,
                      operands: List[str]) -> str:
-        self.needs_heap = True
-        self.guard(f"{r}.__class__ is not Ref", k, operands)
-        o = self.temp()
-        self.emit(f"{o} = H.get({r}.oid)")
-        self.guard(f"{o}.__class__ is not {cls}", k, operands)
+        o = self.entries.get((r, cls))
+        if o is None:
+            self.needs_heap = True
+            o = self.entries[(r, cls)] = self._fact(
+                (r, cls), r in self.invariant)
+            self.emit(f"{o} = H.get({r}.oid) if {r}.__class__ is Ref else None")
+            self.guard(f"{o}.__class__ is not {cls}", k, operands)
+            if cls == "HeapArray":
+                self.emit(f"{o} = {o}.data")
+            self.indent = ""
         return o
+
+    def _element(self, k: int, r: str, xi: str, operands: List[str]) -> str:
+        """The data list of array ``r``, index ``xi`` checked against it."""
+        d = self._heap_object(k, r, "HeapArray", operands)
+        if (d, xi) not in self.inbounds:
+            self.inbounds.add((d, xi))
+            self.guard(f"not 0 <= {xi} < len({d})", k, operands)
+        return d
 
     # ------------------------------------------------------ per instruction
     def compile_ins(self, ins, k: int) -> None:
@@ -534,6 +662,8 @@ class _TraceCompiler:
         elif name in op.LOADS:
             if self.ilocals is not None:
                 self.push(TreeNode("TEMP", value=self.ilocals[ins.a]))
+            elif ins.a in self.slots:
+                self.push(TreeNode("TEMP", value=self.slots[ins.a]))
             else:
                 self.push(TreeNode("LOCAL", value=ins.a))
         elif name in op.STORES:
@@ -551,7 +681,8 @@ class _TraceCompiler:
             for i, nd in enumerate(self.vstack):
                 if nd.op != "TEMP" and ins.a in _local_slots(nd, set()):
                     self.vstack[i] = self._materialized(nd)
-            self.emit(f"L[{ins.a}] = {lower_py(val)}")
+            t = self.slots[ins.a] = self._materialized(val).value
+            self.emit(f"L[{ins.a}] = {t}")
         elif name == op.DUP:
             self.need(1)
             nd = self._materialized(self.vstack[-1])
@@ -574,11 +705,11 @@ class _TraceCompiler:
             root, zero = _TREE_DIV[name]
             b = self.pop()
             a = self.pop()
-            ta = self._materialized(a).value
-            tb = self._materialized(b).value
-            self.guard(f"{tb} == {zero}", k, [ta, tb])
-            self.push(TreeNode(root, kids=[TreeNode("TEMP", value=ta),
-                                           TreeNode("TEMP", value=tb)]))
+            if _const(b) in (_MISS, 0):  # not provably non-zero: guard
+                a = self._materialized(a)
+                b = self._materialized(b)
+                self.guard(f"{b.value} == {zero}", k, [a.value, b.value])
+            self.push(TreeNode(root, kids=[a, b]))
         elif name == op.GETSTATIC:
             self.needs_statics = True
             t = self.temp()
@@ -591,30 +722,36 @@ class _TraceCompiler:
         elif name == op.GETFIELD:
             r = self.pop_temp()
             o = self._heap_object(k, r, "HeapObject", [r])
-            v = self.temp()
-            self.emit(f"{v} = {o}.fields.get({ins.b!r}, _MISS)")
-            self.guard(f"{v} is _MISS", k, [r])
+            v = self.fields.get((o, ins.b))
+            if v is None:
+                v = self.fields[(o, ins.b)] = self._fact(
+                    (o, ins.b), o in self.invariant and ins.b not in self.written)
+                self.emit(f"{v} = {o}.fields.get({ins.b!r}, _MISS)")
+                self.guard(f"{v} is _MISS", k, [r])
+                self.indent = ""
             self.vstack.append(TreeNode("TEMP", value=v))
         elif name == op.PUTFIELD:
             val = self.pop()
             r = self.pop_temp()
             v = self._materialized(val).value
             o = self._heap_object(k, r, "HeapObject", [r, v])
-            self.guard(f"{ins.b!r} not in {o}.fields", k, [r, v])
+            if (o, ins.b) not in self.fields:  # a hit proves the field exists
+                self.guard(f"{ins.b!r} not in {o}.fields", k, [r, v])
+            # any two references may alias: forget the field on all of them
+            self.fields = {key: t for key, t in self.fields.items()
+                           if key[1] != ins.b}
+            self.fields[(o, ins.b)] = v
             self.emit(f"{o}.fields[{ins.b!r}] = {v}")
         elif name == op.ARRAYLENGTH:
             r = self.pop_temp()
-            o = self._heap_object(k, r, "HeapArray", [r])
+            d = self._heap_object(k, r, "HeapArray", [r])
             t = self.temp()
-            self.emit(f"{t} = len({o}.data)")
+            self.emit(f"{t} = len({d})")
             self.vstack.append(TreeNode("TEMP", value=t))
         elif name == op.XALOAD:
             xi = self.pop_temp()
             r = self.pop_temp()
-            o = self._heap_object(k, r, "HeapArray", [r, xi])
-            d = self.temp()
-            self.emit(f"{d} = {o}.data")
-            self.guard(f"not 0 <= {xi} < len({d})", k, [r, xi])
+            d = self._element(k, r, xi, [r, xi])
             t = self.temp()
             self.emit(f"{t} = {d}[{xi}]")
             self.vstack.append(TreeNode("TEMP", value=t))
@@ -623,38 +760,34 @@ class _TraceCompiler:
             xi = self.pop_temp()
             r = self.pop_temp()
             v = self._materialized(val).value
-            o = self._heap_object(k, r, "HeapArray", [r, xi, v])
-            d = self.temp()
-            self.emit(f"{d} = {o}.data")
-            self.guard(f"not 0 <= {xi} < len({d})", k, [r, xi, v])
+            d = self._element(k, r, xi, [r, xi, v])
             self.emit(f"{d}[{xi}] = {v}")
         elif name == op.GOTO:
             self.flush()
             self.emit(f"f.pc = {ins.a}")
-        elif name in op.CMP_BRANCHES:
-            b = self.pop()
-            a = self.pop()
-            ea, eb = lower_py(a), lower_py(b)
+        elif name in op.BRANCHES:
+            cond = self.branch_cond(ins)
             self.flush()
-            if name == op.IF_ACMP:
-                cond = f"_aeq({ea}, {eb})"
-                if ins.a != "EQ":
-                    cond = f"not {cond}"
-            else:
-                sym = _CMP_SYM.get(ins.a)
-                if sym is None:
-                    raise CodegenError(f"uncompilable condition {ins.a!r}")
-                cond = f"({ea}) {sym} ({eb})"
             self.emit(f"if {cond}:")
-            self.emit(f"    f.pc = {ins.b}")
-        elif name == op.IFTRUE or name == op.IFFALSE:
-            c = lower_py(self.pop())
-            self.flush()
-            cond = f"({c})" if name == op.IFTRUE else f"not ({c})"
-            self.emit(f"if {cond}:")
-            self.emit(f"    f.pc = {ins.a}")
+            self.emit(f"    f.pc = {_target(ins)}")
         else:
             raise CodegenError(f"untraceable opcode {name}")
+
+    def branch_cond(self, ins) -> str:
+        """Pop the operands of conditional branch ``ins``; returns the
+        expression that is true when the branch is taken."""
+        if ins.op not in op.CMP_BRANCHES:  # IFTRUE / IFFALSE
+            c = lower_py(self.pop())
+            return f"({c})" if ins.op == op.IFTRUE else f"not ({c})"
+        b = self.pop()
+        a = self.pop()
+        if ins.op == op.IF_ACMP:
+            cond = f"_aeq({lower_py(a)}, {lower_py(b)})"
+            return cond if ins.a == "EQ" else f"not {cond}"
+        sym = _CMP_SYM.get(ins.a)
+        if sym is None:
+            raise CodegenError(f"uncompilable condition {ins.a!r}")
+        return f"({lower_py(a)}) {sym} ({lower_py(b)})"
 
     # --------------------------------------------------------------- driver
     def compile(self):
@@ -789,21 +922,16 @@ def _find_region(flat, start: int, program=None):
             work.append(b)
         elif o == op.GOTO:
             work.append(last.a)
-        elif o in op.CMP_BRANCHES:
-            work.append(last.b)
-            work.append(b)
-        elif o in op.BRANCHES:  # IFTRUE / IFFALSE
-            work.append(last.a)
+        elif o in op.BRANCHES:
+            work.append(_target(last))
             work.append(b)
         else:
             work.append(b)
     for a, b in blocks.items():
         last = instrs[b - 1]
-        o = last.op
-        if o in op.BRANCHES:
-            t = last.b if o in op.CMP_BRANCHES else last.a
-            if t in blocks and t <= a:
-                return [(a, blocks[a]) for a in sorted(blocks)]
+        if last.op in op.BRANCHES and _target(last) in blocks \
+                and _target(last) <= a:
+            return [(a, blocks[a]) for a in sorted(blocks)]
     return None
 
 
@@ -833,18 +961,13 @@ def _inline_call(tc: "_TraceCompiler", inv, a: int, b: int,
     tc.deopt_tail = lambda k: [f"return ({b - 1}, n + {kinv}, c + {cinv}, 1)"]
     tc.inline_pushback = pushback
 
-    nslots = max(callee.max_locals, (0 if callee.is_static else 1) + nargs)
-    ilocals = ["None"] * nslots
+    ilocals = ["None"] * callee.flat().nlocals
     idx = 0
     if virtual:
         # monomorphic inline cache: exact-class check makes the compile-time
         # resolution from the static class valid at runtime (a subclass —
         # overriding or not — deopts to the dynamic lookup)
-        tc.needs_heap = True
-        tc.guard(f"{rcv}.__class__ is not Ref", 0, [])
-        o = tc.temp()
-        tc.emit(f"{o} = H.get({rcv}.oid)")
-        tc.guard(f"{o}.__class__ is not HeapObject", 0, [])
+        o = tc._heap_object(0, rcv, "HeapObject", [])
         tc.guard(f"{o}.class_name != {inv.a!r}", 0, [])
         ilocals[0] = rcv
         idx = 1
@@ -883,16 +1006,17 @@ def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
     (a call/return block, or the loop's natural exit)."""
     instrs = flat.instrs
     tc = _TraceCompiler()
+    body_ins = [i for a, b in ext for i in instrs[a:b]]
+    stored = {i.a for i in body_ins if i.op in op.STORES}
+    tc.written = frozenset(i.b for i in body_ins if i.op == op.PUTFIELD)
+    tc.stable = {i.a: f"h{i.a}" for i in body_ins
+                 if i.op in op.LOADS and i.a not in stored}
+    tc.invariant = set(tc.stable.values())
     chain: List[str] = []
     for bi, (a, b) in enumerate(ext):
         blk = instrs[a:b]
-        costs = [i.cost for i in blk]
-        prefix: List[int] = []
-        tot = 0
-        for cst in costs:
-            prefix.append(tot)
-            tot += cst
-        tc.vstack = []
+        prefix = [0, *accumulate(i.cost for i in blk)]
+        tc.begin_block()
         tc.deopt_tail = (
             lambda a=a, prefix=prefix:
             lambda k: [f"return ({a + k}, n + {k}, c + {prefix[k]}, 1)"]
@@ -903,46 +1027,18 @@ def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
         is_call = last.op in op.INVOKES
         for k, ins in enumerate(blk[:-1] if (terminal or is_call) else blk):
             tc.compile_ins(ins, k)
-        nblk, cblk = len(blk), sum(costs)
         if is_call:
             _inline_call(tc, last, a, b, prefix, program)
-        elif terminal:
-            o = last.op
-            if o == op.GOTO:
-                tc.flush()
-                tc.emit(f"n += {nblk}")
-                tc.emit(f"c += {cblk}")
-                tc.emit(f"pc = {last.a}")
-            else:
-                if o in op.CMP_BRANCHES:
-                    bb = tc.pop()
-                    aa = tc.pop()
-                    ea, eb = lower_py(aa), lower_py(bb)
-                    if o == op.IF_ACMP:
-                        cond = f"_aeq({ea}, {eb})"
-                        if last.a != "EQ":
-                            cond = f"not {cond}"
-                    else:
-                        sym = _CMP_SYM.get(last.a)
-                        if sym is None:
-                            raise CodegenError(
-                                f"uncompilable condition {last.a!r}"
-                            )
-                        cond = f"({ea}) {sym} ({eb})"
-                    target = last.b
-                else:  # IFTRUE / IFFALSE
-                    c = lower_py(tc.pop())
-                    cond = f"({c})" if o == op.IFTRUE else f"not ({c})"
-                    target = last.a
-                tc.flush()
-                tc.emit(f"n += {nblk}")
-                tc.emit(f"c += {cblk}")
-                tc.emit(f"pc = {target} if {cond} else {b}")
         else:
+            nxt = b
+            if last.op == op.GOTO:
+                nxt = last.a
+            elif terminal:
+                nxt = f"{_target(last)} if {tc.branch_cond(last)} else {b}"
             tc.flush()
-            tc.emit(f"n += {nblk}")
-            tc.emit(f"c += {cblk}")
-            tc.emit(f"pc = {b}")
+            tc.emit(f"n += {len(blk)}")
+            tc.emit(f"c += {prefix[-1]}")
+            tc.emit(f"pc = {nxt}")
         blk_lines = tc.lines[mark:]
         del tc.lines[mark:]
         chain.append(f"{'if' if bi == 0 else 'elif'} pc == {a}:")
@@ -954,6 +1050,8 @@ def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
         body.append("H = m.heap._store")
     if tc.needs_statics:
         body.append("S = m.statics")
+    body += [f"{t} = L[{slot}]" for slot, t in tc.stable.items()]
+    body += [f"{t} = _MISS" for t in tc.once.values()]
     body += ["n = 0", "c = 0", f"pc = {entry}", "while 1:"]
     body += ["    " + ln for ln in chain]
     return _assemble("_region", body, f"region@{entry}")
@@ -999,117 +1097,156 @@ def run_block_compiled(machine, stop_depth: int = 1):
     (returns ``(kind, gen, push, cost)``; parks ``pending_block_cost`` on
     error), but run starts execute through fused superinstructions or
     trace-compiled closures, deoptimizing to the plain threaded handlers
-    at guards, syscalls and faults."""
+    at guards, syscalls and faults, and calls / returns between bytecode
+    frames that a :class:`CallSite` covers never leave the loop."""
     m = machine
     frames = m.frames
+    prog = m.program
+    H = m.heap._store
     acc = m.inject_overcharge  # 0 unless a self-test injects a fault
     nsteps = 0
     # engine-tier accounting, flushed to the machine at every exit
     ss = sc = cs = cc = dn = pn = 0
-    frame = frames[-1]
-    flat = frame.flat
-    plan = flat.fused
-    if plan is None:
-        plan = build_fused(flat)
-    thr = flat.threaded
-    nplan = len(plan)
-    while True:
-        pc = frame.pc
-        if pc >= nplan:
-            m.steps += nsteps
-            m.pending_block_cost = acc
-            _flush_stats(m, ss, sc, cs, cc, dn, pn)
-            raise VMError(f"{frame.method.qualified}: fell off end of code")
-        entry = plan[pc]
-        if entry.__class__ is Run:
-            entry.count += 1
-            if not entry.promoted and entry.count >= entry.threshold:
-                if promote(entry, flat, m.program):
-                    pn += 1
-            if entry.region:
-                # whole-loop closure: executes many iterations per call and
-                # reports exact step/cycle totals and its exit point
-                exit_pc, rn, rc, de = entry.fn(m, frame, entry.instrs)
-                nsteps += rn
-                acc += rc
-                cs += rn
-                cc += rc
-                if de == 0:
-                    frame.pc = exit_pc
-                    continue
-                dn += 1
-                pc = exit_pc
-                handler, ins = thr[pc]
-            else:
-                frame.pc = entry.end
-                r = entry.fn(m, frame, entry.instrs)
-                if r is None:
-                    nsteps += entry.n
-                    acc += entry.cost
-                    if entry.compiled:
-                        cs += entry.n
-                        cc += entry.cost
-                    else:
-                        ss += entry.n
-                        sc += entry.cost
-                    continue
-                # deopt: instructions < r completed; charge the prefix and
-                # re-execute instruction r through its plain handler, which
-                # raises / syscalls with exact reference semantics
-                dn += 1
-                p = entry.prefix[r]
-                nsteps += r
-                acc += p
-                if entry.compiled:
-                    cs += r
-                    cc += p
+    while True:  # one pass per frame switch
+        frame = frames[-1]
+        flat = frame.flat
+        plan = flat.fused
+        if plan is None:
+            plan = build_fused(flat)
+        while True:
+            pc = frame.pc
+            try:
+                entry = plan[pc]
+            except IndexError:
+                m.steps += nsteps
+                m.pending_block_cost = acc
+                _flush_stats(m, ss, sc, cs, cc, dn, pn)
+                raise VMError(
+                    f"{frame.method.qualified}: fell off end of code"
+                ) from None
+            ec = entry.__class__
+            if ec is Run:
+                entry.count += 1
+                if not entry.promoted and entry.count >= entry.threshold:
+                    if promote(entry, flat, prog):
+                        pn += 1
+                if entry.region:
+                    # whole-loop closure: executes many iterations per call
+                    # and reports exact step/cycle totals and its exit point
+                    exit_pc, rn, rc, de = entry.fn(m, frame, entry.instrs)
+                    nsteps += rn
+                    acc += rc
+                    cs += rn
+                    cc += rc
+                    if de == 0:
+                        frame.pc = exit_pc
+                        continue
+                    dn += 1
+                    pc = exit_pc
                 else:
-                    ss += r
-                    sc += p
-                pc = entry.start + r
-                handler, ins = thr[pc]
-        else:
-            handler, ins = entry
-        frame.pc = pc + 1
-        nsteps += 1
-        acc += ins.cost
-        try:
-            if handler is INVOKE_HANDLER:
-                # a native reached through this call (Sys.time) may read
-                # the cycle counter: publish the completed prefix so it
-                # sees the per-step path's exact value
-                m.inflight_cycles = acc - ins.cost
-                r = handler(m, frame, ins)
-                m.inflight_cycles = 0
+                    frame.pc = entry.end
+                    r = entry.fn(m, frame, entry.instrs)
+                    if r is None:
+                        nsteps += entry.n
+                        acc += entry.cost
+                        if entry.compiled:
+                            cs += entry.n
+                            cc += entry.cost
+                        else:
+                            ss += entry.n
+                            sc += entry.cost
+                        continue
+                    # deopt: instructions < r completed; charge the prefix
+                    # and re-execute instruction r through its plain
+                    # handler, which raises / syscalls with exact reference
+                    # semantics
+                    dn += 1
+                    p = entry.prefix[r]
+                    nsteps += r
+                    acc += p
+                    if entry.compiled:
+                        cs += r
+                        cc += p
+                    else:
+                        ss += r
+                        sc += p
+                    pc = entry.start + r
+                handler, ins = flat.threaded[pc]
+            elif ec is tuple:
+                handler, ins = entry
             else:
-                r = handler(m, frame, ins)
-        except BaseException:
-            # the failing instruction's own cost is never charged — the
-            # per-step path raises out of step() before returning it
-            m.inflight_cycles = 0
+                ins = entry.ins
+                handler = entry.handler
+                kind = entry.kind
+                if kind >= _FIXED:
+                    s = frame.stack
+                    i = len(s) - entry.nops
+                    cls = None
+                    if kind == _VIRTUAL:
+                        # only a local object has a class to cache on: null,
+                        # remote, string, list, array and boxed receivers
+                        # keep the generic handler's errors and syscalls
+                        o = s[i]
+                        o = H.get(o.oid) if o.__class__ is Ref else None
+                        cls = o.class_name if o.__class__ is HeapObject \
+                            else _MISS
+                    if cls is not _MISS:
+                        hit = entry.cache
+                        if hit[0] is not prog or hit[1] != cls:
+                            hit = entry.bind(prog, cls)
+                        callee = hit[3]
+                        if callee is not None:
+                            frame.pc = pc + 1
+                            nsteps += 1
+                            acc += ins.cost
+                            loc = s[i:]
+                            del s[i:]
+                            loc += hit[4]
+                            frames.append(Frame(hit[2], callee, loc))
+                            break
+                elif frame.on_return is None and len(frames) > stop_depth:
+                    # a service-initiated frame and the return that ends
+                    # this block leave through the generic handler
+                    nsteps += 1
+                    acc += ins.cost
+                    del frames[-1]
+                    if kind == _XRETURN:
+                        value = frame.stack.pop()
+                        if flat.returns_value:
+                            frames[-1].stack.append(value)
+                    elif flat.returns_value:
+                        frames[-1].stack.append(None)
+                    break
+            frame.pc = pc + 1
+            nsteps += 1
+            acc += ins.cost
+            try:
+                if handler is INVOKE_HANDLER:
+                    # a native reached through this call (Sys.time) may read
+                    # the cycle counter: publish the completed prefix so it
+                    # sees the per-step path's exact value
+                    m.inflight_cycles = acc - ins.cost
+                    r = handler(m, frame, ins)
+                    m.inflight_cycles = 0
+                else:
+                    r = handler(m, frame, ins)
+            except BaseException:
+                # the failing instruction's own cost is never charged — the
+                # per-step path raises out of step() before returning it
+                m.inflight_cycles = 0
+                m.steps += nsteps
+                m.pending_block_cost = acc - ins.cost
+                _flush_stats(m, ss, sc, cs, cc, dn, pn)
+                raise
+            if r is None:
+                continue
+            if r is FRAME_SWITCH:
+                if len(frames) >= stop_depth:
+                    break
+                r = (None, None, None)
             m.steps += nsteps
-            m.pending_block_cost = acc - ins.cost
             _flush_stats(m, ss, sc, cs, cc, dn, pn)
-            raise
-        if r is None:
-            continue
-        if r is FRAME_SWITCH:
-            if len(frames) < stop_depth:
-                break
-            frame = frames[-1]
-            flat = frame.flat
-            plan = flat.fused
-            if plan is None:
-                plan = build_fused(flat)
-            thr = flat.threaded
-            nplan = len(plan)
-            continue
-        m.steps += nsteps
-        _flush_stats(m, ss, sc, cs, cc, dn, pn)
-        return (r[0], r[1], r[2], acc)
-    m.steps += nsteps
-    _flush_stats(m, ss, sc, cs, cc, dn, pn)
-    return (None, None, None, acc)
+            return (r[0], r[1], r[2], acc)
 
 
 def _flush_stats(m, ss, sc, cs, cc, dn, pn) -> None:

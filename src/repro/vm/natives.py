@@ -21,7 +21,7 @@ def fmt_value(machine, value) -> str:
     if value is None:
         return "null"
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):  # false for NaN / inf
             return f"{value:.1f}"
         return repr(value)
     if isinstance(value, str):

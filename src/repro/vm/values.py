@@ -13,6 +13,7 @@ the interpreter, the constant folder and tests share one definition.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 _I32_MASK = 0xFFFFFFFF
@@ -48,6 +49,38 @@ def iushr(a: int, n: int, bits: int = 32) -> int:
     n &= bits - 1
     res = (a & mask) >> n
     return i32(res) if bits == 32 else i64(res)
+
+
+def _nonfinite(v: float, top: int) -> int:
+    """Java's integer for NaN (0) and for an infinity (saturates)."""
+    return 0 if v != v else top - 1 if v > 0 else -top
+
+
+def f2i(v: float) -> int:
+    """Java ``(int)`` of a float; a finite value truncates and wraps."""
+    try:
+        return i32(int(v))
+    except (ValueError, OverflowError):
+        return _nonfinite(v, 1 << 31)
+
+
+def f2l(v: float) -> int:
+    """Java ``(long)`` of a float; a finite value truncates and wraps."""
+    try:
+        return i64(int(v))
+    except (ValueError, OverflowError):
+        return _nonfinite(v, 1 << 63)
+
+
+def frem(a: float, b: float) -> float:
+    """Java float remainder for ``b != 0`` (sign of the dividend).  When
+    the quotient is not finite: NaN for a non-finite dividend, else the
+    exact ``fmod``; a finite dividend is its own remainder by ±inf."""
+    try:
+        q = int(a / b)
+    except (ValueError, OverflowError):
+        return math.fmod(a, b) if math.isfinite(a) else math.nan
+    return a if math.isinf(b) else a - b * q
 
 
 class Ref:

@@ -21,8 +21,8 @@ from repro.runtime.executor import DistributedExecutor
 BACKENDS = ("sim", "thread", "process", "tcp")
 
 
-def run_split(src, homes, backend, main_partition=0, nparts=2,
-              async_writes=False):
+def split_executor(src, homes, backend, main_partition=0, nparts=2,
+                   async_writes=False):
     bp, _ = compile_mj_raw(src)
     plan = DistributionPlan(
         nparts=nparts,
@@ -38,7 +38,11 @@ def run_split(src, homes, backend, main_partition=0, nparts=2,
     )
     return DistributedExecutor(
         rewritten, plan, cluster, async_writes=async_writes, backend=backend
-    ).run()
+    )
+
+
+def run_split(*args, **kwargs):
+    return split_executor(*args, **kwargs).run()
 
 
 # ------------------------------------------------------------------ registry
@@ -165,6 +169,50 @@ def test_statics_are_per_node(backend):
     }
     """
     assert run_split(src, {"Worker": 1, "M": 0, "G": 0}, backend).stdout == ["3,100"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_shared_virtual_call_site_with_a_receiver_class_per_node(backend):
+    """``Shape.total`` is one ``BMethod`` — in the shared-interpreter
+    backends one execution plan, so one inline-cached call site — that runs
+    on node 0 with a ``Shape`` receiver and on node 1 with a ``Square``:
+    every call lands in the runtime class's ``area`` on every backend."""
+    from repro.vm.jit import CallSite
+
+    src = """
+    class Shape {
+        int n;
+        int area(int x) { this.n = this.n + 1; return x + 1; }
+        int total(int m) {
+            int t = 0;
+            for (int i = 0; i < m; i = i + 1) { t = t + this.area(i); }
+            return t;
+        }
+    }
+    class Square extends Shape {
+        int area(int x) { this.n = this.n + 2; return x * 2; }
+    }
+    class M {
+        static void main(String[] args) {
+            Shape a = new Shape();
+            Shape b = new Square();
+            int s = 0;
+            for (int r = 0; r < 6; r = r + 1) {
+                s = s + a.total(40) + b.total(40);
+            }
+            Sys.println(s + ":" + a.n + ":" + b.n);
+        }
+    }
+    """
+    ex = split_executor(
+        src, {"Shape": 0, "Square": 1, "M": 0}, backend, async_writes=True
+    )
+    assert ex.run().stdout == ["14280:240:480"]
+    if backend in ("sim", "thread"):  # the node machines ran in this process
+        total = ex.loaded.lookup_method("Shape", "total").flat()
+        sites = [e for e in total.fused
+                 if e.__class__ is CallSite and e.ins.b == "area"]
+        assert len(sites) == 1 and sites[0].cache[2].name == "area"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

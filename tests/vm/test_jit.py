@@ -11,6 +11,7 @@ generated programs (including faulting and overcharge-injected ones), and
 exercise the deopt and promotion machinery directly.
 """
 
+import re
 import sys
 import pathlib
 
@@ -53,12 +54,36 @@ def _observe(loaded, engine):
 
 
 def assert_tiers_agree(source: str):
+    """Three-way agreement; returns the reference observation, the compiled
+    run's machine and the loaded program."""
     loaded = compile_mj(source)
     ref, _ = _observe(loaded, "reference")
     fast, _ = _observe(loaded, "fast")
-    comp, _ = _observe(loaded, "compiled")
+    comp, machine = _observe(loaded, "compiled")
     assert fast == ref, f"fast tier diverged:\n{fast}\nvs\n{ref}"
     assert comp == ref, f"compiled tier diverged:\n{comp}\nvs\n{ref}"
+    return ref, machine, loaded
+
+
+def _compiled_agrees(src: str):
+    """:func:`assert_tiers_agree` with every run promoted on its second
+    execution."""
+    with jit_threshold(2):
+        ref, machine, loaded = assert_tiers_agree(src)
+    assert machine.jit_stats()["promotions"] >= 1
+    return ref, machine, loaded
+
+
+def _compiled_sources(loaded):
+    """Generated source of every trace-compiled closure of a program."""
+    return {
+        (bm.qualified, run.start): run.fn.__doc__
+        for bc in loaded.bprogram.classes.values()
+        for bm in bc.methods.values()
+        if bm.flat().fused is not None
+        for run in plan_runs(bm.flat())
+        if run.compiled
+    }
 
 
 # ------------------------------------------------------------------ workloads
@@ -300,3 +325,656 @@ def test_random_rich_programs_compiled_equals_reference(seed, n_classes):
     )
     with jit_threshold(2):
         assert_tiers_agree(source)
+
+
+# ------------------------------------------------------- non-finite floats
+def test_nonfinite_float_ops_are_java_results_on_all_tiers():
+    """``(int) NaN``, ``(int) inf``, ``(long) inf``, ``inf % x`` and a
+    remainder whose quotient overflows used to escape as bare
+    ``ValueError`` / ``OverflowError`` on every tier.  The hot loop runs
+    them per step, as superinstructions and trace-compiled; the literal
+    product is folded by the BURS rules."""
+    src = """
+        class Main {
+            static void main(String[] a) {
+                float big = 1.0e308;
+                float inf = big * 10.0;
+                float nan = inf - inf;
+                int i = 0;
+                long l = 0L;
+                float r = 0.0;
+                float q = 0.0;
+                float w = 0.0;
+                int folded = 0;
+                for (int k = 0; k < 40; k = k + 1) {
+                    i = (int) nan + (int) inf + k;
+                    l = (long) inf - (long) (0.0 - inf) + (long) nan;
+                    r = inf % 2.0;
+                    q = big % 1.0e-300;
+                    w = (2.5 - k) % inf + 7.5 % (0.0 - inf);
+                    folded = (int) (1.0e308 * 10.0) - (int) (1.0e308 * -10.0);
+                }
+                Sys.println((int) nan);
+                Sys.println((int) inf);
+                Sys.println((long) inf);
+                Sys.println(inf % 2.0);
+                Sys.println(big % 1.0e-300);
+                Sys.println(w + ":" + inf % inf + ":" + 2.5 % (1.0e308 * 10.0));
+                Sys.println(i + ":" + l + ":" + r + ":" + q + ":" + folded);
+            }
+        }
+    """
+    ref, machine, _ = _compiled_agrees(src)
+    assert ref[4] is None
+    assert ref[3] == (
+        "0", "2147483647", "9223372036854775807", "nan",
+        "3.0195000970293847e-301",
+        "-29.0:nan:2.5",
+        "-2147483610:-1:nan:3.0195000970293847e-301:-1",
+    )
+    assert machine.jit_stats()["compiled_steps"] > 0
+
+
+# ------------------------------------------------- value / guard memo
+def test_memo_putfield_through_an_alias_is_seen():
+    """Two locals alias one object: a ``PUTFIELD`` through one kills the
+    memoized field of the other inside the same hot block."""
+    ref, _, loaded = _compiled_agrees("""
+        class P { int x; }
+        class Main {
+            static void main(String[] a) {
+                P p = new P();
+                P q = p;
+                int s = 0;
+                for (int i = 0; i < 50; i = i + 1) {
+                    s = s + q.x;
+                    p.x = i;
+                    s = s + q.x * 3;
+                    q.x = q.x + 1;
+                    s = s + p.x;
+                }
+                Sys.println(s);
+            }
+        }
+    """)
+    assert ref[3] == (str(sum(i + 3 * i + i + 1 for i in range(50))),)
+    # the block resolves each of the two references once
+    body = next(src for src in _compiled_sources(loaded).values()
+                if ".fields['x'] =" in src)
+    assert body.count("H.get(") == 2
+
+
+def test_memo_field_store_between_two_reads_of_the_array_behind_it():
+    """``this.data = other`` between two ``this.data[i]`` in one block: the
+    second read goes through the new array."""
+    ref, _, _ = _compiled_agrees("""
+        class B {
+            int[] data;
+            int[] other;
+            int run(int n) {
+                int s = 0;
+                for (int i = 0; i < n; i = i + 1) {
+                    int[] keep = this.data;
+                    s = s + this.data[i % 4];
+                    this.data = this.other;
+                    s = s + this.data[i % 4] * 1000;
+                    this.other = keep;
+                }
+                return s;
+            }
+        }
+        class Main {
+            static void main(String[] a) {
+                B b = new B();
+                b.data = new int[4];
+                b.other = new int[4];
+                for (int i = 0; i < 4; i = i + 1) {
+                    b.data[i] = i + 1;
+                    b.other[i] = 10 * (i + 1);
+                }
+                Sys.println(b.run(40));
+            }
+        }
+    """)
+    # even iterations read data then other, odd ones the reverse
+    want = sum(
+        (i % 4 + 1) * (1 + 10000) if i % 2 == 0 else (i % 4 + 1) * (10 + 1000)
+        for i in range(40)
+    )
+    assert ref[3] == (str(want),)
+
+
+def test_memo_slot_store_between_two_uses_as_array_ref():
+    ref, _, _ = _compiled_agrees("""
+        class Main {
+            static void main(String[] a) {
+                int[] xs = new int[4];
+                int[] ys = new int[4];
+                xs[1] = 5;
+                ys[1] = 70;
+                int s = 0;
+                for (int i = 0; i < 30; i = i + 1) {
+                    int[] r = xs;
+                    s = s + r[1];
+                    r = ys;
+                    s = s + r[1];
+                    r[1] = r[1] + 1;
+                }
+                Sys.println(s + ":" + xs[1] + ":" + ys[1]);
+            }
+        }
+    """)
+    assert ref[3] == (f"{30 * 5 + sum(70 + i for i in range(30))}:5:100",)
+
+
+def test_memo_second_access_out_of_bounds_deopts_exactly():
+    """The array is resolved by the first access of the block; the second
+    one only bounds-checks, and when that fails mid-block the deopt index,
+    the prefix charge and the rebuilt stack (index and array in the fault
+    text) are the reference's."""
+    ref, machine, _ = _compiled_agrees("""
+        class Main {
+            static void main(String[] a) {
+                int[] xs = new int[8];
+                int s = 0;
+                for (int i = 0; i < 40; i = i + 1) {
+                    xs[i % 8] = i;
+                    s = s + xs[i % 8] * 2 + xs[i];
+                }
+                Sys.println(s);
+            }
+        }
+    """)
+    assert ref[4] == "array index 8 out of bounds (8)"
+    assert machine.jit_stats()["deopts"] == 1
+
+
+def test_memo_out_of_bounds_inside_inlined_leaf_deopts_to_the_call():
+    ref, machine, loaded = _compiled_agrees("""
+        class K {
+            int[] d;
+            int get(int i, int j) { return this.d[i] * 2 + this.d[j]; }
+        }
+        class Main {
+            static void main(String[] a) {
+                K k = new K();
+                k.d = new int[8];
+                int s = 0;
+                for (int i = 0; i < 40; i = i + 1) {
+                    k.d[i % 8] = i;
+                    s = s + k.get(i % 8, i);
+                }
+                Sys.println(s);
+            }
+        }
+    """)
+    assert ref[4] == "array index 8 out of bounds (8)"
+    # out of the region to the call, then out of the callee's own trace
+    assert machine.jit_stats()["deopts"] == 2
+    # the callee was inlined, its receiver seeded by the caller's accesses
+    body = next(src for src in _compiled_sources(loaded).values()
+                if ".class_name != 'K'" in src)
+    assert body.count("H.get(") == 2  # k and k.d, once each
+
+
+def test_region_does_not_hoist_what_another_block_changes():
+    """Across the blocks of a region only slots no block stores to and
+    fields no block writes keep their resolved value: here another block
+    swaps the field and re-points the local between two reads."""
+    ref, _, loaded = _compiled_agrees("""
+        class B {
+            int[] data;
+            int[] other;
+            int run(int n, int[] xs, int[] ys) {
+                int s = 0;
+                int[] r = xs;
+                for (int i = 0; i < n; i = i + 1) {
+                    s = s + this.data[i % 4] + r[1];
+                    if (i % 3 == 0) {
+                        int[] keep = this.data;
+                        this.data = this.other;
+                        this.other = keep;
+                        r = ys;
+                    } else {
+                        r = xs;
+                    }
+                    s = s + this.data[i % 4] * 100 + r[1] * 7;
+                }
+                return s;
+            }
+        }
+        class Main {
+            static void main(String[] a) {
+                B b = new B();
+                b.data = new int[4];
+                b.other = new int[4];
+                int[] xs = new int[2];
+                int[] ys = new int[2];
+                xs[1] = 3;
+                ys[1] = 50000;
+                for (int i = 0; i < 4; i = i + 1) {
+                    b.data[i] = i + 1;
+                    b.other[i] = 10 * (i + 1);
+                }
+                Sys.println(b.run(40, xs, ys));
+            }
+        }
+    """)
+    data, other, want, r = [1, 2, 3, 4], [10, 20, 30, 40], 0, 3
+    for i in range(40):
+        want += data[i % 4] + r
+        if i % 3 == 0:
+            data, other, r = other, data, 50000
+        else:
+            r = 3
+        want += data[i % 4] * 100 + r * 7
+    assert ref[3] == (str(want),)
+    region = next(
+        src for (name, _), src in _compiled_sources(loaded).items()
+        if name == "B.run" and "while 1:" in src
+    )
+    # ``this`` is loaded on entry and resolved once per region call ...
+    assert "h0 = L[0]" in region
+    assert re.search(r"if (t\d+) is _MISS:\n +\1 = H\.get\(h0\.oid\)", region)
+    # ... its swapped field and the re-pointed local in every block
+    assert region.count(".fields.get('data', _MISS)") >= 3
+    assert not re.search(r"is _MISS:\n +t\d+ = t\d+\.fields\.get\('data'", region)
+    assert "h5 = L[5]" not in region and "= L[5]" in region
+
+
+def test_region_hoisted_guard_deopts_at_its_first_use():
+    """A fact hoisted out of the loop is still established — and can still
+    fail — at the instruction that needs it first: a region compiled while
+    the field held an array meets a null one."""
+    ref, machine, _ = _compiled_agrees("""
+        class K { int[] d; }
+        class Main {
+            static int total(K k, int n) {
+                int s = 0;
+                for (int i = 0; i < n; i = i + 1) { s = s + k.d[i] + i; }
+                return s;
+            }
+            static void main(String[] a) {
+                K full = new K();
+                full.d = new int[8];
+                K empty = new K();
+                int s = 0;
+                for (int j = 0; j < 6; j = j + 1) { s = s + total(full, 8); }
+                Sys.println(s);
+                Sys.println(total(empty, 8));
+            }
+        }
+    """)
+    assert ref[3] == (str(6 * 28),) and ref[4] == "null dereference"
+    assert machine.jit_stats()["deopts"] == 1
+
+
+def test_heapsort_sift_region_resolves_each_reference_once_per_block():
+    """Generated text: a block of heapsort's sift loop holds at most one
+    ``H.get(`` per distinct reference (``this`` and ``this.data``)."""
+    from repro.api.experiment import compile_workload
+    from repro.harness.cache import StageCache
+
+    with jit_threshold(2):
+        loaded = compile_workload("heapsort", "test", cache=StageCache()).loaded
+        _observe(loaded, "compiled")
+    region = _compiled_sources(loaded)[("Sorter.siftDown", 0)]
+    blocks = re.split(r"\n        (?:el)?if pc == \d+:\n", region)[1:]
+    assert len(blocks) >= 5
+    assert any("H.get(" in blk for blk in blocks)
+    for blk in blocks:
+        refs = re.findall(r"H\.get\((\w+)\.oid\)", blk)
+        assert len(refs) == len(set(refs)) <= 2, blk
+
+
+# ------------------------------------------------------ inline-cached calls
+def test_call_site_alternating_two_subclasses():
+    """One hot site, receivers alternating between a class and a subclass
+    that overrides one method and inherits the other: every call lands in
+    the runtime class's method."""
+    ref, _, _ = _compiled_agrees("""
+        class A {
+            int n;
+            int f(int x) { this.n = this.n + 1; return x + 1; }
+            int g(int x) { this.n = this.n + 2; return x * 2; }
+        }
+        class B extends A {
+            int f(int x) { this.n = this.n + 3; return x + 100; }
+        }
+        class Main {
+            static void main(String[] args) {
+                A a = new A();
+                A b = new B();
+                int s = 0;
+                for (int i = 0; i < 60; i++) {
+                    A r = a;
+                    if (i % 2 == 1) { r = b; }
+                    s = s + r.f(i) + r.g(i);
+                }
+                Sys.println(s + ":" + a.n + ":" + b.n);
+            }
+        }
+    """)
+    want = sum(3 * i + (1 if i % 2 == 0 else 100) for i in range(60))
+    assert ref[3] == (f"{want}:90:150",)
+
+
+_TWO_CLASS_SITE = """
+    class A {
+        int n;
+        int f(int x) { this.n = this.n + 1; return x + 1; }
+    }
+    class B extends A {
+        int f(int x) { this.n = this.n + 3; return x + 100; }
+    }
+    class Main {
+        static void main(String[] args) {
+            A a = new A();
+            A b = new B();
+            int s = 0;
+            for (int i = 0; i < 4000; i++) {
+                A r = a;
+                if (i % 2 == 1) { r = b; }
+                s = s + r.f(i);
+            }
+            Sys.println(s + ":" + a.n + ":" + b.n);
+        }
+    }
+"""
+
+
+def test_call_site_bind_preempted_by_a_bind_for_another_class():
+    """Every machine over a program shares its plans, and the thread backend
+    runs one machine per OS thread.  A bind that is preempted where a thread
+    switch can happen — inside the method lookup — by another thread's whole
+    bind for a different class returns its own resolution and leaves a
+    cache whose key and callee belong together."""
+    from repro.vm.jit import CallSite
+
+    loaded = compile_mj(_TWO_CLASS_SITE)
+    site, = (e for e in build_fused(loaded.main_method().flat())
+             if e.__class__ is CallSite and e.ins.b == "f")
+
+    class Preempted:
+        def lookup_method(self, cls, name):
+            if cls == "A":
+                site.bind(self, "B")  # the other thread, start to finish
+            return loaded.lookup_method(cls, name)
+
+    prog = Preempted()
+    mine = site.bind(prog, "A")
+    assert mine[:2] == (prog, "A") and mine[2].qualified == "A.f"
+    assert mine[3] is mine[2].flat()
+    key, callee = site.cache[1], site.cache[2]
+    assert callee is loaded.lookup_method(key, "f")
+
+
+def test_call_site_thrashing_under_concurrent_machines():
+    """Three machines on three threads over one program, switching every
+    few bytecodes, at a site that rebinds on every call: each computes the
+    reference result."""
+    import threading
+
+    loaded = compile_mj(_TWO_CLASS_SITE)
+    ref, _ = _observe(loaded, "reference")
+    out = []
+
+    def run():  # the engine is pinned once, outside: the pin is process-wide
+        machine = Machine(loaded)
+        machine.statics = loaded.fresh_statics()
+        machine.call_bmethod(loaded.main_method(), None, [None])
+        run_sync(machine)
+        out.append((machine.cycles, machine.steps, machine.result,
+                    tuple(machine.stdout), None))
+
+    threads = [threading.Thread(target=run) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with forced_engine("compiled"):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [ref] * 3
+
+
+def test_call_site_shared_between_two_programs_calls_its_own_programs_callee():
+    """Two programs sharing the caller's ``BMethod`` (one plan, one call
+    site) but not the callee, run alternately in one process."""
+    from repro.bytecode.model import Instr
+    from repro.vm.loader import load_program
+
+    src = """
+        class K { int n; int f(int x) { this.n = this.n + 1; return x + 1; } }
+        class Main {
+            static void main(String[] a) {
+                K k = new K();
+                int s = 0;
+                for (int i = 0; i < 40; i = i + 1) { s = s + k.f(i); }
+                Sys.println(s);
+            }
+        }
+    """
+    with jit_threshold(2):
+        first = compile_mj(src)
+        other = first.bprogram.copy()
+        other.classes["Main"].methods["main"] = (
+            first.bprogram.classes["Main"].methods["main"]
+        )
+        callee = other.classes["K"].methods["f"]
+        callee.code = [
+            Instr(i.op, 1000, i.b) if i.op == "LDC" and i.a == 1 else i
+            for i in callee.code
+        ]
+        callee.invalidate()
+        second = load_program(other)
+        want = {first: (str(sum(range(40)) + 40),),
+                second: (str(sum(range(40)) + 40 + 999 * 40),)}
+        for loaded in (first, second, first, second):
+            ref, _ = _observe(loaded, "reference")
+            comp, _ = _observe(loaded, "compiled")
+            assert comp == ref
+            assert ref[3] == want[loaded]
+
+
+def test_sequential_then_distributed_in_one_process():
+    """The ``compute_sim`` shape: the original program, then its rewritten
+    copy (which shares every unchanged ``Instr``) on the same tier."""
+    from repro.api import Experiment
+    from repro.harness.cache import StageCache
+
+    for name in ("method", "bank"):
+        res = Experiment.from_options(
+            name, size="test", cache=StageCache(), backend="sim",
+            force_distribution=True,
+        ).run()
+        assert res.stdout == res.sequential.stdout
+
+
+def test_cached_call_site_null_string_and_boxed_receivers():
+    """Receivers the cache does not cover, at a site that has cached a
+    bytecode callee: the generic handler's natives and error text."""
+    _compiled_agrees("""
+        class A {
+            int n;
+            boolean equals(Object o) { this.n = this.n + 1; return o == this; }
+        }
+        class Main {
+            static void main(String[] args) {
+                A a = new A();
+                Vector v = new Vector();
+                v.add(a); v.add("str"); v.add(7);
+                int s = 0;
+                for (int i = 0; i < 60; i++) {
+                    Object o = v.get(0);
+                    if (i > 30) { o = v.get(1 + i % 2); }
+                    if (o.equals(a)) { s = s + 1; }
+                    s = s + o.hashCode() % 7;
+                }
+                Sys.println(s + ":" + a.n);
+            }
+        }
+    """)
+    ref, _, _ = _compiled_agrees("""
+        class A { int n; int f(int x) { this.n = this.n + 1; return x + 1; } }
+        class Main {
+            static void main(String[] args) {
+                A a = new A();
+                int s = 0;
+                for (int i = 0; i < 60; i++) {
+                    A r = a;
+                    if (i == 40) { r = null; }
+                    s = s + r.f(i);
+                }
+                Sys.println(s);
+            }
+        }
+    """)
+    assert ref[4] == "null receiver for A.f"
+
+
+def test_cached_call_site_dependent_ref_receiver_takes_the_syscall():
+    """A remote receiver at a cached site is a DEPENDENCE access through
+    the syscall handler, with the reference path's arguments and cycles."""
+    from repro.vm.values import DependentRef
+
+    src = """
+        class A { int n; int f(int x) { this.n = this.n + 1; return x + 1; } }
+        class Main {
+            static A remote;
+            static void main(String[] args) {
+                A a = new A();
+                int s = 0;
+                for (int i = 0; i < 60; i++) {
+                    A r = a;
+                    if (i % 8 == 7) { r = Main.remote; }
+                    s = s + r.f(i);
+                }
+                Sys.println(s);
+            }
+        }
+    """
+
+    def observe(loaded, engine):
+        machine = Machine(loaded)
+        machine.statics = loaded.fresh_statics()
+        # same oid as the local ``a``: only its class tells them apart
+        machine.statics[("Main", "remote")] = DependentRef(1, 1, "A")
+        calls = []
+
+        def syscall(kind, recv, args):
+            calls.append((kind, recv, args, machine.steps))
+            return 5000
+            yield  # pragma: no cover - makes this a generator function
+
+        machine.syscall = syscall
+        machine.call_bmethod(loaded.main_method(), None, [None])
+        with forced_engine(engine):
+            run_sync(machine)
+        return machine.cycles, machine.steps, tuple(machine.stdout), calls
+
+    with jit_threshold(2):
+        loaded = compile_mj(src)
+        ref = observe(loaded, "reference")
+        assert observe(loaded, "fast") == ref
+        assert observe(loaded, "compiled") == ref
+    assert len(ref[3]) == 7
+    assert ref[2] == (str(sum(i + 1 for i in range(60) if i % 8 != 7)
+                          + 7 * 5000),)
+
+
+def test_sys_time_behind_inline_cached_calls_reads_the_step_paths_cycles():
+    """``Sys.time()`` two bytecode calls below a hot loop: the iteration at
+    which each virtual millisecond ticks over is the per-step path's."""
+    ref, _, _ = _compiled_agrees("""
+        class Clock {
+            long last;
+            int ticks;
+            int calls;
+            long now() { return Sys.time(); }
+            void sample() {
+                long t = this.now();
+                if (t != this.last) {
+                    this.last = t;
+                    this.ticks = this.ticks * 31 + this.calls;
+                }
+                this.calls = this.calls + 1;
+            }
+        }
+        class Main {
+            static void main(String[] args) {
+                Clock c = new Clock();
+                for (int i = 0; i < 30000; i++) { c.sample(); }
+                Sys.println(c.last + ":" + c.ticks);
+            }
+        }
+    """)
+    assert int(ref[3][0].split(":")[0]) >= 2
+
+
+def test_service_frame_and_depth_boundary_return_through_the_generic_path():
+    """A frame pushed with ``on_return`` hands its value to the callback,
+    not to the frame below — also when it pops above the stop depth — and
+    driving stops when the depth boundary is reached, with hot
+    inline-cached calls and returns running above it."""
+    from repro.runtime.invoke import call_and_run
+
+    src = """
+        class K {
+            int n;
+            int step(int x) { this.n = this.n + x; return this.n; }
+            int run(int m) {
+                int s = 0;
+                for (int i = 0; i < m; i = i + 1) { s = s + this.step(i); }
+                return s;
+            }
+        }
+        class Main { static void main(String[] a) { } }
+    """
+
+    def observe(loaded, engine):
+        machine = Machine(loaded)
+        machine.statics = loaded.fresh_statics()
+        machine.call_bmethod(loaded.main_method(), None, [None])
+        below = machine.frames[-1]
+        below.stack.append("untouched")
+        recv = machine._allocate("K")
+        run = loaded.lookup_method("K", "run")
+        cost, out = 0, []
+
+        def drain(gen):
+            nonlocal cost
+            try:
+                while True:
+                    cost += next(gen)[1]
+            except StopIteration as stop:
+                return stop.value
+
+        with forced_engine(engine):
+            # service-initiated, popping at its own stop depth
+            out.append(drain(call_and_run(machine, run, recv, [50])))
+            assert machine.frames == [below] and below.pc == 0
+            assert below.stack == ["untouched"]
+            # a plain frame popping at the stop depth ends the block: the
+            # frame below gets the value and does not start running
+            machine.call_bmethod(run, recv, [50])
+            drain(machine.drive(2))
+            assert machine.frames == [below] and below.pc == 0
+            out.append(below.stack.pop())
+            assert below.stack == ["untouched"]
+            # service-initiated, popping above the stop depth
+            machine.call_bmethod(run, recv, [50], on_return=out.append)
+            drain(machine.drive(1))
+            assert machine.frames == [] and below.stack == ["untouched"]
+        return cost, machine.steps, out
+
+    with jit_threshold(2):
+        loaded = compile_mj(src)
+        ref = observe(loaded, "reference")
+        assert observe(loaded, "fast") == ref
+        assert observe(loaded, "compiled") == ref
+    first, step = sum(sum(range(i + 1)) for i in range(50)), sum(range(50))
+    assert ref[2] == [first, first + 50 * step, first + 100 * step]
