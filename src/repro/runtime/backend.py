@@ -4,8 +4,10 @@ The paper's runtime (§5) is one set of services every node runs unchanged;
 only the link underneath differs.  This module is that shared half:
 
 * :class:`BackendNode` — **the node core**, identical on every backend: VM
-  machine and services, clock and statistics, the FIFO inbox with
-  receiver-side dedup (:meth:`~BackendNode.intake`), the event step
+  machine and services, clock and statistics, the single-threaded FIFO
+  inbox with receiver-side dedup (:meth:`~BackendNode.intake`; the lock a
+  transport that delivers from another thread needs is that transport's,
+  see :mod:`~repro.runtime.threads`), the event step
   (:meth:`~BackendNode.step`: ``cost`` charges and checks the crash plan,
   ``wait`` blocks) and the budgeted loop over it
   (:meth:`~BackendNode.drive`), and the blocking rule (every peer
@@ -31,7 +33,6 @@ sockets).  The executor, harness, sweep and CLI select one through
 from __future__ import annotations
 
 import math
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -203,10 +204,12 @@ class Transport(ABC):
       per (src, dst) pair (the message exchange's async-write-then-sync-read
       consistency depends on it);
     * arrived frames enter the receiving node through
-      :meth:`BackendNode.intake` — pushed from the sender's thread
-      (``thread``), or moved by the node's :meth:`BackendNode.pump`
-      override when the node reads its own links (``process`` pipes and
-      ``tcp`` sockets, one polled stream transport);
+      :meth:`BackendNode.intake`, on the node's own thread: moved by its
+      :meth:`BackendNode.pump` when the node reads its own links
+      (``process`` pipes and ``tcp`` sockets, one polled stream transport).
+      The core's inbox takes no lock, so a transport that pushes from the
+      *sender's* thread (``thread``) serializes access itself — its node
+      class wraps the inbox methods in its own lock and condition;
     * :meth:`broadcast` is best-effort: a dying node's SHUTDOWN / fault
       notice frames go out to whoever is still reachable, and it never
       raises;
@@ -243,13 +246,18 @@ class BackendNode:
     """The node core: one node's runtime state and its message-driven loop,
     the same on every backend.
 
-    Frames enter through :meth:`intake` (dedup, FIFO inbox, wake-up) from
-    whatever thread the transport delivers on; the services consume them
-    with :meth:`take_matching` / :meth:`iprobe`; :meth:`drive` runs the
-    node's generator, blocking in :meth:`wait`.  Two subclasses exist: the
-    simulator's, to gate the inbox on virtual arrival times, and the
-    out-of-process workers' (:class:`~repro.runtime.worker.StreamNode`),
-    whose :meth:`pump` reads the node's own pipes and sockets.
+    Frames enter through :meth:`intake` (dedup, FIFO inbox); the services
+    consume them with :meth:`take_matching` / :meth:`iprobe`; :meth:`drive`
+    runs the node's generator, blocking in :meth:`wait`.
+
+    The inbox is **single-threaded**: no lock, no condition.  A node reads
+    its own links (:class:`~repro.runtime.worker.StreamNode`, whose
+    :meth:`pump` polls the node's pipes and sockets) or is stepped by the
+    scheduler that also delivers to it (the simulator, which gates the
+    inbox on virtual arrival times), so only the node's own thread ever
+    touches it.  The one transport that delivers from *another* thread
+    brings its own synchronisation and wraps these methods in it:
+    :class:`~repro.runtime.threads.ThreadNode`.
     """
 
     def __init__(
@@ -265,14 +273,8 @@ class BackendNode:
         self.exchange = None                 # services.MessageExchange
         self.mpi = None                      # mpi.MPIService
         self.starter = None                  # services.ExecutionStarter (main)
-        # inbox: FIFO of delivered frames.  ``_version`` counts deliveries
-        # (and lost connections); a failed scan records the version it saw,
-        # so a wait only blocks while nothing new happened since that scan
-        self._lock = threading.Lock()
-        self._delivered = threading.Condition(self._lock)
+        # inbox: FIFO of delivered frames, touched by this node's thread only
         self._inbox: List[Message] = []
-        self._version = 0
-        self._seen = 0
         # statistics
         self.msgs_sent = 0
         self.bytes_sent = 0
@@ -302,11 +304,10 @@ class BackendNode:
         (identical for per-step and per-block charging)."""
         return self.charged_cycles / self.spec.cpu_hz
 
-    def now(self) -> float:
-        """The clock per-request latency is measured on: wall time on real
-        backends; the simulator overrides this with the node's virtual
-        clock, which makes its latency percentiles deterministic."""
-        return time.perf_counter()
+    #: the clock per-request latency is measured on: wall time on real
+    #: backends; the simulator overrides this with the node's virtual clock,
+    #: which makes its latency percentiles deterministic
+    now = staticmethod(time.perf_counter)
 
     def charge(self, cycles: int) -> None:
         """Account one ``('cost', n)`` event: node busy time plus the VM's
@@ -318,60 +319,59 @@ class BackendNode:
 
     # ------------------------------------------------------------------ inbox
     def intake(self, msg: Message, arrival: float = 0.0) -> None:
-        """The one way a frame enters a node, from any thread.  Injected
+        """The one way a frame enters a node, on every backend.  Injected
         duplicates were sent (and counted) but are dropped here, so the
         request/reply protocol sees each uniquely-identified frame once.
         ``arrival`` is when the frame becomes visible on the node's clock;
         only the simulator models it."""
-        with self._lock:
-            if self.injector is not None and not self.accept_frame(msg):
-                return
-            self._enqueue(msg, arrival)
-            self._version += 1
-            self._delivered.notify_all()
+        if self.injector is not None and not self.accept_frame(msg):
+            return
+        self._enqueue(msg, arrival)
 
     def _enqueue(self, msg: Message, arrival: float) -> None:
         self._inbox.append(msg)
 
     def peer_gone(self, peer: int) -> None:
-        """The transport lost ``peer``'s link: wake any waiter so it can
-        re-evaluate instead of riding out its timeout."""
-        with self._lock:
-            self.gone_peers.add(peer)
-            self._version += 1
-            self._delivered.notify_all()
+        """The transport lost ``peer``'s link: the next :meth:`wait` takes
+        it into account instead of riding out its timeout."""
+        self.gone_peers.add(peer)
 
     def pump(self, timeout_s: float) -> bool:
         """Move every frame that has arrived into the inbox, blocking up to
-        ``timeout_s`` for something new; False when the time ran out.
-        Transports that deliver from their own thread need only the wait;
-        a transport the node must read from overrides this."""
-        if not timeout_s:
-            return True
-        with self._lock:
-            return self._delivered.wait_for(
-                lambda: self._version != self._seen, timeout_s
-            )
+        ``timeout_s`` for something new; False when nothing happened on the
+        links in that time (with no timeout: nothing was there).  How frames
+        arrive is the transport's half of a node: every wall-clock backend
+        supplies this (the simulator never pumps — it overrides the methods
+        that would)."""
+        raise NotImplementedError
 
     def take_matching(
-        self, match: Callable[[Message], bool]
+        self, match: Optional[Callable[[Message], bool]] = None
     ) -> Optional[Message]:
-        """Pop the earliest delivered message satisfying ``match`` (others
-        stay queued); ``None`` when nothing eligible has arrived."""
-        self.pump(0.0)
-        with self._lock:
-            for i, m in enumerate(self._inbox):
-                if match(m):
+        """Pop the earliest delivered message satisfying ``match`` (any
+        message without one; others stay queued); ``None`` when nothing
+        eligible has arrived.  What is already in the inbox is looked at
+        first and the links only when nothing there matches: per-link FIFO
+        is unaffected, because whatever the transport still holds was sent
+        after everything it has delivered — and the scan that follows a
+        blocking wait costs no second readiness check."""
+        inbox = self._inbox
+        scanned = 0
+        for scanned, m in enumerate(inbox, 1):
+            if match is None or match(m):
+                self.msgs_received += 1
+                return inbox.pop(scanned - 1)
+        if self.pump(0.0):
+            for i in range(scanned, len(inbox)):
+                if match is None or match(inbox[i]):
                     self.msgs_received += 1
-                    return self._inbox.pop(i)
-            self._seen = self._version
-            return None
+                    return inbox.pop(i)
+        return None
 
     def iprobe(self, match: Callable[[Message], bool]) -> bool:
         """Non-blocking arrival check."""
         self.pump(0.0)
-        with self._lock:
-            return any(match(m) for m in self._inbox)
+        return any(match(m) for m in self._inbox)
 
     def accept_frame(self, msg: Message) -> bool:
         """Receiver-side dedup for injected duplication: uniquely-identified

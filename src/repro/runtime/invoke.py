@@ -20,13 +20,9 @@ from repro.bytecode.model import BMethod
 def call_and_run(machine, method: BMethod, receiver, args) -> Iterator:
     """Generator: runs ``method`` to completion on ``machine``; yields cost
     events; returns the method's return value."""
-    captured = {}
-
-    def on_return(value) -> None:
-        captured["value"] = value
-
-    machine.call_bmethod(method, receiver, args, on_return=on_return)
+    captured = []
+    machine.call_bmethod(method, receiver, args, on_return=captured.append)
     # drive until the frame we just pushed has returned: its depth is the
     # current depth, so the stop condition is "depth fell below it"
     yield from machine.drive(len(machine.frames))
-    return captured.get("value")
+    return captured[0] if captured else None

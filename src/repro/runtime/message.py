@@ -17,10 +17,10 @@ survive minority replica loss.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
+from zlib import crc32
 
 from repro.errors import RuntimeServiceError
 
@@ -45,6 +45,8 @@ WIRE_MAGIC = b"RW"
 WIRE_VERSION = 1
 _WIRE = struct.Struct("<2sBBhhqII")
 assert _WIRE.size == HEADER_BYTES
+_pack_header = _WIRE.pack
+_unpack_header = _WIRE.unpack_from
 
 #: plausibility ceiling on the header's payload-length field.  A corrupted
 #: header claiming gigabytes would otherwise park a stream reassembler
@@ -67,12 +69,15 @@ class MessageKind(Enum):
     RECOVER_NEW = 11     # create re-homed to a dead node's recovery home
 
 
+#: wire value -> kind: a frame is decoded with one lookup, not ``Enum()``
+_KIND_OF = {kind.value: kind for kind in MessageKind}
+
 #: req_id of an emergency SHUTDOWN frame announcing that ``src`` died (the
 #: wire req_id field is a signed int64, so -1 travels unchanged)
 FAULT_NOTICE = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One wire message.  ``payload`` is already in the streamed format;
     ``req_id`` ties a REPLY to its request."""
@@ -93,65 +98,23 @@ class Message:
         endpoints, request id, payload length, payload crc32) followed by
         the payload.  ``len(serialize()) == size``, so the byte volume a
         real transport moves equals what the simulated network charges."""
-        return _WIRE.pack(
+        payload = self.payload
+        return _pack_header(
             WIRE_MAGIC,
             WIRE_VERSION,
-            self.kind.value,
+            self.kind._value_,
             self.src,
             self.dst,
             self.req_id,
-            len(self.payload),
-            zlib.crc32(self.payload),
-        ) + self.payload
-
-    @classmethod
-    def _validate_header(
-        cls, data, offset: int
-    ) -> Tuple[int, int, int, int, int, int]:
-        """Unpack and validate the fixed header at ``offset``.  The caller
-        guarantees ``HEADER_BYTES`` are available."""
-        magic, version, kind, src, dst, req_id, plen, crc = _WIRE.unpack_from(
-            data, offset
-        )
-        if magic != WIRE_MAGIC:
-            raise FrameError("bad magic", f"{magic!r} at offset {offset}")
-        if version != WIRE_VERSION:
-            raise FrameError("unsupported wire version", str(version))
-        if plen > MAX_PAYLOAD_BYTES:
-            raise FrameError(
-                "implausible payload length", f"header claims {plen} bytes"
-            )
-        return kind, src, dst, req_id, plen, crc
-
-    @classmethod
-    def _finish(cls, data, offset, kind, src, dst, req_id, plen, crc):
-        payload = bytes(data[offset + HEADER_BYTES:offset + HEADER_BYTES + plen])
-        if zlib.crc32(payload) != crc:
-            raise FrameError(
-                "payload checksum mismatch",
-                f"frame {src}->{dst} req={req_id}",
-            )
-        try:
-            mkind = MessageKind(kind)
-        except ValueError:
-            raise FrameError("unknown message kind", str(kind)) from None
-        return cls(mkind, src, dst, req_id, payload)
+            len(payload),
+            crc32(payload),
+        ) + payload
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Message":
         """Inverse of :meth:`serialize` for a complete, exact frame (one
         datagram): validates framing, length and checksum."""
-        if len(data) < HEADER_BYTES:
-            raise FrameError(
-                "truncated message frame", f"{len(data)} bytes"
-            )
-        kind, src, dst, req_id, plen, crc = cls._validate_header(data, 0)
-        if len(data) - HEADER_BYTES != plen:
-            raise FrameError(
-                "message length mismatch",
-                f"header {plen}, got {len(data) - HEADER_BYTES}",
-            )
-        return cls._finish(data, 0, kind, src, dst, req_id, plen, crc)
+        return _decode_frame(data, 0, True)[0]
 
     @classmethod
     def decode_stream(
@@ -167,17 +130,56 @@ class Message:
         ``offset`` can never become a valid frame (garbage prefix, foreign
         version, implausible length, checksum mismatch).
         """
-        avail = len(buffer) - offset
-        if avail < HEADER_BYTES:
-            return None
-        kind, src, dst, req_id, plen, crc = cls._validate_header(buffer, offset)
-        if avail < HEADER_BYTES + plen:
-            return None  # torn frame: payload still in flight
-        msg = cls._finish(buffer, offset, kind, src, dst, req_id, plen, crc)
-        return msg, HEADER_BYTES + plen
+        return _decode_frame(buffer, offset, False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<{self.kind.name} {self.src}->{self.dst} req={self.req_id} "
             f"{len(self.payload)}B>"
         )
+
+
+def _decode_frame(
+    buffer, offset: int, exact: bool
+) -> Optional[Tuple[Message, int]]:
+    """The frame at ``offset``, decoded and validated in one pass — one
+    header unpack, one payload copy, one checksum — with the checks in one
+    order for both readers: magic, version, plausible length, completeness,
+    checksum, kind.  ``exact`` is the datagram reader: the buffer must be
+    the frame, so a frame prefix and a frame with bytes behind it are
+    errors; the stream reader answers ``None`` to the first (torn read) and
+    leaves the second to its next call."""
+    avail = len(buffer) - offset
+    if avail < HEADER_BYTES:
+        if exact:
+            raise FrameError("truncated message frame", f"{avail} bytes")
+        return None
+    magic, version, kind, src, dst, req_id, plen, crc = _unpack_header(
+        buffer, offset
+    )
+    if magic != WIRE_MAGIC:
+        raise FrameError("bad magic", f"{magic!r} at offset {offset}")
+    if version != WIRE_VERSION:
+        raise FrameError("unsupported wire version", str(version))
+    if plen > MAX_PAYLOAD_BYTES:
+        raise FrameError(
+            "implausible payload length", f"header claims {plen} bytes"
+        )
+    size = HEADER_BYTES + plen
+    if exact and avail != size:
+        raise FrameError(
+            "message length mismatch",
+            f"header {plen}, got {avail - HEADER_BYTES}",
+        )
+    if avail < size:
+        return None  # torn frame: payload still in flight
+    payload = bytes(buffer[offset + HEADER_BYTES:offset + size])
+    if crc32(payload) != crc:
+        raise FrameError(
+            "payload checksum mismatch", f"frame {src}->{dst} req={req_id}"
+        )
+    try:
+        mkind = _KIND_OF[kind]
+    except KeyError:
+        raise FrameError("unknown message kind", str(kind)) from None
+    return Message(mkind, src, dst, req_id, payload), size

@@ -100,10 +100,12 @@ class MPIService:
         return self.send(msg)
 
     # ------------------------------------------------------------------ recv
-    def recv(self, match: Callable[[Message], bool]) -> Iterator:
+    def recv(
+        self, match: Optional[Callable[[Message], bool]] = None
+    ) -> Iterator:
         """Generator: blocks (yields ``('wait',)``) until a message matching
-        ``match`` has *arrived*; returns it after charging unmarshalling
-        cost."""
+        ``match`` (any message without one) has *arrived*; returns it after
+        charging unmarshalling cost."""
         while True:
             msg = self.node.take_matching(match)
             if msg is not None:
@@ -121,7 +123,7 @@ class MPIService:
             yield ("wait",)
 
     def recv_any(self) -> Iterator:
-        return self.recv(lambda m: True)
+        return self.recv()
 
     def iprobe(self, match: Callable[[Message], bool]) -> bool:
         """Non-blocking arrival check."""
@@ -130,9 +132,6 @@ class MPIService:
     # ------------------------------------------------------------------ helpers
     def reply_to(self, request: Message, payload: bytes) -> Message:
         return Message(
-            MessageKind.REPLY,
-            src=self.node.node_id,
-            dst=request.src,
-            req_id=request.req_id,
-            payload=payload,
+            MessageKind.REPLY, self.node.node_id, request.src,
+            request.req_id, payload,
         )

@@ -85,14 +85,8 @@ class MessageExchange:
         """Generator: send a request and wait for its reply, serving any
         incoming requests in the meantime (nested remote calls).  Each
         completed round-trip contributes one latency sample."""
-        t0 = self.node.now()
-        result = yield from self._request_inner(dst, kind, payload_obj)
-        self.latencies_s.append(self.node.now() - t0)
-        return result
-
-    def _request_inner(self, dst: int, kind: MessageKind,
-                       payload_obj) -> Iterator:
         node = self.node
+        t0 = node.now()
         if dst == node.node_id:
             raise RuntimeServiceError("request addressed to self")
         recovery = node.recovery
@@ -100,43 +94,47 @@ class MessageExchange:
             recovery.guard_outbound()
             yield from recovery.tick(serving=False)
         if dst in node.dead_peers:
-            if (
-                recovery is not None
-                and kind in _RECOVERABLE_KINDS
-                and recovery.can_recover(dst)
-            ):
-                result = yield from self._recover_request(dst, kind, payload_obj)
-                return result
-            raise PeerLost(
-                f"node {node.node_id} requested {kind.name} from node {dst}, "
-                f"which already failed"
-            )
-        req_id = node.mpi.next_req_id()
-        payload = encode_value(payload_obj, node.node_id, node.machine.heap)
-        msg = Message(kind, node.node_id, dst, req_id, payload)
-        if recovery is not None:
-            recovery.log_request(dst, req_id, kind, payload)
-        self.requests_sent += 1
-        try:
-            yield from node.mpi.send(msg)
-        except PeerLost:
-            # transport-level death notice (e.g. the process backend's pipe
-            # closed under the write): the frame never left this node, so it
-            # is safe to drop from the replay log and re-issue against the
-            # recovered state — same reasoning as the FAULT_NOTICE path below
-            node.dead_peers.add(dst)
-            if (
-                recovery is not None
-                and kind in _RECOVERABLE_KINDS
-                and recovery.can_recover(dst)
-            ):
+            if not self._can_reroute(dst, kind):
+                raise PeerLost(
+                    f"node {node.node_id} requested {kind.name} from node "
+                    f"{dst}, which already failed"
+                )
+            value = yield from self._recover_request(dst, kind, payload_obj)
+        else:
+            req_id = node.mpi.next_req_id()
+            payload = encode_value(payload_obj, node.node_id, node.machine.heap)
+            msg = Message(kind, node.node_id, dst, req_id, payload)
+            if recovery is not None:
+                recovery.log_request(dst, req_id, kind, payload)
+            self.requests_sent += 1
+            try:
+                yield from node.mpi.send(msg)
+            except PeerLost:
+                # transport-level death notice (e.g. the process backend's
+                # pipe closed under the write): the frame never left this
+                # node, so it is safe to drop from the replay log and
+                # re-issue against the recovered state — same reasoning as
+                # the FAULT_NOTICE path in _await_reply
+                node.dead_peers.add(dst)
+                if not self._can_reroute(dst, kind):
+                    raise
                 recovery.unlog_request(dst, req_id)
-                result = yield from self._recover_request(dst, kind, payload_obj)
-                return result
-            raise
+                value = yield from self._recover_request(dst, kind, payload_obj)
+            else:
+                value = yield from self._await_reply(
+                    req_id, dst, kind=kind, payload_obj=payload_obj
+                )
+        self.latencies_s.append(node.now() - t0)
+        return value
+
+    def _can_reroute(self, dead: int, kind: Optional[MessageKind]) -> bool:
+        """Whether a ``kind`` request to the dead peer can be satisfied by
+        its recovery home instead."""
+        recovery = self.node.recovery
         return (
-            yield from self._await_reply(req_id, dst, kind=kind,
-                                         payload_obj=payload_obj)
+            recovery is not None
+            and kind in _RECOVERABLE_KINDS
+            and recovery.can_recover(dead)
         )
 
     def post(self, dst: int, kind: MessageKind, payload_obj) -> Iterator:
@@ -226,23 +224,16 @@ class MessageExchange:
             if msg.kind is MessageKind.SHUTDOWN:
                 if msg.req_id == FAULT_NOTICE:
                     node.dead_peers.add(msg.src)
-                    if msg.src == dst:
-                        recovery = node.recovery
-                        if (
-                            recovery is not None
-                            and kind in _RECOVERABLE_KINDS
-                            and recovery.can_recover(dst)
-                        ):
-                            # the in-flight request died with the peer: it
-                            # was never applied (FIFO: its reply would have
-                            # preceded any checkpoint ack), so drop it from
-                            # the replay log and re-issue it against the
-                            # recovered state
-                            recovery.unlog_request(dst, req_id)
-                            result = yield from self._recover_request(
-                                dst, kind, payload_obj
-                            )
-                            return result
+                    if msg.src == dst and self._can_reroute(dst, kind):
+                        # the in-flight request died with the peer: it was
+                        # never applied (FIFO: its reply would have preceded
+                        # any checkpoint ack), so drop it from the replay
+                        # log and re-issue it against the recovered state
+                        node.recovery.unlog_request(dst, req_id)
+                        result = yield from self._recover_request(
+                            dst, kind, payload_obj
+                        )
+                        return result
                     if msg.src == dst or msg.src == node.main_partition:
                         raise PeerLost(
                             f"node {msg.src} died while node {node.node_id} "

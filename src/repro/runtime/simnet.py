@@ -106,14 +106,15 @@ class SimNode(BackendNode):
         return min(future) if future else None
 
     def take_matching(
-        self, match: Callable[[Message], bool]
+        self, match: Optional[Callable[[Message], bool]] = None
     ) -> Optional[Message]:
         """Pop the earliest message with arrival <= clock satisfying
         ``match`` (non-matching messages stay queued)."""
         eligible = [
             (arrival, seq)
             for arrival, seq, msg in self.inbox
-            if arrival <= self.clock + 1e-15 and match(msg)
+            if arrival <= self.clock + 1e-15
+            and (match is None or match(msg))
         ]
         if not eligible:
             return None

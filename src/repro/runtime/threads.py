@@ -2,10 +2,16 @@
 
 One OS thread per plan node drives that node's process generator through
 the node core.  The transport is the sender's own thread appending to the
-receiver's inbox (:meth:`BackendNode.intake`), so per-(src, dst) ordering
+receiver's inbox (:meth:`ThreadNode.intake`), so per-(src, dst) ordering
 is the sender's program order — the same guarantee the simulated network
 provides — and a blocked node sleeps on its inbox's condition variable
 until the next delivery.
+
+This is the only backend on which a thread other than the node's own
+touches its inbox, so the synchronisation lives here and not in the node
+core: :class:`ThreadNode` holds one lock around every inbox method it
+inherits and one condition on that lock for the waiter.  Every other
+backend runs the core's inbox bare.
 
 Clocks are wall clocks: a node's ``clock_s`` is the wall time its thread
 spent driving it, the makespan is the longest of those, and ``busy_s``
@@ -16,7 +22,7 @@ comparable across backends).
 from __future__ import annotations
 
 import threading
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.errors import RuntimeServiceError
 from repro.runtime.backend import (
@@ -31,8 +37,58 @@ from repro.runtime.backend import (
     register_backend,
     run_node,
 )
-from repro.runtime.cluster import ClusterSpec
+from repro.runtime.cluster import ClusterSpec, NodeSpec
 from repro.runtime.message import Message
+
+
+class ThreadNode(BackendNode):
+    """The node core with senders on other threads: the inbox methods run
+    under one lock, and deliveries wake the node through a condition on it.
+
+    ``_version`` counts deliveries and lost links; a scan that found
+    nothing records the version it saw, so :meth:`pump` only blocks while
+    nothing new happened since that scan — a frame that lands between the
+    scan and the wait is never slept through."""
+
+    def __init__(self, node_id: int, spec: NodeSpec, cluster_size: int) -> None:
+        super().__init__(node_id, spec, cluster_size)
+        self._delivered = threading.Condition(threading.Lock())
+        self._version = 0
+        self._seen = 0
+
+    def intake(self, msg: Message, arrival: float = 0.0) -> None:
+        with self._delivered:
+            super().intake(msg, arrival)
+            self._version += 1
+            self._delivered.notify_all()
+
+    def peer_gone(self, peer: int) -> None:
+        with self._delivered:
+            super().peer_gone(peer)
+            self._version += 1
+            self._delivered.notify_all()
+
+    def pump(self, timeout_s: float) -> bool:
+        """Senders push, so there is never anything to move: only wait."""
+        if not timeout_s:
+            return False
+        with self._delivered:
+            return self._delivered.wait_for(
+                lambda: self._version != self._seen, timeout_s
+            )
+
+    def take_matching(
+        self, match: Optional[Callable[[Message], bool]] = None
+    ) -> Optional[Message]:
+        with self._delivered:
+            msg = super().take_matching(match)
+            if msg is None:
+                self._seen = self._version
+            return msg
+
+    def iprobe(self, match: Callable[[Message], bool]) -> bool:
+        with self._delivered:
+            return super().iprobe(match)
 
 
 @register_backend
@@ -44,7 +100,7 @@ class ThreadBackend(RuntimeBackend, Transport):
     def __init__(self, spec: ClusterSpec) -> None:
         super().__init__(spec)
         self.nodes = [
-            BackendNode(i, ns, spec.size) for i, ns in enumerate(spec.nodes)
+            ThreadNode(i, ns, spec.size) for i, ns in enumerate(spec.nodes)
         ]
 
     # ---------------------------------------------------------------- transport

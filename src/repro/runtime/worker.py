@@ -92,7 +92,9 @@ class _Link:
 
 class StreamNode(BackendNode, Transport):
     """A worker's node and its transport in one: the node reads its own
-    links, so nothing else ever touches its inbox.
+    links, so nothing else ever touches its inbox — it runs the node core's
+    lock-free inbox as it is, and every frame still enters through
+    :meth:`~repro.runtime.backend.BackendNode.intake`.
 
     A backend builds the links and hands them over — :meth:`add_reader` /
     :meth:`add_writer` for the two ends of one-way pipes, :meth:`add_socket`
@@ -169,7 +171,7 @@ class StreamNode(BackendNode, Transport):
         events = self._poll.poll(timeout_s * 1e3)
         for fd, _ in events:
             self._ready(fd)
-        return bool(events) or not timeout_s
+        return bool(events)
 
     def _ready(self, fd: int) -> None:
         link = self._links.get(fd)
@@ -235,9 +237,10 @@ class StreamNode(BackendNode, Transport):
         return len(self.peers) + 1
 
     def post(self, src: int, dst: int, msg: Message) -> None:
-        self._send(dst, msg.serialize())
+        data = msg.serialize()
+        self._send(dst, data)
         self.msgs_sent += 1
-        self.bytes_sent += msg.size
+        self.bytes_sent += len(data)
 
     def broadcast(self, frames: Iterable[Message]) -> None:
         for frame in frames:

@@ -20,9 +20,10 @@ from repro.api import Experiment
 from repro.runtime import worker as worker_mod
 from repro.runtime.faults import FaultRecord
 
-#: shipped: 387 on both backends; the parent commit's process backend made
-#: 649 (a fresh selector built, filled and torn down per readiness wait)
-MAX_CALLS_PER_ROUND_TRIP = 430
+#: shipped: 286 on both backends.  Before the codec, the value stream and
+#: the inbox became one pass each: 375; before the polled stream transport:
+#: 649 on ``process`` (a selector built, filled and torn down per wait)
+MAX_CALLS_PER_ROUND_TRIP = 330
 
 _REAL_RUN = worker_mod.run_node
 
@@ -55,7 +56,8 @@ def _calls_per_round_trip(monkeypatch, backend):
     for p in profiles:
         for key, ncalls in p["by_name"].items():
             by_name[key] = by_name.get(key, 0) + ncalls
-    return sum(p["calls"] for p in profiles) / round_trips, by_name
+    per_round_trip = {key: n / round_trips for key, n in by_name.items()}
+    return sum(p["calls"] for p in profiles) / round_trips, per_round_trip
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,35 @@ def test_no_selector_is_built_per_request(cost, backend):
     assert "connection.py:wait" not in by_name
     assert "selectors.py:register" not in by_name
     assert by_name["worker.py:pump"] > 0
+
+
+@pytest.mark.parametrize("backend", ("process", "tcp"))
+def test_a_wake_up_costs_no_spare_poll(cost, backend):
+    """The client's side of a request is a miss on its first look, one
+    blocking poll, and a scan that does not poll again (it did: 4.1 per
+    round trip).  The server is usually preempted by the client it just
+    woke, so by the time it looks the next request is there: one poll."""
+    _, by_name = cost[backend]
+    assert by_name["~:<method 'poll' of 'select.poll' objects>"] <= 3.3
+
+
+@pytest.mark.parametrize("backend", ("process", "tcp"))
+def test_a_stream_worker_takes_no_lock(cost, backend):
+    """The node reads its own links: its inbox is the core's bare one."""
+    _, by_name = cost[backend]
+    assert not [
+        key for key in by_name
+        if "notify" in key or "_thread.lock" in key or "_thread.RLock" in key
+    ]
+
+
+@pytest.mark.parametrize("backend", ("process", "tcp"))
+def test_the_codec_is_one_pass(cost, backend):
+    """A frame's kind is a lookup, not ``MessageKind(value)``; the value
+    stream costs a call per list, not per value — 3 lists out and 3 in."""
+    _, by_name = cost[backend]
+    assert by_name.get("enum.py:__call__", 0) < 0.1
+    assert by_name["serial.py:_encode"] + by_name["serial.py:_decode"] <= 9
 
 
 def test_tcp_costs_what_process_costs(cost):

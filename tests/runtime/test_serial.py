@@ -1,5 +1,7 @@
 """Streamed message format tests: unit + hypothesis round trips."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,3 +124,67 @@ def test_property_ref_swizzling(oid, src, dst):
         assert isinstance(got, Ref) and got.oid == oid + 1
     else:
         assert isinstance(got, DependentRef) and got.node == src
+
+
+# ------------------------------------------------------------ cut streams
+#: what an RPC, a checkpoint ack and the worker's result hand-off carry
+CARGO = [17, 5, "deposit", [3, 57], DependentRef(1, 9, "ServiceBank"),
+         2.5, 1 << 40, None]
+
+refs = st.builds(
+    DependentRef,
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=1, max_value=30000),
+    st.text(max_size=12),
+)
+streamed = st.recursive(
+    st.one_of(mj_scalars, refs),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=20,
+)
+
+
+def assert_every_prefix_is_a_structured_error(data, node_id):
+    for cut in range(len(data)):
+        with pytest.raises(RuntimeServiceError, match="truncated stream"):
+            decode_value(data[:cut], node_id)
+
+
+def test_every_prefix_of_an_rpc_cargo_is_a_structured_error():
+    """81 proper prefixes; the codec this one replaced raised a bare
+    ``struct.error`` on 52 of them and *decoded* a string cut short."""
+    data = encode_value(CARGO, 0, Heap())
+    assert len(data) == 81
+    assert_every_prefix_is_a_structured_error(data, 0)
+    assert_every_prefix_is_a_structured_error(data, 1)  # the ref swizzles
+
+
+@given(streamed, st.integers(min_value=0, max_value=100))
+def test_property_every_prefix_is_a_structured_error(value, node_id):
+    assert_every_prefix_is_a_structured_error(
+        encode_value(value, 0, Heap()), node_id
+    )
+
+
+def test_list_count_beyond_the_stream_is_rejected_before_allocation():
+    """A corrupt count must not size a list: 4 G items would be 32 GiB."""
+    data = b"L" + struct.pack("<I", 0xFFFFFFFF) + b"N" * 64
+    with pytest.raises(RuntimeServiceError, match="truncated stream: list"):
+        decode_value(data, 0)
+    # the same one level down, behind a sound outer header
+    nested = b"L" + struct.pack("<I", 1) + data
+    with pytest.raises(RuntimeServiceError, match="truncated stream: list"):
+        decode_value(nested, 0)
+
+
+def test_string_length_beyond_the_stream_is_not_decoded():
+    data = encode_value("deposit", 0, Heap())
+    with pytest.raises(RuntimeServiceError, match="7-byte string"):
+        decode_value(data[:-4], 0)
+
+
+def test_damaged_string_bytes_are_a_structured_error():
+    data = bytearray(encode_value("ü", 0, Heap()))
+    data[-1] = 0xFF  # not a UTF-8 continuation byte
+    with pytest.raises(RuntimeServiceError, match="corrupt stream"):
+        decode_value(bytes(data), 0)

@@ -7,13 +7,18 @@ tests pin that down on every backend:
 
 * a hypothesis property that the simulated network keeps per-pair FIFO under
   randomized latency, bandwidth and message sizes;
-* the same property for the thread backend's locked queues;
+* the same property for the thread backend's locked queues, and — the
+  lock being that backend's own, around a node core that takes none —
+  concurrent senders against a draining node: exactly once, FIFO per
+  sender, no wake-up slept through;
 * the §async ablation invariant — async-write-then-sync-read reads its own
   writes — as an end-to-end MJ program on sim, thread and process backends.
 """
 
 import sys
 import pathlib
+import threading
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -104,6 +109,101 @@ def test_thread_backend_fifo_per_pair(sizes):
         got.append(m.req_id)
     assert got == list(range(1, len(sizes) + 1))
     assert backend.nodes[0].msgs_sent == len(sizes)
+
+
+def test_thread_node_concurrent_senders_exactly_once_and_fifo():
+    """Six threads post into node 0 at once while its own thread drains,
+    sleeping in ``wait`` whenever it finds nothing: every frame is taken
+    exactly once, in its sender's order, and a delivery that lands between
+    a failed scan and the wait is never slept through (the wait would time
+    out with the structured "blocked" error)."""
+    senders, per_sender = 6, 300
+    spec = ClusterSpec(
+        nodes=[NodeSpec(f"n{i}", 1e9) for i in range(senders + 1)],
+        link=ethernet_100m(),
+    )
+    backend = ThreadBackend(spec)
+    node = backend.nodes[0]
+    go = threading.Barrier(senders + 1)
+
+    def send(src):
+        go.wait(10.0)
+        for req in range(1, per_sender + 1):
+            backend.post(src, 0, Message(MessageKind.DEPENDENCE, src, 0, req))
+            if req % 2:
+                time.sleep(1e-4)  # let the node drain: it must wait, often
+
+    threads = [
+        threading.Thread(target=send, args=(src,), daemon=True)
+        for src in range(1, senders + 1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-method, not between
+    try:
+        for t in threads:
+            t.start()
+        go.wait(10.0)
+        got = []
+        while len(got) < senders * per_sender:
+            # two looks in three are selective first, so frames are also
+            # taken from the middle of the inbox while senders append to it
+            want = len(got) % 3
+            msg = (
+                node.take_matching(lambda m: m.src % 3 == want)
+                if want else None
+            )
+            if msg is None:
+                msg = node.take_matching()
+            if msg is None:
+                node.wait(10.0)
+            else:
+                got.append((msg.src, msg.req_id))
+        for t in threads:
+            t.join(10.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert node.take_matching() is None
+    assert len(set(got)) == len(got)
+    for src in range(1, senders + 1):
+        assert [req for s, req in got if s == src] == list(
+            range(1, per_sender + 1)
+        )
+        assert backend.nodes[src].msgs_sent == per_sender
+    assert node.msgs_received == senders * per_sender
+
+
+@pytest.mark.parametrize("wake", ("delivery", "peer_gone"))
+def test_thread_node_waiter_is_woken(wake):
+    """A node blocked in ``wait`` sleeps on its inbox's condition; a frame
+    from another thread and a lost link both wake it at once."""
+    spec = ClusterSpec(
+        nodes=[NodeSpec(f"n{i}", 1e9) for i in range(3)], link=ethernet_100m()
+    )
+    backend = ThreadBackend(spec)
+    node = backend.nodes[0]
+    assert node.take_matching() is None  # a failed scan: the wait may block
+    woken = []
+
+    def waiter():
+        t0 = time.monotonic()
+        node.wait(30.0)
+        woken.append(time.monotonic() - t0)
+
+    t = threading.Thread(target=waiter, daemon=True)
+    t.start()
+    time.sleep(0.05)
+    assert not woken, "nothing happened, yet the wait returned"
+    if wake == "delivery":
+        backend.post(1, 0, Message(MessageKind.REPLY, 1, 0, 7))
+    else:
+        node.peer_gone(2)
+    t.join(10.0)
+    assert not t.is_alive() and woken[0] < 10.0
+    if wake == "delivery":
+        assert node.take_matching().req_id == 7
+    else:
+        assert node.gone_peers == {2}
 
 
 # ------------------------------------------------- async ablation invariant
