@@ -59,10 +59,8 @@ class ResourceModel:
             out.add_edge(u, v, w)
         # battery additionally charges for communication: add incident edge
         # volume to the third component
-        vw = out.vwgts()
-        for u in range(out.num_nodes):
-            battery = vw[u][2] + 0.1 * out.degree(u)
-            out.set_weight(u, [vw[u][0], vw[u][1], battery])
+        for u, (memory, cpu, battery) in enumerate(out.vwgts()):
+            out.set_weight(u, [memory, cpu, battery + 0.1 * out.degree(u)])
         return out
 
 

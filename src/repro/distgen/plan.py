@@ -24,6 +24,7 @@ from repro.analysis.rta import rapid_type_analysis
 from repro.bytecode.model import BProgram
 from repro.distgen.classify import classify_dependent_crg, classify_dependent_odg
 from repro.errors import AnalysisError
+from repro.graph.wgraph import pairwise_sum
 from repro.partition.api import part_graph
 
 
@@ -91,7 +92,7 @@ def estimate_plan_cost(
     vw = graph.vwgts()
     cpu = 0.0
     for i in range(graph.num_nodes):
-        cpu += float(vw[i].sum()) / rel[parts[i]]
+        cpu += pairwise_sum(vw[i]) / rel[parts[i]]
     comm = 0.0
     for u, v, w in graph.edges():
         if parts[u] != parts[v]:
@@ -233,7 +234,7 @@ def build_plan(
                 i for i, node in enumerate(order) if node != main_node
             ]
             if movable and nparts > 1:
-                heavy = max(movable, key=lambda i: float(vw[i].sum()))
+                heavy = max(movable, key=lambda i: pairwise_sum(vw[i]))
                 home = fallback[heavy]
                 fallback[heavy] = (home + 1) % nparts
             best = (

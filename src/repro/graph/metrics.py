@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.errors import PartitionError
-from repro.graph.wgraph import WeightedGraph
+from repro.graph.wgraph import WeightedGraph, column_sums
 
 
 def edgecut(graph: WeightedGraph, parts: Sequence[int]) -> float:
@@ -21,30 +19,37 @@ def edgecut(graph: WeightedGraph, parts: Sequence[int]) -> float:
     return cut
 
 
-def part_weights(graph: WeightedGraph, parts: Sequence[int], nparts: int) -> np.ndarray:
-    """(nparts, ncon) matrix of per-partition weight sums."""
-    vw = graph.vwgts()
-    out = np.zeros((nparts, graph.ncon))
-    for i, p in enumerate(parts):
+def part_weights(
+    graph: WeightedGraph, parts: Sequence[int], nparts: int
+) -> List[List[float]]:
+    """``nparts`` rows of ``ncon`` per-partition weight sums."""
+    out = [[0.0] * graph.ncon for _ in range(nparts)]
+    for i, (p, row) in enumerate(zip(parts, graph.vwgts())):
         if not 0 <= p < nparts:
             raise PartitionError(f"node {i} assigned to invalid part {p}")
-        out[p] += vw[i]
+        acc = out[p]
+        for c, w in enumerate(row):
+            acc[c] += w
     return out
 
 
-def imbalance(graph: WeightedGraph, parts: Sequence[int], nparts: int) -> np.ndarray:
+def imbalance(graph: WeightedGraph, parts: Sequence[int], nparts: int) -> List[float]:
     """Per-constraint load imbalance: ``max_p w(p,c) / (total(c)/nparts)``.
 
     1.0 means perfectly balanced; Metis' conventional tolerance is ~1.03 for
     one constraint and looser for several.
     """
     weights = part_weights(graph, parts, nparts)
-    totals = weights.sum(axis=0)
-    ideal = np.where(totals > 0, totals / nparts, 1.0)
-    return weights.max(axis=0) / ideal
+    totals = column_sums(weights, graph.ncon)
+    return [
+        max(row[c] for row in weights) / (t / nparts if t > 0 else 1.0)
+        for c, t in enumerate(totals)
+    ]
 
 
 def is_balanced(
     graph: WeightedGraph, parts: Sequence[int], nparts: int, ubvec: Sequence[float]
 ) -> bool:
-    return bool(np.all(imbalance(graph, parts, nparts) <= np.asarray(ubvec)))
+    if len(ubvec) != graph.ncon:
+        raise PartitionError(f"ubvec needs {graph.ncon} entries, got {len(ubvec)}")
+    return all(x <= ub for x, ub in zip(imbalance(graph, parts, nparts), ubvec))

@@ -4,15 +4,65 @@ This is the input format of the partitioner (the Metis stand-in): vertex
 weights are ``ncon``-dimensional vectors — the paper models (memory, CPU,
 battery) resource vectors per object — and edge weights are scalar
 communication volumes.
+
+Weights are lists of floats, and every sum over them adds in the order
+``numpy.sum`` (pinned against numpy 2.4.6) adds the ``(n, ncon)`` array they
+used to be — a last-bit difference against a balance limit moves a vertex;
+``tests/graph/test_weight_sums_oracle.py`` holds the numpy expressions.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import PartitionError
+
+
+def pairwise_sum(a: Sequence[float], lo: int = 0, hi: Optional[int] = None) -> float:
+    """``a[lo:hi]`` summed as numpy sums a contiguous vector: left to right
+    below 8 elements, eight interleaved accumulators up to 128, halves
+    (rounded down to a multiple of 8) above.  Never builtin ``sum``, which
+    is compensated from Python 3.12 on."""
+    if hi is None:
+        hi = len(a)
+    n = hi - lo
+    if n < 8:
+        res = 0.0
+        for i in range(lo, hi):
+            res += a[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+        tail = hi - n % 8
+        for i in range(lo + 8, tail, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(tail, hi):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(a, lo, lo + half) + pairwise_sum(a, lo + half, hi)
+
+
+def column_sums(rows: Sequence[Sequence[float]], ncon: int) -> List[float]:
+    """Per-constraint totals of ``rows`` (numpy's ``sum(axis=0)``): a single
+    column is one contiguous vector and sums pairwise, several columns
+    accumulate row after row."""
+    if ncon == 1:
+        return [pairwise_sum([row[0] for row in rows])]
+    out = [0.0] * ncon
+    for row in rows:
+        for c, w in enumerate(row):
+            out[c] += w
+    return out
 
 
 class WeightedGraph:
@@ -22,7 +72,7 @@ class WeightedGraph:
         if ncon < 1:
             raise PartitionError("ncon must be >= 1")
         self.ncon = ncon
-        self._vwgts: List[Sequence[float]] = []
+        self._vwgts: List[List[float]] = []
         self.labels: List[Hashable] = []
         self._index: Dict[Hashable, int] = {}
         self.adj: List[Dict[int, float]] = []
@@ -44,7 +94,7 @@ class WeightedGraph:
             )
         self._index[label] = idx
         self.labels.append(label)
-        self._vwgts.append(list(weights))
+        self._vwgts.append([float(w) for w in weights])
         self.adj.append({})
         return idx
 
@@ -70,7 +120,7 @@ class WeightedGraph:
     def set_weight(self, u: int, weights: Sequence[float]) -> None:
         if len(weights) != self.ncon:
             raise PartitionError("bad weight vector length")
-        self._vwgts[u] = list(weights)
+        self._vwgts[u] = [float(w) for w in weights]
 
     # ------------------------------------------------------------------ views
     @property
@@ -81,11 +131,9 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
-    def vwgts(self) -> np.ndarray:
-        """(n, ncon) float array of vertex weights."""
-        if not self._vwgts:
-            return np.zeros((0, self.ncon))
-        return np.asarray(self._vwgts, dtype=float)
+    def vwgts(self) -> List[List[float]]:
+        """The n vertex weight vectors (``ncon`` floats each), as a copy."""
+        return [list(row) for row in self._vwgts]
 
     def edges(self) -> Iterable[Tuple[int, int, float]]:
         for u, nbrs in enumerate(self.adj):
@@ -96,8 +144,8 @@ class WeightedGraph:
     def degree(self, u: int) -> float:
         return sum(self.adj[u].values())
 
-    def total_weight(self) -> np.ndarray:
-        return self.vwgts().sum(axis=0)
+    def total_weight(self) -> List[float]:
+        return column_sums(self._vwgts, self.ncon)
 
     def neighbors(self, u: int) -> Dict[int, float]:
         return self.adj[u]

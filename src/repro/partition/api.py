@@ -14,14 +14,18 @@ Methods:
 * ``roundrobin`` — the "suboptimal naive partitioning" the paper's §7.2
   mentions (node *i* to partition ``i mod k``);
 * ``random``     — uniform random assignment.
+
+Every draw comes from :class:`repro.partition.rng.Stream`, the repo's own
+replica of ``numpy.random.default_rng(seed)`` (pinned against numpy 2.4.6),
+so a seed yields the ``parts`` it always did and the default path imports
+no third-party package; only ``spectral`` needs numpy (and scipy).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.api.registry import Registry
 from repro.errors import PartitionError
@@ -29,13 +33,14 @@ from repro.graph.metrics import edgecut, imbalance
 from repro.graph.wgraph import WeightedGraph
 from repro.partition.kl import kernighan_lin
 from repro.partition.multilevel import multilevel_bisect, recursive_kway
+from repro.partition.rng import Stream
 from repro.partition.spectral import spectral_bisect
 
 #: a partitioner takes (graph, nparts, rng, ubfactor, tpwgts) and returns the
 #: per-node partition vector; ``part_graph`` handles the degenerate cases
 #: (k == 1, empty graph, k >= n) before dispatching
 Partitioner = Callable[
-    [WeightedGraph, int, np.random.Generator, float, Optional[List[float]]],
+    [WeightedGraph, int, Stream, float, Optional[List[float]]],
     List[int],
 ]
 
@@ -165,10 +170,13 @@ class PartitionResult:
             )
         if graph.num_nodes:
             imb = imbalance(graph, self.parts, self.nparts)
-            stored = np.asarray(self.imbalance, dtype=float)
-            if stored.shape != imb.shape or not np.allclose(stored, imb):
+            # numpy.allclose's tolerances
+            if len(self.imbalance) != len(imb) or not all(
+                math.isclose(s, x, rel_tol=1e-5, abs_tol=1e-8)
+                for s, x in zip(self.imbalance, imb)
+            ):
                 raise PartitionError(
-                    f"stored imbalance {self.imbalance} != recomputed {list(imb)}"
+                    f"stored imbalance {self.imbalance} != recomputed {imb}"
                 )
 
 
@@ -190,7 +198,7 @@ def part_graph(
     if tpwgts is not None and len(tpwgts) != nparts:
         raise PartitionError("tpwgts length must equal nparts")
     n = graph.num_nodes
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
 
     if nparts == 1 or n == 0:
         parts: List[int] = [0] * n
@@ -207,5 +215,5 @@ def part_graph(
         nparts=nparts,
         method=method,
         edgecut=edgecut(graph, parts),
-        imbalance=list(imbalance(graph, parts, nparts)) if n else [],
+        imbalance=imbalance(graph, parts, nparts) if n else [],
     )

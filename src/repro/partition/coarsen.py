@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.graph.wgraph import WeightedGraph
+from repro.partition.rng import Stream
 
 
 def heavy_edge_matching(
-    graph: WeightedGraph, rng: np.random.Generator
+    graph: WeightedGraph, rng: Stream
 ) -> Tuple[WeightedGraph, List[int]]:
     """One coarsening step.  Returns (coarse_graph, fine_to_coarse_map)."""
     n = graph.num_nodes
@@ -44,12 +43,12 @@ def heavy_edge_matching(
         v = match[u]
         if v == u or v < u:
             continue  # handled from the lower endpoint
-        idx = coarse.add_node(None, (vw[u] + vw[v]).tolist())
+        idx = coarse.add_node(None, [a + b for a, b in zip(vw[u], vw[v])])
         coarse_of[u] = idx
         coarse_of[v] = idx
     for u in range(n):
         if coarse_of[u] == -1:  # self-matched
-            coarse_of[u] = coarse.add_node(None, vw[u].tolist())
+            coarse_of[u] = coarse.add_node(None, vw[u])
     for u, v, w in graph.edges():
         cu, cv = coarse_of[u], coarse_of[v]
         if cu != cv:
@@ -60,7 +59,7 @@ def heavy_edge_matching(
 def coarsen_to(
     graph: WeightedGraph,
     target_size: int,
-    rng: np.random.Generator,
+    rng: Stream,
     max_levels: int = 40,
 ) -> List[Tuple[WeightedGraph, List[int]]]:
     """Coarsen until at most ``target_size`` vertices (or shrinkage stalls).

@@ -12,11 +12,10 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-import numpy as np
-
 from repro.graph.metrics import edgecut
 from repro.graph.wgraph import WeightedGraph
 from repro.partition.refine import add_to, exceeds
+from repro.partition.rng import Stream
 
 
 def _reached(acc: List[float], target: List[float]) -> bool:
@@ -29,7 +28,7 @@ def _reached(acc: List[float], target: List[float]) -> bool:
 def grow_bisection(
     graph: WeightedGraph,
     frac: float,
-    rng: np.random.Generator,
+    rng: Stream,
     ntrials: int = 8,
 ) -> List[int]:
     """Bisect ``graph`` so part 0 holds ~``frac`` of total weight.  Returns
@@ -38,9 +37,8 @@ def grow_bisection(
     if n == 0:
         return []
     # plain floats in the array version's operation order (see fm_refine)
-    vw_arr = graph.vwgts()
-    vw = vw_arr.tolist()
-    target = [t * frac for t in vw_arr.sum(axis=0).tolist()]
+    vw = graph.vwgts()
+    target = [t * frac for t in graph.total_weight()]
     overshoot = [t * 1.6 + 1e-9 for t in target]
     adj = graph.adj
     best_parts: Optional[List[int]] = None

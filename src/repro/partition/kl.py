@@ -12,24 +12,23 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
-from repro.graph.wgraph import WeightedGraph
+from repro.graph.wgraph import WeightedGraph, pairwise_sum
+from repro.partition.rng import Stream
 
 
 def kernighan_lin(
     graph: WeightedGraph,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[Stream] = None,
     max_passes: int = 10,
 ) -> List[int]:
     n = graph.num_nodes
     if n == 0:
         return []
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     # initial balanced split by scalar weight
-    scalar = graph.vwgts().sum(axis=1)
+    scalar = [pairwise_sum(row) for row in graph.vwgts()]
     order = list(rng.permutation(n))
-    half = scalar.sum() / 2.0
+    half = pairwise_sum(scalar) / 2.0
     parts = [1] * n
     acc = 0.0
     for u in order:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.graph.wgraph import WeightedGraph
 from repro.partition.coarsen import coarsen_to
 from repro.partition.initial import grow_bisection
 from repro.partition.refine import fm_refine
+from repro.partition.rng import Stream
 
 COARSEN_TARGET = 64
 
@@ -33,9 +32,8 @@ def exhaustive_bisect(graph: WeightedGraph, frac: float, ub: float) -> List[int]
     when no assignment is feasible, minimize overload first."""
     n = graph.num_nodes
     # plain floats in the array version's operation order (see fm_refine)
-    vw_arr = graph.vwgts()
-    columns = list(zip(*vw_arr.tolist()))  # one weight tuple per constraint
-    total = vw_arr.sum(axis=0).tolist()
+    columns = list(zip(*graph.vwgts()))  # one weight tuple per constraint
+    total = graph.total_weight()
     caps = [
         ((t * frac + 1e-12) * ub, (t * (1.0 - frac) + 1e-12) * ub)
         for t in total
@@ -66,7 +64,7 @@ def exhaustive_bisect(graph: WeightedGraph, frac: float, ub: float) -> List[int]
 def multilevel_bisect(
     graph: WeightedGraph,
     frac: float,
-    rng: np.random.Generator,
+    rng: Stream,
     ub: float = 1.10,
 ) -> List[int]:
     """Bisect ``graph`` with ~``frac`` of the weight in part 0."""
@@ -95,7 +93,7 @@ def multilevel_bisect(
 def recursive_kway(
     graph: WeightedGraph,
     nparts: int,
-    rng: np.random.Generator,
+    rng: Stream,
     ub: float = 1.10,
     tpwgts: Optional[List[float]] = None,
 ) -> List[int]:

@@ -59,11 +59,9 @@ def fm_refine(
     if n == 0:
         return parts
     # Everything below is plain float arithmetic on lists, in the order the
-    # array version used, so every comparison and tie-break is unchanged;
-    # only the column totals keep numpy's summation.
-    vw_arr = graph.vwgts()
-    vw = vw_arr.tolist()
-    total = vw_arr.sum(axis=0).tolist()
+    # array version used, so every comparison and tie-break is unchanged.
+    vw = graph.vwgts()
+    total = graph.total_weight()
     limits = [
         [t * frac * ub + 1e-9 for t in total],
         [t * (1.0 - frac) * ub + 1e-9 for t in total],

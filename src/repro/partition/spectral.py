@@ -2,14 +2,14 @@
 
 Splits at the weighted median of the second-smallest eigenvector of the
 graph Laplacian.  Uses dense numpy for small graphs and
-``scipy.sparse.linalg.eigsh`` beyond that.
+``scipy.sparse.linalg.eigsh`` beyond that — the one module in ``src/`` that
+needs a third-party package, imported when a bisection is asked for, so
+that no other path pays for it.
 """
 
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.wgraph import WeightedGraph
@@ -17,10 +17,22 @@ from repro.graph.wgraph import WeightedGraph
 _DENSE_LIMIT = 600
 
 
-def fiedler_vector(graph: WeightedGraph) -> np.ndarray:
+def fiedler_vector(graph: WeightedGraph):
     n = graph.num_nodes
     if n < 2:
         raise PartitionError("spectral bisection needs >= 2 nodes")
+    try:
+        import numpy as np
+
+        if n > _DENSE_LIMIT:
+            import scipy.sparse as sp
+            import scipy.sparse.linalg as spla
+    except ImportError as exc:
+        raise PartitionError(
+            f"spectral needs numpy (and scipy above {_DENSE_LIMIT} vertices): "
+            f"cannot import {exc.name or exc}; every other partition method "
+            "runs without them"
+        ) from None
     if n <= _DENSE_LIMIT:
         lap = np.zeros((n, n))
         for u, v, w in graph.edges():
@@ -30,9 +42,6 @@ def fiedler_vector(graph: WeightedGraph) -> np.ndarray:
             lap[v, v] += w
         vals, vecs = np.linalg.eigh(lap)
         return vecs[:, 1]
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     rows, cols, data = [], [], []
     deg = np.zeros(n)
     for u, v, w in graph.edges():
@@ -53,7 +62,9 @@ def fiedler_vector(graph: WeightedGraph) -> np.ndarray:
 def spectral_bisect(graph: WeightedGraph) -> List[int]:
     """0/1 bisection at the weight-balanced median of the Fiedler vector."""
     fiedler = fiedler_vector(graph)
-    scalar = graph.vwgts().sum(axis=1)
+    import numpy as np  # fiedler_vector found it
+
+    scalar = np.asarray(graph.vwgts()).sum(axis=1)
     order = np.argsort(fiedler)
     half = scalar.sum() / 2.0
     parts = [1] * graph.num_nodes

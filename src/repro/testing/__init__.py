@@ -17,76 +17,26 @@ Four layers, composable from tests, the :class:`~repro.api.Experiment` API
   test (``repro fuzz --replay tests/corpus``).
 """
 
-from repro.testing.seeds import (  # noqa: F401
-    DEFAULT_SEED,
-    ENV_VAR,
-    base_seed,
-    derive_seed,
-)
-from repro.testing.genprog import (  # noqa: F401
-    ARRAY_LEN,
-    GenConfig,
-    ProgramSpec,
-    generate_program,
-    generate_source,
-    shrink_program,
-)
-from repro.testing.genworld import (  # noqa: F401
-    SPEED_PALETTE,
-    WorldSpec,
-    degenerate_worlds,
-    generate_world,
-)
-from repro.testing.oracle import (  # noqa: F401
-    ConformanceOutcome,
-    ConformanceReport,
-    CounterExample,
-    Divergence,
-    Scenario,
-    check_experiment,
-    check_scenario,
-    minimize_scenario,
-    observe_vm,
-    run_fuzz,
-    temp_workload,
-)
-from repro.testing.corpus import (  # noqa: F401
-    CorpusEntry,
-    entry_from_counterexample,
-    entry_from_outcome,
-    load_corpus,
-    replay_entry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARRAY_LEN",
-    "ConformanceOutcome",
-    "ConformanceReport",
-    "CorpusEntry",
-    "CounterExample",
-    "DEFAULT_SEED",
-    "Divergence",
-    "ENV_VAR",
-    "GenConfig",
-    "ProgramSpec",
-    "Scenario",
-    "SPEED_PALETTE",
-    "WorldSpec",
-    "base_seed",
-    "check_experiment",
-    "check_scenario",
-    "degenerate_worlds",
-    "derive_seed",
-    "entry_from_counterexample",
-    "entry_from_outcome",
-    "generate_program",
-    "generate_source",
-    "generate_world",
-    "load_corpus",
-    "minimize_scenario",
-    "observe_vm",
-    "replay_entry",
-    "run_fuzz",
-    "shrink_program",
-    "temp_workload",
-]
+# resolved on first use: ``genprog`` and ``seeds`` are imported by benchmarks
+# and workloads that never run the oracle, the world generator or the corpus
+__getattr__, __all__ = lazy_exports(__name__, {
+    "seeds": ("DEFAULT_SEED", "ENV_VAR", "base_seed", "derive_seed"),
+    "genprog": (
+        "ARRAY_LEN", "GenConfig", "ProgramSpec", "generate_program",
+        "generate_source", "shrink_program",
+    ),
+    "genworld": (
+        "SPEED_PALETTE", "WorldSpec", "degenerate_worlds", "generate_world",
+    ),
+    "oracle": (
+        "ConformanceOutcome", "ConformanceReport", "CounterExample",
+        "Divergence", "Scenario", "check_experiment", "check_scenario",
+        "minimize_scenario", "observe_vm", "run_fuzz", "temp_workload",
+    ),
+    "corpus": (
+        "CorpusEntry", "entry_from_counterexample", "entry_from_outcome",
+        "load_corpus", "replay_entry",
+    ),
+})

@@ -111,5 +111,4 @@ def test_apply_produces_ncon_graph():
     assert weighted.ncon == NCON
     assert weighted.num_nodes == graph.num_nodes
     assert weighted.num_edges == graph.num_edges
-    vw = weighted.vwgts()
-    assert (vw > 0).all()
+    assert all(w > 0 for row in weighted.vwgts() for w in row)

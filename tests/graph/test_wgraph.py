@@ -66,7 +66,7 @@ def test_weight_vector_length_checked():
 def test_vwgts_matrix():
     g = small_graph()
     vw = g.vwgts()
-    assert vw.shape == (4, 2)
+    assert np.shape(vw) == (4, 2)
     assert vw[2][1] == 2.0
     assert np.allclose(g.total_weight(), [4.0, 6.0])
 

@@ -72,3 +72,21 @@ def scaling_source(n_classes: int) -> str:
     return generate_source(
         GenConfig(seed=0, n_classes=n_classes, n_methods=6, max_stmts=8)
     )
+
+
+def run_python(script: str, *argv: str, blocked=()):
+    """Run ``script`` in a fresh interpreter that imports what this one does
+    (same ``sys.path``), with the ``blocked`` packages made unimportable the
+    way a machine without them sees it: ``import numpy`` raises
+    ``ModuleNotFoundError``.  Returns the ``CompletedProcess`` (text mode)."""
+    import subprocess
+    import sys
+
+    prelude = (
+        f"import sys; sys.path[:0] = {[p for p in sys.path if p]!r}\n"
+        f"sys.modules.update(dict.fromkeys({tuple(blocked)!r}))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", prelude + script, *argv],
+        capture_output=True, text=True, timeout=300,
+    )

@@ -2,7 +2,10 @@
 before they were rewritten on plain floats, kept verbatim as the oracle of
 ``test_kernel_oracle.py``: one ``np.any`` / ``np.all`` / ``np.max`` per
 vertex per step, same decisions.  ``reference_kernels()`` swaps them into
-``repro.partition.multilevel`` so that ``part_graph`` runs on them.
+``repro.partition.multilevel`` so that ``part_graph`` runs on them — and on
+what they ran on then: weights as an ``(n, ncon)`` array summed by numpy, and
+draws from a real ``numpy.random.default_rng`` instead of the repo's own
+``partition.rng.Stream``.  numpy lives on this side of the comparison only.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ import numpy as np
 
 from repro.graph.metrics import edgecut
 from repro.graph.wgraph import WeightedGraph
-from repro.partition import multilevel
+from repro.partition import api, multilevel
+
+
+def _vwgts(graph: WeightedGraph) -> np.ndarray:
+    """``WeightedGraph.vwgts()`` as it was: an (n, ncon) float array."""
+    return np.asarray(graph.vwgts(), dtype=float).reshape(-1, graph.ncon)
 
 
 def _gains(graph: WeightedGraph, parts: Sequence[int]) -> List[float]:
@@ -42,7 +50,7 @@ def fm_refine(
     n = graph.num_nodes
     if n == 0:
         return parts
-    vw = graph.vwgts()
+    vw = _vwgts(graph)
     total = vw.sum(axis=0)
     targets = np.array([total * frac, total * (1.0 - frac)])  # per side
     limits = targets * ub + 1e-9
@@ -121,7 +129,7 @@ def grow_bisection(
     n = graph.num_nodes
     if n == 0:
         return []
-    vw = graph.vwgts()
+    vw = _vwgts(graph)
     total = vw.sum(axis=0)
     target = total * frac
     best_parts: Optional[List[int]] = None
@@ -179,7 +187,7 @@ def exhaustive_bisect(graph: WeightedGraph, frac: float, ub: float) -> List[int]
     sides staying within ``ub`` × their target weights (per constraint);
     when no assignment is feasible, minimize overload first."""
     n = graph.num_nodes
-    vw = graph.vwgts()
+    vw = _vwgts(graph)
     total = vw.sum(axis=0)
     targets = np.array([total * frac, total * (1.0 - frac)]) + 1e-12
     edges = list(graph.edges())
@@ -210,9 +218,11 @@ def reference_kernels():
     multilevel.fm_refine = fm_refine
     multilevel.grow_bisection = grow_bisection
     multilevel.exhaustive_bisect = exhaustive_bisect
+    shipped_stream, api.Stream = api.Stream, np.random.default_rng
     try:
         yield
     finally:
+        api.Stream = shipped_stream
         (
             multilevel.fm_refine, multilevel.grow_bisection,
             multilevel.exhaustive_bisect,

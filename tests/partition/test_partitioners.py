@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_python
+
 from repro.errors import PartitionError
 from repro.graph.metrics import edgecut, imbalance
 from repro.graph.wgraph import WeightedGraph
@@ -117,6 +119,34 @@ def test_spectral_finds_bridge_cut():
     assert edgecut(g, parts) == 1.0
 
 
+_SPECTRAL_ON_A_RING = """
+from repro.errors import PartitionError
+from repro.graph.wgraph import WeightedGraph
+from repro.partition import part_graph
+n = int(sys.argv[1])
+ring = WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+assert len(set(part_graph(ring, 2, method="multilevel").parts)) == 2
+try:
+    part_graph(ring, 2, method="spectral")
+except PartitionError as exc:
+    print(f"PartitionError: {exc}")
+"""
+
+
+@pytest.mark.parametrize("missing, n", [("numpy", 20), ("scipy", 700)])
+def test_spectral_without_its_libraries_is_a_partition_error(missing, n):
+    """The one method with third-party needs says so in a ``ReproError`` (one
+    line and exit 2 on the CLI), not in a bare ``ModuleNotFoundError`` — on
+    the dense path without numpy, above ``_DENSE_LIMIT`` without scipy."""
+    done = run_python(_SPECTRAL_ON_A_RING, str(n), blocked=[missing])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(
+        "PartitionError: spectral needs numpy (and scipy above 600 vertices)"
+    ), done.stdout
+    assert f"cannot import {missing}" in done.stdout
+    assert len(done.stdout.splitlines()) == 1
+
+
 def test_multilevel_beats_random_on_structure():
     g = random_graph(80, seed=11, p=0.1)
     ml = part_graph(g, 2, method="multilevel")
@@ -130,7 +160,7 @@ def test_exhaustive_is_optimal_on_tiny_graphs():
     best = edgecut(g, parts)
     # brute force verification
     n = g.num_nodes
-    vw = g.vwgts()
+    vw = np.asarray(g.vwgts())
     total = vw.sum(axis=0)
     for mask in range(1, (1 << n) - 1):
         cand = [(mask >> i) & 1 for i in range(n)]
@@ -157,7 +187,7 @@ def test_multiconstraint_balance():
 def test_tpwgts_skews_partition_sizes():
     g = random_graph(60, seed=23, p=0.15)
     result = part_graph(g, 2, tpwgts=[0.75, 0.25], ubfactor=1.3)
-    vw = g.vwgts()
+    vw = np.asarray(g.vwgts())
     w0 = sum(vw[i][0] for i in range(60) if result.parts[i] == 0)
     total = float(vw.sum())
     assert w0 / total > 0.55  # clearly skewed toward the 0.75 target

@@ -92,7 +92,7 @@ def test_multilevel_tolerance_weighted_feasible(seed):
     n = 10
     g = random_graph(n, seed, p=0.5)
     ub = 1.3
-    vw = g.vwgts()[:, 0]
+    vw = np.asarray(g.vwgts())[:, 0]
     total = float(vw.sum())
     limit = ub * total / 2.0
     feasible = any(
