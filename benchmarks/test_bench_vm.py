@@ -11,7 +11,7 @@ acceptance criteria that are deterministic on any machine:
 * the threaded-code fast path is genuinely faster than the per-step
   reference oracle (a loose wall-clock floor, safe on noisy CI: the
   committed ``BENCH_vm.json`` records the precise >= 3x measurement);
-* the compiled tier (superinstructions + trace-compiled hot blocks) is
+* the compiled tier (threaded handlers + trace-compiled hot runs) is
   genuinely faster again than the fast path (same loose floor; the
   committed baseline records the precise >= 3x compiled-vs-fast ratio);
 * the fresh run passes the committed baseline's regression gate.

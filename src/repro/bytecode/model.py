@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CompileError
 from repro.bytecode import opcodes as op
+from repro.lang.symbols import DEPENDENT_OBJECT
 from repro.lang.types import VOID, Type
 
 
@@ -65,6 +66,28 @@ class Instr:
         return f"{self.op}({ops})" if ops else self.op
 
 
+def stack_effect(ins: Instr, table) -> Tuple[int, int]:
+    """``(pops, pushes)`` of one instruction: :data:`opcodes.STACK_EFFECT`,
+    plus the two cases that read operands — ``PACK`` and the invokes, whose
+    callee ``table`` (a :class:`~repro.lang.symbols.ClassTable`) resolves."""
+    o = ins.op
+    try:
+        return op.STACK_EFFECT[o]
+    except KeyError:
+        pass
+    if o == op.PACK:
+        return (ins.a, 1)
+    if o not in op.INVOKES:
+        raise CompileError(f"no stack effect for {o}")
+    if ins.a == DEPENDENT_OBJECT and ins.b == "create":
+        return (ins.c, 1)  # static factory
+    mi = table.resolve_method(ins.a, ins.b)
+    if mi is None:
+        raise CompileError(f"cannot resolve {ins.a}.{ins.b}")
+    pops = ins.c + (0 if o == op.INVOKESTATIC else 1)
+    return (pops, 0 if mi.is_ctor or mi.ret is VOID else 1)
+
+
 def basic_block_leaders(instrs: List[Instr]) -> Tuple[int, ...]:
     """Basic-block leader indices of flattened code: entry, every branch
     target, and every instruction following a branch, invoke or return.
@@ -106,7 +129,7 @@ class FlatCode:
         #: of the handler table)
         self.threaded = None
         #: compiled-tier plan built lazily by :mod:`repro.vm.jit`: per-index
-        #: either a fused Run (at run starts) or the plain threaded pair
+        #: a Run (at run starts), a CallSite, or the plain threaded pair
         self.fused = None
 
     @property

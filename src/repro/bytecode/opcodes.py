@@ -146,6 +146,31 @@ COST: Dict[str, int] = {
 }
 
 
+#: ``(pops, pushes)`` of every opcode whose stack effect does not depend on
+#: its operands — all but ``PACK`` (pops ``ins.a`` values) and the invokes
+#: (arity and voidness of the callee), which
+#: :func:`repro.bytecode.model.stack_effect` adds
+STACK_EFFECT: Dict[str, Tuple[int, int]] = {
+    **dict.fromkeys({LDC, ACONST_NULL, NEW, GETSTATIC} | LOADS, (0, 1)),
+    **dict.fromkeys(
+        {POP, PUTSTATIC, IFTRUE, IFFALSE} | STORES | (RETURNS - {RETURN}),
+        (1, 0),
+    ),
+    **dict.fromkeys(
+        {NEWARRAY, ARRAYLENGTH, CHECKCAST, INSTANCEOF, GETFIELD}
+        | NEGOPS | CONVERSIONS,
+        (1, 1),
+    ),
+    **dict.fromkeys({XALOAD} | BINOPS, (2, 1)),
+    **dict.fromkeys({PUTFIELD} | CMP_BRANCHES, (2, 0)),
+    DUP: (1, 2),
+    SWAP: (2, 2),
+    XASTORE: (3, 0),
+    GOTO: (0, 0),
+    RETURN: (0, 0),
+}
+
+
 def cost_of(op: str) -> int:
     """Abstract cycle cost of one opcode (see module docstring).
 

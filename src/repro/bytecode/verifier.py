@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, BProgram
+from repro.bytecode.model import BMethod, BProgram, stack_effect
 from repro.errors import ReproError
 
 
@@ -34,8 +34,6 @@ def verify_method(method: BMethod, table) -> int:
     * every path ends in a return instruction;
     * value-returning methods end with the matching typed return.
     """
-    from repro.quad.builder import stack_effect
-
     flat = method.flat()
     n = len(flat)
     if n == 0:

@@ -41,6 +41,13 @@ from typing import List, Optional
 from repro.workloads import WORKLOADS
 
 
+_VM_ENGINE_HELP = (
+    "force the VM execution tier on every machine: reference (per-step "
+    "oracle), fast (threaded handlers) or compiled (threaded handlers + "
+    "traced hot runs); default = ambient REPRO_VM_ENGINE, else compiled"
+)
+
+
 def _experiment(args: argparse.Namespace, backend: str):
     from repro.api import Experiment
 
@@ -391,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vm-engine", default="default", metavar="TIER",
                    choices=("default", "reference", "fast", "compiled"),
-                   help="force the VM execution tier on every machine "
-                   "(default = ambient REPRO_VM_ENGINE)")
+                   help=_VM_ENGINE_HELP)
     p.add_argument("--json", action="store_true",
                    help="emit the structured Report as JSON on stdout "
                    "(seq runs report distributed_s: null)")
@@ -442,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vm-engine", default="default", metavar="TIER",
                    choices=("default", "reference", "fast", "compiled"),
-                   help="force the VM execution tier on every machine "
-                   "(default = ambient REPRO_VM_ENGINE)")
+                   help=_VM_ENGINE_HELP)
     p.add_argument("--json", action="store_true",
                    help="emit the structured Report as JSON on stdout")
     p.set_defaults(fn=_cmd_distribute)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, BProgram, Instr
+from repro.bytecode.model import BMethod, BProgram, Instr, stack_effect
 from repro.errors import CompileError, SemanticError
 from repro.lang.symbols import (
     DEPENDENT_OBJECT,
@@ -43,7 +43,6 @@ from repro.lang.symbols import (
 )
 from repro.lang.types import VOID, ClassType
 from repro.distgen.plan import DistributionPlan
-from repro.quad.builder import stack_effect
 
 #: the accesses that go remote when their receiver's class is dependent
 _ACCESS_OPS = frozenset({op.INVOKEVIRTUAL, op.GETFIELD, op.PUTFIELD})

@@ -4,7 +4,7 @@ Measures, per JGF workload:
 
 * **interpreter throughput** — instructions/sec of a full sequential run
   on each execution tier (``reference`` per-step oracle, ``fast``
-  cost-batched threaded code, ``compiled`` superinstruction + trace-JIT),
+  cost-batched threaded code, ``compiled`` threaded code + traced hot runs),
   with the hardware-independent ratios ``speedup`` (fast vs reference)
   and ``compiled_vs_fast``;
 * **simulator event counts** — discrete-event scheduler events of a 2-node

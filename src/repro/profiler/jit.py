@@ -1,7 +1,7 @@
 """Compiled-tier hotness observability (the JIT's answer to Table 3).
 
 Unlike the §6 profilers, this surface costs nothing at run time: the
-counters already exist — every fused :class:`~repro.vm.jit.Run` counts its
+counters already exist — every :class:`~repro.vm.jit.Run` counts its
 executions on the way to the promotion threshold, and the machine keeps
 engine-level totals (:meth:`~repro.vm.interpreter.Machine.jit_stats`).
 ``jit_profile`` merely reads them back after a run, so attaching it never
@@ -38,7 +38,7 @@ def hot_blocks(program, limit: int = 0) -> List[Dict[str, object]]:
     """Per-run hotness counters across every method of ``program``,
     hottest first.  Each entry carries the method label, the run's
     ``[start, end)`` pc window, its execution count, and how far up the
-    tier ladder it got (``fused`` -> ``compiled`` -> ``region``).
+    tier ladder it got (``cold`` -> ``compiled`` -> ``region``).
 
     Only methods whose flat code was actually materialized are inspected —
     asking for the profile never forces compilation of cold methods.
@@ -50,11 +50,9 @@ def hot_blocks(program, limit: int = 0) -> List[Dict[str, object]]:
         if flat is None or flat.fused is None:
             continue
         for run in plan_runs(flat):
-            tier = "fused"
-            if run.region:
-                tier = "region"
-            elif run.compiled:
-                tier = "compiled"
+            tier = "cold"
+            if run.fn is not None:
+                tier = "region" if run.region else "compiled"
             rows.append({
                 "method": label,
                 "start": run.start,
@@ -68,8 +66,8 @@ def hot_blocks(program, limit: int = 0) -> List[Dict[str, object]]:
 
 def jit_profile(machine, k: int = 10) -> ProfileReport:
     """A :class:`~repro.profiler.report.ProfileReport` of the machine's
-    compiled-tier activity: engine totals (superinstruction/compiled steps
-    and cycles, promotions, deopts) plus the ``k`` hottest runs."""
+    compiled-tier activity: engine totals (compiled steps and cycles,
+    promotions, deopts) plus the ``k`` hottest runs."""
     data: Dict[str, object] = dict(machine.jit_stats())
     blocks = hot_blocks(machine.program, limit=k)
     data["hot_blocks"] = {

@@ -12,11 +12,11 @@ Figure 5 listing shows ``IFCMP_I IConst: 4, IConst: 2, LE, BB4`` for
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import CompileError
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, Instr
+from repro.bytecode.model import BMethod, Instr, stack_effect
 from repro.lang.symbols import ClassTable, DEPENDENT_OBJECT
 from repro.lang.types import BOOLEAN, FLOAT, INT, LONG, VOID, Type
 from repro.quad.quads import BasicBlock, Const, Quad, QuadMethod, Reg
@@ -46,49 +46,6 @@ def _invoke_ret_char(table: ClassTable, ins: Instr) -> str:
     if mi.is_ctor:
         return "V"
     return _tychar(mi.ret)
-
-
-def stack_effect(ins: Instr, table: ClassTable) -> Tuple[int, int]:
-    """(pops, pushes) of one instruction."""
-    o = ins.op
-    if o in (op.LDC, op.ACONST_NULL, op.NEW, op.GETSTATIC) or o in op.LOADS:
-        return (0, 1)
-    if o in op.STORES or o in (op.POP, op.PUTSTATIC, op.IFTRUE, op.IFFALSE):
-        return (1, 0)
-    if o == op.DUP:
-        return (1, 2)
-    if o == op.SWAP:
-        return (2, 2)
-    if o in op.BINOPS:
-        return (2, 1)
-    if o in op.NEGOPS or o in op.CONVERSIONS or o in (
-        op.NEWARRAY,
-        op.ARRAYLENGTH,
-        op.CHECKCAST,
-        op.INSTANCEOF,
-        op.GETFIELD,
-    ):
-        return (1, 1)
-    if o in op.CMP_BRANCHES or o == op.PUTFIELD:
-        return (2, 0)
-    if o == op.GOTO or o == op.RETURN:
-        return (0, 0)
-    if o in op.RETURNS:
-        return (1, 0)
-    if o == op.XALOAD:
-        return (2, 1)
-    if o == op.XASTORE:
-        return (3, 0)
-    if o == op.PACK:
-        return (ins.a, 1)
-    if o in op.INVOKES:
-        nargs = ins.c
-        pops = nargs + (0 if o == op.INVOKESTATIC else 1)
-        if ins.a == DEPENDENT_OBJECT and ins.b == "create":
-            pops = nargs  # static factory
-        pushes = 0 if _invoke_ret_char(table, ins) == "V" else 1
-        return (pops, pushes)
-    raise CompileError(f"no stack effect for {o}")
 
 
 _QUAD_BASE = {

@@ -1,9 +1,12 @@
-"""Threaded-code dispatch for the fast interpreter path.
+"""Threaded-code dispatch: the handlers under both block engines.
 
 One handler function per opcode, stored in :data:`HANDLERS` — a dense list
-indexed by the interned opcode (``Instr.opx``).  The block engine
-(:meth:`repro.vm.interpreter.Machine.run_block`) executes
-``HANDLERS[ins.opx](machine, frame, ins)`` in a tight loop instead of
+indexed by the interned opcode (``Instr.opx``).  :func:`threaded` pairs
+every instruction of a method with its handler once; the ``fast`` engine
+(:meth:`repro.vm.interpreter.Machine.run_block`) and the ``compiled``
+engine below its hotness threshold and after every deopt
+(:func:`repro.vm.jit.run_block_compiled`) execute
+``handler(machine, frame, ins)`` from that list in a tight loop instead of
 walking :meth:`Machine._execute`'s string-keyed if/elif chain, and the
 string-keyed ``_CMP`` / ``_INT_BIN`` tables are folded away: arithmetic
 opcodes get their own handlers and compare-branches carry their resolved
@@ -498,6 +501,20 @@ _BY_NAME = {
 HANDLERS: List[Callable] = [
     _BY_NAME.get(name, _unknown) for name in op.OPCODE_LIST
 ]
+
+
+def threaded(flat):
+    """Threaded form of one method's flat code: ``[(handler, instr), ...]``,
+    built once per :class:`~repro.bytecode.model.FlatCode` on first
+    execution and cached on it — the per-program direct-handler lists of
+    classic threaded-code dispatch.  ``run_block`` executes nothing else;
+    the compiled tier executes it wherever no trace applies (cold runs,
+    the instruction a guard deopted at, everything untraceable)."""
+    code = flat.threaded
+    if code is None:
+        code = flat.threaded = [(HANDLERS[i.opx], i) for i in flat.instrs]
+    return code
+
 
 #: the shared invoke handler, re-exported so the block engine can detect
 #: call dispatch cheaply (identity check) and publish the in-flight block

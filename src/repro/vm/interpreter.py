@@ -1,20 +1,24 @@
 """The steppable MJ bytecode interpreter.
 
-:class:`Machine` has two execution engines over one instruction set:
+:class:`Machine` has three execution engines over one instruction set
+(:data:`ENGINES`), one oracle and two block engines:
 
-* the **fast path** — :meth:`Machine.run_block` executes instructions in a
-  tight threaded-code loop (:data:`repro.vm.dispatch.HANDLERS`, indexed by
-  the interned opcode ``Instr.opx``), accumulating precomputed ``Instr.cost``
+* ``reference`` — :meth:`Machine.step` executes one instruction per call
+  through the original if/elif chain and reports its cost individually.
+  It is the oracle the differential suite checks the block engines
+  against, and it is used automatically whenever a profiler is attached
+  (per-step ``on_step`` hooks need per-step control);
+* ``fast`` — :meth:`Machine.run_block` executes instructions in a tight
+  threaded-code loop (:func:`repro.vm.dispatch.threaded`: one resolved
+  handler per instruction), accumulating precomputed ``Instr.cost``
   cycles locally and surfacing **one** ``('cost', N)`` event per run of
   instructions between syscall/communication boundaries;
-* the **slow reference path** — :meth:`Machine.step` executes one
-  instruction per call through the original if/elif chain and reports its
-  cost individually.  It is the oracle the differential suite checks the
-  fast path against, and it is used automatically whenever a profiler is
-  attached (per-step ``on_step`` hooks need per-step control) or when the
-  ``reference`` tier is selected (:data:`VM_ENGINE`).
+* ``compiled`` (the default) — :func:`repro.vm.jit.run_block_compiled`:
+  the same handlers and the same batching, plus trace-compiled closures
+  for the runs that get hot and inline-cached calls between bytecode
+  frames.
 
-Both engines emit the same totals: identical ``cycles``, ``steps``,
+All engines emit the same totals: identical ``cycles``, ``steps``,
 ``result``, ``stdout`` and syscall boundaries — only the granularity of
 ``('cost', n)`` events differs.  Cost flows to the caller as events from
 :meth:`Machine.run_gen` / :meth:`Machine.drive`; the driver (sequential
@@ -30,12 +34,12 @@ import os
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import VMError
+from repro.errors import ConfigError, VMError
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BMethod, Instr
 from repro.lang.symbols import DEPENDENT_OBJECT
 from repro.lang.types import VOID
-from repro.vm.dispatch import FRAME_SWITCH, HANDLERS, INVOKE_HANDLER
+from repro.vm.dispatch import FRAME_SWITCH, INVOKE_HANDLER, threaded
 from repro.vm.frame import Frame
 from repro.vm.heap import Heap
 from repro.vm.natives import find_native
@@ -46,13 +50,24 @@ from repro.vm.values import (
 #: the three execution tiers :meth:`Machine.drive` can select
 ENGINES = ("reference", "fast", "compiled")
 
+
+def _engine_from_env() -> str:
+    name = os.environ.get("REPRO_VM_ENGINE", "") or "compiled"
+    if name not in ENGINES:
+        raise ConfigError(
+            f"REPRO_VM_ENGINE={name!r}: unknown VM engine "
+            f"(choose from {', '.join(ENGINES)})"
+        )
+    return name
+
+
 #: the tier in use: ``"reference"`` (per-step if/elif chain — the oracle
 #: the differential suite compares the block engines against), ``"fast"``
-#: (threaded-code ``run_block``) or ``"compiled"`` (superinstruction fusion
-#: + trace-compiled hot blocks, :mod:`repro.vm.jit`).  Set via
+#: (threaded-code ``run_block``) or ``"compiled"`` (threaded handlers +
+#: trace-compiled hot runs, :mod:`repro.vm.jit`).  Set via
 #: ``REPRO_VM_ENGINE`` or :func:`forced_engine`; an attached profiler still
 #: wins (per-step hooks need per-step control).
-VM_ENGINE = os.environ.get("REPRO_VM_ENGINE", "compiled") or "compiled"
+VM_ENGINE = _engine_from_env()
 
 
 @contextmanager
@@ -77,16 +92,6 @@ def forced_engine(name: str):
         else:
             os.environ["REPRO_VM_ENGINE"] = prev_env
 
-
-def _threaded(flat):
-    """Threaded form of one method's flat code: ``[(handler, instr), ...]``,
-    built once per :class:`~repro.bytecode.model.FlatCode` on first
-    execution and cached on it — the per-program direct-handler lists of
-    classic threaded-code dispatch."""
-    code = flat.threaded
-    if code is None:
-        code = flat.threaded = [(HANDLERS[i.opx], i) for i in flat.instrs]
-    return code
 
 _INT_BIN = {
     op.IADD: lambda a, b: i32(a + b),
@@ -161,11 +166,9 @@ class Machine:
             os.environ.get("REPRO_VM_INJECT_OVERCHARGE", "0") or "0"
         )
         #: compiled-tier accounting (repro.vm.jit): steps/cycles executed
-        #: through superinstructions and trace-compiled closures, guard
-        #: deopts, and runs promoted by this machine.  Observability only —
-        #: totals (``steps``/``cycles``/NodeStats) are engine-invariant.
-        self.jit_super_steps = 0
-        self.jit_super_cycles = 0
+        #: inside trace-compiled closures, guard deopts, and runs promoted
+        #: by this machine.  Observability only — totals
+        #: (``steps``/``cycles``/NodeStats) are engine-invariant.
         self.jit_compiled_steps = 0
         self.jit_compiled_cycles = 0
         self.jit_deopts = 0
@@ -175,8 +178,6 @@ class Machine:
         """Compiled-tier counters of this machine (all zero on the
         reference/fast tiers)."""
         return {
-            "super_steps": self.jit_super_steps,
-            "super_cycles": self.jit_super_cycles,
             "compiled_steps": self.jit_compiled_steps,
             "compiled_cycles": self.jit_compiled_cycles,
             "deopts": self.jit_deopts,
@@ -592,7 +593,7 @@ class Machine:
         acc = self.inject_overcharge  # 0 unless a self-test injects a fault
         nsteps = 0
         frame = frames[-1]
-        code = _threaded(frame.flat)
+        code = threaded(frame.flat)
         ncode = len(code)
         while True:
             pc = frame.pc
@@ -627,7 +628,7 @@ class Machine:
                 if len(frames) < stop_depth:
                     break
                 frame = frames[-1]
-                code = _threaded(frame.flat)
+                code = threaded(frame.flat)
                 ncode = len(code)
                 continue
             self.steps += nsteps
@@ -638,9 +639,8 @@ class Machine:
     # ------------------------------------------------------------------ compiled tier
     def run_block_compiled(self, stop_depth: int = 1):
         """Compiled-tier engine (:mod:`repro.vm.jit`): same contract as
-        :meth:`run_block`, but run starts execute through fused
-        superinstructions / trace-compiled closures with guard-based deopt
-        back to the plain threaded handlers."""
+        :meth:`run_block`, but hot runs execute as trace-compiled closures
+        with guard-based deopt back to the plain threaded handlers."""
         return _run_block_compiled(self, stop_depth)
 
     # ------------------------------------------------------------------ driving

@@ -1,45 +1,40 @@
-"""The compiled execution tier: superinstruction fusion + trace-compiled
-hot blocks.
+"""The compiled execution tier: trace-compiled hot runs over the threaded
+handlers.
 
 This is the third engine behind :meth:`Machine.drive` (the other two are
 the per-step reference path and the threaded-code ``run_block`` fast
 path).  It works at the granularity of **runs**: maximal stretches of
-fusible, syscall-free instructions inside one basic block of a method's
+traceable, syscall-free instructions inside one basic block of a method's
 :class:`~repro.bytecode.model.FlatCode`.
 
-Two levels, applied per run:
-
-* **Superinstructions** — every run is immediately replaced by a single
-  composite handler, ``exec``-generated from per-opcode templates and
-  cached globally keyed by the interned ``Instr.opx`` sequence, so two
-  methods containing the same opcode shape share one compiled function.
-  Operands are fetched from the run's instruction tuple at execution
-  time, which is what makes the sharing sound.
-* **Trace compilation** — each run counts its executions; past a hotness
-  threshold (``REPRO_VM_JIT_THRESHOLD``) the run is lowered through the
-  :mod:`repro.codegen.tree` / :mod:`repro.codegen.burs` machinery (the
-  paper's JBurg stage) against the Python expression target
-  (:mod:`repro.codegen.pytarget`) into a closure that collapses whole
-  expression chains — constants folded, operand stack virtualized away,
-  whatever a block (or a region call) has already resolved or checked
-  memoized instead of re-derived — operating directly on frame locals.
+A run is born cold: it executes one instruction at a time through the
+plain threaded handlers (:func:`repro.vm.dispatch.threaded`) and counts
+its executions.  Past the hotness threshold (``REPRO_VM_JIT_THRESHOLD``)
+it is **trace-compiled**: lowered through the :mod:`repro.codegen.tree` /
+:mod:`repro.codegen.burs` machinery (the paper's JBurg stage) against the
+Python expression target (:mod:`repro.codegen.pytarget`) into a closure
+that collapses whole expression chains — constants folded, operand stack
+virtualized away, whatever a block (or a region call) has already resolved
+or checked memoized instead of re-derived — operating directly on frame
+locals.  A run that heads a syscall-free loop is compiled together with
+the rest of the loop, as one region.
 
 Between runs, a call or return of a bytecode frame is a :class:`CallSite`
 the engine loop serves from a monomorphic inline cache without leaving
 the loop; natives, remote receivers and service frames take the handlers.
 
-Both levels share one **deopt contract**: every faultable operation
-(division, heap access, array indexing, field lookup) is *guarded* — it
-checks its operands by peeking before mutating anything, and on guard
-failure the compiled function returns the index of the offending
-instruction with the stack and locals exactly as if all earlier
-instructions had run and the offender had not.  The engine then charges
-the completed prefix and re-executes that one instruction through its
-plain threaded-code handler, which raises the precise ``VMError`` (or
-performs the remote-object syscall) the reference path would.  Cycle
-accounting stays integer-exact: ``run.cost``/``run.prefix`` are sums of
-``Instr.cost``, so cycles, steps, NodeStats and fault text are
-bit-identical across all three tiers.
+The **deopt contract**: every faultable operation (division, heap access,
+array indexing, field lookup) is *guarded* — it checks its operands by
+peeking before mutating anything, and on guard failure the compiled
+function returns the index of the offending instruction with the stack
+and locals exactly as if all earlier instructions had run and the
+offender had not.  The engine then charges the completed prefix and
+re-executes that one instruction through its plain threaded-code handler
+— the path a cold run takes for every instruction — which raises the
+precise ``VMError`` (or performs the remote-object syscall) the reference
+path would.  Cycle accounting stays integer-exact: ``run.cost`` /
+``run.prefix`` are sums of ``Instr.cost``, so cycles, steps, NodeStats
+and fault text are bit-identical across all three tiers.
 """
 
 from __future__ import annotations
@@ -49,13 +44,13 @@ from contextlib import contextmanager
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CodegenError, VMError
+from repro.errors import CodegenError, ConfigError, VMError
 from repro.bytecode import opcodes as op
 from repro.codegen.pytarget import fold_const, lower_py
 from repro.codegen.tree import TreeNode
 from repro.lang.symbols import DEPENDENT_OBJECT
 from repro.lang.types import VOID
-from repro.vm.dispatch import FRAME_SWITCH, HANDLERS, INVOKE_HANDLER
+from repro.vm.dispatch import FRAME_SWITCH, INVOKE_HANDLER, threaded
 from repro.vm.frame import Frame
 from repro.vm.heap import HeapArray, HeapObject
 from repro.vm.values import Ref, f2i, f2l, frem, i32, i64, idiv, irem, iushr
@@ -69,8 +64,23 @@ __all__ = [
     "plan_runs",
 ]
 
+
+def _threshold_from_env() -> int:
+    raw = os.environ.get("REPRO_VM_JIT_THRESHOLD", "")
+    try:
+        n = int(raw or "16")
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(
+            f"REPRO_VM_JIT_THRESHOLD={raw!r}: expected a positive integer "
+            "(executions of a run before it is traced; default 16)"
+        )
+    return n
+
+
 #: executions of a run before it is trace-compiled (``REPRO_VM_JIT_THRESHOLD``)
-JIT_THRESHOLD = int(os.environ.get("REPRO_VM_JIT_THRESHOLD", "16") or "16")
+JIT_THRESHOLD = _threshold_from_env()
 
 
 @contextmanager
@@ -98,21 +108,23 @@ _MISS = object()
 
 
 class Run:
-    """One fused run: ``instrs[start:end]`` of a method's flat code.
+    """One run: ``instrs[start:end]`` of a method's flat code.
 
-    ``fn(machine, frame, instrs)`` executes the whole run (the engine has
-    already set ``frame.pc = end``; a taken terminal branch overwrites it)
-    and returns ``None`` on completion or the relative index of the
-    instruction whose guard failed (deopt).  ``prefix[k]`` is the cycle
-    cost of the first ``k`` instructions, for exact deopt charging.
+    ``fn`` is ``None`` while the run is cold (it then executes through the
+    plain threaded handlers, one instruction per engine pass).  Once traced,
+    ``fn(machine, frame)`` executes the whole run (the engine has already
+    set ``frame.pc = end``; a taken terminal branch overwrites it) and
+    returns ``None`` on completion or the relative index of the instruction
+    whose guard failed (deopt).  ``prefix[k]`` is the cycle cost of the
+    first ``k`` instructions, for exact deopt charging.
     """
 
     __slots__ = (
         "start", "end", "instrs", "n", "cost", "prefix",
-        "fn", "count", "threshold", "promoted", "compiled", "region",
+        "fn", "count", "threshold", "promoted", "region",
     )
 
-    def __init__(self, start: int, end: int, instrs: Tuple, fn,
+    def __init__(self, start: int, end: int, instrs: Tuple,
                  threshold: int) -> None:
         self.start = start
         self.end = end
@@ -120,12 +132,12 @@ class Run:
         self.n = end - start
         self.prefix = (0, *accumulate(i.cost for i in instrs))
         self.cost = self.prefix[-1]
-        self.fn = fn
+        self.fn = None
         self.count = 0
         self.threshold = threshold
+        #: tracing was attempted (once, whether or not it succeeded)
         self.promoted = False
-        self.compiled = False
-        #: promoted form is a loop-region closure: ``fn`` then returns
+        #: ``fn`` is a loop-region closure: it returns
         #: ``(exit_pc, steps, cycles, deopt)`` instead of the run protocol
         self.region = False
 
@@ -175,266 +187,64 @@ class CallSite:
 
 
 # --------------------------------------------------------------------------
-# fusibility + superinstruction templates
-# --------------------------------------------------------------------------
-
-_INT_BIN_SYM = {op.IADD: "+", op.ISUB: "-", op.IMUL: "*",
-                op.IAND: "&", op.IOR: "|", op.IXOR: "^"}
-_LONG_BIN_SYM = {op.LADD: "+", op.LSUB: "-", op.LMUL: "*",
-                 op.LAND: "&", op.LOR: "|", op.LXOR: "^"}
-_FLOAT_BIN_SYM = {op.FADD: "+", op.FSUB: "-", op.FMUL: "*"}
-
-_SIMPLE = (
-    frozenset({
-        op.LDC, op.ACONST_NULL, op.DUP, op.POP, op.SWAP,
-        op.GETSTATIC, op.PUTSTATIC,
-        op.INEG, op.LNEG, op.FNEG,
-        op.I2L, op.I2F, op.L2F, op.L2I, op.F2I, op.F2L,
-        op.ISHL, op.ISHR, op.IUSHR, op.LSHL, op.LSHR, op.LUSHR,
-    })
-    | op.LOADS | op.STORES
-    | frozenset(_INT_BIN_SYM) | frozenset(_LONG_BIN_SYM)
-    | frozenset(_FLOAT_BIN_SYM)
-)
-_GUARDED = frozenset({
-    op.IDIV, op.IREM, op.LDIV, op.LREM, op.FDIV, op.FREM,
-    op.GETFIELD, op.PUTFIELD, op.XALOAD, op.XASTORE, op.ARRAYLENGTH,
-})
-_PLAIN_BRANCHES = frozenset({op.GOTO, op.IFTRUE, op.IFFALSE})
-
-
-def _fusible(ins) -> bool:
-    o = ins.op
-    if o in _SIMPLE or o in _GUARDED or o in _PLAIN_BRANCHES:
-        return True
-    # compare-branches fuse only once their condition callable is resolved
-    # (an unresolved condition must keep raising through the plain handler)
-    return o in op.CMP_BRANCHES and ins.cfn is not None
-
-
-def _super_lines(name: str, k: int) -> List[str]:
-    """Template body for one opcode at run-relative index ``k``.  Guarded
-    opcodes peek operands, ``return k`` on guard failure (stack/locals
-    untouched by this instruction), and only then mutate."""
-    if name == op.LDC:
-        return [f"s.append(I[{k}].a)"]
-    if name == op.ACONST_NULL:
-        return ["s.append(None)"]
-    if name in op.LOADS:
-        return [f"s.append(L[I[{k}].a])"]
-    if name in op.STORES:
-        return [f"L[I[{k}].a] = s.pop()"]
-    if name == op.DUP:
-        return ["s.append(s[-1])"]
-    if name == op.POP:
-        return ["del s[-1]"]
-    if name == op.SWAP:
-        return ["s[-1], s[-2] = s[-2], s[-1]"]
-    if name in _INT_BIN_SYM:
-        return ["b = s.pop()", f"s[-1] = i32(s[-1] {_INT_BIN_SYM[name]} b)"]
-    if name in _LONG_BIN_SYM:
-        return ["b = s.pop()", f"s[-1] = i64(s[-1] {_LONG_BIN_SYM[name]} b)"]
-    if name in _FLOAT_BIN_SYM:
-        return ["b = s.pop()", f"s[-1] = s[-1] {_FLOAT_BIN_SYM[name]} b"]
-    if name == op.ISHL:
-        return ["b = s.pop()", "s[-1] = i32(s[-1] << (b & 31))"]
-    if name == op.ISHR:
-        return ["b = s.pop()", "s[-1] = i32(s[-1] >> (b & 31))"]
-    if name == op.IUSHR:
-        return ["b = s.pop()", "s[-1] = iushr(s[-1], b, 32)"]
-    if name == op.LSHL:
-        return ["b = s.pop()", "s[-1] = i64(s[-1] << (b & 63))"]
-    if name == op.LSHR:
-        return ["b = s.pop()", "s[-1] = i64(s[-1] >> (b & 63))"]
-    if name == op.LUSHR:
-        return ["b = s.pop()", "s[-1] = iushr(s[-1], b, 64)"]
-    if name == op.IDIV or name == op.IREM:
-        fn = "idiv" if name == op.IDIV else "irem"
-        return ["b = s[-1]", "if b == 0:", f"    return {k}",
-                "del s[-1]", f"s[-1] = i32({fn}(s[-1], b))"]
-    if name == op.LDIV or name == op.LREM:
-        fn = "idiv" if name == op.LDIV else "irem"
-        return ["b = s[-1]", "if b == 0:", f"    return {k}",
-                "del s[-1]", f"s[-1] = i64({fn}(s[-1], b))"]
-    if name == op.FDIV:
-        return ["b = s[-1]", "if b == 0.0:", f"    return {k}",
-                "del s[-1]", "s[-1] = s[-1] / b"]
-    if name == op.FREM:
-        return ["b = s[-1]", "if b == 0.0:", f"    return {k}",
-                "del s[-1]", "s[-1] = frem(s[-1], b)"]
-    if name == op.INEG:
-        return ["s[-1] = i32(-s[-1])"]
-    if name == op.LNEG:
-        return ["s[-1] = i64(-s[-1])"]
-    if name == op.FNEG:
-        return ["s[-1] = -s[-1]"]
-    if name == op.I2L:
-        return ["s[-1] = i64(s[-1])"]
-    if name == op.I2F or name == op.L2F:
-        return ["s[-1] = float(s[-1])"]
-    if name == op.L2I:
-        return ["s[-1] = i32(s[-1])"]
-    if name == op.F2I:
-        return ["s[-1] = f2i(s[-1])"]
-    if name == op.F2L:
-        return ["s[-1] = f2l(s[-1])"]
-    if name == op.GETSTATIC:
-        return [f"s.append(S.get((I[{k}].a, I[{k}].b)))"]
-    if name == op.PUTSTATIC:
-        return [f"S[(I[{k}].a, I[{k}].b)] = s.pop()"]
-    if name == op.GETFIELD:
-        return [
-            "r = s[-1]",
-            "if r.__class__ is not Ref:", f"    return {k}",
-            "o = H.get(r.oid)",
-            "if o.__class__ is not HeapObject:", f"    return {k}",
-            f"v = o.fields.get(I[{k}].b, _MISS)",
-            "if v is _MISS:", f"    return {k}",
-            "s[-1] = v",
-        ]
-    if name == op.PUTFIELD:
-        return [
-            "r = s[-2]",
-            "if r.__class__ is not Ref:", f"    return {k}",
-            "o = H.get(r.oid)",
-            "if o.__class__ is not HeapObject:", f"    return {k}",
-            f"if I[{k}].b not in o.fields:", f"    return {k}",
-            f"o.fields[I[{k}].b] = s[-1]",
-            "del s[-2:]",
-        ]
-    if name == op.ARRAYLENGTH:
-        return [
-            "r = s[-1]",
-            "if r.__class__ is not Ref:", f"    return {k}",
-            "o = H.get(r.oid)",
-            "if o.__class__ is not HeapArray:", f"    return {k}",
-            "s[-1] = len(o.data)",
-        ]
-    if name == op.XALOAD:
-        return [
-            "r = s[-2]",
-            "if r.__class__ is not Ref:", f"    return {k}",
-            "o = H.get(r.oid)",
-            "if o.__class__ is not HeapArray:", f"    return {k}",
-            "d = o.data",
-            "x = s[-1]",
-            "if not 0 <= x < len(d):", f"    return {k}",
-            "del s[-1]",
-            "s[-1] = d[x]",
-        ]
-    if name == op.XASTORE:
-        return [
-            "r = s[-3]",
-            "if r.__class__ is not Ref:", f"    return {k}",
-            "o = H.get(r.oid)",
-            "if o.__class__ is not HeapArray:", f"    return {k}",
-            "d = o.data",
-            "x = s[-2]",
-            "if not 0 <= x < len(d):", f"    return {k}",
-            "d[x] = s[-1]",
-            "del s[-3:]",
-        ]
-    if name == op.GOTO:
-        return [f"f.pc = I[{k}].a"]
-    if name in op.CMP_BRANCHES:
-        return ["b = s.pop()", "a = s.pop()",
-                f"if I[{k}].cfn(a, b):", f"    f.pc = I[{k}].b"]
-    if name == op.IFTRUE:
-        return ["if s.pop():", f"    f.pc = I[{k}].a"]
-    if name == op.IFFALSE:
-        return ["if not s.pop():", f"    f.pc = I[{k}].a"]
-    raise CodegenError(f"no superinstruction template for {name}")
-
-
-def _needs(names) -> Tuple[bool, bool]:
-    heap = any(n in (op.GETFIELD, op.PUTFIELD, op.XALOAD, op.XASTORE,
-                     op.ARRAYLENGTH) for n in names)
-    statics = any(n in (op.GETSTATIC, op.PUTSTATIC) for n in names)
-    return heap, statics
-
-
-_EXEC_GLOBALS = {
-    "i32": i32, "i64": i64, "idiv": idiv, "irem": irem, "iushr": iushr,
-    "f2i": f2i, "f2l": f2l, "frem": frem,
-    "Ref": Ref, "HeapObject": HeapObject, "HeapArray": HeapArray,
-    "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
-    "len": len, "int": int, "float": float,
-}
-
-#: superinstruction cache: interned opcode sequence -> compiled handler
-_SUPER_CACHE: Dict[Tuple[int, ...], object] = {}
-
-
-def super_cache_size() -> int:
-    return len(_SUPER_CACHE)
-
-
-def _assemble(fname: str, body: List[str], tag: str):
-    src = f"def {fname}(m, f, I):\n" + "\n".join("    " + ln for ln in body)
-    g = dict(_EXEC_GLOBALS)
-    exec(compile(src, f"<repro-jit:{tag}>", "exec"), g)
-    fn = g[fname]
-    fn.__doc__ = src  # keep the source inspectable for tests / debugging
-    return fn
-
-
-def _compile_super(instrs: Tuple):
-    names = [i.op for i in instrs]
-    heap, statics = _needs(names)
-    body = ["s = f.stack", "L = f.locals"]
-    if heap:
-        body.append("H = m.heap._store")
-    if statics:
-        body.append("S = m.statics")
-    for k, name in enumerate(names):
-        body.extend(_super_lines(name, k))
-    return _assemble("_super", body, "+".join(names))
-
-
-# --------------------------------------------------------------------------
 # plan construction
 # --------------------------------------------------------------------------
 
+#: the opcodes :meth:`_TraceCompiler.compile_ins` lowers (a compare-branch
+#: only once its condition is resolved, see :func:`_traceable`)
+_TRACEABLE = (
+    op.BINOPS | op.NEGOPS | op.CONVERSIONS | op.LOADS | op.STORES
+    | op.BOOL_BRANCHES
+    | frozenset({
+        op.LDC, op.ACONST_NULL, op.DUP, op.POP, op.SWAP, op.GOTO,
+        op.GETSTATIC, op.PUTSTATIC, op.GETFIELD, op.PUTFIELD,
+        op.ARRAYLENGTH, op.XALOAD, op.XASTORE,
+    })
+)
+#: the subset a pure leaf callee may contain: no mutator but a store to
+#: its own locals, no branch
+_PURE = _TRACEABLE - op.BRANCHES - {op.PUTSTATIC, op.PUTFIELD, op.XASTORE}
+
+
+def _traceable(ins) -> bool:
+    # an unresolved condition must keep raising through the plain handler
+    return ins.op in _TRACEABLE or (
+        ins.op in op.CMP_BRANCHES and ins.cfn is not None)
+
+
 def build_fused(flat):
     """Build (and cache on ``flat.fused``) the compiled-tier execution plan:
-    one entry per instruction — a :class:`Run` at each run start, a
+    one entry per instruction — a cold :class:`Run` at the head of every
+    stretch of >= 2 traceable instructions inside a basic block, a
     :class:`CallSite` at every return and every invoke but
     ``DependentObject.*``, the plain ``(handler, instr)`` pair everywhere
-    else.  Interior positions stay individually executable because deopt
-    resumes there."""
-    thr = flat.threaded
-    if thr is None:
-        thr = flat.threaded = [(HANDLERS[i.opx], i) for i in flat.instrs]
+    else.  Nothing is compiled here; a run's own positions execute through
+    ``flat.threaded``, cold and after a deopt alike."""
     plan = [
         CallSite(i, h) if i.op in op.RETURNS
         or (i.op in op.INVOKES and i.a != DEPENDENT_OBJECT) else (h, i)
-        for h, i in thr
+        for h, i in threaded(flat)
     ]
     instrs = flat.instrs
     threshold = JIT_THRESHOLD
     for a, b in flat.basic_blocks():
         j = a
         while j < b:
-            if not _fusible(instrs[j]):
+            if not _traceable(instrs[j]):
                 j += 1
                 continue
             start = j
-            while j < b and _fusible(instrs[j]):
+            while j < b and _traceable(instrs[j]):
                 j += 1
             if j - start >= 2:
-                seq = tuple(instrs[start:j])
-                key = tuple(i.opx for i in seq)
-                fn = _SUPER_CACHE.get(key)
-                if fn is None:
-                    fn = _SUPER_CACHE[key] = _compile_super(seq)
-                plan[start] = Run(start, j, seq, fn, threshold)
+                plan[start] = Run(start, j, tuple(instrs[start:j]), threshold)
     flat.fused = plan
     return plan
 
 
 def plan_runs(flat) -> List[Run]:
-    """The fused runs of one method's plan (building it if necessary) —
-    the per-block observability hook behind the jit profiler surface."""
+    """The runs of one method's plan (building it if necessary) — the
+    per-block observability hook behind the jit profiler surface."""
     plan = flat.fused
     if plan is None:
         plan = build_fused(flat)
@@ -444,6 +254,24 @@ def plan_runs(flat) -> List[Run]:
 # --------------------------------------------------------------------------
 # trace compiler: run -> exec-compiled closure via tree/BURS lowering
 # --------------------------------------------------------------------------
+
+_EXEC_GLOBALS = {
+    "i32": i32, "i64": i64, "idiv": idiv, "irem": irem, "iushr": iushr,
+    "f2i": f2i, "f2l": f2l, "frem": frem,
+    "Ref": Ref, "HeapObject": HeapObject, "HeapArray": HeapArray,
+    "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
+    "len": len, "int": int, "float": float,
+}
+
+
+def _assemble(fname: str, body: List[str], tag: str):
+    src = f"def {fname}(m, f):\n" + "\n".join("    " + ln for ln in body)
+    g = dict(_EXEC_GLOBALS)
+    exec(compile(src, f"<repro-jit:{tag}>", "exec"), g)
+    fn = g[fname]
+    fn.__doc__ = src  # keep the source inspectable for tests / debugging
+    return fn
+
 
 _TREE_BIN = {
     op.IADD: "ADD_I", op.ISUB: "SUB_I", op.IMUL: "MUL_I",
@@ -460,7 +288,6 @@ _TREE_DIV = {
     op.FDIV: ("DIV_F", "0.0"), op.FREM: ("REM_F", "0.0"),
 }
 _TREE_NEG = {op.INEG: "NEG_I", op.LNEG: "NEG_L", op.FNEG: "NEG_F"}
-_TREE_CONV = frozenset({op.I2L, op.I2F, op.L2F, op.L2I, op.F2I, op.F2L})
 _CONST_FOR = {"I": "ICONST", "J": "LCONST", "F": "FCONST", "S": "SCONST",
               "N": "NULL"}
 _CMP_SYM = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=",
@@ -506,7 +333,7 @@ class _TraceCompiler:
 
     Within one block execution nothing can allocate, free, or replace an
     entry's ``.data`` / ``.fields`` (NEW, NEWARRAY and real calls are not
-    fusible, an inlined callee only reads), and every temp is written once.
+    traceable, an inlined callee only reads), and every temp is written once.
     So what the block has established is memoized and neither re-derived
     nor re-guarded: a dropped guard is one an identical earlier guard of
     the same block execution already passed.
@@ -699,7 +526,7 @@ class _TraceCompiler:
             self.push(TreeNode(_TREE_BIN[name], kids=[a, b]))
         elif name in _TREE_NEG:
             self.push(TreeNode(_TREE_NEG[name], kids=[self.pop()]))
-        elif name in _TREE_CONV:
+        elif name in op.CONVERSIONS:
             self.push(TreeNode(name, kids=[self.pop()]))
         elif name in _TREE_DIV:
             root, zero = _TREE_DIV[name]
@@ -815,28 +642,6 @@ _MAX_REGION = 1024
 _INLINE_MAX = 40
 
 
-def _stack_effect(name: str):
-    """``(pops, pushes)`` of one *pure* traceable opcode, or ``None`` for
-    anything a pure leaf callee may not contain (mutators, branches,
-    calls).  Used to prove an inline candidate never touches its caller's
-    operand stack and exits with exactly its return value."""
-    if name == op.LDC or name == op.ACONST_NULL or name in op.LOADS \
-            or name == op.GETSTATIC:
-        return (0, 1)
-    if name == op.DUP:
-        return (1, 2)
-    if name == op.POP or name in op.STORES:
-        return (1, 0)
-    if name == op.SWAP:
-        return (2, 2)
-    if name in _TREE_BIN or name in _TREE_DIV or name == op.XALOAD:
-        return (2, 1)
-    if name in _TREE_NEG or name in _TREE_CONV \
-            or name == op.GETFIELD or name == op.ARRAYLENGTH:
-        return (1, 1)
-    return None
-
-
 def _inline_target(program, ins):
     """The pure leaf method a region may inline at this call site, or
     ``None``.  Eligible: ``INVOKEVIRTUAL``/``INVOKESTATIC`` resolving to a
@@ -866,12 +671,11 @@ def _inline_target(program, ins):
         return None
     depth = 0
     for b in body[:-1]:
-        eff = _stack_effect(b.op)
-        if eff is None:
+        if b.op not in _PURE:
             return None
         if b.op == op.LDC and not isinstance(b.a, _CONSTABLE):
             return None
-        pops, pushes = eff
+        pops, pushes = op.STACK_EFFECT[b.op]
         if depth < pops:
             return None
         depth += pushes - pops
@@ -881,10 +685,10 @@ def _inline_target(program, ins):
 
 
 def _find_region(flat, start: int, program=None):
-    """Connected component of fully-fusible basic blocks reachable from
+    """Connected component of fully-traceable basic blocks reachable from
     ``start``, provided some branch inside it loops back (target at or
     before its own block — i.e. the component contains a syscall-free
-    loop).  Edges to non-fusible blocks become clean region exits, so a
+    loop).  Edges to other blocks become clean region exits, so a
     loop whose body calls a method still compiles everything around the
     call; a block ending in a call to a pure leaf method (see
     :func:`_inline_target`) is itself included, the callee inlined behind
@@ -908,11 +712,11 @@ def _find_region(flat, start: int, program=None):
             callee = _inline_target(program, last)
             if callee is None:
                 continue  # exits here fall back to the engine loop
-            if not all(_fusible(i) for i in instrs[a:b - 1]):
+            if not all(_traceable(i) for i in instrs[a:b - 1]):
                 continue
             total += (b - a) + len(callee.flat().instrs)
         else:
-            if not all(_fusible(i) for i in instrs[a:b]):
+            if not all(_traceable(i) for i in instrs[a:b]):
                 continue
             total += b - a
         if total > _MAX_REGION:
@@ -1059,32 +863,27 @@ def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
 
 def promote(run: Run, flat=None, program=None) -> bool:
     """Trace-compile a hot run — as a whole loop region when its block
-    heads one, else as a straight-line closure.  On any lowering failure
-    the run keeps its superinstruction handler permanently (``promoted``
-    flips either way so the attempt happens once)."""
+    heads one, else as a straight-line closure.  A run whose lowering
+    fails stays cold for good (``promoted`` flips either way, so the
+    attempt happens once)."""
     run.promoted = True
-    if flat is not None:
+    fn = None
+    ext = _find_region(flat, run.start, program) if flat is not None else None
+    if ext:
         try:
-            ext = _find_region(flat, run.start, program)
-            fn = (_compile_region(flat, ext, run.start, program)
-                  if ext else None)
-        except Exception:
-            fn = None
-        if fn is not None:
-            run.fn = fn
-            run.region = True
-            run.compiled = True
-            return True
-    if run.n < 4:
-        # the superinstruction is already near-optimal for tiny runs;
-        # don't pay compile time for no win
-        return False
-    try:
-        fn = _TraceCompiler(run).compile()
-    except Exception:
-        return False
+            fn = _compile_region(flat, ext, run.start, program)
+        except CodegenError:
+            pass
+    region = fn is not None
+    if not region:
+        try:
+            fn = _TraceCompiler(run).compile()
+        except CodegenError:
+            return False
+    # the plan is shared between threads and the engine loop reads ``fn``
+    # first: a closure must not be visible before its calling convention
+    run.region = region
     run.fn = fn
-    run.compiled = True
     return True
 
 
@@ -1095,10 +894,11 @@ def promote(run: Run, flat=None, program=None) -> bool:
 def run_block_compiled(machine, stop_depth: int = 1):
     """Compiled-tier twin of :meth:`Machine.run_block`: same contract
     (returns ``(kind, gen, push, cost)``; parks ``pending_block_cost`` on
-    error), but run starts execute through fused superinstructions or
-    trace-compiled closures, deoptimizing to the plain threaded handlers
-    at guards, syscalls and faults, and calls / returns between bytecode
-    frames that a :class:`CallSite` covers never leave the loop."""
+    error), but a hot run executes as one trace-compiled closure,
+    deoptimizing to the plain threaded handlers — which a cold run takes
+    throughout — at guards, syscalls and faults, and calls / returns
+    between bytecode frames that a :class:`CallSite` covers never leave
+    the loop."""
     m = machine
     frames = m.frames
     prog = m.program
@@ -1106,7 +906,7 @@ def run_block_compiled(machine, stop_depth: int = 1):
     acc = m.inject_overcharge  # 0 unless a self-test injects a fault
     nsteps = 0
     # engine-tier accounting, flushed to the machine at every exit
-    ss = sc = cs = cc = dn = pn = 0
+    cs = cc = dn = pn = 0
     while True:  # one pass per frame switch
         frame = frames[-1]
         flat = frame.flat
@@ -1120,7 +920,7 @@ def run_block_compiled(machine, stop_depth: int = 1):
             except IndexError:
                 m.steps += nsteps
                 m.pending_block_cost = acc
-                _flush_stats(m, ss, sc, cs, cc, dn, pn)
+                _flush_stats(m, cs, cc, dn, pn)
                 raise VMError(
                     f"{frame.method.qualified}: fell off end of code"
                 ) from None
@@ -1130,10 +930,13 @@ def run_block_compiled(machine, stop_depth: int = 1):
                 if not entry.promoted and entry.count >= entry.threshold:
                     if promote(entry, flat, prog):
                         pn += 1
-                if entry.region:
+                fn = entry.fn
+                if fn is None:
+                    pass  # cold: this instruction alone, as after a deopt
+                elif entry.region:
                     # whole-loop closure: executes many iterations per call
                     # and reports exact step/cycle totals and its exit point
-                    exit_pc, rn, rc, de = entry.fn(m, frame, entry.instrs)
+                    exit_pc, rn, rc, de = fn(m, frame)
                     nsteps += rn
                     acc += rc
                     cs += rn
@@ -1145,16 +948,12 @@ def run_block_compiled(machine, stop_depth: int = 1):
                     pc = exit_pc
                 else:
                     frame.pc = entry.end
-                    r = entry.fn(m, frame, entry.instrs)
+                    r = fn(m, frame)
                     if r is None:
                         nsteps += entry.n
                         acc += entry.cost
-                        if entry.compiled:
-                            cs += entry.n
-                            cc += entry.cost
-                        else:
-                            ss += entry.n
-                            sc += entry.cost
+                        cs += entry.n
+                        cc += entry.cost
                         continue
                     # deopt: instructions < r completed; charge the prefix
                     # and re-execute instruction r through its plain
@@ -1164,13 +963,10 @@ def run_block_compiled(machine, stop_depth: int = 1):
                     p = entry.prefix[r]
                     nsteps += r
                     acc += p
-                    if entry.compiled:
-                        cs += r
-                        cc += p
-                    else:
-                        ss += r
-                        sc += p
+                    cs += r
+                    cc += p
                     pc = entry.start + r
+                # the list ``dispatch.threaded`` built for ``build_fused``
                 handler, ins = flat.threaded[pc]
             elif ec is tuple:
                 handler, ins = entry
@@ -1236,7 +1032,7 @@ def run_block_compiled(machine, stop_depth: int = 1):
                 m.inflight_cycles = 0
                 m.steps += nsteps
                 m.pending_block_cost = acc - ins.cost
-                _flush_stats(m, ss, sc, cs, cc, dn, pn)
+                _flush_stats(m, cs, cc, dn, pn)
                 raise
             if r is None:
                 continue
@@ -1245,13 +1041,11 @@ def run_block_compiled(machine, stop_depth: int = 1):
                     break
                 r = (None, None, None)
             m.steps += nsteps
-            _flush_stats(m, ss, sc, cs, cc, dn, pn)
+            _flush_stats(m, cs, cc, dn, pn)
             return (r[0], r[1], r[2], acc)
 
 
-def _flush_stats(m, ss, sc, cs, cc, dn, pn) -> None:
-    m.jit_super_steps += ss
-    m.jit_super_cycles += sc
+def _flush_stats(m, cs, cc, dn, pn) -> None:
     m.jit_compiled_steps += cs
     m.jit_compiled_cycles += cc
     m.jit_deopts += dn

@@ -8,12 +8,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
 import pytest
 
+from _reference_stack_effect import reference_stack_effect
 from helpers import compile_mj_raw
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod
+from repro.bytecode.model import BMethod, Instr, stack_effect
 from repro.bytecode.verifier import VerifyError, verify_method, verify_program
 from repro.distgen import build_plan, rewrite_program
+from repro.errors import CompileError
 from repro.lang.symbols import ClassTable
 from repro.lang.types import INT, VOID
 from repro.workloads import WORKLOADS
@@ -76,6 +78,56 @@ def test_void_method_with_value_return_detected():
     m.emit(op.IRETURN)
     with pytest.raises(VerifyError, match="value return"):
         verify_method(m, ClassTable())
+
+
+def test_stack_effect_table_covers_every_opcode_like_the_if_chain_did():
+    """Every opcode is in ``STACK_EFFECT``, or reads an operand (``PACK``,
+    the invokes), or is a pseudo-entry — and ``stack_effect`` answers what
+    the if-chain it replaced answered, errors included."""
+    _, table = compile_mj_raw("""
+        class K {
+            int n;
+            K(int n) { this.n = n; }
+            int get(int a, int b) { return this.n; }
+            void set(int n) { this.n = n; }
+            static int twice(int x) { return x + x; }
+            static void nop() { }
+        }
+        class Main { static void main(String[] a) { } }
+    """)
+
+    def both(ins):
+        out = []
+        for fn in (stack_effect, reference_stack_effect):
+            try:
+                out.append(fn(ins, table))
+            except CompileError:
+                out.append(CompileError)
+        assert out[0] == out[1], ins
+        return out[0]
+
+    for name in op.OPCODE_LIST:
+        if name in op.STACK_EFFECT:
+            assert both(Instr(name, 1, 2, 3)) == op.STACK_EFFECT[name]
+        elif name == op.PACK:
+            assert [both(Instr(name, n)) for n in (0, 1, 5)] == [
+                (0, 1), (1, 1), (5, 1)]
+        elif name in op.INVOKES:
+            for cls, method, nargs in (
+                ("K", "get", 2), ("K", "set", 1), ("K", "twice", 1),
+                ("K", "nop", 0), ("K", "<init>", 1), ("Sys", "println", 1),
+                ("DependentObject", "create", 3),
+                ("DependentObject", "access", 3), ("K", "missing", 0),
+            ):
+                both(Instr(name, cls, method, nargs))
+        else:
+            assert name in (op.LABEL, "<unknown>")
+            assert both(Instr(name)) is CompileError
+    assert both(Instr(op.INVOKEVIRTUAL, "K", "get", 2)) == (3, 1)
+    assert both(Instr(op.INVOKESPECIAL, "K", "<init>", 1)) == (2, 0)
+    assert both(Instr(op.INVOKESTATIC, "K", "nop", 0)) == (0, 0)
+    assert both(Instr(op.INVOKESTATIC, "DependentObject", "create", 3)) == (3, 1)
+    assert both(Instr(op.INVOKEVIRTUAL, "K", "missing", 0)) is CompileError
 
 
 def test_max_depth_reported():

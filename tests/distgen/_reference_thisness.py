@@ -97,6 +97,6 @@ def reference_thisness(method: BMethod, table: ClassTable) -> List[Optional[List
 
 
 def _sim_effect(ins: Instr, table: ClassTable) -> Tuple[int, int]:
-    from repro.quad.builder import stack_effect
+    from repro.bytecode.model import stack_effect
 
     return stack_effect(ins, table)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import run_python
+
 from repro.cli import build_parser, main
 
 
@@ -138,6 +140,45 @@ def test_unknown_backend_rejected(capsys):
     assert "did you mean 'thread'" in err
     assert main(["distribute", "bank", "--backend", "carrier-pigeon"]) == 2
     assert "unknown runtime backend" in capsys.readouterr().err
+
+
+_CLI = "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("var, value, message", [
+    ("REPRO_VM_ENGINE", "compield",
+     "REPRO_VM_ENGINE='compield': unknown VM engine "
+     "(choose from reference, fast, compiled)"),
+    ("REPRO_VM_JIT_THRESHOLD", "abc",
+     "REPRO_VM_JIT_THRESHOLD='abc': expected a positive integer"),
+    ("REPRO_VM_JIT_THRESHOLD", "0",
+     "REPRO_VM_JIT_THRESHOLD='0': expected a positive integer"),
+])
+def test_mistyped_vm_environment_exits_2_with_one_line(
+        monkeypatch, var, value, message):
+    """Both variables arrive from outside the program: a value that is not
+    one of the choices names itself instead of silently running another
+    tier (the engine) or dying in a bare ``ValueError`` (the threshold)."""
+    monkeypatch.setenv(var, value)
+    proc = run_python(_CLI, "run", "crypt", "--json")
+    assert proc.returncode == 2 and proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def test_empty_vm_environment_means_the_defaults(monkeypatch):
+    def jit_counters():
+        proc = run_python(_CLI, "run", "crypt", "--json")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["jit"]
+
+    for var in ("REPRO_VM_ENGINE", "REPRO_VM_JIT_THRESHOLD"):
+        monkeypatch.delenv(var, raising=False)
+    unset = jit_counters()
+    for var in ("REPRO_VM_ENGINE", "REPRO_VM_JIT_THRESHOLD"):
+        monkeypatch.setenv(var, "")
+    assert jit_counters() == unset
+    assert unset["promotions"] > 0  # the compiled engine
 
 
 def test_bench_command_writes_and_gates(tmp_path, capsys):

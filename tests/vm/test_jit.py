@@ -1,9 +1,9 @@
 """Differential tests for the compiled execution tier.
 
 The third engine (:func:`repro.vm.jit.run_block_compiled` driven through
-:meth:`Machine.drive`) layers superinstruction fusion, trace-compiled hot
-blocks, loop regions and pure-leaf call inlining on top of the threaded
-fast path — and must stay observationally identical to the per-step
+:meth:`Machine.drive`) layers trace-compiled hot runs, loop regions,
+pure-leaf call inlining and inline-cached calls on top of the threaded
+handlers — and must stay observationally identical to the per-step
 reference oracle on every program: same ``cycles``, ``steps``, ``result``,
 ``stdout``, and the same fault text when the program faults.  These tests
 pin that bit-identity on the bundled workloads, on hypothesis-driven
@@ -22,16 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import compile_mj
 
-from repro.errors import VMError
+from repro.bytecode import opcodes as op
+from repro.bytecode.model import Instr
+from repro.errors import CodegenError, VMError
 from repro.testing.genprog import GenConfig, generate_source
+from repro.vm import jit
 from repro.vm.interpreter import Machine, forced_engine, run_sync
-from repro.vm.jit import (
-    Run,
-    build_fused,
-    jit_threshold,
-    plan_runs,
-    super_cache_size,
-)
+from repro.vm.jit import Run, build_fused, jit_threshold, plan_runs
 from repro.workloads import WORKLOADS
 
 
@@ -65,10 +62,10 @@ def assert_tiers_agree(source: str):
     return ref, machine, loaded
 
 
-def _compiled_agrees(src: str):
+def _compiled_agrees(src: str, threshold: int = 2):
     """:func:`assert_tiers_agree` with every run promoted on its second
-    execution."""
-    with jit_threshold(2):
+    execution (``threshold=1``: before it ever runs)."""
+    with jit_threshold(threshold):
         ref, machine, loaded = assert_tiers_agree(src)
     assert machine.jit_stats()["promotions"] >= 1
     return ref, machine, loaded
@@ -82,7 +79,7 @@ def _compiled_sources(loaded):
         for bm in bc.methods.values()
         if bm.flat().fused is not None
         for run in plan_runs(bm.flat())
-        if run.compiled
+        if run.fn is not None
     }
 
 
@@ -99,14 +96,14 @@ def test_workload_compiled_equals_reference(workload):
     for _ in range(2):  # cold, then warm (promoted) plans
         comp, machine = _observe(loaded, "compiled")
         assert comp == ref
-    stats = machine.jit_stats()
-    assert stats["super_steps"] + stats["compiled_steps"] > 0
+    assert machine.jit_stats()["compiled_steps"] > 0
 
 
 # ------------------------------------------------------------------ plan
 def test_fused_plan_covers_syscall_free_runs():
-    """Runs of >= 2 fusible instructions become Run entries; interior
-    positions keep their plain handlers so deopt can resume anywhere."""
+    """Runs of >= 2 traceable instructions become Run entries, born cold
+    (nothing is compiled at plan build); interior positions keep their
+    plain handlers so deopt can resume anywhere."""
     loaded = compile_mj(
         """
         class Main {
@@ -120,44 +117,37 @@ def test_fused_plan_covers_syscall_free_runs():
     )
     flat = loaded.main_method().flat()
     runs = plan_runs(flat)
-    assert runs, "the loop body must fuse"
+    assert runs, "the loop body must form runs"
     plan = flat.fused
     for run in runs:
         assert plan[run.start] is run
         assert run.n >= 2
+        assert run.fn is None and not run.promoted
         assert run.cost == sum(i.cost for i in run.instrs)
         assert run.prefix[0] == 0
         for j in range(run.start + 1, run.end):
             assert not isinstance(plan[j], Run)
 
 
-def test_superinstruction_cache_is_shared_across_methods():
-    """Identical opcode sequences (by interned ``opx``) share one compiled
-    composite handler process-wide."""
-    before = super_cache_size()
-    loaded = compile_mj(
-        """
-        class Main {
-            static int f(int x) { int y = x + 1; return y * 2; }
-            static int g(int x) { int y = x + 1; return y * 2; }
-            static void main(String[] a) {
-                Sys.println(f(3) + g(4));
-            }
-        }
-        """
-    )
-    fa = build_fused(loaded.lookup_method("Main", "f").flat())
-    ga = build_fused(loaded.lookup_method("Main", "g").flat())
-    fruns = [e for e in fa if isinstance(e, Run)]
-    gruns = [e for e in ga if isinstance(e, Run)]
-    assert fruns and gruns
-    shared = {id(r.fn) for r in fruns} & {id(r.fn) for r in gruns}
-    assert shared, "identical opx sequences must share a handler"
-    assert super_cache_size() >= before
+def test_traceable_set_is_what_the_trace_compiler_accepts():
+    """A run holds exactly the opcodes ``compile_ins`` lowers: one it
+    refused would leave its whole run cold for good, one left out of the
+    set would never be traced."""
+    for name in op.OPCODE_LIST:
+        ins = Instr(name, "LT" if name in op.CMP_BRANCHES else 1, 2, 0)
+        ins.cfn = op.CMP_FUNCS["LT"]
+        try:
+            jit._TraceCompiler().compile_ins(ins, 0)
+            accepted = True
+        except CodegenError:
+            accepted = False
+        assert accepted == jit._traceable(ins), name
+    # a pure leaf callee: traceable, no heap / static write, no branch
+    assert jit._PURE < jit._TRACEABLE and jit._PURE <= set(op.STACK_EFFECT)
 
 
 def test_hot_block_promotion_and_counters():
-    """Below the threshold blocks stay fused; past it they are
+    """Below the threshold runs stay cold; past it they are
     trace-compiled, and the machine's jit counters say so."""
     src = """
         class Main {
@@ -181,22 +171,29 @@ def test_hot_block_promotion_and_counters():
 
 
 def test_unreachable_threshold_means_no_promotion():
+    """With no run ever hot the compiled engine is the threaded handlers
+    and nothing else: the ``fast`` engine's stdout, cycles, steps and fault
+    text, and not one step inside a closure."""
     src = """
         class Main {
             static void main(String[] a) {
                 int s = 0;
                 for (int i = 0; i < 50; i = i + 1) { s = s + i; }
                 Sys.println(s);
+                Sys.println(s / (s - 1225));
             }
         }
     """
     with jit_threshold(10**9):
         loaded = compile_mj(src)
         comp, machine = _observe(loaded, "compiled")
+        fast, _ = _observe(loaded, "fast")
         ref, _ = _observe(loaded, "reference")
-    assert comp == ref
-    assert machine.jit_stats()["promotions"] == 0
-    assert machine.jit_stats()["super_steps"] > 0
+    assert comp == fast == ref
+    assert comp[3] == ("1225",) and comp[4] == "integer division by zero"
+    stats = machine.jit_stats()
+    assert stats["promotions"] == 0 and stats["compiled_steps"] == 0
+    assert all(run.fn is None for run in plan_runs(loaded.main_method().flat()))
 
 
 # ------------------------------------------------------------------ deopt
@@ -235,6 +232,111 @@ def test_array_bounds_deopt_matches_oracle():
     """
     with jit_threshold(2):
         assert_tiers_agree(src)
+
+
+_TINY_RUNS = {
+    # after the call returns: ILOAD b, IDIV
+    "division": ("Main.quot", 2, "integer division by zero", """
+        class Main {
+            static int id(int x) { return x; }
+            static int quot(int a, int b) { return id(a) / b; }
+            static void main(String[] a) {
+                int s = 0;
+                for (int i = 20; i >= 0; i = i - 1) { s = s + quot(1000, i); }
+                Sys.println(s);
+            }
+        }
+    """),
+    # after the call returns: ALOAD k, GETFIELD x, IADD
+    "null receiver": ("Main.get", 3, "null dereference", """
+        class K { int x; }
+        class Main {
+            static int id(int x) { return x; }
+            static int get(K k, int a) { return id(a) + k.x; }
+            static void main(String[] a) {
+                K k = new K();
+                k.x = 7;
+                int s = 0;
+                for (int i = 0; i < 30; i = i + 1) {
+                    K r = k;
+                    if (i == 20) { r = null; }
+                    s = s + get(r, i);
+                }
+                Sys.println(s);
+            }
+        }
+    """),
+    # the whole body but its return: ALOAD xs, ILOAD i, XALOAD; ``outer``
+    # makes a call, so the loop's region inlines neither
+    "index": ("Main.at", 3, "array index 8 out of bounds (8)", """
+        class Main {
+            static int at(int[] xs, int i) { return xs[i]; }
+            static int outer(int[] xs, int i) { return at(xs, i) + 1; }
+            static void main(String[] a) {
+                int[] xs = new int[8];
+                int s = 0;
+                for (int i = 0; i < 30; i = i + 1) { s = s + outer(xs, i); }
+                Sys.println(s);
+            }
+        }
+    """),
+}
+
+
+@pytest.mark.parametrize("threshold", [1, 2])
+@pytest.mark.parametrize("case", sorted(_TINY_RUNS))
+def test_hot_tiny_run_guard_failure_deopts_exactly(case, threshold):
+    """A run of two or three instructions is traced like any other once it
+    is hot (at threshold 1 before it ever runs); when its guard fails on
+    the second or third instruction, the charged prefix (cycles, steps) and
+    the fault text are the reference's."""
+    method, n, fault, src = _TINY_RUNS[case]
+    ref, machine, loaded = _compiled_agrees(src, threshold)
+    assert ref[4] == fault
+    cls, name = method.split(".")
+    run, = (r for r in plan_runs(loaded.lookup_method(cls, name).flat())
+            if r.n == n)
+    assert run.fn is not None and not run.region
+    assert run.count > threshold
+    assert machine.jit_stats()["deopts"] == 1
+
+
+def test_failed_lowering_leaves_the_run_cold_and_is_attempted_once(monkeypatch):
+    """A ``CodegenError`` out of the trace compiler: every hot run keeps
+    executing through the threaded handlers, is not offered to the
+    compiler again, and the program still agrees with the reference."""
+    def refuse(self, ins, k):
+        raise CodegenError("planted")
+
+    attempts = []
+    real = jit.promote
+
+    def counting(run, flat=None, program=None):
+        attempts.append(run)
+        return real(run, flat, program)
+
+    monkeypatch.setattr(jit._TraceCompiler, "compile_ins", refuse)
+    monkeypatch.setattr(jit, "promote", counting)
+    with jit_threshold(2):
+        ref, machine, loaded = assert_tiers_agree("""
+            class Main {
+                static void main(String[] a) {
+                    int[] xs = new int[8];
+                    int s = 0;
+                    for (int i = 0; i < 40; i = i + 1) {
+                        xs[i % 8] = i;
+                        s = s + xs[i % 8] + xs[i];
+                    }
+                    Sys.println(s);
+                }
+            }
+        """)
+    assert ref[4] == "array index 8 out of bounds (8)"
+    hot = [r for r in plan_runs(loaded.main_method().flat()) if r.count >= 2]
+    assert hot and sorted(map(id, attempts)) == sorted(map(id, hot))
+    assert all(r.promoted and r.fn is None for r in hot)
+    stats = machine.jit_stats()
+    assert stats == dict.fromkeys(stats, 0)
 
 
 def test_inlined_leaf_call_region():
@@ -299,16 +401,20 @@ def test_overcharge_injection_detected_identically(monkeypatch):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     max_stmts=st.integers(min_value=1, max_value=6),
+    threshold=st.sampled_from([1, 2]),
 )
-def test_random_flat_programs_compiled_equals_reference(seed, max_stmts):
+def test_random_flat_programs_compiled_equals_reference(
+        seed, max_stmts, threshold):
     """Property: generated single-class programs — arithmetic with faulting
     division, branches, nested loops — behave identically on all three
-    tiers, fault text included."""
+    tiers, fault text included.  At threshold 2 a run executes cold once
+    and traced afterwards (traces + deopts); at 1 every run, tiny ones
+    included, is traced before it ever runs."""
     source = generate_source(
         GenConfig(seed=seed, n_classes=0, max_stmts=max_stmts,
                   allow_faults=True)
     )
-    with jit_threshold(2):  # promote aggressively: exercise traces + deopts
+    with jit_threshold(threshold):
         assert_tiers_agree(source)
 
 
@@ -316,14 +422,16 @@ def test_random_flat_programs_compiled_equals_reference(seed, max_stmts):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_classes=st.integers(min_value=1, max_value=3),
+    threshold=st.sampled_from([1, 2]),
 )
-def test_random_rich_programs_compiled_equals_reference(seed, n_classes):
+def test_random_rich_programs_compiled_equals_reference(
+        seed, n_classes, threshold):
     """Property, multi-class: cross-class field/method access, arrays,
     bounded recursion, possible faults — identical on all three tiers."""
     source = generate_source(
         GenConfig(seed=seed, n_classes=n_classes, allow_faults=(seed % 2 == 0))
     )
-    with jit_threshold(2):
+    with jit_threshold(threshold):
         assert_tiers_agree(source)
 
 
@@ -332,8 +440,8 @@ def test_nonfinite_float_ops_are_java_results_on_all_tiers():
     """``(int) NaN``, ``(int) inf``, ``(long) inf``, ``inf % x`` and a
     remainder whose quotient overflows used to escape as bare
     ``ValueError`` / ``OverflowError`` on every tier.  The hot loop runs
-    them per step, as superinstructions and trace-compiled; the literal
-    product is folded by the BURS rules."""
+    them per step, through the threaded handlers and trace-compiled; the
+    literal product is folded by the BURS rules."""
     src = """
         class Main {
             static void main(String[] a) {
