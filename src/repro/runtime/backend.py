@@ -283,8 +283,10 @@ class BackendNode:
         #: integer so ``busy_s`` is one exact division — byte-identical
         #: whether the VM charged per instruction or per batched block.
         self.charged_cycles = 0
-        # fault tolerance (see repro.runtime.faults)
+        # fault tolerance (see repro.runtime.faults): both None under no plan
+        # and under one that injects nothing; else the cycle this node dies at
         self.injector: Optional[FaultInjector] = None
+        self.crash_cycle: Optional[int] = None
         self.main_partition = 0
         #: peers the protocol learned are dead (fault notices, leases)
         self.dead_peers: Set[int] = set()
@@ -294,6 +296,8 @@ class BackendNode:
         #: (primary_node, primary_oid) -> local oid of this node's replica
         self.replica_dir: Dict[Tuple[int, int], int] = {}
         self._seen_frames: Set[Tuple[int, int, int]] = set()
+        #: HEARTBEAT frames ever queued (see NodeRecovery.heartbeats_taken)
+        self.heartbeats_in = 0
         #: recovery tier engine (see repro.runtime.checkpoint); None when
         #: the run policy carries no enabled RecoveryPlan
         self.recovery: Optional[NodeRecovery] = None
@@ -320,12 +324,19 @@ class BackendNode:
     # ------------------------------------------------------------------ inbox
     def intake(self, msg: Message, arrival: float = 0.0) -> None:
         """The one way a frame enters a node, on every backend.  Injected
-        duplicates were sent (and counted) but are dropped here, so the
-        request/reply protocol sees each uniquely-identified frame once.
-        ``arrival`` is when the frame becomes visible on the node's clock;
-        only the simulator models it."""
-        if self.injector is not None and not self.accept_frame(msg):
-            return
+        duplicates were sent (and counted) but are dropped here: a
+        uniquely-identified frame (``req_id > 0`` — a request or its reply)
+        is accepted once; control frames (SHUTDOWN, fault notices,
+        fire-and-forget posts) are idempotent and always pass.  ``arrival``
+        is when the frame becomes visible on the node's clock; only the
+        simulator models it."""
+        if self.injector is not None and msg.req_id > 0:
+            key = (msg.src, msg.kind._value_, msg.req_id)
+            if key in self._seen_frames:
+                return
+            self._seen_frames.add(key)
+        if msg.kind is MessageKind.HEARTBEAT:
+            self.heartbeats_in += 1
         self._enqueue(msg, arrival)
 
     def _enqueue(self, msg: Message, arrival: float) -> None:
@@ -373,19 +384,6 @@ class BackendNode:
         self.pump(0.0)
         return any(match(m) for m in self._inbox)
 
-    def accept_frame(self, msg: Message) -> bool:
-        """Receiver-side dedup for injected duplication: uniquely-identified
-        frames (``req_id > 0`` — requests and their replies) are accepted
-        once; control frames (SHUTDOWN, fault notices, fire-and-forget
-        posts) are idempotent and always pass."""
-        if msg.req_id <= 0:
-            return True
-        key = (msg.src, msg.kind.value, msg.req_id)
-        if key in self._seen_frames:
-            return False
-        self._seen_frames.add(key)
-        return True
-
     # ------------------------------------------------------------------- loop
     def wait(self, timeout_s: float = WAIT_TIMEOUT_S) -> None:
         """A ``('wait',)`` event: block until something new is delivered.
@@ -409,8 +407,9 @@ class BackendNode:
         kind = event[0]
         if kind == "cost":
             self.charge(event[1])
-            if self.injector is not None and self.injector.crash_due(
-                self.charged_cycles
+            crash = self.crash_cycle
+            if crash is not None and self.charged_cycles >= crash and (
+                self.injector.crash_due(self.charged_cycles)
             ):
                 raise NodeCrashed(
                     f"node {self.node_id} crashed at cycle "
@@ -737,8 +736,8 @@ def provision_node(node: BackendNode, transport: Transport, loaded,
     semantics), MPI service, MessageExchange and the DependentObject
     syscall; install the node's process generator (the
     :class:`~repro.runtime.services.ExecutionStarter` on the main node, the
-    service loop elsewhere) and, when the policy carries a fault plan, the
-    node's :class:`FaultInjector`."""
+    service loop elsewhere) and, when the policy carries a fault plan that
+    injects anything, the node's :class:`FaultInjector`."""
     from repro.runtime.mpi import MPIService
     from repro.runtime.services import (
         ExecutionStarter,
@@ -752,8 +751,9 @@ def provision_node(node: BackendNode, transport: Transport, loaded,
     machine.statics = loaded.fresh_statics()
     node.machine = machine
     node.main_partition = policy.main_partition
-    if policy.faults is not None:
+    if policy.faults is not None and not policy.faults.inert:
         node.injector = FaultInjector(policy.faults, node.node_id)
+        node.crash_cycle = node.injector.crash_cycle
     node.mpi = MPIService(node, transport)
     node.exchange = MessageExchange(node)
     if (

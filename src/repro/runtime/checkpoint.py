@@ -19,10 +19,12 @@ cost).  Four cooperating mechanisms:
   used instead.
 * **Detection** — cycle-charged ``HEARTBEAT`` frames plus a lease: a peer
   that has been heard from but then stays silent for ``lease_cycles`` of
-  the observer's own charged cycles is declared dead.  The backends'
-  existing death notices (simulator fault-stop, thread fault notice, the
-  process backend's exit-code polling) feed the same verdict and usually
-  arrive first.
+  virtual time and ignores several pings is declared dead.  That is the
+  simulator's detector.  On ``thread`` / ``process`` / ``tcp`` ``node.clock``
+  stays 0.0 until ``run_node`` returns, so a node sends exactly one beat
+  round (at its first quiescent point), no lease can expire, and detection
+  is the backends' own death notices (thread fault notice, the process
+  backend's exit-code polling), which feed the same verdict.
 * **Takeover & replay** — clients retain every state-bearing frame they
   sent in a per-destination replay log, trimmed one epoch behind the
   destination's ``CHECKPOINT_ACK`` highwater (so a fallback to the
@@ -56,7 +58,7 @@ from repro.errors import ConfigError, VMError
 from repro.runtime.faults import FaultError, FaultRecord, PeerLost, RecoveryAborted
 from repro.runtime.local import access_local, create_local
 from repro.runtime.message import Message, MessageKind
-from repro.runtime.serial import decode_value
+from repro.runtime.serial import decode_value, encode_value
 from repro.vm.values import DependentRef, Ref
 
 __all__ = [
@@ -218,10 +220,10 @@ class NodeRecovery:
     #: them); mirrored by the server-side applied-highwater accounting
     LOGGED_KINDS = frozenset(
         (
-            MessageKind.NEW.value,
-            MessageKind.DEPENDENCE.value,
-            MessageKind.REPLICA_NEW.value,
-            MessageKind.REPLICA_DEP.value,
+            MessageKind.NEW._value_,
+            MessageKind.DEPENDENCE._value_,
+            MessageKind.REPLICA_NEW._value_,
+            MessageKind.REPLICA_DEP._value_,
         )
     )
 
@@ -248,8 +250,11 @@ class NodeRecovery:
         self._lease_s = plan.lease_cycles / REFERENCE_HZ
         self._next_beat_s = 0.0
         self._last_heard: Dict[int, float] = {}
-        #: beats sent to a peer since we last heard from it (ping-ack)
+        #: beats sent to a peer since we last heard from it (ping-ack), and
+        #: how many peers have LEASE_MIN_PINGS or more of them outstanding
         self._unanswered: Dict[int, int] = {}
+        self._suspects = 0
+        self.heartbeats_taken = 0     # of the node's ``heartbeats_in``
         # --- client side (replay logs)
         self._replay_log: Dict[int, List[Tuple[int, int, bytes]]] = {}
         self._acks: Dict[int, List[Tuple[int, int]]] = {}
@@ -287,7 +292,8 @@ class NodeRecovery:
     def note_frame(self, src: int) -> None:
         if src >= 0:
             self._last_heard[src] = self.node.clock
-            self._unanswered.pop(src, None)
+            if self._unanswered.pop(src, 0) >= LEASE_MIN_PINGS:
+                self._suspects -= 1
 
     def drain_heartbeats(self) -> List[int]:
         """Absorb every HEARTBEAT frame that has already arrived and return
@@ -303,6 +309,7 @@ class NodeRecovery:
             )
             if msg is None:
                 return pinged
+            self.heartbeats_taken += 1
             self.note_frame(msg.src)
             if msg.req_id == HEARTBEAT_PING:
                 pinged.append(msg.src)
@@ -333,11 +340,23 @@ class NodeRecovery:
         if rid > self._applied_highwater.get(src, 0):
             self._applied_highwater[src] = rid
 
+    def due(self, serving: bool) -> bool:
+        """Whether :meth:`tick` would do anything — asked at every quiescent
+        point, before a generator exists: a heartbeat is queued, a beat round
+        is due, a lease verdict is possible, or (serving) a barrier is crossed."""
+        node = self.node
+        return (
+            node.heartbeats_in != self.heartbeats_taken
+            or (self.plan.heartbeat_cycles and node.clock >= self._next_beat_s)
+            or self._suspects > 0
+            or (serving and node.charged_cycles >= self._next_ckpt)
+        )
+
     def tick(self, serving: bool):
-        """Generator, called at protocol quiescence (top of the serve
-        loop; before each outgoing request on client nodes): emit due
-        heartbeats, evaluate leases, and — on serving nodes — take the
-        checkpoint barrier when the cycle interval has been crossed."""
+        """Generator, entered at protocol quiescence (top of the serve
+        loop; before each outgoing request on client nodes) when :meth:`due`:
+        emit due heartbeats, evaluate leases, and — on serving nodes — take
+        the checkpoint barrier when the cycle interval has been crossed."""
         node = self.node
         plan = self.plan
         for peer in self.drain_heartbeats():
@@ -348,7 +367,9 @@ class NodeRecovery:
             for peer in range(node.mpi.size):
                 if peer == node.node_id or peer in node.dead_peers:
                     continue
-                self._unanswered[peer] = self._unanswered.get(peer, 0) + 1
+                pings = self._unanswered[peer] = self._unanswered.get(peer, 0) + 1
+                if pings == LEASE_MIN_PINGS:
+                    self._suspects += 1
                 try:
                     yield from node.mpi.isend(
                         Message(
@@ -449,8 +470,6 @@ class NodeRecovery:
                 )
             except FaultError:
                 continue
-        from repro.runtime.serial import encode_value
-
         for src in sorted(self._applied_highwater):
             if src == node.node_id or src in node.dead_peers:
                 continue
@@ -472,10 +491,10 @@ class NodeRecovery:
     def log_request(self, dst: int, req_id: int, kind: MessageKind,
                     payload: bytes) -> None:
         """Retain one sent state-bearing frame for possible replay."""
-        if kind.value not in self.LOGGED_KINDS or dst == self.node.node_id:
+        if kind._value_ not in self.LOGGED_KINDS or dst == self.node.node_id:
             return
         self._replay_log.setdefault(dst, []).append(
-            (req_id, kind.value, payload)
+            (req_id, kind._value_, payload)
         )
 
     def unlog_request(self, dst: int, req_id: int) -> None:

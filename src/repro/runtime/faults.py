@@ -13,10 +13,14 @@ makes failure a first-class, *reproducible* input:
   a pure function of ``(plan.seed, src, dst, per-pair send counter)``, so
   the deterministic simulator replays the exact same fault schedule run
   after run, and the wall-clock backends inject the same *decisions* even
-  though their timing varies.
+  though their timing varies.  Which schedule a seed denotes is this
+  module's to define (an integer mix of the counter; it differs from the
+  per-attempt Mersenne Twister of PR 22 and before, which nothing pinned).
 * :class:`FaultRecord` — the structured evidence a degraded run reports
   instead of hanging or raising: one record per observed fault, attached to
-  ``NodeStats`` / ``BackendRun`` / ``Report``.
+  ``NodeStats`` / ``BackendRun`` / ``Report``.  ``time_s`` is virtual time on
+  the simulator and 0.0 on the wall-clock backends, whose ``node.clock`` is
+  only set when ``run_node`` returns.
 * the fault exception family (:class:`NodeCrashed`, :class:`PeerLost`,
   :class:`RetriesExhausted`, :class:`QuorumLost`) — what the runtime raises
   internally; backends convert these into records, never into hangs.
@@ -24,8 +28,8 @@ makes failure a first-class, *reproducible* input:
 
 from __future__ import annotations
 
-import random
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError, RuntimeServiceError
@@ -34,7 +38,6 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultInjector",
-    "SendVerdict",
     "FaultError",
     "NodeCrashed",
     "PeerLost",
@@ -124,20 +127,19 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "crashes", _pair_tuple(self.crashes))
         object.__setattr__(self, "partitions", _pair_tuple(self.partitions))
-        for name in ("drop_pct", "dup_pct"):
+        # a wrong type is refused here, by field, not as a TypeError in a worker
+        for name, low in (("seed", None), ("max_retries", 0), ("backoff_cycles", 1)):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"FaultPlan.{name} must be in [0, 1], got {v}")
-        if self.delay_s < 0.0:
-            raise ConfigError(f"FaultPlan.delay_s must be >= 0, got {self.delay_s}")
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"FaultPlan.max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_cycles < 1:
-            raise ConfigError(
-                f"FaultPlan.backoff_cycles must be >= 1, got {self.backoff_cycles}"
-            )
+            ok = isinstance(v, int) and not isinstance(v, bool)
+            if not ok or (low is not None and v < low):
+                need = "an int" if low is None else f"an int >= {low}"
+                raise ConfigError(f"FaultPlan.{name} must be {need}, got {v!r}")
+        for name, top in (("drop_pct", 1.0), ("dup_pct", 1.0), ("delay_s", math.inf)):
+            v = getattr(self, name)
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not ok or not 0.0 <= v <= top or v == math.inf:
+                need = "in [0, 1]" if top == 1.0 else "finite and >= 0"
+                raise ConfigError(f"FaultPlan.{name} must be {need}, got {v!r}")
         for node, cycle in self.crashes:
             if node < 0 or cycle < 0:
                 raise ConfigError(f"bad crash entry ({node}, {cycle})")
@@ -156,6 +158,13 @@ class FaultPlan:
         crashes, no partitioned links) — such a plan must not change what
         the program computes, only what it costs."""
         return not self.crashes and not self.partitions
+
+    @property
+    def inert(self) -> bool:
+        """True when nothing is injected at all — no crash, partition, drop,
+        dup or delay: the fault-free run whatever the seed, given no injector."""
+        dice = self.drop_pct or self.dup_pct or self.delay_s
+        return self.transient_only and not dice
 
     def crash_cycle(self, node_id: int) -> Optional[int]:
         """The cycle count at which ``node_id`` dies, or None."""
@@ -210,13 +219,16 @@ class FaultRecord:
 # ---------------------------------------------------------------------------
 # the decision engine
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SendVerdict:
-    """What the injector decided for one send attempt."""
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15   # SplitMix64's counter step, 2**64 / golden ratio
 
-    deliver: bool
-    copies: int = 1
-    delay_s: float = 0.0
+
+def _mix64(x: int) -> int:
+    """SplitMix64's finaliser, a bijection on 64-bit words: counter in, draw out."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 class FaultInjector:
@@ -225,51 +237,56 @@ class FaultInjector:
     One injector per node: the per-destination attempt counters are only
     ever touched by that node's own driver (thread/process safe without
     locks), and the decision stream for a (src, dst) pair is identical
-    across backends and across fast/reference VM engines."""
+    across backends and across VM engines.  Decisions are counter-based
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11):
+    attempt ``k`` is one :func:`_mix64` of ``link key + k * gamma``, high half
+    against the drop threshold, low half against the duplicate threshold."""
 
     def __init__(self, plan: FaultPlan, node_id: int) -> None:
         self.plan = plan
-        self.node_id = node_id
         self._attempts: Dict[int, int] = {}
-        self._partitioned = frozenset(plan.partitions)
-        self._crash_cycle = plan.crash_cycle(node_id)
+        self._keys: Dict[int, int] = {}
+        self._base = _mix64(_mix64(plan.seed + _GAMMA) + node_id)
+        self._cut = frozenset(d for s, d in plan.partitions if s == node_id)
+        # scaling by 2**32 is exact; ceil keeps any p > 0 possible
+        self._drop_below = math.ceil(plan.drop_pct * (1 << 32))
+        self._dup_below = math.ceil(plan.dup_pct * (1 << 32))
+        self._delay_unit_s = plan.delay_s / (1 << 32)
+        self.crash_cycle = plan.crash_cycle(node_id)
         self._crashed = False
 
     # -------------------------------------------------------------- crashes
     def crash_due(self, charged_cycles: int) -> bool:
         """True exactly once: the first time this node's cycle total
         reaches its planned crash point."""
-        if self._crashed or self._crash_cycle is None:
+        if self._crashed or self.crash_cycle is None:
             return False
-        if charged_cycles >= self._crash_cycle:
+        if charged_cycles >= self.crash_cycle:
             self._crashed = True
             return True
         return False
 
     # ---------------------------------------------------------------- sends
-    def on_send(self, dst: int, req_id: int) -> SendVerdict:
-        """Decide one send attempt from this node to ``dst``.  Duplication
+    def on_send(self, dst: int, req_id: int) -> Tuple[int, float]:
+        """Decide one send attempt from this node to ``dst``: ``(copies,
+        delay_s)``, where 0 copies means the attempt is lost.  Duplication
         only applies to uniquely-identified frames (``req_id > 0``), which
         receivers can dedup; fire-and-forget posts and control frames are
         never duplicated."""
         attempt = self._attempts.get(dst, 0)
         self._attempts[dst] = attempt + 1
-        plan = self.plan
-        if (self.node_id, dst) in self._partitioned:
-            return SendVerdict(deliver=False)
-        if plan.drop_pct == 0.0 and plan.dup_pct == 0.0 and plan.delay_s == 0.0:
-            return SendVerdict(deliver=True)
-        rng = random.Random(
-            (plan.seed * 1_000_003) ^ (self.node_id * 8_191) ^ (dst * 131)
-            ^ attempt
-        )
-        if plan.drop_pct and rng.random() < plan.drop_pct:
-            return SendVerdict(deliver=False)
-        copies = 1
-        if plan.dup_pct and req_id > 0 and rng.random() < plan.dup_pct:
-            copies = 2
-        delay = rng.uniform(0.0, plan.delay_s) if plan.delay_s else 0.0
-        return SendVerdict(deliver=True, copies=copies, delay_s=delay)
+        if dst in self._cut:
+            return 0, 0.0
+        key = self._keys.get(dst)
+        if key is None:
+            key = self._keys[dst] = _mix64(self._base + dst)
+        word = _mix64(key + attempt * _GAMMA)
+        if (word >> 32) < self._drop_below:
+            return 0, 0.0
+        copies = 2 if req_id > 0 and (word & 0xFFFFFFFF) < self._dup_below else 1
+        if self._delay_unit_s:
+            return copies, (_mix64(word) >> 32) * self._delay_unit_s
+        return copies, 0.0
 
     def backoff(self, attempt: int) -> int:
         """Cycles to stall before resend ``attempt`` (1-based), capped

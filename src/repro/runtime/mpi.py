@@ -77,11 +77,11 @@ class MPIService:
             return None
         attempt = 0
         while True:
-            verdict = inj.on_send(msg.dst, msg.req_id)
-            if verdict.deliver:
-                if verdict.delay_s:
-                    yield ("cost", int(verdict.delay_s * self.node.spec.cpu_hz))
-                for _ in range(verdict.copies):
+            copies, delay_s = inj.on_send(msg.dst, msg.req_id)
+            if copies:
+                if delay_s:
+                    yield ("cost", int(delay_s * self.node.spec.cpu_hz))
+                for _ in range(copies):
                     self.transport.post(self.node.node_id, msg.dst, msg)
                 return None
             attempt += 1

@@ -92,7 +92,8 @@ class MessageExchange:
         recovery = node.recovery
         if recovery is not None:
             recovery.guard_outbound()
-            yield from recovery.tick(serving=False)
+            if recovery.due(serving=False):
+                yield from recovery.tick(serving=False)
         if dst in node.dead_peers:
             if not self._can_reroute(dst, kind):
                 raise PeerLost(
@@ -279,6 +280,7 @@ class MessageExchange:
         if recovery is not None:
             recovery.note_frame(msg.src)
             if msg.kind is MessageKind.HEARTBEAT:
+                recovery.heartbeats_taken += 1
                 if msg.req_id == HEARTBEAT_PING:
                     yield from recovery.pong(msg.src)
                 return None
@@ -389,12 +391,13 @@ class MessageExchange:
         served *through* — that is what lets a replicated run outlive a
         minority of its replicas."""
         node = self.node
+        recovery = node.recovery
         while True:
-            if node.recovery is not None:
+            if recovery is not None and recovery.due(serving=True):
                 # protocol quiescence: no request is half-applied here, so
                 # this is where heartbeats, leases and checkpoint barriers
                 # are evaluated
-                yield from node.recovery.tick(serving=True)
+                yield from recovery.tick(serving=True)
             msg = yield from node.mpi.recv_any()
             if msg.kind is MessageKind.SHUTDOWN:
                 if msg.req_id == FAULT_NOTICE:

@@ -170,15 +170,15 @@ def test_injector_verdicts_are_deterministic():
     va = [a.on_send(dst=0, req_id=i) for i in range(50)]
     vb = [b.on_send(dst=0, req_id=i) for i in range(50)]
     assert va == vb
-    assert any(not v.deliver for v in va)       # drops do happen at 30%
-    assert any(v.copies == 2 for v in va)       # and duplications at 20%
+    assert any(copies == 0 for copies, _ in va)  # drops do happen at 30%
+    assert any(copies == 2 for copies, _ in va)  # and duplications at 20%
 
 
 def test_injector_nodes_draw_independent_streams():
     plan = FaultPlan(drop_pct=0.5, seed=7)
     ia, ib = FaultInjector(plan, 0), FaultInjector(plan, 1)
-    a = [ia.on_send(1, i).deliver for i in range(40)]
-    b = [ib.on_send(0, i).deliver for i in range(40)]
+    a = [ia.on_send(1, i)[0] for i in range(40)]
+    b = [ib.on_send(0, i)[0] for i in range(40)]
     assert a != b
 
 

@@ -10,6 +10,7 @@ import os
 import socket
 import sys
 import pathlib
+import threading
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
@@ -24,7 +25,7 @@ from repro.errors import RuntimeServiceError
 from repro.runtime.backend import BackendNode
 from repro.runtime.cluster import ClusterSpec, NodeSpec, ethernet_100m
 from repro.runtime.executor import DistributedExecutor
-from repro.runtime.faults import FaultPlan, FaultRecord, PeerLost
+from repro.runtime.faults import FaultInjector, FaultPlan, FaultRecord, PeerLost
 from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
 from repro.runtime.worker import HELLO, StreamNode
 
@@ -79,14 +80,30 @@ def _tcp_node():
     peers[1].close()
 
 
+def _sim_node():
+    from repro.runtime.simnet import SimBackend
+
+    yield SimBackend(SPEC3).nodes[0], None
+
+
+_NODE_FACTORIES = {
+    "sim": _sim_node, "thread": _thread_node, "process": _process_node,
+    "tcp": _tcp_node,
+}
+
+
 @pytest.fixture(params=("thread", "process", "tcp"))
 def blocked_node(request):
     """(node 0 of a 3-node cluster with every peer reachable, a function
     that makes one peer unreachable the way this transport learns it)."""
-    factory = {
-        "thread": _thread_node, "process": _process_node, "tcp": _tcp_node,
-    }[request.param]
-    yield from factory()
+    yield from _NODE_FACTORIES[request.param]()
+
+
+@pytest.fixture(params=BACKENDS)
+def any_node(request):
+    """Node 0 of a 3-node cluster, of each backend's node class."""
+    for node, _ in _NODE_FACTORIES[request.param]():
+        yield node
 
 
 def test_wait_blocks_while_a_peer_lives_then_short_circuits(blocked_node):
@@ -107,6 +124,91 @@ def test_wait_blocks_while_a_peer_lives_then_short_circuits(blocked_node):
     with pytest.raises(PeerLost):
         node.wait(60.0)
     assert time.monotonic() - t0 < 1.0
+
+
+# ------------------------------------------ (a') receiver-side dedup at intake
+def _queued(node):
+    """Everything ``intake`` let through, in inbox order."""
+    return list(iter(node.take_matching, None))
+
+
+def test_a_uniquely_identified_frame_is_queued_once(any_node):
+    any_node.injector = FaultInjector(FaultPlan(dup_pct=1.0), 0)
+    reply = Message(MessageKind.REPLY, 1, 0, 7, b"r")
+    same_id_other_peer = Message(MessageKind.REPLY, 2, 0, 7, b"s")
+    same_id_other_kind = Message(MessageKind.DEPENDENCE, 1, 0, 7, b"d")
+    for frame in (reply, reply, same_id_other_peer, reply,
+                  same_id_other_kind, same_id_other_peer, same_id_other_kind):
+        any_node.intake(frame)
+    assert _queued(any_node) == [reply, same_id_other_peer, same_id_other_kind]
+
+
+def test_frames_without_a_unique_id_always_pass(any_node):
+    """Posts (0, or a negative id under a recovery plan), SHUTDOWN, fault
+    notices and REPLAY frames are idempotent or carry their own ordering:
+    a sender never duplicates them and a receiver never filters them."""
+    any_node.injector = FaultInjector(FaultPlan(dup_pct=1.0), 0)
+    frames = [
+        Message(MessageKind.DEPENDENCE, 1, 0, 0, b"post"),
+        Message(MessageKind.DEPENDENCE, 1, 0, -1_000_004, b"logged post"),
+        Message(MessageKind.SHUTDOWN, 1, 0, 0),
+        Message(MessageKind.SHUTDOWN, 2, 0, FAULT_NOTICE),
+        Message(MessageKind.REPLAY, 1, 0, 0, b"entry"),
+    ]
+    for frame in frames:
+        any_node.intake(frame)
+        any_node.intake(frame)
+    assert _queued(any_node) == [f for frame in frames for f in (frame, frame)]
+
+
+def test_without_an_injector_nothing_is_filtered(any_node):
+    assert any_node.injector is None
+    reply = Message(MessageKind.REPLY, 1, 0, 7, b"r")
+    any_node.intake(reply)
+    any_node.intake(reply)
+    assert _queued(any_node) == [reply, reply]
+
+
+def test_heartbeat_counts_survive_concurrent_senders():
+    """``heartbeats_in`` is written by sender threads, under the thread
+    node's inbox lock, and only read by the node's own thread;
+    ``heartbeats_taken`` is that thread's alone.  A lost update on either
+    would leave ``NodeRecovery.due`` stuck on, or off with a beat queued."""
+    from repro.runtime.checkpoint import NodeRecovery, RecoveryPlan
+    from repro.runtime.threads import ThreadBackend
+
+    node = ThreadBackend(SPEC3).nodes[0]
+    recovery = NodeRecovery(
+        node, RecoveryPlan(heartbeat_cycles=0, lease_cycles=0), nparts=3
+    )
+    senders, each = 8, 1_500
+
+    def send(src):
+        for _ in range(each):
+            node.intake(Message(MessageKind.HEARTBEAT, src, 0, 1))
+
+    threads = [
+        threading.Thread(target=send, args=(1 + i % 2,)) for i in range(senders)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        while (
+            recovery.heartbeats_taken < senders * each
+            and time.monotonic() < deadline
+        ):
+            if recovery.due(serving=False):
+                recovery.drain_heartbeats()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert node.heartbeats_in == recovery.heartbeats_taken == senders * each
+    assert not recovery.due(serving=False)
 
 
 # ------------------------------------- (b) + (c) whole runs, all four backends
@@ -178,3 +280,26 @@ def test_planned_crash_is_one_record_and_every_live_peer_is_told(
         (f.node, f.detail) for f in run.faults if f.kind == "notice_seen"
     ) == [(0, "from 1"), (2, "from 1")]
     assert len(run.node_stats) == 3
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_total_duplication_is_invisible_above_intake(backend):
+    """Every uniquely-identified frame goes out twice and is taken in once:
+    the program, the served and answered request counts are the clean
+    run's, and the wire carries exactly one extra copy per request and per
+    reply."""
+    clean = _executor(backend).run()
+    doubled = _executor(backend, FaultPlan(dup_pct=1.0, seed=2)).run()
+    assert not doubled.degraded and doubled.faults == []
+    assert doubled.stdout == clean.stdout and len(clean.stdout) == 1
+    assert doubled.result == clean.result
+
+    def counts(run, field):
+        return [getattr(s, field) for s in run.node_stats]
+
+    for field in ("requests_served", "requests_sent", "latency_count"):
+        assert counts(doubled, field) == counts(clean, field), field
+    # a request and its reply are the frames with ``req_id > 0``
+    identified = 2 * sum(counts(clean, "requests_sent"))
+    assert identified > 0
+    assert doubled.total_messages == clean.total_messages + identified
