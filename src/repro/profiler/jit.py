@@ -38,7 +38,7 @@ def hot_blocks(program, limit: int = 0) -> List[Dict[str, object]]:
     """Per-run hotness counters across every method of ``program``,
     hottest first.  Each entry carries the method label, the run's
     ``[start, end)`` pc window, its execution count, and how far up the
-    tier ladder it got (``cold`` -> ``compiled`` -> ``region``).
+    tier ladder it got (``cold`` -> ``region``).
 
     Only methods whose flat code was actually materialized are inspected —
     asking for the profile never forces compilation of cold methods.
@@ -50,9 +50,7 @@ def hot_blocks(program, limit: int = 0) -> List[Dict[str, object]]:
         if flat is None or flat.fused is None:
             continue
         for run in plan_runs(flat):
-            tier = "cold"
-            if run.fn is not None:
-                tier = "region" if run.region else "compiled"
+            tier = "cold" if run.fn is None else "region"
             rows.append({
                 "method": label,
                 "start": run.start,

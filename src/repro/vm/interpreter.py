@@ -14,9 +14,8 @@
   cycles locally and surfacing **one** ``('cost', N)`` event per run of
   instructions between syscall/communication boundaries;
 * ``compiled`` (the default) — :func:`repro.vm.jit.run_block_compiled`:
-  the same handlers and the same batching, plus trace-compiled closures
-  for the runs that get hot and inline-cached calls between bytecode
-  frames.
+  the same handlers and the same batching, plus a compiled region for
+  each run that gets hot and inline-cached calls between bytecode frames.
 
 All engines emit the same totals: identical ``cycles``, ``steps``,
 ``result``, ``stdout`` and syscall boundaries — only the granularity of
@@ -639,8 +638,8 @@ class Machine:
     # ------------------------------------------------------------------ compiled tier
     def run_block_compiled(self, stop_depth: int = 1):
         """Compiled-tier engine (:mod:`repro.vm.jit`): same contract as
-        :meth:`run_block`, but hot runs execute as trace-compiled closures
-        with guard-based deopt back to the plain threaded handlers."""
+        :meth:`run_block`, but hot runs execute as compiled regions with
+        guard-based deopt back to the plain threaded handlers."""
         return _run_block_compiled(self, stop_depth)
 
     # ------------------------------------------------------------------ driving

@@ -1,47 +1,53 @@
-"""The compiled execution tier: trace-compiled hot runs over the threaded
+"""The compiled execution tier: region-compiled hot runs over the threaded
 handlers.
 
 This is the third engine behind :meth:`Machine.drive` (the other two are
 the per-step reference path and the threaded-code ``run_block`` fast
-path).  It works at the granularity of **runs**: maximal stretches of
-traceable, syscall-free instructions inside one basic block of a method's
+path).  It is driven by **runs**: maximal stretches of traceable,
+syscall-free instructions inside one basic block of a method's
 :class:`~repro.bytecode.model.FlatCode`.
 
 A run is born cold: it executes one instruction at a time through the
 plain threaded handlers (:func:`repro.vm.dispatch.threaded`) and counts
 its executions.  Past the hotness threshold (``REPRO_VM_JIT_THRESHOLD``)
-it is **trace-compiled**: lowered through the :mod:`repro.codegen.tree` /
-:mod:`repro.codegen.burs` machinery (the paper's JBurg stage) against the
-Python expression target (:mod:`repro.codegen.pytarget`) into a closure
-that collapses whole expression chains — constants folded, operand stack
-virtualized away, whatever a block (or a region call) has already resolved
-or checked memoized instead of re-derived — operating directly on frame
-locals.  A run that heads a syscall-free loop is compiled together with
-the rest of the loop, as one region.
+it is compiled as a **region**: everything traceable reachable from the
+run's first instruction — loops, forward branches and joins included, up
+to the first instruction that is not traceable on each path — lowered
+through the :mod:`repro.codegen.tree` / :mod:`repro.codegen.burs`
+machinery (the paper's JBurg stage) against the Python expression target
+(:mod:`repro.codegen.pytarget`) into one closure.  Inside it whole
+expression chains collapse — constants folded, operand stack virtualized
+away, whatever a dominating block has already resolved or checked
+memoized instead of re-derived — operating directly on frame locals.  A
+block with a single predecessor in the region is compiled inside that
+predecessor (an ``if`` arm), keeping its virtual stack and memo; joins
+and loop heads are the arms of a block-dispatch loop.  A call to a pure
+leaf method — reads only, branches forward only — is inlined.
 
-Between runs, a call or return of a bytecode frame is a :class:`CallSite`
-the engine loop serves from a monomorphic inline cache without leaving
-the loop; natives, remote receivers and service frames take the handlers.
+Between regions, a call or return of a bytecode frame is a
+:class:`CallSite` the engine loop serves from a monomorphic inline cache
+without leaving the loop; natives, remote receivers and service frames
+take the handlers.
 
 The **deopt contract**: every faultable operation (division, heap access,
 array indexing, field lookup) is *guarded* — it checks its operands by
-peeking before mutating anything, and on guard failure the compiled
-function returns the index of the offending instruction with the stack
-and locals exactly as if all earlier instructions had run and the
-offender had not.  The engine then charges the completed prefix and
-re-executes that one instruction through its plain threaded-code handler
-— the path a cold run takes for every instruction — which raises the
-precise ``VMError`` (or performs the remote-object syscall) the reference
-path would.  Cycle accounting stays integer-exact: ``run.cost`` /
-``run.prefix`` are sums of ``Instr.cost``, so cycles, steps, NodeStats
-and fault text are bit-identical across all three tiers.
+peeking before mutating anything, and on guard failure the region returns
+the pc of the offending instruction with the stack and locals exactly as
+if all earlier instructions had run and the offender had not.  The engine
+then charges the completed prefix and re-executes that one instruction
+through its plain threaded-code handler — the path a cold run takes for
+every instruction — which raises the precise ``VMError`` (or performs the
+remote-object syscall) the reference path would.  Cycle accounting stays
+integer-exact: a region reports the steps and the sums of ``Instr.cost``
+of exactly the instructions it completed, so cycles, steps, NodeStats and
+fault text are bit-identical across all three tiers.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from contextlib import contextmanager
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CodegenError, ConfigError, VMError
@@ -111,35 +117,23 @@ class Run:
     """One run: ``instrs[start:end]`` of a method's flat code.
 
     ``fn`` is ``None`` while the run is cold (it then executes through the
-    plain threaded handlers, one instruction per engine pass).  Once traced,
-    ``fn(machine, frame)`` executes the whole run (the engine has already
-    set ``frame.pc = end``; a taken terminal branch overwrites it) and
-    returns ``None`` on completion or the relative index of the instruction
-    whose guard failed (deopt).  ``prefix[k]`` is the cycle cost of the
-    first ``k`` instructions, for exact deopt charging.
+    plain threaded handlers, one instruction per engine pass).  Once hot,
+    ``fn(machine, frame)`` is the region compiled from ``start``: it
+    returns ``(exit_pc, steps, cycles, deopt)`` — ``deopt=1`` leaves the
+    frame exactly at a failed guard (stack rebuilt, prefix counted),
+    ``deopt=0`` is a clean exit at a pc the region does not cover.
     """
 
-    __slots__ = (
-        "start", "end", "instrs", "n", "cost", "prefix",
-        "fn", "count", "threshold", "promoted", "region",
-    )
+    __slots__ = ("start", "end", "fn", "count", "threshold", "promoted")
 
-    def __init__(self, start: int, end: int, instrs: Tuple,
-                 threshold: int) -> None:
+    def __init__(self, start: int, end: int, threshold: int) -> None:
         self.start = start
         self.end = end
-        self.instrs = instrs
-        self.n = end - start
-        self.prefix = (0, *accumulate(i.cost for i in instrs))
-        self.cost = self.prefix[-1]
         self.fn = None
         self.count = 0
         self.threshold = threshold
-        #: tracing was attempted (once, whether or not it succeeded)
+        #: compilation was attempted (once, whether or not it succeeded)
         self.promoted = False
-        #: ``fn`` is a loop-region closure: it returns
-        #: ``(exit_pc, steps, cycles, deopt)`` instead of the run protocol
-        self.region = False
 
 
 #: :attr:`CallSite.kind`; every kind ``>= _FIXED`` is a call
@@ -201,9 +195,9 @@ _TRACEABLE = (
         op.ARRAYLENGTH, op.XALOAD, op.XASTORE,
     })
 )
-#: the subset a pure leaf callee may contain: no mutator but a store to
-#: its own locals, no branch
-_PURE = _TRACEABLE - op.BRANCHES - {op.PUTSTATIC, op.PUTFIELD, op.XASTORE}
+#: the traceable opcodes a pure leaf callee may not contain: it stores to
+#: nothing but its own locals
+_EFFECTS = frozenset({op.PUTSTATIC, op.PUTFIELD, op.XASTORE})
 
 
 def _traceable(ins) -> bool:
@@ -237,7 +231,7 @@ def build_fused(flat):
             while j < b and _traceable(instrs[j]):
                 j += 1
             if j - start >= 2:
-                plan[start] = Run(start, j, tuple(instrs[start:j]), threshold)
+                plan[start] = Run(start, j, threshold)
     flat.fused = plan
     return plan
 
@@ -252,7 +246,7 @@ def plan_runs(flat) -> List[Run]:
 
 
 # --------------------------------------------------------------------------
-# trace compiler: run -> exec-compiled closure via tree/BURS lowering
+# trace compiler: instructions -> Python statements via tree/BURS lowering
 # --------------------------------------------------------------------------
 
 _EXEC_GLOBALS = {
@@ -323,30 +317,35 @@ def _const(nd: TreeNode):
         return _MISS
 
 
+def _plus(var: str, k: int) -> str:
+    return f"{var} + {k}" if k else var
+
+
 class _TraceCompiler:
-    """Symbolic re-execution of one run: the operand stack is virtualized
-    into a stack of operator trees (``vstack``); pure computation defers as
-    trees (lowered through BURS on demand), effectful or guarded operations
-    materialize in program order.  At any deopt point the real operand
-    stack is reconstructed exactly — remaining virtual entries first, then
-    the peeked operands of the failing instruction.
+    """Symbolic re-execution of a region's instructions: the operand stack
+    is virtualized into a stack of operator trees (``vstack``); pure
+    computation defers as trees (lowered through BURS on demand),
+    effectful or guarded operations materialize in program order.  At any
+    deopt point the real operand stack is reconstructed exactly —
+    remaining virtual entries first, then the peeked operands of the
+    failing instruction.
 
-    Within one block execution nothing can allocate, free, or replace an
-    entry's ``.data`` / ``.fields`` (NEW, NEWARRAY and real calls are not
-    traceable, an inlined callee only reads), and every temp is written once.
-    So what the block has established is memoized and neither re-derived
-    nor re-guarded: a dropped guard is one an identical earlier guard of
-    the same block execution already passed.
+    Within one region call nothing can allocate, free, or replace an
+    entry's ``.data`` / ``.fields`` (NEW, NEWARRAY and real calls end a
+    region, an inlined callee only reads), and every temp is written once.
+    So what a block and the blocks dominating it inside its arm have
+    established is memoized and neither re-derived nor re-guarded: a
+    dropped guard is one an identical earlier guard on the same path
+    already passed.
 
-    A region extends this across its blocks for what one call of it cannot
-    change: a slot no block stores to (``stable``, loaded once on entry),
-    and, lazily on first use, the entry behind such a value and its fields
-    that no block writes (``written``) — each a region variable that
-    starts as ``_MISS`` (``once``), so the guard that establishes it still
-    deopts at the instruction that needed it first."""
+    A region with a back edge extends this across its arms for what one
+    call of it cannot change: a slot no block stores to (``stable``,
+    loaded once on entry), and, lazily on first use, the entry behind such
+    a value and its fields that no block writes (``written``) — each a
+    region variable that starts as ``_MISS`` (``once``), so the guard that
+    establishes it still deopts at the instruction that needed it first."""
 
-    def __init__(self, run: Optional[Run] = None) -> None:
-        self.run = run
+    def __init__(self) -> None:
         self.lines: List[str] = []
         self.indent = ""
         self.ntemp = 0
@@ -359,10 +358,10 @@ class _TraceCompiler:
         self.begin_block()
         self.needs_heap = False
         self.needs_statics = False
-        #: lines emitted (indented under the failing guard) to leave the
-        #: compiled code at relative instruction index ``k``; the run form
-        #: returns the deopt index, the region form a full exit tuple
-        self.deopt_tail = lambda k: [f"return {k}"]
+        #: where a failed guard leaves the region: the failing
+        #: instruction's pc and the steps / cycles completed before it
+        #: that the region has not yet added to ``n`` / ``c``
+        self.at = (0, 0, 0)
         #: inlined-callee mode: ``ilocals`` maps callee local slots to
         #: write-once temps, ``inline_pushback`` restores the receiver and
         #: argument operands of the call on deopt (the callee is pure, so
@@ -384,6 +383,18 @@ class _TraceCompiler:
         #: (array data, index temp) pairs already bounds-checked
         self.inbounds: set = set()
 
+    def snapshot(self) -> tuple:
+        """What one arm of a branch starts from; :meth:`restore` hands the
+        other arm an independent copy of the same state."""
+        return (list(self.vstack), dict(self.slots), dict(self.entries),
+                dict(self.fields), set(self.inbounds),
+                None if self.ilocals is None else list(self.ilocals))
+
+    def restore(self, snap: tuple) -> None:
+        vstack, slots, entries, fields, inbounds, ilocals = snap
+        self.vstack, self.slots, self.entries = vstack, slots, entries
+        self.fields, self.inbounds, self.ilocals = fields, inbounds, ilocals
+
     def temp(self) -> str:
         self.ntemp += 1
         return f"t{self.ntemp}"
@@ -393,7 +404,7 @@ class _TraceCompiler:
 
     def _fact(self, key: tuple, hoist: bool) -> str:
         """The temp for memo entry ``key``.  A hoisted one is established
-        once per region call: until ``indent`` is reset, what is emitted
+        once per region call: until :meth:`_end_fact`, what is emitted
         runs only while its region variable is still ``_MISS``."""
         if not hoist:
             return self.temp()
@@ -402,8 +413,12 @@ class _TraceCompiler:
             t = self.once[key] = self.temp()
             self.invariant.add(t)
         self.emit(f"if {t} is _MISS:")
-        self.indent = "    "
+        self.indent += "    "
         return t
+
+    def _end_fact(self, t: str) -> None:
+        if t in self.invariant:
+            self.indent = self.indent[:-4]
 
     def _materialized(self, nd: TreeNode) -> TreeNode:
         if nd.op == "TEMP":
@@ -434,10 +449,10 @@ class _TraceCompiler:
             nd = self._materialized(nd)
         self.vstack.append(nd)
 
-    def guard(self, cond: str, k: int, operands: List[str]) -> None:
-        """Emit ``if cond: <rebuild stack>; <deopt>``.  In inlined-callee
-        mode the callee's virtual stack is dropped (the callee is pure)
-        and the call's own operands are restored instead."""
+    def guard(self, cond: str, operands: List[str]) -> None:
+        """Emit ``if cond: <rebuild stack>; <deopt at self.at>``.  In
+        inlined-callee mode the callee's virtual stack is dropped (the
+        callee is pure) and the call's own operands are restored instead."""
         self.emit(f"if {cond}:")
         if self.inline_pushback is not None:
             for ln in self.inline_pushback:
@@ -447,38 +462,56 @@ class _TraceCompiler:
                 self.emit(f"    s.append({lower_py(nd)})")
             for t in operands:
                 self.emit(f"    s.append({t})")
-        for ln in self.deopt_tail(k):
-            self.emit("    " + ln)
+        pc, n, c = self.at
+        self.emit(f"    return ({pc}, {_plus('n', n)}, {_plus('c', c)}, 1)")
 
     def flush(self) -> None:
         for nd in self.vstack:
             self.emit(f"s.append({lower_py(nd)})")
         self.vstack.clear()
 
-    def _heap_object(self, k: int, r: str, cls: str,
-                     operands: List[str]) -> str:
+    def fork(self, cond: str, taken, fallthrough) -> None:
+        """Emit ``if cond:`` / ``else:`` with ``taken()`` and
+        ``fallthrough()`` compiling the arms, each from the state here."""
+        arm = self.snapshot()
+        indent = self.indent
+        self.emit(f"if {cond}:")
+        self.indent = indent + "    "
+        taken()
+        self.restore(arm)
+        self.indent = indent
+        self.emit("else:")
+        self.indent = indent + "    "
+        fallthrough()
+        self.indent = indent
+
+    def _heap_object(self, r: str, cls: str, operands: List[str]) -> str:
         o = self.entries.get((r, cls))
         if o is None:
             self.needs_heap = True
             o = self.entries[(r, cls)] = self._fact(
                 (r, cls), r in self.invariant)
             self.emit(f"{o} = H.get({r}.oid) if {r}.__class__ is Ref else None")
-            self.guard(f"{o}.__class__ is not {cls}", k, operands)
+            self.guard(f"{o}.__class__ is not {cls}", operands)
             if cls == "HeapArray":
                 self.emit(f"{o} = {o}.data")
-            self.indent = ""
+            self._end_fact(o)
         return o
 
-    def _element(self, k: int, r: str, xi: str, operands: List[str]) -> str:
+    def _element(self, r: str, xi: str, operands: List[str]) -> str:
         """The data list of array ``r``, index ``xi`` checked against it."""
-        d = self._heap_object(k, r, "HeapArray", operands)
+        d = self._heap_object(r, "HeapArray", operands)
         if (d, xi) not in self.inbounds:
             self.inbounds.add((d, xi))
-            self.guard(f"not 0 <= {xi} < len({d})", k, operands)
+            self.guard(f"not 0 <= {xi} < len({d})", operands)
         return d
 
     # ------------------------------------------------------ per instruction
-    def compile_ins(self, ins, k: int) -> None:
+    def compile_ins(self, ins) -> Optional[str]:
+        """Lower one instruction.  A conditional branch only pops its
+        operands and returns the expression that is true when it is taken
+        (a ``GOTO`` lowers to nothing): where control goes is the
+        region's business."""
         name = ins.op
         if name == op.LDC:
             if not isinstance(ins.a, _CONSTABLE):
@@ -501,7 +534,7 @@ class _TraceCompiler:
                 t = self.temp()
                 self.emit(f"{t} = {lower_py(val)}")
                 self.ilocals[ins.a] = t
-                return
+                return None
             val = self.pop()
             # aliasing: any deferred tree reading this slot must evaluate
             # against the *old* value, so materialize it first
@@ -535,7 +568,7 @@ class _TraceCompiler:
             if _const(b) in (_MISS, 0):  # not provably non-zero: guard
                 a = self._materialized(a)
                 b = self._materialized(b)
-                self.guard(f"{b.value} == {zero}", k, [a.value, b.value])
+                self.guard(f"{b.value} == {zero}", [a.value, b.value])
             self.push(TreeNode(root, kids=[a, b]))
         elif name == op.GETSTATIC:
             self.needs_statics = True
@@ -548,22 +581,22 @@ class _TraceCompiler:
             self.emit(f"S[({ins.a!r}, {ins.b!r})] = {lower_py(val)}")
         elif name == op.GETFIELD:
             r = self.pop_temp()
-            o = self._heap_object(k, r, "HeapObject", [r])
+            o = self._heap_object(r, "HeapObject", [r])
             v = self.fields.get((o, ins.b))
             if v is None:
                 v = self.fields[(o, ins.b)] = self._fact(
                     (o, ins.b), o in self.invariant and ins.b not in self.written)
                 self.emit(f"{v} = {o}.fields.get({ins.b!r}, _MISS)")
-                self.guard(f"{v} is _MISS", k, [r])
-                self.indent = ""
+                self.guard(f"{v} is _MISS", [r])
+                self._end_fact(v)
             self.vstack.append(TreeNode("TEMP", value=v))
         elif name == op.PUTFIELD:
             val = self.pop()
             r = self.pop_temp()
             v = self._materialized(val).value
-            o = self._heap_object(k, r, "HeapObject", [r, v])
+            o = self._heap_object(r, "HeapObject", [r, v])
             if (o, ins.b) not in self.fields:  # a hit proves the field exists
-                self.guard(f"{ins.b!r} not in {o}.fields", k, [r, v])
+                self.guard(f"{ins.b!r} not in {o}.fields", [r, v])
             # any two references may alias: forget the field on all of them
             self.fields = {key: t for key, t in self.fields.items()
                            if key[1] != ins.b}
@@ -571,14 +604,14 @@ class _TraceCompiler:
             self.emit(f"{o}.fields[{ins.b!r}] = {v}")
         elif name == op.ARRAYLENGTH:
             r = self.pop_temp()
-            d = self._heap_object(k, r, "HeapArray", [r])
+            d = self._heap_object(r, "HeapArray", [r])
             t = self.temp()
             self.emit(f"{t} = len({d})")
             self.vstack.append(TreeNode("TEMP", value=t))
         elif name == op.XALOAD:
             xi = self.pop_temp()
             r = self.pop_temp()
-            d = self._element(k, r, xi, [r, xi])
+            d = self._element(r, xi, [r, xi])
             t = self.temp()
             self.emit(f"{t} = {d}[{xi}]")
             self.vstack.append(TreeNode("TEMP", value=t))
@@ -587,18 +620,15 @@ class _TraceCompiler:
             xi = self.pop_temp()
             r = self.pop_temp()
             v = self._materialized(val).value
-            d = self._element(k, r, xi, [r, xi, v])
+            d = self._element(r, xi, [r, xi, v])
             self.emit(f"{d}[{xi}] = {v}")
         elif name == op.GOTO:
-            self.flush()
-            self.emit(f"f.pc = {ins.a}")
+            pass
         elif name in op.BRANCHES:
-            cond = self.branch_cond(ins)
-            self.flush()
-            self.emit(f"if {cond}:")
-            self.emit(f"    f.pc = {_target(ins)}")
+            return self.branch_cond(ins)
         else:
             raise CodegenError(f"untraceable opcode {name}")
+        return None
 
     def branch_cond(self, ins) -> str:
         """Pop the operands of conditional branch ``ins``; returns the
@@ -616,39 +646,35 @@ class _TraceCompiler:
             raise CodegenError(f"uncompilable condition {ins.a!r}")
         return f"({lower_py(a)}) {sym} ({lower_py(b)})"
 
-    # --------------------------------------------------------------- driver
-    def compile(self):
-        for k, ins in enumerate(self.run.instrs):
-            self.compile_ins(ins, k)
-        self.flush()
-        body = ["s = f.stack", "L = f.locals"]
-        if self.needs_heap:
-            body.append("H = m.heap._store")
-        if self.needs_statics:
-            body.append("S = m.statics")
-        body.extend(self.lines)
-        first = self.run.instrs[0]
-        return _assemble("_trace", body, f"trace@{self.run.start}:{first.op}")
-
 
 # --------------------------------------------------------------------------
-# loop regions: whole syscall-free loops compiled into one closure
+# regions: everything traceable reachable from a hot run, one closure
 # --------------------------------------------------------------------------
 
-#: bound on loop-region size (instructions) — keeps exec-compile time flat
+#: bound on region size (instructions, inlined callees included) — keeps
+#: exec-compile time flat; what does not fit is left as a region exit (a
+#: run longer than this is cut at it)
 _MAX_REGION = 1024
 
-#: bound on inlined-callee size (instructions)
+#: bound on an inlined callee: instructions compiled over all its paths
 _INLINE_MAX = 40
+
+#: bound on blocks compiled inside one another in one dispatch arm (it
+#: bounds the compiler's recursion and the closure's indentation); a block
+#: deeper than this becomes an arm of its own
+_MAX_NEST = 48
 
 
 def _inline_target(program, ins):
     """The pure leaf method a region may inline at this call site, or
     ``None``.  Eligible: ``INVOKEVIRTUAL``/``INVOKESTATIC`` resolving to a
-    bytecode method (no natives) whose body is straight-line, side-effect
-    free (reads only), single-exit, and provably stack-disciplined — so a
-    failed guard anywhere inside can deopt to the call instruction itself
-    and re-execute through the reference path with nothing to undo."""
+    bytecode method (no natives) whose body reads only, branches forward
+    only, and is provably stack-disciplined on every path — so a failed
+    guard anywhere inside can deopt to the call instruction itself and
+    re-execute through the reference path with nothing to undo.  Its
+    paths are compiled one after another, so their total length (an
+    instruction after a join counts once per path through it) is what
+    :data:`_INLINE_MAX` bounds."""
     o = ins.op
     if program is None or (o != op.INVOKEVIRTUAL and o != op.INVOKESTATIC):
         return None
@@ -661,194 +687,257 @@ def _inline_target(program, ins):
     if nargs != method.nargs or method.is_static != (o == op.INVOKESTATIC):
         return None
     body = method.flat().instrs
-    if not 1 <= len(body) <= _INLINE_MAX:
+    if len(body) > _INLINE_MAX:
         return None
-    last = body[-1]
-    if last.op not in op.RETURNS:
-        return None
-    void = last.op == op.RETURN
-    if void != (method.ret_type is VOID):
-        return None
-    depth = 0
-    for b in body[:-1]:
-        if b.op not in _PURE:
+    void = method.ret_type is VOID
+    # every branch points forward, so one pass in address order settles
+    # the stack depth at each reachable instruction
+    depth = {0: 0}
+    for i, b in enumerate(body):
+        d = depth.get(i)
+        if d is None:
+            continue  # unreachable
+        if b.op in op.RETURNS:
+            if (b.op == op.RETURN) != void or d != (0 if void else 1):
+                return None
+            continue
+        if not _traceable(b) or b.op in _EFFECTS:
             return None
         if b.op == op.LDC and not isinstance(b.a, _CONSTABLE):
             return None
         pops, pushes = op.STACK_EFFECT[b.op]
-        if depth < pops:
+        if d < pops:
             return None
-        depth += pushes - pops
-    if depth != (0 if void else 1):
-        return None
-    return method
+        d += pushes - pops
+        succ = [] if b.op == op.GOTO else [i + 1]
+        if b.op in op.BRANCHES:
+            if _target(b) <= i:
+                return None
+            succ.append(_target(b))
+        for j in succ:
+            if j >= len(body) or depth.setdefault(j, d) != d:
+                return None
+    # instructions compiled over all paths, last instruction first
+    paths = [0] * (len(body) + 1)
+    for i in range(len(body) - 1, -1, -1):
+        if i in depth:
+            b = body[i]
+            paths[i] = 1 + (0 if b.op in op.RETURNS or b.op == op.GOTO
+                            else paths[i + 1])
+            if b.op in op.BRANCHES:
+                paths[i] += paths[_target(b)]
+    return method if paths[0] <= _INLINE_MAX else None
 
 
 def _find_region(flat, start: int, program=None):
-    """Connected component of fully-traceable basic blocks reachable from
-    ``start``, provided some branch inside it loops back (target at or
-    before its own block — i.e. the component contains a syscall-free
-    loop).  Edges to other blocks become clean region exits, so a
-    loop whose body calls a method still compiles everything around the
-    call; a block ending in a call to a pure leaf method (see
-    :func:`_inline_target`) is itself included, the callee inlined behind
-    a receiver-class guard.  Returns the sorted list of ``(a, b)`` block
-    ranges, or ``None`` when the shape does not apply."""
+    """The segments of the region a hot run at ``start`` compiles as:
+    ``{a: (e, successors)}`` for every stretch ``instrs[a:e]`` reachable
+    from ``start`` that begins a basic block (or is the run itself) and
+    extends over traceable instructions — and a block-ending call to a
+    pure leaf method (see :func:`_inline_target`), inlined — up to the end
+    of its block or the first instruction that is not.  ``successors``
+    are where control goes after ``e``: empty when ``instrs[e]`` ends the
+    stretch inside its block (a clean region exit), else the branch
+    target and / or the next block.  Successors that are not segments —
+    untraceable, or past :data:`_MAX_REGION` — are clean exits too.  The
+    run itself is always a segment: when it alone is past the bound it is
+    cut there (before a call it would have inlined, if that is earlier)."""
     instrs = flat.instrs
-    bmap = dict(flat.basic_blocks())
-    if start not in bmap:
-        return None  # run starts mid-block (after a NEW / NEWARRAY / ...)
-    blocks: Dict[int, int] = {}
+    starts = flat.block_starts
+    ends = dict(flat.basic_blocks())
+    i = bisect_right(starts, start)
+    ends[start] = starts[i] if i < len(starts) else len(instrs)
+    segs: Dict[int, tuple] = {}
     total = 0
     work = [start]
     while work:
         a = work.pop()
-        if a in blocks or a not in bmap:
+        if a in segs or a not in ends:
             continue
-        b = bmap[a]
-        last = instrs[b - 1]
-        o = last.op
-        if o in op.INVOKES:
-            callee = _inline_target(program, last)
-            if callee is None:
-                continue  # exits here fall back to the engine loop
-            if not all(_traceable(i) for i in instrs[a:b - 1]):
-                continue
-            total += (b - a) + len(callee.flat().instrs)
+        b = ends[a]
+        t = a
+        while t < b and _traceable(instrs[t]):
+            t += 1
+        e = t
+        size = e - a
+        if e == b - 1:
+            callee = _inline_target(program, instrs[e])
+            if callee is not None:
+                e = b
+                size += 1 + len(callee.flat().instrs)
+        if total + size > _MAX_REGION and a == start:
+            e = min(t, a + _MAX_REGION)  # a clean exit inside the block
+            size = e - a
+        elif e == a or total + size > _MAX_REGION:
+            continue
+        total += size
+        last = instrs[e - 1]
+        if e < b:
+            succ = ()
+        elif last.op == op.GOTO:
+            succ = (last.a,)
+        elif last.op in op.BRANCHES:
+            succ = (_target(last), b)
         else:
-            if not all(_traceable(i) for i in instrs[a:b]):
-                continue
-            total += b - a
-        if total > _MAX_REGION:
-            return None
-        blocks[a] = b
-        if o in op.INVOKES:
-            work.append(b)
-        elif o == op.GOTO:
-            work.append(last.a)
-        elif o in op.BRANCHES:
-            work.append(_target(last))
-            work.append(b)
-        else:
-            work.append(b)
-    for a, b in blocks.items():
-        last = instrs[b - 1]
-        if last.op in op.BRANCHES and _target(last) in blocks \
-                and _target(last) <= a:
-            return [(a, blocks[a]) for a in sorted(blocks)]
-    return None
+            succ = (b,)
+        segs[a] = (e, succ)
+        work.extend(succ)
+    return segs
 
 
-def _inline_call(tc: "_TraceCompiler", inv, a: int, b: int,
-                 prefix: List[int], program) -> None:
-    """Epilogue of a region block ending in an inlinable call: guard the
-    receiver's runtime class (virtual calls), then compile the callee's
-    body in place with its locals mapped to write-once temps.  Any failed
-    guard inside the callee deopts to the call instruction itself with the
-    receiver/arguments restored — the callee is pure, so the plain
-    ``INVOKE`` handler re-executes it with reference semantics."""
+def _inline_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
+                 program) -> Tuple[int, int]:
+    """Compile the call ``inv`` at ``pc`` inline: guard the receiver's
+    runtime class (virtual calls), then compile the callee's body in place
+    with its locals mapped to write-once temps, each of its paths in its
+    own ``if`` arm.  Any failed guard inside the callee deopts to the call
+    instruction itself with the receiver/arguments restored — the callee
+    is pure, so the plain ``INVOKE`` handler re-executes it with reference
+    semantics.  ``(n, c)`` are the steps / cycles pending before the call;
+    returns those pending after it."""
     callee = _inline_target(program, inv)
-    cf = callee.flat().instrs
+    cflat = callee.flat()
+    cf = cflat.instrs
     nargs = inv.c or 0
     virtual = inv.op == op.INVOKEVIRTUAL
-    kinv = b - 1 - a        # run-relative index of the call instruction
-    cinv = prefix[kinv]     # cycles of the completed caller prefix
 
     # materialize receiver + args to temps (top of stack: ... rcv a1 .. an)
     tc.need(nargs + (1 if virtual else 0))
     argts = [tc.pop_temp() for _ in range(nargs)][::-1]
     rcv = tc.pop_temp() if virtual else None
     tc.flush()  # caller residue below the operands goes to the real stack
+    tc.at = (pc, n, c)
+    tc.inline_pushback = [
+        f"s.append({t})" for t in ([rcv] if virtual else []) + argts]
 
-    pushback = [f"s.append({t})" for t in ([rcv] if virtual else []) + argts]
-    saved_tail = tc.deopt_tail
-    tc.deopt_tail = lambda k: [f"return ({b - 1}, n + {kinv}, c + {cinv}, 1)"]
-    tc.inline_pushback = pushback
-
-    ilocals = ["None"] * callee.flat().nlocals
+    ilocals = ["None"] * cflat.nlocals
     idx = 0
     if virtual:
         # monomorphic inline cache: exact-class check makes the compile-time
         # resolution from the static class valid at runtime (a subclass —
         # overriding or not — deopts to the dynamic lookup)
-        o = tc._heap_object(0, rcv, "HeapObject", [])
-        tc.guard(f"{o}.class_name != {inv.a!r}", 0, [])
+        o = tc._heap_object(rcv, "HeapObject", [])
+        tc.guard(f"{o}.class_name != {inv.a!r}", [])
         ilocals[0] = rcv
         idx = 1
     for t in argts:
         ilocals[idx] = t
         idx += 1
-
     tc.ilocals = ilocals
-    for cins in cf[:-1]:
-        tc.compile_ins(cins, 0)  # k unused: inline deopts ignore it
-    ret = cf[-1]
-    retval = tc.pop() if ret.op != op.RETURN else None
-    tc.ilocals = None
+    straight = not any(i.op in op.BRANCHES for i in cf)
+    caller = tc.snapshot()  # the receiver guard dominates what follows
+    rv = None if straight or callee.ret_type is VOID else tc.temp()
+
+    def path(i: int, pn: int, pc_: int) -> Tuple[int, int]:
+        """Compile the callee from ``cf[i]`` with ``(pn, pc_)`` pending;
+        returns what is still pending after its return."""
+        while True:
+            ins = cf[i]
+            pn += 1
+            pc_ += ins.cost
+            if ins.op in op.RETURNS:
+                if ins.op != op.RETURN:
+                    val = tc.pop()
+                    if rv is None:
+                        tc.vstack = [val]
+                    else:
+                        tc.emit(f"{rv} = {lower_py(val)}")
+                if straight:
+                    return pn, pc_
+                tc.emit(f"n += {pn}")
+                tc.emit(f"c += {pc_}")
+                return 0, 0
+            cond = tc.compile_ins(ins)
+            if cond is not None:
+                tc.fork(cond, lambda: path(_target(ins), pn, pc_),
+                        lambda: path(i + 1, pn, pc_))
+                return 0, 0
+            i = ins.a if ins.op == op.GOTO else i + 1
+
+    # the call and the callee's instructions on the path taken
+    n, c = path(0, n + 1, c + inv.cost)
     tc.inline_pushback = None
-    tc.deopt_tail = saved_tail
-    tc.vstack = []
-    if retval is not None:
-        tc.vstack.append(retval)
-
-    ncallee = len(cf)
-    ntot = (b - a) + ncallee  # caller prefix + INVOKE + callee body
-    ctot = cinv + inv.cost + sum(i.cost for i in cf)
-    tc.flush()
-    tc.emit(f"n += {ntot}")
-    tc.emit(f"c += {ctot}")
-    tc.emit(f"pc = {b}")
+    if not straight:
+        # every path has counted itself: back to what the call site knew
+        # (on one path, the facts it established dominate what follows)
+        tc.restore(caller)
+        tc.vstack = [] if rv is None else [TreeNode("TEMP", value=rv)]
+    tc.ilocals = None
+    return n, c
 
 
-def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
-                    program=None):
-    """Compile a loop region into one closure with an internal
-    block-dispatch loop: iterations of the hot loop never return to the
-    engine.  Returns ``(exit_pc, steps, cycles, deopt)`` — ``deopt=1``
-    leaves the machine exactly at a failed guard (stack rebuilt, prefix
-    accounted), ``deopt=0`` is a clean exit at a pc outside the region
-    (a call/return block, or the loop's natural exit)."""
+def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
+    """Compile the region ``segs`` (see :func:`_find_region`) entered at
+    ``entry`` into one closure: a block-dispatch loop whose arms are the
+    entry, the joins and the loop heads; every other segment has a single
+    predecessor and is compiled inside it, behind its branch, with the
+    predecessor's virtual stack and memo.  Returns ``(exit_pc, steps,
+    cycles, deopt)`` — ``deopt=1`` leaves the machine exactly at a failed
+    guard (stack rebuilt, prefix accounted), ``deopt=0`` is a clean exit
+    at a pc outside the region."""
     instrs = flat.instrs
     tc = _TraceCompiler()
-    body_ins = [i for a, b in ext for i in instrs[a:b]]
-    stored = {i.a for i in body_ins if i.op in op.STORES}
-    tc.written = frozenset(i.b for i in body_ins if i.op == op.PUTFIELD)
-    tc.stable = {i.a: f"h{i.a}" for i in body_ins
-                 if i.op in op.LOADS and i.a not in stored}
-    tc.invariant = set(tc.stable.values())
-    chain: List[str] = []
-    for bi, (a, b) in enumerate(ext):
-        blk = instrs[a:b]
-        prefix = [0, *accumulate(i.cost for i in blk)]
-        tc.begin_block()
-        tc.deopt_tail = (
-            lambda a=a, prefix=prefix:
-            lambda k: [f"return ({a + k}, n + {k}, c + {prefix[k]}, 1)"]
-        )()
-        mark = len(tc.lines)
-        last = blk[-1]
-        terminal = last.op in op.BRANCHES
-        is_call = last.op in op.INVOKES
-        for k, ins in enumerate(blk[:-1] if (terminal or is_call) else blk):
-            tc.compile_ins(ins, k)
-        if is_call:
-            _inline_call(tc, last, a, b, prefix, program)
+    preds = dict.fromkeys(segs, 0)
+    preds[entry] = 1
+    back = False
+    for a, (_, succ) in segs.items():
+        for t in succ:
+            if t in segs:
+                preds[t] += 1
+                back = back or t <= a
+    if back:
+        # a block may run more than once per call: hoist what none changes
+        body_ins = [i for a, (e, _) in segs.items() for i in instrs[a:e]]
+        stored = {i.a for i in body_ins if i.op in op.STORES}
+        tc.written = frozenset(i.b for i in body_ins if i.op == op.PUTFIELD)
+        tc.stable = {i.a: f"h{i.a}" for i in body_ins
+                     if i.op in op.LOADS and i.a not in stored}
+        tc.invariant = set(tc.stable.values())
+    heads = [a for a in segs if preds[a] != 1 or a == entry]
+    arms: Dict[int, List[str]] = {}
+
+    def leave(t: int, n: int, c: int, depth: int) -> None:
+        """Control goes to ``t`` with ``(n, c)`` pending."""
+        if t in segs and preds[t] == 1 and depth < _MAX_NEST:
+            segment(t, n, c, depth + 1)
+            return
+        tc.flush()
+        if t not in segs:
+            tc.emit(f"return ({t}, {_plus('n', n)}, {_plus('c', c)}, 0)")
+            return
+        if t not in heads:
+            heads.append(t)  # nested too deep: an arm of its own
+        if n:
+            tc.emit(f"n += {n}")
+        if c:
+            tc.emit(f"c += {c}")
+        tc.emit(f"pc = {t}")
+
+    def segment(a: int, n: int, c: int, depth: int) -> None:
+        e, succ = segs[a]
+        cond = None
+        for pc in range(a, e):
+            ins = instrs[pc]
+            if ins.op in op.INVOKES:
+                n, c = _inline_call(tc, ins, pc, n, c, program)
+                continue
+            tc.at = (pc, n, c)
+            cond = tc.compile_ins(ins)
+            n += 1
+            c += ins.cost
+        if not succ:
+            leave(e, n, c, depth)
+        elif cond is None:
+            leave(succ[0], n, c, depth)
         else:
-            nxt = b
-            if last.op == op.GOTO:
-                nxt = last.a
-            elif terminal:
-                nxt = f"{_target(last)} if {tc.branch_cond(last)} else {b}"
-            tc.flush()
-            tc.emit(f"n += {len(blk)}")
-            tc.emit(f"c += {prefix[-1]}")
-            tc.emit(f"pc = {nxt}")
-        blk_lines = tc.lines[mark:]
-        del tc.lines[mark:]
-        chain.append(f"{'if' if bi == 0 else 'elif'} pc == {a}:")
-        chain.extend("    " + ln for ln in blk_lines)
-    chain.append("else:")
-    chain.append("    return (pc, n, c, 0)")
+            tc.fork(cond, lambda: leave(succ[0], n, c, depth),
+                    lambda: leave(succ[1], n, c, depth))
+
+    for a in heads:  # grows while it is walked (see ``leave``)
+        tc.begin_block()
+        segment(a, 0, 0, 0)
+        arms[a] = tc.lines
+        tc.lines = []
     body = ["s = f.stack", "L = f.locals"]
     if tc.needs_heap:
         body.append("H = m.heap._store")
@@ -857,34 +946,32 @@ def _compile_region(flat, ext: List[Tuple[int, int]], entry: int,
     body += [f"{t} = L[{slot}]" for slot, t in tc.stable.items()]
     body += [f"{t} = _MISS" for t in tc.once.values()]
     body += ["n = 0", "c = 0", f"pc = {entry}", "while 1:"]
-    body += ["    " + ln for ln in chain]
+    order = sorted(arms)
+    for i, a in enumerate(order):
+        pad = "    "
+        if len(order) > 1:
+            # every pc assigned is an arm's: the last needs no test
+            body.append("    " + ("else:" if i == len(order) - 1
+                                  else f"{'if' if i == 0 else 'elif'} pc == {a}:"))
+            pad = "        "
+        body += [pad + ln for ln in arms[a]]
     return _assemble("_region", body, f"region@{entry}")
 
 
-def promote(run: Run, flat=None, program=None) -> bool:
-    """Trace-compile a hot run — as a whole loop region when its block
-    heads one, else as a straight-line closure.  A run whose lowering
-    fails stays cold for good (``promoted`` flips either way, so the
-    attempt happens once)."""
+def promote(run: Run, flat, program=None) -> bool:
+    """Compile a hot run as the region reachable from it, or — when
+    lowering any of that fails — as the run's own segment alone, its
+    successors exits.  A run whose own segment fails too stays cold for
+    good (``promoted`` flips either way, so the attempt happens once)."""
     run.promoted = True
-    fn = None
-    ext = _find_region(flat, run.start, program) if flat is not None else None
-    if ext:
+    segs = _find_region(flat, run.start, program)
+    for part in (segs, {run.start: segs[run.start]}):
         try:
-            fn = _compile_region(flat, ext, run.start, program)
+            run.fn = _compile_region(flat, part, run.start, program)
         except CodegenError:
-            pass
-    region = fn is not None
-    if not region:
-        try:
-            fn = _TraceCompiler(run).compile()
-        except CodegenError:
-            return False
-    # the plan is shared between threads and the engine loop reads ``fn``
-    # first: a closure must not be visible before its calling convention
-    run.region = region
-    run.fn = fn
-    return True
+            continue
+        return True
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -894,7 +981,7 @@ def promote(run: Run, flat=None, program=None) -> bool:
 def run_block_compiled(machine, stop_depth: int = 1):
     """Compiled-tier twin of :meth:`Machine.run_block`: same contract
     (returns ``(kind, gen, push, cost)``; parks ``pending_block_cost`` on
-    error), but a hot run executes as one trace-compiled closure,
+    error), but a hot run executes as one region-compiled closure,
     deoptimizing to the plain threaded handlers — which a cold run takes
     throughout — at guards, syscalls and faults, and calls / returns
     between bytecode frames that a :class:`CallSite` covers never leave
@@ -931,11 +1018,11 @@ def run_block_compiled(machine, stop_depth: int = 1):
                     if promote(entry, flat, prog):
                         pn += 1
                 fn = entry.fn
-                if fn is None:
-                    pass  # cold: this instruction alone, as after a deopt
-                elif entry.region:
-                    # whole-loop closure: executes many iterations per call
-                    # and reports exact step/cycle totals and its exit point
+                if fn is not None:
+                    # the region reports exact step / cycle totals and
+                    # where it left: a clean exit, or a failed guard whose
+                    # instruction the plain handler re-executes with exact
+                    # reference semantics
                     exit_pc, rn, rc, de = fn(m, frame)
                     nsteps += rn
                     acc += rc
@@ -946,26 +1033,7 @@ def run_block_compiled(machine, stop_depth: int = 1):
                         continue
                     dn += 1
                     pc = exit_pc
-                else:
-                    frame.pc = entry.end
-                    r = fn(m, frame)
-                    if r is None:
-                        nsteps += entry.n
-                        acc += entry.cost
-                        cs += entry.n
-                        cc += entry.cost
-                        continue
-                    # deopt: instructions < r completed; charge the prefix
-                    # and re-execute instruction r through its plain
-                    # handler, which raises / syscalls with exact reference
-                    # semantics
-                    dn += 1
-                    p = entry.prefix[r]
-                    nsteps += r
-                    acc += p
-                    cs += r
-                    cc += p
-                    pc = entry.start + r
+                # cold, or after a deopt: this instruction alone, through
                 # the list ``dispatch.threaded`` built for ``build_fused``
                 handler, ins = flat.threaded[pc]
             elif ec is tuple:

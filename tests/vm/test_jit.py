@@ -1,8 +1,8 @@
 """Differential tests for the compiled execution tier.
 
 The third engine (:func:`repro.vm.jit.run_block_compiled` driven through
-:meth:`Machine.drive`) layers trace-compiled hot runs, loop regions,
-pure-leaf call inlining and inline-cached calls on top of the threaded
+:meth:`Machine.drive`) layers region-compiled hot runs, inlining of pure
+leaves that branch forward, and inline-cached calls on top of the threaded
 handlers — and must stay observationally identical to the per-step
 reference oracle on every program: same ``cycles``, ``steps``, ``result``,
 ``stdout``, and the same fault text when the program faults.  These tests
@@ -121,10 +121,8 @@ def test_fused_plan_covers_syscall_free_runs():
     plan = flat.fused
     for run in runs:
         assert plan[run.start] is run
-        assert run.n >= 2
+        assert run.end - run.start >= 2
         assert run.fn is None and not run.promoted
-        assert run.cost == sum(i.cost for i in run.instrs)
-        assert run.prefix[0] == 0
         for j in range(run.start + 1, run.end):
             assert not isinstance(plan[j], Run)
 
@@ -137,13 +135,13 @@ def test_traceable_set_is_what_the_trace_compiler_accepts():
         ins = Instr(name, "LT" if name in op.CMP_BRANCHES else 1, 2, 0)
         ins.cfn = op.CMP_FUNCS["LT"]
         try:
-            jit._TraceCompiler().compile_ins(ins, 0)
+            jit._TraceCompiler().compile_ins(ins)
             accepted = True
         except CodegenError:
             accepted = False
         assert accepted == jit._traceable(ins), name
-    # a pure leaf callee: traceable, no heap / static write, no branch
-    assert jit._PURE < jit._TRACEABLE and jit._PURE <= set(op.STACK_EFFECT)
+    # a pure leaf callee: traceable, no heap / static write
+    assert jit._EFFECTS < jit._TRACEABLE <= set(op.STACK_EFFECT)
 
 
 def test_hot_block_promotion_and_counters():
@@ -267,11 +265,14 @@ _TINY_RUNS = {
         }
     """),
     # the whole body but its return: ALOAD xs, ILOAD i, XALOAD; ``outer``
-    # makes a call, so the loop's region inlines neither
+    # makes a call, so the loop's region inlines neither, and no run of
+    # ``outer`` reaches the call to ``at`` (a native call ends its block)
     "index": ("Main.at", 3, "array index 8 out of bounds (8)", """
         class Main {
             static int at(int[] xs, int i) { return xs[i]; }
-            static int outer(int[] xs, int i) { return at(xs, i) + 1; }
+            static int outer(int[] xs, int i) {
+                return at(xs, Math.iabs(i)) + 1;
+            }
             static void main(String[] a) {
                 int[] xs = new int[8];
                 int s = 0;
@@ -295,8 +296,8 @@ def test_hot_tiny_run_guard_failure_deopts_exactly(case, threshold):
     assert ref[4] == fault
     cls, name = method.split(".")
     run, = (r for r in plan_runs(loaded.lookup_method(cls, name).flat())
-            if r.n == n)
-    assert run.fn is not None and not run.region
+            if r.end - r.start == n)
+    assert run.fn is not None
     assert run.count > threshold
     assert machine.jit_stats()["deopts"] == 1
 
@@ -305,13 +306,13 @@ def test_failed_lowering_leaves_the_run_cold_and_is_attempted_once(monkeypatch):
     """A ``CodegenError`` out of the trace compiler: every hot run keeps
     executing through the threaded handlers, is not offered to the
     compiler again, and the program still agrees with the reference."""
-    def refuse(self, ins, k):
+    def refuse(self, ins):
         raise CodegenError("planted")
 
     attempts = []
     real = jit.promote
 
-    def counting(run, flat=None, program=None):
+    def counting(run, flat, program=None):
         attempts.append(run)
         return real(run, flat, program)
 
@@ -365,6 +366,245 @@ def test_inlined_leaf_call_region():
         comp, machine = _observe(loaded, "compiled")
     assert comp == ref
     assert machine.jit_stats()["promotions"] >= 1
+
+
+_BRANCHING_LEAVES = """
+    class K {
+        int a;
+        int[] d;
+        boolean empty() { return this.a == 0; }
+        int cap() { if (this.a < 3) { return this.a; } return 3; }
+        int pick(int i, int j) {
+            int r = j;
+            if (i > j && this.a != 0) { r = i; } else { r = 0 - i; }
+            return r * 2;
+        }
+        int at(int i) { if (i < 4) { return this.d[i]; } return this.d[0] + i; }
+        static int max(int x, int y) { if (x > y) { return x; } return y; }
+        void look(int i) { int t = 0; if (i > 2) { t = this.a; } }
+    }
+    class Main {
+        static void main(String[] args) {
+            K k = new K();
+            k.d = new int[4];
+            int s = 0;
+            for (int i = 0; i < 60; i = i + 1) {
+                k.a = i % 5;
+                k.d[i % 4] = i;
+                k.look(i);
+                if (k.empty()) { s = s + 1; }
+                s = s + k.cap() * 3 + k.pick(i % 7 - 2, i % 5) + K.max(i, 30);
+                s = s + k.at(i % 9);
+            }
+            Sys.println(s);
+        }
+    }
+"""
+
+
+def test_pure_leaves_that_branch_forward_are_inlined():
+    """Leaves whose bodies branch forward — a compare materialized as a
+    boolean (a join carrying a stack value), early returns, ``&&``, an
+    if / else, a void one — are compiled into the caller's region, each path in
+    its own arm counting its own steps and cycles: at threshold 1 the
+    loop's region exists before the loop first runs, so no leaf is ever
+    called, and the result is the reference's to the cycle."""
+    ref, machine, loaded = _compiled_agrees(_BRANCHING_LEAVES, threshold=1)
+    assert ref[4] is None
+    for name in ("empty", "cap", "pick", "at", "max", "look"):
+        method = loaded.lookup_method("K", name)
+        assert jit._inline_target(loaded.bprogram, _call_to(loaded, name)) \
+            is method, name
+        assert method.flat().fused is None, f"K.{name} was called"
+    assert machine.jit_stats()["deopts"] == 0
+
+
+def _call_to(loaded, name):
+    """The instruction of ``Main.main`` that calls ``K.<name>``."""
+    ins, = (i for i in loaded.main_method().flat().instrs
+            if i.op in op.INVOKES and i.b == name)
+    return ins
+
+
+def test_guard_failing_in_one_arm_of_an_inlined_leaf_deopts_to_the_call():
+    """The bounds check that only the taken arm of an inlined leaf needs
+    fails: the region leaves at the call with its operands restored, the
+    leaf's own region fails the same guard, and the fault text, cycles and
+    steps are the reference's."""
+    src = _BRANCHING_LEAVES.replace("k.at(i % 9)", "k.at(i % 9 - 3)") \
+        .replace("i < 60", "i < 80")
+    ref, machine, _ = _compiled_agrees(src, threshold=1)
+    assert ref[4] == "array index -3 out of bounds (4)"
+    assert machine.jit_stats()["deopts"] == 2
+
+
+def test_leaf_inlining_refuses_loops_effects_and_path_blowup():
+    """A backward branch, a heap store, or more than ``_INLINE_MAX``
+    instructions over all paths (every ``if`` doubles what follows it)
+    keeps a leaf a real call."""
+    ifs = " ".join(f"if (x > {i}) {{ y = y + {i}; }}" for i in range(8))
+    loaded = compile_mj(f"""
+        class K {{
+            int a;
+            int loop(int n) {{ int s = 0; while (n > 0) {{ n = n - 1; }} return s; }}
+            int bump() {{ this.a = this.a + 1; return this.a; }}
+            int wide(int x) {{ int y = 0; {ifs} return y; }}
+            int fine(int x) {{ int y = 0; if (x > 0) {{ y = 1; }} return y; }}
+        }}
+        class Main {{
+            static void main(String[] args) {{
+                K k = new K();
+                Sys.println(k.loop(3) + k.bump() + k.wide(5) + k.fine(2));
+            }}
+        }}
+    """)
+    verdict = {name: jit._inline_target(loaded.bprogram, _call_to(loaded, name))
+               for name in ("loop", "bump", "wide", "fine")}
+    assert verdict == {"loop": None, "bump": None, "wide": None,
+                       "fine": loaded.lookup_method("K", "fine")}
+
+
+def test_every_hot_run_compiles_as_a_region_through_joins_to_its_exits():
+    """No loop needed: a hot run with an if/else, a join and an allocation
+    after it compiles as one region — both arms, the join as a dispatch
+    arm, a clean exit at the ``NEW`` — with exact counts on every path."""
+    ref, _, loaded = _compiled_agrees("""
+        class P { int v; }
+        class Main {
+            static int f(int x) {
+                int y = 0;
+                if (x % 3 == 0) { y = x * 2; } else { y = x + 1; }
+                y = y + 3;
+                P p = new P();
+                p.v = y;
+                return p.v;
+            }
+            static void main(String[] a) {
+                int s = 0;
+                for (int i = 0; i < 50; i = i + 1) { s = s + f(i); }
+                Sys.println(s);
+            }
+        }
+    """)
+    want = sum((i * 2 if i % 3 == 0 else i + 1) + 3 for i in range(50))
+    assert ref[3] == (str(want),)
+    sources = _compiled_sources(loaded)
+    region = sources[("Main.f", 0)]
+    assert "while 1:" in region and "else:" in region
+    assert re.search(r"return \(\d+, n \+ \d+, c \+ \d+, 0\)", region)
+
+
+_ELSE_IFS = " else ".join(
+    f"if (x == {i}) {{ y = y + {i * 7 % 11}; }}" for i in range(60))
+_LEAF_CALLS = " ".join(f"y = y + k.get({i});" for i in range(150))
+
+
+@pytest.mark.parametrize("body, want", [
+    (_ELSE_IFS, sum(1 + (x * 7 % 11 if x < 60 else 0) for x in range(70))),
+    (_LEAF_CALLS, 70 * (1 + sum(3 * i + 1 for i in range(150)))),
+], ids=["else-if chain", "inlined calls in a row"])
+def test_long_chains_of_single_predecessor_blocks_nest_to_a_bound(body, want):
+    """Blocks with one predecessor nest inside it only ``_MAX_NEST`` deep
+    (sixty ``else if`` arms; 150 inlined calls, each ending a block) —
+    deeper ones become arms of the dispatch loop, so neither the compiler's
+    recursion nor the closure's indentation grows with the chain — and the
+    result is the reference's."""
+    ref, _, loaded = _compiled_agrees(f"""
+        class K {{ int a; int get(int i) {{ return this.a * i + 1; }} }}
+        class Main {{
+            static void main(String[] args) {{
+                K k = new K();
+                k.a = 3;
+                int s = 0;
+                for (int x = 0; x < 70; x = x + 1) {{
+                    int y = 1;
+                    {body}
+                    s = s + y;
+                }}
+                Sys.println(s);
+            }}
+        }}
+    """)
+    assert ref[3] == (str(want),)
+    deepest = max(len(ln) - len(ln.lstrip())
+                  for src in _compiled_sources(loaded).values()
+                  for ln in src.splitlines())
+    assert deepest <= 4 * (jit._MAX_NEST + 8)
+
+
+# 300 array stores: one block of over 1 200 traceable instructions
+_BIG_BLOCK = " ".join(f"xs[{i % 8}] = {i};" for i in range(300))
+# 1 020 traceable instructions, then a call to a leaf that would take the
+# run past ``_MAX_REGION`` if it were inlined
+_BIG_BEFORE_CALL = " ".join("y = y + 1;" for _ in range(254)) + " y = k.get(y);"
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("body", [_BIG_BLOCK, _BIG_BEFORE_CALL],
+                         ids=["1200 stores", "1020 before a leaf call"])
+def test_a_run_longer_than_the_region_bound_compiles_cut_at_it(body, threshold):
+    """A hot run that alone is past ``_MAX_REGION`` is still compiled: cut
+    at the bound (or before the call it would inline) with a clean exit,
+    the rest through the threaded handlers, the result the reference's."""
+    src = f"""
+        class K {{ int a; int get(int i) {{ return this.a * i + 1; }} }}
+        class Main {{
+            static void main(String[] args) {{
+                K k = new K();
+                k.a = 3;
+                int[] xs = new int[8];
+                int s = 0;
+                for (int x = 0; x < 20; x = x + 1) {{
+                    int y = x;
+                    {body}
+                    s = s + y + xs[x % 8];
+                }}
+                Sys.println(s);
+            }}
+        }}
+    """
+    _, _, loaded = _compiled_agrees(src, threshold=threshold)
+    flat = loaded.main_method().flat()
+    long_runs = [r for r in plan_runs(flat) if r.end - r.start > 900]
+    assert long_runs and all(r.fn is not None for r in long_runs)
+    for r in long_runs:
+        cut = min(r.end, r.start + jit._MAX_REGION)
+        assert f"return ({cut}, " in r.fn.__doc__
+        assert not any(i.op in op.INVOKES for i in flat.instrs[r.start:cut])
+
+
+def test_a_region_that_fails_to_lower_falls_back_to_the_run_alone(monkeypatch):
+    """A ``CodegenError`` in a block past the hot run's own (here: the
+    method's one ``%``) leaves the run compiled alone, its successors
+    exits; the run holding the ``%`` stays cold; results are exact."""
+    real = jit._TraceCompiler.compile_ins
+
+    def refuse_irem(self, ins):
+        if ins.op == op.IREM:
+            raise CodegenError("planted")
+        return real(self, ins)
+
+    monkeypatch.setattr(jit._TraceCompiler, "compile_ins", refuse_irem)
+    _, _, loaded = _compiled_agrees("""
+        class Main {
+            static int f(int x) {
+                int y = x * 3;
+                if (y > 10) { y = y % 7; } else { y = y + 1; }
+                return y;
+            }
+            static void main(String[] a) {
+                int s = 0;
+                for (int i = 0; i < 30; i = i + 1) { s = s + f(i); }
+                Sys.println(s);
+            }
+        }
+    """)
+    f = loaded.lookup_method("Main", "f").flat()
+    runs = {r.start: r for r in plan_runs(f)}
+    irem, = (r for r in runs.values()
+             if any(i.op == op.IREM for i in f.instrs[r.start:r.end]))
+    assert runs[0].fn is not None
+    assert irem.promoted and irem.fn is None
 
 
 # ------------------------------------------------------------- fault paths
@@ -684,8 +924,9 @@ def test_region_does_not_hoist_what_another_block_changes():
     # ``this`` is loaded on entry and resolved once per region call ...
     assert "h0 = L[0]" in region
     assert re.search(r"if (t\d+) is _MISS:\n +\1 = H\.get\(h0\.oid\)", region)
-    # ... its swapped field and the re-pointed local in every block
-    assert region.count(".fields.get('data', _MISS)") >= 3
+    # ... its swapped field and the re-pointed local in every arm of the
+    # dispatch loop (inside one arm, the read that dominates is reused)
+    assert region.count(".fields.get('data', _MISS)") >= 2
     assert not re.search(r"is _MISS:\n +t\d+ = t\d+\.fields\.get\('data'", region)
     assert "h5 = L[5]" not in region and "= L[5]" in region
 
@@ -717,8 +958,9 @@ def test_region_hoisted_guard_deopts_at_its_first_use():
     assert machine.jit_stats()["deopts"] == 1
 
 
-def test_heapsort_sift_region_resolves_each_reference_once_per_block():
-    """Generated text: a block of heapsort's sift loop holds at most one
+def test_heapsort_sift_region_resolves_each_reference_once_per_arm():
+    """Generated text: an arm of heapsort's sift loop — a loop head or a
+    join, with the blocks only it reaches nested inside — holds at most one
     ``H.get(`` per distinct reference (``this`` and ``this.data``)."""
     from repro.api.experiment import compile_workload
     from repro.harness.cache import StageCache
@@ -727,8 +969,8 @@ def test_heapsort_sift_region_resolves_each_reference_once_per_block():
         loaded = compile_workload("heapsort", "test", cache=StageCache()).loaded
         _observe(loaded, "compiled")
     region = _compiled_sources(loaded)[("Sorter.siftDown", 0)]
-    blocks = re.split(r"\n        (?:el)?if pc == \d+:\n", region)[1:]
-    assert len(blocks) >= 5
+    blocks = re.split(r"\n        (?:(?:el)?if pc == \d+|else):\n", region)[1:]
+    assert len(blocks) >= 2
     assert any("H.get(" in blk for blk in blocks)
     for blk in blocks:
         refs = re.findall(r"H\.get\((\w+)\.oid\)", blk)
