@@ -85,8 +85,6 @@ class _MethodCompiler:
         self.table = table
         self.bclass = bclass
         self.mi = mi
-        decl = mi.decl
-        assert decl is not None
         self.method = BMethod(
             bclass.name,
             mi.name,
@@ -95,7 +93,6 @@ class _MethodCompiler:
             mi.is_static,
             mi.is_ctor,
         )
-        self.decl = decl
         # slot 0 is 'this' for instance methods
         self.slots: List[Dict[str, Tuple[int, Type]]] = [{}]
         self.next_slot = 0
@@ -153,10 +150,12 @@ class _MethodCompiler:
             self.emit(conv)
 
     # ------------------------------------------------------------- entry point
-    def compile(self) -> BMethod:
+    def compile(self, decl: ast.MethodDecl, fields: List[ast.FieldDecl]) -> BMethod:
+        """Lower ``decl``; a constructor first runs the instance initializers
+        among its class's ``fields``."""
         if self.mi.is_ctor:
-            self._emit_ctor_prologue()
-        self._block(self.decl.body)
+            self._emit_ctor_prologue(fields)
+        self._block(decl.body)
         code = self.method.code
         if not code or code[-1].op not in op.RETURNS:
             if self.mi.ret is VOID:
@@ -173,9 +172,8 @@ class _MethodCompiler:
                     self.emit({"I": op.IRETURN, "J": op.LRETURN, "F": op.FRETURN}[ch])
         return self.method
 
-    def _emit_ctor_prologue(self) -> None:
+    def _emit_ctor_prologue(self, fields: List[ast.FieldDecl]) -> None:
         sup = self.bclass.superclass
-        info = self.table.get(self.bclass.name)
         if sup != "Object" and not self.table.get(sup).is_builtin:
             sup_ctor = self.table.resolve_ctor(sup)
             if sup_ctor is not None and sup_ctor.arity != 0:
@@ -186,15 +184,13 @@ class _MethodCompiler:
             self.emit(op.ALOAD, 0)
             self.emit(op.INVOKESPECIAL, sup, "<init>", 0)
         # instance field initializers
-        decl = info.decl
-        if decl is not None:
-            for fd in decl.fields:
-                if fd.is_static or fd.init is None:
-                    continue
-                self.emit(op.ALOAD, 0, line=fd.pos.line)
-                self._expr(fd.init)
-                self._coerce(fd.init.ty, fd.ty)
-                self.emit(op.PUTFIELD, self.bclass.name, fd.name, line=fd.pos.line)
+        for fd in fields:
+            if fd.is_static or fd.init is None:
+                continue
+            self.emit(op.ALOAD, 0, line=fd.pos.line)
+            self._expr(fd.init)
+            self._coerce(fd.init.ty, fd.ty)
+            self.emit(op.PUTFIELD, self.bclass.name, fd.name, line=fd.pos.line)
 
     # ------------------------------------------------------------- statements
     def _block(self, block: ast.Block) -> None:
@@ -632,7 +628,7 @@ def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
                 member = (cd.name, md.name, md.pos)
                 mi = info.methods[md.name]
                 mc = _MethodCompiler(table, bclass, mi)
-                bclass.methods[md.name] = mc.compile()
+                bclass.methods[md.name] = mc.compile(md, cd.fields)
                 if md.name == "main" and md.is_static:
                     main_class = cd.name
             classes[cd.name] = bclass

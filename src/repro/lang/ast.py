@@ -4,6 +4,10 @@ Nodes are plain classes with ``__slots__`` (cheap, picklable) and carry a
 :class:`~repro.errors.SourcePosition`.  Expression nodes gain a ``ty``
 attribute (the static type) during semantic analysis; some nodes gain
 resolution results (e.g. :class:`Call.resolved`).
+
+Nothing built from a tree holds on to it: the symbol table, the bytecode and
+everything derived from them keep no node, so a tree lives exactly as long
+as its caller keeps a reference to it.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ The grammar is the familiar Java subset (see README).  One MJ convention the
 parser relies on: **class names start with an uppercase letter**, which
 disambiguates casts ``(Foo) x`` from parenthesized expressions ``(foo) + x``
 without full backtracking.
+
+The token list is padded with copies of its closing EOF, so a lookahead
+reads ``self.toks[self.i + k]`` with no bounds check; the statement and
+expression methods, which see nearly every token, read it inline.  Token
+tables are keyed by ``T._value_``: an ``Enum`` member hashes in Python, an
+``int`` in C.
 """
 
 from __future__ import annotations
@@ -25,14 +31,19 @@ from repro.lang.types import (
     Type,
 )
 
-_PRIM_TOKENS = {T.INT: INT, T.LONG: LONG, T.FLOAT: FLOAT, T.BOOLEAN: BOOLEAN}
+
+def _by_value(table):
+    return {kind._value_: entry for kind, entry in table.items()}
+
+
+_PRIM_TOKENS = _by_value({T.INT: INT, T.LONG: LONG, T.FLOAT: FLOAT, T.BOOLEAN: BOOLEAN})
 
 _MODIFIER_TOKENS = (T.PUBLIC, T.PRIVATE, T.PROTECTED, T.FINAL)
 
 #: binary operator token -> (precedence, AST operator); a higher precedence
 #: binds tighter.  ``instanceof`` sits with the relational operators and
 #: takes a type, not an expression, on its right.
-_BINARY_OPS = {
+_BINARY_OPS = _by_value({
     T.OROR: (1, "||"),
     T.ANDAND: (2, "&&"),
     T.PIPE: (3, "|"),
@@ -53,30 +64,46 @@ _BINARY_OPS = {
     T.STAR: (10, "*"),
     T.SLASH: (10, "/"),
     T.PERCENT: (10, "%"),
-}
+})
 _NOT_BINARY = (0, "")
 _TIGHTEST = max(prec for prec, _ in _BINARY_OPS.values())
 
-_COMPOUND_ASSIGN = {
+_COMPOUND_ASSIGN = _by_value({
     T.PLUS_ASSIGN: "+",
     T.MINUS_ASSIGN: "-",
     T.STAR_ASSIGN: "*",
     T.SLASH_ASSIGN: "/",
-}
+})
+
+_LITERALS = _by_value({
+    T.INT_LIT: ast.IntLit,
+    T.LONG_LIT: ast.LongLit,
+    T.FLOAT_LIT: ast.FloatLit,
+    T.STR_LIT: ast.StrLit,
+})
+
+#: tokens that may start the operand of a cast to a class type
+_CAST_OPERAND_START = (
+    T.IDENT, T.INT_LIT, T.LONG_LIT, T.FLOAT_LIT, T.STR_LIT, T.THIS, T.NEW,
+    T.NULL, T.LPAREN, T.NOT, T.TRUE, T.FALSE,
+)
+
+#: copies of the closing EOF appended to the token list: no lookahead reads
+#: past the first of them
+_LOOKAHEAD = 2
 
 
 class Parser:
     def __init__(self, tokens: List[Token]) -> None:
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:] * _LOOKAHEAD
         self.i = 0
 
     # ------------------------------------------------------------------ util
     def _peek(self, ahead: int = 0) -> Token:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else self.toks[-1]
+        return self.toks[self.i + ahead]
 
     def _at(self, kind: T, ahead: int = 0) -> bool:
-        return self._peek(ahead).kind is kind
+        return self.toks[self.i + ahead].kind is kind
 
     def _advance(self) -> Token:
         tok = self.toks[self.i]
@@ -84,47 +111,51 @@ class Parser:
             self.i += 1
         return tok
 
-    def _expect(self, kind: T, what: str = "") -> Token:
-        tok = self._peek()
+    # ``_expect`` and ``_accept`` are never asked for EOF, so a match moves on
+    def _expect(self, kind: T) -> Token:
+        tok = self.toks[self.i]
         if tok.kind is not kind:
-            msg = what or f"expected {kind.name}, found {tok.kind.name} {tok.text!r}"
-            raise ParseError(msg, tok.pos)
-        return self._advance()
+            raise ParseError(
+                f"expected {kind.name}, found {tok.kind.name} {tok.text!r}", tok.pos
+            )
+        self.i += 1
+        return tok
 
     def _accept(self, kind: T) -> Optional[Token]:
-        if self._at(kind):
-            return self._advance()
+        tok = self.toks[self.i]
+        if tok.kind is kind:
+            self.i += 1
+            return tok
         return None
 
     def _skip_modifiers(self) -> bool:
         """Consume visibility/final modifiers; return True if 'static' seen."""
         is_static = False
         while True:
-            tok = self._peek()
-            if tok.kind in _MODIFIER_TOKENS:
-                self._advance()
-            elif tok.kind is T.STATIC:
+            kind = self.toks[self.i].kind
+            if kind in _MODIFIER_TOKENS:
+                self.i += 1
+            elif kind is T.STATIC:
                 is_static = True
-                self._advance()
+                self.i += 1
             else:
                 return is_static
 
     # ------------------------------------------------------------------ types
-    def _at_type_start(self, ahead: int = 0) -> bool:
-        tok = self._peek(ahead)
-        return tok.kind in _PRIM_TOKENS or tok.kind is T.IDENT
-
     def _parse_type(self) -> Type:
         tok = self._advance()
-        if tok.kind in _PRIM_TOKENS:
-            ty: Type = _PRIM_TOKENS[tok.kind]
-        elif tok.kind is T.IDENT:
+        ty = _PRIM_TOKENS.get(tok.kind._value_)
+        if ty is None:
+            if tok.kind is not T.IDENT:
+                raise ParseError(f"expected a type, found {tok.text!r}", tok.pos)
             ty = ClassType(tok.text)
-        else:
-            raise ParseError(f"expected a type, found {tok.text!r}", tok.pos)
-        while self._at(T.LBRACKET) and self._at(T.RBRACKET, 1):
-            self._advance()
-            self._advance()
+        return self._array_dims(ty)
+
+    def _array_dims(self, ty: Type) -> Type:
+        """``ty`` wrapped once per ``[ ]`` pair that follows."""
+        toks = self.toks
+        while toks[self.i].kind is T.LBRACKET and toks[self.i + 1].kind is T.RBRACKET:
+            self.i += 2
             ty = ArrayType(ty)
         return ty
 
@@ -212,60 +243,60 @@ class Parser:
     def _parse_block(self) -> ast.Block:
         start = self._expect(T.LBRACE)
         stmts: List[ast.Stmt] = []
-        while not self._at(T.RBRACE):
+        toks = self.toks
+        while toks[self.i].kind is not T.RBRACE:
             stmts.append(self._parse_stmt())
-        self._expect(T.RBRACE)
+        self.i += 1
         return ast.Block(stmts, start.pos)
 
     def _looks_like_vardecl(self) -> bool:
         """A statement starts a local declaration if it begins with a
         primitive type, or ``Ident Ident``, or ``Ident [ ] ``."""
-        if self._peek().kind in _PRIM_TOKENS:
+        toks = self.toks
+        kind = toks[self.i].kind
+        if kind._value_ in _PRIM_TOKENS:
             return True
-        if self._at(T.IDENT):
-            if self._at(T.IDENT, 1):
-                return True
-            k = 1
-            # Ident ([])* Ident
-            while self._at(T.LBRACKET, k) and self._at(T.RBRACKET, k + 1):
-                k += 2
-            if k > 1 and self._at(T.IDENT, k):
-                return True
-        return False
+        if kind is not T.IDENT:
+            return False
+        # Ident ([])* Ident
+        k = self.i + 1
+        while toks[k].kind is T.LBRACKET and toks[k + 1].kind is T.RBRACKET:
+            k += 2
+        return toks[k].kind is T.IDENT
 
     def _parse_stmt(self) -> ast.Stmt:
-        tok = self._peek()
-        if tok.kind is T.LBRACE:
+        tok = self.toks[self.i]
+        kind = tok.kind
+        if kind is T.LBRACE:
             return self._parse_block()
-        if tok.kind is T.IF:
+        if kind is T.IF:
             return self._parse_if()
-        if tok.kind is T.WHILE:
+        if kind is T.WHILE:
             return self._parse_while()
-        if tok.kind is T.FOR:
+        if kind is T.FOR:
             return self._parse_for()
-        if tok.kind is T.RETURN:
-            self._advance()
-            value = None if self._at(T.SEMI) else self._parse_expr()
+        if kind is T.RETURN:
+            self.i += 1
+            value = None if self.toks[self.i].kind is T.SEMI else self._parse_expr()
             self._expect(T.SEMI)
             return ast.Return(value, tok.pos)
-        if tok.kind is T.BREAK:
-            self._advance()
+        if kind is T.BREAK:
+            self.i += 1
             self._expect(T.SEMI)
             return ast.Break(tok.pos)
-        if tok.kind is T.CONTINUE:
-            self._advance()
+        if kind is T.CONTINUE:
+            self.i += 1
             self._expect(T.SEMI)
             return ast.Continue(tok.pos)
         if self._looks_like_vardecl():
             stmt = self._parse_vardecl()
-            self._expect(T.SEMI)
-            return stmt
-        expr = self._parse_expr()
+        else:
+            stmt = ast.ExprStmt(self._parse_expr(), tok.pos)
         self._expect(T.SEMI)
-        return ast.ExprStmt(expr, tok.pos)
+        return stmt
 
     def _parse_vardecl(self) -> ast.Stmt:
-        pos = self._peek().pos
+        pos = self.toks[self.i].pos
         ty = self._parse_type()
         name = self._expect(T.IDENT).text
         init = None
@@ -311,20 +342,19 @@ class Parser:
 
     # ---------------------------------------------------------------- expressions
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> ast.Expr:
+        """An assignment (right-associative, plain or compound) or a binary
+        expression."""
         left = self._parse_binary(1)
-        tok = self._peek()
+        tok = self.toks[self.i]
         if tok.kind is T.ASSIGN:
-            self._advance()
-            value = self._parse_assignment()
+            self.i += 1
+            value = self._parse_expr()
             self._check_lvalue(left)
             return ast.Assign(left, value, tok.pos)
-        op = _COMPOUND_ASSIGN.get(tok.kind)
+        op = _COMPOUND_ASSIGN.get(tok.kind._value_)
         if op is not None:
-            self._advance()
-            rhs = self._parse_assignment()
+            self.i += 1
+            rhs = self._parse_expr()
             self._check_lvalue(left)
             return ast.Assign(left, ast.Binary(op, left, rhs, tok.pos), tok.pos)
         return left
@@ -342,12 +372,13 @@ class Parser:
         # after ``instanceof``, whose right side is a type: ``a instanceof B
         # << c`` is not an expression, and ``limit`` stops it here.
         limit = _TIGHTEST
+        toks = self.toks
         while True:
-            tok = self._peek()
-            prec, op = _BINARY_OPS.get(tok.kind, _NOT_BINARY)
+            tok = toks[self.i]
+            prec, op = _BINARY_OPS.get(tok.kind._value_, _NOT_BINARY)
             if prec < min_prec or prec > limit:
                 return left
-            self._advance()
+            self.i += 1
             if tok.kind is T.INSTANCEOF:
                 left = ast.InstanceOf(left, self._parse_type(), tok.pos)
             else:
@@ -356,82 +387,71 @@ class Parser:
             limit = prec
 
     def _at_cast(self) -> bool:
-        """LPAREN (prim | UpperIdent ([])* ) RPAREN <expr-start>?"""
-        if not self._at(T.LPAREN):
-            return False
-        if self._peek(1).kind in _PRIM_TOKENS:
+        """At LPAREN: (prim | UpperIdent ([])* ) RPAREN <expr-start>?"""
+        toks = self.toks
+        k = self.i + 1
+        tok = toks[k]
+        if tok.kind._value_ in _PRIM_TOKENS:
             return True
-        if self._at(T.IDENT, 1) and self._peek(1).text[:1].isupper():
-            k = 2
-            while self._at(T.LBRACKET, k) and self._at(T.RBRACKET, k + 1):
+        if tok.kind is T.IDENT and tok.text[:1].isupper():
+            k += 1
+            while toks[k].kind is T.LBRACKET and toks[k + 1].kind is T.RBRACKET:
                 k += 2
-            if self._at(T.RPAREN, k):
-                nxt = self._peek(k + 1)
-                return nxt.kind in (
-                    T.IDENT,
-                    T.INT_LIT,
-                    T.LONG_LIT,
-                    T.FLOAT_LIT,
-                    T.STR_LIT,
-                    T.THIS,
-                    T.NEW,
-                    T.NULL,
-                    T.LPAREN,
-                    T.NOT,
-                    T.TRUE,
-                    T.FALSE,
-                )
+            if toks[k].kind is T.RPAREN:
+                return toks[k + 1].kind in _CAST_OPERAND_START
         return False
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is T.MINUS:
-            self._advance()
+        """Prefix operators and casts, then a primary and its postfix
+        operators."""
+        tok = self.toks[self.i]
+        kind = tok.kind
+        if kind is T.MINUS:
+            self.i += 1
             return ast.Unary("-", self._parse_unary(), tok.pos)
-        if tok.kind is T.NOT:
-            self._advance()
+        if kind is T.NOT:
+            self.i += 1
             return ast.Unary("!", self._parse_unary(), tok.pos)
-        if tok.kind is T.PLUSPLUS or tok.kind is T.MINUSMINUS:
+        if kind is T.PLUSPLUS or kind is T.MINUSMINUS:
             # pre-increment: ++x  ==>  x = x + 1 (value is the new value)
-            op = "+" if tok.kind is T.PLUSPLUS else "-"
-            self._advance()
+            op = "+" if kind is T.PLUSPLUS else "-"
+            self.i += 1
             operand = self._parse_unary()
             self._check_lvalue(operand)
             return ast.Assign(
                 operand, ast.Binary(op, operand, ast.IntLit(1, tok.pos), tok.pos), tok.pos
             )
-        if self._at_cast():
-            self._advance()  # (
+        if kind is T.LPAREN and self._at_cast():
+            self.i += 1
             to = self._parse_type()
             self._expect(T.RPAREN)
             return ast.Cast(to, self._parse_unary(), tok.pos)
-        return self._parse_postfix()
 
-    def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        toks = self.toks
         while True:
-            tok = self._peek()
-            if tok.kind is T.DOT:
-                self._advance()
+            tok = toks[self.i]
+            kind = tok.kind
+            if kind is T.DOT:
+                self.i += 1
                 name = self._expect(T.IDENT).text
-                if self._at(T.LPAREN):
-                    args = self._parse_args()
-                    expr = ast.Call(expr, name, args, tok.pos)
-                elif name == "length" and not self._at(T.LPAREN):
+                if toks[self.i].kind is T.LPAREN:
+                    expr = ast.Call(expr, name, self._parse_args(), tok.pos)
+                elif name == "length":
                     expr = ast.ArrayLength(expr, tok.pos)
                 else:
                     expr = ast.FieldAccess(expr, name, tok.pos)
-            elif tok.kind is T.LBRACKET:
-                self._advance()
+            elif kind is T.LBRACKET:
+                self.i += 1
                 index = self._parse_expr()
                 self._expect(T.RBRACKET)
                 expr = ast.ArrayIndex(expr, index, tok.pos)
-            elif tok.kind in (T.PLUSPLUS, T.MINUSMINUS):
+            elif kind is T.PLUSPLUS or kind is T.MINUSMINUS:
                 # postfix inc/dec desugars like the prefix form; MJ code in
                 # this repo only uses it in statement position where the
                 # difference in result value is unobservable.
-                op = "+" if tok.kind is T.PLUSPLUS else "-"
-                self._advance()
+                op = "+" if kind is T.PLUSPLUS else "-"
+                self.i += 1
                 self._check_lvalue(expr)
                 expr = ast.Assign(
                     expr,
@@ -442,85 +462,67 @@ class Parser:
                 return expr
 
     def _parse_args(self) -> List[ast.Expr]:
-        self._expect(T.LPAREN)
+        """``( expr, ... )``, from the LPAREN the caller is at."""
+        self.i += 1
         args: List[ast.Expr] = []
-        if not self._at(T.RPAREN):
-            while True:
+        toks = self.toks
+        if toks[self.i].kind is not T.RPAREN:
+            args.append(self._parse_expr())
+            while toks[self.i].kind is T.COMMA:
+                self.i += 1
                 args.append(self._parse_expr())
-                if not self._accept(T.COMMA):
-                    break
         self._expect(T.RPAREN)
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is T.INT_LIT:
-            self._advance()
-            return ast.IntLit(tok.value, tok.pos)
-        if tok.kind is T.LONG_LIT:
-            self._advance()
-            return ast.LongLit(tok.value, tok.pos)
-        if tok.kind is T.FLOAT_LIT:
-            self._advance()
-            return ast.FloatLit(tok.value, tok.pos)
-        if tok.kind is T.STR_LIT:
-            self._advance()
-            return ast.StrLit(tok.value, tok.pos)
-        if tok.kind is T.TRUE:
-            self._advance()
+        tok = self.toks[self.i]
+        kind = tok.kind
+        if kind is T.IDENT:
+            self.i += 1
+            if self.toks[self.i].kind is T.LPAREN:
+                return ast.Call(None, tok.text, self._parse_args(), tok.pos)
+            return ast.VarRef(tok.text, tok.pos)
+        literal = _LITERALS.get(kind._value_)
+        if literal is not None:
+            self.i += 1
+            return literal(tok.value, tok.pos)
+        if kind is T.TRUE:
+            self.i += 1
             return ast.BoolLit(True, tok.pos)
-        if tok.kind is T.FALSE:
-            self._advance()
+        if kind is T.FALSE:
+            self.i += 1
             return ast.BoolLit(False, tok.pos)
-        if tok.kind is T.NULL:
-            self._advance()
+        if kind is T.NULL:
+            self.i += 1
             return ast.NullLit(tok.pos)
-        if tok.kind is T.THIS:
-            self._advance()
+        if kind is T.THIS:
+            self.i += 1
             return ast.This(tok.pos)
-        if tok.kind is T.NEW:
-            return self._parse_new()
-        if tok.kind is T.LPAREN:
-            self._advance()
+        if kind is T.NEW:
+            return self._parse_new(tok)
+        if kind is T.LPAREN:
+            self.i += 1
             expr = self._parse_expr()
             self._expect(T.RPAREN)
             return expr
-        if tok.kind is T.IDENT:
-            self._advance()
-            if self._at(T.LPAREN):
-                args = self._parse_args()
-                return ast.Call(None, tok.text, args, tok.pos)
-            return ast.VarRef(tok.text, tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def _parse_new(self) -> ast.Expr:
-        start = self._expect(T.NEW)
-        tok = self._peek()
-        if tok.kind in _PRIM_TOKENS:
-            self._advance()
-            base: Type = _PRIM_TOKENS[tok.kind]
-            self._expect(T.LBRACKET)
-            length = self._parse_expr()
-            self._expect(T.RBRACKET)
-            ty: Type = base
-            while self._at(T.LBRACKET) and self._at(T.RBRACKET, 1):
-                self._advance()
-                self._advance()
-                ty = ArrayType(ty)
-            return ast.NewArray(ty, length, start.pos)
-        name = self._expect(T.IDENT).text
-        if self._at(T.LPAREN):
-            args = self._parse_args()
-            return ast.New(name, args, start.pos)
+    def _parse_new(self, start: Token) -> ast.Expr:
+        """``new C(args)`` or an array allocation, from the NEW ``start``."""
+        self.i += 1
+        base = _PRIM_TOKENS.get(self.toks[self.i].kind._value_)
+        if base is not None:
+            self.i += 1
+        else:
+            name = self._expect(T.IDENT).text
+            if self.toks[self.i].kind is T.LPAREN:
+                return ast.New(name, self._parse_args(), start.pos)
         self._expect(T.LBRACKET)
         length = self._parse_expr()
         self._expect(T.RBRACKET)
-        ty = ClassType(name)
-        while self._at(T.LBRACKET) and self._at(T.RBRACKET, 1):
-            self._advance()
-            self._advance()
-            ty = ArrayType(ty)
-        return ast.NewArray(ty, length, start.pos)
+        if base is None:
+            base = ClassType(name)
+        return ast.NewArray(self._array_dims(base), length, start.pos)
 
 
 def parse_program(source: str) -> ast.Program:

@@ -71,7 +71,7 @@ class Analyzer:
     # ------------------------------------------------------------------ pass 1
     def _register_classes(self) -> None:
         for cd in self.program.classes:
-            info = ClassInfo(cd.name, cd.superclass or "Object", decl=cd)
+            info = ClassInfo(cd.name, cd.superclass or "Object")
             self.table.add_class(info)
         for cd in self.program.classes:
             info = self.table.get(cd.name)
@@ -91,7 +91,7 @@ class Analyzer:
                     )
                 self._check_type_exists(fd.ty, fd.pos)
                 info.fields[fd.name] = FieldInfo(
-                    fd.name, fd.ty, fd.is_static, cd.name, fd.init
+                    fd.name, fd.ty, fd.is_static, cd.name
                 )
             have_ctor = False
             for md in cd.methods:
@@ -111,7 +111,6 @@ class Analyzer:
                     md.is_static,
                     md.is_ctor,
                     cd.name,
-                    decl=md,
                 )
                 if md.is_ctor:
                     have_ctor = True
@@ -133,7 +132,7 @@ class Analyzer:
         md = ast.MethodDecl("<init>", [], VOID, body, False, True, cd.pos)
         cd.methods.append(md)
         info.methods["<init>"] = MethodInfo(
-            "<init>", [], VOID, False, True, cd.name, decl=md
+            "<init>", [], VOID, False, True, cd.name
         )
 
     def _check_type_exists(self, ty: Type, pos) -> None:

@@ -6,6 +6,11 @@ paper's examples rely on: ``Object``, ``String``, ``Vector`` (Figure 2 uses
 Figure 8), ``Math``, ``Sys`` (``System.out`` stand-in), ``Random``
 (deterministic LCG for workloads) and the runtime-support class
 ``DependentObject`` (Section 5 of the paper).
+
+The table holds what later stages ask of a declaration — names, types,
+flags, the superclass chain — and no AST: ``compile_program`` takes the
+declarations from the tree its caller passes, so nothing compiled from a
+program keeps that tree alive.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ from repro.lang.types import (
 
 
 class FieldInfo:
-    __slots__ = ("name", "ty", "is_static", "declaring_class", "init")
+    __slots__ = ("name", "ty", "is_static", "declaring_class")
 
-    def __init__(self, name, ty, is_static, declaring_class, init=None):
+    def __init__(self, name, ty, is_static, declaring_class):
         self.name = name
         self.ty = ty
         self.is_static = is_static
         self.declaring_class = declaring_class
-        self.init = init  # AST expr or None
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "static " if self.is_static else ""
@@ -53,7 +57,6 @@ class MethodInfo:
         "is_ctor",
         "is_native",
         "declaring_class",
-        "decl",
     )
 
     def __init__(
@@ -65,7 +68,6 @@ class MethodInfo:
         is_ctor: bool,
         declaring_class: str,
         is_native: bool = False,
-        decl=None,
     ):
         self.name = name
         self.params = params
@@ -74,7 +76,6 @@ class MethodInfo:
         self.is_ctor = is_ctor
         self.is_native = is_native
         self.declaring_class = declaring_class
-        self.decl = decl  # MethodDecl AST for user methods
 
     @property
     def arity(self) -> int:
@@ -85,21 +86,19 @@ class MethodInfo:
 
 
 class ClassInfo:
-    __slots__ = ("name", "superclass", "fields", "methods", "is_builtin", "decl")
+    __slots__ = ("name", "superclass", "fields", "methods", "is_builtin")
 
     def __init__(
         self,
         name: str,
         superclass: Optional[str],
         is_builtin: bool = False,
-        decl=None,
     ):
         self.name = name
         self.superclass = superclass  # None only for Object
         self.fields: Dict[str, FieldInfo] = {}
         self.methods: Dict[str, MethodInfo] = {}
         self.is_builtin = is_builtin
-        self.decl = decl
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<class {self.name}>"
