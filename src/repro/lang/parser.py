@@ -5,11 +5,11 @@ parser relies on: **class names start with an uppercase letter**, which
 disambiguates casts ``(Foo) x`` from parenthesized expressions ``(foo) + x``
 without full backtracking.
 
-The token list is padded with copies of its closing EOF, so a lookahead
-reads ``self.toks[self.i + k]`` with no bounds check; the statement and
-expression methods, which see nearly every token, read it inline.  Token
-tables are keyed by ``T._value_``: an ``Enum`` member hashes in Python, an
-``int`` in C.
+Every lookahead follows a token that is not EOF, so the lexer's closing
+EOF bounds it and ``self.toks[self.i + k]`` needs no bounds check; the
+statement and expression methods, which see nearly every token, read it
+inline.  Token tables are keyed by ``T._value_``: an ``Enum`` member hashes
+in Python, an ``int`` in C.
 """
 
 from __future__ import annotations
@@ -88,14 +88,10 @@ _CAST_OPERAND_START = (
     T.NULL, T.LPAREN, T.NOT, T.TRUE, T.FALSE,
 )
 
-#: copies of the closing EOF appended to the token list: no lookahead reads
-#: past the first of them
-_LOOKAHEAD = 2
-
 
 class Parser:
     def __init__(self, tokens: List[Token]) -> None:
-        self.toks = tokens + tokens[-1:] * _LOOKAHEAD
+        self.toks = tokens
         self.i = 0
 
     # ------------------------------------------------------------------ util

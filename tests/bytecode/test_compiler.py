@@ -234,6 +234,16 @@ def test_expression_nested_too_deeply_is_a_structured_error(expression, error):
     assert err.value.pos is not None and err.value.pos.line == 1
 
 
+def test_two_hundred_nested_parentheses_compile():
+    # the parser spends four frames per parenthesis, so this stays clear of
+    # the stack limit (at six, as it once did, it was a ParseError)
+    from helpers import stdout_of
+
+    assert stdout_of(_main_with(
+        'int y = %sx%s; Sys.println("" + y);' % ("(" * 200, ")" * 200)
+    )) == ["3"]
+
+
 def test_compiler_out_of_stack_is_a_compile_error_naming_the_method():
     from repro.bytecode import compile_program
     from repro.lang import analyze, parse_program

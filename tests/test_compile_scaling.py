@@ -2,10 +2,11 @@
 count — the hardware-independent half of the ``pipeline_cold`` evidence.
 
 Python-level calls (``cProfile``'s ``total_calls``) per token for
-``tokenize`` and per flat instruction for ``build_plan`` and
-``rewrite_program``, on generated programs of 24, 96 and 192 classes.  A
-linear layer spends the same number of calls on every token or instruction
-whatever the program's size, so the 192 : 24 ratio is bounded; the absolute
+``tokenize`` and for parsing the tokens, and per flat instruction for
+``build_plan`` and ``rewrite_program``, on generated programs of 24, 96 and
+192 classes.  A linear layer spends the same number of calls on every token
+or instruction whatever the program's size, so the 192 : 24 ratio is
+bounded; the absolute
 level is capped a tenth above what shipped, so that a per-token or
 per-instruction helper call does not creep back in.  Wall-clock evidence is
 ``perfbench``'s (``run_s`` @ ``pipeline_cold``); its generated programs stop
@@ -21,16 +22,19 @@ from helpers import compile_mj_raw, scaling_source, two_node_plan_arguments
 
 from repro.distgen import build_plan, rewrite_program
 from repro.lang import tokenize
+from repro.lang.parser import Parser
 
 SIZES = (24, 96, 192)
 MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 
 #: shipped calls per unit at 24 / 96 / 192 classes, and the parent commit's:
 #: tokenize  6.3 /  6.3 /  6.3  (29.0 / 29.1 / 29.2: a call per character)
+#: parse     4.5 /  4.5 /  4.5  (14.6 / 14.6 / 14.6: a helper call per token
+#:           read, an ``Enum.__hash__`` per operator-table lookup)
 #: plan      9.8 /  9.3 /  9.3  (14.3 / 23.8 / 33.8: numpy per vertex per
 #:           step, every virtual site tried against every instantiated class)
 #: rewrite   6.3 /  5.5 /  5.4  (21.4 / 22.4 / 23.9)
-MAX_CALLS = {"tokenize": 6.9, "build_plan": 10.8, "rewrite_program": 6.9}
+MAX_CALLS = {"tokenize": 6.9, "parse": 5.0, "build_plan": 10.8, "rewrite_program": 6.9}
 
 
 def calls_of(fn, *args, **kwargs):
@@ -47,6 +51,8 @@ def calls_per_unit():
         source = scaling_source(n_classes)
         calls, tokens = calls_of(tokenize, source)
         table["tokenize"][n_classes] = calls / len(tokens)
+        calls, _ = calls_of(Parser(tokens).parse_program)
+        table["parse"][n_classes] = calls / len(tokens)
 
         program, _ = compile_mj_raw(source)
         instructions = sum(
