@@ -327,16 +327,17 @@ class BackendNode:
         duplicates were sent (and counted) but are dropped here: a
         uniquely-identified frame (``req_id > 0`` — a request or its reply)
         is accepted once; control frames (SHUTDOWN, fault notices,
-        fire-and-forget posts) are idempotent and always pass.  ``arrival``
-        is when the frame becomes visible on the node's clock; only the
+        fire-and-forget posts, heartbeats — whose ``req_id`` only tells a
+        ping from a pong) are idempotent and always pass.  ``arrival`` is
+        when the frame becomes visible on the node's clock; only the
         simulator models it."""
-        if self.injector is not None and msg.req_id > 0:
+        if msg.kind is MessageKind.HEARTBEAT:
+            self.heartbeats_in += 1
+        elif self.injector is not None and msg.req_id > 0:
             key = (msg.src, msg.kind._value_, msg.req_id)
             if key in self._seen_frames:
                 return
             self._seen_frames.add(key)
-        if msg.kind is MessageKind.HEARTBEAT:
-            self.heartbeats_in += 1
         self._enqueue(msg, arrival)
 
     def _enqueue(self, msg: Message, arrival: float) -> None:

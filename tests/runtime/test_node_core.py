@@ -161,6 +161,21 @@ def test_frames_without_a_unique_id_always_pass(any_node):
     assert _queued(any_node) == [f for frame in frames for f in (frame, frame)]
 
 
+def test_every_heartbeat_passes_and_is_counted(any_node):
+    """A pong's ``req_id`` is ``HEARTBEAT_PONG`` (1) only to tell it from a
+    ping.  Dedup once took it for a request id and kept each peer's first
+    pong alone, so later pings went unanswered."""
+    from repro.runtime.checkpoint import HEARTBEAT_PING, HEARTBEAT_PONG
+
+    any_node.injector = FaultInjector(FaultPlan(dup_pct=1.0), 0)
+    ping = Message(MessageKind.HEARTBEAT, 1, 0, HEARTBEAT_PING)
+    pong = Message(MessageKind.HEARTBEAT, 1, 0, HEARTBEAT_PONG)
+    for frame in (ping, pong, pong, ping, pong):
+        any_node.intake(frame)
+    assert _queued(any_node) == [ping, pong, pong, ping, pong]
+    assert any_node.heartbeats_in == 5
+
+
 def test_without_an_injector_nothing_is_filtered(any_node):
     assert any_node.injector is None
     reply = Message(MessageKind.REPLY, 1, 0, 7, b"r")

@@ -14,7 +14,11 @@ timeline it had before, to the last bit of every clock.
 the early-out existed (PR 22) — not as a comparison with a kept copy of the
 old ``tick``.  They move only when what a run *charges* moves (a VM cost, a
 marshalling constant, a recovery default): regenerate them then, from the
-parent of that change.  Floats are ``float.hex()`` strings.
+parent of that change.  Floats are ``float.hex()`` strings.  The five crash +
+recovery rows were regenerated when ``intake`` stopped deduplicating
+heartbeats (a crash plan's injector had kept only each peer's first pong);
+their ``lease_expired`` verdicts stay, because ``FAST``'s 20 000-cycle lease
+is shorter than the simulated link's round trip.
 
 Plans with ``drop_pct`` / ``dup_pct`` / ``delay_s`` are not here: their fault
 schedule changed with the decision engine (see ``test_fault_decisions.py``).
@@ -79,34 +83,34 @@ PARENT = {
         [],
     ),
     "service_bank/crash0@30000+rec2": (
-        "0x1.a0253fc65a5dap-9", 1203, 1320,
-        [("0x1.81e5aee1c61efp-9", 49, 1957),
-         ("0x1.a0253fc65a5dap-9", 48, 1620)],
-        ("0x1.f75104d554a00p-15", "0x1.f75104d554a00p-15", "0x1.03416cd7bf947p-2"),
-        [(0, 27035, "0x1.91ed38eecfc7bp-9")],
-        [(0, "crash", 30387, "0x1.81e5aee1c61efp-9")],
+        "0x1.f2065b7d179c8p-10", 1127, 1080,
+        [("0x1.b5148edd580fbp-10", 56, 1884),
+         ("0x1.f2065b7d179c8p-10", 54, 1569)],
+        ("0x1.f75104d54cd00p-15", "0x1.f75104d554a00p-15", "0x1.cd5f99c38af80p-14"),
+        [(0, 26613, "0x1.d5931dc2ccdd6p-10")],
+        [(0, "crash", 30099, "0x1.b5148edd580fbp-10")],
     ),
     "service_bank/crash1@30000+rec3": (
-        "0x1.dac1c712d71f0p-4", 155438, 600,
-        [("0x1.da419ee464c5dp-4", 1846, 63337),
-         ("0x1.3beff8d47037fp-9", 53, 1617),
-         ("0x1.dac1c712d71f0p-4", 1976, 137279)],
-        ("0x1.020bc382a123ap-2", "0x1.51361dc93ea34p-2", "0x1.51a975afaf7b4p-2"),
-        [(1, 18376, "0x1.5cd6000d7d276p-9")],
+        "0x1.e3a9b42a24cfdp-4", 428438, 600,
+        [("0x1.e3298bfbb276ap-4", 6037, 163725),
+         ("0x1.a13fd62ecb44dp-10", 59, 1629),
+         ("0x1.e3a9b42a24cfdp-4", 6489, 393886)],
+        ("0x1.020bc382a123ap-2", "0x1.4f1bac2df0c36p-2", "0x1.5193b3a68b197p-2"),
+        [(1, 27776, "0x1.e1d41af4cdf31p-10")],
         [(2, "lease_expired", 5268, "0x1.017245eda0011p-12"),
-         (1, "crash", 30112, "0x1.3beff8d47037fp-9"),
-         (1, "lease_expired", 8680, "0x1.4add73e3fd6b0p-11")],
+         (1, "crash", 30202, "0x1.a13fd62ecb44dp-10"),
+         (1, "lease_expired", 8280, "0x1.013737a4b1fb9p-11")],
     ),
     "service_bank/crash0@200000+rec3": (
-        "0x1.068334dbdd6a9p-6", 19000, 0,
-        [("0x1.048294221405bp-6", 393, 11796),
-         ("0x1.068334dbdd6a9p-6", 277, 7998),
-         ("0x1.068334dbdd6a9p-6", 147, 4136)],
-        ("0x1.01a048e043a4ap-2", "0x1.038433d6c721ep-2", "0x1.038433d6c721ep-2"),
+        "0x1.3d0152bb63c3ap-8", 18298, 0,
+        [("0x1.34e54f7a91966p-8", 461, 11798),
+         ("0x1.3d0152bb63c3ap-8", 296, 7808),
+         ("0x1.3ce7d261b729fp-8", 230, 6432)],
+        ("0x1.038433d6c7217p-2", "0x1.04c1ebc83a95bp-2", "0x1.04c1ebc83a95bp-2"),
         [],
-        [(0, "crash", 200480, "0x1.048294221405bp-6"),
+        [(0, "crash", 200284, "0x1.34e54f7a91966p-8"),
          (2, "lease_expired", 5268, "0x1.017245eda0011p-12"),
-         (1, "lease_expired", 8680, "0x1.4add73e3fd6b0p-11")],
+         (1, "lease_expired", 8280, "0x1.013737a4b1fb9p-11")],
     ),
     "service_bank/crash0@200000": (
         "0x1.7a5730a012933p-5", 0, 0,
@@ -135,11 +139,11 @@ PARENT = {
     ),
     "compress/crash0@200000+rec2": (
         "0x1.0e42a2254298ep-10", 4662, 960,
-        [("0x1.023206e0c24a9p-11", 13, 3433),
-         ("0x1.0e42a2254298ep-10", 9, 284)],
+        [("0x1.023206e0c24a9p-11", 14, 3457),
+         ("0x1.0e42a2254298ep-10", 10, 308)],
         ("0x1.7f564302b40fbp-3", "0x1.1ae41a94a434cp-1", "0x1.1ae41a94a434cp-1"),
-        [(0, 11906, "0x1.42502f14e8edcp-11")],
-        [(0, "crash", 208398, "0x1.023206e0c24a9p-11")],
+        [(0, 12306, "0x1.42502f14e8edcp-11")],
+        [(0, "crash", 208838, "0x1.023206e0c24a9p-11")],
     ),
     "moldyn/none": (
         "0x1.ea3f30234002ap-11", 0, 0,
@@ -159,11 +163,11 @@ PARENT = {
     ),
     "moldyn/crash0@30000+rec2": (
         "0x1.5caec3632d62ap-11", 0, 600,
-        [("0x1.b070a32dc48bdp-12", 9, 249),
-         ("0x1.5caec3632d62ap-11", 9, 293)],
+        [("0x1.b070a32dc48bdp-12", 10, 273),
+         ("0x1.5caec3632d62ap-11", 10, 317)],
         ("0x1.051a849ab9088p-2", "0x1.63622c842bb27p-2", "0x1.63622c842bb27p-2"),
-        [(0, 4556, "0x1.185679cb08e92p-11")],
-        [(0, "crash", 58045, "0x1.b070a32dc48bdp-12")],
+        [(0, 4956, "0x1.185679cb08e92p-11")],
+        [(0, "crash", 58485, "0x1.b070a32dc48bdp-12")],
     ),
 }
 
@@ -210,6 +214,17 @@ def test_the_scenarios_exercise_what_they_claim():
     kinds = {f[1] for v in PARENT.values() for f in v[6]}
     assert kinds == {"crash", "lease_expired", "peer_lost"}
     assert max(sum(n[1] for n in v[3]) for v in PARENT.values()) > 30_000
+
+
+def test_a_crash_that_never_fires_indicts_no_live_peer():
+    """Three nodes under a crash plan that never fires, with a lease longer
+    than a round trip on the link (≈ 240 µs): every ping is answered in
+    time, so no lease runs out.  ``FAST``'s 20 µs lease cannot hear an
+    answer: its three-node rows in ``PARENT`` indict live peers."""
+    heard = RecoveryPlan(interval=16_000, heartbeat_cycles=5_000, lease_cycles=300_000)
+    run = _run("service_bank", faults=_crash(0, 10**12), recovery=heard, nodes=3)
+    assert run.faults == []
+    assert run.checkpoint_overhead_cycles > 0
 
 
 @pytest.mark.parametrize(
