@@ -217,12 +217,12 @@ def test_the_scenarios_exercise_what_they_claim():
 
 
 def test_a_crash_that_never_fires_indicts_no_live_peer():
-    """Three nodes under a crash plan that never fires, with a lease longer
-    than a round trip on the link (≈ 240 µs): every ping is answered in
-    time, so no lease runs out.  ``FAST``'s 20 µs lease cannot hear an
-    answer: its three-node rows in ``PARENT`` indict live peers."""
-    heard = RecoveryPlan(interval=16_000, heartbeat_cycles=5_000, lease_cycles=300_000)
-    run = _run("service_bank", faults=_crash(0, 10**12), recovery=heard, nodes=3)
+    """Four nodes under a crash plan that never fires: every ping is
+    answered, so no lease runs out.  While dedup kept only each peer's first
+    pong, this run declared nodes 1, 2 and 3 dead (four ``lease_expired``
+    verdicts against live peers)."""
+    heard = RecoveryPlan(interval=16_000, heartbeat_cycles=50_000, lease_cycles=100_000)
+    run = _run("service_bank", faults=_crash(0, 10**12), recovery=heard, nodes=4)
     assert run.faults == []
     assert run.checkpoint_overhead_cycles > 0
 
