@@ -30,7 +30,7 @@ synchronous read).
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right, insort
 from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,12 +52,18 @@ from repro.runtime.faults import FaultError
 from repro.runtime.message import FAULT_NOTICE, Message
 
 
+#: sorts after every ``seq``: ``(t, _LAST)`` bisects past every arrival <= t
+_LAST = float("inf")
+
+
 class SimNode(BackendNode):
     """One simulated machine: VM + virtual clock + arrival-ordered inbox."""
 
     def __init__(self, node_id: int, spec: NodeSpec) -> None:
         super().__init__(node_id, spec)
-        self.inbox: List[Tuple[float, int, Message]] = []  # heap by arrival
+        #: ``(arrival, seq, msg)`` sorted: earliest arrival first, ties in
+        #: delivery order (``seq`` is unique, so ``msg`` is never compared)
+        self.inbox: List[Tuple[float, int, Message]] = []
         self._seq = count()                  # tie-break: delivery order
         self.parked = False                  # blocked with empty inbox
         # clock derivation base: virtual time and cycle total at the last
@@ -88,7 +94,7 @@ class SimNode(BackendNode):
         self._base_cycles = self.charged_cycles
 
     def _enqueue(self, msg: Message, arrival: float) -> None:
-        heapq.heappush(self.inbox, (arrival, next(self._seq), msg))
+        insort(self.inbox, (arrival, next(self._seq), msg))
         self.parked = False
 
     def wait(self) -> None:
@@ -102,36 +108,34 @@ class SimNode(BackendNode):
             self.fast_forward(future)
 
     def earliest_future_arrival(self) -> Optional[float]:
-        future = [a for a, _, _ in self.inbox if a > self.clock + 1e-15]
-        return min(future) if future else None
+        inbox = self.inbox
+        i = bisect_right(inbox, (self.clock + 1e-15, _LAST))
+        return inbox[i][0] if i < len(inbox) else None
 
     def take_matching(
         self, match: Optional[Callable[[Message], bool]] = None
     ) -> Optional[Message]:
         """Pop the earliest message with arrival <= clock satisfying
         ``match`` (non-matching messages stay queued)."""
-        eligible = [
-            (arrival, seq)
-            for arrival, seq, msg in self.inbox
-            if arrival <= self.clock + 1e-15
-            and (match is None or match(msg))
-        ]
-        if not eligible:
-            return None
-        arrival, seq = min(eligible)
-        for i, (a, s, m) in enumerate(self.inbox):
-            if s == seq:
-                self.inbox.pop(i)
-                heapq.heapify(self.inbox)
+        now = self.clock + 1e-15
+        inbox = self.inbox
+        for i, (arrival, _, msg) in enumerate(inbox):
+            if arrival > now:
+                break
+            if match is None or match(msg):
+                del inbox[i]
                 self.msgs_received += 1
-                return m
-        raise RuntimeServiceError("inbox invariant violated")  # pragma: no cover
+                return msg
+        return None
 
     def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        return any(
-            arrival <= self.clock + 1e-15 and match(m)
-            for arrival, _, m in self.inbox
-        )
+        now = self.clock + 1e-15
+        for arrival, _, msg in self.inbox:
+            if arrival > now:
+                break
+            if match(msg):
+                return True
+        return False
 
 
 class SimCluster(Transport):

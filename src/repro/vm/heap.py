@@ -64,11 +64,12 @@ class Heap:
     def __len__(self) -> int:
         return len(self._store)
 
-    def _insert(self, entry, kind: str) -> Ref:
+    def _insert(self, entry, kind: str, size: Optional[int] = None) -> Ref:
         oid = self._next
         self._next += 1
         self._store[oid] = entry
-        size = entry.size_bytes()
+        if size is None:
+            size = entry.size_bytes()
         self.allocated_objects += 1
         self.allocated_bytes += size
         self.live_bytes += size
@@ -76,11 +77,12 @@ class Heap:
             self.alloc_hook(kind, size)
         return Ref(oid)
 
-    def new_object(self, class_name: str, field_names: List[str], field_chars: List[str]) -> Ref:
-        fields = {
-            name: default_value(ch) for name, ch in zip(field_names, field_chars)
-        }
-        return self._insert(HeapObject(class_name, fields), class_name)
+    def new_object(self, class_name: str, template: Dict[str, object]) -> Ref:
+        """Allocate a ``class_name`` whose fields start as a copy of
+        ``template`` (``LoadedProgram.templates``) — the one allocation path
+        of objects: the handlers, ``create_local`` and compiled regions."""
+        return self._insert(HeapObject(class_name, template.copy()), class_name,
+                            OBJECT_HEADER + FIELD_SLOT * len(template))
 
     def new_array(self, elem_desc: str, length: int) -> Ref:
         return self._insert(HeapArray(elem_desc, length), elem_desc + "[]")

@@ -439,8 +439,7 @@ class Machine:
         return value
 
     def _allocate(self, class_name: str) -> Ref:
-        names, chars = self.program.instance_field_layout(class_name)
-        return self.heap.new_object(class_name, names, chars)
+        return self.heap.new_object(class_name, self.program.templates[class_name])
 
     def _instance_of(self, value, class_name: str) -> bool:
         if class_name.startswith("["):

@@ -22,12 +22,15 @@ memoized instead of re-derived — operating directly on frame locals.  A
 block with a single predecessor in the region is compiled inside that
 predecessor (an ``if`` arm), keeping its virtual stack and memo; joins
 and loop heads are the arms of a block-dispatch loop.  A call to a pure
-leaf method — reads only, branches forward only — is inlined.
+leaf method — reads only, branches forward only — is inlined; a call to
+any other bytecode method whose entry run is compiled calls that region
+directly, on a frame of its own, and continues after its return.  ``NEW``
+allocates in place from its class's field template.
 
 Between regions, a call or return of a bytecode frame is a
 :class:`CallSite` the engine loop serves from a monomorphic inline cache
-without leaving the loop; natives, remote receivers and service frames
-take the handlers.
+without leaving the loop, and so is a call of a native, resolved once per
+site; remote receivers and service frames take the handlers.
 
 The **deopt contract**: every faultable operation (division, heap access,
 array indexing, field lookup) is *guarded* — it checks its operands by
@@ -59,6 +62,7 @@ from repro.lang.types import VOID
 from repro.vm.dispatch import FRAME_SWITCH, INVOKE_HANDLER, threaded
 from repro.vm.frame import Frame
 from repro.vm.heap import HeapArray, HeapObject
+from repro.vm.natives import find_native
 from repro.vm.values import Ref, f2i, f2l, frem, i32, i64, idiv, irem, iushr
 
 __all__ = [
@@ -119,9 +123,14 @@ class Run:
     ``fn`` is ``None`` while the run is cold (it then executes through the
     plain threaded handlers, one instruction per engine pass).  Once hot,
     ``fn(machine, frame)`` is the region compiled from ``start``: it
-    returns ``(exit_pc, steps, cycles, deopt)`` — ``deopt=1`` leaves the
+    returns ``(exit_pc, steps, cycles, status)`` — ``status=1`` leaves the
     frame exactly at a failed guard (stack rebuilt, prefix counted),
-    ``deopt=0`` is a clean exit at a pc the region does not cover.
+    ``status=0`` is a clean exit at a pc the region does not cover.  A
+    region that called another directly and did not see it return cleanly
+    leaves that callee's frame (or a deeper one) on top, its own ``pc``
+    past the call: ``status=2`` when the top frame resumes at its ``pc``,
+    ``status=3`` when the instruction there deopted and runs once through
+    its plain handler (re-entering the run there would fail again).
     """
 
     __slots__ = ("start", "end", "fn", "count", "threshold", "promoted")
@@ -143,9 +152,10 @@ _RETURN, _XRETURN, _FIXED, _VIRTUAL = range(4)
 class CallSite:
     """Plan entry of one call or return, so the engine loop can push and pop
     bytecode frames itself.  A call carries a monomorphic inline cache,
-    ``(prog, cls, method, flat, pad)``: the callee ``method`` and its
+    ``(prog, cls, method, flat, pad, native)``: the callee ``method`` and its
     ``flat`` (``None``: not a plain bytecode call) it resolved for ``prog``
-    and runtime receiver class ``cls`` (``None`` at a statically bound site).
+    and runtime receiver class ``cls`` (``None`` at a statically bound site),
+    or the handler ``native`` calling the native it resolved instead.
     ``prog`` is part of the key because a program and its rewritten copy
     share code and run in one process.  The plan is shared by every machine
     over the program — the thread backend's nodes run them concurrently —
@@ -164,20 +174,49 @@ class CallSite:
             self.kind = _VIRTUAL if ins.op == op.INVOKEVIRTUAL else _FIXED
         #: operands the call takes off the stack: receiver + arguments
         self.nops = (ins.c or 0) + (ins.op != op.INVOKESTATIC)
-        self.cache = (None, None, None, None, None)
+        self.cache = (None, None, None, None, None, None)
 
     def bind(self, prog, cls) -> tuple:
         """Resolve the site for ``prog`` and receiver class ``cls``."""
         ins = self.ins
-        method = prog.lookup_method(ins.a if cls is None else cls, ins.b)
-        flat = pad = None  # native, or not a call we model
-        if method is not None and method.nargs == (ins.c or 0) \
+        owner = ins.a if cls is None else cls
+        method = prog.lookup_method(owner, ins.b)
+        flat = pad = native = None  # not a call we model
+        if method is None:
+            native = _bind_native(prog, owner, ins.b, self.nops,
+                                  ins.op != op.INVOKESTATIC)
+        elif method.nargs == (ins.c or 0) \
                 and method.is_static == (ins.op == op.INVOKESTATIC):
             flat = method.flat()
             #: the callee's locals past receiver + arguments
             pad = [None] * (flat.nlocals - self.nops)
-        hit = self.cache = (prog, cls, method, flat, pad)
+        hit = self.cache = (prog, cls, method, flat, pad, native)
         return hit
+
+
+def _bind_native(prog, cls: str, name: str, nops: int, nrecv: bool):
+    """A handler calling native ``cls.name`` — found, and whether its value
+    is pushed settled, here, once — exactly as ``Machine._native`` does on
+    every call; ``None`` when there is none (the plain handler raises)."""
+    try:
+        fn = find_native(cls, name)
+    except VMError:
+        return None
+    mi = prog.table.resolve_method(cls, name)
+    push = mi is not None and mi.ret is not VOID and not mi.is_ctor
+
+    def call(m, f, ins):
+        s = f.stack
+        i = len(s) - nops
+        recv = s[i] if nrecv else None
+        args = s[i + nrecv:]
+        del s[i:]
+        value = fn(m, recv, args)
+        m.inflight_cycles = 0  # the engine published it for this call
+        if push:
+            s.append(value)
+
+    return call
 
 
 # --------------------------------------------------------------------------
@@ -192,18 +231,22 @@ _TRACEABLE = (
     | frozenset({
         op.LDC, op.ACONST_NULL, op.DUP, op.POP, op.SWAP, op.GOTO,
         op.GETSTATIC, op.PUTSTATIC, op.GETFIELD, op.PUTFIELD,
-        op.ARRAYLENGTH, op.XALOAD, op.XASTORE,
+        op.ARRAYLENGTH, op.XALOAD, op.XASTORE, op.NEW,
     })
 )
 #: the traceable opcodes a pure leaf callee may not contain: it stores to
-#: nothing but its own locals
-_EFFECTS = frozenset({op.PUTSTATIC, op.PUTFIELD, op.XASTORE})
+#: nothing but its own locals and allocates nothing (a deopt inside it
+#: re-executes the whole call)
+_EFFECTS = frozenset({op.PUTSTATIC, op.PUTFIELD, op.XASTORE, op.NEW})
 
 
 def _traceable(ins) -> bool:
+    o = ins.op
+    if o in _TRACEABLE:
+        # ``NEW DependentObject`` must keep raising through the plain handler
+        return o != op.NEW or ins.a != DEPENDENT_OBJECT
     # an unresolved condition must keep raising through the plain handler
-    return ins.op in _TRACEABLE or (
-        ins.op in op.CMP_BRANCHES and ins.cfn is not None)
+    return o in op.CMP_BRANCHES and ins.cfn is not None
 
 
 def build_fused(flat):
@@ -253,14 +296,15 @@ _EXEC_GLOBALS = {
     "i32": i32, "i64": i64, "idiv": idiv, "irem": irem, "iushr": iushr,
     "f2i": f2i, "f2l": f2l, "frem": frem,
     "Ref": Ref, "HeapObject": HeapObject, "HeapArray": HeapArray,
-    "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
+    "Frame": Frame, "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
     "len": len, "int": int, "float": float,
 }
 
 
-def _assemble(fname: str, body: List[str], tag: str):
+def _assemble(fname: str, body: List[str], tag: str, consts: Dict[str, object]):
     src = f"def {fname}(m, f):\n" + "\n".join("    " + ln for ln in body)
     g = dict(_EXEC_GLOBALS)
+    g.update(consts)
     exec(compile(src, f"<repro-jit:{tag}>", "exec"), g)
     fn = g[fname]
     fn.__doc__ = src  # keep the source inspectable for tests / debugging
@@ -330,13 +374,14 @@ class _TraceCompiler:
     remaining virtual entries first, then the peeked operands of the
     failing instruction.
 
-    Within one region call nothing can allocate, free, or replace an
-    entry's ``.data`` / ``.fields`` (NEW, NEWARRAY and real calls end a
+    Within one region call nothing can free or replace an entry or its
+    ``.data`` / ``.fields`` (``NEW`` only adds entries, ``NEWARRAY`` ends a
     region, an inlined callee only reads), and every temp is written once.
     So what a block and the blocks dominating it inside its arm have
     established is memoized and neither re-derived nor re-guarded: a
     dropped guard is one an identical earlier guard on the same path
-    already passed.
+    already passed.  A direct call (:func:`_direct_call`) may write any
+    field: the field facts do not survive it.
 
     A region with a back edge extends this across its arms for what one
     call of it cannot change: a slot no block stores to (``stable``,
@@ -350,7 +395,8 @@ class _TraceCompiler:
         self.indent = ""
         self.ntemp = 0
         self.stable: Dict[int, str] = {}
-        self.written: frozenset = frozenset()
+        #: fields some block writes; ``None`` when a call may write any
+        self.written: Optional[frozenset] = frozenset()
         self.once: Dict[tuple, str] = {}
         #: temps holding one value for the whole region call: the stable
         #: slots' and the hoisted ones
@@ -358,6 +404,10 @@ class _TraceCompiler:
         self.begin_block()
         self.needs_heap = False
         self.needs_statics = False
+        self.needs_alloc = False
+        self.needs_frames = False
+        #: closure globals: the callees of direct calls
+        self.consts: Dict[str, object] = {}
         #: where a failed guard leaves the region: the failing
         #: instruction's pc and the steps / cycles completed before it
         #: that the region has not yet added to ``n`` / ``c``
@@ -449,10 +499,16 @@ class _TraceCompiler:
             nd = self._materialized(nd)
         self.vstack.append(nd)
 
-    def guard(self, cond: str, operands: List[str]) -> None:
-        """Emit ``if cond: <rebuild stack>; <deopt at self.at>``.  In
-        inlined-callee mode the callee's virtual stack is dropped (the
-        callee is pure) and the call's own operands are restored instead."""
+    def const(self, value) -> str:
+        name = f"K{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def guard(self, cond: str, operands: List[str], status: int = 1) -> None:
+        """Emit ``if cond: <rebuild stack>; <deopt at self.at>`` — or, with
+        ``status=0``, a clean exit there.  In inlined-callee mode the
+        callee's virtual stack is dropped (the callee is pure) and the
+        call's own operands are restored instead."""
         self.emit(f"if {cond}:")
         if self.inline_pushback is not None:
             for ln in self.inline_pushback:
@@ -463,7 +519,7 @@ class _TraceCompiler:
             for t in operands:
                 self.emit(f"    s.append({t})")
         pc, n, c = self.at
-        self.emit(f"    return ({pc}, {_plus('n', n)}, {_plus('c', c)}, 1)")
+        self.emit(f"    return ({pc}, {_plus('n', n)}, {_plus('c', c)}, {status})")
 
     def flush(self) -> None:
         for nd in self.vstack:
@@ -485,14 +541,15 @@ class _TraceCompiler:
         fallthrough()
         self.indent = indent
 
-    def _heap_object(self, r: str, cls: str, operands: List[str]) -> str:
+    def _heap_object(self, r: str, cls: str, operands: List[str],
+                     status: int = 1) -> str:
         o = self.entries.get((r, cls))
         if o is None:
             self.needs_heap = True
             o = self.entries[(r, cls)] = self._fact(
                 (r, cls), r in self.invariant)
             self.emit(f"{o} = H.get({r}.oid) if {r}.__class__ is Ref else None")
-            self.guard(f"{o}.__class__ is not {cls}", operands)
+            self.guard(f"{o}.__class__ is not {cls}", operands, status)
             if cls == "HeapArray":
                 self.emit(f"{o} = {o}.data")
             self._end_fact(o)
@@ -584,8 +641,10 @@ class _TraceCompiler:
             o = self._heap_object(r, "HeapObject", [r])
             v = self.fields.get((o, ins.b))
             if v is None:
+                written = self.written
                 v = self.fields[(o, ins.b)] = self._fact(
-                    (o, ins.b), o in self.invariant and ins.b not in self.written)
+                    (o, ins.b), o in self.invariant and written is not None
+                    and ins.b not in written)
                 self.emit(f"{v} = {o}.fields.get({ins.b!r}, _MISS)")
                 self.guard(f"{v} is _MISS", [r])
                 self._end_fact(v)
@@ -622,6 +681,13 @@ class _TraceCompiler:
             v = self._materialized(val).value
             d = self._element(r, xi, [r, xi, v])
             self.emit(f"{d}[{xi}] = {v}")
+        elif name == op.NEW:
+            # the one allocation path: oid order, statistics and hook are
+            # the heap's; the class's field template is the loader's
+            self.needs_alloc = True
+            t = self.temp()
+            self.emit(f"{t} = N({ins.a!r}, TM[{ins.a!r}])")
+            self.vstack.append(TreeNode("TEMP", value=t))
         elif name == op.GOTO:
             pass
         elif name in op.BRANCHES:
@@ -663,6 +729,10 @@ _INLINE_MAX = 40
 #: bounds the compiler's recursion and the closure's indentation); a block
 #: deeper than this becomes an arm of its own
 _MAX_NEST = 48
+
+#: frames on the machine past which a region makes no direct call (each one
+#: nests a Python call): the engine loop takes it, as it takes a cold one
+_MAX_DEPTH = 200
 
 
 def _inline_target(program, ins):
@@ -729,12 +799,37 @@ def _inline_target(program, ins):
     return method if paths[0] <= _INLINE_MAX else None
 
 
+def _direct_target(program, ins):
+    """``(method, entry run, return pcs)`` of a call a region makes itself
+    (see :func:`_direct_call`), or ``None``.  Eligible: an invoke of a
+    bytecode method, not ``DependentObject.*`` and not a pure leaf (those
+    inline), whose plan begins with a run and whose returns all cost the
+    same and push what the engine's return would."""
+    if program is None or ins.op not in op.INVOKES or ins.a == DEPENDENT_OBJECT:
+        return None
+    method = program.lookup_method(ins.a, ins.b)
+    if method is None or method.nargs != (ins.c or 0) \
+            or method.is_static != (ins.op == op.INVOKESTATIC) \
+            or _inline_target(program, ins) is not None:
+        return None
+    flat = method.flat()
+    entry = (flat.fused or build_fused(flat))[0]
+    rets = [i for i, b in enumerate(flat.instrs) if b.op in op.RETURNS]
+    if entry.__class__ is not Run \
+            or len({flat.instrs[i].cost for i in rets}) != 1 \
+            or flat.returns_value and any(flat.instrs[i].op == op.RETURN
+                                          for i in rets):
+        return None
+    return method, entry, frozenset(rets)
+
+
 def _find_region(flat, start: int, program=None):
     """The segments of the region a hot run at ``start`` compiles as:
     ``{a: (e, successors)}`` for every stretch ``instrs[a:e]`` reachable
     from ``start`` that begins a basic block (or is the run itself) and
     extends over traceable instructions — and a block-ending call to a
-    pure leaf method (see :func:`_inline_target`), inlined — up to the end
+    pure leaf method (see :func:`_inline_target`), inlined, or to a method
+    it calls directly (see :func:`_direct_target`) — up to the end
     of its block or the first instruction that is not.  ``successors``
     are where control goes after ``e``: empty when ``instrs[e]`` ends the
     stretch inside its block (a clean region exit), else the branch
@@ -765,6 +860,9 @@ def _find_region(flat, start: int, program=None):
             if callee is not None:
                 e = b
                 size += 1 + len(callee.flat().instrs)
+            elif _direct_target(program, instrs[e]) is not None:
+                e = b
+                size += 1
         if total + size > _MAX_REGION and a == start:
             e = min(t, a + _MAX_REGION)  # a clean exit inside the block
             size = e - a
@@ -866,15 +964,65 @@ def _inline_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
     return n, c
 
 
+def _direct_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
+                 program) -> Tuple[int, int]:
+    """Compile the call ``inv`` at ``pc`` as a call of the callee's region:
+    guard the receiver's exact class (virtual calls), push the callee's
+    frame and call its entry run's closure.  When that returns cleanly at a
+    return instruction, pop the frame, take the value and go on with the
+    call's, the callee's and the return's steps and cycles counted.  Any
+    other exit leaves the callee's frame on top and this one past the call
+    (status 2 / 3, see :class:`Run`).  A receiver of another class, a
+    callee not compiled yet and a machine :data:`_MAX_DEPTH` frames deep
+    leave cleanly at the call, operands restored: the engine's
+    :class:`CallSite` makes it; so does a machine running another program
+    over the caller's code.  ``(n, c)`` are the steps / cycles pending
+    before the call; returns those pending after it."""
+    method, run, rets = _direct_target(program, inv)
+    cflat = method.flat()
+    nops = (inv.c or 0) + (inv.op != op.INVOKESTATIC)
+    tc.need(nops)
+    ops = [tc.pop_temp() for _ in range(nops)][::-1]
+    # the caller's residue below the operands stays virtual: every exit
+    # from here pushes it
+    tc.at = (pc, n, c)
+    if inv.op == op.INVOKEVIRTUAL:
+        o = tc._heap_object(ops[0], "HeapObject", ops, 0)
+        tc.guard(f"{o}.class_name != {inv.a!r}", ops, 0)
+    tc.needs_frames = True
+    fn, cf, r, rn, rc, rs = (tc.temp() for _ in range(6))
+    tc.emit(f"{fn} = {tc.const(run)}.fn")
+    tc.guard(f"{fn} is None or not own or len(F) >= {_MAX_DEPTH}", ops, 0)
+    loc = ", ".join(ops + ["None"] * (cflat.nlocals - nops))
+    tc.emit(f"{cf} = Frame({tc.const(method)}, {tc.const(cflat)}, [{loc}])")
+    tc.emit(f"F.append({cf})")
+    tc.emit(f"{r}, {rn}, {rc}, {rs} = {fn}(m, {cf})")
+    tc.emit(f"n += {rn}")
+    tc.emit(f"c += {rc}")
+    tc.emit(f"if {r} not in {tc.const(rets)}:")
+    for nd in tc.vstack:
+        tc.emit(f"    s.append({lower_py(nd)})")
+    tc.emit(f"    if {rs} < 2:")
+    tc.emit(f"        {cf}.pc = {r}")
+    tc.emit(f"    f.pc = {pc + 1}")
+    tc.emit(f"    return (-1, {_plus('n', n + 1)}, {_plus('c', c + inv.cost)}, "
+            f"{rs} | 2)")
+    tc.emit("del F[-1]")
+    if cflat.returns_value:
+        t = tc.temp()
+        tc.emit(f"{t} = {cf}.stack[-1]")
+        tc.vstack.append(TreeNode("TEMP", value=t))
+    tc.fields = {}  # the callee may have written any of them
+    return n + 2, c + inv.cost + cflat.instrs[min(rets)].cost
+
+
 def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
     """Compile the region ``segs`` (see :func:`_find_region`) entered at
     ``entry`` into one closure: a block-dispatch loop whose arms are the
     entry, the joins and the loop heads; every other segment has a single
     predecessor and is compiled inside it, behind its branch, with the
     predecessor's virtual stack and memo.  Returns ``(exit_pc, steps,
-    cycles, deopt)`` — ``deopt=1`` leaves the machine exactly at a failed
-    guard (stack rebuilt, prefix accounted), ``deopt=0`` is a clean exit
-    at a pc outside the region."""
+    cycles, status)`` as :class:`Run` describes."""
     instrs = flat.instrs
     tc = _TraceCompiler()
     preds = dict.fromkeys(segs, 0)
@@ -889,7 +1037,12 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
         # a block may run more than once per call: hoist what none changes
         body_ins = [i for a, (e, _) in segs.items() for i in instrs[a:e]]
         stored = {i.a for i in body_ins if i.op in op.STORES}
-        tc.written = frozenset(i.b for i in body_ins if i.op == op.PUTFIELD)
+        if any(i.op in op.INVOKES and _inline_target(program, i) is None
+               for i in body_ins):
+            tc.written = None
+        else:
+            tc.written = frozenset(
+                i.b for i in body_ins if i.op == op.PUTFIELD)
         tc.stable = {i.a: f"h{i.a}" for i in body_ins
                      if i.op in op.LOADS and i.a not in stored}
         tc.invariant = set(tc.stable.values())
@@ -919,7 +1072,9 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
         for pc in range(a, e):
             ins = instrs[pc]
             if ins.op in op.INVOKES:
-                n, c = _inline_call(tc, ins, pc, n, c, program)
+                call = _direct_call if _inline_target(program, ins) is None \
+                    else _inline_call
+                n, c = call(tc, ins, pc, n, c, program)
                 continue
             tc.at = (pc, n, c)
             cond = tc.compile_ins(ins)
@@ -943,6 +1098,13 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
         body.append("H = m.heap._store")
     if tc.needs_statics:
         body.append("S = m.statics")
+    if tc.needs_alloc:
+        body += ["N = m.heap.new_object", "TM = m.program.templates"]
+    if tc.needs_frames:
+        # callees were resolved for this program; a plan is shared by every
+        # program over the method, and another one's calls are the engine's
+        own = tc.const(program.bprogram)
+        body += ["F = m.frames", f"own = m.program.bprogram is {own}"]
     body += [f"{t} = L[{slot}]" for slot, t in tc.stable.items()]
     body += [f"{t} = _MISS" for t in tc.once.values()]
     body += ["n = 0", "c = 0", f"pc = {entry}", "while 1:"]
@@ -955,7 +1117,7 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
                                   else f"{'if' if i == 0 else 'elif'} pc == {a}:"))
             pad = "        "
         body += [pad + ln for ln in arms[a]]
-    return _assemble("_region", body, f"region@{entry}")
+    return _assemble("_region", body, f"region@{entry}", tc.consts)
 
 
 def promote(run: Run, flat, program=None) -> bool:
@@ -984,8 +1146,8 @@ def run_block_compiled(machine, stop_depth: int = 1):
     error), but a hot run executes as one region-compiled closure,
     deoptimizing to the plain threaded handlers — which a cold run takes
     throughout — at guards, syscalls and faults, and calls / returns
-    between bytecode frames that a :class:`CallSite` covers never leave
-    the loop."""
+    between bytecode frames and calls of natives that a :class:`CallSite`
+    covers never leave the loop."""
     m = machine
     frames = m.frames
     prog = m.program
@@ -1031,6 +1193,14 @@ def run_block_compiled(machine, stop_depth: int = 1):
                     if de == 0:
                         frame.pc = exit_pc
                         continue
+                    if de > 1:
+                        # a direct call left a callee's frame on top
+                        frame = frames[-1]
+                        flat = frame.flat
+                        plan = flat.fused
+                        if de == 2:
+                            continue
+                        exit_pc = frame.pc
                     dn += 1
                     pc = exit_pc
                 # cold, or after a deopt: this instruction alone, through
@@ -1068,6 +1238,10 @@ def run_block_compiled(machine, stop_depth: int = 1):
                             loc += hit[4]
                             frames.append(Frame(hit[2], callee, loc))
                             break
+                        if hit[5] is not None:
+                            # a native may read the cycle counter (Sys.time)
+                            handler = hit[5]
+                            m.inflight_cycles = acc
                 elif frame.on_return is None and len(frames) > stop_depth:
                     # a service-initiated frame and the return that ends
                     # this block leave through the generic handler

@@ -8,11 +8,13 @@ paper's deployment.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VMError
 from repro.bytecode.model import BMethod, BProgram
 from repro.lang.types import BOOLEAN, FLOAT, INT, LONG
+from repro.vm.values import default_value
 
 
 def _field_char(ty) -> str:
@@ -25,6 +27,24 @@ def _field_char(ty) -> str:
     return "A"
 
 
+class _Templates(dict):
+    """Class name -> its instance fields, default-valued, inherited ones
+    first: what :meth:`Heap.new_object` copies into a new object.  Built
+    once per class on first use, read with one subscript."""
+
+    def __init__(self, program: "LoadedProgram") -> None:
+        super().__init__()
+        # a proxy: a program and its templates in a reference cycle would
+        # outlive their last use until the collector ran
+        self._program = weakref.proxy(program)
+
+    def __missing__(self, class_name: str) -> Dict[str, object]:
+        names, chars = self._program.instance_field_layout(class_name)
+        t = self[class_name] = {
+            name: default_value(ch) for name, ch in zip(names, chars)}
+        return t
+
+
 class LoadedProgram:
     """A :class:`BProgram` plus resolved runtime metadata."""
 
@@ -33,11 +53,10 @@ class LoadedProgram:
         self.table = bprogram.table
         self.statics: Dict[Tuple[str, str], object] = {}
         self._layouts: Dict[str, Tuple[List[str], List[str]]] = {}
+        self.templates = _Templates(self)
         # default-initialize all static fields up front
         for bclass in bprogram.classes.values():
             for fld in bclass.static_fields():
-                from repro.vm.values import default_value
-
                 self.statics[(bclass.name, fld.name)] = default_value(
                     _field_char(fld.ty)
                 )

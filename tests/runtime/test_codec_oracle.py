@@ -22,8 +22,8 @@ from repro.vm.values import DependentRef, Ref
 # ------------------------------------------------------------- value stream
 HEAP = Heap()
 LOCAL_REFS = [
-    HEAP.new_object("Account", ["savings"], ["I"]),
-    HEAP.new_object("Bänk", [], []),
+    HEAP.new_object("Account", {"savings": 0}),
+    HEAP.new_object("Bänk", {}),
     HEAP.new_array("I", 4),
 ]
 HOME = 3  # the node HEAP belongs to

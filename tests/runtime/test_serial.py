@@ -38,7 +38,7 @@ def test_boolean_encodes_as_int():
 
 def test_local_ref_becomes_remote_descriptor():
     heap = Heap()
-    ref = heap.new_object("Account", ["savings"], ["I"])
+    ref = heap.new_object("Account", {"savings": 0})
     data = encode_value(ref, 3, heap)
     # decoded on a DIFFERENT node -> DependentRef pointing back at node 3
     got = decode_value(data, 7)
@@ -49,7 +49,7 @@ def test_local_ref_becomes_remote_descriptor():
 
 def test_ref_swizzles_back_home():
     heap = Heap()
-    ref = heap.new_object("Account", [], [])
+    ref = heap.new_object("Account", {})
     data = encode_value(ref, 3, heap)
     got = decode_value(data, 3)  # decoded back on the owning node
     assert isinstance(got, Ref)

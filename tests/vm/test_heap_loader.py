@@ -16,11 +16,14 @@ from repro.vm.values import Ref
 
 def test_object_allocation_and_fields():
     heap = Heap()
-    ref = heap.new_object("A", ["x", "f"], ["I", "F"])
+    template = {"x": 0, "f": 0.0}
+    ref = heap.new_object("A", template)
     obj = heap.object(ref)
     assert obj.class_name == "A"
     assert obj.fields == {"x": 0, "f": 0.0}
-    assert isinstance(obj.fields["f"], float)
+    obj.fields["x"] = 7
+    assert template == {"x": 0, "f": 0.0}
+    assert heap.object(heap.new_object("A", template)).fields["x"] == 0
 
 
 def test_array_allocation_defaults():
@@ -39,7 +42,7 @@ def test_negative_array_rejected():
 
 def test_size_model():
     heap = Heap()
-    obj = heap.object(heap.new_object("A", ["x", "y"], ["I", "I"]))
+    obj = heap.object(heap.new_object("A", {"x": 0, "y": 0}))
     assert obj.size_bytes() == OBJECT_HEADER + 2 * FIELD_SLOT
     arr = heap.array(heap.new_array("I", 10))
     assert arr.size_bytes() == ARRAY_HEADER + 4 * 10
@@ -49,7 +52,7 @@ def test_size_model():
 
 def test_allocation_statistics():
     heap = Heap()
-    heap.new_object("A", [], [])
+    heap.new_object("A", {})
     heap.new_array("I", 4)
     assert heap.allocated_objects == 2
     assert heap.allocated_bytes > 0
@@ -58,7 +61,7 @@ def test_allocation_statistics():
 
 def test_free_reduces_live_bytes():
     heap = Heap()
-    ref = heap.new_object("A", ["x"], ["I"])
+    ref = heap.new_object("A", {"x": 0})
     before = heap.live_bytes
     heap.free(ref)
     assert heap.live_bytes < before
@@ -70,7 +73,7 @@ def test_alloc_hook_fires():
     heap = Heap()
     events = []
     heap.alloc_hook = lambda kind, size: events.append((kind, size))
-    heap.new_object("Bank", [], [])
+    heap.new_object("Bank", {})
     heap.new_array("I", 3)
     assert events[0][0] == "Bank"
     assert events[1][0] == "I[]"
@@ -78,7 +81,7 @@ def test_alloc_hook_fires():
 
 def test_dangling_and_type_confusion():
     heap = Heap()
-    ref = heap.new_object("A", [], [])
+    ref = heap.new_object("A", {})
     with pytest.raises(VMError, match="not an array"):
         heap.array(ref)
     arr = heap.new_array("I", 1)
@@ -121,6 +124,18 @@ def test_field_layout_includes_inherited():
     names, chars = loaded.instance_field_layout("Child")
     assert names == ["a", "b"]     # superclass fields first
     assert chars == ["I", "F"]
+
+
+def test_template_is_default_valued_and_built_once_per_class():
+    loaded = compile_mj(
+        "class Base { int a; Base r; } class Child extends Base { float b; }"
+        "class M { static void main(String[] x) { } }"
+    )
+    child = loaded.templates["Child"]
+    assert child == {"a": 0, "r": None, "b": 0.0}
+    assert isinstance(child["b"], float)
+    assert loaded.templates["Child"] is child
+    assert loaded.templates["Nope"] == {}  # a built-in: no bytecode fields
 
 
 def test_layout_cached():

@@ -1328,3 +1328,396 @@ def test_service_frame_and_depth_boundary_return_through_the_generic_path():
         assert observe(loaded, "compiled") == ref
     first, step = sum(sum(range(i + 1)) for i in range(50)), sum(range(50))
     assert ref[2] == [first, first + 50 * step, first + 100 * step]
+
+
+# ------------------------------------------- direct calls, NEW and natives
+def _heap_shape(machine):
+    heap = machine.heap
+    return (tuple((oid, getattr(e, "class_name", None))
+                  for oid, e in heap._store.items()),
+            heap.allocated_objects, heap.allocated_bytes)
+
+
+def _oracle(loaded):
+    """reference == compiled on stdout, result, steps, cycles, error text
+    and the heap's oids; returns the reference observation and the compiled
+    machine."""
+    ref, rm = _observe(loaded, "reference")
+    comp, cm = _observe(loaded, "compiled")
+    assert comp == ref
+    assert _heap_shape(cm) == _heap_shape(rm)
+    return ref, cm
+
+
+def _direct_calls(loaded):
+    """Trace-compiled closures of ``loaded`` that call a region directly."""
+    return [src for src in _compiled_sources(loaded).values() if "Frame(" in src]
+
+
+_DEEP = """
+    class R {
+        int depth;
+        int down(int n) {
+            this.depth = this.depth + 1;
+            if (n == 0) { return 0; }
+            return 1 + this.down(n - 1);
+        }
+    }
+    class Main {
+        static void main(String[] a) {
+            R r = new R();
+            int s = 0;
+            for (int i = 0; i < 3; i++) { s = s + r.down(%d); }
+            Sys.println(s + ":" + r.depth);
+        }
+    }
+"""
+
+_CLASS_CHANGES = """
+    class A { int n; int f(int x) { this.n = this.n + x; return this.n * 2; } }
+    class B extends A { int f(int x) { this.n = this.n - x; return this.n; } }
+    class Main {
+        static void main(String[] args) {
+            A a = new A();
+            int s = 0;
+            for (int i = 0; i < 60; i++) {
+                if (i == 40) { a = new B(); }
+                s = s + a.f(i);
+            }
+            Sys.println(s);
+        }
+    }
+"""
+
+_CALLEE_DEOPTS = """
+    class P { int v; int get() { return this.v; } }
+    class Q extends P { int get() { return this.v + 100; } }
+    class K {
+        int n;
+        int f(P p, int x) {
+            this.n = this.n + 1;
+            return p.get() + this.n + 1000 / (x - 55);
+        }
+    }
+    class Main {
+        static void main(String[] args) {
+            K k = new K();
+            P p = new P();
+            int s = 0;
+            for (int i = 0; i < 60; i++) {
+                if (i == 40) { p = new Q(); }
+                p.v = i;
+                s = s + k.f(p, i);
+            }
+            Sys.println(s);
+        }
+    }
+"""
+
+#: a tight loop reading ``Sys.time()`` in a callee, after ``%d`` padding
+#: iterations of 71 cycles: the two paddings put the millisecond tick where
+#: publishing the in-flight cycles one call's cost late / early shows
+_CALLEE_NATIVES = """
+    class K {
+        int n;
+        Random r;
+        K() { this.r = new Random(7); }
+        int f(int x) {
+            this.n = this.n + 1;
+            int y = Math.imax(x, this.n) + this.r.nextInt(10);
+            return y * 2;
+        }
+        long g() { this.n = this.n + 1; return Sys.time(); }
+    }
+    class Main {
+        static void main(String[] args) {
+            K k = new K();
+            float w = 1.5;
+            for (int j = 0; j < %d; j++) { w = (w + 2.5) %% 7.0 %% 5.0 %% 3.0; }
+            long s = 0;
+            long ticks = 0;
+            long last = Sys.time();
+            for (int i = 0; i < 3000; i++) {
+                s = s + k.f(i);
+                long t = k.g();
+                if (t != last) { ticks = ticks * 31 + i; last = t; }
+            }
+            Sys.println(s + ":" + ticks + ":" + last);
+        }
+    }
+"""
+
+_NEW_THEN_GUARD = """
+    class P { int v; P() { this.v = 3; } int get() { return this.v; } }
+    class Q extends P { int get() { return 7; } }
+    class Main {
+        static void main(String[] args) {
+            int[] xs = new int[50];
+            P q = new P();
+            int s = 0;
+            for (int i = 0; i < 60; i++) {
+                P p = new P();
+                p.v = p.v + i;
+                if (i == 30) { q = new Q(); }
+                s = s + q.get() + p.v;
+                s = s + xs[i];
+            }
+            Sys.println(s);
+        }
+    }
+"""
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_a_direct_call_forgets_the_callers_field_facts(threshold):
+    """A callee writes the fields its caller read before the call — in one
+    block and across the arms of a loop: the caller reads them again."""
+    with jit_threshold(threshold):
+        loaded = compile_mj("""
+            class K {
+                int n;
+                int[] d;
+                int[] e;
+                void bump(int x) {
+                    this.n = this.n + x;
+                    int[] t = this.d;
+                    this.d = this.e;
+                    this.e = t;
+                }
+                int twice(int x) {
+                    int a = this.n + this.d.length;
+                    this.bump(x);
+                    return a * 1000 + this.n + this.d.length;
+                }
+            }
+            class Main {
+                static void main(String[] args) {
+                    K k = new K();
+                    k.d = new int[1];
+                    k.e = new int[7];
+                    int s = 0;
+                    for (int i = 0; i < 40; i++) {
+                        s = s + k.n + k.d.length + k.twice(i % 5);
+                    }
+                    Sys.println(s + ":" + k.n);
+                }
+            }
+        """)
+        _oracle(loaded)
+    assert _direct_calls(loaded)
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_recursion_past_the_direct_call_depth_bound(threshold):
+    """Recursion 1 500 frames deep — past Python's recursion limit, were
+    every frame a nested closure call: regions call regions up to
+    ``_MAX_DEPTH`` frames, the engine loop takes the rest."""
+    with jit_threshold(threshold):
+        loaded = compile_mj(_DEEP % 1500)
+        ref, _ = _oracle(loaded)
+    assert ref[3] == ("4500:4503",)
+    assert 1500 > jit._MAX_DEPTH and _direct_calls(loaded)
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("src", [_CLASS_CHANGES, _CALLEE_DEOPTS],
+                         ids=["receiver class changes", "callee deopts"])
+def test_direct_call_receiver_changes_and_callee_deopts(src, threshold):
+    """A receiver of another class leaves the caller's region at the call
+    (the engine's inline cache makes it); a guard failing inside a directly
+    called callee — an inlined leaf's receiver class, then a division by
+    zero — runs that instruction once through its plain handler."""
+    with jit_threshold(threshold):
+        loaded = compile_mj(src)
+        ref, machine = _oracle(loaded)
+    assert _direct_calls(loaded)
+    if src is _CALLEE_DEOPTS:
+        assert ref[4] == "integer division by zero"
+        assert machine.jit_stats()["deopts"] >= 2
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("pad", [11015, 11100])
+def test_directly_called_callees_reach_natives_and_sys_time(pad, threshold):
+    """Callees exit at their natives (``Math``, ``Random``, ``Sys.time``)
+    with their frames on top; the engine calls the bound native with the
+    per-step path's cycle count published."""
+    with jit_threshold(threshold):
+        loaded = compile_mj(_CALLEE_NATIVES % pad)
+        ref, _ = _oracle(loaded)
+    assert _direct_calls(loaded)
+    assert ref[3][0].endswith(":1")  # the virtual millisecond ticked
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_new_then_a_failing_guard_in_one_region_allocates_once(threshold):
+    """``NEW`` and a direct ``<init>`` call, then guards that fail later in
+    the same region (a receiver class, then an array bound): the deopt
+    re-executes only the failing instruction, so the oid sequence is the
+    reference's."""
+    with jit_threshold(threshold):
+        loaded = compile_mj(_NEW_THEN_GUARD)
+        ref, machine = _oracle(loaded)
+    assert ref[4] == "array index 50 out of bounds (50)"
+    assert any("N('P', TM['P'])" in src for src in _direct_calls(loaded))
+    assert len(machine.heap) == 54  # the array, q, the Q and fifty-one Ps
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_a_callee_that_allocates_then_fails_a_guard_allocates_once(threshold):
+    """A callee that reads only but allocates is called, not inlined (a
+    guard failing in an inlined leaf re-runs the whole call): its ``NEW``
+    runs once, and the deopt after it re-executes only the failing
+    instruction."""
+    with jit_threshold(threshold):
+        loaded = compile_mj("""
+            class P { int v; }
+            class K { int v; int mk(K o) { P p = new P(); return o.v + p.v; } }
+            class Main {
+                static void main(String[] args) {
+                    K k = new K();
+                    K o = k;
+                    int s = 0;
+                    for (int i = 0; i < 60; i++) {
+                        if (i == 40) { o = null; }
+                        s = s + k.mk(o);
+                    }
+                    Sys.println(s);
+                }
+            }
+        """)
+        ref, _ = _oracle(loaded)
+    assert ref[4] == "null dereference"
+    assert jit._inline_target(loaded, _call_to(loaded, "mk")) is None
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("call, error", [
+    ("s = s + r.nextInt(40 - i);",
+     "Random.nextInt bound must be positive, got 0"),
+    ("Object o = v.get(i / 30 * 100);",
+     "Vector.get(100) out of range (size 31)"),
+], ids=["Random.nextInt(0)", "Vector.get out of range"])
+def test_a_bound_native_that_raises_charges_exactly(call, error, threshold):
+    """A native bound at its call site raises as the generic path does:
+    same text, same cycles charged for the completed prefix."""
+    src = f"""
+        class Main {{
+            static void main(String[] args) {{
+                Random r = new Random(3);
+                Vector v = new Vector();
+                int s = 0;
+                for (int i = 0; i < 60; i++) {{
+                    v.add(i);
+                    {call}
+                    s = s + i * 3;
+                }}
+                Sys.println(s);
+            }}
+        }}
+    """
+    with jit_threshold(threshold):
+        loaded = compile_mj(src)
+        ref, _ = _oracle(loaded)
+    assert ref[4] == error
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_direct_calls_under_the_local_dispatcher(threshold):
+    """A directly called callee reaches a ``DependentObject.access`` of a
+    rewritten program run on one machine: it leaves with its frame on top,
+    the local dispatcher runs the access (on the compiled tier too)."""
+    from helpers import compile_mj_raw
+    from repro.distgen import rewrite_program
+    from repro.distgen.plan import DistributionPlan
+    from repro.vm.loader import load_program
+
+    bp, _ = compile_mj_raw("""
+        class Account {
+            int savings;
+            Account(int s) { this.savings = s; }
+            int get() { return this.savings; }
+            void add(int x) { this.savings = this.savings + x; }
+        }
+        class Teller {
+            int ops;
+            int work(Account a, int i) {
+                this.ops = this.ops + 1;
+                a.add(i);
+                return a.get() + this.ops;
+            }
+        }
+        class Main {
+            static void main(String[] args) {
+                Account acc = new Account(5);
+                Teller t = new Teller();
+                int s = 0;
+                for (int i = 0; i < 60; i++) { s = s + t.work(acc, i); }
+                Sys.println(s);
+            }
+        }
+    """)
+    plan = DistributionPlan(nparts=2, granularity="class",
+                            class_home={"Account": 0},
+                            dependent_classes={"Account"}, main_partition=0)
+    rewritten, stats = rewrite_program(bp, plan)
+    assert stats.invocations >= 2
+    with jit_threshold(threshold):
+        loaded = load_program(rewritten)
+        _oracle(loaded)
+    assert _direct_calls(loaded)
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+def test_thread_backend_machines_share_one_plan(threshold):
+    """``search`` on the thread backend: two nodes, one rewritten program,
+    its plans, direct calls and in-region ``NEW`` shared by both machines —
+    the sequential run's stdout."""
+    from repro.api import Experiment
+    from repro.harness.cache import StageCache
+
+    with jit_threshold(threshold):
+        res = Experiment.from_options(
+            "search", size="test", cache=StageCache(), backend="thread",
+            engine="compiled", force_distribution=True,
+        ).run()
+    assert res.stdout == res.sequential.stdout
+
+
+def test_direct_calls_under_concurrent_machines():
+    """Three machines on three threads over the same programs, switching
+    every few bytecodes, through the same regions — recursion past the
+    depth bound, direct calls reaching bound natives and ``Sys.time``:
+    each computes the reference results."""
+    import threading
+
+    with jit_threshold(1):
+        programs = [compile_mj(_DEEP % 300), compile_mj(_CALLEE_NATIVES % 10)]
+        ref = [_observe(loaded, "reference")[0] for loaded in programs]
+    out = []
+
+    def run():  # the engine is pinned once, outside: the pin is process-wide
+        seen = []
+        for loaded in programs:
+            machine = Machine(loaded)
+            machine.statics = loaded.fresh_statics()
+            machine.call_bmethod(loaded.main_method(), None, [None])
+            run_sync(machine)
+            seen.append((machine.cycles, machine.steps, machine.result,
+                         tuple(machine.stdout), None))
+        out.append(seen)
+
+    threads = [threading.Thread(target=run) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with forced_engine("compiled"):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert out == [ref] * 3
+    assert all(_direct_calls(loaded) for loaded in programs)
