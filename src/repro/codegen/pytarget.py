@@ -37,14 +37,20 @@ def _paren(e: object) -> str:
     return f"({e})"
 
 
+#: ``i32`` / ``i64`` -> (2**(bits-1), 2**bits - 1): the wrap emitted inline
+_WRAP = {"i32": (1 << 31, 0xFFFFFFFF), "i64": (1 << 63, 0xFFFFFFFFFFFFFFFF)}
+
+
 def _wrap(wname: str, e: str) -> str:
-    """``e`` wrapped by ``i32`` / ``i64`` — range check first (in range is
-    the common case and costs half of the call) — or, with no ``wname``,
-    left as it is: the operator cannot leave its operands' range."""
+    """``e`` wrapped as ``i32`` / ``i64`` would wrap it, inline — range check
+    first (in range is the common case), else two's complement by mask —
+    or, with no ``wname``, left as it is: the operator cannot leave its
+    operands' range."""
     if not wname:
         return f"({e})"
-    top = 1 << (31 if wname == "i32" else 63)
-    return f"(_w if {-top} <= (_w := {e}) <= {top - 1} else {wname}(_w))"
+    top, mask = _WRAP[wname]
+    return (f"(_w if {-top} <= (_w := {e}) <= {top - 1} "
+            f"else ((_w + {top:#x}) & {mask:#x}) - {top:#x})")
 
 
 def _div_imm(wname: str, py: str, fn: str):
@@ -54,7 +60,7 @@ def _div_imm(wname: str, py: str, fn: str):
     def emit(ctx, n, k):
         if k[1] > 0:
             return f"(_w {py} {k[1]} if (_w := {k[0]}) >= 0 else -(-_w {py} {k[1]}))"
-        return f"{wname}({fn}({_paren(k[0])}, {k[1]}))"
+        return _wrap(wname, f"{fn}({_paren(k[0])}, {k[1]})")
     return emit
 
 
@@ -136,14 +142,14 @@ def _rules() -> List[Rule]:
             root = f"{opname}_{suffix}"
             add(Rule(
                 "py", (root, "py", "py"), 3,
-                (lambda wn, fn: lambda ctx, n, k: f"{wn}({fn}({_paren(k[0])}, {_paren(k[1])}))")(wn, fn),
+                (lambda wn, fn: lambda ctx, n, k: _wrap(wn, f"{fn}({_paren(k[0])}, {_paren(k[1])})"))(wn, fn),
                 name=f"py.{root}",
             ))
             add(Rule("py", (root, "py", "imm"), 2, _div_imm(wn, py, fn),
                      name=f"py.{root}.imm"))
         add(Rule(
             "py", (f"NEG_{suffix}", "py"), 1,
-            (lambda wn: lambda ctx, n, k: f"{wn}(-{_paren(k[0])})")(wn),
+            (lambda wn: lambda ctx, n, k: _wrap(wn, f"-{_paren(k[0])}"))(wn),
             name=f"py.NEG_{suffix}",
         ))
         add(Rule(
@@ -184,7 +190,8 @@ def _rules() -> List[Rule]:
         ("F2L", "f2l", f2l),
     ):
         add(Rule("py", (root, "py"), 1,
-                 (lambda wn: lambda ctx, n, k: f"{wn}({k[0]})")(wn),
+                 (lambda wn: lambda ctx, n, k: f"{wn}({k[0]})"
+                  if wn not in _WRAP else _wrap(wn, k[0]))(wn),
                  name=f"py.{root}"))
         add(Rule("imm", (root, "imm"), 0,
                  (lambda f: lambda ctx, n, k: f(k[0]))(fold),

@@ -25,7 +25,10 @@ and loop heads are the arms of a block-dispatch loop.  A call to a pure
 leaf method — reads only, branches forward only — is inlined; a call to
 any other bytecode method whose entry run is compiled calls that region
 directly, on a frame of its own, and continues after its return.  ``NEW``
-allocates in place from its class's field template.
+allocates in place from its class's field template.  A native audited for
+it (:data:`~repro.vm.natives.IN_REGION`) is called in place; any other —
+``Sys.*`` among them — ends the region.  Each region source is
+``compile()``-d once per process and shared by every region lowered to it.
 
 Between regions, a call or return of a bytecode frame is a
 :class:`CallSite` the engine loop serves from a monomorphic inline cache
@@ -49,8 +52,10 @@ fault text are bit-identical across all three tiers.
 from __future__ import annotations
 
 import os
+import weakref
 from bisect import bisect_right
 from contextlib import contextmanager
+from types import FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CodegenError, ConfigError, VMError
@@ -62,8 +67,8 @@ from repro.lang.types import VOID
 from repro.vm.dispatch import FRAME_SWITCH, INVOKE_HANDLER, threaded
 from repro.vm.frame import Frame
 from repro.vm.heap import HeapArray, HeapObject
-from repro.vm.natives import find_native
-from repro.vm.values import Ref, f2i, f2l, frem, i32, i64, idiv, irem, iushr
+from repro.vm.natives import IN_REGION, find_native
+from repro.vm.values import Ref, f2i, f2l, frem, idiv, irem, iushr
 
 __all__ = [
     "JIT_THRESHOLD",
@@ -194,16 +199,26 @@ class CallSite:
         return hit
 
 
-def _bind_native(prog, cls: str, name: str, nops: int, nrecv: bool):
-    """A handler calling native ``cls.name`` — found, and whether its value
-    is pushed settled, here, once — exactly as ``Machine._native`` does on
-    every call; ``None`` when there is none (the plain handler raises)."""
+def _resolve_native(prog, cls: str, name: str):
+    """``(native, pushes)`` of native ``cls.name`` — found, and whether its
+    value is pushed settled, here, once — exactly as ``Machine._native``
+    does on every call; ``None`` when there is none (the plain handler
+    raises)."""
     try:
         fn = find_native(cls, name)
     except VMError:
         return None
     mi = prog.table.resolve_method(cls, name)
-    push = mi is not None and mi.ret is not VOID and not mi.is_ctor
+    return fn, mi is not None and mi.ret is not VOID and not mi.is_ctor
+
+
+def _bind_native(prog, cls: str, name: str, nops: int, nrecv: bool):
+    """A handler calling native ``cls.name`` as :func:`_resolve_native`
+    resolved it; ``None`` when there is none."""
+    resolved = _resolve_native(prog, cls, name)
+    if resolved is None:
+        return None
+    fn, push = resolved
 
     def call(m, f, ins):
         s = f.stack
@@ -293,7 +308,7 @@ def plan_runs(flat) -> List[Run]:
 # --------------------------------------------------------------------------
 
 _EXEC_GLOBALS = {
-    "i32": i32, "i64": i64, "idiv": idiv, "irem": irem, "iushr": iushr,
+    "idiv": idiv, "irem": irem, "iushr": iushr,
     "f2i": f2i, "f2l": f2l, "frem": frem,
     "Ref": Ref, "HeapObject": HeapObject, "HeapArray": HeapArray,
     "Frame": Frame, "_MISS": _MISS, "_aeq": op.ACMP_FUNCS["EQ"],
@@ -301,12 +316,25 @@ _EXEC_GLOBALS = {
 }
 
 
+#: ``(source, tag) -> code`` of every compiled closure alive in the process:
+#: a region lowered to the same source again — a program's rewritten copy,
+#: the same program loaded anew — only binds its own constants.  An entry
+#: dies with the last closure over it.
+_CODE: "weakref.WeakValueDictionary[Tuple[str, str], object]" = \
+    weakref.WeakValueDictionary()
+
+
 def _assemble(fname: str, body: List[str], tag: str, consts: Dict[str, object]):
     src = f"def {fname}(m, f):\n" + "\n".join("    " + ln for ln in body)
     g = dict(_EXEC_GLOBALS)
     g.update(consts)
-    exec(compile(src, f"<repro-jit:{tag}>", "exec"), g)
-    fn = g[fname]
+    code = _CODE.get((src, tag))
+    if code is None:
+        exec(compile(src, f"<repro-jit:{tag}>", "exec"), g)
+        fn = g[fname]
+        _CODE[(src, tag)] = fn.__code__
+    else:
+        fn = FunctionType(code, g)  # what executing the ``def`` makes
     fn.__doc__ = src  # keep the source inspectable for tests / debugging
     return fn
 
@@ -365,6 +393,11 @@ def _plus(var: str, k: int) -> str:
     return f"{var} + {k}" if k else var
 
 
+def _push(values: List[str]) -> str:
+    """The statement pushing ``values`` onto the real stack ``s``."""
+    return f"s += ({', '.join(values)}{',' * (len(values) == 1)})"
+
+
 class _TraceCompiler:
     """Symbolic re-execution of a region's instructions: the operand stack
     is virtualized into a stack of operator trees (``vstack``); pure
@@ -381,7 +414,8 @@ class _TraceCompiler:
     established is memoized and neither re-derived nor re-guarded: a
     dropped guard is one an identical earlier guard on the same path
     already passed.  A direct call (:func:`_direct_call`) may write any
-    field: the field facts do not survive it.
+    field: the field facts do not survive it; a native called in place
+    (:func:`_native_call`) writes none.
 
     A region with a back edge extends this across its arms for what one
     call of it cannot change: a slot no block stores to (``stable``,
@@ -406,6 +440,7 @@ class _TraceCompiler:
         self.needs_statics = False
         self.needs_alloc = False
         self.needs_frames = False
+        self.needs_own = False
         #: closure globals: the callees of direct calls
         self.consts: Dict[str, object] = {}
         #: where a failed guard leaves the region: the failing
@@ -504,26 +539,26 @@ class _TraceCompiler:
         self.consts[name] = value
         return name
 
-    def guard(self, cond: str, operands: List[str], status: int = 1) -> None:
-        """Emit ``if cond: <rebuild stack>; <deopt at self.at>`` — or, with
-        ``status=0``, a clean exit there.  In inlined-callee mode the
-        callee's virtual stack is dropped (the callee is pure) and the
-        call's own operands are restored instead."""
-        self.emit(f"if {cond}:")
+    def exit(self, operands: List[str], status: int = 1) -> str:
+        """The statement that rebuilds the stack and deopts at ``self.at``
+        — or, with ``status=0``, leaves cleanly there.  In inlined-callee
+        mode the callee's virtual stack is dropped (the callee is pure) and
+        the call's own operands are restored instead."""
         if self.inline_pushback is not None:
-            for ln in self.inline_pushback:
-                self.emit("    " + ln)
+            operands = self.inline_pushback
         else:
-            for nd in self.vstack:
-                self.emit(f"    s.append({lower_py(nd)})")
-            for t in operands:
-                self.emit(f"    s.append({t})")
+            operands = [lower_py(nd) for nd in self.vstack] + operands
         pc, n, c = self.at
-        self.emit(f"    return ({pc}, {_plus('n', n)}, {_plus('c', c)}, {status})")
+        ret = f"return ({pc}, {_plus('n', n)}, {_plus('c', c)}, {status})"
+        return f"{_push(operands)}; {ret}" if operands else ret
+
+    def guard(self, cond: str, operands: List[str], status: int = 1) -> None:
+        """Emit ``if cond: <rebuild stack>; <deopt at self.at>``."""
+        self.emit(f"if {cond}: {self.exit(operands, status)}")
 
     def flush(self) -> None:
-        for nd in self.vstack:
-            self.emit(f"s.append({lower_py(nd)})")
+        if self.vstack:
+            self.emit(_push([lower_py(nd) for nd in self.vstack]))
         self.vstack.clear()
 
     def fork(self, cond: str, taken, fallthrough) -> None:
@@ -823,13 +858,24 @@ def _direct_target(program, ins):
     return method, entry, frozenset(rets)
 
 
+def _native_target(program, ins) -> bool:
+    """Whether a region calls ``ins`` in place (see :func:`_native_call`):
+    an ``INVOKEVIRTUAL`` / ``INVOKESTATIC`` that resolves, under
+    ``program``, to a native of :data:`~repro.vm.natives.IN_REGION`."""
+    return program is not None \
+        and (ins.op == op.INVOKEVIRTUAL or ins.op == op.INVOKESTATIC) \
+        and (ins.a, ins.b) in IN_REGION \
+        and program.lookup_method(ins.a, ins.b) is None
+
+
 def _find_region(flat, start: int, program=None):
     """The segments of the region a hot run at ``start`` compiles as:
     ``{a: (e, successors)}`` for every stretch ``instrs[a:e]`` reachable
     from ``start`` that begins a basic block (or is the run itself) and
     extends over traceable instructions — and a block-ending call to a
-    pure leaf method (see :func:`_inline_target`), inlined, or to a method
-    it calls directly (see :func:`_direct_target`) — up to the end
+    pure leaf method (see :func:`_inline_target`), inlined, to a method it
+    calls directly (see :func:`_direct_target`) or to a native it calls in
+    place (see :func:`_native_target`) — up to the end
     of its block or the first instruction that is not.  ``successors``
     are where control goes after ``e``: empty when ``instrs[e]`` ends the
     stretch inside its block (a clean region exit), else the branch
@@ -860,7 +906,8 @@ def _find_region(flat, start: int, program=None):
             if callee is not None:
                 e = b
                 size += 1 + len(callee.flat().instrs)
-            elif _direct_target(program, instrs[e]) is not None:
+            elif _direct_target(program, instrs[e]) is not None \
+                    or _native_target(program, instrs[e]):
                 e = b
                 size += 1
         if total + size > _MAX_REGION and a == start:
@@ -905,8 +952,7 @@ def _inline_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
     rcv = tc.pop_temp() if virtual else None
     tc.flush()  # caller residue below the operands goes to the real stack
     tc.at = (pc, n, c)
-    tc.inline_pushback = [
-        f"s.append({t})" for t in ([rcv] if virtual else []) + argts]
+    tc.inline_pushback = ([rcv] if virtual else []) + argts
 
     ilocals = ["None"] * cflat.nlocals
     idx = 0
@@ -989,7 +1035,7 @@ def _direct_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
     if inv.op == op.INVOKEVIRTUAL:
         o = tc._heap_object(ops[0], "HeapObject", ops, 0)
         tc.guard(f"{o}.class_name != {inv.a!r}", ops, 0)
-    tc.needs_frames = True
+    tc.needs_frames = tc.needs_own = True
     fn, cf, r, rn, rc, rs = (tc.temp() for _ in range(6))
     tc.emit(f"{fn} = {tc.const(run)}.fn")
     tc.guard(f"{fn} is None or not own or len(F) >= {_MAX_DEPTH}", ops, 0)
@@ -1000,8 +1046,8 @@ def _direct_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
     tc.emit(f"n += {rn}")
     tc.emit(f"c += {rc}")
     tc.emit(f"if {r} not in {tc.const(rets)}:")
-    for nd in tc.vstack:
-        tc.emit(f"    s.append({lower_py(nd)})")
+    if tc.vstack:
+        tc.emit("    " + _push([lower_py(nd) for nd in tc.vstack]))
     tc.emit(f"    if {rs} < 2:")
     tc.emit(f"        {cf}.pc = {r}")
     tc.emit(f"    f.pc = {pc + 1}")
@@ -1014,6 +1060,45 @@ def _direct_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
         tc.vstack.append(TreeNode("TEMP", value=t))
     tc.fields = {}  # the callee may have written any of them
     return n + 2, c + inv.cost + cflat.instrs[min(rets)].cost
+
+
+def _native_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
+                 program) -> Tuple[int, int]:
+    """Compile the call ``inv`` at ``pc`` of a native of
+    :data:`~repro.vm.natives.IN_REGION` in place: guard the receiver's exact
+    class (a ``HeapObject`` of the call's class, a ``str`` for
+    ``String.*``), then call the native :func:`_resolve_native` found here,
+    once.  A miss — or a machine running another program over the code —
+    leaves cleanly at the call, operands restored, for the engine's
+    :class:`CallSite`.  A raise deopts at the call the same way: the plain
+    handler re-executes the native (it raises idempotently) and charges
+    what the reference path does.  The native writes no field, array or
+    static, so every fact survives it.  ``(n, c)`` are the steps / cycles
+    pending before the call; returns those pending after it."""
+    fn, push = _resolve_native(program, inv.a, inv.b)
+    virtual = inv.op == op.INVOKEVIRTUAL
+    nops = (inv.c or 0) + virtual
+    tc.need(nops)
+    ops = [tc.pop_temp() for _ in range(nops)][::-1]
+    tc.at = (pc, n, c)
+    tc.needs_own = True
+    if not virtual:
+        tc.guard("not own", ops, 0)
+    elif inv.a == "String":
+        tc.guard(f"not own or {ops[0]}.__class__ is not str", ops, 0)
+    else:
+        o = tc._heap_object(ops[0], "HeapObject", ops, 0)
+        tc.guard(f"not own or {o}.class_name != {inv.a!r}", ops, 0)
+    call = (f"{tc.const(fn)}(m, {ops[0] if virtual else None}, "
+            f"[{', '.join(ops[virtual:])}])")
+    if push:
+        rv = tc.temp()
+        call = f"{rv} = {call}"
+    tc.emit(f"try: {call}")
+    tc.emit(f"except Exception: {tc.exit(ops)}")
+    if push:
+        tc.vstack.append(TreeNode("TEMP", value=rv))
+    return n + 1, c + inv.cost
 
 
 def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
@@ -1038,7 +1123,7 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
         body_ins = [i for a, (e, _) in segs.items() for i in instrs[a:e]]
         stored = {i.a for i in body_ins if i.op in op.STORES}
         if any(i.op in op.INVOKES and _inline_target(program, i) is None
-               for i in body_ins):
+               and not _native_target(program, i) for i in body_ins):
             tc.written = None
         else:
             tc.written = frozenset(
@@ -1072,8 +1157,12 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
         for pc in range(a, e):
             ins = instrs[pc]
             if ins.op in op.INVOKES:
-                call = _direct_call if _inline_target(program, ins) is None \
-                    else _inline_call
+                if _inline_target(program, ins) is not None:
+                    call = _inline_call
+                elif _native_target(program, ins):
+                    call = _native_call
+                else:
+                    call = _direct_call
                 n, c = call(tc, ins, pc, n, c, program)
                 continue
             tc.at = (pc, n, c)
@@ -1101,10 +1190,12 @@ def _compile_region(flat, segs: Dict[int, tuple], entry: int, program=None):
     if tc.needs_alloc:
         body += ["N = m.heap.new_object", "TM = m.program.templates"]
     if tc.needs_frames:
-        # callees were resolved for this program; a plan is shared by every
-        # program over the method, and another one's calls are the engine's
-        own = tc.const(program.bprogram)
-        body += ["F = m.frames", f"own = m.program.bprogram is {own}"]
+        body.append("F = m.frames")
+    if tc.needs_own:
+        # callees and natives were resolved for this program; a plan is
+        # shared by every program over the method, and another one's calls
+        # are the engine's
+        body.append(f"own = m.program.bprogram is {tc.const(program.bprogram)}")
     body += [f"{t} = L[{slot}]" for slot, t in tc.stable.items()]
     body += [f"{t} = _MISS" for t in tc.once.values()]
     body += ["n = 0", "c = 0", f"pc = {entry}", "while 1:"]

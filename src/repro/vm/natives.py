@@ -295,6 +295,51 @@ REGISTRY: Dict[Tuple[str, str], Callable] = {
 }
 
 
+#: natives a compiled region calls in place (:mod:`repro.vm.jit`) instead of
+#: ending there.  Audited, each: reads neither the cycle counter nor
+#: ``stdout`` (no ``Sys.*``); calls no bytecode; writes no heap field, static
+#: or array, only its receiver's ``native_state``; raises idempotently —
+#: re-executed after a raise it raises the same error over the same state.
+IN_REGION = frozenset({
+    ("String", "length"),      # pure in its str receiver
+    ("String", "charAt"),      # pure; checks the index, then reads
+    ("String", "substring"),   # pure; checks the bounds, then slices
+    ("String", "indexOf"),     # pure in receiver and argument
+    ("String", "equals"),      # pure in receiver and argument
+    ("String", "hashCode"),    # pure in its receiver
+    ("String", "compareTo"),   # pure in receiver and argument
+    ("Vector", "add"),         # appends to its own list (lazy init idempotent)
+    ("Vector", "get"),         # reads its own list; checks the index first
+    ("Vector", "set"),         # checks the index, then writes its own list
+    ("Vector", "size"),        # reads its own list
+    ("Vector", "clear"),       # empties its own list
+    ("Vector", "contains"),    # reads its own list
+    ("Vector", "removeLast"),  # checks emptiness, then pops its own list
+    ("LinkedList", "add"),     # as Vector.add
+    ("LinkedList", "addFirst"),  # inserts into its own list
+    ("LinkedList", "get"),     # as Vector.get
+    ("LinkedList", "size"),    # as Vector.size
+    ("Math", "sqrt"),          # pure; a domain or range error raises alike
+    ("Math", "sin"),           # pure; a domain or range error raises alike
+    ("Math", "cos"),           # pure; a domain or range error raises alike
+    ("Math", "exp"),           # pure; a domain or range error raises alike
+    ("Math", "log"),           # pure; a domain or range error raises alike
+    ("Math", "floor"),         # pure; a domain or range error raises alike
+    ("Math", "abs"),           # pure
+    ("Math", "pow"),           # pure; a domain or range error raises alike
+    ("Math", "min"),           # pure
+    ("Math", "max"),           # pure
+    ("Math", "imin"),          # pure
+    ("Math", "imax"),          # pure
+    ("Math", "iabs"),          # pure
+    ("Random", "nextInt"),     # checks the bound before it steps its state
+    ("Random", "nextFloat"),   # steps its own state; cannot raise
+    ("Random", "nextLong"),    # steps its own state; cannot raise
+    ("Str", "concat"),         # formats its arguments; reads the heap only
+    ("Str", "valueOf"),        # formats its argument; reads the heap only
+})
+
+
 def find_native(class_name: str, method: str) -> Callable:
     fn = REGISTRY.get((class_name, method))
     if fn is None:

@@ -141,7 +141,8 @@ def test_nonfinite_conversions_are_javas():
 
 def test_immediate_rules_are_the_cheaper_derivation():
     """The labeler picks the immediate forms: no helper call for a positive
-    divisor or an immediate ``>>>``, no wrap after ``& | ^ >>``."""
+    divisor or an immediate ``>>>``, no wrap after ``& | ^ >>``, an inline
+    wrap after ``+ - * <<``."""
     a = TreeNode("TEMP", value="a")
 
     def imm(root, value):
@@ -153,4 +154,6 @@ def test_immediate_rules_are_the_cheaper_derivation():
     assert imm("USHR_I", 32) == "(a)"  # count 0 after masking: identity
     for root in ("AND_I", "OR_I", "XOR_I", "SHR_I"):
         assert "i32" not in imm(root, 5)
-    assert "i32" in imm("ADD_I", 5) and "i32" in imm("SHL_I", 5)
+    # ``+ - * <<`` wrap inline, by mask: no helper call is left
+    for root in ("ADD_I", "SHL_I"):
+        assert "0xffffffff" in imm(root, 5) and "i32" not in imm(root, 5)

@@ -267,6 +267,33 @@ def test_two_node_cluster_recovers_without_idle_homes():
     assert [r.node for r in run.recovered] == [0]
 
 
+def _bank(backend, faults=None, recovery=None):
+    from repro.api import Experiment
+    from repro.harness.cache import StageCache
+
+    return Experiment.from_options(
+        "service_bank", size="bench", cache=StageCache(), backend=backend,
+        nparts=3, nodes=3, force_distribution=True, faults=faults,
+        recovery=recovery,
+    ).run()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_service_bank_crash_of_a_non_main_node_is_masked(backend):
+    """``service_bank`` on three nodes, node 1 crashing at cycle 200 000
+    with the default plan: once a bare ``VMError`` ("recovered no copy of
+    object n1#15"), now one recovered record and the fault-free stdout."""
+    clean = _bank(backend)
+    crashed = _bank(backend, FaultPlan(crashes=((1, 200_000),)),
+                    RecoveryPlan())
+    run = crashed.distributed
+    assert crashed.stdout == clean.stdout == clean.sequential.stdout
+    assert not run.degraded
+    assert [(r.node, r.kind) for r in run.recovered] == [(1, "recovered")]
+    assert {f.node for f in run.faults
+            if f.kind in ("crash", "worker_lost")} == {1}
+
+
 # -------------------------------------------------- detection primitives
 class _FakeMPI:
     def __init__(self, size=3):

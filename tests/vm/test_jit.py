@@ -29,11 +29,13 @@ from repro.testing.genprog import GenConfig, generate_source
 from repro.vm import jit
 from repro.vm.interpreter import Machine, forced_engine, run_sync
 from repro.vm.jit import Run, build_fused, jit_threshold, plan_runs
+from repro.vm.natives import IN_REGION, REGISTRY
 from repro.workloads import WORKLOADS
 
 
 def _observe(loaded, engine):
-    """(cycles, steps, result, stdout, error-text, machine) on one tier."""
+    """(cycles, steps, result, stdout, error-text, machine) on one tier; the
+    text of an error other than a ``VMError`` carries its type."""
     machine = Machine(loaded)
     machine.statics = loaded.fresh_statics()
     machine.call_bmethod(loaded.main_method(), None, [None])
@@ -43,6 +45,8 @@ def _observe(loaded, engine):
             run_sync(machine)
         except VMError as exc:
             error = str(exc)
+        except Exception as exc:  # noqa: BLE001 - the text is compared
+            error = f"{type(exc).__name__}: {exc}"
     return (
         (machine.cycles, machine.steps, machine.result,
          tuple(machine.stdout), error),
@@ -266,12 +270,13 @@ _TINY_RUNS = {
     """),
     # the whole body but its return: ALOAD xs, ILOAD i, XALOAD; ``outer``
     # makes a call, so the loop's region inlines neither, and no run of
-    # ``outer`` reaches the call to ``at`` (a native call ends its block)
+    # ``outer`` reaches the call to ``at`` (``Sys.time`` ends its region, as
+    # every native outside ``natives.IN_REGION`` does)
     "index": ("Main.at", 3, "array index 8 out of bounds (8)", """
         class Main {
-            static int at(int[] xs, int i) { return xs[i]; }
+            static int at(int[] xs, int i, long t) { return xs[i]; }
             static int outer(int[] xs, int i) {
-                return at(xs, Math.iabs(i)) + 1;
+                return at(xs, i, Sys.time()) + 1;
             }
             static void main(String[] a) {
                 int[] xs = new int[8];
@@ -1332,16 +1337,20 @@ def test_service_frame_and_depth_boundary_return_through_the_generic_path():
 
 # ------------------------------------------- direct calls, NEW and natives
 def _heap_shape(machine):
+    """Every entry's oid, class, fields and native state (an array's data),
+    and the allocation statistics."""
     heap = machine.heap
-    return (tuple((oid, getattr(e, "class_name", None))
+    return (tuple((oid, getattr(e, "class_name", None),
+                   tuple(sorted(getattr(e, "fields", {}).items())),
+                   repr(getattr(e, "native_state", getattr(e, "data", None))))
                   for oid, e in heap._store.items()),
             heap.allocated_objects, heap.allocated_bytes)
 
 
 def _oracle(loaded):
     """reference == compiled on stdout, result, steps, cycles, error text
-    and the heap's oids; returns the reference observation and the compiled
-    machine."""
+    and the heap (:func:`_heap_shape`); returns the reference observation
+    and the compiled machine."""
     ref, rm = _observe(loaded, "reference")
     comp, cm = _observe(loaded, "compiled")
     assert comp == ref
@@ -1592,37 +1601,6 @@ def test_a_callee_that_allocates_then_fails_a_guard_allocates_once(threshold):
 
 
 @pytest.mark.parametrize("threshold", [1, 16])
-@pytest.mark.parametrize("call, error", [
-    ("s = s + r.nextInt(40 - i);",
-     "Random.nextInt bound must be positive, got 0"),
-    ("Object o = v.get(i / 30 * 100);",
-     "Vector.get(100) out of range (size 31)"),
-], ids=["Random.nextInt(0)", "Vector.get out of range"])
-def test_a_bound_native_that_raises_charges_exactly(call, error, threshold):
-    """A native bound at its call site raises as the generic path does:
-    same text, same cycles charged for the completed prefix."""
-    src = f"""
-        class Main {{
-            static void main(String[] args) {{
-                Random r = new Random(3);
-                Vector v = new Vector();
-                int s = 0;
-                for (int i = 0; i < 60; i++) {{
-                    v.add(i);
-                    {call}
-                    s = s + i * 3;
-                }}
-                Sys.println(s);
-            }}
-        }}
-    """
-    with jit_threshold(threshold):
-        loaded = compile_mj(src)
-        ref, _ = _oracle(loaded)
-    assert ref[4] == error
-
-
-@pytest.mark.parametrize("threshold", [1, 16])
 def test_direct_calls_under_the_local_dispatcher(threshold):
     """A directly called callee reaches a ``DependentObject.access`` of a
     rewritten program run on one machine: it leaves with its frame on top,
@@ -1721,3 +1699,218 @@ def test_direct_calls_under_concurrent_machines():
     assert not any(t.is_alive() for t in threads)
     assert out == [ref] * 3
     assert all(_direct_calls(loaded) for loaded in programs)
+
+
+# ---------------------------------- natives in regions, one code per source
+def _in_place_oracle(src: str, threshold: int):
+    """:func:`_oracle` at ``threshold``; returns the reference observation,
+    the compiled machine and its regions' sources."""
+    with jit_threshold(threshold):
+        loaded = compile_mj(src)
+        ref, machine = _oracle(loaded)
+    return ref, machine, list(_compiled_sources(loaded).values())
+
+
+def _natives_in_place(sources):
+    return [src for src in sources if "except Exception" in src]
+
+
+def test_in_region_natives_are_registered_and_none_is_sys():
+    assert IN_REGION <= set(REGISTRY)
+    assert not any(cls == "Sys" for cls, _ in IN_REGION)
+    assert {("Random", "nextInt"), ("Random", "nextFloat"),
+            ("Random", "nextLong"), ("Vector", "get"), ("Vector", "set"),
+            ("Vector", "size"), ("Vector", "add")} <= IN_REGION
+    assert {key for key in REGISTRY if key[0] == "Math"} <= IN_REGION
+
+
+_LOOP = """
+    class Main {
+        static void main(String[] args) {
+            Random r = new Random(3);
+            Vector v = new Vector();
+            float w = 0.5;
+            long z = 0L;
+            int s = 0;
+            for (int i = 0; i < 60; i++) {
+                v.add(i);
+                %s
+                s = s + i * 3;
+            }
+            Sys.println(s + ":" + r.nextInt(1000) + ":" + w + ":" + z);
+        }
+    }
+"""
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("body, error", [
+    ("s = s + r.nextInt(40 - i);",
+     "Random.nextInt bound must be positive, got 0"),
+    ("Object o = v.get(i / 30 * 100);",
+     "Vector.get(100) out of range (size 31)"),
+    ("v.set(i / 40 * 100, s);",
+     "Vector.set(100) out of range (size 41)"),
+    ("w = w + Math.sqrt(20.0 - i);",
+     "ValueError: math domain error"),
+    ("w = w + Math.exp(i * 50.0) / 1.0e300;",
+     "OverflowError: math range error"),
+    ("w = w + r.nextFloat() + Math.pow(1.5, 2.0); z = z ^ r.nextLong();",
+     None),
+], ids=["Random.nextInt(0)", "Vector.get out of range",
+        "Vector.set out of range", "Math.sqrt(-1.0)", "Math.exp(1000.0)",
+        "no error"])
+def test_a_bound_native_that_raises_charges_exactly(body, error, threshold):
+    """An audited native runs inside the region once it is hot (bound at
+    its call site before); when it raises, the region deopts at the call
+    and the plain handler raises what the reference path raises — a
+    ``VMError``, or a Python error from ``math`` — with the same charge,
+    over the same heap: ``Random``'s state is what the reference left."""
+    ref, machine, sources = _in_place_oracle(_LOOP % body, threshold)
+    assert ref[4] == error
+    assert _natives_in_place(sources)
+    assert machine.jit_stats()["deopts"] == (error is not None)
+
+
+_SUBCLASS = """
+    class Counting extends Random {
+        int k;
+        Counting(int s) { this.k = s; }
+        int nextInt(int b) { this.k = this.k + 3; return this.k %% b; }
+    }
+    class Main {
+        static void main(String[] args) {
+            Random r = new Random(3);
+            int s = 0;
+            for (int i = 0; i < 60; i++) {
+                if (i == %d) { r = new Counting(5); }
+                if (i == %d) { r = new Random(9); }
+                s = s * 7 + r.nextInt(100);
+            }
+            Sys.println(s);
+        }
+    }
+"""
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("switch", [(20, 45), (1, 50)])
+def test_a_random_subclass_at_the_site_misses_the_guard(switch, threshold):
+    """A ``Random`` subclass overriding ``nextInt`` reaches a site the
+    region calls ``Random.nextInt`` at in place: the exact-class guard
+    misses, the engine's call site runs the override."""
+    _, _, sources = _in_place_oracle(_SUBCLASS % switch, threshold)
+    assert _natives_in_place(sources)
+
+
+_TIME_AND_RANDOM = """
+    class Main {
+        static void main(String[] args) {
+            Random r = new Random(11);
+            float w = 1.5;
+            for (int j = 0; j < %d; j++) { w = (w + 2.5) %% 7.0 %% 5.0 %% 3.0; }
+            long ticks = 0;
+            long last = Sys.time();
+            int s = 0;
+            for (int i = 0; i < 3000; i++) {
+                s = s + r.nextInt(10) + r.nextInt(7);
+                long t = Sys.time();
+                if (t != last) { ticks = ticks * 31 + i; last = t; }
+            }
+            Sys.println(s + ":" + ticks + ":" + last);
+        }
+    }
+"""
+
+
+@pytest.mark.parametrize("threshold", [1, 16])
+@pytest.mark.parametrize("pad", [12000, 12507, 13015])
+def test_sys_time_after_in_region_natives_reads_exact_cycles(pad, threshold):
+    """``Random.nextInt`` runs inside the region, ``Sys.time`` ends it: the
+    millisecond ticks land on the reference's iterations."""
+    ref, _, sources = _in_place_oracle(_TIME_AND_RANDOM % pad, threshold)
+    assert int(ref[3][0].split(":")[1]) != 0  # the clock ticked in the loop
+    assert _natives_in_place(sources)
+
+
+def test_wrap_edges_inline_on_all_tiers():
+    """``+ - * << neg / (int)`` at the edges of the int and long ranges, on
+    values a region cannot fold: the inline wrap is ``i32`` / ``i64``."""
+    ref, machine, loaded = _compiled_agrees("""
+        class Main {
+            static void main(String[] args) {
+                int s = 0;
+                long t = 0L;
+                for (int i = 0; i < 40; i++) {
+                    int x = 2147483647 - 20 + i;
+                    int y = -2147483648 + 20 - i;
+                    long p = 9223372036854775807L - 20L + i;
+                    long q = -9223372036854775807L - 1L + 20L - i;
+                    s = s ^ (x + 1) ^ (y - 1) ^ (x << 31) ^ (i << 31) ^ (x * x);
+                    s = s ^ (-y) ^ (y / -1) ^ (int) p ^ (int) (p + 1L);
+                    t = t ^ (p + 1L) ^ (q - 1L) ^ (p << 63) ^ (p * p);
+                    t = t ^ (-q) ^ (q / -1L);
+                }
+                Sys.println(s + ":" + t);
+            }
+        }
+    """, threshold=1)
+    sources = "".join(_compiled_sources(loaded).values())
+    assert "0xffffffff" in sources and "0xffffffffffffffff" in sources
+    assert "i32(" not in sources and "i64(" not in sources
+
+
+def test_one_region_source_two_programs_one_code_object():
+    """Two programs from one source in one process: their regions lower to
+    one source, ``compile()`` once — one code object, each closure over its
+    own program's constants."""
+    src = _LOOP % "w = w + r.nextFloat();"
+    with jit_threshold(1):
+        fns = []
+        for _ in range(2):
+            loaded = compile_mj(src)
+            _observe(loaded, "compiled")
+            fns.append({key: run.fn for bc in loaded.bprogram.classes.values()
+                        for bm in bc.methods.values()
+                        for key, run in [(bm.qualified, r) for r in
+                                         plan_runs(bm.flat())]
+                        if run.fn is not None})
+    first, second = fns
+    assert first.keys() == second.keys() and first
+    for key, fn in first.items():
+        other = second[key]
+        assert fn.__code__ is other.__code__ and fn.__doc__ == other.__doc__
+        assert fn.__globals__ is not other.__globals__
+        consts = [k for k in fn.__globals__ if re.fullmatch(r"K\d+", k)]
+        assert consts
+        assert any(fn.__globals__[k] is not other.__globals__[k]
+                   for k in consts)
+
+
+def test_the_code_cache_dies_with_the_last_program():
+    """After ``gc.collect()`` with no program alive the code cache is empty
+    — a fresh interpreter, so no other test's program is alive."""
+    import subprocess
+
+    script = f"""
+import gc, sys
+sys.path[:0] = {[str(pathlib.Path(__file__).parents[1]),
+                 str(pathlib.Path(__file__).parents[2] / "src")]!r}
+from helpers import compile_mj
+from repro.vm import jit
+from repro.vm.interpreter import Machine, forced_engine, run_sync
+with jit.jit_threshold(1), forced_engine("compiled"):
+    for _ in range(2):
+        loaded = compile_mj({(_LOOP % "w = w + r.nextFloat();")!r})
+        machine = Machine(loaded)
+        machine.statics = loaded.fresh_statics()
+        machine.call_bmethod(loaded.main_method(), None, [None])
+        run_sync(machine)
+live = len(jit._CODE)
+del loaded, machine
+gc.collect()
+print(live, len(jit._CODE))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert int(out[0]) > 0 and out[1] == "0"
