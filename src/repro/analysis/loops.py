@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod
+from repro.bytecode.model import BMethod, successors
 
 
 def loop_depth_per_index(method: BMethod) -> List[int]:
@@ -20,7 +20,7 @@ def loop_depth_per_index(method: BMethod) -> List[int]:
     depth = [0] * len(flat)
     for j, ins in enumerate(flat):
         if ins.op in op.BRANCHES:
-            target = ins.b if ins.op in op.CMP_BRANCHES else ins.a
+            target = successors(ins, j)[0]
             if target <= j:
                 for i in range(target, j + 1):
                     depth[i] += 1

@@ -15,7 +15,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro.analysis.rta import CallGraph
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod
+from repro.bytecode.model import BMethod, successors
 from repro.lang.symbols import DEPENDENT_OBJECT
 
 
@@ -61,7 +61,7 @@ def _indices_in_loops(method: BMethod) -> Set[int]:
     spans: List[Tuple[int, int]] = []
     for j, ins in enumerate(flat):
         if ins.op in op.BRANCHES:
-            target = ins.b if ins.op in op.CMP_BRANCHES else ins.a
+            target = successors(ins, j)[0]
             if target <= j:
                 spans.append((target, j))
     covered: Set[int] = set()

@@ -88,22 +88,36 @@ def stack_effect(ins: Instr, table) -> Tuple[int, int]:
     return (pops, 0 if mi.is_ctor or mi.ret is VOID else 1)
 
 
-def basic_block_leaders(instrs: List[Instr]) -> Tuple[int, ...]:
-    """Basic-block leader indices of flattened code: entry, every branch
-    target, and every instruction following a branch, invoke or return.
+def successors(ins: Instr, i: int) -> Tuple[int, ...]:
+    """Where control goes after flattened instruction ``i``: the branch
+    target first, then the fall-through ``i + 1``; nothing after a return.
+    The one control-flow rule every static walk of a method follows (a
+    successor may be past the end: the verifier rejects that)."""
+    o = ins.op
+    if o in op.BRANCHES:
+        if o == op.GOTO:
+            return (ins.a,)
+        return (ins.b if o in op.CMP_BRANCHES else ins.a, i + 1)
+    return () if o in op.RETURNS else (i + 1,)
 
-    This is the *static* block structure (``repro bench`` reports it as
-    mean block length — the shape metric behind the cost-batching win);
-    the fast path itself batches dynamically, straight through branches
-    and calls until the next syscall boundary."""
+
+def basic_block_leaders(instrs: List[Instr], after_calls: bool = True
+                        ) -> Tuple[int, ...]:
+    """Basic-block leader indices of flattened code: entry, every branch
+    target, and every instruction following a branch or return — and an
+    invoke, unless ``after_calls`` is false (the quad builder's blocks).
+
+    With ``after_calls`` this is the *static* block structure (``repro
+    bench`` reports it as mean block length — the shape metric behind the
+    cost-batching win); the fast path itself batches dynamically, straight
+    through branches and calls until the next syscall boundary."""
     leaders = {0}
     for i, ins in enumerate(instrs):
         o = ins.op
-        if o in op.BRANCHES:
-            target = ins.b if o in op.CMP_BRANCHES else ins.a
-            leaders.add(target)
+        if o in op.BRANCHES or o in op.RETURNS:
+            leaders.update(successors(ins, i))
             leaders.add(i + 1)
-        elif o in op.INVOKES or o in op.RETURNS:
+        elif after_calls and o in op.INVOKES:
             leaders.add(i + 1)
     return tuple(sorted(l for l in leaders if l < len(instrs)))
 
@@ -112,7 +126,7 @@ class FlatCode:
     """Executable form: label-free instruction list with integer targets."""
 
     __slots__ = ("instrs", "label_index", "nlocals", "returns_value",
-                 "_block_starts", "threaded", "fused")
+                 "depths", "max_depth", "_block_starts", "threaded", "fused")
 
     def __init__(self, instrs: List[Instr], label_index: Dict[Label, int],
                  nlocals: int, returns_value: bool) -> None:
@@ -123,6 +137,11 @@ class FlatCode:
         #: whether a return hands a value to the calling frame
         self.nlocals = nlocals
         self.returns_value = returns_value
+        #: what :func:`repro.bytecode.verifier.verified` found, set once by
+        #: its one walk of the method: the operand-stack depth on entry to
+        #: every instruction (``-1``: unreachable), and the deepest it gets
+        self.depths = None
+        self.max_depth = 0
         self._block_starts: Optional[Tuple[int, ...]] = None
         #: threaded form ``[(handler, instr), ...]`` built lazily by the VM
         #: fast path on first execution (the bytecode layer stays ignorant

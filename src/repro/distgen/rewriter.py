@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, BProgram, Instr, stack_effect
+from repro.bytecode.model import BMethod, BProgram, Instr, stack_effect, successors
+from repro.bytecode.verifier import verified
 from repro.errors import CompileError, SemanticError
 from repro.lang.symbols import (
     DEPENDENT_OBJECT,
@@ -127,74 +128,55 @@ class _MethodRewriter:
     def _thisness(self) -> List[Optional[_ThisState]]:
         """Forward dataflow over the *flat* code of an instance method: for
         each symbolic instruction index, the abstract operand stack on entry
-        (``None`` for LABELs and unreachable code).  Merge is AND of the
-        masks, so a state only ever loses bits and the worklist drains after
-        at most ``depth + 1`` visits per instruction."""
-        flat = self.method.flat().instrs
-        n = len(flat)
-        table = self.table
-        states: List[Optional[_ThisState]] = [None] * n
-        work: List[int] = []
-        if n:
-            states[0] = (0, 0)
-            work.append(0)
-        visits = 0
-        deepest = 0
+        (``None`` for LABELs and unreachable code) — its depth as the
+        verifier found it, and the bits of the slots that hold ``this``.
+        Merge is AND of the masks, so a mask only ever loses bits and the
+        worklist drains after at most ``depth + 1`` visits per
+        instruction."""
+        flat = verified(self.method, self.table)
+        instrs = flat.instrs
+        depths = flat.depths
+        effects = op.STACK_EFFECT
+        masks: List[Optional[int]] = [None] * len(instrs)
+        masks[0] = 0
+        work = [0]
         while work:
             i = work.pop()
-            visits += 1
-            if visits > n * (deepest + 2):
-                raise CompileError(
-                    f"{self.method.qualified}: 'this' analysis did not converge"
-                )
-            depth, mask = states[i]
-            ins = flat[i]
-            o = ins.op
-            if o == op.DUP:
-                if depth == 0:
-                    continue
-                mask |= (mask >> (depth - 1) & 1) << depth
-                depth += 1
-            else:
-                try:
-                    pops, pushes = stack_effect(ins, table)
-                except (CompileError, SemanticError):
-                    continue
-                if pops > depth:
-                    continue
-                depth -= pops
-                mask &= (1 << depth) - 1
-                if o == op.ALOAD and ins.a == 0:
-                    mask |= ((1 << pushes) - 1) << depth
-                depth += pushes
-            if depth > deepest:
-                deepest = depth
-            if o == op.GOTO:
-                succs: Tuple[int, ...] = (ins.a,)
-            elif o in op.CMP_BRANCHES:
-                succs = (ins.b, i + 1)
-            elif o in op.BOOL_BRANCHES:
-                succs = (ins.a, i + 1)
-            elif o in op.RETURNS:
-                continue
-            else:
-                succs = (i + 1,)
-            for s in succs:
-                if not 0 <= s < n:
-                    continue
-                seen = states[s]
-                if seen is None:
-                    states[s] = (depth, mask)
-                    work.append(s)
-                # a depth mismatch is malformed code: keep the first state
-                elif seen[0] == depth and seen[1] & mask != seen[1]:
-                    states[s] = (depth, seen[1] & mask)
-                    work.append(s)
+            while True:  # straight on to the last successor changed here
+                mask = masks[i]
+                depth = depths[i]
+                ins = instrs[i]
+                o = ins.op
+                if o == op.DUP:
+                    mask |= (mask >> (depth - 1) & 1) << depth
+                elif o == op.ALOAD and ins.a == 0:
+                    mask |= 1 << depth
+                else:
+                    pops = effects[o][0] if o in effects \
+                        else stack_effect(ins, self.table)[0]
+                    mask &= (1 << (depth - pops)) - 1
+                nxt = -1
+                for s in successors(ins, i):
+                    seen = masks[s]
+                    if seen is None:
+                        masks[s] = mask
+                    elif seen & mask != seen:
+                        masks[s] = seen & mask
+                    else:
+                        continue
+                    if nxt >= 0:
+                        work.append(nxt)
+                    nxt = s
+                if nxt < 0:
+                    break
+                i = nxt
 
         # map back to symbolic indices (LABELs get None)
-        reached = iter(states)
+        reached = iter([
+            None if m is None else (d, m) for d, m in zip(depths, masks)
+        ])
         return [
-            None if ins.op == op.LABEL else next(reached, None)
+            None if ins.op == op.LABEL else next(reached)
             for ins in self.method.code
         ]
 

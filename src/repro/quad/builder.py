@@ -12,11 +12,12 @@ Figure 5 listing shows ``IFCMP_I IConst: 4, IConst: 2, LE, BB4`` for
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import CompileError
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, Instr, stack_effect
+from repro.bytecode.model import BMethod, Instr, basic_block_leaders, successors
+from repro.bytecode.verifier import verified
 from repro.lang.symbols import ClassTable, DEPENDENT_OBJECT
 from repro.lang.types import BOOLEAN, FLOAT, INT, LONG, VOID, Type
 from repro.quad.quads import BasicBlock, Const, Quad, QuadMethod, Reg
@@ -59,99 +60,40 @@ class _Builder:
     def __init__(self, bmethod: BMethod, table: ClassTable) -> None:
         self.bm = bmethod
         self.table = table
-        self.flat = bmethod.flat()
+        self.flat = verified(bmethod, table)
         self.qm = QuadMethod(bmethod.class_name, bmethod.name)
         self.nlocals = max(
             bmethod.max_locals, (0 if bmethod.is_static else 1) + bmethod.nargs
         )
 
-    # ---------------------------------------------------------------- layout
-    def _find_leaders(self) -> List[int]:
-        leaders: Set[int] = {0}
-        for i, ins in enumerate(self.flat):
-            if ins.op in op.BRANCHES:
-                target = ins.b if ins.op in op.CMP_BRANCHES else ins.a
-                leaders.add(target)
-                leaders.add(i + 1)
-            elif ins.op in op.RETURNS:
-                leaders.add(i + 1)
-        return sorted(x for x in leaders if x < len(self.flat))
+    def _layout(self) -> Tuple[List[int], Dict[int, List[int]], Dict[int, int], int]:
+        """The block structure, read off the verifier's walk: the leaders in
+        code order (block ``k + 2`` starts at ``leaders[k]``; ENTRY is 0,
+        EXIT 1), each block's successors (EXIT after a return or past the
+        end), each reachable block's entry stack depth, the deepest stack."""
+        flat = self.flat
+        n = len(flat)
+        leaders = list(basic_block_leaders(flat.instrs, after_calls=False))
+        succs: Dict[int, List[int]] = {}
+        depth_in: Dict[int, int] = {}
+        for bid, (leader, end) in enumerate(zip(leaders, leaders[1:] + [n]), 2):
+            succs[bid] = [
+                bisect_right(leaders, s) + 1 if s < n else 1
+                for s in successors(flat[end - 1], end - 1)
+            ] or [1]
+            if flat.depths[leader] >= 0:
+                depth_in[bid] = flat.depths[leader]
+        return leaders, succs, depth_in, flat.max_depth
 
     def build(self) -> QuadMethod:
-        if len(self.flat) == 0:
-            raise CompileError(f"{self.bm.qualified}: empty method")
-        leaders = self._find_leaders()
-        # block id assignment: ENTRY=0, EXIT=1, body blocks 2.. in code order
+        leaders, succs, depth_in, max_depth = self._layout()
         bid_of_leader: Dict[int, int] = {
             leader: i + 2 for i, leader in enumerate(leaders)
         }
-        block_end: Dict[int, int] = {}
-        for i, leader in enumerate(leaders):
-            block_end[leader] = leaders[i + 1] if i + 1 < len(leaders) else len(self.flat)
+        block_end = dict(zip(leaders, leaders[1:] + [len(self.flat)]))
 
         def bid_at(index: int) -> int:
-            pos = bisect_right(leaders, index) - 1
-            return bid_of_leader[leaders[pos]]
-
-        # --- successor computation on bytecode ranges
-        succs: Dict[int, List[int]] = {}
-        for leader in leaders:
-            bid = bid_of_leader[leader]
-            end = block_end[leader]
-            last = self.flat[end - 1]
-            out: List[int] = []
-            if last.op == op.GOTO:
-                out = [bid_at(last.a)]
-            elif last.op in op.CMP_BRANCHES:
-                out = [bid_at(last.b)]
-                if end < len(self.flat):
-                    out.append(bid_at(end))
-            elif last.op in op.BOOL_BRANCHES:
-                out = [bid_at(last.a)]
-                if end < len(self.flat):
-                    out.append(bid_at(end))
-            elif last.op in op.RETURNS:
-                out = [1]
-            else:
-                if end < len(self.flat):
-                    out = [bid_at(end)]
-                else:
-                    out = [1]
-            succs[bid] = out
-
-        # --- entry stack depth per block (worklist)
-        depth_in: Dict[int, int] = {bid_of_leader[0]: 0}
-        max_depth = 0
-        work = [0]
-        seen = {0}
-        while work:
-            leader = work.pop()
-            bid = bid_of_leader[leader]
-            depth = depth_in[bid]
-            for i in range(leader, block_end[leader]):
-                pops, pushes = stack_effect(self.flat[i], self.table)
-                depth -= pops
-                if depth < 0:
-                    raise CompileError(
-                        f"{self.bm.qualified}: stack underflow at {i}"
-                    )
-                depth += pushes
-                max_depth = max(max_depth, depth)
-            for s in succs[bid]:
-                if s == 1:
-                    continue
-                s_leader = leaders[s - 2]
-                if s in depth_in:
-                    if depth_in[s] != depth:
-                        raise CompileError(
-                            f"{self.bm.qualified}: inconsistent stack depth "
-                            f"at BB{s}"
-                        )
-                else:
-                    depth_in[s] = depth
-                if s_leader not in seen:
-                    seen.add(s_leader)
-                    work.append(s_leader)
+            return bisect_right(leaders, index) + 1
 
         self._stack_base = self.nlocals  # stack slot i -> reg index base+i+1
         self.qm.num_regs = self.nlocals + max_depth

@@ -60,6 +60,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CodegenError, ConfigError, VMError
 from repro.bytecode import opcodes as op
+from repro.bytecode.model import successors
+from repro.bytecode.verifier import verified
 from repro.codegen.pytarget import fold_const, lower_py
 from repro.codegen.tree import TreeNode
 from repro.lang.symbols import DEPENDENT_OBJECT
@@ -362,11 +364,6 @@ _CONSTABLE = (int, float, str, bool, type(None))
 
 #: materialize pure subtrees past this node count (bounds expression size)
 _MAX_TREE = 24
-
-
-def _target(ins) -> int:
-    """Target of a flattened branch."""
-    return ins.b if ins.op in op.CMP_BRANCHES else ins.a
 
 
 def _tree_size(nd: TreeNode) -> int:
@@ -773,9 +770,9 @@ _MAX_DEPTH = 200
 def _inline_target(program, ins):
     """The pure leaf method a region may inline at this call site, or
     ``None``.  Eligible: ``INVOKEVIRTUAL``/``INVOKESTATIC`` resolving to a
-    bytecode method (no natives) whose body reads only, branches forward
-    only, and is provably stack-disciplined on every path — so a failed
-    guard anywhere inside can deopt to the call instruction itself and
+    bytecode method (no natives) whose body reads only and branches forward
+    only (its stack discipline is the verifier's) — so a failed guard
+    anywhere inside can deopt to the call instruction itself and
     re-execute through the reference path with nothing to undo.  Its
     paths are compiled one after another, so their total length (an
     instruction after a join counts once per path through it) is what
@@ -791,46 +788,26 @@ def _inline_target(program, ins):
     nargs = ins.c or 0
     if nargs != method.nargs or method.is_static != (o == op.INVOKESTATIC):
         return None
-    body = method.flat().instrs
-    if len(body) > _INLINE_MAX:
+    flat = verified(method, program.table)
+    if len(flat) > _INLINE_MAX:
         return None
-    void = method.ret_type is VOID
-    # every branch points forward, so one pass in address order settles
-    # the stack depth at each reachable instruction
-    depth = {0: 0}
-    for i, b in enumerate(body):
-        d = depth.get(i)
-        if d is None:
-            continue  # unreachable
-        if b.op in op.RETURNS:
-            if (b.op == op.RETURN) != void or d != (0 if void else 1):
-                return None
-            continue
-        if not _traceable(b) or b.op in _EFFECTS:
-            return None
-        if b.op == op.LDC and not isinstance(b.a, _CONSTABLE):
-            return None
-        pops, pushes = op.STACK_EFFECT[b.op]
-        if d < pops:
-            return None
-        d += pushes - pops
-        succ = [] if b.op == op.GOTO else [i + 1]
-        if b.op in op.BRANCHES:
-            if _target(b) <= i:
-                return None
-            succ.append(_target(b))
-        for j in succ:
-            if j >= len(body) or depth.setdefault(j, d) != d:
-                return None
+    body = flat.instrs
+    depths = flat.depths
     # instructions compiled over all paths, last instruction first
-    paths = [0] * (len(body) + 1)
+    paths = [0] * len(body)
     for i in range(len(body) - 1, -1, -1):
-        if i in depth:
-            b = body[i]
-            paths[i] = 1 + (0 if b.op in op.RETURNS or b.op == op.GOTO
-                            else paths[i + 1])
-            if b.op in op.BRANCHES:
-                paths[i] += paths[_target(b)]
+        if depths[i] < 0:
+            continue  # unreachable
+        b = body[i]
+        if b.op not in op.RETURNS and (
+                not _traceable(b) or b.op in _EFFECTS
+                or b.op == op.LDC and not isinstance(b.a, _CONSTABLE)):
+            return None
+        paths[i] = 1
+        for j in successors(b, i):
+            if j <= i:
+                return None
+            paths[i] += paths[j]
     return method if paths[0] <= _INLINE_MAX else None
 
 
@@ -916,15 +893,7 @@ def _find_region(flat, start: int, program=None):
         elif e == a or total + size > _MAX_REGION:
             continue
         total += size
-        last = instrs[e - 1]
-        if e < b:
-            succ = ()
-        elif last.op == op.GOTO:
-            succ = (last.a,)
-        elif last.op in op.BRANCHES:
-            succ = (_target(last), b)
-        else:
-            succ = (b,)
+        succ = successors(instrs[e - 1], e - 1) if e == b else ()
         segs[a] = (e, succ)
         work.extend(succ)
     return segs
@@ -992,11 +961,12 @@ def _inline_call(tc: _TraceCompiler, inv, pc: int, n: int, c: int,
                 tc.emit(f"c += {pc_}")
                 return 0, 0
             cond = tc.compile_ins(ins)
+            succ = successors(ins, i)
             if cond is not None:
-                tc.fork(cond, lambda: path(_target(ins), pn, pc_),
-                        lambda: path(i + 1, pn, pc_))
+                tc.fork(cond, lambda: path(succ[0], pn, pc_),
+                        lambda: path(succ[1], pn, pc_))
                 return 0, 0
-            i = ins.a if ins.op == op.GOTO else i + 1
+            i = succ[0]
 
     # the call and the callee's instructions on the path taken
     n, c = path(0, n + 1, c + inv.cost)

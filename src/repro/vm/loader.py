@@ -1,9 +1,10 @@
 """Class loading: static initialization and field-layout resolution.
 
-``load_program`` runs every ``<clinit>`` (synthesized from static field
-initializers) on a bootstrap machine, producing the template static state
-that each execution node copies — mirroring the per-JVM statics of the
-paper's deployment.
+``load_program`` verifies every method (see :mod:`repro.bytecode.verifier`:
+a malformed one is a ``VerifyError`` before anything runs), then runs every
+``<clinit>`` (synthesized from static field initializers) on a bootstrap
+machine, producing the template static state that each execution node
+copies — mirroring the per-JVM statics of the paper's deployment.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VMError
 from repro.bytecode.model import BMethod, BProgram
+from repro.bytecode.verifier import verify_program
 from repro.lang.types import BOOLEAN, FLOAT, INT, LONG
 from repro.vm.values import default_value
 
@@ -98,7 +100,9 @@ class LoadedProgram:
 
 
 def load_program(bprogram: BProgram) -> LoadedProgram:
-    """Resolve layouts and execute all ``<clinit>`` initializers."""
+    """Verify every method, resolve layouts and execute all ``<clinit>``
+    initializers."""
+    verify_program(bprogram)
     loaded = LoadedProgram(bprogram)
     from repro.vm.interpreter import Machine, run_sync
 

@@ -1,5 +1,6 @@
 """Bytecode verifier tests — including the property that compiler output and
-rewriter output always verify."""
+rewriter output always verify, and that every entry point (loading,
+rewriting, lifting to quads) verifies through the one cached walk."""
 
 import sys
 import pathlib
@@ -12,12 +13,14 @@ from _reference_stack_effect import reference_stack_effect
 from helpers import compile_mj_raw
 
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, Instr, stack_effect
+from repro.bytecode.model import BMethod, Instr, Label, stack_effect
 from repro.bytecode.verifier import VerifyError, verify_method, verify_program
 from repro.distgen import build_plan, rewrite_program
 from repro.errors import CompileError
 from repro.lang.symbols import ClassTable
 from repro.lang.types import INT, VOID
+from repro.quad import build_quads
+from repro.vm import load_program
 from repro.workloads import WORKLOADS
 
 
@@ -50,8 +53,6 @@ def test_fall_off_end_detected():
 
 
 def test_inconsistent_join_depth_detected():
-    from repro.bytecode.model import Label
-
     m = hand_method()
     join = Label("J")
     skip = Label("S")
@@ -166,3 +167,102 @@ def test_rewriter_output_always_verifies(name):
     rewritten, stats = rewrite_program(bp, plan)
     assert stats.total > 0
     verify_program(rewritten)
+
+
+# ------------------------------------------------- every entry point verifies
+_GETTER = """
+    class K { int v; int get() { return this.v; } }
+    class Main {
+        static void main(String[] a) { K k = new K(); Sys.println(k.get()); }
+    }
+"""
+
+
+def _underflow(m, skip):
+    m.emit(op.POP)
+    m.emit(op.ALOAD, 0)
+    m.emit(op.GETFIELD, "K", "v")
+    m.emit(op.IRETURN)
+
+
+def _bad_join(m, skip):
+    m.emit(op.ALOAD, 0)
+    m.emit(op.GETFIELD, "K", "v")
+    m.emit(op.IFTRUE, skip)
+    m.emit(op.LDC, 1, "I")       # one deep on the fall-through, none taken
+    m.place(skip)
+    m.emit(op.ALOAD, 0)
+    m.emit(op.GETFIELD, "K", "v")
+    m.emit(op.IRETURN)
+
+
+def _fall_off(m, skip):
+    m.emit(op.ALOAD, 0)
+    m.emit(op.GETFIELD, "K", "v")
+    m.emit(op.POP)
+
+
+MALFORMED = {
+    "underflow": (_underflow, r"K\.get@0: stack underflow"),
+    "bad join": (_bad_join, r"K\.get@4: inconsistent stack depth at join"),
+    "fall-off": (_fall_off, r"K\.get@2: control flow falls off the end"),
+}
+
+
+def _rewrite_with_k_remote(bp, table):
+    from repro.distgen.plan import DistributionPlan
+
+    plan = DistributionPlan(
+        nparts=2,
+        granularity="class",
+        class_home={c: 0 for c in bp.classes},
+        dependent_classes={"K"},
+        main_partition=0,
+    )
+    rewrite_program(bp, plan)
+
+
+ENTRY_POINTS = {
+    "load_program": lambda bp, table: load_program(bp),
+    "rewrite_program": _rewrite_with_k_remote,
+    "build_quads": lambda bp, table: build_quads(
+        bp.classes["K"].methods["get"], table),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("defect", MALFORMED)
+def test_malformed_method_is_a_verify_error_at_every_entry_point(defect, entry):
+    """Loading, rewriting and lifting to quads all read the one walk, so a
+    malformed method fails each of them the same way, naming the bad
+    instruction — before anything runs, and whether or not the rewriter
+    would have rewritten it."""
+    bp, table = compile_mj_raw(_GETTER)
+    method = bp.classes["K"].methods["get"]
+    method.code = []
+    emit, message = MALFORMED[defect]
+    emit(method, Label("S"))
+    with pytest.raises(VerifyError, match=message):
+        ENTRY_POINTS[entry](bp, table)
+
+
+def test_a_method_is_walked_once_until_its_code_changes(monkeypatch):
+    from repro.bytecode import verifier
+
+    walks = []
+    real_walk = verifier._walk
+    monkeypatch.setattr(verifier, "_walk",
+                        lambda *args: walks.append(args[0]) or real_walk(*args))
+    bp, table = compile_mj_raw(_GETTER)
+    method = bp.classes["K"].methods["get"]
+    assert verify_method(method, table) == 1
+    assert verify_method(method, table) == 1
+    load_program(bp)
+    build_quads(method, table)
+    assert walks.count(method) == 1
+    method.invalidate()
+    verify_method(method, table)
+    assert walks.count(method) == 2
+    method.emit(op.RETURN)  # unreachable: still verifies
+    verify_method(method, table)
+    assert walks.count(method) == 3

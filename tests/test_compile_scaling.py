@@ -3,14 +3,16 @@ count — the hardware-independent half of the ``pipeline_cold`` evidence.
 
 Python-level calls (``cProfile``'s ``total_calls``) per token for
 ``tokenize`` and for parsing the tokens, and per flat instruction for
-``build_plan`` and ``rewrite_program``, on generated programs of 24, 96 and
-192 classes.  A linear layer spends the same number of calls on every token
-or instruction whatever the program's size, so the 192 : 24 ratio is
-bounded; the absolute
-level is capped a tenth above what shipped, so that a per-token or
-per-instruction helper call does not creep back in.  Wall-clock evidence is
-``perfbench``'s (``run_s`` @ ``pipeline_cold``); its generated programs stop
-at 48 classes, which is why the larger rows live here.
+``verify_program``, ``build_plan`` and ``rewrite_program``, on generated
+programs of 24, 96 and 192 classes.  The rewriter is counted on a verified
+program, as every pipeline runs it (loading verifies), so it reads the
+verifier's cached walk instead of paying for it.  A linear layer spends the
+same number of calls on every token or instruction whatever the program's
+size, so the 192 : 24 ratio is bounded; the absolute level is capped a
+tenth above what shipped, so that a per-token or per-instruction helper call
+does not creep back in.  Wall-clock evidence is ``perfbench``'s (``run_s`` @
+``pipeline_cold``); its generated programs stop at 48 classes, which is why
+the larger rows live here.
 """
 
 import cProfile
@@ -20,6 +22,7 @@ import pytest
 
 from helpers import compile_mj_raw, scaling_source, two_node_plan_arguments
 
+from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
 from repro.lang import tokenize
 from repro.lang.parser import Parser
@@ -33,8 +36,12 @@ MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 #:           read, an ``Enum.__hash__`` per operator-table lookup)
 #: plan      9.8 /  9.3 /  9.3  (14.3 / 23.8 / 33.8: numpy per vertex per
 #:           step, every virtual site tried against every instantiated class)
-#: rewrite   6.3 /  5.5 /  5.4  (21.4 / 22.4 / 23.9)
-MAX_CALLS = {"tokenize": 6.9, "parse": 5.0, "build_plan": 10.8, "rewrite_program": 6.9}
+#: verify    1.8 /  1.8 /  1.8  (6.7 / 6.7 / 6.7: a dict worklist, a
+#:           ``max()`` and a ``stack_effect`` per instruction)
+#: rewrite   4.8 /  4.2 /  4.1  (6.3 / 5.5 / 5.4: on an unverified program,
+#:           its ``this`` analysis walking depths of its own)
+MAX_CALLS = {"tokenize": 6.9, "parse": 5.0, "verify_program": 2.0,
+             "build_plan": 10.8, "rewrite_program": 5.3}
 
 
 def calls_of(fn, *args, **kwargs):
@@ -60,6 +67,8 @@ def calls_per_unit():
             for bclass in program.classes.values()
             for method in bclass.methods.values()
         )
+        calls, _ = calls_of(verify_program, program)
+        table["verify_program"][n_classes] = calls / instructions
         calls, plan = calls_of(build_plan, program, 2, **two_node_plan_arguments())
         table["build_plan"][n_classes] = calls / instructions
         calls, (_, stats) = calls_of(rewrite_program, program, plan)
