@@ -46,8 +46,8 @@ def seed_rngs():
 
 @pytest.fixture(scope="session")
 def stage_cache() -> StageCache:
-    """The cache every bench's pipelines share (the process default, so
-    benches that construct ``Pipeline`` directly hit it too).  The session
+    """The cache every bench's experiments share (the process default, so
+    benches that construct an ``Experiment`` directly hit it too).  Its
     teardown prints the hit/miss summary under ``-s``."""
     cache = default_cache()
     yield cache

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bench_utils import write_artifact
 
 from repro.distgen import build_plan, rewrite_program
-from repro.harness.pipeline import compile_workload
+from repro.api.experiment import compile_workload
 from repro.runtime.cluster import paper_testbed
 from repro.runtime.executor import DistributedExecutor
 

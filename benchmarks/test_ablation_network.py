@@ -10,37 +10,24 @@ from __future__ import annotations
 
 from bench_utils import write_artifact
 
-from repro.harness.pipeline import Pipeline
-from repro.runtime.cluster import (
-    ClusterSpec,
-    NodeSpec,
-    ethernet_1g,
-    ethernet_100m,
-    wireless_80211b,
-)
+from repro.api import Experiment
 
+#: (row label, network preset) — the paper testbed's two machines over each
 LINKS = [
-    ("1G ethernet", ethernet_1g()),
-    ("100M ethernet", ethernet_100m()),
-    ("802.11b", wireless_80211b()),
+    ("1G ethernet", "ethernet_1g"),
+    ("100M ethernet", "ethernet_100m"),
+    ("802.11b", "wireless_80211b"),
 ]
 
 
-def _cluster(link) -> ClusterSpec:
-    return ClusterSpec(
-        nodes=[NodeSpec("service-p3-1700", 1.7e9), NodeSpec("compute-p3-800", 800e6)],
-        link=link,
-    )
-
-
 def test_network_sensitivity(benchmark, out_dir):
-    pipe = Pipeline("crypt", "bench")
-
     def run():
         out = []
-        for label, link in LINKS:
-            s = pipe.speedup(cluster=_cluster(link))
-            out.append((label, s["speedup_pct"], s["messages"]))
+        for label, network in LINKS:
+            res = Experiment.from_options(
+                "crypt", size="bench", network=network
+            ).run()
+            out.append((label, res.speedup_pct, res.messages))
         return out
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -13,8 +13,8 @@ import numpy as np
 
 from bench_utils import write_artifact
 
+from repro.api import Experiment
 from repro.graph.wgraph import WeightedGraph
-from repro.harness.pipeline import Pipeline
 from repro.partition import part_graph
 from repro.workloads import TABLE1_ORDER
 
@@ -40,8 +40,7 @@ def test_partitioner_quality_on_workloads(benchmark, out_dir):
     def run():
         rows = []
         for name in TABLE1_ORDER:
-            pipe = Pipeline(name, "test")
-            a = pipe.analyze()
+            a = Experiment.from_options(name).analyze()
             graph, _ = a.odg.partition_graph()
             cuts = {
                 m: part_graph(graph, 2, method=m).edgecut for m in METHODS

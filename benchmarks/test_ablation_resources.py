@@ -11,29 +11,29 @@ from __future__ import annotations
 from bench_utils import write_artifact
 
 from repro.analysis.resources import STATIC_HEURISTIC, UNIFORM, from_profile
+from repro.api import Experiment
 from repro.graph.metrics import imbalance
-from repro.harness.pipeline import Pipeline
 from repro.harness.tables import run_profiled
 from repro.partition import part_graph
 from repro.profiler.report import to_resource_inputs
 
 
-def _partition_with(model, pipe):
-    a = pipe.analyze()
+def _partition_with(model, exp):
+    a = exp.analyze()
     graph, order = a.odg.partition_graph()
     objects_by_uid = {o.uid: o for o in a.objects}
-    weighted = model.apply(graph, objects_by_uid, pipe.bprogram)
+    weighted = model.apply(graph, objects_by_uid, exp.compile().bprogram)
     result = part_graph(weighted, 2, ubfactor=1.5)
     return weighted, result
 
 
 def test_resource_models(benchmark, out_dir):
-    pipe = Pipeline("bank", "test")
+    exp = Experiment.from_options("bank")
 
     def run():
         out = {}
         for model in (UNIFORM, STATIC_HEURISTIC, _profiled_model()):
-            weighted, result = _partition_with(model, pipe)
+            weighted, result = _partition_with(model, exp)
             out[model.name] = (
                 result.edgecut,
                 list(imbalance(weighted, result.parts, 2)),

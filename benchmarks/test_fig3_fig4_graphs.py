@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from bench_utils import write_artifact
 
+from repro.api import Experiment
 from repro.harness.figures import fig3_fig4
-from repro.harness.pipeline import Pipeline
 
 
 def test_fig3_fig4_artifacts(benchmark, out_dir):
@@ -29,8 +29,7 @@ def test_fig3_fig4_artifacts(benchmark, out_dir):
 
 
 def test_bank_relations_match_paper():
-    pipe = Pipeline("bank", "test")
-    a = pipe.analyze()
+    a = Experiment.from_options("bank").analyze()
     crg = a.crg
     # "The export edge occurs due to the invocation of the openAccount
     #  method on the dynamic Bank class with an Account class as parameter."

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bench_utils import write_artifact
 
-from repro.harness.pipeline import Pipeline
+from repro.api import Experiment
 from repro.harness.tables import table2
 
 
@@ -34,8 +34,7 @@ def test_table2(benchmark, timing_dir, stage_cache):
 def test_partition_is_fast_enough_for_adaptation(benchmark):
     """The paper's argument for adaptive repartitioning rests on partitioning
     being ~10 ms; ours must be of that order too (single benchmark)."""
-    pipe = Pipeline("db", "test")
-    a = pipe.analyze()
+    a = Experiment.from_options("db").analyze()
     graph, _ = a.odg.partition_graph()
     from repro.partition import part_graph
 

@@ -12,61 +12,37 @@ speedup against sequential execution on the slowest machine.
 Run:  python examples/moldyn_cluster.py
 """
 
-from repro.harness.pipeline import Pipeline
-from repro.runtime.cluster import (
-    ClusterSpec,
-    NodeSpec,
-    ethernet_100m,
-    wireless_80211b,
-)
+from repro.api import ClusterConfig, Experiment, ExperimentConfig
 
 
-def run_config(pipe: Pipeline, label: str, cluster: ClusterSpec, nparts: int) -> None:
-    baseline_node = min(cluster.nodes, key=lambda n: n.cpu_hz)
-    seq = pipe.run_sequential(baseline_node)
-    dist, plan, _ = pipe.run_distributed(nparts, cluster)
-    assert dist.stdout[-1] == seq.stdout[-1], "distribution changed the answer!"
+def run_config(label: str, config: ExperimentConfig) -> None:
+    exp = Experiment(config)
+    res = exp.run()  # raises if distribution changed the answer
+    baseline_node = min(exp.cluster().nodes, key=lambda n: n.cpu_hz)
     print(f"== {label}")
-    print(f"   placement: {plan.class_home} (main on node {plan.main_partition})")
-    print(f"   sequential on {baseline_node.name}: {seq.exec_time_s*1e3:8.2f} ms")
-    print(f"   distributed on {nparts} nodes:      {dist.makespan_s*1e3:8.2f} ms")
-    print(f"   messages: {dist.total_messages}, bytes: {dist.total_bytes}")
-    print(f"   speedup: {100*seq.exec_time_s/dist.makespan_s:.1f}%\n")
+    print(f"   placement: {res.plan.class_home} (main on node {res.plan.main_partition})")
+    print(f"   sequential on {baseline_node.name}: {res.sequential_s*1e3:8.2f} ms")
+    print(f"   distributed on {res.plan.nparts} nodes:      {res.distributed_s*1e3:8.2f} ms")
+    print(f"   messages: {res.messages}, bytes: {res.bytes}")
+    print(f"   speedup: {res.speedup_pct:.1f}%\n")
 
 
 def main() -> None:
-    pipe = Pipeline("moldyn", "bench")
-
     run_config(
-        pipe,
         "paper testbed: P3 1.7 GHz + P3 800 MHz, 100 Mb Ethernet",
-        ClusterSpec(
-            nodes=[NodeSpec("service-p3-1700", 1.7e9), NodeSpec("compute-p3-800", 800e6)],
-            link=ethernet_100m(),
-        ),
-        nparts=2,
+        ExperimentConfig.from_options("moldyn", size="bench"),
     )
     run_config(
-        pipe,
         "edge deployment: 2.4 GHz server + two 400 MHz devices",
-        ClusterSpec(
-            nodes=[
-                NodeSpec("server", 2.4e9),
-                NodeSpec("device-a", 400e6),
-                NodeSpec("device-b", 400e6),
-            ],
-            link=ethernet_100m(),
+        ExperimentConfig.from_options("moldyn", size="bench", nparts=3).replace(
+            cluster=ClusterConfig(speeds=(2.4e9, 400e6, 400e6))
         ),
-        nparts=3,
     )
     run_config(
-        pipe,
         "mobile scenario: same two machines over 802.11b wireless",
-        ClusterSpec(
-            nodes=[NodeSpec("service-p3-1700", 1.7e9), NodeSpec("compute-p3-800", 800e6)],
-            link=wireless_80211b(),
+        ExperimentConfig.from_options(
+            "moldyn", size="bench", network="wireless_80211b"
         ),
-        nparts=2,
     )
 
 

@@ -13,8 +13,8 @@ Run:  python examples/profile_guided_repartition.py
 """
 
 from repro.analysis.resources import UNIFORM, from_profile
+from repro.api import Experiment
 from repro.graph.metrics import imbalance
-from repro.harness.pipeline import Pipeline
 from repro.harness.tables import run_profiled
 from repro.partition import part_graph
 from repro.profiler.report import to_resource_inputs
@@ -22,7 +22,7 @@ from repro.profiler.report import to_resource_inputs
 
 def main() -> None:
     name = "db"
-    pipe = Pipeline(name, "test")
+    exp = Experiment.from_options(name)
 
     # 1. profile
     _, duration_report = run_profiled(name, "method-duration", "test")
@@ -41,12 +41,12 @@ def main() -> None:
     profiled_model = from_profile(cycles_by_class, bytes_by_class)
 
     # 3 + 4. repartition under both models
-    analysis = pipe.analyze()
+    analysis = exp.analyze()
     graph, _ = analysis.odg.partition_graph()
     objects_by_uid = {o.uid: o for o in analysis.objects}
     print("\nmodel              edgecut   imbalance (mem/cpu/battery)")
     for model in (UNIFORM, profiled_model):
-        weighted = model.apply(graph, objects_by_uid, pipe.bprogram)
+        weighted = model.apply(graph, objects_by_uid, exp.compile().bprogram)
         result = part_graph(weighted, 2, ubfactor=1.5)
         imb = imbalance(weighted, result.parts, 2)
         print(

@@ -11,18 +11,19 @@ infrastructure of Figure 1:
 Run:  python examples/quickstart.py
 """
 
+from repro.api import Experiment
+from repro.api.experiment import rewrite_workload
 from repro.bytecode import disassemble_method
-from repro.harness.pipeline import Pipeline
-from repro.runtime.cluster import paper_testbed
 
 
 def main() -> None:
-    pipe = Pipeline("bank", "test")
-    print(f"compiled {pipe.work.num_classes} classes, "
-          f"{pipe.work.num_methods} methods, {pipe.work.size_kb:.1f} KB\n")
+    exp = Experiment.from_options("bank")
+    work = exp.compile()
+    print(f"compiled {work.num_classes} classes, "
+          f"{work.num_methods} methods, {work.size_kb:.1f} KB\n")
 
     # --- dependence analysis -------------------------------------------------
-    analysis = pipe.analyze(nparts=2)
+    analysis = exp.analyze()
     crg = analysis.crg
     print(f"class relation graph: {crg.num_nodes} nodes, {crg.num_edges} edges")
     for edge in crg.edges():
@@ -43,8 +44,9 @@ def main() -> None:
     # co-locate this small, chatty example otherwise)
     from repro.distgen import build_plan
 
-    plan = build_plan(pipe.bprogram, 2, force_distribution=True, pin_main_to=1)
-    rewritten, stats, _ = pipe.rewrite(plan)
+    plan = build_plan(work.bprogram, 2, force_distribution=True, pin_main_to=1)
+    rewrite = rewrite_workload(work, plan)
+    rewritten, stats = rewrite.program, rewrite.stats
     print(f"\ndistribution plan: homes={plan.class_home}, "
           f"dependent={sorted(plan.dependent_classes)}")
     print(f"rewrites: {stats.instantiations} instantiations, "
@@ -56,12 +58,12 @@ def main() -> None:
         print(disassemble_method(rewritten.classes["Bank"].methods["withdraw"]))
 
     # --- execution --------------------------------------------------------------
-    seq = pipe.run_sequential()
+    seq = exp.baseline()
     print(f"\ncentralized (800 MHz): {seq.exec_time_s * 1e3:.3f} virtual ms "
           f"-> {seq.stdout}")
     from repro.runtime.executor import DistributedExecutor
 
-    dist = DistributedExecutor(rewritten, plan, paper_testbed()).run()
+    dist = DistributedExecutor(rewritten, plan, exp.cluster()).run()
     print(f"distributed (2 nodes): {dist.makespan_s * 1e3:.3f} virtual ms, "
           f"{dist.total_messages} messages, {dist.total_bytes} bytes "
           f"-> {dist.stdout}")

@@ -4,9 +4,7 @@ Automatic Program Distribution* (Diaconescu, Wang, Mouri & Chu, IPPS 2005).
 :mod:`repro.api` is the public programmatic entry point — typed configs,
 the composable :class:`~repro.api.experiment.Experiment` façade, unified
 plugin registries, stage events and structured reports; see README.md
-("Public API") and ``examples/api_quickstart.py``.  The legacy
-:mod:`repro.harness.pipeline` driver remains as a deprecation shim over
-the same engine.
+("Public API") and ``examples/api_quickstart.py``.
 
 Layers (bottom-up):
 

@@ -1,31 +1,27 @@
 """The :class:`Experiment` façade and the stage engine behind it.
 
-This module owns the Figure 1 stage logic that used to live inside
-``repro.harness.pipeline.Pipeline``: MJ source → bytecode → RTA/CRG/ODG →
-partitioning → plan → rewriting → centralized / distributed execution.
-Two consumers share it:
-
-* :class:`Experiment` — the typed public API: composable stage methods
-  (``compile() → analyze() → partition() → plan() → run()``), each
-  returning a typed artifact, each memoized through the content-addressed
-  :class:`~repro.harness.cache.StageCache`, each wrapped in
-  ``on_stage_start`` / ``on_stage_end`` events carrying timings and
-  cache-hit flags, and a structured :class:`~repro.api.report.Report`.
-* the legacy ``Pipeline`` shim in :mod:`repro.harness.pipeline`, which
-  delegates here so both paths produce byte-identical artifacts from
-  identical cache keys (the differential suite asserts this).
+This module owns the Figure 1 stage logic: MJ source → bytecode →
+RTA/CRG/ODG → partitioning → plan → rewriting → centralized / distributed
+execution.  :class:`Experiment` is the typed public API over it:
+composable stage methods (``compile() → analyze() → partition() → plan()
+→ run()``), each returning a typed artifact, each memoized through the
+content-addressed :class:`~repro.harness.cache.StageCache`, each wrapped
+in ``on_stage_start`` / ``on_stage_end`` events carrying timings and
+cache-hit flags, and a structured :class:`~repro.api.report.Report`.  The
+module-level stage functions (``compile_workload``, ``analyze_workload``,
+``plan_workload``, ``rewrite_workload``) serve callers that need one stage
+alone, under the same cache keys.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.class_relations import ClassRelationGraph, build_crg
 from repro.analysis.object_set import ObjectNode, compute_object_set
 from repro.analysis.odg import ObjectDependenceGraph, build_odg
-from repro.analysis.resources import _class_cpu
 from repro.analysis.rta import CallGraph, rapid_type_analysis
 from repro.api.config import ExperimentConfig
 from repro.api.events import EventBus, Observer, StageRecorder
@@ -39,7 +35,7 @@ from repro.harness.cache import StageCache, default_cache, fingerprint
 from repro.lang import analyze as _semantic_analyze
 from repro.lang import parse_program
 from repro.partition.api import PartitionResult, part_config_key, part_graph
-from repro.runtime.cluster import ClusterSpec, NodeSpec, paper_testbed
+from repro.runtime.cluster import ClusterSpec, NodeSpec
 from repro.runtime.executor import (
     DistributedExecutor,
     DistributedResult,
@@ -60,8 +56,6 @@ __all__ = [
     "analyze_workload",
     "plan_workload",
     "rewrite_workload",
-    "sequential_workload",
-    "map_partitions",
     "cluster_signature",
 ]
 
@@ -131,9 +125,9 @@ class RewriteArtifact:
 
 
 # ---------------------------------------------------------------------------
-# stage engine: (key material, builder) pairs around the StageCache.  Both
-# Experiment and the legacy Pipeline route through these, so cache keys have
-# exactly one definition.
+# stage engine: (key material, builder) pairs around the StageCache.  The
+# Experiment stages and the module-level stage functions route through
+# these, so cache keys have exactly one definition.
 # ---------------------------------------------------------------------------
 def _build_compiled(name: str, size: str, source: str) -> CompiledWorkload:
     ast = parse_program(source)
@@ -344,39 +338,6 @@ def _sequential_entry(
     )
 
 
-def sequential_workload(
-    work: CompiledWorkload,
-    node: Optional[NodeSpec] = None,
-    cache: Optional[StageCache] = None,
-) -> SequentialResult:
-    """Centralized baseline on ``node`` (the paper's 800 MHz machine when
-    ``None``)."""
-    if node is None:
-        node = paper_testbed().nodes[1]
-    cache = cache if cache is not None else default_cache()
-    return cache.get_or_build(*_sequential_entry(work, node))
-
-
-def map_partitions(
-    work: CompiledWorkload, plan: DistributionPlan, cluster: ClusterSpec
-) -> ClusterSpec:
-    """Runtime virtual-processor → machine mapping (paper §4: "the
-    program can be distributed by mapping virtual processors to actual
-    processing units at runtime"): the partition with the largest static
-    CPU weight gets the fastest machine, and so on down."""
-    nparts = plan.nparts
-    weights = [0.0] * nparts
-    for cls, part in plan.class_home.items():
-        if 0 <= part < nparts:
-            weights[part] += _class_cpu(cls, work.bprogram)
-    order_parts = sorted(range(nparts), key=lambda p: -weights[p])
-    order_specs = sorted(cluster.nodes, key=lambda s: -s.cpu_hz)
-    specs: List[NodeSpec] = list(cluster.nodes)[:nparts]
-    for part, spec in zip(order_parts, order_specs):
-        specs[part] = spec
-    return ClusterSpec(nodes=specs, link=cluster.link)
-
-
 def cluster_signature(cluster: ClusterSpec) -> dict:
     """JSON-stable encoding of a cluster — the execution-cache key part."""
     return {
@@ -394,19 +355,27 @@ def cluster_signature(cluster: ClusterSpec) -> dict:
 class ExperimentResult:
     """Typed outcome of :meth:`Experiment.run`.
 
-    ``sequential_s`` / ``distributed_s`` are commensurable: virtual seconds
-    against virtual seconds on the simulator, measured wall seconds against
-    wall seconds on real backends (the Figure 11 discipline)."""
+    ``sequential_s`` / ``distributed_s`` / ``speedup_pct`` are read from the
+    report, which computes them once (:meth:`Experiment.report`)."""
 
     config: ExperimentConfig
     plan: DistributionPlan
     sequential: SequentialResult
     distributed: DistributedResult
     rewrite_stats: RewriteStats
-    sequential_s: float
-    distributed_s: float
-    speedup_pct: float
     report: Report
+
+    @property
+    def sequential_s(self) -> float:
+        return self.report.sequential_s
+
+    @property
+    def distributed_s(self) -> float:
+        return self.report.distributed_s
+
+    @property
+    def speedup_pct(self) -> float:
+        return self.report.speedup_pct
 
     @property
     def messages(self) -> int:
@@ -430,7 +399,7 @@ class Experiment:
 
     Stage methods compose and memoize: each returns a typed artifact,
     caches it on the instance *and* in the content-addressed stage cache
-    (shared with every other experiment/pipeline on the same cache), and
+    (shared with every other experiment on the same cache), and
     transparently runs its prerequisites first.  Every stage emits
     ``on_stage_start`` / ``on_stage_end`` events with wall-clock timings
     and cache-hit flags; :meth:`report` assembles the structured record.
@@ -639,20 +608,12 @@ class Experiment:
                 f"{self.config.label()}: distributed output diverged: "
                 f"{seq.stdout[-1]!r} vs {dist.stdout[-1]!r}"
             )
-        # keep the ratio commensurable: virtual/virtual on the simulator,
-        # measured wall/wall on real backends
-        seq_s = (
-            seq.exec_time_s if backend.is_virtual else max(seq.wall_time_s, 1e-9)
-        )
         self._result = ExperimentResult(
             config=self.config,
             plan=plan,
             sequential=seq,
             distributed=dist,
             rewrite_stats=rewritten.stats,
-            sequential_s=seq_s,
-            distributed_s=dist.makespan_s,
-            speedup_pct=100.0 * seq_s / max(dist.makespan_s, 1e-9),
             report=self.report(),
         )
         return self._result
@@ -709,15 +670,19 @@ class Experiment:
                 jit[key] = jit.get(key, 0) + value
         if seq is not None or dist is not None:
             report.jit = jit
-        if seq is not None and dist is not None:
-            seq_s = (
+        if seq is not None:
+            # the Figure 11 rule keeps the ratio commensurable: virtual
+            # seconds on the simulator, measured wall seconds elsewhere
+            report.sequential_s = (
                 seq.exec_time_s
                 if self.config.backend.is_virtual
                 else max(seq.wall_time_s, 1e-9)
             )
-            report.sequential_s = seq_s
+        if seq is not None and dist is not None:
             report.distributed_s = dist.makespan_s
-            report.speedup_pct = 100.0 * seq_s / max(dist.makespan_s, 1e-9)
+            report.speedup_pct = (
+                100.0 * report.sequential_s / max(dist.makespan_s, 1e-9)
+            )
             report.messages = dist.total_messages
             report.bytes = dist.total_bytes
             report.node_stats = [asdict(ns) for ns in dist.node_stats]
@@ -747,7 +712,6 @@ class Experiment:
 
                 report.availability = plan_availability(self.replicas() or {})
         elif seq is not None:
-            report.sequential_s = seq.exec_time_s
             report.node_stats = [asdict(ns) for ns in seq.node_stats]
         rewritten = self._artifacts.get("rewrite")
         if rewritten is not None:

@@ -1,18 +1,15 @@
-"""Experiment harness: the end-to-end pipeline plus per-table/figure
-reproduction code (see DESIGN.md §4 for the experiment index), the
-content-addressed stage cache, and the batch sweep orchestrator.
+"""Experiment harness: per-table/figure reproduction code, the
+content-addressed stage cache, and the batch sweep orchestrator.  The
+stages themselves live in :mod:`repro.api.experiment`.
 
-The heavy submodules import lazily (PEP 562): ``repro.api`` sits under the
-harness shims now, and an eager ``pipeline`` import here would cycle back
-through ``repro.api.experiment`` → ``repro.harness.cache``.
+The heavy submodules import lazily (PEP 562): an eager ``sweep`` import
+here would cycle back through ``repro.api.experiment`` →
+``repro.harness.cache``.
 """
 
 from repro.harness.cache import StageCache, default_cache, reset_default_cache
 
 _EXPORTS = {
-    "Pipeline": "repro.harness.pipeline",
-    "CompiledWorkload": "repro.harness.pipeline",
-    "compile_workload": "repro.harness.pipeline",
     "SweepConfig": "repro.harness.sweep",
     "SweepRecord": "repro.harness.sweep",
     "SweepResult": "repro.harness.sweep",

@@ -81,15 +81,14 @@ def bench_simulator(workload: str, size: str, *, slow: bool) -> Dict[str, float]
     """One 2-node multilevel distributed run on the deterministic
     simulator; returns scheduler event count, events/sec and virtual
     makespan.  Executes the backend directly (no ``execute``-stage cache)."""
-    from repro.harness.pipeline import Pipeline
+    from repro.api import Experiment
     from repro.runtime.backend import RunPolicy, create_backend
-    from repro.runtime.cluster import paper_testbed
     from repro.vm.loader import load_program
 
-    pipe = Pipeline(workload, size)
-    cluster = paper_testbed()
-    plan = pipe.plan(2, method="multilevel", cluster=cluster)
-    rewritten, _, _ = pipe.rewrite(plan)
+    exp = Experiment.from_options(workload, size=size)
+    cluster = exp.cluster()
+    plan = exp.plan()
+    rewritten = exp.rewrite().program
     loaded = load_program(rewritten)
     with forced_engine("reference" if slow else "fast"):
         backend = create_backend("sim", cluster)

@@ -172,8 +172,8 @@ class StageCache:
 
 
 # ---------------------------------------------------------------------------
-# process-default cache: what Pipeline/tables/benchmarks share when no
-# explicit cache is passed.  Sweep workers inherit one per process.
+# process-default cache: what experiments, tables and benchmarks share when
+# no explicit cache is passed.  Sweep workers inherit one per process.
 # ---------------------------------------------------------------------------
 _default = StageCache()
 

@@ -11,7 +11,7 @@ from typing import Dict, Tuple
 from repro.bytecode import disassemble_method
 from repro.codegen import StrongARMTarget, X86Target, method_to_trees, render_tree
 from repro.distgen import build_plan, rewrite_program
-from repro.harness.pipeline import Pipeline, compile_workload
+from repro.api.experiment import analyze_workload, compile_workload
 from repro.lang import analyze, parse_program
 from repro.bytecode import compile_program
 from repro.partition import part_graph
@@ -34,8 +34,7 @@ public class Example {
 def fig3_fig4(size: str = "test") -> Tuple[str, str]:
     """(Figure 3 CRG VCG text, Figure 4 ODG VCG text with partition ids) for
     the bank running example."""
-    pipe = Pipeline("bank", size)
-    a = pipe.analyze(nparts=2)
+    a = analyze_workload(compile_workload("bank", size), nparts=2)
     crg_vcg = a.crg.to_vcg("class relation graph (bank)")
     graph, order = a.odg.partition_graph()
     result = part_graph(graph, 2)

@@ -1,5 +1,5 @@
-"""Experiment façade: stage composition, memoization, reports, and the
-end-to-end equivalence with the legacy Pipeline path."""
+"""Experiment façade: stage composition, memoization, reports and the
+Figure 11 seconds rule."""
 
 import dataclasses
 import json
@@ -9,7 +9,6 @@ import pytest
 from repro.api import Experiment, ExperimentConfig, Report, WorkloadSpec
 from repro.errors import ConfigError
 from repro.harness.cache import StageCache
-from repro.harness.pipeline import Pipeline
 
 
 def test_stage_methods_return_typed_artifacts():
@@ -107,32 +106,6 @@ def test_config_validation_happens_at_construction():
         )
 
 
-# --------------------------------------------------------------- equivalence
-def test_experiment_end_to_end_matches_legacy_pipeline():
-    """The acceptance smoke: byte-identical output and equal NodeStats
-    between the new API and the legacy pipeline path, on one shared cache
-    (the full workload × method × backend grid lives in the differential
-    suite)."""
-    cache = StageCache()
-    pipe = Pipeline("method", "test", cache=cache)
-    seq = pipe.run_sequential()
-    legacy_dist, legacy_plan, legacy_stats = pipe.run_distributed(2)
-
-    exp = Experiment.from_options("method", cache=cache)
-    res = exp.run()
-
-    assert res.plan is legacy_plan  # identical cache key -> identical object
-    assert res.distributed.stdout == legacy_dist.stdout
-    assert res.distributed.node_stats == legacy_dist.node_stats
-    assert res.distributed.makespan_s == legacy_dist.makespan_s
-    assert res.rewrite_stats.total == legacy_stats.total
-    assert res.sequential.stdout == seq.stdout
-
-    speedup = pipe.speedup()
-    assert res.speedup_pct == pytest.approx(speedup["speedup_pct"])
-    assert res.sequential_s == pytest.approx(speedup["sequential_s"])
-
-
 def test_thread_backend_reports_wall_time():
     res = Experiment.from_options(
         "bank", cache=StageCache(), backend="thread"
@@ -140,3 +113,15 @@ def test_thread_backend_reports_wall_time():
     assert res.distributed_s > 0.0
     assert res.sequential_s > 0.0  # wall-clock baseline, not virtual
     assert res.report.to_dict()["config"]["backend"]["name"] == "thread"
+
+
+def test_baseline_only_report_follows_the_run_seconds_rule():
+    """Before the distributed run, the report's ``sequential_s`` already
+    follows the Figure 11 rule ``run()`` uses: measured wall seconds on a
+    wall-clock backend, not the simulator's virtual seconds."""
+    exp = Experiment.from_options("bank", cache=StageCache(), backend="thread")
+    seq = exp.baseline()
+    early = exp.report().sequential_s
+    assert early == max(seq.wall_time_s, 1e-9)
+    assert early != seq.exec_time_s
+    assert exp.run().sequential_s == early

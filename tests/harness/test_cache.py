@@ -4,8 +4,9 @@ regression."""
 
 import pytest
 
+from repro.api import ClusterConfig, Experiment, ExperimentConfig
+from repro.api.experiment import analyze_workload, compile_workload, plan_workload
 from repro.harness.cache import StageCache, default_cache, fingerprint
-from repro.harness.pipeline import Pipeline
 from repro.harness.sweep import SweepRunner, sweep_grid
 from repro.runtime.cluster import paper_testbed
 
@@ -76,30 +77,32 @@ def test_default_cache_is_process_singleton():
 # ------------------------------------------------------------------ pipeline keys
 def test_pipeline_analysis_keyed_by_config():
     cache = StageCache()
-    pipe = Pipeline("bank", "test", cache=cache)
-    a1 = pipe.analyze(nparts=2, method="multilevel")
-    assert pipe.analyze(nparts=2, method="multilevel") is a1
-    assert pipe.analyze(nparts=3, method="multilevel") is not a1
-    assert pipe.analyze(nparts=2, method="kl") is not a1
+    work = compile_workload("bank", "test", cache=cache)
+    a1 = analyze_workload(work, 2, "multilevel", cache=cache)
+    assert analyze_workload(work, 2, "multilevel", cache=cache) is a1
+    assert analyze_workload(work, 3, "multilevel", cache=cache) is not a1
+    assert analyze_workload(work, 2, "kl", cache=cache) is not a1
 
 
 def test_pipeline_plan_keyed_by_config():
     cache = StageCache()
-    pipe = Pipeline("bank", "test", cache=cache)
-    p1 = pipe.plan(2)
-    assert pipe.plan(2) is p1
-    assert pipe.plan(2, method="kl") is not p1
-    assert pipe.plan(3) is not p1
-    assert pipe.plan(2, cluster=paper_testbed()) is not p1
+    work = compile_workload("bank", "test", cache=cache)
+    p1 = plan_workload(work, 2, cache=cache)
+    assert plan_workload(work, 2, cache=cache) is p1
+    assert plan_workload(work, 2, method="kl", cache=cache) is not p1
+    assert plan_workload(work, 3, cache=cache) is not p1
+    assert plan_workload(work, 2, cluster=paper_testbed(), cache=cache) is not p1
 
 
 def test_pipeline_sequential_keyed_by_node_speed():
+    # the baseline runs on the slowest node: 800 MHz on the paper testbed
     cache = StageCache()
-    pipe = Pipeline("bank", "test", cache=cache)
-    nodes = paper_testbed().nodes
-    slow = pipe.run_sequential(nodes[1])
-    assert pipe.run_sequential(nodes[1]) is slow
-    fast = pipe.run_sequential(nodes[0])
+    slow = Experiment.from_options("bank", cache=cache).baseline()
+    assert Experiment.from_options("bank", cache=cache).baseline() is slow
+    config = ExperimentConfig.from_options("bank").replace(
+        cluster=ClusterConfig(speeds=(1.7e9, 1.7e9))
+    )
+    fast = Experiment(config, cache=cache).baseline()
     assert fast is not slow
     assert fast.cycles == slow.cycles  # same program, different clock
     assert fast.exec_time_s < slow.exec_time_s
@@ -107,10 +110,10 @@ def test_pipeline_sequential_keyed_by_node_speed():
 
 def test_two_pipelines_share_one_cache():
     cache = StageCache()
-    p1 = Pipeline("method", "test", cache=cache)
-    p2 = Pipeline("method", "test", cache=cache)
-    assert p1.work is p2.work
-    assert p1.analyze() is p2.analyze()
+    e1 = Experiment.from_options("method", cache=cache)
+    e2 = Experiment.from_options("method", cache=cache)
+    assert e1.compile() is e2.compile()
+    assert e1.analyze() is e2.analyze()
 
 
 # ------------------------------------------------------------------ regression

@@ -19,23 +19,26 @@ for every workload (the acceptance criterion for the pluggable transport
 layer).  ``REPRO_DIFF_BACKENDS`` narrows the backend set — CI uses it to
 fan the suite over a matrix.
 
-The Experiment API must be indistinguishable from the legacy pipeline:
-for every workload × partitioner × {sim, thread}, ``Experiment.run()``
-produces byte-identical program output and equal NodeStats to
-``Pipeline.run_distributed`` (the api_redesign acceptance criterion).
+The :class:`Experiment` façade must add nothing to a run: for every
+workload × partitioner × {sim, thread}, ``Experiment.run()`` yields the
+program output and NodeStats the executor yields when handed the same plan
+and rewrite directly, and its report applies the Figure 11 seconds rule.
 
-All pipelines share the process-default stage cache, so the grid compiles
-and analyzes each workload once.
+Every other distributed run here really executes: :func:`_distributed` takes the
+plan and the rewritten program from an :class:`Experiment` and calls the
+executor itself, bypassing the ``execute`` stage cache that would replay
+an earlier run of the same configuration.  All experiments share the
+process-default stage cache, so the grid compiles and analyzes each
+workload once.
 """
 
+import contextlib
 import dataclasses
 import os
 
 import pytest
 
 from repro.api import Experiment
-from repro.harness.pipeline import Pipeline
-from repro.runtime.cluster import paper_testbed
 from repro.runtime.executor import DistributedExecutor
 from repro.vm.interpreter import forced_engine
 from repro.workloads import WORKLOADS
@@ -50,17 +53,34 @@ BACKENDS = tuple(
     if b.strip()
 )
 
-#: backends the Experiment-vs-legacy grid covers (the api_redesign
-#: acceptance criterion: sim + thread), narrowed by the same env filter
-API_BACKENDS = tuple(b for b in ("sim", "thread") if b in BACKENDS)
+#: backends the Experiment-vs-executor grid covers: the deterministic
+#: simulator and one wall-clock backend, narrowed by the same env filter
+RUN_BACKENDS = tuple(b for b in ("sim", "thread") if b in BACKENDS)
+
+
+def _distributed(workload, method="multilevel", backend="sim", engine=None):
+    """One 2-node distributed run straight through the executor, on the
+    plan and rewrite of ``workload``'s :class:`Experiment`; ``engine``
+    pins the VM tier.  Returns the experiment too, for its baseline and
+    plan."""
+    exp = Experiment.from_options(workload, method=method, backend=backend)
+    plan = exp.plan()
+    program = exp.rewrite().program
+    # forced_engine also exports REPRO_VM_ENGINE, so process-backend
+    # workers pick the engine up even under spawn-style multiprocessing
+    pinned = forced_engine(engine) if engine else contextlib.nullcontext()
+    with pinned:
+        dist = DistributedExecutor(
+            program, plan, exp.cluster(), backend=backend
+        ).run()
+    return exp, dist
 
 
 @pytest.mark.parametrize("method", PLAN_METHODS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_distributed_matches_sequential(workload, method):
-    pipe = Pipeline(workload, "test")
-    seq = pipe.run_sequential()
-    dist, plan, _ = pipe.run_distributed(2, method=method)
+    exp, dist = _distributed(workload, method)
+    seq, plan = exp.baseline(), exp.plan()
 
     assert plan.method == method
     assert plan.nparts == 2
@@ -80,11 +100,10 @@ def test_backend_output_byte_identical(workload, backend):
     """sequential == sim == thread == process, byte for byte: every backend
     runs the same plan and must print exactly the sequential output and
     compute the same result."""
-    pipe = Pipeline(workload, "test")
-    seq = pipe.run_sequential()
-    dist, plan, _ = pipe.run_distributed(2, method="multilevel", backend=backend)
+    exp, dist = _distributed(workload, backend=backend)
+    seq = exp.baseline()
 
-    assert plan.nparts == 2
+    assert exp.plan().nparts == 2
     assert dist.result == seq.result
     assert dist.stdout == seq.stdout, (
         f"{workload}/{backend}: program output diverged"
@@ -95,38 +114,32 @@ def test_backend_output_byte_identical(workload, backend):
     assert len(dist.node_stats) == 2
 
 
-@pytest.mark.parametrize("backend", API_BACKENDS)
+@pytest.mark.parametrize("backend", RUN_BACKENDS)
 @pytest.mark.parametrize("method", PLAN_METHODS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_experiment_matches_legacy_pipeline(workload, method, backend):
-    """The api_redesign acceptance criterion: the Experiment façade produces
-    byte-identical program output and equal NodeStats to the legacy
-    ``Pipeline.run_distributed`` path for every workload × partitioner ×
-    {sim, thread}.  On the deterministic simulator *everything* must match
-    exactly; on the wall-clock thread backend the timing fields naturally
-    differ between two real executions, so equality is asserted on every
-    deterministic NodeStats field."""
-    pipe = Pipeline(workload, "test")
-    legacy_dist, legacy_plan, _ = pipe.run_distributed(
-        2, method=method, backend=backend
-    )
-
-    exp = Experiment.from_options(workload, method=method, backend=backend)
+def test_experiment_run_matches_direct_executor(workload, method, backend):
+    """``Experiment.run()`` — its cluster, plan, rewrite, backend wiring
+    and, on the simulator, the ``execute`` stage cache — produces what the
+    executor produces on the same plan and rewrite.  On the simulator
+    everything must match exactly; on the thread backend the clocks are
+    real time, so every deterministic NodeStats field must match."""
+    exp, direct = _distributed(workload, method, backend=backend)
     res = exp.run()
+    seq = exp.baseline()
 
-    assert res.plan is legacy_plan  # same engine, same cache key
-    assert res.distributed.stdout == legacy_dist.stdout
-    assert res.distributed.result == legacy_dist.result
+    assert res.plan is exp.plan()
+    assert res.sequential is seq
+    assert res.distributed.stdout == direct.stdout == seq.stdout
+    assert res.distributed.result == direct.result
+    assert res.distributed.total_messages == direct.total_messages
+    assert res.distributed.total_bytes == direct.total_bytes
     if backend == "sim":
-        assert res.distributed.node_stats == legacy_dist.node_stats
-        assert res.distributed.makespan_s == legacy_dist.makespan_s
-        assert res.distributed.total_messages == legacy_dist.total_messages
-        assert res.distributed.total_bytes == legacy_dist.total_bytes
+        assert res.distributed.node_stats == direct.node_stats
+        assert res.distributed.makespan_s == direct.makespan_s
+        assert res.sequential_s == seq.exec_time_s
     else:
-        assert len(res.distributed.node_stats) == len(legacy_dist.node_stats)
-        for ours, theirs in zip(
-            res.distributed.node_stats, legacy_dist.node_stats
-        ):
+        assert len(res.distributed.node_stats) == len(direct.node_stats)
+        for ours, theirs in zip(res.distributed.node_stats, direct.node_stats):
             assert ours.name == theirs.name
             assert ours.messages_sent == theirs.messages_sent
             assert ours.bytes_sent == theirs.bytes_sent
@@ -134,22 +147,11 @@ def test_experiment_matches_legacy_pipeline(workload, method, backend):
             assert ours.heap_objects == theirs.heap_objects
             assert ours.heap_bytes == theirs.heap_bytes
             assert ours.stdout == theirs.stdout
-
-
-def _run_on_path(workload, method, backend, slow):
-    """One distributed run straight through the executor (bypassing the
-    ``execute`` stage cache, which would otherwise replay the first path's
-    result) on the chosen VM engine."""
-    pipe = Pipeline(workload, "test")
-    cluster = paper_testbed()
-    plan = pipe.plan(2, method=method, cluster=cluster)
-    rewritten, _, _ = pipe.rewrite(plan)
-    # forced_engine also exports REPRO_VM_ENGINE, so process-backend
-    # workers pick the engine up even under spawn-style multiprocessing
-    with forced_engine("reference" if slow else "fast"):
-        return DistributedExecutor(
-            rewritten, plan, cluster, backend=backend
-        ).run()
+        assert res.sequential_s == max(seq.wall_time_s, 1e-9)
+    assert res.distributed_s == res.distributed.makespan_s
+    assert res.speedup_pct == pytest.approx(
+        100.0 * res.sequential_s / max(res.distributed.makespan_s, 1e-9)
+    )
 
 
 @pytest.mark.skipif("sim" not in BACKENDS, reason="sim excluded by env")
@@ -160,8 +162,8 @@ def test_fast_path_matches_reference_sim(workload, method):
     fast path must be **byte-identical** to the per-step reference oracle —
     stdout, result, every NodeStats field (including the float clocks),
     makespan and message totals — for every workload × partitioner."""
-    fast = _run_on_path(workload, method, "sim", slow=False)
-    ref = _run_on_path(workload, method, "sim", slow=True)
+    _, fast = _distributed(workload, method, engine="fast")
+    _, ref = _distributed(workload, method, engine="reference")
 
     assert fast.stdout == ref.stdout
     assert fast.result == ref.result
@@ -179,8 +181,8 @@ def test_fast_path_matches_reference_wallclock(workload, backend):
     """Fast vs reference path on the wall-clock backends: every
     deterministic observable must match (clocks are real time and differ
     between two executions by nature)."""
-    fast = _run_on_path(workload, "multilevel", backend, slow=False)
-    ref = _run_on_path(workload, "multilevel", backend, slow=True)
+    _, fast = _distributed(workload, backend=backend, engine="fast")
+    _, ref = _distributed(workload, backend=backend, engine="reference")
 
     assert fast.stdout == ref.stdout
     assert fast.result == ref.result
@@ -204,13 +206,13 @@ def test_heap_population_matches_sequential(workload):
     from repro.vm.heap import Heap
     from repro.vm.interpreter import Machine, run_sync
 
-    pipe = Pipeline(workload, "test")
-    machine = Machine(pipe.work.loaded, heap=Heap())
-    machine.statics = pipe.work.loaded.fresh_statics()
-    machine.call_bmethod(pipe.work.loaded.main_method(), None, [None])
+    exp, dist = _distributed(workload)
+    loaded = exp.compile().loaded
+    machine = Machine(loaded, heap=Heap())
+    machine.statics = loaded.fresh_statics()
+    machine.call_bmethod(loaded.main_method(), None, [None])
     run_sync(machine)
 
-    dist, _, _ = pipe.run_distributed(2, method="multilevel")
     dist_objects = sum(ns.heap_objects for ns in dist.node_stats)
     assert dist_objects >= machine.heap.allocated_objects, (
         f"{workload}: distributed heaps lost objects"

@@ -1,12 +1,11 @@
-"""Pipeline / harness integration tests (fast versions of the benches)."""
+"""Figure 1 stage / harness integration tests (fast versions of the
+benches)."""
 
-import pytest
-
+from repro.api import Experiment
+from repro.api.experiment import analyze_workload, compile_workload
 from repro.harness.cache import StageCache
 from repro.harness.figures import fig3_fig4, fig5, fig6, fig7, fig8_fig9
-from repro.harness.pipeline import Pipeline, compile_workload
 from repro.harness.tables import run_profiled
-from repro.runtime.cluster import paper_testbed
 
 
 def test_compile_workload_content_addressed():
@@ -22,9 +21,7 @@ def test_compile_workload_content_addressed():
 
 
 def test_analysis_timings_populated():
-    pipe = Pipeline("bank", "test")
-    a = pipe.analyze()
-    t = a.timings
+    t = Experiment.from_options("bank").analyze().timings
     assert t.construct_crg_ms > 0
     assert t.construct_odg_ms >= 0
     assert t.partition_trg_ms >= 0
@@ -32,32 +29,30 @@ def test_analysis_timings_populated():
 
 
 def test_analysis_cached():
-    pipe = Pipeline("bank", "test")
-    assert pipe.analyze() is pipe.analyze()
+    work = compile_workload("bank", "test")
+    assert analyze_workload(work) is analyze_workload(work)
 
 
 def test_speedup_validates_output_equality():
-    pipe = Pipeline("method", "test")
-    s = pipe.speedup()
-    assert s["speedup_pct"] > 0
-    assert s["messages"] >= 1
-    assert s["sequential_s"] > 0 and s["distributed_s"] > 0
+    res = Experiment.from_options("method").run()
+    assert res.speedup_pct > 0
+    assert res.messages >= 1
+    assert res.sequential_s > 0 and res.distributed_s > 0
 
 
 def test_plan_uses_cluster_capacities():
-    pipe = Pipeline("crypt", "test")
-    plan = pipe.plan(2, cluster=paper_testbed())
+    plan = Experiment.from_options("crypt").plan()
     # main pinned to the slow machine (node 1 of the paper testbed)
     assert plan.main_partition == 1
 
 
 def test_run_distributed_returns_stats():
-    pipe = Pipeline("heapsort", "test")
-    result, plan, stats = pipe.run_distributed(2)
+    res = Experiment.from_options("heapsort").run()
+    result = res.distributed
     assert result.makespan_s > 0
     assert len(result.node_stats) == 2
     assert result.stdout
-    assert plan.nparts == 2
+    assert res.plan.nparts == 2
 
 
 def test_figures_generate():
@@ -77,12 +72,3 @@ def test_run_profiled_returns_cycles_and_report():
     assert cycles > 0
     assert report.data["counts"]
 
-
-def test_map_partitions_fastest_gets_heaviest():
-    pipe = Pipeline("heapsort", "test")
-    plan = pipe.plan(2, pin_main=False)
-    mapped = pipe.map_partitions(plan, paper_testbed())
-    assert len(mapped.nodes) == 2
-    # the kernel class partition must get the 1.7 GHz machine
-    kernel_part = plan.class_home.get("Sorter", 0)
-    assert mapped.nodes[kernel_part].cpu_hz == 1.7e9

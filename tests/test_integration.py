@@ -3,10 +3,8 @@
 import pytest
 
 from repro import compile_source
+from repro.api import Experiment
 from repro.distgen import build_plan, rewrite_program
-from repro.harness.pipeline import Pipeline
-from repro.runtime.cluster import ClusterSpec, NodeSpec, ethernet_100m
-from repro.runtime.executor import DistributedExecutor, run_sequential
 from repro.vm import run_main
 from repro.workloads import WORKLOADS
 
@@ -21,28 +19,22 @@ def test_compile_source_one_shot():
 @pytest.mark.parametrize("name", ["crypt", "moldyn", "compress"])
 def test_full_pipeline_distributed_correctness(name):
     """source -> analysis -> plan -> rewrite -> 2-node execution == seq."""
-    pipe = Pipeline(name, "test")
-    s = pipe.speedup()  # raises if outputs diverge
-    assert s["distributed_s"] > 0
+    res = Experiment.from_options(name).run()  # raises if outputs diverge
+    assert res.distributed_s > 0
 
 
 def test_all_workloads_survive_forced_object_granularity():
     for name in ("bank", "method", "search"):
-        pipe = Pipeline(name, "test")
-        seq = pipe.run_sequential()
-        result, plan, _ = pipe.run_distributed(2, granularity="object")
-        assert result.stdout[-1] == seq.stdout[-1], name
+        res = Experiment.from_options(name, granularity="object").run()
+        assert res.stdout[-1] == res.sequential.stdout[-1], name
 
 
 def test_four_node_homogeneous_cluster():
-    pipe = Pipeline("create", "test")
-    cluster = ClusterSpec(
-        nodes=[NodeSpec(f"n{i}", 1e9) for i in range(4)], link=ethernet_100m()
-    )
-    seq = pipe.run_sequential(cluster.nodes[0])
-    result, plan, _ = pipe.run_distributed(4, cluster)
-    assert result.stdout[-1] == seq.stdout[-1]
-    assert plan.nparts == 4
+    exp = Experiment.from_options("create", nparts=4, nodes=4)
+    res = exp.run()
+    assert [n.cpu_hz for n in exp.cluster().nodes] == [1e9] * 4
+    assert res.stdout[-1] == res.sequential.stdout[-1]
+    assert res.plan.nparts == 4
 
 
 def test_rewrite_then_run_locally_is_identity():
@@ -59,14 +51,12 @@ def test_rewrite_then_run_locally_is_identity():
 
 
 def test_makespan_never_less_than_busy_time():
-    pipe = Pipeline("heapsort", "test")
-    result, _, _ = pipe.run_distributed(2)
+    result = Experiment.from_options("heapsort").run().distributed
     for ns in result.node_stats:
         assert result.makespan_s >= ns.busy_s - 1e-12
 
 
 def test_message_accounting_consistent():
-    pipe = Pipeline("method", "test")
-    result, _, _ = pipe.run_distributed(2)
+    result = Experiment.from_options("method").run().distributed
     assert result.total_messages == sum(n.messages_sent for n in result.node_stats)
     assert result.total_bytes == sum(n.bytes_sent for n in result.node_stats)

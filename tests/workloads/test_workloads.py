@@ -106,7 +106,7 @@ def test_sizes_increase_workload():
 def test_class_counts_in_table1_regime():
     """Table 1's benchmarks are small programs (a few to a few dozen
     classes); ours must be in the same regime."""
-    from repro.harness.pipeline import compile_workload
+    from repro.api.experiment import compile_workload
 
     for name in TABLE1_ORDER:
         work = compile_workload(name, "test")
