@@ -18,7 +18,7 @@ Layers (bottom-up):
 * ``repro.codegen`` — BURS retargetable back-ends (x86, StrongARM);
 * ``repro.distgen`` — dependence classification and communication
   generation (bytecode rewriting);
-* ``repro.runtime`` — simulated cluster, MPI service, message exchange;
+* ``repro.runtime`` — simulated cluster, message exchange;
 * ``repro.profiler`` — instrumentation & sampling profiler;
 * ``repro.workloads`` / ``repro.harness`` — benchmark programs and the
   table/figure reproduction harness.

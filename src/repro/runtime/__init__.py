@@ -1,7 +1,8 @@
-"""Distributed runtime: pluggable backends, MPI service, message exchange.
+"""Distributed runtime: pluggable backends and the message exchange.
 
-Mirrors Section 5 of the paper.  Each node runs three services —
-``MPIService``, ``ExecutionStarter`` and ``MessageExchange`` — on one node
+Mirrors Section 5 of the paper.  Each node runs the paper's three
+services: ``ExecutionStarter``, and ``MessageExchange``, which is the MPI
+service as well (:mod:`repro.runtime.services`).  They run on one node
 core (:mod:`repro.runtime.backend`) over one of four transports: the
 discrete-event simulator (:mod:`repro.runtime.simnet`), one thread per node
 (:mod:`repro.runtime.threads`), or one OS process per node over pipes

@@ -247,8 +247,8 @@ class BackendNode:
     the same on every backend.
 
     Frames enter through :meth:`intake` (dedup, FIFO inbox); the services
-    consume them with :meth:`take_matching` / :meth:`iprobe`; :meth:`drive`
-    runs the node's generator, blocking in :meth:`wait`.
+    consume them with :meth:`take_matching`; :meth:`drive` runs the node's
+    generator, blocking in :meth:`wait`.
 
     The inbox is **single-threaded**: no lock, no condition.  A node reads
     its own links (:class:`~repro.runtime.worker.StreamNode`, whose
@@ -271,7 +271,6 @@ class BackendNode:
         self.done = False
         self.machine = None                  # repro.vm.interpreter.Machine
         self.exchange = None                 # services.MessageExchange
-        self.mpi = None                      # mpi.MPIService
         self.starter = None                  # services.ExecutionStarter (main)
         # inbox: FIFO of delivered frames, touched by this node's thread only
         self._inbox: List[Message] = []
@@ -379,11 +378,6 @@ class BackendNode:
                     self.msgs_received += 1
                     return inbox.pop(i)
         return None
-
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        """Non-blocking arrival check."""
-        self.pump(0.0)
-        return any(match(m) for m in self._inbox)
 
     # ------------------------------------------------------------------- loop
     def wait(self, timeout_s: float = WAIT_TIMEOUT_S) -> None:
@@ -734,12 +728,11 @@ class RuntimeBackend(ABC):
 def provision_node(node: BackendNode, transport: Transport, loaded,
                    policy: RunPolicy) -> None:
     """Wire one node: fresh VM machine (own heap, own statics — per-JVM
-    semantics), MPI service, MessageExchange and the DependentObject
-    syscall; install the node's process generator (the
+    semantics), its :class:`~repro.runtime.services.MessageExchange` and
+    the DependentObject syscall; install the node's process generator (the
     :class:`~repro.runtime.services.ExecutionStarter` on the main node, the
     service loop elsewhere) and, when the policy carries a fault plan that
     injects anything, the node's :class:`FaultInjector`."""
-    from repro.runtime.mpi import MPIService
     from repro.runtime.services import (
         ExecutionStarter,
         MessageExchange,
@@ -755,8 +748,7 @@ def provision_node(node: BackendNode, transport: Transport, loaded,
     if policy.faults is not None and not policy.faults.inert:
         node.injector = FaultInjector(policy.faults, node.node_id)
         node.crash_cycle = node.injector.crash_cycle
-    node.mpi = MPIService(node, transport)
-    node.exchange = MessageExchange(node)
+    node.exchange = MessageExchange(node, transport)
     if (
         policy.recovery is not None
         and policy.recovery.enabled

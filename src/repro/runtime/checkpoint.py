@@ -273,7 +273,7 @@ class NodeRecovery:
     # ------------------------------------------------------------ topology
     def home_of(self, dead: int) -> int:
         """The (static, cluster-wide agreed) takeover node for ``dead``."""
-        return recovery_homes(dead, self.node.mpi.size, self.nparts, 1)[0]
+        return recovery_homes(dead, self.node.exchange.size, self.nparts, 1)[0]
 
     def can_recover(self, dead: int) -> bool:
         node = self.node
@@ -323,7 +323,7 @@ class NodeRecovery:
         if peer == node.node_id or peer in node.dead_peers:
             return
         try:
-            yield from node.mpi.isend(
+            yield from node.exchange.send(
                 Message(
                     MessageKind.HEARTBEAT, node.node_id, peer, HEARTBEAT_PONG
                 )
@@ -364,14 +364,14 @@ class NodeRecovery:
         if plan.heartbeat_cycles and node.clock >= self._next_beat_s:
             self._next_beat_s = node.clock + self._beat_period_s
             yield ("cost", HEARTBEAT_CYCLES_COST)
-            for peer in range(node.mpi.size):
+            for peer in range(node.exchange.size):
                 if peer == node.node_id or peer in node.dead_peers:
                     continue
                 pings = self._unanswered[peer] = self._unanswered.get(peer, 0) + 1
                 if pings == LEASE_MIN_PINGS:
                     self._suspects += 1
                 try:
-                    yield from node.mpi.isend(
+                    yield from node.exchange.send(
                         Message(
                             MessageKind.HEARTBEAT,
                             node.node_id,
@@ -457,13 +457,13 @@ class NodeRecovery:
         self.checkpoint_overhead_cycles += cost
         yield ("cost", cost)
         homes = recovery_homes(
-            node.node_id, node.mpi.size, self.nparts, self.plan.copies
+            node.node_id, node.exchange.size, self.nparts, self.plan.copies
         )
         for home in homes:
             if home in node.dead_peers:
                 continue
             try:
-                yield from node.mpi.isend(
+                yield from node.exchange.send(
                     Message(
                         MessageKind.CHECKPOINT, node.node_id, home, 0, payload
                     )
@@ -479,7 +479,7 @@ class NodeRecovery:
                 node.machine.heap,
             )
             try:
-                yield from node.mpi.isend(
+                yield from node.exchange.send(
                     Message(
                         MessageKind.CHECKPOINT_ACK, node.node_id, src, 0, ack
                     )
@@ -548,7 +548,7 @@ class NodeRecovery:
         for req_id, kind_value, payload in frames:
             head = _REPLAY_HEADER.pack(dead, epoch, req_id, kind_value)
             try:
-                yield from node.mpi.isend(
+                yield from node.exchange.send(
                     Message(
                         MessageKind.REPLAY, node.node_id, home, 0,
                         head + payload,

@@ -21,7 +21,6 @@ from repro.lang.symbols import (
     INVOKE_METHOD_VOID,
 )
 from repro.lang.types import VOID
-from repro.runtime.invoke import call_and_run
 from repro.vm.values import Ref
 
 
@@ -31,7 +30,7 @@ def create_local(machine, class_name: str, ctor_args):
     ref = machine._allocate(class_name)
     ctor = machine.program.lookup_method(class_name, "<init>")
     if ctor is not None:
-        yield from call_and_run(machine, ctor, ref, list(ctor_args))
+        yield from machine.call(ctor, ref, list(ctor_args))
     else:
         from repro.vm.natives import find_native
 
@@ -52,7 +51,7 @@ def access_local(machine, recv, access_type: int, member: str, args):
             raise VMError(f"dependence access on {recv!r}")
         method = machine.program.lookup_method(runtime_cls, member)
         if method is not None:
-            result = yield from call_and_run(machine, method, recv, list(args))
+            result = yield from machine.call(method, recv, list(args))
         else:
             from repro.vm.natives import find_native
 

@@ -4,7 +4,12 @@ the VM to them.
 
 "The core of this MPI-aware runtime support is the Message Exchange service.
 This service processes all the send and receive MPI communication generated
-from the object dependence information."
+from the object dependence information."  The paper's third service, the
+MPI service that sets up each node's communication context, is part of
+:class:`MessageExchange` here: it owns the node's request ids, its one send
+path (marshalling charge, the fault injector's retries, the transport's
+``post``) and its one receive path (the inbox take and the unmarshalling
+charge).
 
 Protocol (all request/reply, with nested requests served while waiting —
 remote calls may call back into the requester):
@@ -35,14 +40,16 @@ re-routed to that peer's recovery home.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from itertools import count
+from typing import Callable, Iterator, List, Optional
 
+from repro.distgen.quorum import read_quorum, write_quorum
 from repro.errors import RuntimeServiceError, VMError
+from repro.lang.symbols import ARRAY_GET, ARRAY_LEN, ARRAY_SET, FIELD_GET, FIELD_SET
 from repro.runtime.faults import FaultError, PeerLost, QuorumLost, RetriesExhausted
-from repro.runtime.invoke import call_and_run
 from repro.runtime.local import access_local, create_local
 from repro.runtime.message import FAULT_NOTICE, Message, MessageKind
-from repro.runtime.backend import BackendNode, shutdown_frames
+from repro.runtime.backend import BackendNode, Transport, shutdown_frames
 from repro.runtime.checkpoint import HEARTBEAT_PING
 from repro.runtime.serial import decode_value, encode_value
 from repro.vm.values import DependentRef, Ref
@@ -55,6 +62,12 @@ RECOVERY_ERR = 2
 
 #: cycles charged for dispatching one incoming request (scheduling + lookup)
 DISPATCH_CYCLES = 250
+
+#: marshalling cost model (abstract cycles): a fixed per-frame overhead plus
+#: a per-byte copy cost, charged to the sending / receiving node's clock
+SEND_BASE_CYCLES = 400
+RECV_BASE_CYCLES = 300
+CYCLES_PER_BYTE = 2
 
 #: req_id marking a fire-and-forget request (no reply expected).  Under an
 #: enabled RecoveryPlan, posts instead carry *negative* unique ids (same
@@ -69,16 +82,82 @@ _RECOVERABLE_KINDS = (MessageKind.NEW, MessageKind.DEPENDENCE)
 
 
 class MessageExchange:
-    """Per-node request/reply engine over the MPI service."""
+    """A node's one messaging object: the paper's MPI service and Message
+    Exchange in one.  Every frame the node's services send goes through
+    :meth:`send`, every frame they take through :meth:`recv`; on top of the
+    two sit the request/reply protocol (:meth:`request`, :meth:`post`,
+    :meth:`handle_request`) and the serve loop."""
 
-    def __init__(self, node: BackendNode) -> None:
+    def __init__(self, node: BackendNode, transport: Transport) -> None:
         self.node = node
+        self.transport = transport
+        #: ranks of the communication context (every node of the cluster)
+        self.size = transport.nnodes
+        self._req_ids = count(node.node_id * 1_000_000 + 1)
         self.requests_served = 0
         self.requests_sent = 0
         #: per-request latency samples in seconds (send to reply-decoded);
         #: the simulator's virtual clock makes these deterministic, real
         #: backends record wall time
         self.latencies_s: List[float] = []
+
+    def next_req_id(self) -> int:
+        return next(self._req_ids)
+
+    # ------------------------------------------------------------ the wire
+    def send(self, msg: Message) -> Iterator:
+        """Generator: charge marshalling cost, then post to the network.
+
+        When the node carries a :class:`~repro.runtime.faults.FaultInjector`
+        each post is a seeded decision: dropped sends are masked by bounded
+        retry with exponential backoff (charged as cycles, so the cost model
+        sees the loss); injected delay is an extra sender-side stall; a
+        duplicated frame is simply posted twice (receivers dedup by req id).
+        A link that never delivers (partition, or more consecutive drops
+        than ``max_retries``) raises :class:`RetriesExhausted`."""
+        node = self.node
+        yield ("cost", SEND_BASE_CYCLES + CYCLES_PER_BYTE * len(msg.payload))
+        inj = node.injector
+        if inj is None:
+            self.transport.post(node.node_id, msg.dst, msg)
+            return None
+        attempt = 0
+        while True:
+            copies, delay_s = inj.on_send(msg.dst, msg.req_id)
+            if copies:
+                if delay_s:
+                    yield ("cost", int(delay_s * node.spec.cpu_hz))
+                for _ in range(copies):
+                    self.transport.post(node.node_id, msg.dst, msg)
+                return None
+            attempt += 1
+            if attempt > inj.plan.max_retries:
+                raise RetriesExhausted(
+                    f"send {node.node_id}->{msg.dst} "
+                    f"({msg.kind.name} req={msg.req_id}) lost after "
+                    f"{attempt} attempts"
+                )
+            yield ("cost", inj.backoff(attempt))
+
+    def recv(self, match: Optional[Callable[[Message], bool]] = None) -> Iterator:
+        """Generator: blocks (yields ``('wait',)``) until a message matching
+        ``match`` (any message without one) has *arrived*; returns it after
+        charging unmarshalling cost."""
+        while True:
+            msg = self.node.take_matching(match)
+            if msg is not None:
+                # heartbeats are absorbed for free: their cost lives on the
+                # sender.  Charging receipt would let idle nodes push each
+                # other past their next heartbeat threshold — a
+                # self-sustaining storm that races clocks ahead of the
+                # nodes doing real work (and false-fires liveness leases).
+                if msg.kind is not MessageKind.HEARTBEAT:
+                    yield (
+                        "cost",
+                        RECV_BASE_CYCLES + CYCLES_PER_BYTE * len(msg.payload),
+                    )
+                return msg
+            yield ("wait",)
 
     # ------------------------------------------------------------------ client
     def request(self, dst: int, kind: MessageKind, payload_obj) -> Iterator:
@@ -100,16 +179,18 @@ class MessageExchange:
                     f"node {node.node_id} requested {kind.name} from node "
                     f"{dst}, which already failed"
                 )
-            value = yield from self._recover_request(dst, kind, payload_obj)
+            value = yield from self._recover_request(
+                dst, kind, payload_obj, self.request
+            )
         else:
-            req_id = node.mpi.next_req_id()
+            req_id = self.next_req_id()
             payload = encode_value(payload_obj, node.node_id, node.machine.heap)
             msg = Message(kind, node.node_id, dst, req_id, payload)
             if recovery is not None:
                 recovery.log_request(dst, req_id, kind, payload)
             self.requests_sent += 1
             try:
-                yield from node.mpi.send(msg)
+                yield from self.send(msg)
             except PeerLost:
                 # transport-level death notice (e.g. the process backend's
                 # pipe closed under the write): the frame never left this
@@ -120,7 +201,9 @@ class MessageExchange:
                 if not self._can_reroute(dst, kind):
                     raise
                 recovery.unlog_request(dst, req_id)
-                value = yield from self._recover_request(dst, kind, payload_obj)
+                value = yield from self._recover_request(
+                    dst, kind, payload_obj, self.request
+                )
             else:
                 value = yield from self._await_reply(
                     req_id, dst, kind=kind, payload_obj=payload_obj
@@ -150,47 +233,29 @@ class MessageExchange:
         req_id = NO_REPLY
         if recovery is not None:
             recovery.guard_outbound()
-            if (
-                dst in node.dead_peers
-                and kind is MessageKind.DEPENDENCE
-                and recovery.can_recover(dst)
-            ):
-                # re-route the write to the dead peer's recovery home
-                yield from recovery.flush_replay(dst)
-                home = recovery.home_of(dst)
-                oid, access_type, member, args = payload_obj
-                routed = [dst, oid, access_type, member, args]
-                if home == node.node_id:
-                    yield from recovery.recovered_op(
-                        dst, MessageKind.DEPENDENCE, payload_obj
-                    )
-                else:
-                    yield from self.post(home, MessageKind.REPLICA_DEP, routed)
+            if dst in node.dead_peers and self._can_reroute(dst, kind):
+                yield from self._recover_request(
+                    dst, kind, payload_obj, self.post
+                )
                 return None
             # unique negative ids keep fire-and-forget posts inside the
             # checkpoint highwater accounting without soliciting replies
-            req_id = -node.mpi.next_req_id()
+            req_id = -self.next_req_id()
         payload = encode_value(payload_obj, node.node_id, node.machine.heap)
         msg = Message(kind, node.node_id, dst, req_id, payload)
         if recovery is not None:
             recovery.log_request(dst, req_id, kind, payload)
         self.requests_sent += 1
         try:
-            yield from node.mpi.isend(msg)
+            yield from self.send(msg)
         except PeerLost:
             # the pipe closed under the write: the frame never left, so
-            # unlog it and re-enter — the dead-peer branch at the top now
-            # owns the re-route
+            # unlog it and re-route it like a post to a known-dead peer
             node.dead_peers.add(dst)
-            if (
-                recovery is not None
-                and kind is MessageKind.DEPENDENCE
-                and recovery.can_recover(dst)
-            ):
-                recovery.unlog_request(dst, req_id)
-                result = yield from self.post(dst, kind, payload_obj)
-                return result
-            raise
+            if not self._can_reroute(dst, kind):
+                raise
+            recovery.unlog_request(dst, req_id)
+            yield from self._recover_request(dst, kind, payload_obj, self.post)
         return None
 
     def _await_reply(
@@ -212,7 +277,7 @@ class MessageExchange:
             return True
 
         while True:
-            msg = yield from node.mpi.recv(match)
+            msg = yield from self.recv(match)
             if msg.kind is MessageKind.REPLY:
                 status, value = decode_value(msg.payload, node.node_id)
                 if status == ERR:
@@ -232,7 +297,7 @@ class MessageExchange:
                         # log and re-issue it against the recovered state
                         node.recovery.unlog_request(dst, req_id)
                         result = yield from self._recover_request(
-                            dst, kind, payload_obj
+                            dst, kind, payload_obj, self.request
                         )
                         return result
                     if msg.src == dst or msg.src == node.main_partition:
@@ -247,12 +312,14 @@ class MessageExchange:
                 )
             yield from self.handle_request(msg)
 
-    def _recover_request(self, dead: int, kind: MessageKind,
-                         payload_obj) -> Iterator:
+    def _recover_request(self, dead: int, kind: MessageKind, payload_obj,
+                         forward: Callable) -> Iterator:
         """Generator: transparently satisfy a request whose destination
         died recoverably — flush this client's replay log (the leading
         marker frame is the home's death verdict), then execute against
-        the recovered state, locally when this node *is* the home."""
+        the recovered state, locally when this node *is* the home, else
+        ``forward`` it there (:meth:`request`, or :meth:`post` for a
+        fire-and-forget write)."""
         node = self.node
         recovery = node.recovery
         yield from recovery.flush_replay(dead)
@@ -262,12 +329,12 @@ class MessageExchange:
             return result
         if kind is MessageKind.NEW:
             class_name, ctor_args = payload_obj
-            result = yield from self.request(
+            result = yield from forward(
                 home, MessageKind.RECOVER_NEW, [dead, class_name, ctor_args]
             )
             return result
         oid, access_type, member, args = payload_obj
-        result = yield from self.request(
+        result = yield from forward(
             home, MessageKind.REPLICA_DEP, [dead, oid, access_type, member, args]
         )
         return result
@@ -383,7 +450,9 @@ class MessageExchange:
         if msg.req_id <= NO_REPLY:
             return None  # asynchronous request: nobody is waiting
         payload = encode_value(result, node.node_id, machine.heap)
-        yield from node.mpi.send(node.mpi.reply_to(msg, payload))
+        yield from self.send(
+            Message(MessageKind.REPLY, node.node_id, msg.src, msg.req_id, payload)
+        )
 
     def serve_forever(self) -> Iterator:
         """The service loop for non-initiating nodes: handle requests until
@@ -398,7 +467,7 @@ class MessageExchange:
                 # this is where heartbeats, leases and checkpoint barriers
                 # are evaluated
                 yield from recovery.tick(serving=True)
-            msg = yield from node.mpi.recv_any()
+            msg = yield from self.recv()
             if msg.kind is MessageKind.SHUTDOWN:
                 if msg.req_id == FAULT_NOTICE:
                     node.dead_peers.add(msg.src)
@@ -425,15 +494,6 @@ def make_node_syscall(node: BackendNode, async_writes: bool = False,
     majority; reads need ⌈n/2⌉ agreeing replicas; writes and invocations go
     to every live replica and must reach a write majority — the MCS quorum
     discipline, so any read quorum intersects any write quorum."""
-    from repro.distgen.quorum import read_quorum, write_quorum
-    from repro.lang.symbols import (
-        ARRAY_GET,
-        ARRAY_LEN,
-        ARRAY_SET,
-        FIELD_GET,
-        FIELD_SET,
-    )
-
     replicas = dict(replicas or {})
     read_types = (FIELD_GET, ARRAY_GET, ARRAY_LEN)
 
@@ -619,19 +679,17 @@ class ExecutionStarter:
 
     def run(self) -> Iterator:
         node = self.node
-        self.result = yield from call_and_run(
-            node.machine, self.main_method, None, [None]
-        )
+        self.result = yield from node.machine.call(self.main_method, None, [None])
         # application finished: stop every other node's service loop.  Dead
         # peers are skipped, and a fault on the farewell itself must not
         # turn a completed run into a failed one.
         live = [
-            other for other in range(node.mpi.size)
+            other for other in range(node.exchange.size)
             if other != node.node_id and other not in node.dead_peers
         ]
         for farewell in shutdown_frames(node.node_id, live):
             try:
-                yield from node.mpi.send(farewell)
+                yield from node.exchange.send(farewell)
             except FaultError:
                 continue
         return self.result

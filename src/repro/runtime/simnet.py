@@ -128,15 +128,6 @@ class SimNode(BackendNode):
                 return msg
         return None
 
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        now = self.clock + 1e-15
-        for arrival, _, msg in self.inbox:
-            if arrival > now:
-                break
-            if match(msg):
-                return True
-        return False
-
 
 class SimCluster(Transport):
     """The networked system: nodes + link + the event scheduler."""
@@ -164,7 +155,7 @@ class SimCluster(Transport):
 
     # ------------------------------------------------------------------ network
     def post(self, src: int, dst: int, msg: Message) -> None:
-        """Inject a message; called by the sender's MPI service after it
+        """Inject a message; called by the sender's MessageExchange after it
         charged its serialization cost.  An injected duplicate occupies the
         link and the counters like any frame before intake discards it."""
         if not 0 <= dst < len(self.nodes):

@@ -86,10 +86,6 @@ class ThreadNode(BackendNode):
                 self._seen = self._version
             return msg
 
-    def iprobe(self, match: Callable[[Message], bool]) -> bool:
-        with self._delivered:
-            return super().iprobe(match)
-
 
 @register_backend
 class ThreadBackend(RuntimeBackend, Transport):

@@ -33,6 +33,9 @@ import time
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import RuntimeServiceError
+# what provision_node builds a node from, imported before the fork: a
+# worker inherits it compiled instead of compiling it from source
+from repro.runtime import services  # noqa: F401
 from repro.runtime.backend import (
     WAIT_TIMEOUT_S,
     BackendNode,

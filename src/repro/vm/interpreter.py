@@ -202,6 +202,20 @@ class Machine:
             self.profiler.on_invoke(self, method)
         return frame
 
+    def call(self, method: BMethod, receiver, args):
+        """The one re-entrant call: run ``method`` to completion inside the
+        running machine — ``main`` under the ExecutionStarter, a request
+        served at an object's home node, a local dependence access.  Pushes
+        a frame whose value becomes :attr:`result` instead of going to the
+        frame below and returns the :meth:`drive` generator that runs until
+        that frame pops, delegating nested syscalls (so remote calls may
+        nest arbitrarily); the generator's return value is the method's."""
+        self.call_bmethod(method, receiver, args, on_return=self._set_result)
+        return self.drive(len(self.frames))
+
+    def _set_result(self, value) -> None:
+        self.result = value
+
     def _return(self, value) -> None:
         frame = self.frames.pop()
         if self.profiler is not None:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+from typing import Dict, NamedTuple
+
 from repro.bytecode import compile_program
 from repro.lang import analyze, parse_program
 from repro.vm import load_program, run_main
@@ -90,3 +94,26 @@ def run_python(script: str, *argv: str, blocked=()):
         [sys.executable, "-c", prelude + script, *argv],
         capture_output=True, text=True, timeout=300,
     )
+
+
+class Profiled(NamedTuple):
+    """One call run under cProfile, for the suite's count gates."""
+
+    result: object
+    calls: int                  # cProfile's ``total_calls``
+    by_name: Dict[str, int]     # the same per ``file:function``
+    stats: pstats.Stats         # for callers and anything else by row
+
+
+def profiled(fn, *args, **kwargs) -> Profiled:
+    """Run ``fn(*args, **kwargs)`` under cProfile.  A generator's row counts
+    its resumptions; ``by_name`` sums the rows of same-named functions of a
+    file, and a builtin's file is ``~``."""
+    profile = cProfile.Profile()
+    result = profile.runcall(fn, *args, **kwargs)
+    stats = pstats.Stats(profile)
+    by_name: Dict[str, int] = {}
+    for (path, _, name), (_, ncalls, *_rest) in stats.stats.items():
+        key = f"{path.rsplit('/', 1)[-1]}:{name}"
+        by_name[key] = by_name.get(key, 0) + ncalls
+    return Profiled(result, stats.total_calls, by_name, stats)

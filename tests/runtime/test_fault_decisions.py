@@ -81,7 +81,8 @@ def test_delays_cover_the_half_open_interval():
     # uniform on [0, d): mean d/2, sigma d/sqrt(12)
     assert abs(mean - delay_s / 2) <= 4 * delay_s / math.sqrt(12 * N), mean
     assert min(delays) < 0.001 * delay_s and max(delays) > 0.999 * delay_s
-    # no delay configured: exactly 0.0, so ``mpi.send`` charges no event
+    # no delay configured: exactly 0.0, so ``MessageExchange.send``
+    # charges no event
     assert {d for _, d in _stream(FaultPlan(drop_pct=0.5), 0, 1, 1_000)} == {0.0}
 
 
@@ -180,9 +181,10 @@ def test_every_backend_plays_the_same_schedule():
 ))
 def test_a_malformed_plan_is_a_config_error_naming_field_and_value(field, value):
     """Each of these used to pass validation and die inside a worker —
-    ``cannot convert float NaN to integer`` in ``mpi.send``, ``unsupported
-    operand type(s) for ^`` in ``on_send`` — or as a bare ``TypeError`` from
-    the range comparison.  An integer seed is the mix's precondition."""
+    ``cannot convert float NaN to integer`` in ``MessageExchange.send``,
+    ``unsupported operand type(s) for ^`` in ``on_send`` — or as a bare
+    ``TypeError`` from the range comparison.  An integer seed is the mix's
+    precondition."""
     for build in (
         lambda: FaultPlan(**{field: value}),
         lambda: FaultPlan.from_dict({field: value}),

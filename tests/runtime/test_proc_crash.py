@@ -133,9 +133,9 @@ def _run_counter(monkeypatch, recovery, torn_victim=-1):
             payload = ckpt_mod.encode_checkpoint(self._snapshot_blob())
             torn = payload[: max(8, len(payload) // 3)]
             for home in ckpt_mod.recovery_homes(
-                node.node_id, node.mpi.size, self.nparts, self.plan.copies
+                node.node_id, node.exchange.size, self.nparts, self.plan.copies
             ):
-                yield from node.mpi.isend(
+                yield from node.exchange.send(
                     Message(MessageKind.CHECKPOINT, node.node_id, home, 0, torn)
                 )
             os.kill(os.getpid(), signal.SIGKILL)

@@ -295,12 +295,12 @@ def test_service_bank_crash_of_a_non_main_node_is_masked(backend):
 
 
 # -------------------------------------------------- detection primitives
-class _FakeMPI:
+class _FakeExchange:
     def __init__(self, size=3):
         self.size = size
         self.sent = []
 
-    def isend(self, msg):
+    def send(self, msg):
         self.sent.append(msg)
         yield ("cost", 1)
 
@@ -325,7 +325,7 @@ class _FakeNode:
         self.faults = []
         self.injector = object()   # fault plan present: leases are armed
         self.replica_dir = {}
-        self.mpi = _FakeMPI()
+        self.exchange = _FakeExchange()
 
     def take_matching(self, match):
         return None    # empty inbox
@@ -343,15 +343,15 @@ def test_heartbeats_emitted_on_cycle_schedule(unit_reference_hz):
     )
     node.clock = 150.0
     _drive(rec.tick(serving=False))
-    beats = [m for m in node.mpi.sent if m.kind is MessageKind.HEARTBEAT]
+    beats = [m for m in node.exchange.sent if m.kind is MessageKind.HEARTBEAT]
     assert sorted(m.dst for m in beats) == [0, 2]
     # not due again until another 100 "cycles" of virtual time pass
-    node.mpi.sent.clear()
+    node.exchange.sent.clear()
     _drive(rec.tick(serving=False))
-    assert node.mpi.sent == []
+    assert node.exchange.sent == []
     node.clock = 260.0
     _drive(rec.tick(serving=False))
-    assert [m.dst for m in node.mpi.sent
+    assert [m.dst for m in node.exchange.sent
             if m.kind is MessageKind.HEARTBEAT] == [0, 2]
 
 

@@ -104,3 +104,38 @@ def test_a_run_imports_only_what_it_uses(backend):
     assert not [m for m in loaded if m.split(".")[0] not in allowed]
     if backend == "sim":
         assert len(loaded) <= MODULES_PER_RUN * 1.05, len(loaded)
+
+
+_WORKER_IMPORTS = """
+import json
+import os
+from repro.api import Experiment
+from repro.runtime import worker
+
+def worker_main(*args):
+    before = set(sys.modules)
+    try:
+        run_worker(*args)
+    finally:
+        fresh = sorted(m for m in set(sys.modules) - before
+                       if m.split(".")[0] == "repro")
+        os.write(1, (json.dumps(fresh) + "\\n").encode())
+
+run_worker, worker._worker_main = worker._worker_main, worker_main
+for backend in ("process", "tcp"):
+    Experiment.from_options("service_bank", size="test", backend=backend,
+                            force_distribution=True).run()
+"""
+
+
+def test_a_worker_imports_nothing_of_repro_its_parent_had_not():
+    """Workers are forked after the parent imported what a node is built
+    from, so none compiles a module of the request path from source (with
+    ``PYTHONDONTWRITEBYTECODE`` set, each such module is compiled again in
+    every worker, one worker after the other on one CPU)."""
+    done = run_python(_WORKER_IMPORTS)
+    assert done.returncode == 0, done.stderr
+    per_worker = [json.loads(line) for line in done.stdout.splitlines()
+                  if line.startswith("[")]
+    assert len(per_worker) >= 4           # two nodes or more per backend
+    assert per_worker == [[]] * len(per_worker), per_worker

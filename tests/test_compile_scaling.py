@@ -15,12 +15,9 @@ does not creep back in.  Wall-clock evidence is ``perfbench``'s (``run_s`` @
 the larger rows live here.
 """
 
-import cProfile
-import pstats
-
 import pytest
 
-from helpers import compile_mj_raw, scaling_source, two_node_plan_arguments
+from helpers import compile_mj_raw, profiled, scaling_source, two_node_plan_arguments
 
 from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
@@ -44,21 +41,15 @@ MAX_CALLS = {"tokenize": 6.9, "parse": 5.0, "verify_program": 2.0,
              "build_plan": 10.8, "rewrite_program": 5.3}
 
 
-def calls_of(fn, *args, **kwargs):
-    profile = cProfile.Profile()
-    result = profile.runcall(fn, *args, **kwargs)
-    return pstats.Stats(profile).total_calls, result
-
-
 @pytest.fixture(scope="module")
 def calls_per_unit():
     """``{layer: {n_classes: calls per token or per instruction}}``."""
     table = {layer: {} for layer in MAX_CALLS}
     for n_classes in SIZES:
         source = scaling_source(n_classes)
-        calls, tokens = calls_of(tokenize, source)
+        tokens, calls, *_ = profiled(tokenize, source)
         table["tokenize"][n_classes] = calls / len(tokens)
-        calls, _ = calls_of(Parser(tokens).parse_program)
+        calls = profiled(Parser(tokens).parse_program).calls
         table["parse"][n_classes] = calls / len(tokens)
 
         program, _ = compile_mj_raw(source)
@@ -67,11 +58,11 @@ def calls_per_unit():
             for bclass in program.classes.values()
             for method in bclass.methods.values()
         )
-        calls, _ = calls_of(verify_program, program)
+        calls = profiled(verify_program, program).calls
         table["verify_program"][n_classes] = calls / instructions
-        calls, plan = calls_of(build_plan, program, 2, **two_node_plan_arguments())
+        plan, calls, *_ = profiled(build_plan, program, 2, **two_node_plan_arguments())
         table["build_plan"][n_classes] = calls / instructions
-        calls, (_, stats) = calls_of(rewrite_program, program, plan)
+        (_, stats), calls, *_ = profiled(rewrite_program, program, plan)
         assert stats.total > n_classes  # the rewriter had work at every size
         table["rewrite_program"][n_classes] = calls / instructions
     return table

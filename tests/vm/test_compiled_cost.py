@@ -24,10 +24,10 @@ cycles — here the promotions are pinned to what shipped.
 """
 
 import builtins
-import cProfile
-import pstats
 
 import pytest
+
+from helpers import profiled
 
 from repro.api import Experiment
 from repro.api.experiment import compile_workload
@@ -89,22 +89,17 @@ def measured():
     with jit_threshold(THRESHOLD):
         for name in EXPECTED:
             work = compile_workload(name, "bench", cache=StageCache())
-            profile = cProfile.Profile()
-            result = profile.runcall(
+            run = profiled(
                 run_sequential, work.bprogram, node,
                 loaded=work.loaded, engine="compiled",
             )
-            stats = pstats.Stats(profile)
-            by_name = {}
-            for (path, _, func), (_, ncalls, _, _, callers) in \
-                    stats.stats.items():
-                key = f"{path.rsplit('/', 1)[-1]}:{func}"
-                by_name[key] = by_name.get(key, 0) + ncalls
-                if key in ("values.py:i32", "values.py:i64"):
+            result, by_name = run.result, run.by_name
+            for (path, _, func), (*_, callers) in run.stats.stats.items():
+                if path.endswith("/values.py") and func in ("i32", "i64"):
                     by_name[f"jit:{func}"] = sum(
                         v[1] for (cpath, _, _), v in callers.items()
                         if cpath.startswith("<repro-jit:"))
-            out[name] = (result, stats.total_calls * 1000 / result.cycles,
+            out[name] = (result, run.calls * 1000 / result.cycles,
                          by_name, _static_counts(work.bprogram))
     return out
 

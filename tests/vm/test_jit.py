@@ -1275,8 +1275,6 @@ def test_service_frame_and_depth_boundary_return_through_the_generic_path():
     not to the frame below — also when it pops above the stop depth — and
     driving stops when the depth boundary is reached, with hot
     inline-cached calls and returns running above it."""
-    from repro.runtime.invoke import call_and_run
-
     src = """
         class K {
             int n;
@@ -1310,7 +1308,7 @@ def test_service_frame_and_depth_boundary_return_through_the_generic_path():
 
         with forced_engine(engine):
             # service-initiated, popping at its own stop depth
-            out.append(drain(call_and_run(machine, run, recv, [50])))
+            out.append(drain(machine.call(run, recv, [50])))
             assert machine.frames == [below] and below.pc == 0
             assert below.stack == ["untouched"]
             # a plain frame popping at the stop depth ends the block: the
