@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-#: the committed VM-throughput baseline (`repro bench` writes it, the CI
-#: bench smoke job gates against it)
-BENCH_VM_PATH = pathlib.Path(__file__).parent.parent / "BENCH_vm.json"
 
 
 def write_artifact(out_dir: pathlib.Path, name: str, text: str) -> None:
     out_dir.mkdir(exist_ok=True)
     (out_dir / name).write_text(text + "\n")
-
-
-def write_json_artifact(out_dir: pathlib.Path, name: str, doc) -> None:
-    out_dir.mkdir(exist_ok=True)
-    (out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -283,6 +283,27 @@ class ClusterConfig(_Config):
         return cluster
 
 
+def crash_plan(spec: Optional[str]):
+    """The :class:`~repro.runtime.faults.FaultPlan` of one ``NODE:CYCLE``
+    crash, the form ``--crash`` and the sweep grid take (None for "")."""
+    if not spec:
+        return None
+    from repro.runtime.faults import FaultPlan
+
+    node_s, _, cycle_s = spec.partition(":")
+    try:
+        crash = (int(node_s), int(cycle_s))
+    except ValueError:
+        raise ConfigError(f"crash must be NODE:CYCLE, got {spec!r}") from None
+    return FaultPlan(crashes=(crash,))
+
+
+def roster_endpoints(spec: Optional[str]) -> Optional[tuple]:
+    """A comma-separated ``host:port`` list, the form ``--roster`` and the
+    sweep grid take, as :attr:`ClusterConfig.roster` (None for "")."""
+    return tuple(e.strip() for e in spec.split(",")) if spec else None
+
+
 @dataclass(frozen=True)
 class BackendConfig(_Config):
     """Which runtime executes the distributed plan, and its limits."""

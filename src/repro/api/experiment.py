@@ -619,13 +619,14 @@ class Experiment:
         return self._result
 
     # -------------------------------------------------------- conformance
-    def conformance(self, deep: bool = False):
+    def conformance(self):
         """Differentially verify this experiment's equivalence claims: the
-        fast VM path against the per-step reference oracle on its workload,
-        and the configured distributed backend against the sequential
-        baseline (stdout byte-identity, result equality, NodeStats sanity).
-        With ``deep=True`` the simulator execution is additionally compared
-        byte-for-byte between VM engines.
+        fast and compiled VM tiers against the per-step reference oracle on
+        its workload, and the configured distributed backend against the
+        sequential baseline (stdout byte-identity, result equality,
+        NodeStats sanity).  On the ``sim`` backend an undegraded run is also
+        compared byte-for-byte across the three VM tiers, NodeStats
+        included (``sim.determinism``).
 
         Returns a :class:`repro.testing.oracle.ConformanceOutcome`; an
         empty ``divergences`` list means the claims hold for this
@@ -633,7 +634,7 @@ class Experiment:
         same oracle, one hand-picked scenario instead of generated ones."""
         from repro.testing.oracle import check_experiment
 
-        return check_experiment(self, deep=deep)
+        return check_experiment(self)
 
     # -------------------------------------------------------------- report
     def report(self) -> Report:

@@ -88,6 +88,12 @@ def stack_effect(ins: Instr, table) -> Tuple[int, int]:
     return (pops, 0 if mi.is_ctor or mi.ret is VOID else 1)
 
 
+def branch_target(ins: Instr):
+    """The target operand of a branch: ``b`` of a compare-branch (``a`` is
+    its condition), ``a`` of every other branch."""
+    return ins.b if ins.op in op.CMP_BRANCHES else ins.a
+
+
 def successors(ins: Instr, i: int) -> Tuple[int, ...]:
     """Where control goes after flattened instruction ``i``: the branch
     target first, then the fall-through ``i + 1``; nothing after a return.
@@ -97,7 +103,7 @@ def successors(ins: Instr, i: int) -> Tuple[int, ...]:
     if o in op.BRANCHES:
         if o == op.GOTO:
             return (ins.a,)
-        return (ins.b if o in op.CMP_BRANCHES else ins.a, i + 1)
+        return (branch_target(ins), i + 1)
     return () if o in op.RETURNS else (i + 1,)
 
 
@@ -107,10 +113,9 @@ def basic_block_leaders(instrs: List[Instr], after_calls: bool = True
     target, and every instruction following a branch or return — and an
     invoke, unless ``after_calls`` is false (the quad builder's blocks).
 
-    With ``after_calls`` this is the *static* block structure (``repro
-    bench`` reports it as mean block length — the shape metric behind the
-    cost-batching win); the fast path itself batches dynamically, straight
-    through branches and calls until the next syscall boundary."""
+    With ``after_calls`` this is the *static* block structure; the fast
+    path itself batches dynamically, straight through branches and calls
+    until the next syscall boundary."""
     leaders = {0}
     for i, ins in enumerate(instrs):
         o = ins.op
@@ -154,9 +159,9 @@ class FlatCode:
     @property
     def block_starts(self) -> Tuple[int, ...]:
         """Basic-block leader indices (entry, branch targets, post-branch /
-        post-call instructions) — static block structure for tooling and
-        the ``repro bench`` block-shape statistics.  Computed lazily so the
-        compile/rewrite hot path never pays for it."""
+        post-call instructions) — static block structure for tooling.
+        Computed lazily so the compile/rewrite hot path never pays for
+        it."""
         if self._block_starts is None:
             self._block_starts = basic_block_leaders(self.instrs)
         return self._block_starts
@@ -254,10 +259,7 @@ class BMethod:
         resolved: List[Instr] = []
         for ins in instrs:
             if ins.op in op.BRANCHES:
-                if ins.op in op.CMP_BRANCHES:
-                    target = ins.b
-                else:
-                    target = ins.a
+                target = branch_target(ins)
                 if target not in label_at:
                     raise CompileError(
                         f"{self.qualified}: branch to unplaced label {target}"

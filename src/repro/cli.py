@@ -5,7 +5,7 @@ A thin consumer of :mod:`repro.api` — every stage runs through the typed
 infrastructure's phases:
 
 * ``run <workload>``        — execute a workload; ``--backend seq`` (default)
-  is the centralized baseline, ``--backend {sim,thread,process}`` runs the
+  is the centralized baseline, ``--backend {sim,thread,process,tcp}`` runs the
   distributed plan on that runtime backend (program output on stdout,
   byte-identical across backends; diagnostics on stderr)
 * ``analyze <workload>``    — CRG/ODG summary (+ ``--vcg DIR`` to dump Figure 3/4 files)
@@ -50,18 +50,9 @@ _VM_ENGINE_HELP = (
 
 def _experiment(args: argparse.Namespace, backend: str):
     from repro.api import Experiment
+    from repro.api.config import crash_plan, roster_endpoints
 
     replication = getattr(args, "replication", 1)
-    faults = None
-    crash = getattr(args, "crash", None)
-    if crash:
-        from repro.runtime.faults import FaultPlan
-
-        try:
-            node_s, _, cycle_s = crash.partition(":")
-            faults = FaultPlan(crashes=((int(node_s), int(cycle_s)),))
-        except ValueError:
-            raise SystemExit(f"error: --crash must be NODE:CYCLE, got {crash!r}")
     recovery = None
     if getattr(args, "recovery", False):
         from repro.runtime.checkpoint import RecoveryPlan
@@ -69,21 +60,16 @@ def _experiment(args: argparse.Namespace, backend: str):
         recovery = RecoveryPlan(
             interval=getattr(args, "recovery_interval", 60_000)
         )
-    roster_s = getattr(args, "roster", "") or ""
-    roster = (
-        tuple(entry.strip() for entry in roster_s.split(","))
-        if roster_s else None
-    )
     return Experiment.from_options(
         args.workload,
         size=args.size,
         nparts=getattr(args, "nodes", 2),
         backend=backend,
         replication=replication,
-        faults=faults,
+        faults=crash_plan(getattr(args, "crash", None)),
         recovery=recovery,
         engine=getattr(args, "vm_engine", "default"),
-        roster=roster,
+        roster=roster_endpoints(getattr(args, "roster", None)),
         force_distribution=getattr(args, "serve", False),
         # replicas need somewhere to live: give each extra copy its own
         # (otherwise idle) machine beyond the nparts the plan uses
@@ -249,43 +235,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import (
-        check_regression,
-        load_bench,
-        render_bench,
-        run_bench,
-        write_bench,
-    )
-
-    # read the committed baseline up front: a bad --check path must fail
-    # before minutes of measurement, and before --out (which defaults to
-    # the baseline's own path in the documented gate invocation
-    # `repro bench --quick --check BENCH_vm.json`) overwrites it
-    committed = load_bench(args.check) if args.check else None
-    workloads = args.workloads.split(",") if args.workloads else None
-    engines = None if args.engine == "all" else [args.engine]
-    doc = run_bench(workloads, quick=args.quick, engines=engines)
-    print(render_bench(doc))
-    if args.out:
-        out = pathlib.Path(args.out)
-        if out.parent != pathlib.Path():
-            out.parent.mkdir(parents=True, exist_ok=True)
-        write_bench(doc, out)
-        print(f"bench written to {out}", file=sys.stderr)
-    if committed is not None:
-        failures = check_regression(doc, committed, tolerance=args.tolerance)
-        if failures:
-            for f in failures:
-                print(f"regression: {f}", file=sys.stderr)
-            return 1
-        print(
-            f"bench within {args.tolerance:.0%} of committed {args.check}",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
@@ -294,11 +243,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.testing.seeds import base_seed, describe
 
     if args.replay:
-        cache = None
         failures = 0
         entries = corpus_mod.load_corpus(args.replay)
         for path, entry in entries:
-            divs = corpus_mod.replay_entry(entry, cache=cache, deep=args.deep)
+            divs = corpus_mod.replay_entry(entry)
             status = "ok" if not divs else "DIVERGED"
             print(f"replay {entry.name} [{entry.kind}]: {status}",
                   file=sys.stderr)
@@ -322,7 +270,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         include_tcp=args.include_tcp,
         include_faults=args.faults or args.recovery,
         include_recovery=args.recovery,
-        deep=args.deep,
         shrink_budget=args.max_shrink,
         collect_golden=bool(args.save_corpus),
         log=lambda msg: print(msg, file=sys.stderr),
@@ -514,39 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser(
-        "bench",
-        help="measure interpreter + simulator throughput (BENCH_vm.json)",
-    )
-    p.add_argument(
-        "--workloads",
-        help="comma-separated workload names (default: heapsort,crypt)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="small 'test' workload size — the CI smoke configuration",
-    )
-    p.add_argument(
-        "--engine", default="all",
-        choices=("reference", "fast", "compiled", "all"),
-        help="execution tier(s) to measure (default: all three, with "
-        "bit-identity asserted across them)",
-    )
-    p.add_argument(
-        "--out", default="BENCH_vm.json",
-        help="write the JSON bench document here ('' to skip)",
-    )
-    p.add_argument(
-        "--check", metavar="FILE",
-        help="compare against a committed BENCH_vm.json; exit 1 if the "
-        "relative metrics regress beyond --tolerance",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional regression for --check (default 0.30)",
-    )
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser(
         "fuzz",
         help="differential conformance fuzzing (repro.testing): generated "
         "programs x generated worlds through the cross-backend oracle",
@@ -573,11 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--failures-dir", default="fuzz-failures", metavar="DIR",
         help="where minimized counterexamples are written (default "
         "fuzz-failures/)",
-    )
-    p.add_argument(
-        "--deep", action="store_true",
-        help="also assert byte-identical fast-vs-reference cluster "
-        "execution on the simulator (slower)",
     )
     p.add_argument(
         "--no-thread", action="store_true",

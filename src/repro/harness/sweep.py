@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.api.config import ExperimentConfig
+from repro.api.config import ExperimentConfig, crash_plan, roster_endpoints
 from repro.api.experiment import Experiment
 from repro.api.report import Report
 from repro.errors import ReproError
@@ -75,20 +75,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         self.experiment_config()  # validates every field
 
-    def _faults(self):
-        if not self.crash:
-            return None
-        from repro.runtime.faults import FaultPlan
-
-        try:
-            node_s, _, cycle_s = self.crash.partition(":")
-            crash = (int(node_s), int(cycle_s))
-        except ValueError:
-            raise SweepError(
-                f"crash must be 'node:cycle', got {self.crash!r}"
-            ) from None
-        return FaultPlan(crashes=(crash,))
-
     def _recovery(self):
         if self.recovery_interval <= 0:
             return None
@@ -98,17 +84,13 @@ class SweepConfig:
 
     def experiment_config(self) -> ExperimentConfig:
         """The typed config this grid point denotes."""
-        roster = (
-            tuple(e.strip() for e in self.roster.split(","))
-            if self.roster
-            else None
-        )
         return ExperimentConfig.from_options(
             self.workload, size=self.size, method=self.method,
             nparts=self.nparts, granularity=self.granularity,
             network=self.network, backend=self.backend,
-            faults=self._faults(), recovery=self._recovery(),
-            force_distribution=self.serve, roster=roster,
+            faults=crash_plan(self.crash), recovery=self._recovery(),
+            force_distribution=self.serve,
+            roster=roster_endpoints(self.roster),
         )
 
     def key(self) -> dict:

@@ -136,9 +136,9 @@ class SimCluster(Transport):
         self.spec = spec
         self.nodes = [SimNode(i, ns) for i, ns in enumerate(spec.nodes)]
         self._link_busy: Dict[Tuple[int, int], float] = {}
-        #: scheduler events processed by the last :meth:`run` — the
-        #: event-count metric ``repro bench`` tracks (cost batching shrinks
-        #: it by an order of magnitude at identical virtual timing)
+        #: scheduler events processed by the last :meth:`run` (cost
+        #: batching shrinks it by orders of magnitude at identical virtual
+        #: timing; ``tests/vm/test_fastpath.py`` pins it per engine)
         self.events_processed = 0
 
     @property

@@ -160,14 +160,12 @@ def load_corpus(path) -> List[Tuple[pathlib.Path, CorpusEntry]]:
     return entries
 
 
-def replay_entry(
-    entry: CorpusEntry, cache=None, deep: bool = False
-) -> List[Divergence]:
+def replay_entry(entry: CorpusEntry) -> List[Divergence]:
     """Replay one entry: the full conformance oracle plus the golden
     comparison against the oracle's own reference-path observation (one
-    compile, one pair of VM runs).  Returns every divergence found
-    (empty = the entry still passes)."""
-    outcome = check_scenario(entry.scenario(), cache=cache, deep=deep)
+    compile, one run per VM tier).  Returns every divergence found (empty =
+    the entry still passes)."""
+    outcome = check_scenario(entry.scenario())
     divergences: List[Divergence] = list(outcome.divergences)
     ref = outcome.reference
     for key in _GOLDEN_KEYS:

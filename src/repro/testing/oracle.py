@@ -5,16 +5,16 @@ program changes where code runs and what it costs, never what it computes.
 This module checks that claim mechanically for arbitrary generated
 scenarios, on two axes:
 
-* **VM engines** — the threaded-code fast path and the per-step reference
+* **VM engines** — the fast and compiled tiers and the per-step reference
   interpreter must agree on cycles, steps, result, stdout and fault text
   for every program (:func:`observe_vm` / the ``vm.*`` checks);
 * **Execution modes** — for every runtime backend a scenario's world names
-  (``sim``, ``thread``, ``process``), the distributed run must reproduce the
-  centralized baseline's stdout byte-for-byte and its result exactly, with
-  sane per-node statistics (the ``dist.*`` checks); on the deterministic
-  simulator, deep mode additionally asserts that fast- and reference-path
-  cluster executions are byte-identical down to NodeStats floats
-  (``sim.determinism``).
+  (``sim``, ``thread``, ``process``, ``tcp``), the distributed run must
+  reproduce the centralized baseline's stdout byte-for-byte and its result
+  exactly, with sane per-node statistics (the ``dist.*`` checks); on every
+  undegraded simulator run, the reference, fast and compiled cluster
+  executions must also be byte-identical down to NodeStats floats
+  (``sim.determinism`` and ``sim.determinism.compiled``).
 
 Every distributed check runs through :class:`repro.api.Experiment` — a
 generated program is registered as a transient workload and flows through
@@ -224,18 +224,13 @@ def temp_workload(source: str, name: Optional[str] = None) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # observations
 # ---------------------------------------------------------------------------
-def observe_vm(
-    loaded, slow: bool = False, engine: Optional[str] = None
-) -> Dict[str, Any]:
-    """One full sequential run on the chosen engine; faults are recorded,
-    not raised (their text is part of the observation).  ``engine`` names
-    an execution tier explicitly ("reference", "fast", "compiled");
-    ``slow=True`` is the legacy spelling of ``engine="reference"``."""
+def observe_vm(loaded, engine: str) -> Dict[str, Any]:
+    """One full sequential run on the chosen execution tier ("reference",
+    "fast", "compiled"); faults are recorded, not raised (their text is part
+    of the observation)."""
     from repro.errors import VMError
     from repro.vm.interpreter import Machine, forced_engine, run_sync
 
-    if engine is None:
-        engine = "reference" if slow else "fast"
     machine = Machine(loaded)
     machine.statics = loaded.fresh_statics()
     machine.call_bmethod(loaded.main_method(), None, [None])
@@ -296,7 +291,7 @@ def _vm_differential(outcome: ConformanceOutcome, loaded) -> bool:
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
-def _check_backend(exp, backend: str, deep: bool) -> Tuple[List[Divergence], int]:
+def _check_backend(exp, backend: str) -> Tuple[List[Divergence], int]:
     """Distributed-vs-baseline checks for one Experiment (one backend).
 
     Fault-bearing worlds weaken the contract in exactly one way: a world
@@ -436,7 +431,7 @@ def _check_backend(exp, backend: str, deep: bool) -> Tuple[List[Divergence], int
                 actual=res.distributed.makespan_s,
             )
         )
-    if deep and backend == "sim":
+    if backend == "sim":
         import dataclasses as _dc
 
         from repro.runtime.executor import DistributedExecutor
@@ -476,7 +471,7 @@ def _check_backend(exp, backend: str, deep: bool) -> Tuple[List[Divergence], int
     return divs, checks
 
 
-def check_experiment(exp, deep: bool = False) -> ConformanceOutcome:
+def check_experiment(exp) -> ConformanceOutcome:
     """Conformance-check one configured :class:`~repro.api.Experiment`:
     the VM-engine differential on its compiled workload, then the
     distributed-vs-baseline checks on its configured backend.  This is what
@@ -484,7 +479,7 @@ def check_experiment(exp, deep: bool = False) -> ConformanceOutcome:
     outcome = ConformanceOutcome(name=exp.config.label())
     if _vm_differential(outcome, exp.compile().loaded):
         return outcome
-    divs, checks = _check_backend(exp, exp.config.backend.name, deep)
+    divs, checks = _check_backend(exp, exp.config.backend.name)
     outcome.divergences.extend(divs)
     outcome.checks_run += checks
     return outcome
@@ -493,7 +488,6 @@ def check_experiment(exp, deep: bool = False) -> ConformanceOutcome:
 def check_scenario(
     scenario: Scenario,
     cache=None,
-    deep: bool = False,
     vm_only: bool = False,
 ) -> ConformanceOutcome:
     """Run every conformance check a scenario asks for: the VM-engine
@@ -522,7 +516,7 @@ def check_scenario(
                     cache=cache,
                 )
             )
-            divs, checks = _check_backend(exp, backend, deep)
+            divs, checks = _check_backend(exp, backend)
             outcome.divergences.extend(divs)
             outcome.checks_run += checks
     return outcome
@@ -535,14 +529,11 @@ def minimize_scenario(
     scenario: Scenario,
     outcome: ConformanceOutcome,
     max_evals: int = 120,
-    deep: bool = False,
 ) -> Tuple[Scenario, ConformanceOutcome, int]:
     """Shrink a failing generated scenario while it still reproduces at
-    least one of the original divergence kinds.  ``deep`` must match the
-    mode that found the failure, or deep-only divergences
-    (``sim.determinism``) could never reproduce during shrinking.  Returns
-    the minimized scenario, its (re-checked) outcome and the predicate
-    evaluations used."""
+    least one of the original divergence kinds.  Returns the minimized
+    scenario, its (re-checked) outcome and the predicate evaluations
+    used."""
     from repro.testing.genprog import shrink_program
 
     if scenario.spec is None:
@@ -556,7 +547,7 @@ def minimize_scenario(
             name=scenario.name, source=spec.render(), world=scenario.world,
             spec=spec, gen_seed=scenario.gen_seed,
         )
-        out = check_scenario(cand, deep=deep, vm_only=vm_only)
+        out = check_scenario(cand, vm_only=vm_only)
         return any(d.check in target for d in out.divergences)
 
     shrunk, evals = shrink_program(scenario.spec, reproduces, max_evals=max_evals)
@@ -564,7 +555,7 @@ def minimize_scenario(
         name=scenario.name, source=shrunk.render(), world=scenario.world,
         spec=shrunk, gen_seed=scenario.gen_seed,
     )
-    final = check_scenario(minimized, deep=deep, vm_only=vm_only)
+    final = check_scenario(minimized, vm_only=vm_only)
     if final.ok:  # shrinking must never lose the bug; fall back if it did
         return scenario, outcome, evals
     return minimized, final, evals
@@ -601,7 +592,6 @@ def run_fuzz(
     include_faults: bool = False,
     include_recovery: bool = False,
     include_tcp: bool = False,
-    deep: bool = False,
     shrink_budget: int = 120,
     max_failures: int = 5,
     collect_golden: bool = False,
@@ -638,7 +628,7 @@ def run_fuzz(
             spec=spec,
             gen_seed=cfg.seed,
         )
-        outcome = check_scenario(scenario, cache=cache, deep=deep)
+        outcome = check_scenario(scenario, cache=cache)
         report.scenarios += 1
         report.checks += outcome.checks_run
         if outcome.faulted:
@@ -652,7 +642,7 @@ def run_fuzz(
                 f"({', '.join(sorted({d.check for d in outcome.divergences}))})"
                 f" — minimizing...")
         minimized, final, evals = minimize_scenario(
-            scenario, outcome, max_evals=shrink_budget, deep=deep
+            scenario, outcome, max_evals=shrink_budget
         )
         report.failures.append(
             CounterExample(

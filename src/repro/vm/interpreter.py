@@ -75,7 +75,7 @@ def forced_engine(name: str):
     ``REPRO_VM_ENGINE`` environment variable, in any worker process spawned
     inside the block (the process backend re-reads it at import under
     spawn-style multiprocessing).  This is the axis the conformance oracle
-    and ``repro bench --engine`` differentially test."""
+    differentially tests."""
     global VM_ENGINE
     if name not in ENGINES:
         raise ValueError(f"unknown VM engine {name!r} (choose from {ENGINES})")

@@ -349,6 +349,6 @@ def test_oracle_accepts_degraded_crashy_world():
         "crypt", nparts=2, backend="sim",
         faults=FaultPlan(crashes=((0, 20_000),), seed=3),
     )
-    divs, checks = _check_backend(Experiment(cfg), "sim", deep=False)
+    divs, checks = _check_backend(Experiment(cfg), "sim")
     assert divs == []
     assert checks == 2  # the degraded-mode checks, not the equality suite

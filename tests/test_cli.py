@@ -142,6 +142,18 @@ def test_unknown_backend_rejected(capsys):
     assert "unknown runtime backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distribute", "crypt", "--crash", "x"],
+    ["sweep", "--workloads", "crypt", "--crash", "x"],
+])
+def test_bad_crash_exits_2_with_one_line(capsys, argv):
+    """Every command parses NODE:CYCLE the same way and fails the same way."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: crash must be NODE:CYCLE, got 'x'\n"
+
+
 _CLI = "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -181,63 +193,10 @@ def test_empty_vm_environment_means_the_defaults(monkeypatch):
     assert unset["promotions"] > 0  # the compiled engine
 
 
-def test_bench_command_writes_and_gates(tmp_path, capsys):
-    """`repro bench`: measures both VM paths, writes BENCH_vm.json, and the
-    --check gate passes against the measurement it just produced."""
-    out = tmp_path / "BENCH_vm.json"
-    assert main(["bench", "--workloads", "bank", "--quick",
-                 "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "speedup" in captured.out
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench_vm/2"
-    assert doc["engines"] == ["reference", "fast", "compiled"]
-    bank = doc["workloads"]["bank"]
-    assert bank["interpreter"]["speedup"] > 1.0
-    assert bank["simulator"]["event_reduction"] > 5.0
-    assert doc["summary"]["ips_fast"] > doc["summary"]["ips_slow"]
-
-    assert main(["bench", "--workloads", "bank", "--quick", "--out", "",
-                 "--check", str(out)]) == 0
-    assert "within 30%" in capsys.readouterr().err
-
-
-def test_bench_check_reads_baseline_before_overwrite(tmp_path, capsys):
-    """The documented gate `repro bench --check BENCH_vm.json` writes its
-    fresh measurement over the committed baseline by default — the gate
-    must compare against the baseline as committed, not against itself."""
-    out = tmp_path / "BENCH_vm.json"
-    assert main(["bench", "--workloads", "bank", "--quick",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    doc = json.loads(out.read_text())
-    doc["summary"]["speedup"] = 1000.0  # unreachable: the gate must fail
-    out.write_text(json.dumps(doc))
-    assert main(["bench", "--workloads", "bank", "--quick",
-                 "--out", str(out), "--check", str(out)]) == 1
-    assert "regressed" in capsys.readouterr().err
-
-
-def test_bench_check_rejects_size_mismatch(tmp_path, capsys):
-    """A quick run must not be gated against a full-size baseline — event
-    reduction scales with workload size."""
-    out = tmp_path / "BENCH_vm.json"
-    assert main(["bench", "--workloads", "bank", "--quick",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    doc = json.loads(out.read_text())
-    doc["size"] = "bench"
-    out.write_text(json.dumps(doc))
-    assert main(["bench", "--workloads", "bank", "--quick", "--out", "",
-                 "--check", str(out)]) == 1
-    assert "size mismatch" in capsys.readouterr().err
-
-
 def test_parser_lists_all_workloads():
     parser = build_parser()
     help_text = parser.format_help()
     assert "distribute" in help_text and "analyze" in help_text
-    assert "bench" in help_text
     assert "fuzz" in help_text
 
 

@@ -103,10 +103,32 @@ def test_experiment_conformance_entry_point():
     assert outcome.reference["stdout"]
 
 
-def test_experiment_conformance_deep_sim():
+def test_experiment_conformance_checks_sim_determinism():
+    """Every undegraded sim run is also held byte-identical across the VM
+    tiers: 10 vm.* checks, 4 dist.* checks and the two sim.determinism
+    checks (fast and compiled against the reference cluster run)."""
     exp = Experiment.from_options("bank", backend="sim")
-    outcome = exp.conformance(deep=True)
+    outcome = exp.conformance()
     assert outcome.ok, [d.to_dict() for d in outcome.divergences]
+    assert outcome.checks_run == 10 + 4 + 2
+
+
+def test_sim_determinism_sees_a_nodestats_difference(monkeypatch):
+    """One NodeStats field off in the compiled tier's cluster run is a
+    sim.determinism.compiled divergence, and nothing else."""
+    from repro.runtime import executor
+
+    real_run = executor.DistributedExecutor.run
+
+    def run(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        if self.engine == "compiled":
+            result.node_stats[0].heap_bytes += 1
+        return result
+
+    monkeypatch.setattr(executor.DistributedExecutor, "run", run)
+    outcome = Experiment.from_options("bank", backend="sim").conformance()
+    assert [d.check for d in outcome.divergences] == ["sim.determinism.compiled"]
 
 
 def test_temp_workload_registers_and_cleans_up():

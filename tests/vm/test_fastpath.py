@@ -11,6 +11,8 @@ profiler must transparently fall back to the per-step path with unchanged
 
 import sys
 import pathlib
+import statistics
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
 
@@ -19,9 +21,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import compile_mj
 
+from repro.api import Experiment
+from repro.api.experiment import compile_workload
 from repro.errors import VMError
 from repro.profiler.base import BaselineProfiler, Profiler, attach
-from repro.vm.interpreter import Machine, forced_engine, run_sync
+from repro.runtime.backend import RunPolicy, create_backend
+from repro.vm.interpreter import ENGINES, Machine, forced_engine, run_sync
+from repro.vm.loader import load_program
 from repro.workloads import WORKLOADS
 
 
@@ -65,8 +71,6 @@ def assert_paths_agree(source: str):
 def test_workload_fast_equals_slow(workload):
     """run_block ≡ step on (cycles, steps, result, stdout) for every
     bundled workload."""
-    from repro.api.experiment import compile_workload
-
     loaded = compile_workload(workload, "test").loaded
     fast = _run_path(loaded, slow=False)
     ref = _run_path(loaded, slow=True)
@@ -108,6 +112,83 @@ def test_fast_path_batches_cost_events():
     # a syscall-free program is one block: a single batched cost event
     assert len(ev_fast) == 1
     assert m_fast.stdout == m_ref.stdout
+
+
+#: scheduler events of the 2-node ``test``-size simulator run, per engine:
+#: the reference path surfaces one cost event per instruction, the block
+#: engines one per syscall-free span
+SIM_EVENTS = {
+    "heapsort": {"reference": 96_481, "fast": 51, "compiled": 51},
+    "crypt": {"reference": 198_865, "fast": 29, "compiled": 29},
+}
+
+
+def _sim_run(workload, engine):
+    """One uncached 2-node multilevel run on the simulator; returns
+    (scheduler events, run)."""
+    exp = Experiment.from_options(workload, size="test")
+    rewritten = exp.rewrite().program
+    policy = RunPolicy(main_partition=exp.plan().main_partition)
+    backend = create_backend("sim", exp.cluster())
+    with forced_engine(engine):
+        run = backend.execute(rewritten, load_program(rewritten), policy)
+    return backend.events_processed, run
+
+
+@pytest.mark.parametrize("workload", sorted(SIM_EVENTS))
+def test_sim_events_pinned_per_engine(workload):
+    """Cost batching shrinks the simulator's event count by orders of
+    magnitude, to the exact count pinned here, at identical virtual timing
+    and output."""
+    runs = {engine: _sim_run(workload, engine) for engine in ENGINES}
+    assert {e: events for e, (events, _) in runs.items()} == SIM_EVENTS[workload]
+    ref = runs["reference"][1]
+    for _, run in runs.values():
+        assert run.makespan_s == ref.makespan_s
+        assert run.stdout == ref.stdout
+
+
+# ------------------------------------------------------------------ speed
+#: wall-clock floors at ``test`` size, best of 3: each block engine beats
+#: the tier below it by more than 1.5x on every workload, and on the
+#: geomean by at least 70 % of its measured ratio (fast/reference 3.355,
+#: compiled/fast 4.174)
+PER_WORKLOAD_FLOOR = 1.5
+GEOMEAN_FLOOR = {"fast": 2.348, "compiled": 2.922}
+
+
+def _best_wall(loaded, engine, repeats=3):
+    """Best-of-``repeats`` sequential run; returns (machine, seconds)."""
+    best = None
+    with forced_engine(engine):
+        for _ in range(repeats):
+            machine = Machine(loaded)
+            machine.statics = loaded.fresh_statics()
+            machine.call_bmethod(loaded.main_method(), None, [None])
+            t0 = time.perf_counter()
+            run_sync(machine)
+            wall = time.perf_counter() - t0
+            best = wall if best is None else min(best, wall)
+    return machine, max(best, 1e-9)
+
+
+def test_block_engines_beat_the_tier_below():
+    """fast beats reference and compiled beats fast, on identical steps
+    and cycles."""
+    ratios = {"fast": [], "compiled": []}
+    for workload in sorted(SIM_EVENTS):
+        loaded = compile_workload(workload, "test").loaded
+        runs = {engine: _best_wall(loaded, engine) for engine in ENGINES}
+        assert len({(m.steps, m.cycles) for m, _ in runs.values()}) == 1
+        for engine, below in (("fast", "reference"), ("compiled", "fast")):
+            ratio = runs[below][1] / runs[engine][1]
+            assert ratio > PER_WORKLOAD_FLOOR, (
+                f"{workload}: {engine} only {ratio:.2f}x over {below}"
+            )
+            ratios[engine].append(ratio)
+    for engine, floor in GEOMEAN_FLOOR.items():
+        geomean = statistics.geometric_mean(ratios[engine])
+        assert geomean >= floor, f"{engine}: geomean {geomean:.2f}x < {floor}x"
 
 
 def test_sys_time_sees_in_flight_block_cycles():
