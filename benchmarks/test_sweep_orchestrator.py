@@ -44,4 +44,5 @@ def test_sweep_grid_with_cache(benchmark, timing_dir):
     assert warm.cache_misses == 0
     assert warm.table() == cold.table()
     for r in cold.records:
-        assert r.speedup_pct > 0 and r.messages >= 1, r.config.label()
+        rep = r.report
+        assert rep.speedup_pct > 0 and rep.messages >= 1, r.config.label()

@@ -439,10 +439,25 @@ class ExperimentConfig(_Config):
         }
         return cls(**kwargs)
 
+    def fault_tags(self) -> str:
+        """``/crashN:C`` per planned crash and ``/recI`` for a checkpoint
+        interval — what tells a fault run apart from the fault-free one
+        ("" for that); a sweep table's backend cell carries them."""
+        faults, recovery = self.cluster.faults, self.cluster.recovery
+        tags = "".join(
+            f"/crash{node}:{cycle}"
+            for node, cycle in (faults.crashes if faults is not None else ())
+        )
+        if recovery is not None and recovery.enabled:
+            tags += f"/rec{recovery.interval}"
+        return tags
+
     def label(self) -> str:
-        """Compact human identifier (sweep tables, event streams)."""
+        """Compact human identifier (sweep tables, event streams): the
+        fault tags, then ``/serve`` for a forced distribution."""
+        serve = "/serve" if self.partition.force_distribution else ""
         return (
             f"{self.workload.name}/{self.partition.method}"
             f"/k{self.partition.nparts}/{self.cluster.network}"
-            f"/{self.backend.name}"
+            f"/{self.backend.name}{self.fault_tags()}{serve}"
         )

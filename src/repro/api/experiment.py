@@ -553,6 +553,20 @@ class Experiment:
         )
         return rmap or None
 
+    def execute(self, engine: Optional[str] = None) -> DistributedResult:
+        """One distributed execution of the rewritten program on the
+        configured backend, never cached (:meth:`run` caches it on the
+        deterministic simulator).  ``engine`` overrides the configured VM
+        tier, which is how the oracle compares the three on one cluster."""
+        backend = self.config.backend
+        return DistributedExecutor(
+            self.rewrite().program, self.plan(), self.cluster(),
+            async_writes=backend.async_writes, backend=backend.name,
+            faults=self.config.cluster.faults, replicas=self.replicas(),
+            engine=engine or backend.engine,
+            recovery=self.config.cluster.recovery,
+        ).run(max_events=backend.max_events)
+
     def run(self) -> ExperimentResult:
         """The full chain: baseline, plan, rewrite, distributed execution,
         output-equivalence check, speedup — one typed result + report."""
@@ -563,20 +577,7 @@ class Experiment:
         seq = self.baseline()
         plan = self.plan()
         rewritten = self.rewrite()
-        backend = self.config.backend
-
-        replicas = self.replicas()
-
-        def execute() -> DistributedResult:
-            return DistributedExecutor(
-                rewritten.program, plan, cluster,
-                async_writes=backend.async_writes, backend=backend.name,
-                faults=self.config.cluster.faults, replicas=replicas,
-                engine=backend.engine,
-                recovery=self.config.cluster.recovery,
-            ).run(max_events=backend.max_events)
-
-        if backend.is_virtual:
+        if self.config.backend.is_virtual:
             # only the simulator is deterministic; wall-clock backends must
             # really execute every time
             dist = self._stage(
@@ -588,11 +589,11 @@ class Experiment:
                         "config": self.config.to_dict(),
                         "cluster": cluster_signature(cluster),
                     },
-                    execute,
+                    self.execute,
                 ),
             )
         else:
-            dist = self._stage("execute", lambda: (execute(), False))
+            dist = self._stage("execute", lambda: (self.execute(), False))
 
         if (
             not dist.degraded
@@ -665,12 +666,12 @@ class Experiment:
         dist = self._artifacts.get("execute")
         report.replication = self.config.partition.replication
         report.vm_engine = self.config.backend.engine
-        jit: Dict[str, int] = {}
-        for res in (seq, dist):
-            for key, value in (getattr(res, "jit", None) or {}).items():
-                jit[key] = jit.get(key, 0) + value
-        if seq is not None or dist is not None:
-            report.jit = jit
+        runs = [res for res in (seq, dist) if res is not None]
+        if runs:
+            report.jit = {}
+            for res in runs:
+                for key, value in res.jit.items():
+                    report.jit[key] = report.jit.get(key, 0) + value
         if seq is not None:
             # the Figure 11 rule keeps the ratio commensurable: virtual
             # seconds on the simulator, measured wall seconds elsewhere
@@ -687,23 +688,16 @@ class Experiment:
             report.messages = dist.total_messages
             report.bytes = dist.total_bytes
             report.node_stats = [asdict(ns) for ns in dist.node_stats]
-            report.faults = [
-                f if isinstance(f, dict) else f.to_dict() for f in dist.faults
-            ]
+            report.faults = [f.to_dict() for f in dist.faults]
             report.degraded = dist.degraded
-            report.recovered = [
-                f if isinstance(f, dict) else f.to_dict()
-                for f in (getattr(dist, "recovered", None) or [])
-            ]
-            report.checkpoint_overhead_cycles = getattr(
-                dist, "checkpoint_overhead_cycles", 0
-            )
-            report.recovery_cycles = getattr(dist, "recovery_cycles", 0)
+            report.recovered = [f.to_dict() for f in dist.recovered]
+            report.checkpoint_overhead_cycles = dist.checkpoint_overhead_cycles
+            report.recovery_cycles = dist.recovery_cycles
             from repro.runtime.backend import latency_summary
 
             served = sum(ns.requests_served for ns in dist.node_stats)
             report.throughput_rps = served / max(dist.makespan_s, 1e-9)
-            lat = latency_summary(getattr(dist, "latency_s", None))
+            lat = latency_summary(dist.latency_s)
             report.latency_count = lat["latency_count"]
             report.latency_p50_ms = lat["latency_p50_ms"]
             report.latency_p95_ms = lat["latency_p95_ms"]

@@ -10,7 +10,6 @@ here would cycle back through ``repro.api.experiment`` →
 from repro.harness.cache import StageCache, default_cache, reset_default_cache
 
 _EXPORTS = {
-    "SweepConfig": "repro.harness.sweep",
     "SweepRecord": "repro.harness.sweep",
     "SweepResult": "repro.harness.sweep",
     "SweepRunner": "repro.harness.sweep",

@@ -1,14 +1,16 @@
-"""Batch sweep orchestration: grids of pipeline configurations.
+"""Batch sweep orchestration: grids of experiment configurations.
 
 The paper's evaluation is a family of tables that all re-run the same
 front-end (compile → RTA → CRG/ODG) while varying only downstream knobs —
-partitioner, node count, network, granularity, runtime backend.
-``SweepRunner`` makes that cheap: each configuration is one
-:class:`repro.api.Experiment` routed through the content-addressed
-:class:`~repro.harness.cache.StageCache`, so within a sweep every workload
-compiles once, is analyzed once per (nparts, method), and — because the
-cluster runtime is a deterministic discrete-event simulation — even
-executions are memoized across repeated runs.
+partitioner, node count, network, granularity, runtime backend.  A grid
+point is an :class:`~repro.api.config.ExperimentConfig` (``sweep_grid``
+builds the cross product) and its row is the
+:class:`~repro.api.report.Report` one :class:`repro.api.Experiment` run
+emits.  ``SweepRunner`` makes the grid cheap: every run goes through the
+content-addressed :class:`~repro.harness.cache.StageCache`, so within a
+sweep every workload compiles once, is analyzed once per (nparts, method),
+and — because the cluster runtime is a deterministic discrete-event
+simulation — even executions are memoized across repeated runs.
 
 Fan-out: ``SweepRunner(configs, workers=N)`` spreads configurations over a
 ``concurrent.futures`` process pool; each worker process holds its own
@@ -25,96 +27,20 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 from repro.api.config import ExperimentConfig, crash_plan, roster_endpoints
 from repro.api.experiment import Experiment
 from repro.api.report import Report
 from repro.errors import ReproError
 from repro.harness.cache import StageCache, default_cache
-from repro.runtime.cluster import NETWORKS, ClusterSpec  # noqa: F401  (re-export)
-from repro.runtime.executor import NodeStats, aggregate_node_stats
+from repro.runtime.checkpoint import RecoveryPlan
 from repro.workloads import TABLE1_ORDER
 
 
 class SweepError(ReproError):
     """Bad sweep configuration."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One point of the sweep grid.  Frozen + primitive fields only: the
-    config is both the process-pool task payload and the flat-kwargs shape
-    behind one :class:`~repro.api.config.ExperimentConfig`.  Validation
-    happens by building that typed config — unknown plugin names raise
-    :class:`~repro.errors.UnknownPluginError`, bad values
-    :class:`~repro.errors.ConfigError`."""
-
-    workload: str
-    size: str = "test"
-    method: str = "multilevel"
-    nparts: int = 2
-    network: str = "ethernet_100m"
-    granularity: str = "class"
-    backend: str = "sim"
-    #: planned crash as "node:cycle" ("" = fault-free) — the fault the
-    #: recovery axis masks
-    crash: str = ""
-    #: checkpoint interval in cycles (0 = recovery off); a non-zero value
-    #: puts the recovery tier's overhead/latency on the sweep axis
-    recovery_interval: int = 0
-    #: service deployment: force a genuine distribution even when the
-    #: makespan objective would co-locate (open-loop service workloads
-    #: need remote round-trips for throughput/latency to mean anything)
-    serve: bool = False
-    #: comma-separated ``host:port`` endpoints for socket backends
-    #: ("" = localhost ephemeral ports)
-    roster: str = ""
-
-    def __post_init__(self) -> None:
-        self.experiment_config()  # validates every field
-
-    def _recovery(self):
-        if self.recovery_interval <= 0:
-            return None
-        from repro.runtime.checkpoint import RecoveryPlan
-
-        return RecoveryPlan(interval=self.recovery_interval)
-
-    def experiment_config(self) -> ExperimentConfig:
-        """The typed config this grid point denotes."""
-        return ExperimentConfig.from_options(
-            self.workload, size=self.size, method=self.method,
-            nparts=self.nparts, granularity=self.granularity,
-            network=self.network, backend=self.backend,
-            faults=crash_plan(self.crash), recovery=self._recovery(),
-            force_distribution=self.serve,
-            roster=roster_endpoints(self.roster),
-        )
-
-    def key(self) -> dict:
-        return asdict(self)
-
-    def label(self) -> str:
-        tags = ""
-        if self.crash:
-            tags += f"/crash{self.crash}"
-        if self.recovery_interval > 0:
-            tags += f"/rec{self.recovery_interval}"
-        if self.serve:
-            tags += "/serve"
-        return (
-            f"{self.workload}/{self.method}/k{self.nparts}/{self.network}"
-            f"/{self.backend}{tags}"
-        )
-
-
-def build_cluster(cfg: SweepConfig) -> ClusterSpec:
-    """The cluster a configuration runs on: the paper's heterogeneous
-    two-node testbed for ``nparts == 2``, a homogeneous cluster otherwise,
-    with the link swapped for the configured network preset."""
-    return cfg.experiment_config().cluster.build(cfg.nparts)
 
 
 def sweep_grid(
@@ -129,19 +55,26 @@ def sweep_grid(
     recovery_intervals: Sequence[int] = (0,),
     serve: bool = False,
     roster: str = "",
-) -> List[SweepConfig]:
+) -> List[ExperimentConfig]:
     """The full cross product (workload × method × nparts × network ×
-    backend × recovery interval).  ``recovery_intervals`` puts the
+    backend × recovery interval), validated as it is built: unknown plugin
+    names raise :class:`~repro.errors.UnknownPluginError`, bad values
+    :class:`~repro.errors.ConfigError`.  ``recovery_intervals`` puts the
     checkpoint cadence on an axis (0 = recovery off); pair it with
     ``crash="node:cycle"`` to measure what masking that crash costs at
-    each cadence."""
+    each cadence.  ``serve`` forces a genuine distribution (open-loop
+    service workloads need remote round-trips); ``roster`` lists
+    ``host:port`` endpoints for socket backends."""
     names = list(workloads) if workloads is not None else list(TABLE1_ORDER)
+    faults = crash_plan(crash)
+    endpoints = roster_endpoints(roster)
     return [
-        SweepConfig(
-            workload=name, size=size, method=method, nparts=nparts,
-            network=network, granularity=granularity, backend=backend,
-            crash=crash, recovery_interval=interval, serve=serve,
-            roster=roster,
+        ExperimentConfig.from_options(
+            name, size=size, method=method, nparts=nparts,
+            granularity=granularity, network=network, backend=backend,
+            faults=faults,
+            recovery=RecoveryPlan(interval=interval) if interval > 0 else None,
+            force_distribution=serve, roster=endpoints,
         )
         for name in names
         for method in methods
@@ -154,103 +87,90 @@ def sweep_grid(
 
 @dataclass
 class SweepRecord:
-    """Result of one configuration: virtual measurements + cache telemetry."""
+    """One grid point: the :class:`Report` its run emitted — or, for a
+    failed point, why there is none — plus the stage-cache calls and wall
+    time the point cost."""
 
-    config: SweepConfig
-    sequential_s: float
-    distributed_s: float
-    speedup_pct: float
-    messages: int
-    bytes: int
-    edgecut: float
-    rewrites: int
-    node_stats: List[NodeStats] = field(default_factory=list)
+    config: ExperimentConfig
+    report: Optional[Report] = None
+    #: why this grid point produced no report (None = it ran clean); a
+    #: failing config yields an error record, never aborts the sweep
+    error: Optional[str] = None
     cache_hits: int = 0
     cache_misses: int = 0
     elapsed_s: float = 0.0
-    #: the structured per-run record the --json CLI flag serializes
-    report: Optional[Report] = None
-    #: why this grid point produced no measurements (None = it ran clean);
-    #: a failing config yields an error record, never aborts the sweep
-    error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
-    @property
-    def aggregate(self) -> Dict[str, float]:
-        return aggregate_node_stats(self.node_stats)
 
-
-def error_record(
-    cfg: SweepConfig,
-    error: str,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    elapsed_s: float = 0.0,
+def run_config(
+    config: ExperimentConfig, cache: Optional[StageCache] = None
 ) -> SweepRecord:
-    """The zero-measurement record a failed grid point contributes."""
-    return SweepRecord(
-        config=cfg,
-        sequential_s=0.0,
-        distributed_s=0.0,
-        speedup_pct=0.0,
-        messages=0,
-        bytes=0,
-        edgecut=0.0,
-        rewrites=0,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        elapsed_s=elapsed_s,
-        error=error,
-    )
-
-
-def run_config(cfg: SweepConfig, cache: Optional[StageCache] = None) -> SweepRecord:
     """One grid point end to end — a thin consumer of
-    :class:`repro.api.Experiment`, every stage through ``cache``.  An
+    :class:`repro.api.Experiment`, every stage through ``cache`` (the
+    process default when None, which is what a pool worker uses).  An
     infrastructure failure (a diverged run, a backend fault) becomes an
     error record with real cache/elapsed telemetry, so one poisoned config
     cannot take down the rest of the grid."""
     cache = cache if cache is not None else default_cache()
     hits0, misses0 = cache.counts()
     t0 = time.perf_counter()
-
+    record = SweepRecord(config)
     try:
-        res = Experiment(cfg.experiment_config(), cache=cache).run()
+        record.report = Experiment(config, cache=cache).run().report
     except ReproError as exc:
-        hits1, misses1 = cache.counts()
-        return error_record(
-            cfg,
-            f"{type(exc).__name__}: {exc}",
-            cache_hits=hits1 - hits0,
-            cache_misses=misses1 - misses0,
-            elapsed_s=time.perf_counter() - t0,
-        )
-
+        record.error = f"{type(exc).__name__}: {exc}"
     hits1, misses1 = cache.counts()
-    return SweepRecord(
-        config=cfg,
-        sequential_s=res.sequential_s,
-        distributed_s=res.distributed_s,
-        speedup_pct=res.speedup_pct,
-        messages=res.messages,
-        bytes=res.bytes,
-        edgecut=res.plan.edgecut,
-        rewrites=res.rewrite_stats.total,
-        node_stats=res.distributed.node_stats,
-        cache_hits=hits1 - hits0,
-        cache_misses=misses1 - misses0,
-        elapsed_s=time.perf_counter() - t0,
-        report=res.report,
+    record.cache_hits = hits1 - hits0
+    record.cache_misses = misses1 - misses0
+    record.elapsed_s = time.perf_counter() - t0
+    return record
+
+
+#: the measurement cells of a grid point that produced no report
+_ERROR_CELLS = [
+    "0.000", "0.000", "0.0", 0, 0, "0", 0, "0.0", "-", "-", "-", "-", "ERROR",
+]
+
+
+def _opt(value: Optional[float], fmt: str) -> str:
+    return format(value, fmt) if value is not None else "-"
+
+
+def _row(r: SweepRecord) -> list:
+    cfg = r.config
+    head = [
+        cfg.workload.name,
+        cfg.partition.method,
+        cfg.partition.nparts,
+        cfg.cluster.network,
+        cfg.backend.name + cfg.fault_tags(),
+    ]
+    rep = r.report
+    if rep is None:
+        return head + _ERROR_CELLS
+    # fault-free grids render "ok"; fault/recovery axes say what actually
+    # happened to the run
+    status = "recovered" if rep.recovered else (
+        "degraded" if rep.degraded else "ok"
     )
-
-
-def _run_config_in_worker(cfg: SweepConfig) -> SweepRecord:
-    """Process-pool entry point: each worker uses its own default cache,
-    warm across the configs the pool hands it."""
-    return run_config(cfg, default_cache())
+    return head + [
+        f"{rep.sequential_s * 1e3:.3f}",
+        f"{rep.distributed_s * 1e3:.3f}",
+        f"{rep.speedup_pct:.1f}",
+        rep.messages,
+        rep.bytes,
+        f"{rep.partition['edgecut']:.0f}",
+        rep.rewrites,
+        f"{100.0 * rep.aggregate()['busy_frac']:.1f}",
+        _opt(rep.throughput_rps, ".0f"),
+        _opt(rep.latency_p50_ms, ".3f"),
+        _opt(rep.latency_p95_ms, ".3f"),
+        _opt(rep.latency_p99_ms, ".3f"),
+        status,
+    ]
 
 
 @dataclass
@@ -275,49 +195,14 @@ class SweepResult:
 
     # -------------------------------------------------------------- rendering
     def table(self) -> str:
-        """Result table.  For ``sim``-backend grids it contains virtual
-        quantities only, so cached and uncached runs render byte-identically;
-        wall-clock backends report measured times that naturally vary."""
+        """Result table, one row per record, every cell read from its
+        config and report.  For ``sim``-backend grids it contains virtual
+        quantities only, so cached and uncached runs render
+        byte-identically; wall-clock backends report measured times that
+        naturally vary.  The backend cell carries the config's crash and
+        recovery tags, so fault rows stay apart."""
         from repro.harness.tables import _fmt_table
 
-        rows = []
-        for r in self.records:
-            agg = r.aggregate if r.ok else {"busy_frac": 0.0}
-            status = "ok" if r.ok else "ERROR"
-            if r.ok and r.report is not None:
-                # fault-free grids keep rendering "ok" byte-identically;
-                # fault/recovery axes say what actually happened to the run
-                if r.report.recovered:
-                    status = "recovered"
-                elif r.report.degraded:
-                    status = "degraded"
-            rep = r.report
-            tput = rep.throughput_rps if rep is not None else None
-            p50 = rep.latency_p50_ms if rep is not None else None
-            p95 = rep.latency_p95_ms if rep is not None else None
-            p99 = rep.latency_p99_ms if rep is not None else None
-            rows.append(
-                [
-                    r.config.workload,
-                    r.config.method,
-                    r.config.nparts,
-                    r.config.network,
-                    r.config.backend,
-                    f"{r.sequential_s * 1e3:.3f}",
-                    f"{r.distributed_s * 1e3:.3f}",
-                    f"{r.speedup_pct:.1f}",
-                    r.messages,
-                    r.bytes,
-                    f"{r.edgecut:.0f}",
-                    r.rewrites,
-                    f"{100.0 * agg['busy_frac']:.1f}",
-                    f"{tput:.0f}" if tput is not None else "-",
-                    f"{p50:.3f}" if p50 is not None else "-",
-                    f"{p95:.3f}" if p95 is not None else "-",
-                    f"{p99:.3f}" if p99 is not None else "-",
-                    status,
-                ]
-            )
         return _fmt_table(
             [
                 "workload", "method", "k", "network", "backend", "seq ms",
@@ -325,7 +210,7 @@ class SweepResult:
                 "rewrites", "busy %", "tput r/s", "p50 ms", "p95 ms",
                 "p99 ms", "status",
             ],
-            rows,
+            [_row(r) for r in self.records],
         )
 
     def summary(self) -> str:
@@ -341,15 +226,16 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         """Machine-readable sweep outcome: one
-        :class:`~repro.api.report.Report` dict per grid point plus the
-        cache telemetry (what ``repro sweep --json`` emits)."""
+        :class:`~repro.api.report.Report` dict per grid point (None for a
+        failed one), each failure's nested config and error, plus the cache
+        telemetry (what ``repro sweep --json`` emits)."""
         return {
             "records": [
                 r.report.to_dict() if r.report is not None else None
                 for r in self.records
             ],
             "errors": [
-                {"config": r.config.key(), "error": r.error}
+                {"config": r.config.to_dict(), "error": r.error}
                 for r in self.records
                 if r.error is not None
             ],
@@ -367,12 +253,13 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Fan a grid of :class:`SweepConfig` across a process pool (or run
-    serially for ``workers <= 1``) and aggregate the records in grid order."""
+    """Fan a grid of :class:`~repro.api.config.ExperimentConfig` across a
+    process pool (or run serially for ``workers <= 1``) and aggregate the
+    records in grid order."""
 
     def __init__(
         self,
-        configs: Iterable[SweepConfig],
+        configs: Iterable[ExperimentConfig],
         workers: int = 0,
         cache: Optional[StageCache] = None,
     ) -> None:
@@ -398,18 +285,14 @@ class SweepRunner:
             # yields an error record for that grid point instead of
             # aborting the whole sweep
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(_run_config_in_worker, cfg)
-                    for cfg in self.configs
-                ]
+                futures = [pool.submit(run_config, c) for c in self.configs]
                 records = []
                 for cfg, fut in zip(self.configs, futures):
                     try:
                         records.append(fut.result())
                     except Exception as exc:  # BrokenProcessPool et al.
-                        records.append(
-                            error_record(cfg, f"{type(exc).__name__}: {exc}")
-                        )
+                        error = f"{type(exc).__name__}: {exc}"
+                        records.append(SweepRecord(cfg, error=error))
         else:
             records = [run_config(cfg, self.cache) for cfg in self.configs]
         return SweepResult(

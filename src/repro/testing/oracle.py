@@ -373,9 +373,7 @@ def _check_backend(exp, backend: str) -> Tuple[List[Divergence], int]:
             for f in res.distributed.faults
             if f.kind in ("crash", "worker_lost")
         }
-        masked = {
-            f.node for f in (getattr(res.distributed, "recovered", None) or [])
-        }
+        masked = {f.node for f in res.distributed.recovered}
         if not crashed <= masked:
             divs.append(
                 Divergence(
@@ -434,18 +432,8 @@ def _check_backend(exp, backend: str) -> Tuple[List[Divergence], int]:
     if backend == "sim":
         import dataclasses as _dc
 
-        from repro.runtime.executor import DistributedExecutor
-
         def cluster_run(engine: str):
-            run = DistributedExecutor(
-                exp.rewrite().program, exp.plan(), cluster,
-                async_writes=exp.config.backend.async_writes,
-                backend="sim",
-                faults=plan_faults,
-                replicas=exp.replicas(),
-                engine=engine,
-                recovery=rec_plan,
-            ).run()
+            run = exp.execute(engine)
             return (
                 run.stdout, run.result, run.makespan_s,
                 run.total_messages, run.total_bytes,

@@ -4,18 +4,24 @@ run is at least 2x faster thanks to the stage cache."""
 
 import pytest
 
+from repro.api.config import ExperimentConfig
 from repro.errors import ConfigError, ReproError, UnknownPluginError
 from repro.harness.cache import StageCache
 from repro.harness.sweep import (
-    NETWORKS,
-    SweepConfig,
     SweepError,
+    SweepRecord,
     SweepRunner,
-    build_cluster,
     run_config,
     sweep_grid,
 )
+from repro.runtime.cluster import NETWORKS
 from repro.workloads import TABLE1_ORDER
+
+
+def point(workload="bank", **options):
+    """The one grid point ``sweep_grid`` builds from these options."""
+    (config,) = sweep_grid(workloads=[workload], **options)
+    return config
 
 
 # ------------------------------------------------------------------ grid
@@ -32,21 +38,22 @@ def test_sweep_grid_is_full_cross_product():
 
 def test_sweep_grid_defaults_to_table1_workloads():
     grid = sweep_grid()
-    assert [c.workload for c in grid] == list(TABLE1_ORDER)
+    assert [c.workload.name for c in grid] == list(TABLE1_ORDER)
+    assert all(isinstance(c, ExperimentConfig) for c in grid)
 
 
 def test_config_validation():
     # unknown plugin names share one failure mode across every axis
     with pytest.raises(UnknownPluginError, match="unknown workload"):
-        SweepConfig(workload="nosuch")
+        sweep_grid(workloads=["nosuch"])
     with pytest.raises(UnknownPluginError, match="unknown network preset"):
-        SweepConfig(workload="bank", network="carrier-pigeon")
+        sweep_grid(workloads=["bank"], networks=("carrier-pigeon",))
     with pytest.raises(ConfigError, match="nparts"):
-        SweepConfig(workload="bank", nparts=0)
+        sweep_grid(workloads=["bank"], cluster_sizes=(0,))
     with pytest.raises(UnknownPluginError, match="unknown runtime backend"):
-        SweepConfig(workload="bank", backend="carrier-pigeon")
+        sweep_grid(workloads=["bank"], backends=("carrier-pigeon",))
     with pytest.raises(UnknownPluginError, match="unknown partition method"):
-        SweepConfig(workload="bank", method="annealing")
+        sweep_grid(workloads=["bank"], methods=("annealing",))
     assert issubclass(SweepError, ReproError)
     assert issubclass(UnknownPluginError, ReproError)
 
@@ -55,22 +62,20 @@ def test_backend_is_a_sweep_axis():
     grid = sweep_grid(
         workloads=["bank"], methods=("multilevel",), backends=("sim", "thread")
     )
-    assert [c.backend for c in grid] == ["sim", "thread"]
-    assert all(c.label().endswith(c.backend) for c in grid)
+    assert [c.backend.name for c in grid] == ["sim", "thread"]
+    assert all(c.label().endswith(c.backend.name) for c in grid)
 
 
 def test_run_config_on_thread_backend_reports_wall_time():
-    rec = run_config(
-        SweepConfig(workload="bank", backend="thread"), cache=StageCache()
-    )
-    assert rec.distributed_s > 0
-    assert rec.messages >= 1
+    rec = run_config(point(backends=("thread",)), cache=StageCache())
+    assert rec.report.distributed_s > 0
+    assert rec.report.messages >= 1
     # wall-clock executions never come from the execute cache: a repeat run
     # really executes (hits only on the pure upstream stages)
     cache = StageCache()
-    run_config(SweepConfig(workload="bank", backend="thread"), cache=cache)
+    run_config(point(backends=("thread",)), cache=cache)
     h0, m0 = cache.counts()
-    run_config(SweepConfig(workload="bank", backend="thread"), cache=cache)
+    run_config(point(backends=("thread",)), cache=cache)
     h1, m1 = cache.counts()
     assert m1 == m0  # no new misses: upstream all cached
     assert h1 > h0
@@ -87,39 +92,49 @@ def test_explicit_cache_with_pool_rejected():
         SweepRunner(grid, workers=2, cache=StageCache())
 
 
-def test_build_cluster_respects_network_and_size():
-    two = build_cluster(SweepConfig(workload="bank", network="wireless_80211b"))
+def test_cluster_build_respects_network_and_size():
+    config = point(networks=("wireless_80211b",))
+    two = config.cluster.build(config.partition.nparts)
     assert two.size == 2
     assert two.link.latency_s == NETWORKS["wireless_80211b"]().latency_s
     # nparts == 2 keeps the paper's heterogeneous testbed
     assert {n.cpu_hz for n in two.nodes} == {1.7e9, 800e6}
-    four = build_cluster(SweepConfig(workload="bank", nparts=4))
+    config = point(cluster_sizes=(4,))
+    four = config.cluster.build(config.partition.nparts)
     assert four.size == 4
 
 
 # ------------------------------------------------------------------ records
 def test_run_config_record_is_sane():
-    rec = run_config(SweepConfig(workload="method"), cache=StageCache())
-    assert rec.sequential_s > 0 and rec.distributed_s > 0
-    assert rec.speedup_pct == pytest.approx(
-        100.0 * rec.sequential_s / rec.distributed_s
+    rec = run_config(point("method"), cache=StageCache())
+    rep = rec.report
+    assert rep.sequential_s > 0 and rep.distributed_s > 0
+    assert rep.speedup_pct == pytest.approx(
+        100.0 * rep.sequential_s / rep.distributed_s
     )
-    assert rec.messages >= 1
-    assert len(rec.node_stats) == 2
-    agg = rec.aggregate
-    assert agg["messages_sent"] == rec.messages
+    assert rep.messages >= 1
+    assert len(rep.node_stats) == 2
+    agg = rep.aggregate()
+    assert agg["messages_sent"] == rep.messages
     assert 0.0 < agg["busy_frac"] <= 1.0
     assert rec.cache_misses > 0  # cold cache built every stage
+
+
+def test_record_holds_only_what_a_report_lacks():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(SweepRecord)] == [
+        "config", "report", "error", "cache_hits", "cache_misses",
+        "elapsed_s",
+    ]
 
 
 @pytest.mark.parametrize("method", ("spectral", "random"))
 def test_run_config_divergence_guard_covers_all_methods(method):
     """run_config raises if distributed output diverges from the baseline;
     the methods outside the differential grid go through it cleanly too."""
-    rec = run_config(
-        SweepConfig(workload="bank", method=method), cache=StageCache()
-    )
-    assert rec.distributed_s > 0
+    rec = run_config(point(methods=(method,)), cache=StageCache())
+    assert rec.report.distributed_s > 0
 
 
 # ------------------------------------------------------------------ acceptance
@@ -168,6 +183,28 @@ def test_process_pool_matches_serial():
     assert [r.config for r in pooled.records] == [r.config for r in serial.records]
 
 
+def test_pooled_rows_are_the_serial_reports():
+    """A pool worker sends back the same ExperimentConfig and the same
+    Report a serial run builds, apart from what depends on the process's
+    history: stage timings, cache flags (each worker warms its own cache
+    shard) and JIT counters (a region compiles once per process)."""
+
+    def rows(result):
+        out = []
+        for r in result.records:
+            report = r.report.to_dict()
+            for key in ("stages", "cache_hits", "cache_misses", "jit"):
+                del report[key]
+            out.append((r.config, report))
+        return out
+
+    grid = sweep_grid(workloads=["bank", "method"], methods=("multilevel", "kl"))
+    serial = SweepRunner(grid, cache=StageCache()).run()
+    pooled = SweepRunner(grid, workers=2).run()
+    assert all(isinstance(c, ExperimentConfig) for c, _ in rows(pooled))
+    assert rows(pooled) == rows(serial)
+
+
 # ------------------------------------------------------------- fault isolation
 def _poison(monkeypatch, bad_workload, action="raise"):
     """Make Experiment.run fail for one workload.  Patched on the sweep
@@ -193,18 +230,19 @@ def test_serial_sweep_survives_poisoned_config(monkeypatch):
     _poison(monkeypatch, "method")
     grid = sweep_grid(workloads=["bank", "method", "crypt"])
     result = SweepRunner(grid, cache=StageCache()).run()
-    assert [r.config.workload for r in result.records] == [
+    assert [r.config.workload.name for r in result.records] == [
         "bank", "method", "crypt"
     ]  # grid order survives the failure
     bad = result.records[1]
     assert not bad.ok and "poisoned config" in bad.error
-    assert bad.distributed_s == 0.0 and bad.node_stats == []
+    assert bad.report is None
     good = [result.records[0], result.records[2]]
-    assert all(r.ok and r.distributed_s > 0 for r in good)
+    assert all(r.ok and r.report.distributed_s > 0 for r in good)
     assert "1 config(s) FAILED" in result.summary()
     assert result.table().count("ERROR") == 1
     errs = result.to_dict()["errors"]
-    assert len(errs) == 1 and errs[0]["config"]["workload"] == "method"
+    assert len(errs) == 1 and errs[0]["config"] == bad.config.to_dict()
+    assert errs[0]["config"]["workload"]["name"] == "method"
 
 
 def test_pooled_sweep_survives_poisoned_config(monkeypatch):
@@ -212,7 +250,7 @@ def test_pooled_sweep_survives_poisoned_config(monkeypatch):
     grid = sweep_grid(workloads=["bank", "method", "crypt"])
     result = SweepRunner(grid, workers=2).run()
     assert len(result.records) == len(grid)
-    statuses = {r.config.workload: r.ok for r in result.records}
+    statuses = {r.config.workload.name: r.ok for r in result.records}
     assert statuses == {"bank": True, "method": False, "crypt": True}
 
 
@@ -225,7 +263,7 @@ def test_pooled_sweep_survives_dead_worker(monkeypatch):
     result = SweepRunner(grid, workers=2).run()
     assert len(result.records) == len(grid)
     assert [r.config for r in result.records] == list(grid)
-    bad = next(r for r in result.records if r.config.workload == "method")
+    bad = next(r for r in result.records if r.config.workload.name == "method")
     assert not bad.ok
     assert sum(1 for r in result.records if not r.ok) >= 1
 
@@ -248,7 +286,7 @@ def test_pooled_sweep_carries_cache_counters_back():
 
 
 # ----------------------------------------------------- bind failure (tcp cells)
-def test_tcp_bind_failure_becomes_per_config_error_record():
+def test_tcp_bind_failure_becomes_a_failed_record():
     """PR 6 hardening, extended to the tcp backend: a grid cell whose
     roster port is already occupied must produce a per-config error record
     — the sweep keeps going and the other cells stay clean."""
@@ -273,14 +311,14 @@ def test_tcp_bind_failure_becomes_per_config_error_record():
     finally:
         blocker.close()
     assert len(result.records) == 2
-    by_backend = {r.config.backend: r for r in result.records}
+    by_backend = {r.config.backend.name: r for r in result.records}
     assert by_backend["sim"].ok
     bad = by_backend["tcp"]
     assert not bad.ok
     assert "cannot bind" in bad.error and str(port) in bad.error
     assert "1 config(s) FAILED" in result.summary()
     errs = result.to_dict()["errors"]
-    assert len(errs) == 1 and errs[0]["config"]["backend"] == "tcp"
+    assert len(errs) == 1 and errs[0]["config"]["backend"]["name"] == "tcp"
 
 
 def test_tcp_bind_failure_does_not_poison_the_pool():
@@ -306,7 +344,8 @@ def test_tcp_bind_failure_does_not_poison_the_pool():
         blocker.close()
     assert len(result.records) == len(grid)
     statuses = {
-        (r.config.workload, r.config.backend): r.ok for r in result.records
+        (r.config.workload.name, r.config.backend.name): r.ok
+        for r in result.records
     }
     # every tcp cell fails on the occupied port; every sim cell survives
     assert statuses == {
@@ -325,7 +364,7 @@ def test_serve_sweep_reports_throughput_and_latency_columns():
         backends=("sim",),
         serve=True,
     )
-    assert all(c.serve for c in grid)
+    assert all(c.partition.force_distribution for c in grid)
     assert grid[0].label().endswith("/serve")
     result = SweepRunner(grid, cache=StageCache()).run()
     rec = result.records[0]
@@ -340,3 +379,19 @@ def test_serve_sweep_reports_throughput_and_latency_columns():
     # the cell's row carries real numbers, not the blank placeholder
     row = next(ln for ln in table.splitlines() if "service_bank" in ln)
     assert " - " not in row
+
+
+# ------------------------------------------------------------------ fault rows
+def test_fault_rows_are_told_apart_in_the_table():
+    """A crash × recovery-interval grid renders one distinct row per point:
+    the backend cell carries the crash and recovery tags the label has."""
+    grid = sweep_grid(
+        workloads=["bank"], crash="1:20000", recovery_intervals=(0, 30000)
+    )
+    assert [c.label() for c in grid] == [
+        "bank/multilevel/k2/ethernet_100m/sim/crash1:20000",
+        "bank/multilevel/k2/ethernet_100m/sim/crash1:20000/rec30000",
+    ]
+    rows = SweepRunner(grid, cache=StageCache()).run().table().splitlines()[2:]
+    cells = [row.split()[4] for row in rows]
+    assert cells == ["sim/crash1:20000", "sim/crash1:20000/rec30000"]

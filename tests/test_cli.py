@@ -110,6 +110,33 @@ def test_sweep_json_emits_reports(capsys):
     assert all(r["speedup_pct"] > 0 for r in payload["records"])
 
 
+def test_sweep_json_errors_carry_the_nested_config(capsys, monkeypatch):
+    """A failed grid point's config is the same nested ExperimentConfig
+    dict every report's ``config`` is."""
+    from repro.api.config import ExperimentConfig
+    from repro.errors import ReproError
+    from repro.harness import sweep as sweep_mod
+
+    class FailingKL(sweep_mod.Experiment):
+        def run(self):
+            if self.config.partition.method == "kl":
+                raise ReproError("poisoned config")
+            return super().run()
+
+    monkeypatch.setattr(sweep_mod, "Experiment", FailingKL)
+    assert main([
+        "sweep", "--workloads", "bank", "--methods", "multilevel,kl", "--json",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ok, failed = payload["records"]
+    assert failed is None
+    (error,) = payload["errors"]
+    assert error["error"] == "ReproError: poisoned config"
+    assert error["config"].keys() == ok["config"].keys()
+    config = ExperimentConfig.from_dict(error["config"])
+    assert config.label() == "bank/kl/k2/ethernet_100m/sim"
+
+
 def test_sweep_rejects_bad_grid_cleanly(capsys):
     assert main(["sweep", "--workloads", "bank", "--methods", "annealing"]) == 2
     assert "unknown partition method" in capsys.readouterr().err
