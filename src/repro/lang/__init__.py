@@ -3,9 +3,11 @@
 MJ is the Java-subset substrate this reproduction uses in place of real Java
 (see DESIGN.md, substitution table).  The subpackage provides:
 
-* :mod:`repro.lang.lexer`    — tokenizer
+* :mod:`repro.lang.tokens`   — token kinds (``T``) and the token tuple
+  ``(kind, text, line, col, value)``
+* :mod:`repro.lang.lexer`    — tokenizer: source text to token tuples
 * :mod:`repro.lang.parser`   — recursive-descent parser producing the AST
-* :mod:`repro.lang.ast`      — AST node definitions
+* :mod:`repro.lang.ast`      — AST node definitions, one call per node
 * :mod:`repro.lang.types`    — the MJ type lattice
 * :mod:`repro.lang.symbols`  — class/field/method symbol tables + built-ins
 * :mod:`repro.lang.semantic` — resolver and type checker

@@ -1,7 +1,9 @@
 """AST node definitions for MJ.
 
 Nodes are plain classes with ``__slots__`` (cheap, picklable) and carry a
-:class:`~repro.errors.SourcePosition`.  Expression nodes gain a ``ty``
+:class:`~repro.errors.SourcePosition`.  Each constructor sets every slot of
+its node itself, inherited ones included, and calls no base ``__init__``:
+building a node is one Python call.  Expression nodes gain a ``ty``
 attribute (the static type) during semantic analysis; some nodes gain
 resolution results (e.g. :class:`Call.resolved`).
 
@@ -32,7 +34,7 @@ class Program(Node):
     __slots__ = ("classes",)
 
     def __init__(self, classes: List["ClassDecl"], pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.classes = classes
 
 
@@ -47,7 +49,7 @@ class ClassDecl(Node):
         methods: List["MethodDecl"],
         pos: SourcePosition,
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.name = name
         self.superclass = superclass  # None means implicit Object
         self.fields = fields
@@ -65,7 +67,7 @@ class FieldDecl(Node):
         init: Optional["Expr"],
         pos: SourcePosition,
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.name = name
         self.ty = ty
         self.is_static = is_static
@@ -76,7 +78,7 @@ class Param(Node):
     __slots__ = ("name", "ty")
 
     def __init__(self, name: str, ty: Type, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.name = name
         self.ty = ty
 
@@ -94,7 +96,7 @@ class MethodDecl(Node):
         is_ctor: bool,
         pos: SourcePosition,
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.name = name
         self.params = params
         self.ret = ret
@@ -114,7 +116,7 @@ class Block(Stmt):
     __slots__ = ("stmts",)
 
     def __init__(self, stmts: List[Stmt], pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.stmts = stmts
 
 
@@ -124,7 +126,7 @@ class VarDecl(Stmt):
     def __init__(
         self, name: str, ty: Type, init: Optional["Expr"], pos: SourcePosition
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.name = name
         self.ty = ty
         self.init = init
@@ -137,7 +139,7 @@ class If(Stmt):
     def __init__(
         self, cond: "Expr", then: Stmt, otherwise: Optional[Stmt], pos: SourcePosition
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.cond = cond
         self.then = then
         self.otherwise = otherwise
@@ -147,7 +149,7 @@ class While(Stmt):
     __slots__ = ("cond", "body")
 
     def __init__(self, cond: "Expr", body: Stmt, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.cond = cond
         self.body = body
 
@@ -163,7 +165,7 @@ class For(Stmt):
         body: Stmt,
         pos: SourcePosition,
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.init = init
         self.cond = cond
         self.update = update
@@ -174,7 +176,7 @@ class Return(Stmt):
     __slots__ = ("value",)
 
     def __init__(self, value: Optional["Expr"], pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.value = value
 
 
@@ -182,7 +184,7 @@ class ExprStmt(Stmt):
     __slots__ = ("expr",)
 
     def __init__(self, expr: "Expr", pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.expr = expr
 
 
@@ -201,7 +203,7 @@ class Expr(Node):
     __slots__ = ("ty",)
 
     def __init__(self, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
         self.ty: Optional[Type] = None  # filled in by semantic analysis
 
 
@@ -209,7 +211,8 @@ class IntLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.value = value
 
 
@@ -217,7 +220,8 @@ class LongLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.value = value
 
 
@@ -225,7 +229,8 @@ class FloatLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.value = value
 
 
@@ -233,7 +238,8 @@ class BoolLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: bool, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.value = value
 
 
@@ -241,7 +247,8 @@ class StrLit(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: str, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.value = value
 
 
@@ -262,7 +269,8 @@ class VarRef(Expr):
     __slots__ = ("name", "binding")
 
     def __init__(self, name: str, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.name = name
         self.binding = None
 
@@ -274,7 +282,8 @@ class FieldAccess(Expr):
     __slots__ = ("target", "name", "resolved_class", "is_static")
 
     def __init__(self, target: Expr, name: str, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.target = target
         self.name = name
         self.resolved_class: Optional[str] = None
@@ -285,7 +294,8 @@ class ArrayIndex(Expr):
     __slots__ = ("target", "index")
 
     def __init__(self, target: Expr, index: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.target = target
         self.index = index
 
@@ -294,7 +304,8 @@ class ArrayLength(Expr):
     __slots__ = ("target",)
 
     def __init__(self, target: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.target = target
 
 
@@ -308,7 +319,8 @@ class Call(Expr):
     def __init__(
         self, target: Optional[Expr], name: str, args: List[Expr], pos: SourcePosition
     ) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.target = target
         self.name = name
         self.args = args
@@ -319,7 +331,8 @@ class New(Expr):
     __slots__ = ("class_name", "args")
 
     def __init__(self, class_name: str, args: List[Expr], pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.class_name = class_name
         self.args = args
 
@@ -328,7 +341,8 @@ class NewArray(Expr):
     __slots__ = ("elem_ty", "length")
 
     def __init__(self, elem_ty: Type, length: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.elem_ty = elem_ty
         self.length = length
 
@@ -337,7 +351,8 @@ class Unary(Expr):
     __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.op = op  # "-" | "!"
         self.operand = operand
 
@@ -346,7 +361,8 @@ class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.op = op  # + - * / % < <= > >= == != && || & | ^ << >> >>>
         self.left = left
         self.right = right
@@ -358,7 +374,8 @@ class Assign(Expr):
     __slots__ = ("target", "value")
 
     def __init__(self, target: Expr, value: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.target = target
         self.value = value
 
@@ -367,7 +384,8 @@ class Cast(Expr):
     __slots__ = ("to", "expr")
 
     def __init__(self, to: Type, expr: Expr, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.to = to
         self.expr = expr
 
@@ -376,6 +394,7 @@ class InstanceOf(Expr):
     __slots__ = ("expr", "of")
 
     def __init__(self, expr: Expr, of: Type, pos: SourcePosition) -> None:
-        super().__init__(pos)
+        self.pos = pos
+        self.ty = None
         self.expr = expr
         self.of = of

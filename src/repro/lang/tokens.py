@@ -1,11 +1,17 @@
-"""Token kinds for the MJ lexer."""
+"""Token kinds and the token shape of the MJ lexer.
+
+A token is the exact tuple ``(kind, text, line, col, value)``: ``kind`` is
+the :class:`T` member's small-int ``_value_`` (``T(kind).name`` spells it),
+``text`` the spelling (a string literal's is its decoded value in quotes),
+``line`` / ``col`` its 1-based position, and ``value`` the decoded value of
+a literal, ``None`` for every other kind.  Every field is atomic, so the
+collector stops tracking a token after its first pass over it.
+"""
 
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Any
-
-from repro.errors import SourcePosition
+from typing import Any, Tuple
 
 
 class T(Enum):
@@ -115,17 +121,5 @@ KEYWORDS = {
 }
 
 
-class Token:
-    """A single lexed token with source position."""
-
-    __slots__ = ("kind", "text", "value", "pos")
-
-    def __init__(self, kind: T, text: str, pos: SourcePosition, value: Any = None):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        #: decoded literal value for *_LIT tokens
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind.name}, {self.text!r}@{self.pos})"
+#: ``(kind, text, line, col, value)``; see the module docstring
+Token = Tuple[int, str, int, int, Any]

@@ -1,18 +1,50 @@
 """The hand-written character scanner ``repro.lang.lexer`` shipped before
 ``tokenize`` became one compiled pattern, kept verbatim as the oracle of
-``test_lexer_oracle.py``.  Known defects, fixed in the shipped scanner and
-left in here on purpose: an empty hexadecimal body (``0x``) and every
+``test_lexer_oracle.py``, with the token object it made then (the shipped
+scanner makes plain tuples).  Known defects, fixed in the shipped scanner
+and left in here on purpose: an empty hexadecimal body (``0x``) and every
 character ``str.isdigit()`` accepts beyond ``0-9`` reach ``int()`` /
 ``float()``, which either raise a bare ``ValueError`` (``²``) or quietly
 read a non-ASCII digit as a number.
+
+One rule was added here as it was added to the shipped scanner, since it
+changes what a correct stream is: an integer literal's value is its
+two's-complement reading at its type's width (``_integer``).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, List
 
 from repro.errors import LexerError, SourcePosition
-from repro.lang.tokens import KEYWORDS, T, Token
+from repro.lang.tokens import KEYWORDS, T
+
+
+class Token:
+    """A single lexed token with source position."""
+
+    __slots__ = ("kind", "text", "value", "pos")
+
+    def __init__(self, kind: T, text: str, pos: SourcePosition, value: Any = None):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+        #: decoded literal value for *_LIT tokens
+        self.value = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Token({self.kind.name}, {self.text!r}@{self.pos})"
+
+
+def _integer(kind: T, text: str, pos: SourcePosition, value: int) -> Token:
+    """An INT_LIT (32-bit) or LONG_LIT (64-bit) token whose value is the
+    signed number with the literal's bit pattern; more bits are an error."""
+    width = 64 if kind is T.LONG_LIT else 32
+    if not 0 <= value < 2**width:
+        raise LexerError("integer literal out of range", pos)
+    if value >= 2 ** (width - 1):
+        value -= 2**width
+    return Token(kind, text, pos, value)
 
 _TWO_CHAR = {
     "==": T.EQ,
@@ -122,8 +154,8 @@ class Lexer:
             nxt = self._peek()
             if nxt and nxt in "lL":
                 self._advance()
-                return Token(T.LONG_LIT, text + "L", pos, value)
-            return Token(T.INT_LIT, text, pos, value)
+                return _integer(T.LONG_LIT, text + "L", pos, value)
+            return _integer(T.INT_LIT, text, pos, value)
 
         is_float = False
         while self._peek().isdigit():
@@ -151,10 +183,10 @@ class Lexer:
             if is_float:
                 raise LexerError("'L' suffix on floating literal", pos)
             self._advance()
-            return Token(T.LONG_LIT, text + "L", pos, int(text))
+            return _integer(T.LONG_LIT, text + "L", pos, int(text))
         if is_float:
             return Token(T.FLOAT_LIT, text, pos, float(text))
-        return Token(T.INT_LIT, text, pos, int(text))
+        return _integer(T.INT_LIT, text, pos, int(text))
 
     def _string(self) -> Token:
         pos = self._pos()

@@ -1,7 +1,9 @@
 """The recursive-descent parser ``repro.lang.parser`` shipped before it read
 each token inline from an EOF-padded copy of the token list and keyed its
 token tables by ``T._value_``, kept verbatim as the oracle of
-``test_parser_oracle.py``.
+``test_parser_oracle.py``.  It reads the token objects of its time
+(``_reference_lexer.Token``); the oracle turns the shipped scanner's tuples
+into those.
 
 Recursive-descent parser for MJ.
 
@@ -15,10 +17,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from _reference_lexer import Token, tokenize
+
 from repro.errors import NESTED_TOO_DEEPLY, ParseError
 from repro.lang import ast
-from repro.lang.lexer import tokenize
-from repro.lang.tokens import T, Token
+from repro.lang.tokens import T
 from repro.lang.types import (
     BOOLEAN,
     FLOAT,

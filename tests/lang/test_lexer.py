@@ -9,55 +9,84 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import T
 
 
+KIND, TEXT, LINE, COL, VALUE = range(5)
+
+
 def kinds(src):
-    return [t.kind for t in tokenize(src)][:-1]  # drop EOF
+    return [T(t[KIND]) for t in tokenize(src)][:-1]  # drop EOF
+
+
+def values(src):
+    return [t[VALUE] for t in tokenize(src)][:-1]
 
 
 def test_empty_input():
     toks = tokenize("")
-    assert len(toks) == 1 and toks[0].kind is T.EOF
+    assert toks == [(T.EOF._value_, "", 1, 1, None)]
+
+
+def test_tokens_are_plain_tuples():
+    for tok in tokenize('class A { int f = 0x1F + 2L; String s = "q\\n"; } é'):
+        assert type(tok) is tuple and len(tok) == 5
+        assert type(tok[KIND]) is int and type(tok[LINE]) is int and type(tok[COL]) is int
 
 
 def test_keywords_vs_identifiers():
-    toks = tokenize("class classy int integer")
-    assert [t.kind for t in toks[:-1]] == [T.CLASS, T.IDENT, T.INT, T.IDENT]
+    assert kinds("class classy int integer") == [T.CLASS, T.IDENT, T.INT, T.IDENT]
 
 
 def test_int_literals():
-    toks = tokenize("0 42 2147483647")
-    assert [t.value for t in toks[:-1]] == [0, 42, 2147483647]
-    assert all(t.kind is T.INT_LIT for t in toks[:-1])
+    assert values("0 42 2147483647") == [0, 42, 2147483647]
+    assert kinds("0 42 2147483647") == [T.INT_LIT] * 3
 
 
 def test_long_literal_suffix():
-    toks = tokenize("42L 0x10L 7l")
-    assert [t.kind for t in toks[:-1]] == [T.LONG_LIT] * 3
-    assert [t.value for t in toks[:-1]] == [42, 16, 7]
+    assert kinds("42L 0x10L 7l") == [T.LONG_LIT] * 3
+    assert values("42L 0x10L 7l") == [42, 16, 7]
 
 
 def test_hex_literals():
-    toks = tokenize("0xFF 0x0 0xDEADBEEF")
-    assert [t.value for t in toks[:-1]] == [255, 0, 0xDEADBEEF]
+    assert values("0xFF 0x0 0x7FFFFFFF") == [255, 0, 0x7FFFFFFF]
+
+
+@pytest.mark.parametrize("source, value", [
+    ("0xFFFFFFFF", -1),
+    ("0xDEADBEEF", 0xDEADBEEF - 2**32),
+    ("0x80000000", -(2**31)),
+    ("2147483648", -(2**31)),
+    ("4294967295", -1),
+    ("2654435761", 2654435761 - 2**32),
+    ("0x7FFFFFFFFFFFFFFFL", 2**63 - 1),
+    ("0x8000000000000000L", -(2**63)),
+    ("0xFFFFFFFFFFFFFFFFl", -1),
+    ("9223372036854775808L", -(2**63)),
+    ("18446744073709551615L", -1),
+    ("4294967296L", 2**32),
+])
+def test_integer_literals_take_their_twos_complement_value(source, value):
+    """An integer literal is a bit pattern of its type's width: int 32,
+    long 64 bits.  The spelling is kept as written."""
+    assert values(source) == [value]
+    assert tokenize(source)[0][TEXT].rstrip("lL") == source.rstrip("lL")
 
 
 def test_float_literals():
     toks = tokenize("1.5 0.25 2e3 1.5e-2 3f 4.0d")
-    assert all(t.kind is T.FLOAT_LIT for t in toks[:-1])
-    assert toks[0].value == 1.5
-    assert toks[2].value == 2000.0
-    assert toks[3].value == 0.015
+    assert all(t[KIND] == T.FLOAT_LIT._value_ for t in toks[:-1])
+    assert toks[0][VALUE] == 1.5
+    assert toks[2][VALUE] == 2000.0
+    assert toks[3][VALUE] == 0.015
 
 
 def test_float_requires_digit_after_dot():
     # "1." followed by an identifier is a DOT access, not a float
-    toks = tokenize("x.foo")
-    assert [t.kind for t in toks[:-1]] == [T.IDENT, T.DOT, T.IDENT]
+    assert kinds("x.foo") == [T.IDENT, T.DOT, T.IDENT]
 
 
 def test_string_literal_escapes():
     toks = tokenize(r'"a\nb\t\"q\\"')
-    assert toks[0].kind is T.STR_LIT
-    assert toks[0].value == 'a\nb\t"q\\'
+    assert toks[0][KIND] == T.STR_LIT._value_
+    assert toks[0][VALUE] == 'a\nb\t"q\\'
 
 
 def test_unterminated_string():
@@ -77,7 +106,7 @@ def test_bad_escape():
 
 def test_comments_skipped():
     toks = tokenize("a // line comment\nb /* block\n comment */ c")
-    assert [t.text for t in toks[:-1]] == ["a", "b", "c"]
+    assert [t[TEXT] for t in toks[:-1]] == ["a", "b", "c"]
 
 
 def test_unterminated_block_comment():
@@ -100,8 +129,8 @@ def test_ushr_three_char():
 
 def test_positions_track_lines_and_columns():
     toks = tokenize("a\n  b")
-    assert toks[0].pos.line == 1 and toks[0].pos.col == 1
-    assert toks[1].pos.line == 2 and toks[1].pos.col == 3
+    assert toks[0][LINE] == 1 and toks[0][COL] == 1
+    assert toks[1][LINE] == 2 and toks[1][COL] == 3
 
 
 def test_unexpected_character():
@@ -117,7 +146,7 @@ def test_double_alias():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_int_literal_roundtrip(n):
     toks = tokenize(str(n))
-    assert toks[0].kind is T.INT_LIT and toks[0].value == n
+    assert toks[0][KIND] == T.INT_LIT._value_ and toks[0][VALUE] == n
 
 
 @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu")),
@@ -127,9 +156,9 @@ def test_identifier_roundtrip(name):
 
     toks = tokenize(name)
     if name in KEYWORDS:
-        assert toks[0].kind is KEYWORDS[name]
+        assert toks[0][KIND] == KEYWORDS[name]._value_
     elif name.isascii():
-        assert toks[0].kind is T.IDENT and toks[0].text == name
+        assert toks[0][KIND] == T.IDENT._value_ and toks[0][TEXT] == name
 
 
 @given(st.text(alphabet=" \t\nabc123+-*/%()<>=!&|" '0xXeEfL."\\_²', max_size=60))
@@ -139,7 +168,7 @@ def test_lexer_never_crashes_or_loops(text):
     never hangs or raises anything else."""
     try:
         toks = tokenize(text)
-        assert toks[-1].kind is T.EOF
+        assert toks[-1][KIND] == T.EOF._value_
     except LexerError:
         pass
 
@@ -153,12 +182,12 @@ def assert_tokens_sit_at_their_positions(source):
         if ch == "\n":
             line_offsets.append(i + 1)
     toks = tokenize(source)
-    assert toks[-1].kind is T.EOF
+    assert toks[-1][KIND] == T.EOF._value_
     for tok in toks:
-        if tok.kind is T.STR_LIT:
+        if tok[KIND] == T.STR_LIT._value_:
             continue  # text holds the decoded value, not the spelling
-        start = line_offsets[tok.pos.line - 1] + tok.pos.col - 1
-        assert source[start:][: len(tok.text)] == tok.text, tok
+        start = line_offsets[tok[LINE] - 1] + tok[COL] - 1
+        assert source[start:][: len(tok[TEXT])] == tok[TEXT], tok
     return toks
 
 
@@ -184,7 +213,7 @@ def test_token_positions_after_comments_and_blank_lines():
     toks = assert_tokens_sit_at_their_positions(
         "a /* one\n two */ b // tail\n\n\tc 0x1F 2.5e-3f 7L >>>= \r\n  d"
     )
-    assert [(t.text, t.pos.line, t.pos.col) for t in toks] == [
+    assert [(t[TEXT], t[LINE], t[COL]) for t in toks] == [
         ("a", 1, 1), ("b", 2, 9), ("c", 4, 2), ("0x1F", 4, 4),
         ("2.5e-3", 4, 9), ("7L", 4, 17), (">>>", 4, 20), ("=", 4, 23),
         ("d", 5, 3), ("", 5, 4),
@@ -205,6 +234,11 @@ def test_token_positions_after_comments_and_blank_lines():
     ("x = 0x;", "hexadecimal literal without digits", 1, 5),
     ("x = 0xL;", "hexadecimal literal without digits", 1, 5),
     ("int x = ²;", "unexpected character '²'", 1, 9),
+    ("0x100000000", "integer literal out of range", 1, 1),
+    ("4294967296", "integer literal out of range", 1, 1),
+    ("\n  x = 99999999999;", "integer literal out of range", 2, 7),
+    ("0x10000000000000000L", "integer literal out of range", 1, 1),
+    ("y = 18446744073709551616L;", "integer literal out of range", 1, 5),
 ])
 def test_lexer_errors_pin_message_and_position(source, message, line, col):
     with pytest.raises(LexerError) as err:

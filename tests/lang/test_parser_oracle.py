@@ -3,7 +3,8 @@ same tree — every slot of every node, every position — or the same
 ``ParseError`` text at the same position.
 
 Both read one token list, so the lexer is not under test here (its oracle
-is ``test_lexer_oracle.py``).  The inputs are every bundled workload at
+is ``test_lexer_oracle.py``); the reference reads it as the token objects
+it was written for (``as_objects``).  The inputs are every bundled workload at
 every size, ``genprog`` programs of 8 to 96 classes, and hypothesis-drawn
 expressions and statements: well formed, with one token dropped, repeated
 or swapped, and as token soup.  Nesting deep enough to exhaust the
@@ -17,12 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference_lexer
 import _reference_parser
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SourcePosition
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser
+from repro.lang.tokens import T
 from repro.lang.types import Type
 from repro.testing.genprog import GenConfig, generate_source
 from repro.workloads import WORKLOADS
@@ -52,6 +55,15 @@ def dump(value):
     return (type(value).__name__, value)
 
 
+def as_objects(tokens):
+    """``(kind, text, line, col, value)`` tuples as the reference parser's
+    token objects."""
+    return [
+        _reference_lexer.Token(T(kind), text, SourcePosition(line, col), value)
+        for kind, text, line, col, value in tokens
+    ]
+
+
 def outcome(parser, tokens):
     try:
         return dump(parser(tokens).parse_program())
@@ -60,7 +72,7 @@ def outcome(parser, tokens):
 
 
 def same_parse(tokens):
-    want = outcome(_reference_parser.Parser, tokens)
+    want = outcome(_reference_parser.Parser, as_objects(tokens))
     assert outcome(Parser, tokens) == want
     return want
 

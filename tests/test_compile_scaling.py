@@ -15,29 +15,35 @@ does not creep back in.  Wall-clock evidence is ``perfbench``'s (``run_s`` @
 the larger rows live here.
 """
 
+import gc
+
 import pytest
 
 from helpers import compile_mj_raw, profiled, scaling_source, two_node_plan_arguments
 
 from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
-from repro.lang import tokenize
+from repro.lang import ast, tokenize
 from repro.lang.parser import Parser
 
 SIZES = (24, 96, 192)
 MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 
 #: shipped calls per unit at 24 / 96 / 192 classes, and the parent commit's:
-#: tokenize  6.3 /  6.3 /  6.3  (29.0 / 29.1 / 29.2: a call per character)
-#: parse     4.5 /  4.5 /  4.5  (14.6 / 14.6 / 14.6: a helper call per token
-#:           read, an ``Enum.__hash__`` per operator-table lookup)
+#: tokenize  3.2 /  3.2 /  3.2  (6.3 / 6.3 / 6.3: a ``Token`` and a
+#:           ``SourcePosition`` constructor per token; 29.0 / 29.1 / 29.2
+#:           before that, a call per character)
+#: parse     3.5 /  3.5 /  3.5  (4.5 / 4.5 / 4.5: 2.7 ``__init__`` calls per
+#:           node, up the ``Node`` / ``Expr`` chain, and a ``dict.get`` per
+#:           operator-table lookup; 14.6 before that, a helper call per
+#:           token read, an ``Enum.__hash__`` per operator-table lookup)
 #: plan      9.8 /  9.3 /  9.3  (14.3 / 23.8 / 33.8: numpy per vertex per
 #:           step, every virtual site tried against every instantiated class)
 #: verify    1.8 /  1.8 /  1.8  (6.7 / 6.7 / 6.7: a dict worklist, a
 #:           ``max()`` and a ``stack_effect`` per instruction)
 #: rewrite   4.8 /  4.2 /  4.1  (6.3 / 5.5 / 5.4: on an unverified program,
 #:           its ``this`` analysis walking depths of its own)
-MAX_CALLS = {"tokenize": 6.9, "parse": 5.0, "verify_program": 2.0,
+MAX_CALLS = {"tokenize": 3.5, "parse": 3.9, "verify_program": 2.0,
              "build_plan": 10.8, "rewrite_program": 5.3}
 
 
@@ -73,3 +79,40 @@ def test_calls_per_unit_do_not_grow_with_the_program(calls_per_unit, layer):
     per_unit = calls_per_unit[layer]
     assert per_unit[192] <= MAX_GROWTH * per_unit[24], per_unit
     assert max(per_unit.values()) <= MAX_CALLS[layer], per_unit
+
+
+def test_tokens_are_tuples_the_collector_stops_tracking():
+    """A token is an exact tuple of atomic values, so after one collection
+    the collector no longer walks it: a ``NamedTuple`` or a slotted object
+    would stay tracked, and be walked by every full collection after."""
+    tokens = tokenize(scaling_source(192))
+    gc.collect()
+    assert all(type(tok) is tuple and not gc.is_tracked(tok) for tok in tokens)
+
+
+def _nodes(tree):
+    """Every distinct node reachable from ``tree``; the parser's ``x++``
+    desugaring shares ``x`` between two parents."""
+    seen = {}
+    stack = [tree]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, ast.Node) and id(value) not in seen:
+            seen[id(value)] = value
+            stack.extend(
+                getattr(value, slot)
+                for klass in type(value).__mro__
+                for slot in getattr(klass, "__slots__", ())
+            )
+    return seen.values()
+
+
+def test_parse_builds_each_node_in_one_call():
+    """One ``ast.py`` ``__init__`` per node the parser builds: constructors
+    set inherited slots themselves instead of calling up the chain."""
+    tokens = tokenize(scaling_source(24))
+    tree, _, by_name, _ = profiled(Parser(tokens).parse_program)
+    inits = sum(n for key, n in by_name.items() if key == "ast.py:__init__")
+    assert inits == len(_nodes(tree))

@@ -10,6 +10,7 @@ import pytest
 from helpers import compile_mj, eval_expr, run_mj, stdout_of
 
 from repro.errors import VMError
+from repro.vm.interpreter import ENGINES, forced_engine
 
 
 # ------------------------------------------------------------------ arithmetic
@@ -23,6 +24,42 @@ def test_int_arithmetic():
 def test_int_overflow_wraps():
     assert eval_expr("2147483647 + 1") == "-2147483648"
     assert eval_expr("2147483647 * 2") == "-2"
+
+
+#: integer literals that only a two's-complement reading makes fit their
+#: type, used inside a loop so that the compiled tier runs them as a region
+WRAPPED_LITERALS = """
+class Lit {
+    static void main(String[] args) {
+        int hits = 0;
+        long last = 0L;
+        for (int i = 0; i < 300; i++) {
+            int x = 0xFFFFFFFF;
+            int y = 2147483648;
+            long z = 0x8000000000000000L;
+            if (x == -1) { hits = hits + 1; }
+            if (y == -2147483647 - 1) { hits = hits + 1; }
+            if (z < 0L) { hits = hits + 1; }
+            last = z + x + y + 2654435761;
+        }
+        Sys.println("" + hits);
+        Sys.println("" + last);
+        Sys.println("" + 0xFFFFFFFF + " " + 2147483648 + " " + 0x8000000000000000L);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_integer_literals_take_their_twos_complement_value(engine):
+    with forced_engine(engine):
+        assert stdout_of(WRAPPED_LITERALS) == [
+            "900",
+            # z + x wraps below the least long; y and the last literal
+            # are negative ints
+            str((2**63 - 1) - 2**31 + (2654435761 - 2**32)),
+            "-1 -2147483648 -9223372036854775808",
+        ]
 
 
 def test_long_arithmetic():
