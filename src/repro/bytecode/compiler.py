@@ -5,27 +5,34 @@ branch trees, comparisons in value position materialize ``true``/``false``,
 ``new C(...)`` compiles to ``NEW; DUP; <args>; INVOKESPECIAL C.<init>``
 (exactly the shape the communication rewriter pattern-matches, Figure 9 of
 the paper), and string ``+`` lowers to ``INVOKESTATIC Str.concat``.
+
+A statement or an expression finds its lowering in one lookup by the node's
+class (``_STMT_CODE`` / ``_EXPR_CODE``), and an instruction is emitted by
+one call, to the method's own :meth:`BMethod.emit`.  Labels are numbered per
+method, so the same source compiles to the same symbolic code whatever the
+process compiled before.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NESTED_TOO_DEEPLY, CompileError
 from repro.lang import ast
-from repro.lang.symbols import ClassTable, MethodInfo
+from repro.lang.symbols import ClassTable
 from repro.lang.types import (
     BOOLEAN,
     FLOAT,
     INT,
     LONG,
-    NULL,
     STRING,
     VOID,
     ArrayType,
     ClassType,
     NullType,
     Type,
+    promote,
 )
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BClass, BField, BMethod, BProgram, Label
@@ -36,14 +43,15 @@ _CMP = {"==": "EQ", "!=": "NE", "<": "LT", "<=": "LE", ">": "GT", ">=": "GE"}
 _BOOLEAN_OPS = frozenset({"&&", "||", *_CMP})
 
 
-def _tychar(ty: Type) -> str:
-    if ty in (INT, BOOLEAN):
-        return "I"
-    if ty is LONG:
-        return "J"
-    if ty is FLOAT:
-        return "F"
-    return "A"
+#: the operand kind of a value of each primitive type; any other is "A"
+_TYCHAR = {INT: "I", BOOLEAN: "I", LONG: "J", FLOAT: "F"}
+_LOAD = {INT: op.ILOAD, BOOLEAN: op.ILOAD, LONG: op.LLOAD, FLOAT: op.FLOAD}
+_STORE = {INT: op.ISTORE, BOOLEAN: op.ISTORE, LONG: op.LSTORE, FLOAT: op.FSTORE}
+_RETURN = {INT: op.IRETURN, BOOLEAN: op.IRETURN, LONG: op.LRETURN, FLOAT: op.FRETURN}
+_NEG = {INT: op.INEG, LONG: op.LNEG, FLOAT: op.FNEG}
+_CMP_BRANCH = {INT: op.IF_ICMP, LONG: op.IF_LCMP, FLOAT: op.IF_FCMP}
+#: the ``LDC`` kind of each literal that loads its value as written
+_LDC_KIND = {ast.IntLit: "I", ast.LongLit: "J", ast.FloatLit: "F", ast.StrLit: "S"}
 
 
 _ARITH = {
@@ -59,10 +67,11 @@ _ARITH = {
     ("<<", "J"): op.LSHL, (">>", "J"): op.LSHR, (">>>", "J"): op.LUSHR,
 }
 
-_CONVERT: Dict[Tuple[str, str], str] = {
-    ("I", "J"): op.I2L, ("I", "F"): op.I2F,
-    ("J", "I"): op.L2I, ("J", "F"): op.L2F,
-    ("F", "I"): op.F2I, ("F", "J"): op.F2L,
+#: (from, to) type -> the conversion a value needs; no entry: none
+_CONVERT: Dict[Tuple[Type, Type], str] = {
+    (INT, LONG): op.I2L, (INT, FLOAT): op.I2F,
+    (LONG, INT): op.L2I, (LONG, FLOAT): op.L2F,
+    (FLOAT, INT): op.F2I, (FLOAT, LONG): op.F2L,
 }
 
 
@@ -81,33 +90,30 @@ def _chain_operands(expr: ast.Binary) -> List[ast.Expr]:
 
 
 class _MethodCompiler:
-    def __init__(self, table: ClassTable, bclass: BClass, mi: MethodInfo) -> None:
+    def __init__(
+        self,
+        table: ClassTable,
+        bclass: BClass,
+        method: BMethod,
+        params: Sequence[Tuple[str, Type]] = (),
+    ) -> None:
         self.table = table
         self.bclass = bclass
-        self.mi = mi
-        self.method = BMethod(
-            bclass.name,
-            mi.name,
-            [ty for _, ty in mi.params],
-            mi.ret,
-            mi.is_static,
-            mi.is_ctor,
-        )
+        self.method = method
+        self.emit = method.emit
+        self.place = method.place
+        self._label_ids = itertools.count()
         # slot 0 is 'this' for instance methods
         self.slots: List[Dict[str, Tuple[int, Type]]] = [{}]
-        self.next_slot = 0
-        if not mi.is_static:
-            self.next_slot = 1
-        for pname, pty in mi.params:
+        self.next_slot = 0 if method.is_static else 1
+        for pname, pty in params:
             self._declare(pname, pty)
         self.break_labels: List[Label] = []
         self.continue_labels: List[Label] = []
 
     # ------------------------------------------------------------- scope/slots
     def _declare(self, name: str, ty: Type) -> int:
-        slot = self.next_slot
-        self.next_slot += 1
-        self.method.max_locals = max(self.method.max_locals, self.next_slot)
+        slot = self._alloc_temp()
         self.slots[-1][name] = (slot, ty)
         return slot
 
@@ -120,32 +126,24 @@ class _MethodCompiler:
     def _alloc_temp(self) -> int:
         slot = self.next_slot
         self.next_slot += 1
-        self.method.max_locals = max(self.method.max_locals, self.next_slot)
+        if self.next_slot > self.method.max_locals:
+            self.method.max_locals = self.next_slot
         return slot
 
     # ------------------------------------------------------------- emission
-    def emit(self, opname: str, a=None, b=None, c=None, line: int = 0):
-        return self.method.emit(opname, a, b, c, line)
+    def _label(self, hint: str) -> Label:
+        return Label(f"{hint}{next(self._label_ids)}")
 
     def _load(self, slot: int, ty: Type, line: int = 0) -> None:
-        self.emit({"I": op.ILOAD, "J": op.LLOAD, "F": op.FLOAD, "A": op.ALOAD}[
-            _tychar(ty)
-        ], slot, line=line)
+        self.emit(_LOAD.get(ty, op.ALOAD), slot, line=line)
 
     def _store(self, slot: int, ty: Type, line: int = 0) -> None:
-        self.emit({"I": op.ISTORE, "J": op.LSTORE, "F": op.FSTORE, "A": op.ASTORE}[
-            _tychar(ty)
-        ], slot, line=line)
+        self.emit(_STORE.get(ty, op.ASTORE), slot, line=line)
 
     def _coerce(self, src: Type, dst: Type) -> None:
         """Emit a conversion so a value of type ``src`` on the stack becomes
         ``dst`` (numeric only; reference widening is free)."""
-        if src is dst or dst is VOID:
-            return
-        a, b = _tychar(src), _tychar(dst)
-        if a == b:
-            return
-        conv = _CONVERT.get((a, b))
+        conv = _CONVERT.get((src, dst))
         if conv is not None:
             self.emit(conv)
 
@@ -153,24 +151,26 @@ class _MethodCompiler:
     def compile(self, decl: ast.MethodDecl, fields: List[ast.FieldDecl]) -> BMethod:
         """Lower ``decl``; a constructor first runs the instance initializers
         among its class's ``fields``."""
-        if self.mi.is_ctor:
+        method = self.method
+        if method.is_ctor:
             self._emit_ctor_prologue(fields)
         self._block(decl.body)
-        code = self.method.code
+        code = method.code
         if not code or code[-1].op not in op.RETURNS:
-            if self.mi.ret is VOID:
+            ret = method.ret_type
+            if ret is VOID:
                 self.emit(op.RETURN)
             else:
                 # MJ is lenient: falling off the end of a non-void method
                 # returns the type's default value.
-                ch = _tychar(self.mi.ret)
+                ch = _TYCHAR.get(ret, "A")
                 if ch == "A":
                     self.emit(op.ACONST_NULL)
                     self.emit(op.ARETURN)
                 else:
                     self.emit(op.LDC, 0 if ch != "F" else 0.0, ch)
-                    self.emit({"I": op.IRETURN, "J": op.LRETURN, "F": op.FRETURN}[ch])
-        return self.method
+                    self.emit(_RETURN[ret])
+        return method
 
     def _emit_ctor_prologue(self, fields: List[ast.FieldDecl]) -> None:
         sup = self.bclass.superclass
@@ -187,163 +187,165 @@ class _MethodCompiler:
         for fd in fields:
             if fd.is_static or fd.init is None:
                 continue
-            self.emit(op.ALOAD, 0, line=fd.pos.line)
+            self.emit(op.ALOAD, 0, line=fd.line)
             self._expr(fd.init)
             self._coerce(fd.init.ty, fd.ty)
-            self.emit(op.PUTFIELD, self.bclass.name, fd.name, line=fd.pos.line)
+            self.emit(op.PUTFIELD, self.bclass.name, fd.name, line=fd.line)
 
     # ------------------------------------------------------------- statements
+    def _stmt(self, stmt: ast.Stmt) -> None:
+        _STMT_CODE[type(stmt)](self, stmt)
+
     def _block(self, block: ast.Block) -> None:
         self.slots.append({})
         for stmt in block.stmts:
-            self._stmt(stmt)
+            _STMT_CODE[type(stmt)](self, stmt)
         self.slots.pop()
 
-    def _stmt(self, stmt: ast.Stmt) -> None:
-        line = stmt.pos.line
-        if isinstance(stmt, ast.Block):
-            self._block(stmt)
-        elif isinstance(stmt, ast.VarDecl):
-            slot = self._declare(stmt.name, stmt.ty)
-            stmt.slot = slot
-            if stmt.init is not None:
-                self._expr(stmt.init)
-                self._coerce(stmt.init.ty, stmt.ty)
-                self._store(slot, stmt.ty, line)
-        elif isinstance(stmt, ast.If):
-            l_else = Label("ELSE")
-            self._branch_if_false(stmt.cond, l_else)
-            self._stmt(stmt.then)
-            if stmt.otherwise is not None:
-                l_end = Label("ENDIF")
-                self.emit(op.GOTO, l_end, line=line)
-                self.method.place(l_else)
-                self._stmt(stmt.otherwise)
-                self.method.place(l_end)
-            else:
-                self.method.place(l_else)
-        elif isinstance(stmt, ast.While):
-            l_cond, l_end = Label("WCOND"), Label("WEND")
-            self.method.place(l_cond)
+    def _var_decl(self, stmt: ast.VarDecl) -> None:
+        slot = self._declare(stmt.name, stmt.ty)
+        stmt.slot = slot
+        if stmt.init is not None:
+            self._expr(stmt.init)
+            self._coerce(stmt.init.ty, stmt.ty)
+            self._store(slot, stmt.ty, stmt.line)
+
+    def _if(self, stmt: ast.If) -> None:
+        l_else = self._label("ELSE")
+        self._branch_if_false(stmt.cond, l_else)
+        self._stmt(stmt.then)
+        if stmt.otherwise is not None:
+            l_end = self._label("ENDIF")
+            self.emit(op.GOTO, l_end, line=stmt.line)
+            self.place(l_else)
+            self._stmt(stmt.otherwise)
+            self.place(l_end)
+        else:
+            self.place(l_else)
+
+    def _while(self, stmt: ast.While) -> None:
+        l_cond, l_end = self._label("WCOND"), self._label("WEND")
+        self.place(l_cond)
+        self._branch_if_false(stmt.cond, l_end)
+        self.break_labels.append(l_end)
+        self.continue_labels.append(l_cond)
+        self._stmt(stmt.body)
+        self.break_labels.pop()
+        self.continue_labels.pop()
+        self.emit(op.GOTO, l_cond, line=stmt.line)
+        self.place(l_end)
+
+    def _for(self, stmt: ast.For) -> None:
+        self.slots.append({})
+        if stmt.init is not None:
+            self._stmt(stmt.init)
+        l_cond, l_cont, l_end = (
+            self._label("FCOND"), self._label("FCONT"), self._label("FEND")
+        )
+        self.place(l_cond)
+        if stmt.cond is not None:
             self._branch_if_false(stmt.cond, l_end)
-            self.break_labels.append(l_end)
-            self.continue_labels.append(l_cond)
-            self._stmt(stmt.body)
-            self.break_labels.pop()
-            self.continue_labels.pop()
-            self.emit(op.GOTO, l_cond, line=line)
-            self.method.place(l_end)
-        elif isinstance(stmt, ast.For):
-            self.slots.append({})
-            if stmt.init is not None:
-                self._stmt(stmt.init)
-            l_cond, l_cont, l_end = Label("FCOND"), Label("FCONT"), Label("FEND")
-            self.method.place(l_cond)
-            if stmt.cond is not None:
-                self._branch_if_false(stmt.cond, l_end)
-            self.break_labels.append(l_end)
-            self.continue_labels.append(l_cont)
-            self._stmt(stmt.body)
-            self.break_labels.pop()
-            self.continue_labels.pop()
-            self.method.place(l_cont)
-            if stmt.update is not None:
-                self._expr(stmt.update, want_value=False)
-            self.emit(op.GOTO, l_cond, line=line)
-            self.method.place(l_end)
-            self.slots.pop()
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is None:
-                self.emit(op.RETURN, line=line)
-            else:
-                self._expr(stmt.value)
-                self._coerce(stmt.value.ty, self.mi.ret)
-                ch = _tychar(self.mi.ret)
-                self.emit(
-                    {"I": op.IRETURN, "J": op.LRETURN, "F": op.FRETURN, "A": op.ARETURN}[ch],
-                    line=line,
-                )
-        elif isinstance(stmt, ast.ExprStmt):
-            self._expr(stmt.expr, want_value=False)
-        elif isinstance(stmt, ast.Break):
-            if not self.break_labels:
-                raise CompileError("break outside loop")
-            self.emit(op.GOTO, self.break_labels[-1], line=line)
-        elif isinstance(stmt, ast.Continue):
-            if not self.continue_labels:
-                raise CompileError("continue outside loop")
-            self.emit(op.GOTO, self.continue_labels[-1], line=line)
-        else:  # pragma: no cover
-            raise CompileError(f"unknown statement {type(stmt).__name__}")
+        self.break_labels.append(l_end)
+        self.continue_labels.append(l_cont)
+        self._stmt(stmt.body)
+        self.break_labels.pop()
+        self.continue_labels.pop()
+        self.place(l_cont)
+        if stmt.update is not None:
+            self._discard(stmt.update)
+        self.emit(op.GOTO, l_cond, line=stmt.line)
+        self.place(l_end)
+        self.slots.pop()
+
+    def _return(self, stmt: ast.Return) -> None:
+        if stmt.value is None:
+            self.emit(op.RETURN, line=stmt.line)
+        else:
+            ret = self.method.ret_type
+            self._expr(stmt.value)
+            self._coerce(stmt.value.ty, ret)
+            self.emit(_RETURN.get(ret, op.ARETURN), line=stmt.line)
+
+    def _expr_stmt(self, stmt: ast.ExprStmt) -> None:
+        self._discard(stmt.expr)
+
+    def _break(self, stmt: ast.Break) -> None:
+        if not self.break_labels:
+            raise CompileError("break outside loop")
+        self.emit(op.GOTO, self.break_labels[-1], line=stmt.line)
+
+    def _continue(self, stmt: ast.Continue) -> None:
+        if not self.continue_labels:
+            raise CompileError("continue outside loop")
+        self.emit(op.GOTO, self.continue_labels[-1], line=stmt.line)
 
     # ------------------------------------------------------------- conditions
     def _branch_if_false(self, expr: ast.Expr, target: Label) -> None:
-        if isinstance(expr, ast.Binary):
+        kind = type(expr)
+        if kind is ast.Binary:
             if expr.op == "&&":
                 for operand in _chain_operands(expr):
                     self._branch_if_false(operand, target)
                 return
             if expr.op == "||":
-                l_true = Label("ORT")
+                l_true = self._label("ORT")
                 self._branch_if_true(expr.left, l_true)
                 self._branch_if_false(expr.right, target)
-                self.method.place(l_true)
+                self.place(l_true)
                 return
             if expr.op in _CMP:
                 self._compare_branch(expr, target, negate=True)
                 return
-        if isinstance(expr, ast.Unary) and expr.op == "!":
+        elif kind is ast.Unary and expr.op == "!":
             self._branch_if_true(expr.operand, target)
             return
-        if isinstance(expr, ast.BoolLit):
+        elif kind is ast.BoolLit:
             if not expr.value:
-                self.emit(op.GOTO, target, line=expr.pos.line)
+                self.emit(op.GOTO, target, line=expr.line)
             return
         self._expr(expr)
-        self.emit(op.IFFALSE, target, line=expr.pos.line)
+        self.emit(op.IFFALSE, target, line=expr.line)
 
     def _branch_if_true(self, expr: ast.Expr, target: Label) -> None:
-        if isinstance(expr, ast.Binary):
+        kind = type(expr)
+        if kind is ast.Binary:
             if expr.op == "||":
                 for operand in _chain_operands(expr):
                     self._branch_if_true(operand, target)
                 return
             if expr.op == "&&":
-                l_false = Label("ANDF")
+                l_false = self._label("ANDF")
                 self._branch_if_false(expr.left, l_false)
                 self._branch_if_true(expr.right, target)
-                self.method.place(l_false)
+                self.place(l_false)
                 return
             if expr.op in _CMP:
                 self._compare_branch(expr, target, negate=False)
                 return
-        if isinstance(expr, ast.Unary) and expr.op == "!":
+        elif kind is ast.Unary and expr.op == "!":
             self._branch_if_false(expr.operand, target)
             return
-        if isinstance(expr, ast.BoolLit):
+        elif kind is ast.BoolLit:
             if expr.value:
-                self.emit(op.GOTO, target, line=expr.pos.line)
+                self.emit(op.GOTO, target, line=expr.line)
             return
         self._expr(expr)
-        self.emit(op.IFTRUE, target, line=expr.pos.line)
+        self.emit(op.IFTRUE, target, line=expr.line)
 
     def _compare_branch(self, expr: ast.Binary, target: Label, negate: bool) -> None:
         lt, rt = expr.left.ty, expr.right.ty
         cond = _CMP[expr.op]
         if negate:
             cond = _NEGATE[cond]
-        line = expr.pos.line
+        line = expr.line
         if lt.is_numeric() and rt.is_numeric():
-            from repro.lang.types import promote
-
             common = promote(lt, rt)
             assert common is not None
             self._expr(expr.left)
             self._coerce(lt, common)
             self._expr(expr.right)
             self._coerce(rt, common)
-            cmp_op = {"I": op.IF_ICMP, "J": op.IF_LCMP, "F": op.IF_FCMP}[_tychar(common)]
-            self.emit(cmp_op, cond, target, line=line)
+            self.emit(_CMP_BRANCH[common], cond, target, line=line)
         elif lt is BOOLEAN and rt is BOOLEAN:
             self._expr(expr.left)
             self._expr(expr.right)
@@ -354,67 +356,35 @@ class _MethodCompiler:
             self.emit(op.IF_ACMP, cond, target, line=line)
 
     # ------------------------------------------------------------- expressions
-    def _expr(self, expr: ast.Expr, want_value: bool = True) -> None:
-        line = expr.pos.line
-        if isinstance(expr, ast.IntLit):
-            self.emit(op.LDC, expr.value, "I", line=line)
-        elif isinstance(expr, ast.LongLit):
-            self.emit(op.LDC, expr.value, "J", line=line)
-        elif isinstance(expr, ast.FloatLit):
-            self.emit(op.LDC, expr.value, "F", line=line)
-        elif isinstance(expr, ast.BoolLit):
-            self.emit(op.LDC, 1 if expr.value else 0, "I", line=line)
-        elif isinstance(expr, ast.StrLit):
-            self.emit(op.LDC, expr.value, "S", line=line)
-        elif isinstance(expr, ast.NullLit):
-            self.emit(op.ACONST_NULL, line=line)
-        elif isinstance(expr, ast.This):
-            self.emit(op.ALOAD, 0, line=line)
-        elif isinstance(expr, ast.VarRef):
-            self._var_ref(expr)
-        elif isinstance(expr, ast.FieldAccess):
-            if expr.is_static:
-                self.emit(op.GETSTATIC, expr.resolved_class, expr.name, line=line)
-            else:
-                self._expr(expr.target)
-                self.emit(op.GETFIELD, expr.resolved_class, expr.name, line=line)
-        elif isinstance(expr, ast.ArrayIndex):
-            self._expr(expr.target)
-            self._expr(expr.index)
-            assert isinstance(expr.target.ty, ArrayType)
-            self.emit(op.XALOAD, _tychar(expr.target.ty.elem), line=line)
-        elif isinstance(expr, ast.ArrayLength):
-            self._expr(expr.target)
-            self.emit(op.ARRAYLENGTH, line=line)
-        elif isinstance(expr, ast.Call):
-            self._call(expr, want_value)
-            return
-        elif isinstance(expr, ast.New):
-            self._new(expr)
-        elif isinstance(expr, ast.NewArray):
-            self._expr(expr.length)
-            self.emit(op.NEWARRAY, expr.elem_ty.descriptor(), line=line)
-        elif isinstance(expr, ast.Unary):
-            self._unary(expr)
-        elif isinstance(expr, ast.Binary):
-            self._binary(expr)
-        elif isinstance(expr, ast.Assign):
-            self._assign(expr, want_value)
-            return
-        elif isinstance(expr, ast.Cast):
-            self._cast(expr)
-        elif isinstance(expr, ast.InstanceOf):
-            self._expr(expr.expr)
-            of = expr.of
-            name = of.name if isinstance(of, ClassType) else of.descriptor()
-            self.emit(op.INSTANCEOF, name, line=line)
-        else:  # pragma: no cover
-            raise CompileError(f"unknown expression {type(expr).__name__}")
-        if not want_value:
-            self.emit(op.POP, line=line)
+    def _expr(self, expr: ast.Expr) -> None:
+        """Push the value of ``expr``."""
+        _EXPR_CODE[type(expr)](self, expr)
+
+    def _discard(self, expr: ast.Expr) -> None:
+        """``expr`` as a statement: its value, if any, is dropped."""
+        kind = type(expr)
+        if kind is ast.Call:
+            self._call(expr, want_value=False)
+        elif kind is ast.Assign:
+            self._assign(expr, want_value=False)
+        else:
+            _EXPR_CODE[kind](self, expr)
+            self.emit(op.POP, line=expr.line)
+
+    def _literal(self, expr: ast.Expr) -> None:
+        self.emit(op.LDC, expr.value, _LDC_KIND[type(expr)], line=expr.line)
+
+    def _bool_lit(self, expr: ast.BoolLit) -> None:
+        self.emit(op.LDC, 1 if expr.value else 0, "I", line=expr.line)
+
+    def _null_lit(self, expr: ast.NullLit) -> None:
+        self.emit(op.ACONST_NULL, line=expr.line)
+
+    def _this(self, expr: ast.This) -> None:
+        self.emit(op.ALOAD, 0, line=expr.line)
 
     def _var_ref(self, expr: ast.VarRef) -> None:
-        line = expr.pos.line
+        line = expr.line
         kind = expr.binding[0] if expr.binding else None
         if kind == "local":
             slot, ty = self._lookup(expr.name)
@@ -429,8 +399,25 @@ class _MethodCompiler:
         else:
             raise CompileError(f"class name {expr.name} used as a value")
 
-    def _call(self, expr: ast.Call, want_value: bool) -> None:
-        line = expr.pos.line
+    def _field_access(self, expr: ast.FieldAccess) -> None:
+        if expr.is_static:
+            self.emit(op.GETSTATIC, expr.resolved_class, expr.name, line=expr.line)
+        else:
+            self._expr(expr.target)
+            self.emit(op.GETFIELD, expr.resolved_class, expr.name, line=expr.line)
+
+    def _array_index(self, expr: ast.ArrayIndex) -> None:
+        self._expr(expr.target)
+        self._expr(expr.index)
+        assert type(expr.target.ty) is ArrayType
+        self.emit(op.XALOAD, _TYCHAR.get(expr.target.ty.elem, "A"), line=expr.line)
+
+    def _array_length(self, expr: ast.ArrayLength) -> None:
+        self._expr(expr.target)
+        self.emit(op.ARRAYLENGTH, line=expr.line)
+
+    def _call(self, expr: ast.Call, want_value: bool = True) -> None:
+        line = expr.line
         recv_class, mi = expr.resolved
         if mi.is_static:
             pass  # no receiver
@@ -449,7 +436,7 @@ class _MethodCompiler:
             self.emit(op.POP, line=line)
 
     def _new(self, expr: ast.New) -> None:
-        line = expr.pos.line
+        line = expr.line
         ctor = self.table.resolve_ctor(expr.class_name)
         assert ctor is not None
         self.emit(op.NEW, expr.class_name, line=line)
@@ -459,22 +446,25 @@ class _MethodCompiler:
             self._coerce(arg.ty, pty)
         self.emit(op.INVOKESPECIAL, expr.class_name, "<init>", ctor.arity, line=line)
 
+    def _new_array(self, expr: ast.NewArray) -> None:
+        self._expr(expr.length)
+        self.emit(op.NEWARRAY, expr.elem_ty.descriptor(), line=expr.line)
+
     def _unary(self, expr: ast.Unary) -> None:
         if expr.op == "-":
             self._expr(expr.operand)
-            neg = {"I": op.INEG, "J": op.LNEG, "F": op.FNEG}[_tychar(expr.ty)]
-            self.emit(neg, line=expr.pos.line)
+            self.emit(_NEG[expr.ty], line=expr.line)
         else:  # "!": materialize via branches
             self._materialize_bool(expr)
 
     def _materialize_bool(self, expr: ast.Expr) -> None:
-        l_false, l_end = Label("BF"), Label("BE")
+        l_false, l_end = self._label("BF"), self._label("BE")
         self._branch_if_false(expr, l_false)
-        self.emit(op.LDC, 1, "I", line=expr.pos.line)
+        self.emit(op.LDC, 1, "I", line=expr.line)
         self.emit(op.GOTO, l_end)
-        self.method.place(l_false)
-        self.emit(op.LDC, 0, "I", line=expr.pos.line)
-        self.method.place(l_end)
+        self.place(l_false)
+        self.emit(op.LDC, 0, "I", line=expr.line)
+        self.place(l_end)
 
     def _binary(self, expr: ast.Binary) -> None:
         if expr.op in _BOOLEAN_OPS:
@@ -484,13 +474,13 @@ class _MethodCompiler:
         # operand: walk that spine in a loop, innermost operator first
         spine = [expr]
         left = expr.left
-        while isinstance(left, ast.Binary) and left.op not in _BOOLEAN_OPS:
+        while type(left) is ast.Binary and left.op not in _BOOLEAN_OPS:
             spine.append(left)
             left = left.left
         self._expr(left)
         for node in reversed(spine):
             opname = node.op
-            line = node.pos.line
+            line = node.line
             if opname == "+" and node.ty is STRING:
                 self._expr(node.right)
                 self.emit(op.INVOKESTATIC, "Str", "concat", 2, line=line)
@@ -503,14 +493,15 @@ class _MethodCompiler:
                 self._expr(node.right)
                 self._coerce(node.right.ty, node.ty)
             try:
-                self.emit(_ARITH[(opname, _tychar(node.ty))], line=line)
+                self.emit(_ARITH[opname, _TYCHAR.get(node.ty, "A")], line=line)
             except KeyError:  # pragma: no cover
                 raise CompileError(f"no opcode for {opname} on {node.ty}") from None
 
-    def _assign(self, expr: ast.Assign, want_value: bool) -> None:
+    def _assign(self, expr: ast.Assign, want_value: bool = True) -> None:
         target = expr.target
-        line = expr.pos.line
-        if isinstance(target, ast.VarRef) and target.binding[0] == "local":
+        line = expr.line
+        kind = type(target)
+        if kind is ast.VarRef and target.binding[0] == "local":
             slot, ty = self._lookup(target.name)
             self._expr(expr.value)
             self._coerce(expr.value.ty, ty)
@@ -519,11 +510,11 @@ class _MethodCompiler:
             self._store(slot, ty, line)
             return
         # resolve the (class, field, static?) triple for field targets
-        if isinstance(target, ast.VarRef):
+        if kind is ast.VarRef:
             fi = target.binding[1]
             cls, fname, is_static, fty = fi.declaring_class, fi.name, fi.is_static, fi.ty
             obj_pusher = None if is_static else (lambda: self.emit(op.ALOAD, 0, line=line))
-        elif isinstance(target, ast.FieldAccess):
+        elif kind is ast.FieldAccess:
             fi = self.table.resolve_field(target.resolved_class, target.name)
             assert fi is not None
             cls, fname, is_static, fty = (
@@ -533,9 +524,10 @@ class _MethodCompiler:
                 fi.ty,
             )
             obj_pusher = None if is_static else (lambda: self._expr(target.target))
-        elif isinstance(target, ast.ArrayIndex):
-            assert isinstance(target.target.ty, ArrayType)
+        elif kind is ast.ArrayIndex:
+            assert type(target.target.ty) is ArrayType
             elem_ty = target.target.ty.elem
+            elem = _TYCHAR.get(elem_ty, "A")
             if want_value:
                 tmp = self._alloc_temp()
                 self._expr(expr.value)
@@ -544,14 +536,14 @@ class _MethodCompiler:
                 self._expr(target.target)
                 self._expr(target.index)
                 self._load(tmp, elem_ty, line)
-                self.emit(op.XASTORE, _tychar(elem_ty), line=line)
+                self.emit(op.XASTORE, elem, line=line)
                 self._load(tmp, elem_ty, line)
             else:
                 self._expr(target.target)
                 self._expr(target.index)
                 self._expr(expr.value)
                 self._coerce(expr.value.ty, elem_ty)
-                self.emit(op.XASTORE, _tychar(elem_ty), line=line)
+                self.emit(op.XASTORE, elem, line=line)
             return
         else:  # pragma: no cover
             raise CompileError("bad assignment target")
@@ -586,7 +578,47 @@ class _MethodCompiler:
             src, NullType
         ):
             name = dst.name if isinstance(dst, ClassType) else dst.descriptor()
-            self.emit(op.CHECKCAST, name, line=expr.pos.line)
+            self.emit(op.CHECKCAST, name, line=expr.line)
+
+    def _instance_of(self, expr: ast.InstanceOf) -> None:
+        self._expr(expr.expr)
+        of = expr.of
+        name = of.name if isinstance(of, ClassType) else of.descriptor()
+        self.emit(op.INSTANCEOF, name, line=expr.line)
+
+
+#: a statement's or an expression's lowering, by the node's class: one lookup
+#: in place of an ``isinstance`` test per kind tried
+_STMT_CODE = {
+    ast.Block: _MethodCompiler._block,
+    ast.VarDecl: _MethodCompiler._var_decl,
+    ast.If: _MethodCompiler._if,
+    ast.While: _MethodCompiler._while,
+    ast.For: _MethodCompiler._for,
+    ast.Return: _MethodCompiler._return,
+    ast.ExprStmt: _MethodCompiler._expr_stmt,
+    ast.Break: _MethodCompiler._break,
+    ast.Continue: _MethodCompiler._continue,
+}
+
+_EXPR_CODE = {
+    **dict.fromkeys(_LDC_KIND, _MethodCompiler._literal),
+    ast.BoolLit: _MethodCompiler._bool_lit,
+    ast.NullLit: _MethodCompiler._null_lit,
+    ast.This: _MethodCompiler._this,
+    ast.VarRef: _MethodCompiler._var_ref,
+    ast.FieldAccess: _MethodCompiler._field_access,
+    ast.ArrayIndex: _MethodCompiler._array_index,
+    ast.ArrayLength: _MethodCompiler._array_length,
+    ast.Call: _MethodCompiler._call,
+    ast.New: _MethodCompiler._new,
+    ast.NewArray: _MethodCompiler._new_array,
+    ast.Unary: _MethodCompiler._unary,
+    ast.Binary: _MethodCompiler._binary,
+    ast.Assign: _MethodCompiler._assign,
+    ast.Cast: _MethodCompiler._cast,
+    ast.InstanceOf: _MethodCompiler._instance_of,
+}
 
 
 def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
@@ -598,7 +630,7 @@ def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
     """
     classes: Dict[str, BClass] = {}
     main_class: Optional[str] = None
-    member = ("", "", None)  # class, field or method being compiled, its position
+    member: Optional[ast.Node] = None  # the field or method being compiled
     try:
         for cd in program.classes:
             info = table.get(cd.name)
@@ -609,31 +641,32 @@ def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
             static_inits = [fd for fd in cd.fields if fd.is_static and fd.init is not None]
             if static_inits:
                 clinit = BMethod(cd.name, "<clinit>", [], VOID, True, False)
-                sub = _MethodCompiler.__new__(_MethodCompiler)
-                sub.table = table
-                sub.bclass = bclass
-                sub.method = clinit
-                sub.slots = [{}]
-                sub.next_slot = 0
-                sub.break_labels = []
-                sub.continue_labels = []
+                sub = _MethodCompiler(table, bclass, clinit)
                 for fd in static_inits:
-                    member = (cd.name, fd.name, fd.pos)
+                    member = fd
                     sub._expr(fd.init)
                     sub._coerce(fd.init.ty, fd.ty)
-                    clinit.emit(op.PUTSTATIC, cd.name, fd.name, line=fd.pos.line)
+                    clinit.emit(op.PUTSTATIC, cd.name, fd.name, line=fd.line)
                 clinit.emit(op.RETURN)
                 bclass.methods["<clinit>"] = clinit
             for md in cd.methods:
-                member = (cd.name, md.name, md.pos)
+                member = md
                 mi = info.methods[md.name]
-                mc = _MethodCompiler(table, bclass, mi)
+                method = BMethod(
+                    cd.name,
+                    mi.name,
+                    [ty for _, ty in mi.params],
+                    mi.ret,
+                    mi.is_static,
+                    mi.is_ctor,
+                )
+                mc = _MethodCompiler(table, bclass, method, mi.params)
                 bclass.methods[md.name] = mc.compile(md, cd.fields)
                 if md.name == "main" and md.is_static:
                     main_class = cd.name
             classes[cd.name] = bclass
     except RecursionError:
         raise CompileError(
-            "{0} in {1}.{2} at {3}".format(NESTED_TOO_DEEPLY, *member)
+            f"{NESTED_TOO_DEEPLY} in {cd.name}.{member.name} at {member.pos}"
         ) from None
     return BProgram(classes, table, main_class)

@@ -10,7 +10,6 @@ form consumed by the VM, the quad builder and the profiler.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CompileError
@@ -20,14 +19,13 @@ from repro.lang.types import VOID, Type
 
 
 class Label:
-    """A symbolic branch target; identity-based."""
-
-    _ids = itertools.count()
+    """A symbolic branch target; identity-based.  The name is for reading
+    only; the compiler numbers it within its method."""
 
     __slots__ = ("name",)
 
-    def __init__(self, hint: str = "L") -> None:
-        self.name = f"{hint}{next(Label._ids)}"
+    def __init__(self, name: str = "L") -> None:
+        self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover
         return self.name

@@ -1,9 +1,11 @@
 """AST node definitions for MJ.
 
-Nodes are plain classes with ``__slots__`` (cheap, picklable) and carry a
-:class:`~repro.errors.SourcePosition`.  Each constructor sets every slot of
-its node itself, inherited ones included, and calls no base ``__init__``:
-building a node is one Python call.  Expression nodes gain a ``ty``
+Nodes are plain classes with ``__slots__`` (cheap, picklable) and carry the
+``line`` and ``col`` of the token that starts them as two ints; ``pos``
+builds a :class:`~repro.errors.SourcePosition` from them on demand, for
+error text, so a correct program makes none.  Each constructor sets every
+slot of its node itself, inherited ones included, and calls no base
+``__init__``: building a node is one Python call.  Expression nodes gain a ``ty``
 attribute (the static type) during semantic analysis; some nodes gain
 resolution results (e.g. :class:`Call.resolved`).
 
@@ -21,10 +23,15 @@ from repro.lang.types import Type
 
 
 class Node:
-    __slots__ = ("pos",)
+    __slots__ = ("line", "col")
 
-    def __init__(self, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
+
+    @property
+    def pos(self) -> SourcePosition:
+        return SourcePosition(self.line, self.col)
 
 
 # --------------------------------------------------------------------------
@@ -33,8 +40,9 @@ class Node:
 class Program(Node):
     __slots__ = ("classes",)
 
-    def __init__(self, classes: List["ClassDecl"], pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, classes: List["ClassDecl"], line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.classes = classes
 
 
@@ -47,9 +55,11 @@ class ClassDecl(Node):
         superclass: Optional[str],
         fields: List["FieldDecl"],
         methods: List["MethodDecl"],
-        pos: SourcePosition,
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.name = name
         self.superclass = superclass  # None means implicit Object
         self.fields = fields
@@ -65,9 +75,11 @@ class FieldDecl(Node):
         ty: Type,
         is_static: bool,
         init: Optional["Expr"],
-        pos: SourcePosition,
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.name = name
         self.ty = ty
         self.is_static = is_static
@@ -77,8 +89,9 @@ class FieldDecl(Node):
 class Param(Node):
     __slots__ = ("name", "ty")
 
-    def __init__(self, name: str, ty: Type, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, name: str, ty: Type, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.name = name
         self.ty = ty
 
@@ -94,9 +107,11 @@ class MethodDecl(Node):
         body: "Block",
         is_static: bool,
         is_ctor: bool,
-        pos: SourcePosition,
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.name = name
         self.params = params
         self.ret = ret
@@ -115,8 +130,9 @@ class Stmt(Node):
 class Block(Stmt):
     __slots__ = ("stmts",)
 
-    def __init__(self, stmts: List[Stmt], pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, stmts: List[Stmt], line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.stmts = stmts
 
 
@@ -124,9 +140,10 @@ class VarDecl(Stmt):
     __slots__ = ("name", "ty", "init", "slot")
 
     def __init__(
-        self, name: str, ty: Type, init: Optional["Expr"], pos: SourcePosition
+        self, name: str, ty: Type, init: Optional["Expr"], line: int, col: int
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.name = name
         self.ty = ty
         self.init = init
@@ -137,9 +154,15 @@ class If(Stmt):
     __slots__ = ("cond", "then", "otherwise")
 
     def __init__(
-        self, cond: "Expr", then: Stmt, otherwise: Optional[Stmt], pos: SourcePosition
+        self,
+        cond: "Expr",
+        then: Stmt,
+        otherwise: Optional[Stmt],
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.cond = cond
         self.then = then
         self.otherwise = otherwise
@@ -148,8 +171,9 @@ class If(Stmt):
 class While(Stmt):
     __slots__ = ("cond", "body")
 
-    def __init__(self, cond: "Expr", body: Stmt, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, cond: "Expr", body: Stmt, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.cond = cond
         self.body = body
 
@@ -163,9 +187,11 @@ class For(Stmt):
         cond: Optional["Expr"],
         update: Optional["Expr"],
         body: Stmt,
-        pos: SourcePosition,
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.init = init
         self.cond = cond
         self.update = update
@@ -175,16 +201,18 @@ class For(Stmt):
 class Return(Stmt):
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional["Expr"], pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: Optional["Expr"], line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.value = value
 
 
 class ExprStmt(Stmt):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: "Expr", pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, expr: "Expr", line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.expr = expr
 
 
@@ -202,16 +230,18 @@ class Continue(Stmt):
 class Expr(Node):
     __slots__ = ("ty",)
 
-    def __init__(self, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty: Optional[Type] = None  # filled in by semantic analysis
 
 
 class IntLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: int, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.value = value
 
@@ -219,8 +249,9 @@ class IntLit(Expr):
 class LongLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: int, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.value = value
 
@@ -228,8 +259,9 @@ class LongLit(Expr):
 class FloatLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: float, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.value = value
 
@@ -237,8 +269,9 @@ class FloatLit(Expr):
 class BoolLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: bool, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: bool, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.value = value
 
@@ -246,8 +279,9 @@ class BoolLit(Expr):
 class StrLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: str, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, value: str, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.value = value
 
@@ -268,8 +302,9 @@ class VarRef(Expr):
 
     __slots__ = ("name", "binding")
 
-    def __init__(self, name: str, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, name: str, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.name = name
         self.binding = None
@@ -281,8 +316,9 @@ class FieldAccess(Expr):
 
     __slots__ = ("target", "name", "resolved_class", "is_static")
 
-    def __init__(self, target: Expr, name: str, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, target: Expr, name: str, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.target = target
         self.name = name
@@ -293,8 +329,9 @@ class FieldAccess(Expr):
 class ArrayIndex(Expr):
     __slots__ = ("target", "index")
 
-    def __init__(self, target: Expr, index: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, target: Expr, index: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.target = target
         self.index = index
@@ -303,8 +340,9 @@ class ArrayIndex(Expr):
 class ArrayLength(Expr):
     __slots__ = ("target",)
 
-    def __init__(self, target: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, target: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.target = target
 
@@ -317,9 +355,15 @@ class Call(Expr):
     __slots__ = ("target", "name", "args", "resolved")
 
     def __init__(
-        self, target: Optional[Expr], name: str, args: List[Expr], pos: SourcePosition
+        self,
+        target: Optional[Expr],
+        name: str,
+        args: List[Expr],
+        line: int,
+        col: int,
     ) -> None:
-        self.pos = pos
+        self.line = line
+        self.col = col
         self.ty = None
         self.target = target
         self.name = name
@@ -330,8 +374,11 @@ class Call(Expr):
 class New(Expr):
     __slots__ = ("class_name", "args")
 
-    def __init__(self, class_name: str, args: List[Expr], pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(
+        self, class_name: str, args: List[Expr], line: int, col: int
+    ) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.class_name = class_name
         self.args = args
@@ -340,8 +387,9 @@ class New(Expr):
 class NewArray(Expr):
     __slots__ = ("elem_ty", "length")
 
-    def __init__(self, elem_ty: Type, length: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, elem_ty: Type, length: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.elem_ty = elem_ty
         self.length = length
@@ -350,8 +398,9 @@ class NewArray(Expr):
 class Unary(Expr):
     __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, op: str, operand: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.op = op  # "-" | "!"
         self.operand = operand
@@ -360,8 +409,11 @@ class Unary(Expr):
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(
+        self, op: str, left: Expr, right: Expr, line: int, col: int
+    ) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.op = op  # + - * / % < <= > >= == != && || & | ^ << >> >>>
         self.left = left
@@ -373,8 +425,9 @@ class Assign(Expr):
 
     __slots__ = ("target", "value")
 
-    def __init__(self, target: Expr, value: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, target: Expr, value: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.target = target
         self.value = value
@@ -383,8 +436,9 @@ class Assign(Expr):
 class Cast(Expr):
     __slots__ = ("to", "expr")
 
-    def __init__(self, to: Type, expr: Expr, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, to: Type, expr: Expr, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.to = to
         self.expr = expr
@@ -393,8 +447,9 @@ class Cast(Expr):
 class InstanceOf(Expr):
     __slots__ = ("expr", "of")
 
-    def __init__(self, expr: Expr, of: Type, pos: SourcePosition) -> None:
-        self.pos = pos
+    def __init__(self, expr: Expr, of: Type, line: int, col: int) -> None:
+        self.line = line
+        self.col = col
         self.ty = None
         self.expr = expr
         self.of = of

@@ -11,9 +11,9 @@ statement and expression methods, which see nearly every token, read it
 inline.  Tokens are the lexer's ``(kind, text, line, col, value)`` tuples,
 read by index, and kinds are compared as the ints bound below: an
 ``Enum`` member costs an attribute lookup per comparison and hashes in
-Python.  ``T(kind).name`` is spelled only in error text.  A
-``SourcePosition`` is made for each node that keeps one, from the token
-that starts it, and for an error.
+Python.  ``T(kind).name`` is spelled only in error text.  A node takes the
+line and column of the token that starts it as two ints; a
+``SourcePosition`` is made only for an error.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ _CAST_OPERAND_START = frozenset(kind._value_ for kind in (
 
 
 def _pos(tok: Token) -> SourcePosition:
-    """For errors and declarations; statements and expressions, which make
-    nearly every node, build their position inline."""
+    """For errors: a node keeps its token's line and column as two ints."""
     return SourcePosition(tok[2], tok[3])
 
 
@@ -208,7 +207,7 @@ class Parser:
 
     # ------------------------------------------------------------ declarations
     def parse_program(self) -> ast.Program:
-        pos = _pos(self._peek())
+        first = self._peek()
         classes: List[ast.ClassDecl] = []
         try:
             while not self._at(_EOF):
@@ -217,10 +216,10 @@ class Parser:
         except RecursionError:
             # reported at the token the descent had reached
             raise ParseError(NESTED_TOO_DEEPLY, _pos(self._peek())) from None
-        return ast.Program(classes, pos)
+        return ast.Program(classes, first[2], first[3])
 
     def _parse_class(self) -> ast.ClassDecl:
-        pos = _pos(self._expect(_CLASS))
+        start = self._expect(_CLASS)
         name = self._expect(_IDENT)[1]
         superclass = None
         if self._accept(_EXTENDS):
@@ -231,7 +230,7 @@ class Parser:
         while not self._at(_RBRACE):
             self._parse_member(name, fields, methods)
         self._expect(_RBRACE)
-        return ast.ClassDecl(name, superclass, fields, methods, pos)
+        return ast.ClassDecl(name, superclass, fields, methods, start[2], start[3])
 
     def _parse_member(
         self,
@@ -248,7 +247,9 @@ class Parser:
             params = self._parse_params()
             body = self._parse_block()
             methods.append(
-                ast.MethodDecl("<init>", params, VOID, body, False, True, _pos(start))
+                ast.MethodDecl(
+                    "<init>", params, VOID, body, False, True, start[2], start[3]
+                )
             )
             return
 
@@ -261,7 +262,9 @@ class Parser:
             params = self._parse_params()
             body = self._parse_block()
             methods.append(
-                ast.MethodDecl(name, params, ret, body, is_static, False, _pos(start))
+                ast.MethodDecl(
+                    name, params, ret, body, is_static, False, start[2], start[3]
+                )
             )
         else:
             init = None
@@ -270,7 +273,9 @@ class Parser:
             self._expect(_SEMI)
             if ret is VOID:
                 raise ParseError("field cannot have type void", _pos(start))
-            fields.append(ast.FieldDecl(name, ret, is_static, init, _pos(start)))
+            fields.append(
+                ast.FieldDecl(name, ret, is_static, init, start[2], start[3])
+            )
 
     def _parse_params(self) -> List[ast.Param]:
         self._expect(_LPAREN)
@@ -280,7 +285,7 @@ class Parser:
                 start = self._peek()
                 ty = self._parse_type()
                 name = self._expect(_IDENT)[1]
-                params.append(ast.Param(name, ty, _pos(start)))
+                params.append(ast.Param(name, ty, start[2], start[3]))
                 if not self._accept(_COMMA):
                     break
         self._expect(_RPAREN)
@@ -294,7 +299,7 @@ class Parser:
         while toks[self.i][0] != _RBRACE:
             stmts.append(self._parse_stmt())
         self.i += 1
-        return ast.Block(stmts, SourcePosition(start[2], start[3]))
+        return ast.Block(stmts, start[2], start[3])
 
     def _looks_like_vardecl(self) -> bool:
         """A statement starts a local declaration if it begins with a
@@ -326,19 +331,19 @@ class Parser:
             self.i += 1
             value = None if self.toks[self.i][0] == _SEMI else self._parse_expr()
             self._expect(_SEMI)
-            return ast.Return(value, SourcePosition(tok[2], tok[3]))
+            return ast.Return(value, tok[2], tok[3])
         if kind == _BREAK:
             self.i += 1
             self._expect(_SEMI)
-            return ast.Break(SourcePosition(tok[2], tok[3]))
+            return ast.Break(tok[2], tok[3])
         if kind == _CONTINUE:
             self.i += 1
             self._expect(_SEMI)
-            return ast.Continue(SourcePosition(tok[2], tok[3]))
+            return ast.Continue(tok[2], tok[3])
         if self._looks_like_vardecl():
             stmt = self._parse_vardecl()
         else:
-            stmt = ast.ExprStmt(self._parse_expr(), SourcePosition(tok[2], tok[3]))
+            stmt = ast.ExprStmt(self._parse_expr(), tok[2], tok[3])
         self._expect(_SEMI)
         return stmt
 
@@ -349,7 +354,7 @@ class Parser:
         init = None
         if self._accept(_ASSIGN):
             init = self._parse_expr()
-        return ast.VarDecl(name, ty, init, SourcePosition(start[2], start[3]))
+        return ast.VarDecl(name, ty, init, start[2], start[3])
 
     def _parse_if(self) -> ast.Stmt:
         start = self._expect(_IF)
@@ -360,7 +365,7 @@ class Parser:
         otherwise = None
         if self._accept(_ELSE):
             otherwise = self._parse_stmt()
-        return ast.If(cond, then, otherwise, SourcePosition(start[2], start[3]))
+        return ast.If(cond, then, otherwise, start[2], start[3])
 
     def _parse_while(self) -> ast.Stmt:
         start = self._expect(_WHILE)
@@ -368,7 +373,7 @@ class Parser:
         cond = self._parse_expr()
         self._expect(_RPAREN)
         body = self._parse_stmt()
-        return ast.While(cond, body, SourcePosition(start[2], start[3]))
+        return ast.While(cond, body, start[2], start[3])
 
     def _parse_for(self) -> ast.Stmt:
         start = self._expect(_FOR)
@@ -378,14 +383,16 @@ class Parser:
             if self._looks_like_vardecl():
                 init = self._parse_vardecl()
             else:
-                init = ast.ExprStmt(self._parse_expr(), _pos(self._peek()))
+                expr = self._parse_expr()
+                at = self.toks[self.i]
+                init = ast.ExprStmt(expr, at[2], at[3])
         self._expect(_SEMI)
         cond = None if self._at(_SEMI) else self._parse_expr()
         self._expect(_SEMI)
         update = None if self._at(_RPAREN) else self._parse_expr()
         self._expect(_RPAREN)
         body = self._parse_stmt()
-        return ast.For(init, cond, update, body, SourcePosition(start[2], start[3]))
+        return ast.For(init, cond, update, body, start[2], start[3])
 
     # ---------------------------------------------------------------- expressions
     def _parse_expr(self) -> ast.Expr:
@@ -398,14 +405,14 @@ class Parser:
             self.i += 1
             value = self._parse_expr()
             self._check_lvalue(left)
-            return ast.Assign(left, value, SourcePosition(tok[2], tok[3]))
+            return ast.Assign(left, value, tok[2], tok[3])
         op = _COMPOUND_ASSIGN[kind]
         if op is not None:
             self.i += 1
             rhs = self._parse_expr()
             self._check_lvalue(left)
-            pos = SourcePosition(tok[2], tok[3])
-            return ast.Assign(left, ast.Binary(op, left, rhs, pos), pos)
+            line, col = tok[2], tok[3]
+            return ast.Assign(left, ast.Binary(op, left, rhs, line, col), line, col)
         return left
 
     def _check_lvalue(self, expr: ast.Expr) -> None:
@@ -429,12 +436,10 @@ class Parser:
                 return left
             self.i += 1
             if tok[0] == _INSTANCEOF:
-                left = ast.InstanceOf(
-                    left, self._parse_type(), SourcePosition(tok[2], tok[3])
-                )
+                left = ast.InstanceOf(left, self._parse_type(), tok[2], tok[3])
             else:
                 right = self._parse_binary(prec + 1)
-                left = ast.Binary(op, left, right, SourcePosition(tok[2], tok[3]))
+                left = ast.Binary(op, left, right, tok[2], tok[3])
             limit = prec
 
     def _at_cast(self) -> bool:
@@ -459,25 +464,28 @@ class Parser:
         kind = tok[0]
         if kind == _MINUS:
             self.i += 1
-            return ast.Unary("-", self._parse_unary(), SourcePosition(tok[2], tok[3]))
+            return ast.Unary("-", self._parse_unary(), tok[2], tok[3])
         if kind == _NOT:
             self.i += 1
-            return ast.Unary("!", self._parse_unary(), SourcePosition(tok[2], tok[3]))
+            return ast.Unary("!", self._parse_unary(), tok[2], tok[3])
         if kind == _PLUSPLUS or kind == _MINUSMINUS:
             # pre-increment: ++x  ==>  x = x + 1 (value is the new value)
             op = "+" if kind == _PLUSPLUS else "-"
             self.i += 1
             operand = self._parse_unary()
             self._check_lvalue(operand)
-            pos = SourcePosition(tok[2], tok[3])
+            line, col = tok[2], tok[3]
             return ast.Assign(
-                operand, ast.Binary(op, operand, ast.IntLit(1, pos), pos), pos
+                operand,
+                ast.Binary(op, operand, ast.IntLit(1, line, col), line, col),
+                line,
+                col,
             )
         if kind == _LPAREN and self._at_cast():
             self.i += 1
             to = self._parse_type()
             self._expect(_RPAREN)
-            return ast.Cast(to, self._parse_unary(), SourcePosition(tok[2], tok[3]))
+            return ast.Cast(to, self._parse_unary(), tok[2], tok[3])
 
         expr = self._parse_primary()
         toks = self.toks
@@ -487,18 +495,18 @@ class Parser:
             if kind == _DOT:
                 self.i += 1
                 name = self._expect(_IDENT)[1]
-                pos = SourcePosition(tok[2], tok[3])
+                line, col = tok[2], tok[3]
                 if toks[self.i][0] == _LPAREN:
-                    expr = ast.Call(expr, name, self._parse_args(), pos)
+                    expr = ast.Call(expr, name, self._parse_args(), line, col)
                 elif name == "length":
-                    expr = ast.ArrayLength(expr, pos)
+                    expr = ast.ArrayLength(expr, line, col)
                 else:
-                    expr = ast.FieldAccess(expr, name, pos)
+                    expr = ast.FieldAccess(expr, name, line, col)
             elif kind == _LBRACKET:
                 self.i += 1
                 index = self._parse_expr()
                 self._expect(_RBRACKET)
-                expr = ast.ArrayIndex(expr, index, SourcePosition(tok[2], tok[3]))
+                expr = ast.ArrayIndex(expr, index, tok[2], tok[3])
             elif kind == _PLUSPLUS or kind == _MINUSMINUS:
                 # postfix inc/dec desugars like the prefix form; MJ code in
                 # this repo only uses it in statement position where the
@@ -506,9 +514,12 @@ class Parser:
                 op = "+" if kind == _PLUSPLUS else "-"
                 self.i += 1
                 self._check_lvalue(expr)
-                pos = SourcePosition(tok[2], tok[3])
+                line, col = tok[2], tok[3]
                 expr = ast.Assign(
-                    expr, ast.Binary(op, expr, ast.IntLit(1, pos), pos), pos
+                    expr,
+                    ast.Binary(op, expr, ast.IntLit(1, line, col), line, col),
+                    line,
+                    col,
                 )
             else:
                 return expr
@@ -531,26 +542,26 @@ class Parser:
         kind = tok[0]
         if kind == _IDENT:
             self.i += 1
-            pos = SourcePosition(tok[2], tok[3])
+            line, col = tok[2], tok[3]
             if self.toks[self.i][0] == _LPAREN:
-                return ast.Call(None, tok[1], self._parse_args(), pos)
-            return ast.VarRef(tok[1], pos)
+                return ast.Call(None, tok[1], self._parse_args(), line, col)
+            return ast.VarRef(tok[1], line, col)
         literal = _LITERALS[kind]
         if literal is not None:
             self.i += 1
-            return literal(tok[4], SourcePosition(tok[2], tok[3]))
+            return literal(tok[4], tok[2], tok[3])
         if kind == _TRUE:
             self.i += 1
-            return ast.BoolLit(True, SourcePosition(tok[2], tok[3]))
+            return ast.BoolLit(True, tok[2], tok[3])
         if kind == _FALSE:
             self.i += 1
-            return ast.BoolLit(False, SourcePosition(tok[2], tok[3]))
+            return ast.BoolLit(False, tok[2], tok[3])
         if kind == _NULL:
             self.i += 1
-            return ast.NullLit(SourcePosition(tok[2], tok[3]))
+            return ast.NullLit(tok[2], tok[3])
         if kind == _THIS:
             self.i += 1
-            return ast.This(SourcePosition(tok[2], tok[3]))
+            return ast.This(tok[2], tok[3])
         if kind == _NEW:
             return self._parse_new(tok)
         if kind == _LPAREN:
@@ -569,15 +580,13 @@ class Parser:
         else:
             name = self._expect(_IDENT)[1]
             if self.toks[self.i][0] == _LPAREN:
-                pos = SourcePosition(start[2], start[3])
-                return ast.New(name, self._parse_args(), pos)
+                return ast.New(name, self._parse_args(), start[2], start[3])
         self._expect(_LBRACKET)
         length = self._parse_expr()
         self._expect(_RBRACKET)
         if base is None:
             base = ClassType(name)
-        pos = SourcePosition(start[2], start[3])
-        return ast.NewArray(self._array_dims(base), length, pos)
+        return ast.NewArray(self._array_dims(base), length, start[2], start[3])
 
 
 def parse_program(source: str) -> ast.Program:

@@ -51,11 +51,15 @@ PARTITIONERS: Registry = Registry("partition method")
 def _kway_from_bisector(graph: WeightedGraph, nparts: int, bisector) -> List[int]:
     parts = [0] * graph.num_nodes
 
-    def split(node_ids: List[int], k: int, base: int) -> None:
+    # left half first, as a recursion would split it; a stack keeps the
+    # graph out of the reference cycle a recursive closure forms
+    stack = [(list(range(graph.num_nodes)), nparts, 0)]
+    while stack:
+        node_ids, k, base = stack.pop()
         if k == 1 or len(node_ids) <= 1:
             for u in node_ids:
                 parts[u] = base
-            return
+            continue
         sub, mapping = graph.subgraph(node_ids)
         bis = bisector(sub)
         left = [mapping[i] for i, p in enumerate(bis) if p == 0]
@@ -64,10 +68,8 @@ def _kway_from_bisector(graph: WeightedGraph, nparts: int, bisector) -> List[int
             mid = max(1, len(node_ids) // 2)
             left, right = node_ids[:mid], node_ids[mid:]
         k_left = k // 2
-        split(left, k_left, base)
-        split(right, k - k_left, base + k_left)
-
-    split(list(range(graph.num_nodes)), nparts, 0)
+        stack.append((right, k - k_left, base + k_left))
+        stack.append((left, k_left, base))
     return parts
 
 

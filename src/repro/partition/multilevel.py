@@ -112,12 +112,18 @@ def recursive_kway(
     total_frac = sum(tpwgts)
     tpwgts = [max(t, 1e-9) / total_frac for t in tpwgts]
 
-    def split(node_ids: List[int], fracs: List[float], base: int) -> None:
+    # (nodes, target fractions, first partition) still to split; the left
+    # half pops first, so the bisections draw from ``rng`` in the order a
+    # left-first recursion would (a stack, not a recursive closure, which
+    # would hold the graph and ``rng`` in a reference cycle)
+    stack = [(list(range(n)), list(tpwgts), 0)]
+    while stack:
+        node_ids, fracs, base = stack.pop()
         k = len(fracs)
         if k == 1 or len(node_ids) <= 1:
             for u in node_ids:
                 parts[u] = base
-            return
+            continue
         k_left = k // 2
         frac_left = sum(fracs[:k_left]) / sum(fracs)
         sub, mapping = graph.subgraph(node_ids)
@@ -129,8 +135,6 @@ def recursive_kway(
             mid = max(1, int(round(len(node_ids) * frac_left)))
             mid = min(mid, len(node_ids) - 1)
             left, right = node_ids[:mid], node_ids[mid:]
-        split(left, fracs[:k_left], base)
-        split(right, fracs[k_left:], base + k_left)
-
-    split(list(range(n)), list(tpwgts), 0)
+        stack.append((right, fracs[k_left:], base + k_left))
+        stack.append((left, fracs[:k_left], base))
     return parts

@@ -223,7 +223,7 @@ def test_generated_192_class_program_compiles():
     ("(" * 5000 + "x" + ")" * 5000, "ParseError"),
     ("-" * 5000 + "x", "ParseError"),
     ("x + (" * 1000 + "x" + ")" * 1000, "ParseError"),
-    (" = ".join(["x"] * 400), "SemanticError"),
+    (" = ".join(["x"] * 700), "SemanticError"),
 ])
 def test_expression_nested_too_deeply_is_a_structured_error(expression, error):
     from repro import errors

@@ -73,6 +73,11 @@ _COMPOUND_ASSIGN = {
 }
 
 
+def _lc(pos):
+    """A token's position as the ``line, col`` a node is built with."""
+    return pos.line, pos.col
+
+
 class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.toks = tokens
@@ -147,7 +152,7 @@ class Parser:
         except RecursionError:
             # reported at the token the descent had reached
             raise ParseError(NESTED_TOO_DEEPLY, self._peek().pos) from None
-        return ast.Program(classes, pos)
+        return ast.Program(classes, *_lc(pos))
 
     def _parse_class(self) -> ast.ClassDecl:
         start = self._expect(T.CLASS)
@@ -161,7 +166,7 @@ class Parser:
         while not self._at(T.RBRACE):
             self._parse_member(name, fields, methods)
         self._expect(T.RBRACE)
-        return ast.ClassDecl(name, superclass, fields, methods, start.pos)
+        return ast.ClassDecl(name, superclass, fields, methods, *_lc(start.pos))
 
     def _parse_member(
         self,
@@ -178,7 +183,7 @@ class Parser:
             params = self._parse_params()
             body = self._parse_block()
             methods.append(
-                ast.MethodDecl("<init>", params, VOID, body, False, True, pos)
+                ast.MethodDecl("<init>", params, VOID, body, False, True, *_lc(pos))
             )
             return
 
@@ -191,7 +196,7 @@ class Parser:
             params = self._parse_params()
             body = self._parse_block()
             methods.append(
-                ast.MethodDecl(name, params, ret, body, is_static, False, pos)
+                ast.MethodDecl(name, params, ret, body, is_static, False, *_lc(pos))
             )
         else:
             init = None
@@ -200,7 +205,7 @@ class Parser:
             self._expect(T.SEMI)
             if ret is VOID:
                 raise ParseError("field cannot have type void", pos)
-            fields.append(ast.FieldDecl(name, ret, is_static, init, pos))
+            fields.append(ast.FieldDecl(name, ret, is_static, init, *_lc(pos)))
 
     def _parse_params(self) -> List[ast.Param]:
         self._expect(T.LPAREN)
@@ -210,7 +215,7 @@ class Parser:
                 pos = self._peek().pos
                 ty = self._parse_type()
                 name = self._expect(T.IDENT).text
-                params.append(ast.Param(name, ty, pos))
+                params.append(ast.Param(name, ty, *_lc(pos)))
                 if not self._accept(T.COMMA):
                     break
         self._expect(T.RPAREN)
@@ -223,7 +228,7 @@ class Parser:
         while not self._at(T.RBRACE):
             stmts.append(self._parse_stmt())
         self._expect(T.RBRACE)
-        return ast.Block(stmts, start.pos)
+        return ast.Block(stmts, *_lc(start.pos))
 
     def _looks_like_vardecl(self) -> bool:
         """A statement starts a local declaration if it begins with a
@@ -255,22 +260,22 @@ class Parser:
             self._advance()
             value = None if self._at(T.SEMI) else self._parse_expr()
             self._expect(T.SEMI)
-            return ast.Return(value, tok.pos)
+            return ast.Return(value, *_lc(tok.pos))
         if tok.kind is T.BREAK:
             self._advance()
             self._expect(T.SEMI)
-            return ast.Break(tok.pos)
+            return ast.Break(*_lc(tok.pos))
         if tok.kind is T.CONTINUE:
             self._advance()
             self._expect(T.SEMI)
-            return ast.Continue(tok.pos)
+            return ast.Continue(*_lc(tok.pos))
         if self._looks_like_vardecl():
             stmt = self._parse_vardecl()
             self._expect(T.SEMI)
             return stmt
         expr = self._parse_expr()
         self._expect(T.SEMI)
-        return ast.ExprStmt(expr, tok.pos)
+        return ast.ExprStmt(expr, *_lc(tok.pos))
 
     def _parse_vardecl(self) -> ast.Stmt:
         pos = self._peek().pos
@@ -279,7 +284,7 @@ class Parser:
         init = None
         if self._accept(T.ASSIGN):
             init = self._parse_expr()
-        return ast.VarDecl(name, ty, init, pos)
+        return ast.VarDecl(name, ty, init, *_lc(pos))
 
     def _parse_if(self) -> ast.Stmt:
         start = self._expect(T.IF)
@@ -290,7 +295,7 @@ class Parser:
         otherwise = None
         if self._accept(T.ELSE):
             otherwise = self._parse_stmt()
-        return ast.If(cond, then, otherwise, start.pos)
+        return ast.If(cond, then, otherwise, *_lc(start.pos))
 
     def _parse_while(self) -> ast.Stmt:
         start = self._expect(T.WHILE)
@@ -298,7 +303,7 @@ class Parser:
         cond = self._parse_expr()
         self._expect(T.RPAREN)
         body = self._parse_stmt()
-        return ast.While(cond, body, start.pos)
+        return ast.While(cond, body, *_lc(start.pos))
 
     def _parse_for(self) -> ast.Stmt:
         start = self._expect(T.FOR)
@@ -308,14 +313,14 @@ class Parser:
             if self._looks_like_vardecl():
                 init = self._parse_vardecl()
             else:
-                init = ast.ExprStmt(self._parse_expr(), self._peek().pos)
+                init = ast.ExprStmt(self._parse_expr(), *_lc(self._peek().pos))
         self._expect(T.SEMI)
         cond = None if self._at(T.SEMI) else self._parse_expr()
         self._expect(T.SEMI)
         update = None if self._at(T.RPAREN) else self._parse_expr()
         self._expect(T.RPAREN)
         body = self._parse_stmt()
-        return ast.For(init, cond, update, body, start.pos)
+        return ast.For(init, cond, update, body, *_lc(start.pos))
 
     # ---------------------------------------------------------------- expressions
     def _parse_expr(self) -> ast.Expr:
@@ -328,13 +333,14 @@ class Parser:
             self._advance()
             value = self._parse_assignment()
             self._check_lvalue(left)
-            return ast.Assign(left, value, tok.pos)
+            return ast.Assign(left, value, *_lc(tok.pos))
         op = _COMPOUND_ASSIGN.get(tok.kind)
         if op is not None:
             self._advance()
             rhs = self._parse_assignment()
             self._check_lvalue(left)
-            return ast.Assign(left, ast.Binary(op, left, rhs, tok.pos), tok.pos)
+            line, col = _lc(tok.pos)
+            return ast.Assign(left, ast.Binary(op, left, rhs, line, col), line, col)
         return left
 
     def _check_lvalue(self, expr: ast.Expr) -> None:
@@ -357,10 +363,10 @@ class Parser:
                 return left
             self._advance()
             if tok.kind is T.INSTANCEOF:
-                left = ast.InstanceOf(left, self._parse_type(), tok.pos)
+                left = ast.InstanceOf(left, self._parse_type(), *_lc(tok.pos))
             else:
                 right = self._parse_binary(prec + 1)
-                left = ast.Binary(op, left, right, tok.pos)
+                left = ast.Binary(op, left, right, *_lc(tok.pos))
             limit = prec
 
     def _at_cast(self) -> bool:
@@ -395,24 +401,28 @@ class Parser:
         tok = self._peek()
         if tok.kind is T.MINUS:
             self._advance()
-            return ast.Unary("-", self._parse_unary(), tok.pos)
+            return ast.Unary("-", self._parse_unary(), *_lc(tok.pos))
         if tok.kind is T.NOT:
             self._advance()
-            return ast.Unary("!", self._parse_unary(), tok.pos)
+            return ast.Unary("!", self._parse_unary(), *_lc(tok.pos))
         if tok.kind is T.PLUSPLUS or tok.kind is T.MINUSMINUS:
             # pre-increment: ++x  ==>  x = x + 1 (value is the new value)
             op = "+" if tok.kind is T.PLUSPLUS else "-"
             self._advance()
             operand = self._parse_unary()
             self._check_lvalue(operand)
+            line, col = _lc(tok.pos)
             return ast.Assign(
-                operand, ast.Binary(op, operand, ast.IntLit(1, tok.pos), tok.pos), tok.pos
+                operand,
+                ast.Binary(op, operand, ast.IntLit(1, line, col), line, col),
+                line,
+                col,
             )
         if self._at_cast():
             self._advance()  # (
             to = self._parse_type()
             self._expect(T.RPAREN)
-            return ast.Cast(to, self._parse_unary(), tok.pos)
+            return ast.Cast(to, self._parse_unary(), *_lc(tok.pos))
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
@@ -424,16 +434,16 @@ class Parser:
                 name = self._expect(T.IDENT).text
                 if self._at(T.LPAREN):
                     args = self._parse_args()
-                    expr = ast.Call(expr, name, args, tok.pos)
+                    expr = ast.Call(expr, name, args, *_lc(tok.pos))
                 elif name == "length" and not self._at(T.LPAREN):
-                    expr = ast.ArrayLength(expr, tok.pos)
+                    expr = ast.ArrayLength(expr, *_lc(tok.pos))
                 else:
-                    expr = ast.FieldAccess(expr, name, tok.pos)
+                    expr = ast.FieldAccess(expr, name, *_lc(tok.pos))
             elif tok.kind is T.LBRACKET:
                 self._advance()
                 index = self._parse_expr()
                 self._expect(T.RBRACKET)
-                expr = ast.ArrayIndex(expr, index, tok.pos)
+                expr = ast.ArrayIndex(expr, index, *_lc(tok.pos))
             elif tok.kind in (T.PLUSPLUS, T.MINUSMINUS):
                 # postfix inc/dec desugars like the prefix form; MJ code in
                 # this repo only uses it in statement position where the
@@ -443,8 +453,8 @@ class Parser:
                 self._check_lvalue(expr)
                 expr = ast.Assign(
                     expr,
-                    ast.Binary(op, expr, ast.IntLit(1, tok.pos), tok.pos),
-                    tok.pos,
+                    ast.Binary(op, expr, ast.IntLit(1, *_lc(tok.pos)), *_lc(tok.pos)),
+                    *_lc(tok.pos),
                 )
             else:
                 return expr
@@ -464,28 +474,28 @@ class Parser:
         tok = self._peek()
         if tok.kind is T.INT_LIT:
             self._advance()
-            return ast.IntLit(tok.value, tok.pos)
+            return ast.IntLit(tok.value, *_lc(tok.pos))
         if tok.kind is T.LONG_LIT:
             self._advance()
-            return ast.LongLit(tok.value, tok.pos)
+            return ast.LongLit(tok.value, *_lc(tok.pos))
         if tok.kind is T.FLOAT_LIT:
             self._advance()
-            return ast.FloatLit(tok.value, tok.pos)
+            return ast.FloatLit(tok.value, *_lc(tok.pos))
         if tok.kind is T.STR_LIT:
             self._advance()
-            return ast.StrLit(tok.value, tok.pos)
+            return ast.StrLit(tok.value, *_lc(tok.pos))
         if tok.kind is T.TRUE:
             self._advance()
-            return ast.BoolLit(True, tok.pos)
+            return ast.BoolLit(True, *_lc(tok.pos))
         if tok.kind is T.FALSE:
             self._advance()
-            return ast.BoolLit(False, tok.pos)
+            return ast.BoolLit(False, *_lc(tok.pos))
         if tok.kind is T.NULL:
             self._advance()
-            return ast.NullLit(tok.pos)
+            return ast.NullLit(*_lc(tok.pos))
         if tok.kind is T.THIS:
             self._advance()
-            return ast.This(tok.pos)
+            return ast.This(*_lc(tok.pos))
         if tok.kind is T.NEW:
             return self._parse_new()
         if tok.kind is T.LPAREN:
@@ -497,8 +507,8 @@ class Parser:
             self._advance()
             if self._at(T.LPAREN):
                 args = self._parse_args()
-                return ast.Call(None, tok.text, args, tok.pos)
-            return ast.VarRef(tok.text, tok.pos)
+                return ast.Call(None, tok.text, args, *_lc(tok.pos))
+            return ast.VarRef(tok.text, *_lc(tok.pos))
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
     def _parse_new(self) -> ast.Expr:
@@ -515,11 +525,11 @@ class Parser:
                 self._advance()
                 self._advance()
                 ty = ArrayType(ty)
-            return ast.NewArray(ty, length, start.pos)
+            return ast.NewArray(ty, length, *_lc(start.pos))
         name = self._expect(T.IDENT).text
         if self._at(T.LPAREN):
             args = self._parse_args()
-            return ast.New(name, args, start.pos)
+            return ast.New(name, args, *_lc(start.pos))
         self._expect(T.LBRACKET)
         length = self._parse_expr()
         self._expect(T.RBRACKET)
@@ -528,7 +538,7 @@ class Parser:
             self._advance()
             self._advance()
             ty = ArrayType(ty)
-        return ast.NewArray(ty, length, start.pos)
+        return ast.NewArray(ty, length, *_lc(start.pos))
 
 
 def parse_program(source: str) -> ast.Program:

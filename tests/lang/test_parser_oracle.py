@@ -36,7 +36,7 @@ def _slots(cls):
         slot
         for klass in reversed(cls.__mro__)
         for slot in getattr(klass, "__slots__", ())
-        if slot != "pos"
+        if slot not in ("line", "col")
     ]
 
 
@@ -45,7 +45,7 @@ def dump(value):
     a type by name, anything else with its class (``1`` is not ``1.0``)."""
     if isinstance(value, ast.Node):
         return (
-            type(value).__name__, value.pos.line, value.pos.col,
+            type(value).__name__, value.line, value.col,
             tuple((slot, dump(getattr(value, slot))) for slot in _slots(type(value))),
         )
     if isinstance(value, list):

@@ -1,13 +1,16 @@
 """Partitioner tests: correctness invariants, quality floors, multi-
 constraint balance, target weights, determinism — unit + hypothesis."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_python
+from helpers import compile_mj_raw, run_python, scaling_source, two_node_plan_arguments
 
+from repro.distgen import build_plan
 from repro.errors import PartitionError
 from repro.graph.metrics import edgecut, imbalance
 from repro.graph.wgraph import WeightedGraph
@@ -100,6 +103,31 @@ def test_determinism_same_seed():
     assert a.parts == b.parts
 
 
+def test_partitioning_leaves_no_cyclic_garbage():
+    """A plan and a partition are freed by reference counting: a recursive
+    closure would keep the graph, the ``Stream`` and the parts vector in a
+    function-cell cycle until the collector's next pass.  A first round
+    imports what the layers use (an import leaves garbage of its own), and
+    the collector is off during the second, so that no automatic pass hides
+    a cycle."""
+    program, _ = compile_mj_raw(scaling_source(24))
+    g = random_graph(40, seed=3)
+
+    def plan_and_partition():
+        build_plan(program, 2, **two_node_plan_arguments())
+        for method in ("multilevel", "kl", "spectral", "random"):
+            part_graph(g, 4, method=method)
+
+    plan_and_partition()
+    gc.collect()
+    gc.disable()
+    try:
+        plan_and_partition()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------------ quality
 def test_multilevel_finds_bridge_cut():
     g = two_cliques()
@@ -120,6 +148,7 @@ def test_spectral_finds_bridge_cut():
 
 
 _SPECTRAL_ON_A_RING = """
+from repro.distgen import build_plan
 from repro.errors import PartitionError
 from repro.graph.wgraph import WeightedGraph
 from repro.partition import part_graph

@@ -2,9 +2,9 @@
 count — the hardware-independent half of the ``pipeline_cold`` evidence.
 
 Python-level calls (``cProfile``'s ``total_calls``) per token for
-``tokenize`` and for parsing the tokens, and per flat instruction for
-``verify_program``, ``build_plan`` and ``rewrite_program``, on generated
-programs of 24, 96 and 192 classes.  The rewriter is counted on a verified
+``tokenize``, for parsing the tokens and for ``analyze``, and per flat
+instruction for ``compile_program``, ``verify_program``, ``build_plan`` and
+``rewrite_program``, on generated programs of 24, 96 and 192 classes.  The rewriter is counted on a verified
 program, as every pipeline runs it (loading verifies), so it reads the
 verifier's cached walk instead of paying for it.  A linear layer spends the
 same number of calls on every token or instruction whatever the program's
@@ -19,11 +19,13 @@ import gc
 
 import pytest
 
-from helpers import compile_mj_raw, profiled, scaling_source, two_node_plan_arguments
+from helpers import profiled, scaling_source, two_node_plan_arguments
 
+from repro.bytecode import compile_program
 from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
-from repro.lang import ast, tokenize
+from repro.errors import SemanticError, SourcePosition
+from repro.lang import analyze, ast, parse_program, tokenize
 from repro.lang.parser import Parser
 
 SIZES = (24, 96, 192)
@@ -33,17 +35,25 @@ MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 #: tokenize  3.2 /  3.2 /  3.2  (6.3 / 6.3 / 6.3: a ``Token`` and a
 #:           ``SourcePosition`` constructor per token; 29.0 / 29.1 / 29.2
 #:           before that, a call per character)
-#: parse     3.5 /  3.5 /  3.5  (4.5 / 4.5 / 4.5: 2.7 ``__init__`` calls per
-#:           node, up the ``Node`` / ``Expr`` chain, and a ``dict.get`` per
-#:           operator-table lookup; 14.6 before that, a helper call per
-#:           token read, an ``Enum.__hash__`` per operator-table lookup)
+#: parse     2.9 /  2.9 /  2.9  (3.5 / 3.5 / 3.5: a ``SourcePosition`` per
+#:           node; 4.5 before that, 2.7 ``__init__`` calls per node, up the
+#:           ``Node`` / ``Expr`` chain, and a ``dict.get`` per operator-table
+#:           lookup; 14.6 before that, a helper call per token read, an
+#:           ``Enum.__hash__`` per operator-table lookup)
+#: analyze   3.7 /  3.6 /  3.6  (8.5 / 8.5 / 8.4: an ``isinstance`` test per
+#:           expression kind tried, and a second method call per expression)
+#: compile_program
+#:           9.9 /  9.9 /  9.9  (18.0 / 17.9 / 17.9: ``isinstance`` chains, a
+#:           wrapper call per emitted instruction, and a dict literal and a
+#:           helper call per load, store or return opcode)
 #: plan      9.8 /  9.3 /  9.3  (14.3 / 23.8 / 33.8: numpy per vertex per
 #:           step, every virtual site tried against every instantiated class)
 #: verify    1.8 /  1.8 /  1.8  (6.7 / 6.7 / 6.7: a dict worklist, a
 #:           ``max()`` and a ``stack_effect`` per instruction)
 #: rewrite   4.8 /  4.2 /  4.1  (6.3 / 5.5 / 5.4: on an unverified program,
 #:           its ``this`` analysis walking depths of its own)
-MAX_CALLS = {"tokenize": 3.5, "parse": 3.9, "verify_program": 2.0,
+MAX_CALLS = {"tokenize": 3.5, "parse": 3.2, "analyze": 4.0,
+             "compile_program": 10.9, "verify_program": 2.0,
              "build_plan": 10.8, "rewrite_program": 5.3}
 
 
@@ -55,15 +65,18 @@ def calls_per_unit():
         source = scaling_source(n_classes)
         tokens, calls, *_ = profiled(tokenize, source)
         table["tokenize"][n_classes] = calls / len(tokens)
-        calls = profiled(Parser(tokens).parse_program).calls
+        tree, calls, *_ = profiled(Parser(tokens).parse_program)
         table["parse"][n_classes] = calls / len(tokens)
+        classes, calls, *_ = profiled(analyze, tree)
+        table["analyze"][n_classes] = calls / len(tokens)
 
-        program, _ = compile_mj_raw(source)
+        program, compile_calls, *_ = profiled(compile_program, tree, classes)
         instructions = sum(
             len(method.flat())
             for bclass in program.classes.values()
             for method in bclass.methods.values()
         )
+        table["compile_program"][n_classes] = compile_calls / instructions
         calls = profiled(verify_program, program).calls
         table["verify_program"][n_classes] = calls / instructions
         plan, calls, *_ = profiled(build_plan, program, 2, **two_node_plan_arguments())
@@ -116,3 +129,24 @@ def test_parse_builds_each_node_in_one_call():
     tree, _, by_name, _ = profiled(Parser(tokens).parse_program)
     inits = sum(n for key, n in by_name.items() if key == "ast.py:__init__")
     assert inits == len(_nodes(tree))
+
+
+def test_a_correct_program_builds_no_source_position():
+    """A node keeps its line and column as two ints, and the type checker
+    and the compiler make a position only for an error: from source to
+    bytecode, a correct program constructs no ``SourcePosition``.  A
+    program with a type error does, which shows that the count sees them."""
+    init = SourcePosition.__init__.__code__
+    key = (init.co_filename, init.co_firstlineno, "__init__")
+
+    def front_to_bytecode(source):
+        tree = parse_program(source)
+        compile_program(tree, analyze(tree))
+
+    def rejected(source):
+        with pytest.raises(SemanticError):
+            analyze(parse_program(source))
+
+    assert key not in profiled(front_to_bytecode, scaling_source(96)).stats.stats
+    broken = scaling_source(24).replace("return", "return true +", 1)
+    assert profiled(rejected, broken).stats.stats[key][1] == 1
