@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+from repro.analysis.loops import FREQUENCY, loop_levels
 from repro.analysis.relgraph import RelGraph
 from repro.analysis.rta import CallGraph
 from repro.bytecode import opcodes as op
@@ -69,17 +70,15 @@ def build_crg(cg: CallGraph) -> ClassRelationGraph:
     for method in cg.reachable_methods():
         crg.add_node(src_part(method))
 
-    from repro.analysis.loops import frequency_factor, loop_depth_per_index
-
     for method in cg.reachable_methods():
         src = src_part(method)
-        depths = loop_depth_per_index(method)
-        for idx, ins in enumerate(method.flat()):
+        flat = method.flat()
+        for ins, level in zip(flat.instrs, loop_levels(flat)):
             o = ins.op
             # access statements in loops execute more often; scale the
             # dependence-data volume by the static frequency estimate
             # (paper §3's heuristic weighting)
-            freq = frequency_factor(depths[idx])
+            freq = FREQUENCY[level]
             if o == op.NEW:
                 if ins.a == DEPENDENT_OBJECT or not _is_user(program, ins.a):
                     continue

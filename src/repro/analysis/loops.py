@@ -1,36 +1,64 @@
 """Loop-nesting estimation on bytecode.
 
-``loop_depth_per_index`` counts, per flat instruction index, how many
+:func:`loop_levels` gives, per flat instruction index, how many
 backward-branch spans cover it — a sound nesting-depth estimate for the
-structured code MJ's compiler emits.  The CRG scaler uses it to weight
-access statements by execution-frequency estimates (paper §3: static
-heuristics in lieu of profile data), and the object-set analysis uses the
-same spans for ``*`` summary detection."""
+structured code MJ's compiler emits — capped at :data:`MAX_SCALED_DEPTH`,
+the deepest level any caller tells apart.  The CRG scaler weights access
+statements by :data:`FREQUENCY` of their level (paper §3: static heuristics
+in lieu of profile data), the object-set analysis reads a level above 0 as
+loop membership for ``*`` summary detection, and :func:`static_cpu` weights
+a method's bytecode cost the same way for the resource model and the
+planner.
+
+Both are static facts of one flat form, so each is computed once, on first
+use, and kept on the :class:`~repro.bytecode.model.FlatCode`; a change to
+the method's code builds a new flat form and with it new levels.
+"""
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, successors
-
-
-def loop_depth_per_index(method: BMethod) -> List[int]:
-    flat = method.flat()
-    depth = [0] * len(flat)
-    for j, ins in enumerate(flat):
-        if ins.op in op.BRANCHES:
-            target = successors(ins, j)[0]
-            if target <= j:
-                for i in range(target, j + 1):
-                    depth[i] += 1
-    return depth
-
+from repro.bytecode.model import FlatCode
 
 #: execution-frequency multiplier per loop-nesting level (capped)
-LOOP_SCALE = 8.0
+LOOP_SCALE = 8
 MAX_SCALED_DEPTH = 3
+#: level -> how many times an instruction at that level is taken to run
+FREQUENCY = tuple(LOOP_SCALE ** level for level in range(MAX_SCALED_DEPTH + 1))
+
+#: byte -> byte + 1, capped: one more loop around a span of levels
+_DEEPER = bytes(min(level + 1, MAX_SCALED_DEPTH) for level in range(256))
 
 
-def frequency_factor(depth: int) -> float:
-    return LOOP_SCALE ** min(depth, MAX_SCALED_DEPTH)
+def loop_levels(flat: FlatCode) -> bytes:
+    """The capped loop level of every instruction of ``flat`` (cached)."""
+    levels = flat.levels
+    if levels is None:
+        levels = flat.levels = _levels_of(flat.instrs)
+    return levels
+
+
+def _levels_of(instrs) -> bytes:
+    levels = bytearray(len(instrs))
+    branches, compares = op.BRANCHES, op.CMP_BRANCHES
+    for j, ins in enumerate(instrs):
+        o = ins.op
+        if o in branches:
+            target = ins.b if o in compares else ins.a
+            if target <= j:
+                levels[target:j + 1] = levels[target:j + 1].translate(_DEEPER)
+    return bytes(levels)
+
+
+def static_cpu(flat: FlatCode) -> int:
+    """``Σ cost × FREQUENCY[level]`` over ``flat``'s instructions (cached): the
+    method's bytecode cost with instructions in loops counting more.  An
+    exact integer, so summing methods' totals as floats gives the float a
+    sum over all their instructions would."""
+    cpu = flat.cpu
+    if cpu is None:
+        cpu = 0
+        for ins, level in zip(flat.instrs, loop_levels(flat)):
+            cpu += ins.cost * FREQUENCY[level]
+        flat.cpu = cpu
+    return cpu

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from repro.analysis.loops import loop_levels
 from repro.analysis.rta import CallGraph
 from repro.bytecode import opcodes as op
-from repro.bytecode.model import BMethod, successors
 from repro.lang.symbols import DEPENDENT_OBJECT
 
 
@@ -54,22 +54,6 @@ class ObjectNode:
         return self.label
 
 
-def _indices_in_loops(method: BMethod) -> Set[int]:
-    """Flat indices covered by some backward branch span — a sound
-    approximation of natural-loop membership for structured MJ bytecode."""
-    flat = method.flat()
-    spans: List[Tuple[int, int]] = []
-    for j, ins in enumerate(flat):
-        if ins.op in op.BRANCHES:
-            target = successors(ins, j)[0]
-            if target <= j:
-                spans.append((target, j))
-    covered: Set[int] = set()
-    for lo, hi in spans:
-        covered.update(range(lo, hi + 1))
-    return covered
-
-
 def _multi_executed_methods(cg: CallGraph) -> Set[str]:
     """Methods that may execute more than once in a program run."""
     multi: Set[str] = set()
@@ -81,7 +65,7 @@ def _multi_executed_methods(cg: CallGraph) -> Set[str]:
             continue
         for caller, idx in sites:
             caller_m = _lookup(cg, caller)
-            if caller_m is not None and idx in _indices_in_loops(caller_m):
+            if caller_m is not None and loop_levels(caller_m.flat())[idx]:
                 multi.add(callee)
                 break
         if callee in multi:
@@ -133,8 +117,9 @@ def compute_object_set(cg: CallGraph) -> List[ObjectNode]:
     for method in cg.reachable_methods():
         if method.is_static:
             static_parts.add(method.class_name)
-        loops = _indices_in_loops(method)
-        for idx, ins in enumerate(method.flat()):
+        flat = method.flat()
+        levels = loop_levels(flat)
+        for idx, ins in enumerate(flat.instrs):
             if ins.op != op.NEW:
                 continue
             cls = ins.a
@@ -144,7 +129,7 @@ def compute_object_set(cg: CallGraph) -> List[ObjectNode]:
             # built-in containers (Vector...) are objects too (Figure 4
             # includes the Vector instance); static-only builtins never
             # reach here because they cannot be instantiated
-            summary = method.qualified in multi or idx in loops
+            summary = method.qualified in multi or levels[idx] > 0
             objects.append(
                 ObjectNode(
                     site=(method.qualified, idx),

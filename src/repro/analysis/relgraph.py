@@ -22,9 +22,6 @@ class RelEdge:
     count: int = 1
     volume: float = 0.0  # estimated bytes of dependence data
 
-    def key(self) -> Tuple:
-        return (self.src, self.dst, self.kind, self.label)
-
 
 class RelGraph:
     """Directed graph over hashable node ids with kinded, merged edges."""
@@ -46,12 +43,12 @@ class RelGraph:
         count: int = 1,
         volume: float = 0.0,
     ) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        edge = RelEdge(src, dst, kind, label, count, volume)
-        existing = self._edges.get(edge.key())
+        key = (src, dst, kind, label)
+        existing = self._edges.get(key)
         if existing is None:
-            self._edges[edge.key()] = edge
+            self.add_node(src)
+            self.add_node(dst)
+            self._edges[key] = RelEdge(src, dst, kind, label, count, volume)
         else:
             existing.count += count
             existing.volume += volume

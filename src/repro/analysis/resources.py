@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.analysis.loops import static_cpu
 from repro.analysis.object_set import ObjectNode
-from repro.bytecode import opcodes as op
 from repro.bytecode.model import BProgram
 from repro.graph.wgraph import WeightedGraph
 
@@ -83,15 +83,11 @@ def _object_memory(obj: ObjectNode, program: BProgram) -> float:
 def _class_cpu(cls: str, program: BProgram) -> float:
     """Static CPU estimate for a class: bytecode cost of its methods with
     loop-nesting frequency scaling (instructions in loops count more)."""
-    from repro.analysis.loops import frequency_factor, loop_depth_per_index
-
     if cls not in program.classes:
         return 16.0
     total = 0.0
     for method in program.classes[cls].methods.values():
-        depths = loop_depth_per_index(method)
-        for idx, ins in enumerate(method.flat()):
-            total += op.cost_of(ins.op) * frequency_factor(depths[idx])
+        total += static_cpu(method.flat())
     return total
 
 

@@ -107,7 +107,7 @@ def rapid_type_analysis(
         """The static classes a ``cls`` receiver can stand behind, nearest
         first; only ``Object`` when a super is missing from the table."""
         try:
-            chain = [info.name for info in table.supers(cls)]
+            chain = [info.name for info in table.chain(cls)]
         except SemanticError:
             chain = []
         return chain if "Object" in chain else chain + ["Object"]

@@ -31,6 +31,13 @@ class Label:
         return self.name
 
 
+#: opcode name -> ``(opx, cost)``: one lookup per instruction built; an
+#: unknown opcode is ``(0, 1)``
+_OP_INFO: Dict[str, Tuple[int, int]] = {
+    name: (opx, op.COST.get(name, 1)) for opx, name in enumerate(op.OPCODE_LIST)
+}
+
+
 class Instr:
     """One bytecode instruction: an opcode plus up to three operands.
 
@@ -48,8 +55,7 @@ class Instr:
         self.b = b
         self.c = c
         self.line = line
-        self.opx = op.OPX.get(opname, 0)
-        self.cost = op.COST.get(opname, 1)
+        self.opx, self.cost = _OP_INFO.get(opname, (0, 1))
         self.cfn = None
 
     def operands(self) -> Tuple:
@@ -129,7 +135,8 @@ class FlatCode:
     """Executable form: label-free instruction list with integer targets."""
 
     __slots__ = ("instrs", "label_index", "nlocals", "returns_value",
-                 "depths", "max_depth", "_block_starts", "threaded", "fused")
+                 "depths", "max_depth", "levels", "cpu", "_block_starts",
+                 "threaded", "fused")
 
     def __init__(self, instrs: List[Instr], label_index: Dict[Label, int],
                  nlocals: int, returns_value: bool) -> None:
@@ -145,6 +152,11 @@ class FlatCode:
         #: every instruction (``-1``: unreachable), and the deepest it gets
         self.depths = None
         self.max_depth = 0
+        #: what :mod:`repro.analysis.loops` derives on first use: the loop
+        #: level of every instruction (``bytes``, capped nesting depth) and
+        #: the loop-scaled static cost of the method (an ``int``)
+        self.levels: Optional[bytes] = None
+        self.cpu: Optional[int] = None
         self._block_starts: Optional[Tuple[int, ...]] = None
         #: threaded form ``[(handler, instr), ...]`` built lazily by the VM
         #: fast path on first execution (the bytecode layer stays ignorant

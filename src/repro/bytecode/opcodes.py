@@ -171,16 +171,6 @@ STACK_EFFECT: Dict[str, Tuple[int, int]] = {
 }
 
 
-def cost_of(op: str) -> int:
-    """Abstract cycle cost of one opcode (see module docstring).
-
-    Static analyses (e.g. the resource model) still call this; the
-    interpreter hot path does not — every :class:`~repro.bytecode.model.Instr`
-    carries its cost precomputed in ``Instr.cost``.
-    """
-    return COST.get(op, 1)
-
-
 # --- opcode interning -------------------------------------------------------
 #: dense opcode numbering for the threaded-code dispatch table
 #: (:mod:`repro.vm.dispatch`).  Index 0 is reserved for unknown opcodes so a

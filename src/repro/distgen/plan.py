@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.class_relations import build_crg
 from repro.analysis.object_set import compute_object_set
 from repro.analysis.odg import build_odg
-from repro.analysis.resources import ResourceModel, UNIFORM
+from repro.analysis.resources import ResourceModel, UNIFORM, _class_cpu
 from repro.analysis.rta import rapid_type_analysis
 from repro.bytecode.model import BProgram
 from repro.distgen.classify import classify_dependent_crg, classify_dependent_odg
@@ -107,8 +107,6 @@ def _weighted_use_graph(crg, program: BProgram,
     loop-scaled heuristic otherwise.  One definition, shared by
     :func:`build_plan` and :func:`placement_cost` so candidate placements
     are always compared on the same weighted graph."""
-    from repro.analysis.resources import _class_cpu
-
     graph, order = crg.use_graph()
     for i, node in enumerate(order):
         cls = node.split("_", 1)[1]

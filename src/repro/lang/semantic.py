@@ -78,8 +78,8 @@ class Analyzer:
                 raise SemanticError(
                     f"unknown superclass {info.superclass} of {cd.name}", cd.pos
                 )
-            # validate no cycles (supers() raises)
-            list(self.table.supers(cd.name))
+            # validate no cycles (the chain walk raises)
+            self.table.chain(cd.name)
 
         for cd in self.program.classes:
             info = self.table.get(cd.name)

@@ -110,6 +110,9 @@ class ClassTable:
 
     def __init__(self) -> None:
         self.classes: Dict[str, ClassInfo] = {}
+        #: class name -> the class and its ancestors, nearest first, as
+        #: :meth:`chain` found them; dropped whenever a class is added
+        self._chains: Dict[str, Tuple[ClassInfo, ...]] = {}
         #: class name -> names of the class and all its ancestors; filled on
         #: demand by :meth:`ancestors`, dropped whenever a class is added
         self._ancestors: Dict[str, FrozenSet[str]] = {}
@@ -120,6 +123,7 @@ class ClassTable:
         if info.name in self.classes:
             raise SemanticError(f"duplicate class {info.name}")
         self.classes[info.name] = info
+        self._chains.clear()
         self._ancestors.clear()
 
     def get(self, name: str) -> ClassInfo:
@@ -144,11 +148,21 @@ class ClassTable:
             yield info
             cur = info.superclass
 
+    def chain(self, name: str) -> Tuple[ClassInfo, ...]:
+        """``name`` and its ancestors, ending at Object (cached).  Only the
+        hierarchy is cached: a member added to a class later is still
+        found, but a chain broken anywhere raises, also above a member that
+        a walk of :meth:`supers` would have found first."""
+        found = self._chains.get(name)
+        if found is None:
+            found = self._chains[name] = tuple(self.supers(name))
+        return found
+
     def ancestors(self, name: str) -> FrozenSet[str]:
         """Names of ``name`` and every class it inherits from."""
         found = self._ancestors.get(name)
         if found is None:
-            found = frozenset(info.name for info in self.supers(name))
+            found = frozenset(info.name for info in self.chain(name))
             self._ancestors[name] = found
         return found
 
@@ -161,14 +175,16 @@ class ClassTable:
 
     # -- member lookup ----------------------------------------------------------
     def resolve_field(self, class_name: str, field: str) -> Optional[FieldInfo]:
-        for info in self.supers(class_name):
+        chain = self._chains.get(class_name) or self.chain(class_name)
+        for info in chain:
             fi = info.fields.get(field)
             if fi is not None:
                 return fi
         return None
 
     def resolve_method(self, class_name: str, method: str) -> Optional[MethodInfo]:
-        for info in self.supers(class_name):
+        chain = self._chains.get(class_name) or self.chain(class_name)
+        for info in chain:
             mi = info.methods.get(method)
             if mi is not None:
                 return mi

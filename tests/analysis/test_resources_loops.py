@@ -13,7 +13,13 @@ from repro.analysis import (
     compute_object_set,
     rapid_type_analysis,
 )
-from repro.analysis.loops import frequency_factor, loop_depth_per_index
+from repro.analysis.loops import (
+    FREQUENCY,
+    LOOP_SCALE,
+    MAX_SCALED_DEPTH,
+    loop_levels,
+    static_cpu,
+)
 from repro.analysis.resources import NCON, from_profile
 
 
@@ -83,19 +89,41 @@ def test_profiled_model_uses_measurements():
     assert len(weights) == NCON
 
 
-def test_loop_depth_per_index():
+def test_loop_levels():
     bp, _ = compile_mj_raw(SRC)
     spin = bp.classes["Big"].methods["spin"]
-    depths = loop_depth_per_index(spin)
-    assert max(depths) >= 2       # nested loops
-    assert depths[0] == 0          # prologue before the loops
+    levels = loop_levels(spin.flat())
+    assert max(levels) == 2       # nested loops
+    assert levels[0] == 0         # prologue before the loops
+    assert len(levels) == len(spin.flat())
 
 
-def test_frequency_factor_monotone_and_capped():
-    assert frequency_factor(0) == 1.0
-    assert frequency_factor(1) > 1.0
-    assert frequency_factor(2) > frequency_factor(1)
-    assert frequency_factor(10) == frequency_factor(3)  # capped
+def test_loop_levels_are_capped_and_cached_on_the_flat_form():
+    deep = "\n".join(
+        f"for (i{k} = 0; i{k} < 2; i{k}++) {{" for k in range(5)
+    )
+    decls = " ".join(f"int i{k};" for k in range(5))
+    bp, _ = compile_mj_raw(
+        "class M { static void main(String[] args) { "
+        f"{decls} int x; x = 0; {deep} x = x + 1; {'}' * 5} }} }}"
+    )
+    method = bp.classes["M"].methods["main"]
+    flat = method.flat()
+    levels = loop_levels(flat)
+    assert max(levels) == MAX_SCALED_DEPTH
+    assert loop_levels(flat) is levels
+    cpu = static_cpu(flat)
+    assert cpu == sum(
+        ins.cost * LOOP_SCALE ** level for ins, level in zip(flat, levels)
+    )
+    method.invalidate()   # new code, new flat form, new levels
+    assert method.flat().levels is None
+
+
+def test_frequency_table_monotone_and_capped():
+    assert FREQUENCY[0] == 1.0
+    assert list(FREQUENCY) == sorted(set(FREQUENCY))
+    assert len(FREQUENCY) == MAX_SCALED_DEPTH + 1
 
 
 def test_apply_produces_ncon_graph():

@@ -3,8 +3,9 @@ count — the hardware-independent half of the ``pipeline_cold`` evidence.
 
 Python-level calls (``cProfile``'s ``total_calls``) per token for
 ``tokenize``, for parsing the tokens and for ``analyze``, and per flat
-instruction for ``compile_program``, ``verify_program``, ``build_plan`` and
-``rewrite_program``, on generated programs of 24, 96 and 192 classes.  The rewriter is counted on a verified
+instruction for ``compile_program``, ``verify_program``, ``build_plan``,
+``build_crg``, ``compute_object_set`` and ``rewrite_program``, on generated
+programs of 24, 96 and 192 classes.  The rewriter is counted on a verified
 program, as every pipeline runs it (loading verifies), so it reads the
 verifier's cached walk instead of paying for it.  A linear layer spends the
 same number of calls on every token or instruction whatever the program's
@@ -21,6 +22,12 @@ import pytest
 
 from helpers import profiled, scaling_source, two_node_plan_arguments
 
+from repro.analysis import (
+    build_crg,
+    build_odg,
+    compute_object_set,
+    rapid_type_analysis,
+)
 from repro.bytecode import compile_program
 from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
@@ -31,7 +38,8 @@ from repro.lang.parser import Parser
 SIZES = (24, 96, 192)
 MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 
-#: shipped calls per unit at 24 / 96 / 192 classes, and the parent commit's:
+#: shipped calls per unit at 24 / 96 / 192 classes under ``PYTHONHASHSEED=0``,
+#: and the parent commit's:
 #: tokenize  3.2 /  3.2 /  3.2  (6.3 / 6.3 / 6.3: a ``Token`` and a
 #:           ``SourcePosition`` constructor per token; 29.0 / 29.1 / 29.2
 #:           before that, a call per character)
@@ -40,21 +48,38 @@ MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 #:           ``Node`` / ``Expr`` chain, and a ``dict.get`` per operator-table
 #:           lookup; 14.6 before that, a helper call per token read, an
 #:           ``Enum.__hash__`` per operator-table lookup)
-#: analyze   3.7 /  3.6 /  3.6  (8.5 / 8.5 / 8.4: an ``isinstance`` test per
-#:           expression kind tried, and a second method call per expression)
+#: analyze   3.1 /  3.1 /  3.1  (3.7 / 3.6 / 3.6: a ``supers()`` generator
+#:           per member lookup; 8.5 / 8.5 / 8.4 before that, an
+#:           ``isinstance`` test per expression kind tried, and a second
+#:           method call per expression)
 #: compile_program
-#:           9.9 /  9.9 /  9.9  (18.0 / 17.9 / 17.9: ``isinstance`` chains, a
+#:           8.9 /  8.9 /  8.9  (9.9 / 9.9 / 9.9: two ``dict.get`` per
+#:           ``Instr`` built and a ``supers()`` generator per member lookup;
+#:           18.0 / 17.9 / 17.9 before that, ``isinstance`` chains, a
 #:           wrapper call per emitted instruction, and a dict literal and a
 #:           helper call per load, store or return opcode)
-#: plan      9.8 /  9.3 /  9.3  (14.3 / 23.8 / 33.8: numpy per vertex per
-#:           step, every virtual site tried against every instantiated class)
-#: verify    1.8 /  1.8 /  1.8  (6.7 / 6.7 / 6.7: a dict worklist, a
-#:           ``max()`` and a ``stack_effect`` per instruction)
-#: rewrite   4.8 /  4.2 /  4.1  (6.3 / 5.5 / 5.4: on an unverified program,
-#:           its ``this`` analysis walking depths of its own)
-MAX_CALLS = {"tokenize": 3.5, "parse": 3.2, "analyze": 4.0,
-             "compile_program": 10.9, "verify_program": 2.0,
-             "build_plan": 10.8, "rewrite_program": 5.3}
+#: plan      5.0 /  4.4 /  4.2  (10.4 / 9.7 / 9.7: loop depths rewalked per
+#:           method by the CRG and twice per class by the CPU estimate, with
+#:           a ``frequency_factor`` and an ``op.cost_of`` call per
+#:           instruction; 14.3 / 23.8 / 33.8 before that, numpy per vertex
+#:           per step, every virtual site tried against every instantiated
+#:           class)
+#: crg       1.3 /  1.2 /  1.3  (2.5 / 2.4 / 2.5: a ``frequency_factor`` call
+#:           per instruction, and a ``RelEdge`` built per access even when
+#:           its edge existed), loop levels included
+#: objects   0.26 / 0.25 / 0.28  (0.43 / 0.42 / 0.44: a set of loop indices
+#:           rebuilt per call site), on the loop levels the CRG left
+#: verify    1.6 /  1.6 /  1.6  (1.8 / 1.8 / 1.8: a ``supers()`` generator
+#:           per invoke's callee lookup; 6.7 / 6.7 / 6.7 before that, a dict
+#:           worklist, a ``max()`` and a ``stack_effect`` per instruction)
+#: rewrite   4.2 /  3.7 /  3.7  (4.8 / 4.2 / 4.1: a ``supers()`` generator
+#:           per member lookup; 6.3 / 5.5 / 5.4 before that, on an
+#:           unverified program, its ``this`` analysis walking depths of its
+#:           own)
+MAX_CALLS = {"tokenize": 3.5, "parse": 3.2, "analyze": 3.5,
+             "compile_program": 9.8, "verify_program": 1.8,
+             "build_plan": 5.5, "build_crg": 1.5,
+             "compute_object_set": 0.31, "rewrite_program": 4.7}
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +106,13 @@ def calls_per_unit():
         table["verify_program"][n_classes] = calls / instructions
         plan, calls, *_ = profiled(build_plan, program, 2, **two_node_plan_arguments())
         table["build_plan"][n_classes] = calls / instructions
+        # a copy has no flat forms yet: the CRG pays for the loop levels, and
+        # the object set reads the ones the CRG left, as in every pipeline
+        cg = rapid_type_analysis(program.copy())
+        calls = profiled(build_crg, cg).calls
+        table["build_crg"][n_classes] = calls / instructions
+        calls = profiled(compute_object_set, cg).calls
+        table["compute_object_set"][n_classes] = calls / instructions
         (_, stats), calls, *_ = profiled(rewrite_program, program, plan)
         assert stats.total > n_classes  # the rewriter had work at every size
         table["rewrite_program"][n_classes] = calls / instructions
@@ -92,6 +124,25 @@ def test_calls_per_unit_do_not_grow_with_the_program(calls_per_unit, layer):
     per_unit = calls_per_unit[layer]
     assert per_unit[192] <= MAX_GROWTH * per_unit[24], per_unit
     assert max(per_unit.values()) <= MAX_CALLS[layer], per_unit
+
+
+def test_loop_levels_are_computed_once_per_method():
+    """Loop levels are a fact of a method's flat form: from source to plan,
+    through both CRG builds (the analysis layer's and ``build_plan``'s), the
+    object set and the CPU estimate of every class, each method's levels
+    are computed at most once."""
+    def parse_to_plan(source):
+        tree = parse_program(source)
+        program = compile_program(tree, analyze(tree))
+        verify_program(program)
+        cg = rapid_type_analysis(program)
+        build_odg(cg, build_crg(cg), compute_object_set(cg))
+        build_plan(program, 2, **two_node_plan_arguments())
+        return program
+
+    program, _, by_name, _ = profiled(parse_to_plan, scaling_source(24))
+    methods = sum(len(c.methods) for c in program.classes.values())
+    assert 0 < by_name["loops.py:_levels_of"] <= methods
 
 
 def test_tokens_are_tuples_the_collector_stops_tracking():
