@@ -283,9 +283,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             )
             entry.save(out)
         print(f"saved {len(golden)} golden entries to {out}/", file=sys.stderr)
-    for ce in report.failures:
-        out = pathlib.Path(args.save_corpus or args.failures_dir)
-        path = corpus_mod.entry_from_counterexample(ce).save(out)
+    for entry in report.failures:
+        path = entry.save(pathlib.Path(args.save_corpus or args.failures_dir))
         print(f"counterexample minimized and saved: {path}", file=sys.stderr)
         print(f"  replay with: repro fuzz --replay {path}", file=sys.stderr)
     if args.json:

@@ -7,11 +7,13 @@ Four layers, composable from tests, the :class:`~repro.api.Experiment` API
   randomized test, bench and fuzzer derives from;
 * :mod:`repro.testing.genprog`  — seeded, size-parameterized, *shrinkable*
   multi-class MJ program generation;
-* :mod:`repro.testing.genworld` — seeded cluster/network/partitioner/
-  backend configuration generation (degenerate 1-node up to wide 16-node
-  heterogeneous topologies);
+* :mod:`repro.testing.genworld` — seeded worlds: the partition, cluster
+  and backend sections of an ``ExperimentConfig`` plus the backends to
+  agree across (degenerate 1-node up to wide 16-node heterogeneous
+  topologies);
 * :mod:`repro.testing.oracle`   — the cross-backend differential
-  conformance oracle with minimized, replayable counterexamples;
+  conformance oracle; each failure is minimized and recorded as a
+  replayable ``counterexample`` corpus entry;
 * :mod:`repro.testing.corpus`   — the golden-trace corpus under
   ``tests/corpus/``: every past counterexample is a permanent regression
   test (``repro fuzz --replay tests/corpus``).
@@ -28,15 +30,14 @@ __getattr__, __all__ = lazy_exports(__name__, {
         "generate_source", "shrink_program",
     ),
     "genworld": (
-        "SPEED_PALETTE", "WorldSpec", "degenerate_worlds", "generate_world",
+        "SPEED_PALETTE", "World", "degenerate_worlds", "generate_world",
     ),
     "oracle": (
-        "ConformanceOutcome", "ConformanceReport", "CounterExample",
-        "Divergence", "Scenario", "check_experiment", "check_scenario",
-        "minimize_scenario", "observe_vm", "run_fuzz", "temp_workload",
+        "ConformanceOutcome", "ConformanceReport", "Divergence", "Scenario",
+        "check_experiment", "check_scenario", "minimize_scenario",
+        "observe_vm", "run_fuzz", "temp_workload",
     ),
     "corpus": (
-        "CorpusEntry", "entry_from_counterexample", "entry_from_outcome",
-        "load_corpus", "replay_entry",
+        "CorpusEntry", "entry_from_outcome", "load_corpus", "replay_entry",
     ),
 })

@@ -1,12 +1,15 @@
 """The golden-trace conformance corpus: save/replay for fuzz scenarios.
 
 A corpus entry is a **self-contained** JSON file: the rendered MJ source,
-the world configuration, and the reference-path observables (stdout,
-result, cycles, steps, fault text) recorded when the entry was created.
-Replay needs no generator state — entries stay replayable even when the
-generators evolve — so every counterexample the oracle ever minimizes can
-be committed under ``tests/corpus/`` and becomes a permanent regression
-test (``repro fuzz --replay tests/corpus`` runs in CI).
+the world (:meth:`repro.testing.genworld.World.to_dict`), and the
+reference-path observables (stdout, result, cycles, steps, fault text)
+recorded when the entry was created.  Replay needs no generator state —
+entries stay replayable even when the generators evolve — so every
+counterexample the oracle ever minimizes (``run_fuzz`` records each as a
+``counterexample`` entry) can be committed under ``tests/corpus/`` and
+becomes a permanent regression test (``repro fuzz --replay tests/corpus``
+runs in CI).  An entry of any schema but :data:`SCHEMA_VERSION` is
+refused, not converted.
 
 Replaying an entry checks two things:
 
@@ -23,14 +26,13 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.testing.genworld import WorldSpec
+from repro.testing.genworld import World
 from repro.testing.oracle import (
     ConformanceOutcome,
-    CounterExample,
     Divergence,
     Scenario,
     check_scenario,
@@ -40,12 +42,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "CorpusEntry",
     "entry_from_outcome",
-    "entry_from_counterexample",
     "load_corpus",
     "replay_entry",
 ]
 
-SCHEMA_VERSION = 1
+#: 2: the world is the sections of an ExperimentConfig plus ``backends``
+SCHEMA_VERSION = 2
 
 #: golden fields compared strictly on replay, in report order
 _GOLDEN_KEYS = ("error", "stdout", "result", "cycles", "steps")
@@ -61,28 +63,27 @@ class CorpusEntry:
     world: Dict[str, Any]
     expected: Dict[str, Any]
     meta: Dict[str, Any] = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "name": self.name,
-                "kind": self.kind,
-                "world": self.world,
-                "expected": self.expected,
-                "meta": self.meta,
-                "source": self.source,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "CorpusEntry":
+    def from_json(
+        cls, text: str, origin: str = "corpus entry"
+    ) -> "CorpusEntry":
+        """Parse one entry; ``origin`` (the file) names it in errors."""
         data = json.loads(text)
         if not isinstance(data, dict) or "source" not in data:
-            raise ReproError("corpus entry must be an object with a 'source'")
+            raise ReproError(f"{origin}: must be an object with a 'source'")
+        if data.get("schema") != SCHEMA_VERSION:
+            raise ReproError(
+                f"{origin}: corpus schema {data.get('schema')!r} is not "
+                f"{SCHEMA_VERSION}; rewrite the entry in schema "
+                f"{SCHEMA_VERSION} (see tests/corpus/README.md)"
+            )
         return cls(
             name=data.get("name", "corpus-entry"),
             kind=data.get("kind", "golden"),
@@ -90,7 +91,6 @@ class CorpusEntry:
             world=data.get("world", {}),
             expected=data.get("expected", {}),
             meta=data.get("meta", {}),
-            schema=int(data.get("schema", SCHEMA_VERSION)),
         )
 
     def save(self, directory: pathlib.Path) -> pathlib.Path:
@@ -104,7 +104,7 @@ class CorpusEntry:
         return Scenario(
             name=self.name,
             source=self.source,
-            world=WorldSpec.from_dict(self.world),
+            world=World.from_dict(self.world),
         )
 
 
@@ -122,24 +122,6 @@ def entry_from_outcome(
     )
 
 
-def entry_from_counterexample(ce: CounterExample) -> CorpusEntry:
-    """Package a minimized counterexample for replay/regression."""
-    return CorpusEntry(
-        name=ce.name,
-        kind="counterexample",
-        source=ce.source,
-        world=dict(ce.world),
-        expected=dict(ce.reference),
-        meta={
-            "gen_seed": ce.gen_seed,
-            "gen_config": ce.gen_config,
-            "divergences": [d.to_dict() for d in ce.divergences],
-            "original_statements": ce.original_statements,
-            "minimized_statements": ce.minimized_statements,
-        },
-    )
-
-
 def load_corpus(path) -> List[Tuple[pathlib.Path, CorpusEntry]]:
     """Load one entry file or every ``*.json`` under a directory."""
     path = pathlib.Path(path)
@@ -152,8 +134,8 @@ def load_corpus(path) -> List[Tuple[pathlib.Path, CorpusEntry]]:
     entries = []
     for f in files:
         try:
-            entries.append((f, CorpusEntry.from_json(f.read_text())))
-        except (json.JSONDecodeError, ReproError) as exc:
+            entries.append((f, CorpusEntry.from_json(f.read_text(), str(f))))
+        except json.JSONDecodeError as exc:
             raise ReproError(f"bad corpus entry {f}: {exc}") from exc
     if not entries:
         raise ReproError(f"corpus at {path} holds no *.json entries")

@@ -1,9 +1,14 @@
 """Seeded generators for execution *worlds*: cluster topology, network,
 partitioner and runtime-backend configurations.
 
-A :class:`WorldSpec` is the environment half of a fuzz scenario (the
-program half comes from :mod:`repro.testing.genprog`).  It deliberately
-spans the degenerate corners the fixed test grids never visit:
+A :class:`World` is the environment half of a fuzz scenario (the program
+half comes from :mod:`repro.testing.genprog`): the partition, cluster and
+backend sections of the :class:`~repro.api.config.ExperimentConfig` it
+denotes, plus the runtime backends the oracle must agree across.  It adds
+no field, default or validation of its own, so fuzz scenarios run through
+exactly the same typed-config / registry / stage-cache plumbing as every
+other experiment in the repo.  Sampling deliberately spans the degenerate
+corners the fixed test grids never visit:
 
 * 1-node "clusters" (distribution must collapse to sequential semantics),
 * the paper's heterogeneous 2-node testbed shape,
@@ -12,23 +17,26 @@ spans the degenerate corners the fixed test grids never visit:
   partitions than there are machines),
 * every registered network preset and partitioner, both granularities,
   and sync vs fire-and-forget remote writes.
-
-Worlds render to :class:`repro.api.config.ExperimentConfig` (one per
-backend), so fuzz scenarios run through exactly the same typed-config /
-registry / stage-cache plumbing as every other experiment in the repo.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import Optional, Tuple
+from typing import NamedTuple, Tuple
 
+from repro.api.config import (
+    BackendConfig,
+    ClusterConfig,
+    ExperimentConfig,
+    PartitionConfig,
+    WorkloadSpec,
+)
+from repro.errors import ConfigError
 from repro.runtime.checkpoint import RecoveryPlan
 from repro.runtime.faults import FaultPlan
 
 __all__ = [
-    "WorldSpec",
+    "World",
     "generate_world",
     "degenerate_worlds",
     "SPEED_PALETTE",
@@ -38,120 +46,49 @@ __all__ = [
 #: to 3.2 GHz servers, the paper's pervasive-computing spread
 SPEED_PALETTE = (400e6, 800e6, 1.0e9, 1.7e9, 2.4e9, 3.2e9)
 
+#: the sections of an ExperimentConfig a world carries: all but the workload
+_SECTIONS = {
+    name: cls for name, cls in ExperimentConfig._NESTED.items()
+    if name != "workload"
+}
 
-@dataclass(frozen=True)
-class WorldSpec:
+
+class World(NamedTuple):
     """One reproducible execution environment for a generated program."""
 
-    nparts: int = 2
-    method: str = "multilevel"
-    granularity: str = "class"
-    network: str = "ethernet_100m"
-    #: per-node CPU speeds; length is the cluster size (>= nparts)
-    speeds: Tuple[float, ...] = (1.7e9, 800e6)
-    mem_mb: int = 512
+    partition: PartitionConfig
+    cluster: ClusterConfig
+    #: every backend setting but the name, which comes from ``backends``
+    backend: BackendConfig
     #: runtime backends the oracle must agree across
-    backends: Tuple[str, ...] = ("sim",)
-    async_writes: bool = False
-    #: seeded fault plan injected at runtime (None = fault-free world)
-    faults: Optional[FaultPlan] = None
-    #: recovery plan (checkpoint + heartbeat + migration); None keeps the
-    #: degradation-only contract of PR 6
-    recovery: Optional[RecoveryPlan] = None
-    #: quorum replication factor (1 = unreplicated)
-    replication: int = 1
-    #: VM execution tier every machine in the world is forced to
-    #: ("default" = ambient REPRO_VM_ENGINE)
-    engine: str = "default"
+    backends: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "speeds", tuple(float(s) for s in self.speeds))
-        object.__setattr__(self, "backends", tuple(self.backends))
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
-        if isinstance(self.recovery, dict):
-            object.__setattr__(
-                self, "recovery", RecoveryPlan.from_dict(self.recovery)
-            )
-
-    @property
-    def nnodes(self) -> int:
-        return len(self.speeds)
-
-    def label(self) -> str:
-        tags = ""
-        if self.faults is not None:
-            tags += "/faulty" if not self.faults.transient_only else "/lossy"
-        if self.recovery is not None:
-            tags += "/rec"
-        if self.replication > 1:
-            tags += f"/r{self.replication}"
-        if self.engine != "default":
-            tags += f"/{self.engine}"
-        return (
-            f"k{self.nparts}/{self.method}/{self.granularity}"
-            f"/{self.network}/n{self.nnodes}/{'+'.join(self.backends)}{tags}"
+    def experiment_config(
+        self, workload: str, backend: str
+    ) -> ExperimentConfig:
+        """The experiment this world denotes for one workload on one
+        backend (``nparts`` against the cluster size is checked there)."""
+        return ExperimentConfig(
+            WorkloadSpec(workload), self.partition, self.cluster,
+            self.backend.replace(name=backend),
         )
 
-    # ----------------------------------------------------------- round trip
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["speeds"] = list(self.speeds)
-        d["backends"] = list(self.backends)
-        if self.faults is not None:
-            d["faults"] = self.faults.to_dict()
-        if self.recovery is not None:
-            d["recovery"] = self.recovery.to_dict()
-        return d
+        """``ExperimentConfig.to_dict()`` without ``workload``, plus
+        ``backends``."""
+        data = {name: getattr(self, name).to_dict() for name in _SECTIONS}
+        data["backends"] = list(self.backends)
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WorldSpec":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "speeds" in kwargs:
-            kwargs["speeds"] = tuple(kwargs["speeds"])
-        if "backends" in kwargs:
-            kwargs["backends"] = tuple(kwargs["backends"])
-        if kwargs.get("faults") is not None:
-            kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("recovery") is not None:
-            kwargs["recovery"] = RecoveryPlan.from_dict(kwargs["recovery"])
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------- configs
-    def experiment_config(
-        self, workload: str, size: str = "test", backend: Optional[str] = None
-    ):
-        """The typed :class:`~repro.api.config.ExperimentConfig` this world
-        denotes for one backend (default: the world's first)."""
-        from repro.api.config import (
-            BackendConfig,
-            ClusterConfig,
-            ExperimentConfig,
-            PartitionConfig,
-            WorkloadSpec,
-        )
-
-        return ExperimentConfig(
-            workload=WorkloadSpec(name=workload, size=size),
-            partition=PartitionConfig(
-                method=self.method,
-                nparts=self.nparts,
-                granularity=self.granularity,
-                replication=self.replication,
-            ),
-            cluster=ClusterConfig(
-                network=self.network,
-                speeds=self.speeds,
-                mem_mb=self.mem_mb,
-                faults=self.faults,
-                recovery=self.recovery,
-            ),
-            backend=BackendConfig(
-                name=backend if backend is not None else self.backends[0],
-                async_writes=self.async_writes,
-                engine=self.engine,
-            ),
+    def from_dict(cls, data: dict) -> "World":
+        missing = [k for k in (*_SECTIONS, "backends") if k not in data]
+        if missing:
+            raise ConfigError(f"world is missing {', '.join(missing)}")
+        return cls(
+            *(section.from_dict(data[name])
+              for name, section in _SECTIONS.items()),
+            tuple(data["backends"]),
         )
 
 
@@ -169,7 +106,7 @@ def generate_world(
     include_faults: bool = False,
     include_recovery: bool = False,
     include_tcp: bool = False,
-) -> WorldSpec:
+) -> World:
     """Sample one world.  Distribution is deliberately corner-heavy: about
     one scenario in five runs a degenerate topology (1 node, or a wide
     cluster with idle machines).
@@ -259,57 +196,71 @@ def generate_world(
     engine = rng.choice(
         ("default", "default", "default", "compiled", "compiled", "fast")
     )
-    return WorldSpec(
-        nparts=nparts,
-        method=rng.choice(PARTITIONERS.names()),
-        granularity="object" if rng.random() < 0.25 else "class",
-        network=rng.choice(NETWORKS.names()),
-        speeds=speeds,
-        mem_mb=rng.choice((64, 128, 256, 512)),
-        backends=tuple(backends),
-        async_writes=rng.random() < 0.3,
-        faults=faults,
-        recovery=recovery,
-        replication=replication,
-        engine=engine,
+    # the draws below run in argument order (method, granularity, network,
+    # mem_mb, async_writes): the order every seed's world was drawn in
+    return World(
+        PartitionConfig(
+            method=rng.choice(PARTITIONERS.names()),
+            nparts=nparts,
+            granularity="object" if rng.random() < 0.25 else "class",
+            replication=replication,
+        ),
+        ClusterConfig(
+            network=rng.choice(NETWORKS.names()),
+            speeds=speeds,
+            mem_mb=rng.choice((64, 128, 256, 512)),
+            faults=faults,
+            recovery=recovery,
+        ),
+        BackendConfig(async_writes=rng.random() < 0.3, engine=engine),
+        tuple(backends),
     )
 
 
-def degenerate_worlds() -> Tuple[WorldSpec, ...]:
+def degenerate_worlds() -> Tuple[World, ...]:
     """The fixed corner cases every conformance run should cover at least
     once (tests parametrize over these directly)."""
+    paper = ClusterConfig(speeds=(1.7e9, 800e6), mem_mb=512)
     return (
         # 1-node: distribution must collapse to sequential semantics
-        WorldSpec(nparts=1, speeds=(800e6,), backends=("sim",)),
+        World(
+            PartitionConfig(nparts=1),
+            ClusterConfig(speeds=(800e6,), mem_mb=512),
+            BackendConfig(),
+            ("sim",),
+        ),
         # the paper's exact heterogeneous testbed
-        WorldSpec(nparts=2, speeds=(1.7e9, 800e6), backends=("sim", "thread")),
+        World(PartitionConfig(), paper, BackendConfig(), ("sim", "thread")),
         # wide: 16 machines, 4 partitions, 12 idle nodes
-        WorldSpec(
-            nparts=4,
-            speeds=tuple(SPEED_PALETTE[i % len(SPEED_PALETTE)] for i in range(16)),
-            backends=("sim",),
+        World(
+            PartitionConfig(nparts=4),
+            ClusterConfig(
+                speeds=tuple(
+                    SPEED_PALETTE[i % len(SPEED_PALETTE)] for i in range(16)
+                ),
+                mem_mb=512,
+            ),
+            BackendConfig(),
+            ("sim",),
         ),
         # slow link + fire-and-forget writes
-        WorldSpec(
-            nparts=2,
-            network="wireless_80211b",
-            speeds=(400e6, 3.2e9),
-            async_writes=True,
-            backends=("sim",),
+        World(
+            PartitionConfig(),
+            ClusterConfig(
+                network="wireless_80211b", speeds=(400e6, 3.2e9), mem_mb=512
+            ),
+            BackendConfig(async_writes=True),
+            ("sim",),
         ),
         # object granularity on a 3-way split
-        WorldSpec(
-            nparts=3,
-            granularity="object",
-            method="kl",
-            speeds=(1.0e9, 2.4e9, 800e6),
-            backends=("sim",),
+        World(
+            PartitionConfig(method="kl", nparts=3, granularity="object"),
+            ClusterConfig(speeds=(1.0e9, 2.4e9, 800e6), mem_mb=512),
+            BackendConfig(),
+            ("sim",),
         ),
         # the paper testbed forced onto the compiled tier end to end
-        WorldSpec(
-            nparts=2,
-            speeds=(1.7e9, 800e6),
-            backends=("sim",),
-            engine="compiled",
+        World(
+            PartitionConfig(), paper, BackendConfig(engine="compiled"), ("sim",)
         ),
     )

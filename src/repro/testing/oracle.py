@@ -22,9 +22,9 @@ the same typed configs, registries, stage cache and event plumbing as any
 hand-written experiment (:func:`temp_workload`).
 
 When a check fails, :func:`run_fuzz` minimizes the offending program with
-:func:`repro.testing.genprog.shrink_program` and packages a replayable
-:class:`CounterExample` whose corpus entry reproduces the divergence from
-source alone — no generator state needed.
+:func:`repro.testing.genprog.shrink_program` and records it as a
+``counterexample`` :class:`~repro.testing.corpus.CorpusEntry` that
+reproduces the divergence from source alone — no generator state needed.
 """
 
 from __future__ import annotations
@@ -34,18 +34,20 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.testing.genprog import GenConfig, ProgramSpec, generate_program
-from repro.testing.genworld import WorldSpec, generate_world
+from repro.testing.genworld import World, generate_world
 from repro.testing.seeds import derive_seed
+
+if TYPE_CHECKING:
+    from repro.testing.corpus import CorpusEntry
 
 __all__ = [
     "Divergence",
     "Scenario",
     "ConformanceOutcome",
-    "CounterExample",
     "ConformanceReport",
     "temp_workload",
     "observe_vm",
@@ -83,7 +85,7 @@ class Scenario:
 
     name: str
     source: str
-    world: WorldSpec
+    world: World
     #: structured form, present for generated programs (enables shrinking)
     spec: Optional[ProgramSpec] = None
     gen_seed: Optional[int] = None
@@ -119,45 +121,6 @@ class ConformanceOutcome:
 
 
 @dataclass
-class CounterExample:
-    """A minimized, replayable conformance failure."""
-
-    name: str
-    world: Dict[str, Any]
-    source: str
-    divergences: List[Divergence]
-    gen_seed: Optional[int] = None
-    gen_config: Optional[Dict[str, Any]] = None
-    original_statements: int = 0
-    minimized_statements: int = 0
-    shrink_evals: int = 0
-    #: reference observables of the minimized program (golden for replay)
-    reference: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "world": self.world,
-            "source": self.source,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "gen_seed": self.gen_seed,
-            "gen_config": self.gen_config,
-            "original_statements": self.original_statements,
-            "minimized_statements": self.minimized_statements,
-            "shrink_evals": self.shrink_evals,
-            "reference": self.reference,
-        }
-
-    def summary(self) -> str:
-        checks = ", ".join(sorted({d.check for d in self.divergences}))
-        return (
-            f"{self.name}: {checks} "
-            f"(shrunk {self.original_statements} -> "
-            f"{self.minimized_statements} statements)"
-        )
-
-
-@dataclass
 class ConformanceReport:
     """The outcome of one fuzzing or replay session."""
 
@@ -166,7 +129,8 @@ class ConformanceReport:
     scenarios: int = 0
     checks: int = 0
     faulted: int = 0
-    failures: List[CounterExample] = field(default_factory=list)
+    #: one ``counterexample`` corpus entry per minimized failure
+    failures: List["CorpusEntry"] = field(default_factory=list)
     elapsed_s: float = 0.0
 
     @property
@@ -192,7 +156,14 @@ class ConformanceReport:
             f"{len(self.failures)} failures in {self.elapsed_s:.1f}s"
         ]
         for f in self.failures:
-            lines.append(f"  FAIL {f.summary()}")
+            checks = ", ".join(
+                sorted({d["check"] for d in f.meta["divergences"]})
+            )
+            lines.append(
+                f"  FAIL {f.name}: {checks} (shrunk "
+                f"{f.meta['original_statements']} -> "
+                f"{f.meta['minimized_statements']} statements)"
+            )
         return "\n".join(lines)
 
 
@@ -489,7 +460,7 @@ def check_scenario(
     with temp_workload(scenario.source) as wname:
         world = scenario.world
         base_exp = Experiment(
-            world.experiment_config(wname, backend="sim"), cache=cache
+            world.experiment_config(wname, "sim"), cache=cache
         )
         if _vm_differential(outcome, base_exp.compile().loaded):
             return outcome
@@ -500,8 +471,7 @@ def check_scenario(
                 base_exp
                 if backend == "sim"
                 else Experiment(
-                    world.experiment_config(wname, backend=backend),
-                    cache=cache,
+                    world.experiment_config(wname, backend), cache=cache
                 )
             )
             divs, checks = _check_backend(exp, backend)
@@ -593,6 +563,7 @@ def run_fuzz(
     :func:`~repro.testing.seeds.derive_seed`, so any single iteration can
     be regenerated in isolation."""
     from repro.harness.cache import StageCache
+    from repro.testing.corpus import CorpusEntry
 
     report = ConformanceReport(seed=seed, budget=budget)
     golden: List[Tuple[Scenario, ConformanceOutcome]] = []
@@ -633,20 +604,23 @@ def run_fuzz(
             scenario, outcome, max_evals=shrink_budget
         )
         report.failures.append(
-            CounterExample(
+            CorpusEntry(
                 name=scenario.name,
-                world=world.to_dict(),
+                kind="counterexample",
                 source=minimized.source,
-                divergences=final.divergences,
-                gen_seed=cfg.seed,
-                gen_config=cfg.to_dict(),
-                original_statements=spec.num_statements(),
-                minimized_statements=(
-                    minimized.spec.num_statements()
-                    if minimized.spec is not None else 0
-                ),
-                shrink_evals=evals,
-                reference=final.reference,
+                world=world.to_dict(),
+                expected=dict(final.reference),
+                meta={
+                    "gen_seed": cfg.seed,
+                    "gen_config": cfg.to_dict(),
+                    "divergences": [d.to_dict() for d in final.divergences],
+                    "original_statements": spec.num_statements(),
+                    "minimized_statements": (
+                        minimized.spec.num_statements()
+                        if minimized.spec is not None else 0
+                    ),
+                    "shrink_evals": evals,
+                },
             )
         )
         if len(report.failures) >= max_failures:

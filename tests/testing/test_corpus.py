@@ -1,6 +1,7 @@
 """repro.testing.corpus: entry round-trips, the committed corpus replays
 clean, and golden drift is detected."""
 
+import json
 import pathlib
 
 import pytest
@@ -10,8 +11,9 @@ from repro.testing import (
     CorpusEntry,
     GenConfig,
     Scenario,
-    WorldSpec,
+    World,
     check_scenario,
+    degenerate_worlds,
     entry_from_outcome,
     generate_program,
     load_corpus,
@@ -19,13 +21,14 @@ from repro.testing import (
 )
 
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "corpus"
+#: the paper's two-node testbed on the simulator alone
+PAPER = degenerate_worlds()[1]._replace(backends=("sim",))
 
 
 def _passing_entry(seed=4):
     spec = generate_program(GenConfig(seed=seed, n_classes=1))
     scenario = Scenario(
-        name=f"corpus-t-{seed}", source=spec.render(), world=WorldSpec(),
-        spec=spec,
+        name=f"corpus-t-{seed}", source=spec.render(), world=PAPER, spec=spec,
     )
     outcome = check_scenario(scenario)
     assert outcome.ok
@@ -39,7 +42,7 @@ def test_entry_json_round_trip(tmp_path):
     assert again.name == entry.name
     assert again.source == entry.source
     assert again.expected == entry.expected
-    assert again.world == entry.world
+    assert again.to_json() == entry.to_json()
 
 
 def test_replay_fresh_entry_passes():
@@ -69,6 +72,17 @@ def test_load_corpus_rejects_missing_and_garbage(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_corpus_refuses_another_schema(tmp_path):
+    """A schema-1 entry (the flat world form) is refused with the file and
+    the schema named, not converted."""
+    data = json.loads(_passing_entry().to_json())
+    data["schema"] = 1
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ReproError, match=r"old\.json: corpus schema 1 is not 2"):
+        load_corpus(tmp_path)
+
+
 def test_committed_corpus_loads_and_has_both_shapes():
     entries = load_corpus(CORPUS_DIR)
     assert len(entries) >= 5
@@ -77,7 +91,8 @@ def test_committed_corpus_loads_and_has_both_shapes():
     for _, entry in entries:
         assert entry.source.strip()
         assert entry.expected["stdout"], entry.name
-        WorldSpec.from_dict(entry.world)  # world must round-trip
+        world = World.from_dict(entry.world)  # world must round-trip
+        assert json.loads(json.dumps(world.to_dict())) == entry.world
 
 
 def test_committed_corpus_replays_clean():

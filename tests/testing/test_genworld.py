@@ -1,13 +1,22 @@
-"""repro.testing.genworld: validity, determinism, config round-trips."""
+"""repro.testing.genworld: validity, determinism, config round-trips, and
+the world stream pinned by digest."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from repro.api.config import ClusterConfig, ConfigError, ExperimentConfig
+from repro.api.config import (
+    BackendConfig,
+    ClusterConfig,
+    ConfigError,
+    ExperimentConfig,
+    PartitionConfig,
+)
 from repro.testing.genworld import (
     SPEED_PALETTE,
-    WorldSpec,
+    World,
     degenerate_worlds,
     generate_world,
 )
@@ -24,33 +33,47 @@ def test_generated_worlds_are_valid_configs():
     ExperimentConfig whose cluster can host its plan."""
     for seed in range(40):
         world = generate_world(random.Random(seed), include_thread=True)
-        cfg = world.experiment_config("bank")
-        assert isinstance(cfg, ExperimentConfig)
-        assert cfg.cluster.size == world.nnodes
-        assert world.nnodes >= world.nparts
-        cluster = cfg.cluster.build(world.nparts)
-        assert cluster.size == world.nnodes
-        for spec, hz in zip(cluster.nodes, world.speeds):
-            assert spec.cpu_hz == hz
+        speeds = world.cluster.speeds
+        assert len(speeds) >= world.partition.nparts
         for backend in world.backends:
             assert backend in ("sim", "thread", "process")
+            cfg = world.experiment_config("bank", backend)
+            assert isinstance(cfg, ExperimentConfig)
+            assert cfg.backend.name == backend
+            assert cfg.cluster.size == len(speeds)
+        cluster = world.cluster.build(world.partition.nparts)
+        assert [spec.cpu_hz for spec in cluster.nodes] == list(speeds)
 
 
 def test_world_round_trip():
+    """The dict form is the ExperimentConfig's less its workload, plus the
+    backends; it survives JSON through each section's own from_dict."""
     for seed in range(10):
-        world = generate_world(random.Random(seed))
-        assert WorldSpec.from_dict(world.to_dict()) == world
+        world = generate_world(random.Random(seed), include_faults=True)
+        data = world.to_dict()
+        expected = world.experiment_config("bank", "sim").to_dict()
+        del expected["workload"]
+        assert data == {**expected, "backends": list(world.backends)}
+        assert World.from_dict(json.loads(json.dumps(data))) == world
+
+
+def test_world_from_dict_names_what_is_missing():
+    data = degenerate_worlds()[0].to_dict()
+    del data["cluster"], data["backends"]
+    with pytest.raises(ConfigError, match="cluster, backends"):
+        World.from_dict(data)
 
 
 def test_degenerate_worlds_cover_corners():
     worlds = degenerate_worlds()
-    sizes = {w.nnodes for w in worlds}
+    sizes = {w.cluster.size for w in worlds}
     assert 1 in sizes, "must include the 1-node degenerate topology"
     assert 16 in sizes, "must include the wide 16-node topology"
-    assert any(w.granularity == "object" for w in worlds)
-    assert any(w.async_writes for w in worlds)
+    assert any(w.partition.granularity == "object" for w in worlds)
+    assert any(w.backend.async_writes for w in worlds)
     for w in worlds:
-        w.experiment_config("bank")  # all must validate
+        for backend in w.backends:
+            w.experiment_config("bank", backend)  # all must validate
 
 
 def test_cluster_config_speeds_build():
@@ -88,10 +111,15 @@ def test_cluster_config_speeds_validation():
 
 
 def test_experiment_config_uses_effective_cluster_size():
-    world = WorldSpec(nparts=3, speeds=(1e9, 1e9, 1e9))
-    world.experiment_config("bank")  # 3 speeds host 3 parts: fine
+    def world(nnodes):
+        return World(
+            PartitionConfig(nparts=3), ClusterConfig(speeds=(1e9,) * nnodes),
+            BackendConfig(), ("sim",),
+        )
+
+    world(3).experiment_config("bank", "sim")  # 3 speeds host 3 parts: fine
     with pytest.raises(ConfigError):
-        WorldSpec(nparts=3, speeds=(1e9, 1e9)).experiment_config("bank")
+        world(2).experiment_config("bank", "sim")
 
 
 def test_speed_palette_sane():
@@ -115,31 +143,79 @@ def test_fault_worlds_sampled_and_round_trip():
     lossy = crashy = replicated = 0
     for seed in range(120):
         w = generate_world(random.Random(seed), include_faults=True)
-        if w.faults is not None:
-            assert isinstance(w.faults, FaultPlan)
-            if w.faults.transient_only:
+        faults, nnodes = w.cluster.faults, w.cluster.size
+        if faults is not None:
+            assert isinstance(faults, FaultPlan)
+            if faults.transient_only:
                 lossy += 1
-                assert "/lossy" in w.label()
+                assert faults.drop_pct > 0 and not faults.crashes
             else:
                 crashy += 1
-                assert "/faulty" in w.label()
-                (victim, cycle), = w.faults.crashes
-                assert 0 <= victim < w.nnodes and cycle > 0
-        if w.replication > 1:
+                (victim, cycle), = faults.crashes
+                assert 0 <= victim < nnodes and cycle > 0
+        replication = w.partition.replication
+        if replication > 1:
             replicated += 1
-            assert w.replication <= w.nnodes
-            assert f"/r{w.replication}" in w.label()
-        again = WorldSpec.from_dict(w.to_dict())
+            assert replication <= nnodes
+        again = World.from_dict(w.to_dict())
         assert again == w
         # the typed config carries both axes through
-        cfg = w.experiment_config("bank")
-        assert cfg.cluster.faults == w.faults
-        assert cfg.partition.replication == w.replication
+        cfg = w.experiment_config("bank", "sim")
+        assert cfg.cluster.faults == faults
+        assert cfg.partition.replication == replication
     assert lossy > 0 and crashy > 0 and replicated > 0
 
 
 def test_single_node_worlds_never_fault():
     for seed in range(200):
         w = generate_world(random.Random(seed), include_faults=True)
-        if w.nnodes == 1:
-            assert w.faults is None and w.replication == 1
+        if w.cluster.size == 1:
+            assert w.cluster.faults is None and w.partition.replication == 1
+
+
+# ------------------------------------------------------------ the stream
+#: sha256 (first 16 hex digits) of the sorted-JSON ExperimentConfig of every
+#: backend of every world of seeds 0-199 per flag set the CLI can pass, and
+#: of the degenerate worlds.  Taken through the world type these replaced
+#: (equal under PYTHONHASHSEED 0 and 4242); a changed digest means some
+#: seed now yields a different world, so a fuzz seed no longer reproduces.
+WORLD_STREAM_DIGESTS = {
+    "default": "e54b3498468c439e",
+    "faults": "403c68f79d3107f0",
+    "recovery": "b0cdbf5bc11c809f",
+    "process": "dd0f0419358e3b72",
+    "tcp": "afaabca7d97666e1",
+    "degenerate": "f5946c6db47bdc20",
+}
+
+FLAG_SETS = {
+    "default": {},
+    "faults": {"include_faults": True},
+    "recovery": {"include_faults": True, "include_recovery": True},
+    "process": {"include_process": True},
+    "tcp": {"include_tcp": True},
+}
+
+
+def _stream_digest(worlds) -> str:
+    h = hashlib.sha256()
+    for world in worlds:
+        for backend in world.backends:
+            cfg = world.experiment_config("bank", backend)
+            h.update(json.dumps(cfg.to_dict(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("flags", sorted(FLAG_SETS))
+def test_every_seed_yields_the_world_it_always_did(flags):
+    worlds = (
+        generate_world(random.Random(seed), **FLAG_SETS[flags])
+        for seed in range(200)
+    )
+    assert _stream_digest(worlds) == WORLD_STREAM_DIGESTS[flags]
+
+
+def test_the_degenerate_worlds_are_the_ones_they_always_were():
+    assert _stream_digest(degenerate_worlds()) == WORLD_STREAM_DIGESTS[
+        "degenerate"
+    ]

@@ -8,7 +8,6 @@ from repro.api import Experiment
 from repro.testing import (
     GenConfig,
     Scenario,
-    WorldSpec,
     check_scenario,
     degenerate_worlds,
     generate_program,
@@ -17,13 +16,17 @@ from repro.testing import (
 )
 
 
+#: the paper's two-node testbed on the simulator alone
+PAPER = degenerate_worlds()[1]._replace(backends=("sim",))
+
+
 def _scenario(seed=7, n_classes=2, world=None, **cfg_kwargs):
     spec = generate_program(GenConfig(seed=seed, n_classes=n_classes,
                                       **cfg_kwargs))
     return Scenario(
         name=f"t-{seed}",
         source=spec.render(),
-        world=world if world is not None else WorldSpec(),
+        world=world if world is not None else PAPER,
         spec=spec,
         gen_seed=seed,
     )
@@ -37,7 +40,11 @@ def test_clean_scenario_passes():
 
 
 @pytest.mark.parametrize(
-    "world", degenerate_worlds(), ids=lambda w: w.label()
+    "world", degenerate_worlds(),
+    ids=lambda w: (
+        f"k{w.partition.nparts}/n{w.cluster.size}/{w.partition.granularity}"
+        f"/{w.cluster.network}/{'+'.join(w.backends)}/{w.backend.engine}"
+    ),
 )
 def test_degenerate_worlds_hold_equivalence(world):
     """1-node, wide-16, slow-wireless/async, object-granularity: the same
@@ -61,21 +68,23 @@ def test_faulting_scenario_skips_distributed_but_checks_vm():
 def test_injected_vm_fault_is_caught_and_minimized(monkeypatch):
     """The acceptance scenario: a deliberately injected VM fault (the fast
     path overcharges one cycle per block) must be caught by the oracle and
-    reported as a minimized, replayable counterexample."""
+    reported as a minimized, replayable counterexample entry."""
+    from repro.testing import CorpusEntry, replay_entry
+
     monkeypatch.setenv("REPRO_VM_INJECT_OVERCHARGE", "1")
     report, _ = run_fuzz(seed=0, budget=2, max_failures=1)
     assert not report.ok
-    ce = report.failures[0]
-    assert any(d.check == "vm.cycles" for d in ce.divergences)
+    entry = report.failures[0]
+    assert isinstance(entry, CorpusEntry) and entry.kind == "counterexample"
+    assert any(d["check"] == "vm.cycles" for d in entry.meta["divergences"])
     # minimized: the shrinker got rid of (at least) most of the program
-    assert ce.minimized_statements <= ce.original_statements
-    assert ce.shrink_evals > 0
-    assert "FuzzMain" in ce.source
+    assert (entry.meta["minimized_statements"]
+            <= entry.meta["original_statements"])
+    assert entry.meta["shrink_evals"] > 0
+    assert "FuzzMain" in entry.source
+    assert "vm.cycles" in report.summary()
     # replayable: the minimized source alone still reproduces while the
     # fault is injected...
-    from repro.testing import entry_from_counterexample, replay_entry
-
-    entry = entry_from_counterexample(ce)
     divs = replay_entry(entry)
     assert any(d.check == "vm.cycles" for d in divs)
     # ...and stops reproducing once the fault is fixed
