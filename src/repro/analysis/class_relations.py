@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.analysis.loops import FREQUENCY, loop_levels
 from repro.analysis.relgraph import RelGraph
 from repro.analysis.rta import CallGraph
@@ -58,6 +59,7 @@ def _is_user(program: BProgram, cls: str) -> bool:
     return cls in program.classes
 
 
+@acyclic
 def build_crg(cg: CallGraph) -> ClassRelationGraph:
     program = cg.program
     table = program.table

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.analysis.loops import loop_levels
 from repro.analysis.rta import CallGraph
 from repro.bytecode import opcodes as op
@@ -107,6 +108,7 @@ def _reaches(cg: CallGraph, start: str, goal: str) -> bool:
     return False
 
 
+@acyclic
 def compute_object_set(cg: CallGraph) -> List[ObjectNode]:
     """All abstract objects of the program, in deterministic order."""
     program = cg.program

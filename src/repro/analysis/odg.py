@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.analysis.class_relations import ClassRelationGraph, part_node
 from repro.analysis.object_set import ObjectNode
 from repro.analysis.relgraph import RelGraph
@@ -49,6 +50,7 @@ def _part_of(obj: ObjectNode) -> str:
     return part_node(obj.class_name, obj.static_part)
 
 
+@acyclic
 def build_odg(
     cg: CallGraph,
     crg: ClassRelationGraph,

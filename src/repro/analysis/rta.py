@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BMethod, BProgram
 from repro.errors import AnalysisError, SemanticError
@@ -64,6 +65,7 @@ class CallGraph:
         self.sites.setdefault(callee, set()).add((caller, index))
 
 
+@acyclic
 def rapid_type_analysis(
     program: BProgram, entry: Optional[str] = None
 ) -> CallGraph:

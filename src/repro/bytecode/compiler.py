@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.acyclic import acyclic
 from repro.errors import NESTED_TOO_DEEPLY, CompileError
 from repro.lang import ast
 from repro.lang.symbols import ClassTable
@@ -621,6 +622,7 @@ _EXPR_CODE = {
 }
 
 
+@acyclic
 def compile_program(program: ast.Program, table: ClassTable) -> BProgram:
     """Compile an analyzed AST into a :class:`BProgram`.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.analysis.class_relations import build_crg
 from repro.analysis.object_set import compute_object_set
 from repro.analysis.odg import build_odg
@@ -25,7 +26,7 @@ from repro.bytecode.model import BProgram
 from repro.distgen.classify import classify_dependent_crg, classify_dependent_odg
 from repro.errors import AnalysisError
 from repro.graph.wgraph import pairwise_sum
-from repro.partition.api import part_graph
+from repro.partition.api import part_graph, part_graph_tolerances
 
 
 @dataclass
@@ -144,6 +145,7 @@ def placement_cost(
     return estimate_plan_cost(graph, list(parts), nparts, tpwgts)
 
 
+@acyclic
 def build_plan(
     program: BProgram,
     nparts: int,
@@ -195,14 +197,16 @@ def build_plan(
         # node speeds + communication across the cut).  A tolerance that
         # repeats (ubfactor 1.3 or 1.0) would repeat an identical seeded
         # partition, and the first of equal-cost candidates wins anyway.
+        # One call partitions them all, doing once what reads no tolerance.
         best = None
-        candidates = []
-        for ub in dict.fromkeys((1.05, 1.3, 2.0, ubfactor, 2 * ubfactor)):
-            res = part_graph(
-                graph, nparts, method=method, seed=seed, tpwgts=tpwgts,
-                ubfactor=ub,
+        candidates = [
+            (pinned_parts(res.parts), res.edgecut)
+            for res in part_graph_tolerances(
+                graph, nparts,
+                tuple(dict.fromkeys((1.05, 1.3, 2.0, ubfactor, 2 * ubfactor))),
+                method=method, seed=seed, tpwgts=tpwgts,
             )
-            candidates.append((pinned_parts(res.parts), res.edgecut))
+        ]
         if nparts > 1 and not force_distribution:
             # degenerate candidate: everything co-located with main — the
             # right answer for chatty programs ("many programs may not need

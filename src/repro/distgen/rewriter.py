@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.acyclic import acyclic
 from repro.bytecode import opcodes as op
 from repro.bytecode.model import BMethod, BProgram, Instr, stack_effect, successors
 from repro.bytecode.verifier import verified
@@ -292,6 +293,7 @@ class _MethodRewriter:
         return new_code if changed else None
 
 
+@acyclic
 def rewrite_program(
     program: BProgram, plan: DistributionPlan
 ) -> Tuple[BProgram, RewriteStats]:

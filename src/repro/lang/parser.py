@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.acyclic import acyclic
 from repro.errors import NESTED_TOO_DEEPLY, ParseError, SourcePosition
 from repro.lang import ast
 from repro.lang.lexer import tokenize
@@ -589,6 +590,7 @@ class Parser:
         return ast.NewArray(self._array_dims(base), length, start[2], start[3])
 
 
+@acyclic
 def parse_program(source: str) -> ast.Program:
     """Parse MJ source text into an (unanalyzed) :class:`~repro.lang.ast.Program`."""
     return Parser(tokenize(source)).parse_program()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.acyclic import acyclic
 from repro.errors import NESTED_TOO_DEEPLY, SemanticError
 from repro.lang import ast
 from repro.lang.symbols import (
@@ -551,6 +552,7 @@ _EXPR_RULES = {
 }
 
 
+@acyclic
 def analyze(program: ast.Program) -> ClassTable:
     """Resolve and type check ``program`` (annotating its AST in place);
     returns the populated class table."""

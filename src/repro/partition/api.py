@@ -5,6 +5,9 @@ is our equivalent surface: one call that takes a
 :class:`~repro.graph.wgraph.WeightedGraph`, the number of partitions, a
 method name and a balance tolerance, and returns a
 :class:`PartitionResult` with the assignment, edgecut and imbalance.
+``part_graph_tolerances`` is the same call at several balance tolerances,
+doing once what reads no tolerance; ``part_graph`` is its one-tolerance
+case.
 
 Methods:
 
@@ -27,21 +30,23 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.acyclic import acyclic
 from repro.api.registry import Registry
 from repro.errors import PartitionError
 from repro.graph.metrics import edgecut, imbalance
 from repro.graph.wgraph import WeightedGraph
 from repro.partition.kl import kernighan_lin
-from repro.partition.multilevel import multilevel_bisect, recursive_kway
+from repro.partition.multilevel import recursive_kway
 from repro.partition.rng import Stream
 from repro.partition.spectral import spectral_bisect
 
-#: a partitioner takes (graph, nparts, rng, ubfactor, tpwgts) and returns the
-#: per-node partition vector; ``part_graph`` handles the degenerate cases
-#: (k == 1, empty graph, k >= n) before dispatching
+#: a partitioner takes (graph, nparts, rng, ubfactors, tpwgts) and returns
+#: one per-node partition vector per balance tolerance in ``ubfactors``;
+#: ``part_graph_tolerances`` handles the degenerate cases (k == 1, empty
+#: graph, k >= n) before dispatching
 Partitioner = Callable[
-    [WeightedGraph, int, Stream, float, Optional[List[float]]],
-    List[int],
+    [WeightedGraph, int, Stream, Sequence[float], Optional[List[float]]],
+    List[List[int]],
 ]
 
 #: the unified plugin registry partition methods are selected through
@@ -73,21 +78,31 @@ def _kway_from_bisector(graph: WeightedGraph, nparts: int, bisector) -> List[int
     return parts
 
 
+def _tolerance_free(partition) -> Partitioner:
+    """A baseline reads no balance tolerance: it runs once, from
+    ``partition(graph, nparts, rng)``, and every tolerance gets a copy."""
+
+    def partitioner(graph, nparts, rng, ubfactors, tpwgts) -> List[List[int]]:
+        parts = partition(graph, nparts, rng)
+        return [list(parts) for _ in ubfactors]
+
+    return partitioner
+
+
 @PARTITIONERS.register("multilevel")
-def _part_multilevel(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
-    return recursive_kway(
-        graph, nparts, rng, ubfactor,
-        tpwgts=list(tpwgts) if tpwgts is not None else None,
-    )
+def _part_multilevel(graph, nparts, rng, ubfactors, tpwgts) -> List[List[int]]:
+    return recursive_kway(graph, nparts, rng, ubfactors, tpwgts)
 
 
 @PARTITIONERS.register("kl")
-def _part_kl(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
+@_tolerance_free
+def _part_kl(graph, nparts, rng) -> List[int]:
     return _kway_from_bisector(graph, nparts, lambda sub: kernighan_lin(sub, rng))
 
 
 @PARTITIONERS.register("spectral")
-def _part_spectral(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
+@_tolerance_free
+def _part_spectral(graph, nparts, rng) -> List[int]:
     return _kway_from_bisector(
         graph,
         nparts,
@@ -98,12 +113,14 @@ def _part_spectral(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
 
 
 @PARTITIONERS.register("roundrobin")
-def _part_roundrobin(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
+@_tolerance_free
+def _part_roundrobin(graph, nparts, rng) -> List[int]:
     return [i % nparts for i in range(graph.num_nodes)]
 
 
 @PARTITIONERS.register("random")
-def _part_random(graph, nparts, rng, ubfactor, tpwgts) -> List[int]:
+@_tolerance_free
+def _part_random(graph, nparts, rng) -> List[int]:
     return [int(rng.integers(nparts)) for _ in range(graph.num_nodes)]
 
 
@@ -194,28 +211,51 @@ def part_graph(
 
     ``tpwgts`` sets per-partition target weight fractions (heterogeneous
     node capacities); multilevel only — baselines ignore it."""
+    return part_graph_tolerances(
+        graph, nparts, (ubfactor,), method=method, seed=seed, tpwgts=tpwgts
+    )[0]
+
+
+@acyclic
+def part_graph_tolerances(
+    graph: WeightedGraph,
+    nparts: int,
+    ubfactors: Sequence[float],
+    method: str = "multilevel",
+    seed: int = 17,
+    tpwgts: Optional[Sequence[float]] = None,
+) -> List[PartitionResult]:
+    """:func:`part_graph` at every balance tolerance in ``ubfactors``, in
+    one call: result ``i`` is ``part_graph(..., ubfactor=ubfactors[i])``.
+    What reads no tolerance (the seeded stream, the first bisection's
+    subgraph, coarsening and initial bisection, a baseline's whole run) is
+    done once."""
     if nparts < 1:
         raise PartitionError(f"nparts must be >= 1, got {nparts}")
     partitioner = PARTITIONERS.get(method)  # UnknownPluginError on bad names
     if tpwgts is not None and len(tpwgts) != nparts:
         raise PartitionError("tpwgts length must equal nparts")
     n = graph.num_nodes
-    rng = Stream(seed)
+    ubfactors = tuple(ubfactors)
 
     if nparts == 1 or n == 0:
-        parts: List[int] = [0] * n
+        per_tolerance = [[0] * n for _ in ubfactors]
     elif nparts >= n:
-        parts = list(range(n))  # one node per part; extra parts stay empty
+        # one node per part; extra parts stay empty
+        per_tolerance = [list(range(n)) for _ in ubfactors]
     else:
-        parts = partitioner(
-            graph, nparts, rng, ubfactor,
+        per_tolerance = partitioner(
+            graph, nparts, Stream(seed), ubfactors,
             list(tpwgts) if tpwgts is not None else None,
         )
 
-    return PartitionResult(
-        parts=parts,
-        nparts=nparts,
-        method=method,
-        edgecut=edgecut(graph, parts),
-        imbalance=imbalance(graph, parts, nparts) if n else [],
-    )
+    return [
+        PartitionResult(
+            parts=parts,
+            nparts=nparts,
+            method=method,
+            edgecut=edgecut(graph, parts),
+            imbalance=imbalance(graph, parts, nparts) if n else [],
+        )
+        for parts in per_tolerance
+    ]

@@ -73,6 +73,12 @@ class Stream:
         self._state = (self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc & _M128
         self._half = -1  # the unused upper half of the last 64-bit output
 
+    def copy(self) -> "Stream":
+        """An independent stream that draws what this one would draw next."""
+        twin = Stream.__new__(Stream)
+        twin._state, twin._inc, twin._half = self._state, self._inc, self._half
+        return twin
+
     def _next32(self) -> int:
         half = self._half
         if half >= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
+from repro.acyclic import acyclic
 from repro.errors import VMError
 from repro.bytecode.model import BMethod, BProgram
 from repro.bytecode.verifier import verify_program
@@ -99,6 +100,7 @@ class LoadedProgram:
         return dict(self.statics)
 
 
+@acyclic
 def load_program(bprogram: BProgram) -> LoadedProgram:
     """Verify every method, resolve layouts and execute all ``<clinit>``
     initializers."""

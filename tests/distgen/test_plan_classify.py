@@ -124,21 +124,26 @@ def test_each_balance_tolerance_is_partitioned_once(
 ):
     import repro.distgen.plan as plan_mod
     from repro.distgen.plan import placement_cost
+    from repro.partition.api import part_graph
 
     by_tolerance = {}
     calls = []
-    real = plan_mod.part_graph
+    real = plan_mod.part_graph_tolerances
 
-    def recording(graph, nparts, **kwargs):
-        calls.append(kwargs["ubfactor"])
-        result = real(graph, nparts, **kwargs)
-        by_tolerance[kwargs["ubfactor"]] = list(result.parts)
-        return result
+    def recording(graph, nparts, ubfactors, **kwargs):
+        calls.append(list(ubfactors))
+        results = real(graph, nparts, ubfactors, **kwargs)
+        for ub, result in zip(ubfactors, results):
+            by_tolerance[ub] = list(result.parts)
+            # one call at many tolerances is each tolerance's own call
+            alone = part_graph(graph, nparts, ubfactor=ub, **kwargs)
+            assert (result.parts, result.edgecut) == (alone.parts, alone.edgecut)
+        return results
 
-    monkeypatch.setattr(plan_mod, "part_graph", recording)
+    monkeypatch.setattr(plan_mod, "part_graph_tolerances", recording)
     bp, _ = compile_mj_raw(WORKLOADS[workload].source("test"))
     plan = build_plan(bp, 2, ubfactor=ubfactor)
-    assert calls == tried
+    assert calls == [tried]
 
     # the winner is still the first lowest-cost candidate of the full list
     full = [by_tolerance[ub] for ub in (1.05, 1.3, 2.0, ubfactor, 2 * ubfactor)]

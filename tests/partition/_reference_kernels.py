@@ -6,10 +6,14 @@ vertex per step, same decisions.  ``reference_kernels()`` swaps them into
 what they ran on then: weights as an ``(n, ncon)`` array summed by numpy, and
 draws from a real ``numpy.random.default_rng`` instead of the repo's own
 ``partition.rng.Stream``.  numpy lives on this side of the comparison only.
+The kernels are as they shipped; the swap adapts them to the interface the
+shipped recursion calls now (every balance tolerance in one call, and a
+stream it can copy).
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
@@ -208,22 +212,45 @@ def exhaustive_bisect(graph: WeightedGraph, frac: float, ub: float) -> List[int]
     return best_parts
 
 
+class _NumpyStream:
+    """``numpy.random.default_rng(seed)`` with the ``copy()`` the shipped
+    multi-tolerance recursion takes of its stream."""
+
+    def __init__(self, seed=None, generator=None):
+        self._gen = np.random.default_rng(seed) if generator is None else generator
+
+    def integers(self, high):
+        return self._gen.integers(high)
+
+    def permutation(self, n):
+        return self._gen.permutation(n)
+
+    def copy(self):
+        return _NumpyStream(generator=copy.deepcopy(self._gen))
+
+
+def exhaustive_bisections(graph, frac, ubs):
+    """One :func:`exhaustive_bisect` per tolerance, the shipped kernel's
+    many-tolerance interface."""
+    return [exhaustive_bisect(graph, frac, ub) for ub in ubs]
+
+
 @contextmanager
 def reference_kernels():
     """Run ``part_graph(method="multilevel")`` on the kernels above."""
     shipped = (
         multilevel.fm_refine, multilevel.grow_bisection,
-        multilevel.exhaustive_bisect,
+        multilevel.exhaustive_bisections,
     )
     multilevel.fm_refine = fm_refine
     multilevel.grow_bisection = grow_bisection
-    multilevel.exhaustive_bisect = exhaustive_bisect
-    shipped_stream, api.Stream = api.Stream, np.random.default_rng
+    multilevel.exhaustive_bisections = exhaustive_bisections
+    shipped_stream, api.Stream = api.Stream, _NumpyStream
     try:
         yield
     finally:
         api.Stream = shipped_stream
         (
             multilevel.fm_refine, multilevel.grow_bisection,
-            multilevel.exhaustive_bisect,
+            multilevel.exhaustive_bisections,
         ) = shipped

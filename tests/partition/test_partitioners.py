@@ -1,16 +1,13 @@
 """Partitioner tests: correctness invariants, quality floors, multi-
 constraint balance, target weights, determinism — unit + hypothesis."""
 
-import gc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compile_mj_raw, run_python, scaling_source, two_node_plan_arguments
+from helpers import run_python
 
-from repro.distgen import build_plan
 from repro.errors import PartitionError
 from repro.graph.metrics import edgecut, imbalance
 from repro.graph.wgraph import WeightedGraph
@@ -103,31 +100,6 @@ def test_determinism_same_seed():
     assert a.parts == b.parts
 
 
-def test_partitioning_leaves_no_cyclic_garbage():
-    """A plan and a partition are freed by reference counting: a recursive
-    closure would keep the graph, the ``Stream`` and the parts vector in a
-    function-cell cycle until the collector's next pass.  A first round
-    imports what the layers use (an import leaves garbage of its own), and
-    the collector is off during the second, so that no automatic pass hides
-    a cycle."""
-    program, _ = compile_mj_raw(scaling_source(24))
-    g = random_graph(40, seed=3)
-
-    def plan_and_partition():
-        build_plan(program, 2, **two_node_plan_arguments())
-        for method in ("multilevel", "kl", "spectral", "random"):
-            part_graph(g, 4, method=method)
-
-    plan_and_partition()
-    gc.collect()
-    gc.disable()
-    try:
-        plan_and_partition()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 # ------------------------------------------------------------------ quality
 def test_multilevel_finds_bridge_cut():
     g = two_cliques()
@@ -197,6 +169,44 @@ def test_exhaustive_is_optimal_on_tiny_graphs():
         if not (total[0] * 0.5 * 1.4 >= w0 >= total[0] - total[0] * 0.5 * 1.4):
             continue
         assert edgecut(g, cand) >= best - 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    ncon=st.integers(min_value=1, max_value=3),
+    graph_seed=st.integers(min_value=0, max_value=2**16),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    frac=st.sampled_from([0.5, 1 / 3, 0.68]),
+    ubs=st.lists(st.sampled_from([1.0, 1.05, 1.3, 2.0, 4.0, 8.0]),
+                 min_size=1, max_size=5),
+)
+def test_gray_walk_is_the_exact_scan_on_integral_weights(
+    n, ncon, graph_seed, density, frac, ubs
+):
+    """The Gray-code walk updates sums that the scan recomputes per mask;
+    on integral weights both are exact, so they pick the same mask at every
+    tolerance, ties included (zero-weight vertices and edgeless graphs
+    tie all the time)."""
+    from repro.partition.multilevel import _gray_walk, _mask_scan
+
+    rng = np.random.default_rng(graph_seed)
+    g = WeightedGraph(ncon)
+    for i in range(n):
+        g.add_node(i, [float(rng.integers(0, 4)) for _ in range(ncon)])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                g.add_edge(u, v, float(rng.integers(1, 4)))
+    columns = list(zip(*g.vwgts()))
+    caps = [
+        [((t * frac + 1e-12) * ub, (t * (1.0 - frac) + 1e-12) * ub)
+         for t in g.total_weight()]
+        for ub in ubs
+    ]
+    assert _gray_walk(g, columns, caps) == _mask_scan(
+        n, columns, caps, list(g.edges())
+    )
 
 
 # ------------------------------------------------------------------ balance / tpwgts

@@ -49,6 +49,20 @@ def test_stream_is_default_rng(seed, draws):
         assert draw(ours, op, arg) == draw(theirs, op, arg), (step, op, arg)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=1 << 64), before=DRAWS, after=DRAWS)
+def test_a_copy_draws_what_the_original_draws(seed, before, after):
+    """``Stream.copy()`` carries the state and the buffered half of the last
+    64-bit output, so each tolerance of a multi-tolerance partition draws
+    what a call at that tolerance alone would."""
+    ours = Stream(seed)
+    for op, arg in before:
+        draw(ours, op, arg)
+    twin = ours.copy()
+    for op, arg in after:
+        assert draw(twin, op, arg) == draw(ours, op, arg), (op, arg)
+
+
 def test_a_one_value_range_consumes_nothing():
     ours, theirs = Stream(5), np.random.default_rng(5)
     for _ in range(3):

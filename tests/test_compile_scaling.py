@@ -14,9 +14,16 @@ tenth above what shipped, so that a per-token or per-instruction helper call
 does not creep back in.  Wall-clock evidence is ``perfbench``'s (``run_s`` @
 ``pipeline_cold``); its generated programs stop at 48 classes, which is why
 the larger rows live here.
+
+Three more counts hold this file's other savings: automatic collections
+during one pass from source to rewritten bytecode (the stages run with the
+collector paused, ``repro.acyclic``), Python calls per mask of a 15-vertex
+exhaustive bisection (the Gray-code walk), and ``grow_bisection`` calls per
+``build_plan`` (one initial bisection serves every balance tolerance).
 """
 
 import gc
+import random
 
 import pytest
 
@@ -32,8 +39,11 @@ from repro.bytecode import compile_program
 from repro.bytecode.verifier import verify_program
 from repro.distgen import build_plan, rewrite_program
 from repro.errors import SemanticError, SourcePosition
+from repro.graph.wgraph import WeightedGraph
 from repro.lang import analyze, ast, parse_program, tokenize
 from repro.lang.parser import Parser
+from repro.partition.multilevel import exhaustive_bisect
+from repro.vm import load_program
 
 SIZES = (24, 96, 192)
 MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
@@ -58,7 +68,10 @@ MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 #:           18.0 / 17.9 / 17.9 before that, ``isinstance`` chains, a
 #:           wrapper call per emitted instruction, and a dict literal and a
 #:           helper call per load, store or return opcode)
-#: plan      5.0 /  4.4 /  4.2  (10.4 / 9.7 / 9.7: loop depths rewalked per
+#: plan      2.9 /  2.9 /  3.0  (5.0 / 4.4 / 4.2: five partitioner runs,
+#:           one per tolerance, each coarsening and growing the same initial
+#:           bisection or enumerating the same masks, at five or so calls per
+#:           mask; 10.4 / 9.7 / 9.7 before that, loop depths rewalked per
 #:           method by the CRG and twice per class by the CPU estimate, with
 #:           a ``frequency_factor`` and an ``op.cost_of`` call per
 #:           instruction; 14.3 / 23.8 / 33.8 before that, numpy per vertex
@@ -78,7 +91,7 @@ MAX_GROWTH = 1.25  # calls per unit at 192 classes : at 24 classes
 #:           own)
 MAX_CALLS = {"tokenize": 3.5, "parse": 3.2, "analyze": 3.5,
              "compile_program": 9.8, "verify_program": 1.8,
-             "build_plan": 5.5, "build_crg": 1.5,
+             "build_plan": 3.3, "build_crg": 1.5,
              "compute_object_set": 0.31, "rewrite_program": 4.7}
 
 
@@ -201,3 +214,82 @@ def test_a_correct_program_builds_no_source_position():
     assert key not in profiled(front_to_bytecode, scaling_source(96)).stats.stats
     broken = scaling_source(24).replace("return", "return true +", 1)
     assert profiled(rejected, broken).stats.stats[key][1] == 1
+
+
+#: automatic collections by generation during one pass over
+#: ``scaling_source(48)``, as shipped 1 / 0 / 0 (95 / 8 / 0 while every stage
+#: ran with the collector on; the one left is set off by what the pass
+#: allocates between two stages); gen 0 capped a tenth above, never a full one
+MAX_COLLECTIONS = {0: 1, 1: 0, 2: 0}
+
+
+def test_the_pipeline_runs_with_the_collector_paused():
+    """The stages from parsing to rewriting leave no cyclic garbage
+    (``tests/test_acyclic_stages.py``), so they run with automatic
+    collection off, and a pass sets off only the collections that what
+    runs between the stages allocates.  Counted with ``gc.callbacks`` from
+    a collected heap: the count follows allocations, not the host."""
+    def one_pass(source):
+        tree = parse_program(source)
+        program = compile_program(tree, analyze(tree))
+        load_program(program)
+        cg = rapid_type_analysis(program)
+        crg = build_crg(cg)
+        build_odg(cg, crg, compute_object_set(cg))
+        plan = build_plan(program, 2, **plan_arguments)
+        rewrite_program(program, plan)
+
+    plan_arguments = two_node_plan_arguments()
+    source = scaling_source(48)
+    one_pass(scaling_source(8))  # imports, and the caches they fill
+    started = dict.fromkeys(MAX_COLLECTIONS, 0)
+
+    def count(phase, info):
+        if phase == "start":
+            started[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        one_pass(source)
+    finally:
+        gc.callbacks.remove(count)
+    assert all(started[g] <= MAX_COLLECTIONS[g] for g in started), started
+
+
+def _integral_graph(n: int) -> WeightedGraph:
+    rng = random.Random(n)
+    g = WeightedGraph(1)
+    for i in range(n):
+        g.add_node(i, [float(rng.randint(1, 9))])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                g.add_edge(u, v, float(rng.randint(1, 5)))
+    return g
+
+
+#: Python calls per mask of one 15-vertex exhaustive bisection on integral
+#: weights, as shipped 0.0156 (4.0 when each mask re-summed its side weights
+#: and its cut)
+MAX_CALLS_PER_MASK = 0.0172
+
+
+def test_exhaustive_bisection_costs_no_call_per_mask():
+    """The exhaustive bisection walks its 2**15 - 2 masks in Gray-code order
+    with no Python call per mask: the side weights and the cut move by the
+    one vertex that flips (ROADMAP item 14's cliff)."""
+    calls = profiled(exhaustive_bisect, _integral_graph(15), 0.5, 1.3).calls
+    assert calls / (2 ** 15 - 2) <= MAX_CALLS_PER_MASK, calls
+
+
+def test_one_initial_bisection_serves_every_tolerance():
+    """``build_plan`` partitions at five balance tolerances; coarsening and
+    the initial bisection read none of them, so a two-node plan of a
+    49-vertex class graph grows one initial bisection, not five."""
+    tree = parse_program(scaling_source(48))
+    program = compile_program(tree, analyze(tree))
+    by_name = profiled(
+        build_plan, program, 2, **two_node_plan_arguments()
+    ).by_name
+    assert by_name["initial.py:grow_bisection"] == 1
